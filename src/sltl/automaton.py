@@ -28,6 +28,7 @@ from .syntax import (
     Sharper,
     Top,
     Until,
+    _has_temporal,
 )
 
 DEFAULT_STATE_LIMIT = 200_000
@@ -39,14 +40,6 @@ class AutomatonLimitError(RuntimeError):
     def __init__(self, limit: int):
         super().__init__(f"automaton search exceeded the state limit of {limit}")
         self.limit = limit
-
-
-def _propositional(f: Formula) -> bool:
-    if isinstance(f, (Next, Until)):
-        return False
-    from .syntax import children
-
-    return all(_propositional(c) for c in children(f))
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,11 @@ class StateSpace:
             g for g in cl.formulas if isinstance(g, (Prop, Sharper, Next, DiamondS, BoxS))
         ]
         self.base_index = {g: i for i, g in enumerate(self.base)}
-        self.psl_flags = [_propositional(g) for g in cl.formulas]
+        self.psl_flags = [not _has_temporal(g) for g in cl.formulas]
         self.state_limit = state_limit
         self.generated = 0
+        self._next_bits = sum(1 << cl.index[g] for g in cl.next_members)
+        self._successors: dict[int, list[SElementarySet]] = {}
 
     # three-valued truth of a closure formula under a partial base assignment
     def value(self, f: Formula, assign: list[Optional[bool]]) -> Optional[bool]:
@@ -190,6 +185,18 @@ class StateSpace:
 
         yield from dfs(0)
 
+    def successors(self, b: SElementarySet) -> list[SElementarySet]:
+        """Transition targets, memoised: the next-step members of the
+        source fix the truth of their operands in every target, so sources
+        that agree on those members share their targets."""
+        key = b.mask & self._next_bits
+        targets = self._successors.get(key)
+        if targets is None:
+            constraints = [(g.operand, g in b) for g in self.closure.next_members]
+            targets = list(self.enumerate(constraints))
+            self._successors[key] = targets
+        return targets
+
     def _assert_maximally_consistent(self, b: SElementarySet) -> None:
         cl = self.closure
         assert Top() in b and Bottom() not in b
@@ -212,13 +219,6 @@ def initial_states(cl: ClosureSet, phi_d: Formula, space: Optional[StateSpace] =
     if space is None:
         space = StateSpace(cl)
     return space.enumerate([(phi_d, True)])
-
-
-def successors(b: SElementarySet) -> Iterator[SElementarySet]:
-    """Lazy stream of transition targets: the next-step members of the
-    source fix the truth of their operands in every target."""
-    constraints = [(g.operand, g in b) for g in b.space.closure.next_members]
-    return b.space.enumerate(constraints)
 
 
 @dataclass(frozen=True)
@@ -255,20 +255,10 @@ def find_accepting_lasso(
     def holds(b: SElementarySet, i: int) -> bool:
         return preds[i](b) if preds else True
 
-    succ_cache: dict[tuple[bool, ...], list[SElementarySet]] = {}
-
-    def succ_states(b: SElementarySet) -> list[SElementarySet]:
-        xvec = tuple(g in b for g in cl.next_members)
-        cached = succ_cache.get(xvec)
-        if cached is None:
-            cached = list(b.space.enumerate([(g.operand, g in b) for g in cl.next_members]))
-            succ_cache[xvec] = cached
-        return cached
-
     def prod_succ(node: tuple[SElementarySet, int]) -> list[tuple[SElementarySet, int]]:
         b, i = node
         j = (i + 1) % k if holds(b, i) else i
-        return [(b2, j) for b2 in succ_states(b)]
+        return [(b2, j) for b2 in space.successors(b)]
 
     def accepting(node: tuple[SElementarySet, int]) -> bool:
         return node[1] == 0 and holds(node[0], 0)
@@ -347,7 +337,7 @@ def dump_state_graph(cl: ClosureSet, phi_d: Formula, out: TextIO, state_limit: i
     while i < len(order):
         b = seen[order[i]]
         i += 1
-        for b2 in successors(b):
+        for b2 in space.successors(b):
             edges.append((b.mask, b2.mask))
             if b2.mask not in seen:
                 seen[b2.mask] = b2

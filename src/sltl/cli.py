@@ -23,10 +23,9 @@ from .semantics import (
     model_from_json,
     model_to_json,
 )
-from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
+from .solver import SolveOptions, Verdict, check_witness, partition_formula, solve, verdict_to_json
 from .syntax import Formula, Fragment, ParseError, classify, closure, parse, to_text, vocab
 from .translate import (
-    apply_partition,
     counter_formula,
     iter_partitions,
     product_to_sltl,
@@ -88,12 +87,9 @@ def _env_limit(name: str, default: int) -> int:
 
 def _cmd_solve(args) -> int:
     f = _read_formula(args)
-    if args.jobs < 1:
-        raise _CliError(EX_USAGE, "--jobs needs at least one worker")
     opts = SolveOptions(
         fragment_strict=args.fragment_strict,
         attach_translation=True,
-        jobs=args.jobs,
         node_limit=_env_limit("SLTL_NODE_LIMIT", DEFAULT_NODE_LIMIT),
         state_limit=_env_limit("SLTL_STATE_LIMIT", DEFAULT_STATE_LIMIT),
         symmetry=args.symmetry,
@@ -104,7 +100,7 @@ def _cmd_solve(args) -> int:
         frag = classify(f)
         if frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
             part = next(iter_partitions(vocab(f).sharpenings))
-            phi_d = apply_partition(f, part)
+            phi_d = partition_formula(f, part)
             with open(args.dump_states, "w", encoding="utf-8") as fh:
                 dump_state_graph(closure(phi_d), phi_d, fh, opts.state_limit)
         else:
@@ -226,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bounded-search limits: traces,prefix,period")
     p_solve.add_argument("--json", action="store_true", help="machine-readable verdict")
     p_solve.add_argument("--witness-out", metavar="PATH", help="write the witness JSON here")
-    p_solve.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="partition branches to run concurrently")
     p_solve.add_argument("--symmetry", action="store_true",
                          help="enable the symmetry reduction of the bounded search")
     p_solve.add_argument("--dump-states", metavar="PATH",

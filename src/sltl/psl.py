@@ -1,4 +1,4 @@
-"""Propositional standpoint logic: evaluation and complete satisfiability.
+"""Propositional standpoint logic: grid models and complete satisfiability.
 
 Satisfiability goes through the normalized small-model property: a
 satisfiable conjunction of sharpening atoms and a sharpening-free body in
@@ -20,7 +20,6 @@ from .syntax import (
     BoxS,
     DiamondS,
     Formula,
-    Next,
     Not,
     Or,
     Prop,
@@ -29,7 +28,7 @@ from .syntax import (
     Top,
     TOP,
     UNIVERSAL,
-    Until,
+    _has_temporal,
     children,
     conj,
     neg,
@@ -46,10 +45,8 @@ class TemporalOperatorError(ValueError):
 
 
 def _require_propositional(f: Formula) -> None:
-    if isinstance(f, (Next, Until)):
+    if _has_temporal(f):
         raise TemporalOperatorError(f"temporal operator in a propositional context: {f}")
-    for c in children(f):
-        _require_propositional(c)
 
 
 # ---------------------------------------------------------------------------
@@ -157,42 +154,6 @@ class SatResult:
     @staticmethod
     def unsat() -> "SatResult":
         return SatResult(None, None)
-
-
-def evaluate(model: PSLModel, cell: tuple[int, int], f: Formula) -> bool:
-    """Propositional standpoint satisfaction at a grid cell."""
-    _require_propositional(f)
-    universe = frozenset().union(*model.family.sets)
-
-    def ev(c: tuple[int, int], g: Formula) -> bool:
-        if isinstance(g, Top):
-            return True
-        if isinstance(g, Bottom):
-            return False
-        if isinstance(g, Prop):
-            return g.name in model.valuation[c]
-        if isinstance(g, Sharper):
-            for sp in (g.left, g.right):
-                if not sp.is_universal and sp not in universe:
-                    raise ValueError(f"standpoint {sp} is outside the model universe")
-            return set(model.extent(g.left)) <= set(model.extent(g.right))
-        if isinstance(g, Not):
-            return not ev(c, g.operand)
-        if isinstance(g, And):
-            return ev(c, g.left) and ev(c, g.right)
-        if isinstance(g, Or):
-            return ev(c, g.left) or ev(c, g.right)
-        if isinstance(g, (DiamondS, BoxS)):
-            sp = g.standpoint
-            if not sp.is_universal and sp not in universe:
-                raise ValueError(f"standpoint {sp} is outside the model universe")
-            ext = model.extent(sp)
-            if isinstance(g, DiamondS):
-                return any(ev(c2, g.operand) for c2 in ext)
-            return all(ev(c2, g.operand) for c2 in ext)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ev(cell, f)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +416,6 @@ def sat_normal_form(
     if valuation is None:
         return SatResult.unsat()
     model = PSLModel(family, n, valuation)
-    if not evaluate(model, (0, 1), whole):
-        raise AssertionError("grid search produced a model the evaluator rejects")
     return SatResult(model, (0, 1))
 
 
@@ -495,24 +454,22 @@ def sat(f: Formula) -> SatResult:
 _consistency_cache: dict[frozenset[Formula], bool] = {}
 
 
-def standpoint_consistent(members: Iterable[Formula], use_cache: bool = True) -> bool:
+def standpoint_consistent(members: Iterable[Formula]) -> bool:
     """Is the conjunction of these propositional members satisfiable?
 
     Fast path: a negated sharpening atom already entailed by the positive
     ones is hopeless, no search needed.  Verdicts are memoized by the set of
-    members; the cache only ever stores final verdicts, so concurrent
-    readers and writers cannot change an answer.
+    members; the cache only ever stores final verdicts, so an interrupted
+    query leaves no entry behind.
     """
     mems = frozenset(members)
     for m in mems:
         _require_propositional(m)
-    if use_cache:
-        cached = _consistency_cache.get(mems)
-        if cached is not None:
-            return cached
+    cached = _consistency_cache.get(mems)
+    if cached is not None:
+        return cached
     verdict = _consistent(mems)
-    if use_cache:
-        _consistency_cache[mems] = verdict
+    _consistency_cache[mems] = verdict
     return verdict
 
 
@@ -560,10 +517,7 @@ def grid_model_for(
     valuation = _grid_search(body, family, n, props)
     if valuation is None:
         return None
-    model = PSLModel(family, n, valuation)
-    if not evaluate(model, (0, 1), conj(list(conjuncts))):
-        raise AssertionError("grid search produced a model the evaluator rejects")
-    return model
+    return PSLModel(family, n, valuation)
 
 
 # ---------------------------------------------------------------------------

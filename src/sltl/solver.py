@@ -8,7 +8,6 @@ packages a checkable witness with every satisfiable verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +47,6 @@ class SolveOptions:
     bounds: Optional[SearchBounds] = None
     fragment_strict: bool = False
     attach_translation: bool = False
-    jobs: int = 1
     node_limit: int = DEFAULT_NODE_LIMIT
     state_limit: int = DEFAULT_STATE_LIMIT
     symmetry: bool = False
@@ -109,6 +107,7 @@ def witness_from_lasso(lasso: Lasso, phi_d: Formula) -> tuple[SLTLModel, str]:
     members on one shared grid; the trace of a cell reads that cell's
     valuation across positions, and the standpoint extents follow the cell
     labels.  The designated trace is the first cell of the universal column.
+    ``solve`` checks the model once, on its own input formula.
     """
     cl = lasso.cycle[0].space.closure
     family, n, n_safe = _uniform_grid(phi_d, cl)
@@ -151,8 +150,6 @@ def witness_from_lasso(lasso: Lasso, phi_d: Formula) -> tuple[SLTLModel, str]:
         lam[sp] = members
     model = SLTLModel(traces, lam, prefix_len, period_len)
     designated = "t0"
-    if not check_witness(phi_d, model, designated):
-        raise AssertionError("constructed witness fails the evaluator")
     return model, designated
 
 
@@ -176,11 +173,16 @@ def _lift_psl_model(result: psl.SatResult, f: Formula) -> tuple[SLTLModel, str]:
     return SLTLModel(traces, lam, 0, 1), "t0"
 
 
-def _solve_partition(f: Formula, part: Partition, state_limit: int) -> Optional[tuple[SLTLModel, str]]:
+def partition_formula(f: Formula, part: Partition) -> Formula:
+    """The formula the automaton explores for one partition."""
     # Constant folding can shrink the closure dramatically (dead Until
     # branches in particular); the folded formula is equivalent, so its
     # witnesses are witnesses of the partition formula.
-    phi_d = simplify(apply_partition(f, part))
+    return simplify(apply_partition(f, part))
+
+
+def _solve_partition(f: Formula, part: Partition, state_limit: int) -> Optional[tuple[SLTLModel, str]]:
+    phi_d = partition_formula(f, part)
     cl = closure(phi_d)
     lasso = find_accepting_lasso(cl, phi_d, state_limit)
     if lasso is None:
@@ -210,7 +212,9 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     Propositional inputs are decided by the grid solver, temporal inputs
     without standpoint-scoped temporal operators by the partition/automaton
     pipeline (complete in both directions), and everything else by the
-    bounded search, which can say sat or unknown but never unsat.
+    bounded search, which can say sat or unknown but never unsat.  Every
+    sat verdict's witness is checked once on ``f``: here for the grid and
+    automaton engines, inside ``bounded_search`` for the bounded search.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
@@ -219,56 +223,39 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
         if not result.is_sat:
             return Verdict("unsat", frag, engine="psl")
         model, designated = _lift_psl_model(result, f)
-        if not check_witness(f, model, designated):
-            raise AssertionError("lifted grid witness fails the evaluator")
-        return Verdict(
+        verdict = Verdict(
             "sat", frag, engine="psl", model=model, designated=designated,
             psl_model=result.model,
         )
-    if frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
-        parts = list(iter_partitions(vocab(f).sharpenings))
-        if opts.jobs > 1 and len(parts) > 1:
-            with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-                futures = [
-                    pool.submit(_solve_partition, f, part, opts.state_limit)
-                    for part in parts
-                ]
-                results = [fut.result() for fut in futures]
-            for part, found in zip(parts, results):
-                if found is not None:
-                    model, designated = found
-                    break
-            else:
-                return Verdict("unsat", frag, engine="automaton")
+    elif frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+        for part in iter_partitions(vocab(f).sharpenings):
+            found = _solve_partition(f, part, opts.state_limit)
+            if found is not None:
+                model, designated = found
+                break
         else:
-            for part in parts:
-                found = _solve_partition(f, part, opts.state_limit)
-                if found is not None:
-                    model, designated = found
-                    break
-            else:
-                return Verdict("unsat", frag, engine="automaton")
-        if not check_witness(f, model, designated):
-            raise AssertionError("automaton witness fails the evaluator on the input")
-        return Verdict(
+            return Verdict("unsat", frag, engine="automaton")
+        verdict = Verdict(
             "sat", frag, engine="automaton", model=model, designated=designated,
             partition=part,
         )
-    # Full language: bounded search only, never an unsat claim.
-    translation = to_text(sltl_to_product(f)) if opts.attach_translation else None
-    if opts.fragment_strict:
-        return Verdict("out_of_fragment", frag, translation=translation)
-    bounds = opts.bounds or SearchBounds.for_formula(f, 3, 2, 3)
-    found = bounded_search(f, bounds, symmetry=opts.symmetry, node_limit=opts.node_limit)
-    if found is not None:
+    else:
+        # Full language: bounded search only, never an unsat claim.
+        translation = to_text(sltl_to_product(f)) if opts.attach_translation else None
+        if opts.fragment_strict:
+            return Verdict("out_of_fragment", frag, translation=translation)
+        bounds = opts.bounds or SearchBounds.for_formula(f, 3, 2, 3)
+        found = bounded_search(f, bounds, symmetry=opts.symmetry, node_limit=opts.node_limit)
+        if found is None:
+            return Verdict("unknown", frag, engine="oracle", bounds=bounds, translation=translation)
         model, designated = found
-        if not check_witness(f, model, designated):
-            raise AssertionError("search witness fails the evaluator")
         return Verdict(
             "sat", frag, engine="oracle", model=model, designated=designated,
             bounds=bounds,
         )
-    return Verdict("unknown", frag, engine="oracle", bounds=bounds, translation=translation)
+    if not check_witness(f, model, designated):
+        raise AssertionError(f"{verdict.engine} witness fails the evaluator on the input")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

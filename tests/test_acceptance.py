@@ -31,7 +31,7 @@ from sltl.semantics import (
     evaluate,
     evaluate_product,
 )
-from sltl.solver import check_witness, solve
+from sltl.solver import _lift_psl_model, check_witness, solve
 from sltl.syntax import (
     DiamondS,
     Prop,
@@ -144,6 +144,9 @@ def test_criterion_04_grid_shape():
         for cell in m.valuation:
             assert m.labels(cell) == m.family.sets[cell[0]]
         assert all(UNIVERSAL in s for s in m.family.sets)
+        # the grid model satisfies the formula at the designated cell
+        model, designated = _lift_psl_model(result, f)
+        assert evaluate(model, designated, 0, f), to_text(f)
     report(4, f"{checked} satisfiable grid models meet all three shape conditions")
 
 

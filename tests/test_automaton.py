@@ -13,7 +13,6 @@ from sltl.automaton import (
     dump_state_graph,
     find_accepting_lasso,
     initial_states,
-    successors,
 )
 from sltl.semantics import SearchBounds, bounded_search
 from sltl.syntax import (
@@ -57,7 +56,7 @@ def test_successors_respect_next_members():
     f = parse("X p | X !p")
     cl = closure(f)
     for b in initial_states(cl, f):
-        for b2 in successors(b):
+        for b2 in b.space.successors(b):
             assert (Next(Prop("p")) in b) == (Prop("p") in b2)
 
 
@@ -65,8 +64,8 @@ def test_successors_unconstrained_without_next_members():
     f = parse("p | q")
     cl = closure(f)
     some_state = next(initial_states(cl, f))
-    succs = list(successors(some_state))
     space = some_state.space
+    succs = space.successors(some_state)
     everything = list(space.enumerate([]))
     assert {b.mask for b in succs} == {b.mask for b in everything}
     assert len(succs) == 4  # free choice of p and q

@@ -1,10 +1,17 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sltl
+from sltl.automaton import dump_state_graph
 from sltl.cli import main
-from sltl.syntax import parse
+from sltl.syntax import closure, parse, simplify, vocab
 from sltl.semantics import model_from_json
+from sltl.translate import apply_partition, iter_partitions
 
 
 def run(capsys, *argv):
@@ -163,6 +170,34 @@ def test_dump_states_writes_graph(tmp_path, capsys):
     assert code == 0
     text = dump.read_text()
     assert "state " in text and "edge " in text
+
+
+def test_dump_states_is_the_searched_graph(tmp_path, capsys):
+    # folding drops the dead Until branch; the dump shows the folded graph
+    text = "(@s <= @t) & (!(@s <= @t) U X p) & F q"
+    dump = tmp_path / "graph.txt"
+    code, _, _ = run(capsys, "solve", "--dump-states", str(dump), text)
+    assert code == 0
+    f = parse(text)
+    phi_d = simplify(apply_partition(f, next(iter_partitions(vocab(f).sharpenings))))
+    searched = io.StringIO()
+    dump_state_graph(closure(phi_d), phi_d, searched)
+    lines = dump.read_text().splitlines()
+    assert lines == searched.getvalue().splitlines()
+    assert sum(ln.startswith("state ") for ln in lines) == 16
+    assert sum(ln.startswith("edge ") for ln in lines) == 64
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # every CLI call pays the package's import time
+    src = os.path.dirname(os.path.dirname(sltl.__file__))
+    probe = "import sys, sltl; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_exit_codes_match_verdicts_on_regression_corpus(capsys):

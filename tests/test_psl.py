@@ -8,10 +8,10 @@ from sltl import psl
 from sltl.psl import (
     PSLModel,
     SFamily,
+    SatResult,
     TemporalOperatorError,
     UNREPRESENTABLE,
     clear_consistency_cache,
-    evaluate,
     family_for,
     grid_model_for,
     psl_model_to_json,
@@ -21,6 +21,8 @@ from sltl.psl import (
     split_for_grid,
     standpoint_consistent,
 )
+from sltl.semantics import evaluate
+from sltl.solver import _lift_psl_model
 from sltl.syntax import (
     DiamondS,
     Not,
@@ -38,6 +40,13 @@ from sltl.syntax import (
 
 STAR = frozenset({UNIVERSAL})
 STAR_S = frozenset({UNIVERSAL, S})
+
+
+def holds(m: PSLModel, f) -> bool:
+    """Truth of ``f`` at cell (0, 1), by the reference evaluator on the
+    lifted one-position model."""
+    lifted, designated = _lift_psl_model(SatResult(m, (0, 1)), f)
+    return evaluate(lifted, designated, 0, f)
 
 
 def test_sharpening_closure_links_everything_to_universal():
@@ -61,9 +70,9 @@ def test_family_orders_universal_first():
 def test_evaluate_on_single_cell_grid():
     fam = SFamily((STAR,))
     m = PSLModel(fam, 1, {(0, 1): frozenset({"p"})})
-    assert evaluate(m, (0, 1), parse("<@*> p"))
-    assert evaluate(m, (0, 1), parse("[@*] p"))
-    assert not evaluate(m, (0, 1), parse("<@*> q"))
+    assert holds(m, parse("<@*> p"))
+    assert holds(m, parse("[@*] p"))
+    assert not holds(m, parse("<@*> q"))
 
 
 def test_evaluate_box_reads_only_matching_cells():
@@ -71,22 +80,15 @@ def test_evaluate_box_reads_only_matching_cells():
     with_p = PSLModel(fam, 1, {(0, 1): frozenset(), (1, 1): frozenset({"p"})})
     without_p = PSLModel(fam, 1, {(0, 1): frozenset({"p"}), (1, 1): frozenset()})
     f = parse("[@s] p")
-    assert evaluate(with_p, (0, 1), f)
-    assert not evaluate(without_p, (0, 1), f)
+    assert holds(with_p, f)
+    assert not holds(without_p, f)
 
 
 def test_evaluate_sharpening_is_family_inclusion():
     fam = SFamily((STAR, STAR_S, frozenset({UNIVERSAL, S, T})))
     m = PSLModel(fam, 1, {(i, 1): frozenset() for i in range(3)})
-    assert not evaluate(m, (0, 1), Sharper(S, T))  # the {*,s} cell lacks t
-    assert evaluate(m, (0, 1), Sharper(T, S))  # every t-cell carries s
-
-
-def test_evaluate_rejects_temporal_operators():
-    fam = SFamily((STAR,))
-    m = PSLModel(fam, 1, {(0, 1): frozenset()})
-    with pytest.raises(TemporalOperatorError):
-        evaluate(m, (0, 1), parse("X p"))
+    assert not holds(m, Sharper(S, T))  # the {*,s} cell lacks t
+    assert holds(m, Sharper(T, S))  # every t-cell carries s
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +170,7 @@ def test_grid_model_shape_conditions():
         assert set(m.family.sets) == {rel.of(sp) for sp in rel.universe}
         # condition 2: the designated cell is the first universal-column cell
         assert res.designated == (0, 1)
-        assert evaluate(m, res.designated, conj(list(atoms) + [body]))
+        assert holds(m, conj(list(atoms) + [body]))
         # condition 3: the labels of a cell are exactly its family set
         for (i, j) in m.valuation:
             assert m.labels((i, j)) == m.family.sets[i]
@@ -253,7 +255,7 @@ def test_consistency_cache_is_transparent():
         members = [random_formula(rng, 2, mode="psl") for _ in range(rng.randint(1, 3))]
         first = standpoint_consistent(members)
         again = standpoint_consistent(members)
-        uncached = standpoint_consistent(members, use_cache=False)
+        uncached = psl._consistent(frozenset(members))
         assert first == again == uncached
 
 
@@ -267,7 +269,7 @@ def test_grid_model_for_fixed_width():
     model = grid_model_for([parse("<@s> p"), parse("!p")], fam, 4)
     assert model is not None
     assert model.n == 4
-    assert evaluate(model, (0, 1), parse("<@s> p & !p"))
+    assert holds(model, parse("<@s> p & !p"))
     # width too small for two forced-apart witnesses
     tight = grid_model_for([parse("[@s] p")], fam, 1)
     assert tight is not None

@@ -1,10 +1,12 @@
 import json
 import random
 
+import pytest
+
 from conftest import random_formula
 
 import sltl.solver as solver_mod
-from sltl import psl
+from sltl import psl, semantics
 from sltl.semantics import SearchBounds, bounded_search, evaluate, model_to_json
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json
 from sltl.syntax import (
@@ -160,15 +162,6 @@ def test_solve_is_deterministic():
     assert model_to_json(v1.model, v1.designated) == model_to_json(v2.model, v2.designated)
 
 
-def test_parallel_partitions_match_sequential():
-    f = parse("!(@s <= @t) & X (p U q)")
-    seq = solve(f, SolveOptions(jobs=1))
-    par = solve(f, SolveOptions(jobs=4))
-    assert seq.status == par.status == "sat"
-    assert seq.partition == par.partition
-    assert model_to_json(seq.model, seq.designated) == model_to_json(par.model, par.designated)
-
-
 def test_width_escalation_when_negated_boxes_force_cells_apart():
     # four negated boxes force four pairwise distinct cells in the s-column,
     # more than the diamond-free width estimate provides
@@ -210,8 +203,26 @@ def test_psl_lift_agrees_with_grid_evaluation():
         done += 1
         v = solve(f)
         assert v.status == "sat" and v.engine == "psl"
-        assert psl.evaluate(res.model, res.designated, f)
         assert check_witness(f, v.model, v.designated)
+
+
+@pytest.mark.parametrize("text, engine", [
+    ("<@s> p & [@s] !q", "psl"),
+    ("(@s <= @t) & G <@s> p & F q", "automaton"),
+    ("<@s> X p", "oracle"),
+])
+def test_sat_verdict_builds_one_evaluator(monkeypatch, text, engine):
+    built = []
+    init = semantics._Evaluator.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(semantics._Evaluator, "__init__", counting_init)
+    v = solve(parse(text))
+    assert (v.status, v.engine) == ("sat", engine)
+    assert built == [v.model]
 
 
 def test_verdict_json_schema():
