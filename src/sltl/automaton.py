@@ -93,6 +93,8 @@ class StateSpace:
             g for g in cl.formulas if isinstance(g, (Prop, Sharper, Next, DiamondS, BoxS))
         ]
         self.base_index = {g: i for i, g in enumerate(self.base)}
+        # base index of each Until member's next-step companion
+        self._until_next = {g: self.base_index[Next(g)] for g in cl.until_members}
         self.psl_flags = [not _has_temporal(g) for g in cl.formulas]
         self.state_limit = state_limit
         self.generated = 0
@@ -132,7 +134,7 @@ class StateSpace:
             if b is True:
                 return True
             a = self.value(f.left, assign)
-            x = self.value(Next(f), assign)
+            x = assign[self._until_next[f]]
             cont = False if (a is False or x is False) else (True if (a is True and x is True) else None)
             if b is False:
                 return cont

@@ -96,17 +96,10 @@ def _cmd_solve(args) -> int:
     )
     if args.bounds:
         opts.bounds = _parse_bounds(args.bounds, f)
-    if args.dump_states:
-        frag = classify(f)
-        if frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
-            part = next(iter_partitions(vocab(f).sharpenings))
-            phi_d = partition_formula(f, part)
-            with open(args.dump_states, "w", encoding="utf-8") as fh:
-                dump_state_graph(closure(phi_d), phi_d, fh, opts.state_limit)
-        else:
-            print("state dump applies to automaton-eligible fragments only", file=sys.stderr)
     try:
         verdict = solve(f, opts)
+        if args.dump_states:
+            _dump_states(args.dump_states, f, verdict, opts.state_limit)
     except SearchLimitError as exc:
         raise _CliError(EX_RESOURCE, f"search node limit hit: {exc}") from exc
     except AutomatonLimitError as exc:
@@ -125,6 +118,18 @@ def _cmd_solve(args) -> int:
         "unknown": EX_UNKNOWN,
         "out_of_fragment": EX_FRAGMENT,
     }[verdict.status]
+
+
+def _dump_states(path: str, f: Formula, verdict: Verdict, state_limit: int) -> None:
+    """Dump the graph of the partition a sat verdict came from, else of the
+    first partition."""
+    if verdict.fragment not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+        print("state dump applies to automaton-eligible fragments only", file=sys.stderr)
+        return
+    part = verdict.partition or next(iter_partitions(vocab(f).sharpenings))
+    phi_d = partition_formula(f, part)
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_state_graph(closure(phi_d), phi_d, fh, state_limit)
 
 
 def _print_verdict(v: Verdict) -> None:

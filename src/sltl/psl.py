@@ -16,16 +16,12 @@ from typing import Iterable, Optional
 from .syntax import (
     And,
     BOTTOM,
-    Bottom,
-    BoxS,
     DiamondS,
     Formula,
     Not,
-    Or,
     Prop,
     Sharper,
     Standpoint,
-    Top,
     TOP,
     UNIVERSAL,
     _has_temporal,
@@ -37,6 +33,7 @@ from .syntax import (
     to_text,
     vocab,
 )
+from .semantics import _IntervalEngine
 from .translate import iter_partitions, sharpening_witnesses, substitute_sharpenings
 
 
@@ -217,101 +214,6 @@ def _count_diamonds(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Grid search
 
-_OP_CONST, _OP_PROP, _OP_NOT, _OP_AND, _OP_OR, _OP_SOME, _OP_ALL = range(7)
-
-
-class _TypeEngine:
-    """Three-valued truth over (column, valuation) types under a partial
-    presence assignment.
-
-    Cells of one column are interchangeable, so a grid model is determined
-    by which valuations each column carries.  A type is one such
-    column/valuation pair; propositional truth at a type is a constant,
-    and modal truth quantifies over the present types of the extent.
-    """
-
-    def __init__(self, f: Formula, family: SFamily, vals: list[int], prop_bits: dict[str, int]):
-        cols = len(family)
-        v_count = len(vals)
-        self.n_types = cols * v_count
-        self.full = (1 << self.n_types) - 1
-        self.col_masks = [
-            ((1 << v_count) - 1) << (c * v_count) for c in range(cols)
-        ]
-        ext_masks: dict[Standpoint, int] = {UNIVERSAL: self.full}
-        for sp in frozenset().union(*family.sets):
-            ext_masks[sp] = sum(
-                self.col_masks[c] for c, labels in enumerate(family.sets) if sp in labels
-            )
-        prop_masks: dict[str, int] = {}
-        for p, bit in prop_bits.items():
-            per_col = sum(1 << v for v in range(v_count) if vals[v] >> bit & 1)
-            prop_masks[p] = sum(per_col << (c * v_count) for c in range(cols))
-
-        self.instrs: list[tuple[int, int, int, object]] = []
-        index: dict[Formula, int] = {}
-
-        def ext_of(sp: Standpoint) -> int:
-            if sp not in ext_masks:
-                raise ValueError(f"standpoint {sp} is outside the grid universe")
-            return ext_masks[sp]
-
-        def compile_node(g: Formula) -> int:
-            if g in index:
-                return index[g]
-            if isinstance(g, Top):
-                ins = (_OP_CONST, 0, 0, (self.full, self.full))
-            elif isinstance(g, Bottom):
-                ins = (_OP_CONST, 0, 0, (0, 0))
-            elif isinstance(g, Prop):
-                ins = (_OP_CONST, 0, 0, (prop_masks[g.name],) * 2)
-            elif isinstance(g, Not):
-                ins = (_OP_NOT, compile_node(g.operand), 0, None)
-            elif isinstance(g, And):
-                ins = (_OP_AND, compile_node(g.left), compile_node(g.right), None)
-            elif isinstance(g, Or):
-                ins = (_OP_OR, compile_node(g.left), compile_node(g.right), None)
-            elif isinstance(g, DiamondS):
-                ins = (_OP_SOME, compile_node(g.operand), 0, ext_of(g.standpoint))
-            elif isinstance(g, BoxS):
-                ins = (_OP_ALL, compile_node(g.operand), 0, ext_of(g.standpoint))
-            else:
-                raise TypeError(f"unexpected formula in a grid body: {g!r}")
-            index[g] = len(self.instrs)
-            self.instrs.append(ins)
-            return index[g]
-
-        self.root = compile_node(f)
-
-    def bounds_at(self, present: int, absent: int, type_bit: int) -> tuple[int, int]:
-        """(lower, upper) truth of the root at the designated type, given
-        the definitely-present and definitely-absent type sets."""
-        count = len(self.instrs)
-        lo = [0] * count
-        hi = [0] * count
-        full = self.full
-        possible = full ^ absent
-        for i, (op, a, b, aux) in enumerate(self.instrs):
-            if op == _OP_CONST:
-                lo[i], hi[i] = aux
-            elif op == _OP_NOT:
-                lo[i] = full ^ hi[a]
-                hi[i] = full ^ lo[a]
-            elif op == _OP_AND:
-                lo[i] = lo[a] & lo[b]
-                hi[i] = hi[a] & hi[b]
-            elif op == _OP_OR:
-                lo[i] = lo[a] | lo[b]
-                hi[i] = hi[a] | hi[b]
-            elif op == _OP_SOME:
-                lo[i] = full if aux & present & lo[a] else 0
-                hi[i] = full if aux & possible & hi[a] else 0
-            else:
-                lo[i] = full if aux & possible & ~lo[a] == 0 else 0
-                hi[i] = full if aux & present & ~hi[a] == 0 else 0
-        return lo[self.root] & type_bit, hi[self.root] & type_bit
-
-
 def _grid_search(
     body: Formula, family: SFamily, n: int, props: tuple[str, ...]
 ) -> Optional[dict[tuple[int, int], frozenset[str]]]:
@@ -323,15 +225,32 @@ def _grid_search(
     per-column valuation sets, so the search is complete as long as a
     column never needs more distinct valuations than it has cells, and a
     found presence assignment expands to the full grid by padding columns
-    with copies.  The designated cell's valuation is chosen first; presence
-    bits are tried absent before present, so the result is deterministic.
+    with copies.  Three-valued truth comes from the bounded search's
+    interval engine on a one-position lasso whose traces are the types:
+    propositions are constant masks, and the presence bits decide which
+    traces the modalities quantify over.  The designated cell's valuation
+    is chosen first; presence bits are tried absent before present, so the
+    result is deterministic.
     """
     plist = sorted(props)
     prop_bits = {p: i for i, p in enumerate(plist)}
     v_count = 1 << len(plist)
     vals = list(range(v_count))
     cols = len(family)
-    engine = _TypeEngine(body, family, vals, prop_bits)
+    n_types = cols * v_count
+    full = (1 << n_types) - 1
+    col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(cols)]
+    extents = {UNIVERSAL: tuple(range(n_types))}
+    for sp in frozenset().union(*family.sets):
+        extents[sp] = tuple(t for t in range(n_types) if sp in family.sets[t // v_count])
+    true_masks = [
+        sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(len(plist))
+    ]
+    false_masks = [full ^ m for m in true_masks]
+    try:
+        engine = _IntervalEngine(body, n_types, 0, 1, extents, prop_bits)
+    except KeyError as exc:
+        raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
     cap = min(n, v_count)
 
     def val_set(v: int) -> frozenset[str]:
@@ -350,40 +269,25 @@ def _grid_search(
 
     for dv in range(v_count):
         d_bit = 1 << dv  # designated type sits in column 0
-        state = {"present": d_bit, "absent": 0}
-        order = [t for t in range(engine.n_types) if t != dv]
+        order = [t for t in range(n_types) if t != dv]
 
-        def columns_ok() -> bool:
-            present, absent = state["present"], state["absent"]
-            for c in range(cols):
-                col = engine.col_masks[c]
+        def dfs(idx: int, present: int, absent: int) -> Optional[dict]:
+            for col in col_masks:
                 if col & ~absent == 0:
-                    return False  # every type of the column ruled out
+                    return None  # every type of the column ruled out
                 if (col & present).bit_count() > cap:
-                    return False  # more distinct valuations than cells
-            return True
-
-        def dfs(idx: int) -> Optional[dict]:
-            if not columns_ok():
-                return None
-            lo, hi = engine.bounds_at(state["present"], state["absent"], d_bit)
+                    return None  # more distinct valuations than cells
+            lo, hi = engine.bounds(true_masks, false_masks, d_bit, present, full ^ absent)
             if not hi:
                 return None
-            if lo:
-                if all(engine.col_masks[c] & state["present"] for c in range(cols)):
-                    return expand(state["present"], dv)
+            if lo and all(col & present for col in col_masks):
+                return expand(present, dv)
             if idx == len(order):
                 return None
             t_bit = 1 << order[idx]
-            for key in ("absent", "present"):
-                state[key] |= t_bit
-                found = dfs(idx + 1)
-                state[key] &= ~t_bit
-                if found is not None:
-                    return found
-            return None
+            return dfs(idx + 1, present, absent | t_bit) or dfs(idx + 1, present | t_bit, absent)
 
-        found = dfs(0)
+        found = dfs(0, d_bit, 0)
         if found is not None:
             return found
     return None

@@ -4,7 +4,9 @@ Traces are ultimately periodic (a lasso: prefix plus repeating period) and
 every trace of a model shares one shape, so the product of all traces is
 itself a lasso and Until has a finite backward fixpoint.  On top of the
 evaluator sits a bounded brute-force satisfiability search: exhaustive
-within its bounds, sound for SAT, inconclusive for UNSAT.
+within its bounds, sound for SAT, inconclusive for UNSAT.  It prunes with
+the interpreted three-valued interval engine, which the PSL grid search
+shares.
 """
 
 from __future__ import annotations
@@ -255,17 +257,25 @@ def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formu
 # ---------------------------------------------------------------------------
 # Interval engine: three-valued truth bounds over a partially assigned model
 
-_OP_CONST, _OP_PROP, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL, _OP_SOME, _OP_ALL = range(9)
+_OP_CONST, _OP_PROP, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
+_OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT = range(7, 11)
 
 
 class _IntervalEngine:
     """Lower/upper truth masks for one formula over a partially assigned
-    lasso.
+    lasso whose traces may themselves be only possibly present.
 
     Bit ``trace * L + node`` of a mask is the truth value at that cell.  The
     lower mask is true where the formula holds in every completion of the
     assignment, the upper mask where it holds in some completion; they
-    coincide once every relevant cell is assigned.
+    coincide once every relevant cell and every presence bit is assigned.
+    Modalities quantify over the present traces of their extent.
+
+    The formula is flattened once into an instruction list and ``bounds``
+    interprets it.  On a one-position lasso (``L == 1``) a cell is a trace,
+    ``X a`` is ``a``, ``a U b`` is ``b`` and a modality is one mask test;
+    this is the grid search's case, whose traces are the (column,
+    valuation) types of the grid.
     """
 
     def __init__(
@@ -280,23 +290,28 @@ class _IntervalEngine:
         L = prefix + period
         self.L = L
         self.prefix = prefix
-        self.t_count = t_count
         block = (1 << L) - 1
         self.block0 = block
         self.repl = sum(1 << (t * L) for t in range(t_count))
         self.full = block * self.repl
         self.keep = self.full ^ (self.repl << (L - 1))
-        seq = []
-        ks = list(range(L - 1, prefix - 1, -1)) * 2 + list(range(prefix - 1, -1, -1))
-        for k in ks:
-            seq.append((self.repl << k, k == L - 1, L - 1 - prefix))
-        self.until_seq = seq
+        # shifts that OR every trace's block into block 0
+        self.folds = tuple(
+            L << j for j in range(t_count.bit_length()) if 1 << j < t_count
+        )
+        one = L == 1
 
         self.instrs: list[tuple[int, int, int, object]] = []
         index: dict[Formula, int] = {}
 
+        def ext_mask(sp: Standpoint) -> int:
+            return sum(block << (t * L) for t in extents[sp])
+
         def compile_node(g: Formula) -> int:
             if g in index:
+                return index[g]
+            if one and isinstance(g, (Next, Until)):
+                index[g] = compile_node(children(g)[-1])
                 return index[g]
             if isinstance(g, Top):
                 ins = (_OP_CONST, 0, 0, (self.full, self.full))
@@ -320,11 +335,11 @@ class _IntervalEngine:
             elif isinstance(g, Until):
                 ins = (_OP_UNTIL, compile_node(g.left), compile_node(g.right), None)
             elif isinstance(g, DiamondS):
-                shifts = tuple(t * L for t in extents[g.standpoint])
-                ins = (_OP_SOME, compile_node(g.operand), 0, shifts)
+                op = _OP_SOME if one else _OP_SOME_AT
+                ins = (op, compile_node(g.operand), 0, ext_mask(g.standpoint))
             elif isinstance(g, BoxS):
-                shifts = tuple(t * L for t in extents[g.standpoint])
-                ins = (_OP_ALL, compile_node(g.operand), 0, shifts)
+                op = _OP_ALL if one else _OP_ALL_AT
+                ins = (op, compile_node(g.operand), 0, ext_mask(g.standpoint))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             index[g] = len(self.instrs)
@@ -332,68 +347,70 @@ class _IntervalEngine:
             return index[g]
 
         self.root = compile_node(f)
-        self._compile()
 
-    def _compile(self) -> None:
-        """Flatten the instruction list into one generated function.
+    def bounds(
+        self, tm: list[int], fm: list[int], bit: int, present: int, possible: int
+    ) -> tuple[int, int]:
+        """(lower, upper) truth of the root at the cells of ``bit``.
 
-        The search evaluates at every assigned bit, so the interpreter
-        dispatch dominates; inlining every constant and unrolling the Until
-        passes keeps the hot path to plain integer operations.
+        ``tm``/``fm`` hold per proposition the cells assigned true/false;
+        ``present``/``possible`` are the cells of the traces that are
+        definitely/possibly present.
         """
-        lines = ["def _bounds(tm, fm, bit):"]
-        emit = lines.append
-        full, keep, repl, block0 = self.full, self.keep, self.repl, self.block0
-        prefix, top = self.prefix, self.L - 1
-
-        def until_body(out: str, a: str, b: str) -> None:
-            emit("    u = 0")
-            for col, wrap, wshift in self.until_seq:
-                nxt = f"(u << {wshift})" if wrap else "(u >> 1)"
-                emit(f"    u |= {col} & ({b} | ({a} & {nxt}))")
-            emit(f"    {out} = u")
-
+        count = len(self.instrs)
+        lo = [0] * count
+        hi = [0] * count
+        full = self.full
         for i, (op, a, b, aux) in enumerate(self.instrs):
             if op == _OP_PROP:
-                emit(f"    lo{i} = tm[{aux}]; hi{i} = {full} ^ fm[{aux}]")
-            elif op == _OP_CONST:
-                emit(f"    lo{i} = {aux[0]}; hi{i} = {aux[1]}")
+                lo[i] = tm[aux]
+                hi[i] = full ^ fm[aux]
             elif op == _OP_NOT:
-                emit(f"    lo{i} = {full} ^ hi{a}; hi{i} = {full} ^ lo{a}")
+                lo[i] = full ^ hi[a]
+                hi[i] = full ^ lo[a]
             elif op == _OP_AND:
-                emit(f"    lo{i} = lo{a} & lo{b}; hi{i} = hi{a} & hi{b}")
+                lo[i] = lo[a] & lo[b]
+                hi[i] = hi[a] & hi[b]
             elif op == _OP_OR:
-                emit(f"    lo{i} = lo{a} | lo{b}; hi{i} = hi{a} | hi{b}")
-            elif op == _OP_NEXT:
-                for pol in ("lo", "hi"):
-                    emit(
-                        f"    {pol}{i} = (({pol}{a} >> 1) & {keep})"
-                        f" | ((({pol}{a} >> {prefix}) & {repl}) << {top})"
-                    )
-            elif op == _OP_UNTIL:
-                until_body(f"lo{i}", f"lo{a}", f"lo{b}")
-                until_body(f"hi{i}", f"hi{a}", f"hi{b}")
+                lo[i] = lo[a] | lo[b]
+                hi[i] = hi[a] | hi[b]
             elif op == _OP_SOME:
-                for pol in ("lo", "hi"):
-                    expr = " | ".join(f"({pol}{a} >> {sh})" for sh in aux) or "0"
-                    emit(f"    {pol}{i} = (({expr}) & {block0}) * {repl}")
+                lo[i] = full if lo[a] & aux & present else 0
+                hi[i] = full if hi[a] & aux & possible else 0
+            elif op == _OP_ALL:
+                lo[i] = 0 if ~lo[a] & aux & possible else full
+                hi[i] = 0 if ~hi[a] & aux & present else full
+            elif op == _OP_CONST:
+                lo[i], hi[i] = aux
+            elif op == _OP_SOME_AT:
+                lo[i] = self._spread(lo[a] & aux & present)
+                hi[i] = self._spread(hi[a] & aux & possible)
+            elif op == _OP_ALL_AT:
+                lo[i] = full ^ self._spread(~lo[a] & aux & possible)
+                hi[i] = full ^ self._spread(~hi[a] & aux & present)
+            elif op == _OP_NEXT:
+                lo[i] = self._next(lo[a])
+                hi[i] = self._next(hi[a])
             else:
-                for pol in ("lo", "hi"):
-                    expr = " & ".join(f"({pol}{a} >> {sh})" for sh in aux)
-                    if expr:
-                        emit(f"    {pol}{i} = (({expr}) & {block0}) * {repl}")
-                    else:
-                        emit(f"    {pol}{i} = {full}")
-        emit(f"    return lo{self.root} & bit, hi{self.root} & bit")
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
-        self._bounds = namespace["_bounds"]
+                lo[i] = self._until(lo[a], lo[b])
+                hi[i] = self._until(hi[a], hi[b])
+        return lo[self.root] & bit, hi[self.root] & bit
 
-    def bounds_at_origin(
-        self, true_masks: list[int], false_masks: list[int], designated: int
-    ) -> tuple[int, int]:
-        """(lower, upper) truth of the root at node 0 of the designated trace."""
-        return self._bounds(true_masks, false_masks, 1 << (designated * self.L))
+    def _spread(self, m: int) -> int:
+        """Every trace gets, at each node, the OR of ``m`` over all traces."""
+        for sh in self.folds:
+            m |= m >> sh
+        return (m & self.block0) * self.repl
+
+    def _next(self, m: int) -> int:
+        return ((m >> 1) & self.keep) | (((m >> self.prefix) & self.repl) << (self.L - 1))
+
+    def _until(self, a: int, b: int) -> int:
+        """Least fixpoint of ``u = b | (a & X u)``."""
+        u, step = 0, b
+        while step != u:
+            u, step = step, b | (a & self._next(step))
+        return u
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +498,8 @@ class _ShapeSearch:
         self.budget[0] -= 1
         if self.budget[0] < 0:
             raise SearchLimitError(self.budget[1])
-        lo, hi = self.engine._bounds(self.true_masks, self.false_masks, self.origin_bit)
+        every = self.engine.full  # all traces of the stratum are present
+        lo, hi = self.engine.bounds(self.true_masks, self.false_masks, self.origin_bit, every, every)
         if not hi:
             return None
         if lo:
@@ -646,8 +664,9 @@ def model_from_json(data: object) -> tuple[SLTLModel, str]:
             raise WitnessFormatError(f"witness is missing the {key!r} field")
     prefix_len = data["prefix_len"]
     period_len = data["period_len"]
-    if not isinstance(prefix_len, int) or not isinstance(period_len, int):
-        raise WitnessFormatError("prefix_len and period_len must be integers")
+    for length in (prefix_len, period_len):
+        if not isinstance(length, int) or isinstance(length, bool):
+            raise WitnessFormatError("prefix_len and period_len must be integers")
     raw_traces = data["traces"]
     if not isinstance(raw_traces, dict) or not raw_traces:
         raise WitnessFormatError("traces must be a non-empty object")
@@ -670,11 +689,11 @@ def model_from_json(data: object) -> tuple[SLTLModel, str]:
     for key, members in raw_lam.items():
         if not isinstance(key, str) or not key.startswith("@"):
             raise WitnessFormatError(f"lambda key {key!r} must carry the '@' sigil")
-        if not isinstance(members, list):
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise WitnessFormatError(f"lambda entry {key!r} must list trace ids")
         lam[Standpoint(key[1:])] = frozenset(members)
     designated = data["designated"]
-    if designated not in traces:
+    if not isinstance(designated, str) or designated not in traces:
         raise WitnessFormatError(f"designated trace {designated!r} is not in the model")
     try:
         model = SLTLModel(traces, lam, prefix_len, period_len)

@@ -58,13 +58,10 @@ class Formula:
     __slots__ = ()
 
     def __post_init__(self):
-        parts = [self.__class__.__name__]
-        n = 1
-        for fld in dataclasses.fields(self):
-            value = getattr(self, fld.name)
-            parts.append(value)
-            if isinstance(value, Formula):
-                n += value._size
+        cls = type(self)
+        parts = [cls.__name__]
+        parts.extend(getattr(self, name) for name in _FIELDS[cls])
+        n = 1 + sum(getattr(self, name)._size for name in _CHILD_FIELDS[cls])
         object.__setattr__(self, "_hash", hash(tuple(parts)))
         object.__setattr__(self, "_size", n)
 
@@ -155,10 +152,19 @@ class Until(Formula):
     right: Formula
 
 
+# Field names of each node class in declaration order, all of them and the
+# Formula-valued ones, read once instead of on every construction and walk.
+_FIELDS: dict[type, tuple[str, ...]] = {}
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
 # The generated per-field __hash__ would rehash the whole subtree on every
 # call; keep the cached one from Formula.
 for _cls in (Top, Bottom, Prop, Sharper, Not, And, Or, DiamondS, BoxS, Next, Until):
     _cls.__hash__ = Formula.__hash__  # type: ignore[method-assign]
+    _FIELDS[_cls] = tuple(fld.name for fld in dataclasses.fields(_cls))
+    _CHILD_FIELDS[_cls] = tuple(
+        fld.name for fld in dataclasses.fields(_cls) if fld.type == "Formula"
+    )
 
 TOP = Top()
 BOTTOM = Bottom()
@@ -223,9 +229,7 @@ def size(f: Formula) -> int:
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    return tuple(
-        v for fld in dataclasses.fields(f) if isinstance(v := getattr(f, fld.name), Formula)
-    )
+    return tuple(getattr(f, name) for name in _CHILD_FIELDS[type(f)])
 
 
 def subformulas(f: Formula) -> list[Formula]:

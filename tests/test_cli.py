@@ -11,6 +11,7 @@ from sltl.automaton import dump_state_graph
 from sltl.cli import main
 from sltl.syntax import closure, parse, simplify, vocab
 from sltl.semantics import model_from_json
+from sltl.solver import partition_formula, solve
 from sltl.translate import apply_partition, iter_partitions
 
 
@@ -186,6 +187,21 @@ def test_dump_states_is_the_searched_graph(tmp_path, capsys):
     assert lines == searched.getvalue().splitlines()
     assert sum(ln.startswith("state ") for ln in lines) == 16
     assert sum(ln.startswith("edge ") for ln in lines) == 64
+
+
+def test_dump_states_follows_the_sat_partition(tmp_path, capsys):
+    # the first partition asserts @s <= @t, which contradicts the input; the
+    # dump is the graph of the partition the sat verdict came from
+    text = "!(@s <= @t) & X (p U q)"
+    dump = tmp_path / "graph.txt"
+    code, _, _ = run(capsys, "solve", "--dump-states", str(dump), text)
+    assert code == 0
+    f = parse(text)
+    phi_d = partition_formula(f, solve(f).partition)
+    searched = io.StringIO()
+    dump_state_graph(closure(phi_d), phi_d, searched)
+    assert searched.getvalue()
+    assert dump.read_text() == searched.getvalue()
 
 
 def test_import_leaves_the_thread_pool_unloaded():

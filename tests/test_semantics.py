@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import S, T, iter_models, naive_sat, random_formula
 
+from sltl import psl
 from sltl.semantics import (
     ModelError,
     ProductModel,
@@ -12,6 +14,7 @@ from sltl.semantics import (
     SearchLimitError,
     UPTrace,
     WitnessFormatError,
+    _IntervalEngine,
     bounded_search,
     bounded_search_product,
     evaluate,
@@ -270,6 +273,106 @@ def test_search_product_recurrence():
 
 
 # ---------------------------------------------------------------------------
+# Three-valued soundness of the interval engine
+
+def _completions(rng, n_slots, max_open):
+    """A random partial 0/1 assignment of the slots (None = open, at most
+    ``max_open`` open slots) and every completion of it."""
+    open_slots = set(rng.sample(range(n_slots), min(n_slots, rng.randint(0, max_open))))
+    partial = [None if i in open_slots else rng.random() < 0.5 for i in range(n_slots)]
+    holes = sorted(open_slots)
+    completions = []
+    for fill in itertools.product((False, True), repeat=len(holes)):
+        full = list(partial)
+        for i, v in zip(holes, fill):
+            full[i] = v
+        completions.append(full)
+    return partial, completions
+
+
+def _assert_sound(f, lo, hi, model, cells):
+    """``lo`` set: the formula holds at the cell; ``hi`` clear: it fails."""
+    for bit, tid, k in cells:
+        if lo & bit:
+            assert evaluate(model, tid, k, f), (f, tid, k)
+        if not hi & bit:
+            assert not evaluate(model, tid, k, f), (f, tid, k)
+
+
+def test_interval_engine_sound_on_grid_types_with_partial_presence():
+    # the grid search's use: one-position traces are (column, valuation)
+    # types with constant valuations, and presence is partly decided
+    rng = random.Random(31)
+    props = ("p", "q")
+    v_count = 4
+    for _ in range(150):
+        f = random_formula(rng, 3, props=props, mode="psl", max_sharpenings=0)
+        atoms = rng.choice([[], [(S, T)]])
+        family = psl.family_for(psl.sharpening_closure(atoms, [S, T]))
+        n_types = len(family) * v_count
+        extents = {UNIVERSAL: tuple(range(n_types))}
+        for sp in (S, T):
+            extents[sp] = tuple(t for t in range(n_types) if sp in family.sets[t // v_count])
+        full = (1 << n_types) - 1
+        tm = [sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(2)]
+        fm = [full ^ m for m in tm]
+        engine = _IntervalEngine(f, n_types, 0, 1, extents, {"p": 0, "q": 1})
+        partial, completions = _completions(rng, n_types, 5)
+        present = sum(1 << t for t, v in enumerate(partial) if v is True)
+        possible = full ^ sum(1 << t for t, v in enumerate(partial) if v is False)
+        lo, hi = engine.bounds(tm, fm, full, present, possible)
+        for chosen in completions:
+            types = [t for t in range(n_types) if chosen[t]]
+            lam = {sp: frozenset(f"t{t}" for t in types if t in ext) for sp, ext in extents.items()}
+            if not all(lam.values()):
+                continue  # a model gives every standpoint a non-empty extent
+            traces = {}
+            for t in types:
+                val = frozenset(p for i, p in enumerate(props) if t % v_count >> i & 1)
+                traces[f"t{t}"] = UPTrace((), (val,))
+            model = SLTLModel(traces, lam, 0, 1)
+            _assert_sound(f, lo, hi, model, [(1 << t, f"t{t}", 0) for t in types])
+
+
+def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
+    # the bounded search's use: every trace present, cells partly assigned
+    rng = random.Random(32)
+    props = ("p", "q")
+    for _ in range(150):
+        f = random_formula(rng, 3, props=props, mode="sltl")
+        t_count, prefix, period = rng.randint(1, 4), rng.randint(0, 1), rng.randint(1, 2)
+        L = prefix + period
+        ids = tuple(range(t_count))
+        extents = {UNIVERSAL: ids}
+        for sp in (S, T):
+            extents[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
+        engine = _IntervalEngine(f, t_count, prefix, period, extents, {"p": 0, "q": 1})
+        cells = [(t * L + k, i) for t in ids for k in range(L) for i in range(2)]
+        partial, completions = _completions(rng, len(cells), 4)
+        def masks(value):
+            return [
+                sum(1 << b for (b, i), v in zip(cells, partial) if i == j and v is value)
+                for j in range(2)
+            ]
+
+        tm, fm = masks(True), masks(False)
+        every = engine.full
+        lo, hi = engine.bounds(tm, fm, every, every, every)
+        lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in extents.items()}
+        for chosen in completions:
+            traces = {}
+            for t in ids:
+                row = [
+                    frozenset(props[i] for (b, i), v in zip(cells, chosen) if v and b == t * L + k)
+                    for k in range(L)
+                ]
+                traces[f"t{t}"] = UPTrace(tuple(row[:prefix]), tuple(row[prefix:]))
+            model = SLTLModel(traces, lam, prefix, period)
+            checked = [(1 << (t * L + k), f"t{t}", k) for t in ids for k in range(L)]
+            _assert_sound(f, lo, hi, model, checked)
+
+
+# ---------------------------------------------------------------------------
 # Witness serialization
 
 def test_witness_json_round_trip():
@@ -294,6 +397,10 @@ def test_witness_json_round_trip():
         lambda d: d["traces"]["t0"].pop(),
         lambda d: d.__setitem__("lambda", {"s": ["t0"]}),
         lambda d: d["lambda"].__setitem__("@*", []),
+        lambda d: d.__setitem__("designated", ["t0"]),
+        lambda d: d["lambda"].__setitem__("@s", [["t0"]]),
+        lambda d: d.__setitem__("prefix_len", False),
+        lambda d: d.__setitem__("period_len", True),
     ],
 )
 def test_witness_json_rejects_malformed(mutation):
