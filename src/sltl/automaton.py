@@ -4,8 +4,12 @@ States are maximally consistent, standpoint-consistent subsets of the
 closure set.  A state is determined by its assignment to the base members
 (propositions, sharpening atoms, next-step and modal formulas); Boolean and
 Until members are forced by the consistency equations, so enumeration
-backtracks over base assignments only.  Letters never appear: a transition
-only exists for the letter matching the source state's propositions.
+backtracks over base assignments only.  It prunes with the interval engine
+of ``semantics`` on a single cell whose leaves are the base members: each
+Until member unfolds to ``b | (a & X(a U b))`` over its next-step
+companion, and once every base member is assigned the engine's lower
+bounds are the state's mask.  Letters never appear: a transition only
+exists for the letter matching the source state's propositions.
 """
 
 from __future__ import annotations
@@ -14,19 +18,15 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from . import psl
+from .semantics import _IntervalEngine
 from .syntax import (
-    And,
-    Bottom,
     BoxS,
     ClosureSet,
     DiamondS,
     Formula,
     Next,
-    Not,
-    Or,
     Prop,
     Sharper,
-    Top,
     Until,
     _has_temporal,
 )
@@ -93,97 +93,43 @@ class StateSpace:
             g for g in cl.formulas if isinstance(g, (Prop, Sharper, Next, DiamondS, BoxS))
         ]
         self.base_index = {g: i for i, g in enumerate(self.base)}
-        # base index of each Until member's next-step companion
-        self._until_next = {g: self.base_index[Next(g)] for g in cl.until_members}
         self.psl_flags = [not _has_temporal(g) for g in cl.formulas]
         self.state_limit = state_limit
         self.generated = 0
         self._next_bits = sum(1 << cl.index[g] for g in cl.next_members)
         self._successors: dict[int, list[SElementarySet]] = {}
-
-    # three-valued truth of a closure formula under a partial base assignment
-    def value(self, f: Formula, assign: list[Optional[bool]]) -> Optional[bool]:
-        idx = self.base_index.get(f)
-        if idx is not None:
-            return assign[idx]
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bottom):
-            return False
-        if isinstance(f, Not):
-            v = self.value(f.operand, assign)
-            return None if v is None else not v
-        if isinstance(f, And):
-            a = self.value(f.left, assign)
-            if a is False:
-                return False
-            b = self.value(f.right, assign)
-            if b is False:
-                return False
-            return True if (a is True and b is True) else None
-        if isinstance(f, Or):
-            a = self.value(f.left, assign)
-            if a is True:
-                return True
-            b = self.value(f.right, assign)
-            if b is True:
-                return True
-            return False if (a is False and b is False) else None
-        if isinstance(f, Until):
-            b = self.value(f.right, assign)
-            if b is True:
-                return True
-            a = self.value(f.left, assign)
-            x = assign[self._until_next[f]]
-            cont = False if (a is False or x is False) else (True if (a is True and x is True) else None)
-            if b is False:
-                return cont
-            return True if cont is True else None
-        raise TypeError(f"unexpected closure member: {f!r}")
+        # one trace of one position: base member i is true/false when bit 0
+        # of tm[i]/fm[i] is set
+        self._engine = _IntervalEngine(cl.formulas, 1, 0, 1, {}, self.base_index)
+        self._slots = [self._engine.slot[g] for g in cl.formulas]
 
     def enumerate(
         self, constraints: list[tuple[Formula, bool]]
     ) -> Iterator[SElementarySet]:
         """All s-elementary sets meeting the constraints, in the order of
         base assignments (closure index order, false before true)."""
-        assign: list[Optional[bool]] = [None] * len(self.base)
-
-        def consistent_so_far() -> bool:
-            for f, req in constraints:
-                v = self.value(f, assign)
-                if v is not None and v != req:
-                    return False
-            return True
-
-        def emit() -> Optional[SElementarySet]:
-            self.generated += 1
-            if self.generated > self.state_limit:
-                raise AutomatonLimitError(self.state_limit)
-            mask = 0
-            for i, g in enumerate(self.closure.formulas):
-                v = self.value(g, assign)
-                assert v is not None
-                if v:
-                    mask |= 1 << i
-            state = SElementarySet(mask, self)
-            if __debug__:
-                self._assert_maximally_consistent(state)
-            if psl.standpoint_consistent(state.psl_members()):
-                return state
-            return None
+        sweep = self._engine.sweep
+        checks = [(self._engine.slot[f], req) for f, req in constraints]
+        tm = [0] * len(self.base)
+        fm = [0] * len(self.base)
 
         def dfs(i: int) -> Iterator[SElementarySet]:
-            if not consistent_so_far():
+            lo, hi = sweep(tm, fm, 1, 1)
+            # a constraint fails once neither bound can reach its value
+            if any(lo[s] != req and hi[s] != req for s, req in checks):
                 return
             if i == len(self.base):
-                state = emit()
-                if state is not None:
+                self.generated += 1
+                if self.generated > self.state_limit:
+                    raise AutomatonLimitError(self.state_limit)
+                state = SElementarySet(sum(lo[s] << k for k, s in enumerate(self._slots)), self)
+                if psl.standpoint_consistent(state.psl_members()):
                     yield state
                 return
-            for v in (False, True):
-                assign[i] = v
+            for cells in (fm, tm):
+                cells[i] = 1
                 yield from dfs(i + 1)
-            assign[i] = None
+                cells[i] = 0
 
         yield from dfs(0)
 
@@ -198,20 +144,6 @@ class StateSpace:
             targets = list(self.enumerate(constraints))
             self._successors[key] = targets
         return targets
-
-    def _assert_maximally_consistent(self, b: SElementarySet) -> None:
-        cl = self.closure
-        assert Top() in b and Bottom() not in b
-        for g in cl.formulas:
-            if isinstance(g, Not):
-                assert (g in b) != (g.operand in b)
-            elif isinstance(g, And):
-                assert (g in b) == ((g.left in b) and (g.right in b))
-            elif isinstance(g, Or):
-                assert (g in b) == ((g.left in b) or (g.right in b))
-            elif isinstance(g, Until):
-                unfold = (g.right in b) or ((g.left in b) and (Next(g) in b))
-                assert (g in b) == unfold
 
 
 def initial_states(cl: ClosureSet, phi_d: Formula, space: Optional[StateSpace] = None) -> Iterator[SElementarySet]:

@@ -3,7 +3,8 @@
 Subcommands: ``solve``, ``translate``, ``gen``, ``check``, ``classify``.
 Verdict exit codes: 0 sat, 1 unsat, 2 unknown, 3 out of fragment (strict
 mode).  Error exit codes follow the BSD convention: 64 usage, 65 bad data,
-66 missing input, 69 resource limit, 70 internal error.
+66 missing input, 69 resource limit, 70 internal error, 73 output file
+cannot be created.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .translate import (
 )
 
 EX_OK, EX_UNSAT, EX_UNKNOWN, EX_FRAGMENT = 0, 1, 2, 3
-EX_USAGE, EX_DATAERR, EX_NOINPUT, EX_RESOURCE, EX_INTERNAL = 64, 65, 66, 69, 70
+EX_USAGE, EX_DATAERR, EX_NOINPUT, EX_RESOURCE, EX_INTERNAL, EX_CANTCREAT = 64, 65, 66, 69, 70, 73
 
 
 class _CliError(Exception):
@@ -80,9 +81,12 @@ def _env_limit(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise _CliError(EX_USAGE, f"{name} must be an integer, got {raw!r}")
+    if limit < 1:
+        raise _CliError(EX_USAGE, f"{name} must be at least 1, got {limit}")
+    return limit
 
 
 def _cmd_solve(args) -> int:
@@ -105,9 +109,12 @@ def _cmd_solve(args) -> int:
     except AutomatonLimitError as exc:
         raise _CliError(EX_RESOURCE, f"automaton state limit hit: {exc}") from exc
     if args.witness_out and verdict.model is not None:
-        with open(args.witness_out, "w", encoding="utf-8") as fh:
-            json.dump(model_to_json(verdict.model, verdict.designated), fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.witness_out, "w", encoding="utf-8") as fh:
+                json.dump(model_to_json(verdict.model, verdict.designated), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise _CliError(EX_CANTCREAT, f"cannot write {args.witness_out}: {exc}") from exc
     if args.json:
         print(json.dumps(verdict_to_json(verdict), indent=2))
     else:
@@ -128,8 +135,11 @@ def _dump_states(path: str, f: Formula, verdict: Verdict, state_limit: int) -> N
         return
     part = verdict.partition or next(iter_partitions(vocab(f).sharpenings))
     phi_d = partition_formula(f, part)
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_state_graph(closure(phi_d), phi_d, fh, state_limit)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            dump_state_graph(closure(phi_d), phi_d, fh, state_limit)
+    except OSError as exc:
+        raise _CliError(EX_CANTCREAT, f"cannot write {path}: {exc}") from exc
 
 
 def _print_verdict(v: Verdict) -> None:

@@ -247,8 +247,9 @@ def _grid_search(
         sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(len(plist))
     ]
     false_masks = [full ^ m for m in true_masks]
+    leaves = {Prop(p): i for p, i in prop_bits.items()}
     try:
-        engine = _IntervalEngine(body, n_types, 0, 1, extents, prop_bits)
+        engine = _IntervalEngine([body], n_types, 0, 1, extents, leaves)
     except KeyError as exc:
         raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
     cap = min(n, v_count)
@@ -367,11 +368,11 @@ def standpoint_consistent(members: Iterable[Formula]) -> bool:
     query leaves no entry behind.
     """
     mems = frozenset(members)
-    for m in mems:
-        _require_propositional(m)
     cached = _consistency_cache.get(mems)
     if cached is not None:
-        return cached
+        return cached  # its members were checked when it was stored
+    for m in mems:
+        _require_propositional(m)
     verdict = _consistent(mems)
     _consistency_cache[mems] = verdict
     return verdict

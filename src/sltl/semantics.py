@@ -5,15 +5,15 @@ every trace of a model shares one shape, so the product of all traces is
 itself a lasso and Until has a finite backward fixpoint.  On top of the
 evaluator sits a bounded brute-force satisfiability search: exhaustive
 within its bounds, sound for SAT, inconclusive for UNSAT.  It prunes with
-the interpreted three-valued interval engine, which the PSL grid search
-shares.
+the interpreted three-valued interval engine, which the PSL grid search and
+the automaton's state enumeration share.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .syntax import (
     And,
@@ -257,35 +257,43 @@ def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formu
 # ---------------------------------------------------------------------------
 # Interval engine: three-valued truth bounds over a partially assigned model
 
-_OP_CONST, _OP_PROP, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
+_OP_CONST, _OP_LEAF, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
 _OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT = range(7, 11)
 
 
 class _IntervalEngine:
-    """Lower/upper truth masks for one formula over a partially assigned
-    lasso whose traces may themselves be only possibly present.
+    """Lower/upper truth masks of formulas over a partially assigned lasso
+    whose traces may themselves be only possibly present.
 
     Bit ``trace * L + node`` of a mask is the truth value at that cell.  The
-    lower mask is true where the formula holds in every completion of the
+    lower mask is true where a formula holds in every completion of the
     assignment, the upper mask where it holds in some completion; they
     coincide once every relevant cell and every presence bit is assigned.
     Modalities quantify over the present traces of their extent.
 
-    The formula is flattened once into an instruction list and ``bounds``
-    interprets it.  On a one-position lasso (``L == 1``) a cell is a trace,
-    ``X a`` is ``a``, ``a U b`` is ``b`` and a modality is one mask test;
-    this is the grid search's case, whose traces are the (column,
-    valuation) types of the grid.
+    The formulas are flattened once into an instruction list, one slot per
+    compiled formula (``slot``), and ``sweep`` interprets it.  Leaves are
+    the formulas of the ``leaves`` map, whose cells are read from the
+    ``tm``/``fm`` entry it names.  An Until whose companion ``X(a U b)`` is
+    a leaf compiles to ``b | (a & X(a U b))``, which holds on every lasso.
+    On a one-position lasso (``L == 1``) a cell is a trace, ``X a`` is
+    ``a``, ``a U b`` is ``b`` and a modality is one mask test.
+
+    Three searches run on it: the bounded search (propositions as leaves,
+    every trace present), the PSL grid search (a one-position lasso whose
+    traces are the grid's (column, valuation) types, with presence masks),
+    and the automaton's state enumeration (one cell, the closure's base
+    members as leaves).
     """
 
     def __init__(
         self,
-        f: Formula,
+        formulas: Sequence[Formula],
         t_count: int,
         prefix: int,
         period: int,
         extents: dict[Standpoint, tuple[int, ...]],
-        prop_index: dict[str, int],
+        leaves: dict[Formula, int],
     ):
         L = prefix + period
         self.L = L
@@ -302,17 +310,24 @@ class _IntervalEngine:
         one = L == 1
 
         self.instrs: list[tuple[int, int, int, object]] = []
-        index: dict[Formula, int] = {}
+        slot: dict[Formula, int] = {}
+        # the Untils whose next-step companion is a leaf, mapped to it
+        unfold = {
+            g.operand: g for g in leaves if isinstance(g, Next) and isinstance(g.operand, Until)
+        }
 
         def ext_mask(sp: Standpoint) -> int:
             return sum(block << (t * L) for t in extents[sp])
 
         def compile_node(g: Formula) -> int:
-            if g in index:
-                return index[g]
+            if g in slot:
+                return slot[g]
+            if isinstance(g, Until) and g in unfold:
+                slot[g] = compile_node(Or(g.right, And(g.left, unfold[g])))
+                return slot[g]
             if one and isinstance(g, (Next, Until)):
-                index[g] = compile_node(children(g)[-1])
-                return index[g]
+                slot[g] = compile_node(children(g)[-1])
+                return slot[g]
             if isinstance(g, Top):
                 ins = (_OP_CONST, 0, 0, (self.full, self.full))
             elif isinstance(g, Bottom):
@@ -322,8 +337,6 @@ class _IntervalEngine:
                 right = set(extents[g.right])
                 c = self.full if left <= right else 0
                 ins = (_OP_CONST, 0, 0, (c, c))
-            elif isinstance(g, Prop):
-                ins = (_OP_PROP, 0, 0, prop_index[g.name])
             elif isinstance(g, Not):
                 ins = (_OP_NOT, compile_node(g.operand), 0, None)
             elif isinstance(g, And):
@@ -341,19 +354,25 @@ class _IntervalEngine:
                 op = _OP_ALL if one else _OP_ALL_AT
                 ins = (op, compile_node(g.operand), 0, ext_mask(g.standpoint))
             else:
-                raise TypeError(f"not a formula: {g!r}")
-            index[g] = len(self.instrs)
+                raise TypeError(f"neither a leaf nor a connective: {g!r}")
+            slot[g] = len(self.instrs)
             self.instrs.append(ins)
-            return index[g]
+            return slot[g]
 
-        self.root = compile_node(f)
+        for g, i in leaves.items():
+            slot[g] = len(self.instrs)
+            self.instrs.append((_OP_LEAF, 0, 0, i))
+        for g in formulas:
+            compile_node(g)
+        self.slot = slot
+        self.root = slot[formulas[0]]
 
-    def bounds(
-        self, tm: list[int], fm: list[int], bit: int, present: int, possible: int
-    ) -> tuple[int, int]:
-        """(lower, upper) truth of the root at the cells of ``bit``.
+    def sweep(
+        self, tm: list[int], fm: list[int], present: int, possible: int
+    ) -> tuple[list[int], list[int]]:
+        """(lower, upper) masks of every slot.
 
-        ``tm``/``fm`` hold per proposition the cells assigned true/false;
+        ``tm``/``fm`` hold per leaf the cells assigned true/false;
         ``present``/``possible`` are the cells of the traces that are
         definitely/possibly present.
         """
@@ -362,7 +381,7 @@ class _IntervalEngine:
         hi = [0] * count
         full = self.full
         for i, (op, a, b, aux) in enumerate(self.instrs):
-            if op == _OP_PROP:
+            if op == _OP_LEAF:
                 lo[i] = tm[aux]
                 hi[i] = full ^ fm[aux]
             elif op == _OP_NOT:
@@ -394,6 +413,13 @@ class _IntervalEngine:
             else:
                 lo[i] = self._until(lo[a], lo[b])
                 hi[i] = self._until(hi[a], hi[b])
+        return lo, hi
+
+    def bounds(
+        self, tm: list[int], fm: list[int], bit: int, present: int, possible: int
+    ) -> tuple[int, int]:
+        """(lower, upper) truth of the first formula at the cells of ``bit``."""
+        lo, hi = self.sweep(tm, fm, present, possible)
         return lo[self.root] & bit, hi[self.root] & bit
 
     def _spread(self, m: int) -> int:
@@ -436,7 +462,7 @@ class _ShapeSearch:
         period: int,
         lam_idx: dict[Standpoint, tuple[int, ...]],
         designated: int,
-        props: tuple[str, ...],
+        leaves: dict[Formula, int],
         symmetry: bool,
         budget: list[int],
     ):
@@ -445,13 +471,12 @@ class _ShapeSearch:
         self.prefix = prefix
         self.period = period
         self.L = prefix + period
-        self.props = props
+        self.leaves = leaves
         self.designated = designated
         self.symmetry = symmetry
         self.budget = budget
-        self.prop_index = {p: i for i, p in enumerate(props)}
         self.lam_idx = lam_idx
-        self.engine = _IntervalEngine(f, t_count, prefix, period, lam_idx, self.prop_index)
+        self.engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
         self.origin_bit = 1 << (designated * self.L)
 
         reach = set() if _trace_independent(f) else {designated}
@@ -463,14 +488,14 @@ class _ShapeSearch:
             (t, k, p)
             for k in node_order
             for t in relevant
-            for p in range(len(props))
+            for p in range(len(leaves))
         ]
         irrelevant = 0
         for t in range(t_count):
             if t not in reach:
                 irrelevant |= self.engine.block0 << (t * self.L)
-        self.true_masks = [0] * len(props)
-        self.false_masks = [irrelevant] * len(props)
+        self.true_masks = [0] * len(leaves)
+        self.false_masks = [irrelevant] * len(leaves)
 
         # Traces with the same standpoint profile are interchangeable unless
         # one of them is designated; the optional reduction keeps only
@@ -553,7 +578,7 @@ class _ShapeSearch:
             vals = []
             for k in range(self.L):
                 bit = 1 << (t * self.L + k)
-                vals.append(frozenset(p for p, i in self.prop_index.items() if self.true_masks[i] & bit))
+                vals.append(frozenset(g.name for g, i in self.leaves.items() if self.true_masks[i] & bit))
             traces[f"t{t}"] = UPTrace(tuple(vals[: self.prefix]), tuple(vals[self.prefix:]))
         lam = {sp: frozenset(f"t{t}" for t in idxs) for sp, idxs in self.lam_idx.items()}
         model = SLTLModel(traces, lam, self.prefix, self.period)
@@ -605,6 +630,7 @@ def bounded_search(
     max_traces = bounds.max_traces if voc.standpoints else 1
     designated_choices = 1 if _trace_independent(f) else None
     budget = [node_limit, node_limit]
+    leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     for t_count in range(1, max_traces + 1):
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
@@ -612,7 +638,7 @@ def bounded_search(
                     for designated in range(designated_choices or t_count):
                         search = _ShapeSearch(
                             f, t_count, prefix, period, lam_idx, designated,
-                            bounds.props, symmetry, budget,
+                            leaves, symmetry, budget,
                         )
                         model = search.run()
                         if model is not None:
@@ -667,6 +693,8 @@ def model_from_json(data: object) -> tuple[SLTLModel, str]:
     for length in (prefix_len, period_len):
         if not isinstance(length, int) or isinstance(length, bool):
             raise WitnessFormatError("prefix_len and period_len must be integers")
+    if prefix_len < 0 or period_len < 1:
+        raise WitnessFormatError("prefix_len must be at least 0 and period_len at least 1")
     raw_traces = data["traces"]
     if not isinstance(raw_traces, dict) or not raw_traces:
         raise WitnessFormatError("traces must be a non-empty object")
@@ -691,7 +719,11 @@ def model_from_json(data: object) -> tuple[SLTLModel, str]:
             raise WitnessFormatError(f"lambda key {key!r} must carry the '@' sigil")
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise WitnessFormatError(f"lambda entry {key!r} must list trace ids")
-        lam[Standpoint(key[1:])] = frozenset(members)
+        try:
+            sp = Standpoint(key[1:])
+        except ValueError as exc:
+            raise WitnessFormatError(f"lambda key {key!r}: {exc}") from exc
+        lam[sp] = frozenset(members)
     designated = data["designated"]
     if not isinstance(designated, str) or designated not in traces:
         raise WitnessFormatError(f"designated trace {designated!r} is not in the model")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -14,13 +15,19 @@ from sltl.automaton import (
     find_accepting_lasso,
     initial_states,
 )
+from sltl import psl
 from sltl.semantics import SearchBounds, bounded_search
 from sltl.syntax import (
+    And,
+    Bottom,
     Next,
     Not,
+    Or,
     Prop,
     TOP,
+    Top,
     Until,
+    _has_temporal,
     classify,
     Fragment,
     closure,
@@ -135,10 +142,66 @@ def test_every_enumerated_state_is_consistent():
     f = parse("<@s> p & (q U <@s> !p)")
     cl = closure(f)
     space = StateSpace(cl)
-    from sltl import psl
-
     for b in space.enumerate([]):
         assert psl.standpoint_consistent(b.psl_members())
+
+
+def _brute_force_states(space, constraints):
+    """Masks of the s-elementary sets meeting the constraints: every base
+    assignment in closure-index order, false before true, with the other
+    members derived from their consistency equations."""
+    cl = space.closure
+    masks = []
+    for values in itertools.product((False, True), repeat=len(space.base)):
+        truth = dict(zip(space.base, values))
+        for g in cl.formulas:  # operands precede the members built on them
+            if g in truth:
+                continue
+            if isinstance(g, Top):
+                truth[g] = True
+            elif isinstance(g, Bottom):
+                truth[g] = False
+            elif isinstance(g, Not):
+                truth[g] = not truth[g.operand]
+            elif isinstance(g, And):
+                truth[g] = truth[g.left] and truth[g.right]
+            elif isinstance(g, Or):
+                truth[g] = truth[g.left] or truth[g.right]
+            else:
+                assert isinstance(g, Until), g
+                truth[g] = truth[g.right] or (truth[g.left] and truth[Next(g)])
+        if any(truth[f] != req for f, req in constraints):
+            continue
+        if not psl.standpoint_consistent(
+            g for g in cl.formulas if truth[g] and not _has_temporal(g)
+        ):
+            continue
+        masks.append(sum(1 << i for i, g in enumerate(cl.formulas) if truth[g]))
+    return masks
+
+
+@pytest.mark.parametrize("mode", ["ltl", "ltl_psl"])
+def test_enumeration_matches_brute_force(mode):
+    rng = random.Random(127)
+    done = 0
+    while done < 40:
+        f = random_formula(rng, 4, mode=mode, max_sharpenings=1)
+        if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+            continue
+        space = StateSpace(closure(f))
+        if len(space.base) > 10:
+            continue
+        done += 1
+        initial = [(f, True)]
+        got = [b.mask for b in space.enumerate(initial)]
+        assert got == _brute_force_states(space, initial), to_text(f)
+        successor_constraints = {
+            tuple((g.operand, g in b) for g in space.closure.next_members)
+            for b in space.enumerate([])
+        }
+        for succ in sorted(successor_constraints, key=lambda c: [req for _, req in c]):
+            got = [b2.mask for b2 in space.enumerate(list(succ))]
+            assert got == _brute_force_states(space, succ), to_text(f)
 
 
 def test_agreement_with_bounded_search_on_corpus():

@@ -237,3 +237,21 @@ def test_env_node_limit(capsys, monkeypatch):
     code, _, err = run(capsys, "solve", "--bounds", "2,1,2", "<@s> X p")
     assert code == 69
     assert "node limit" in err
+
+
+@pytest.mark.parametrize("name", ["SLTL_NODE_LIMIT", "SLTL_STATE_LIMIT"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_env_limit_below_one_is_a_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, _, err = run(capsys, "solve", "p U q")
+    assert code == 64
+    assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("option", ["--dump-states", "--witness-out"])
+def test_unwritable_output_path_exits_73(tmp_path, capsys, option):
+    target = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, "solve", option, str(target), "p U q")
+    assert code == 73
+    assert err.startswith("error: cannot write")
+    assert not target.exists()

@@ -275,6 +275,9 @@ def test_search_product_recurrence():
 # ---------------------------------------------------------------------------
 # Three-valued soundness of the interval engine
 
+LEAVES = {Prop("p"): 0, Prop("q"): 1}
+
+
 def _completions(rng, n_slots, max_open):
     """A random partial 0/1 assignment of the slots (None = open, at most
     ``max_open`` open slots) and every completion of it."""
@@ -316,7 +319,7 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
         full = (1 << n_types) - 1
         tm = [sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(2)]
         fm = [full ^ m for m in tm]
-        engine = _IntervalEngine(f, n_types, 0, 1, extents, {"p": 0, "q": 1})
+        engine = _IntervalEngine([f], n_types, 0, 1, extents, LEAVES)
         partial, completions = _completions(rng, n_types, 5)
         present = sum(1 << t for t, v in enumerate(partial) if v is True)
         possible = full ^ sum(1 << t for t, v in enumerate(partial) if v is False)
@@ -346,7 +349,7 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
         extents = {UNIVERSAL: ids}
         for sp in (S, T):
             extents[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
-        engine = _IntervalEngine(f, t_count, prefix, period, extents, {"p": 0, "q": 1})
+        engine = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
         cells = [(t * L + k, i) for t in ids for k in range(L) for i in range(2)]
         partial, completions = _completions(rng, len(cells), 4)
         def masks(value):
@@ -401,6 +404,9 @@ def test_witness_json_round_trip():
         lambda d: d["lambda"].__setitem__("@s", [["t0"]]),
         lambda d: d.__setitem__("prefix_len", False),
         lambda d: d.__setitem__("period_len", True),
+        lambda d: d.update(prefix_len=-1, traces={"t0": []}),
+        lambda d: d.update(prefix_len=1, period_len=0),
+        lambda d: d["lambda"].__setitem__("@1x", ["t0"]),
     ],
 )
 def test_witness_json_rejects_malformed(mutation):
