@@ -258,7 +258,7 @@ def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formu
 # Interval engine: three-valued truth bounds over a partially assigned model
 
 _OP_CONST, _OP_LEAF, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
-_OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT = range(7, 11)
+_OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 12)
 
 
 class _IntervalEngine:
@@ -271,13 +271,20 @@ class _IntervalEngine:
     coincide once every relevant cell and every presence bit is assigned.
     Modalities quantify over the present traces of their extent.
 
-    The formulas are flattened once into an instruction list, one slot per
-    compiled formula (``slot``), and ``sweep`` interprets it.  Leaves are
-    the formulas of the ``leaves`` map, whose cells are read from the
-    ``tm``/``fm`` entry it names.  An Until whose companion ``X(a U b)`` is
-    a leaf compiles to ``b | (a & X(a U b))``, which holds on every lasso.
-    On a one-position lasso (``L == 1``) a cell is a trace, ``X a`` is
-    ``a``, ``a U b`` is ``b`` and a modality is one mask test.
+    The formulas are compiled once per lasso shape (trace count, prefix,
+    period) into a program, one slot per compiled formula (``slot``), whose
+    modal instructions name their standpoint and whose sharpening atoms name
+    their two standpoints.  ``bind`` turns the program into the instruction
+    list for one standpoint assignment: extent masks go into the modal
+    instructions and each sharpening atom folds to a constant.  The
+    constructor binds ``extents``; the bounded search rebinds one engine
+    for every standpoint assignment of a shape.  ``sweep`` interprets the
+    bound instructions.  Leaves are the formulas of the ``leaves`` map,
+    whose cells are read from the ``tm``/``fm`` entry it names.  An Until
+    whose companion ``X(a U b)`` is a leaf compiles to ``b | (a & X(a U b))``,
+    which holds on every lasso.  On a one-position lasso (``L == 1``) a cell
+    is a trace, ``X a`` is ``a``, ``a U b`` is ``b`` and a modality is one
+    mask test.
 
     Three searches run on it: the bounded search (propositions as leaves,
     every trace present), the PSL grid search (a one-position lasso whose
@@ -309,15 +316,12 @@ class _IntervalEngine:
         )
         one = L == 1
 
-        self.instrs: list[tuple[int, int, int, object]] = []
+        program: list[tuple[int, int, int, object]] = []
         slot: dict[Formula, int] = {}
         # the Untils whose next-step companion is a leaf, mapped to it
         unfold = {
             g.operand: g for g in leaves if isinstance(g, Next) and isinstance(g.operand, Until)
         }
-
-        def ext_mask(sp: Standpoint) -> int:
-            return sum(block << (t * L) for t in extents[sp])
 
         def compile_node(g: Formula) -> int:
             if g in slot:
@@ -333,10 +337,7 @@ class _IntervalEngine:
             elif isinstance(g, Bottom):
                 ins = (_OP_CONST, 0, 0, (0, 0))
             elif isinstance(g, Sharper):
-                left = set(extents[g.left])
-                right = set(extents[g.right])
-                c = self.full if left <= right else 0
-                ins = (_OP_CONST, 0, 0, (c, c))
+                ins = (_OP_SHARPER, 0, 0, (g.left, g.right))
             elif isinstance(g, Not):
                 ins = (_OP_NOT, compile_node(g.operand), 0, None)
             elif isinstance(g, And):
@@ -349,23 +350,46 @@ class _IntervalEngine:
                 ins = (_OP_UNTIL, compile_node(g.left), compile_node(g.right), None)
             elif isinstance(g, DiamondS):
                 op = _OP_SOME if one else _OP_SOME_AT
-                ins = (op, compile_node(g.operand), 0, ext_mask(g.standpoint))
+                ins = (op, compile_node(g.operand), 0, g.standpoint)
             elif isinstance(g, BoxS):
                 op = _OP_ALL if one else _OP_ALL_AT
-                ins = (op, compile_node(g.operand), 0, ext_mask(g.standpoint))
+                ins = (op, compile_node(g.operand), 0, g.standpoint)
             else:
                 raise TypeError(f"neither a leaf nor a connective: {g!r}")
-            slot[g] = len(self.instrs)
-            self.instrs.append(ins)
+            slot[g] = len(program)
+            program.append(ins)
             return slot[g]
 
         for g, i in leaves.items():
-            slot[g] = len(self.instrs)
-            self.instrs.append((_OP_LEAF, 0, 0, i))
+            slot[g] = len(program)
+            program.append((_OP_LEAF, 0, 0, i))
         for g in formulas:
             compile_node(g)
+        self.program = program
         self.slot = slot
         self.root = slot[formulas[0]]
+        self.bind(extents)
+
+    def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
+        """Bind the program to one standpoint assignment: each standpoint's
+        extent (the indices of its traces) becomes a cell mask in the modal
+        instructions, and each sharpening atom becomes the constant it
+        denotes.  A standpoint missing from ``extents`` is a KeyError."""
+        block, L, full = self.block0, self.L, self.full
+        masks = {
+            sp: sum(block << (t * L) for t in idxs) for sp, idxs in extents.items()
+        }
+        instrs = []
+        for ins in self.program:
+            op, a, b, aux = ins
+            if op == _OP_SHARPER:
+                left, right = aux
+                c = full if masks[left] | masks[right] == masks[right] else 0
+                ins = (_OP_CONST, 0, 0, (c, c))
+            elif op >= _OP_SOME:
+                ins = (op, a, b, masks[aux])
+            instrs.append(ins)
+        self.instrs = instrs
 
     def sweep(
         self, tm: list[int], fm: list[int], present: int, possible: int
@@ -449,19 +473,22 @@ class _ShapeSearch:
     Cells are assigned false before true in a fixed order (the origin node
     first, then the cycle nodes, then the rest of the prefix), so together
     with interval pruning the search returns exactly the first witness of
-    the plain enumeration in that cell order.  Traces outside every modal
-    extent and distinct from the designated trace stay empty: no
-    satisfaction clause ever reads them.
+    the plain enumeration in that cell order.  Traces outside ``reach``
+    (every modal extent, plus the designated trace unless the formula is
+    trace-independent) stay empty: no satisfaction clause ever reads them.
+    ``engine`` is compiled for the shape and bound to ``lam_idx``.
     """
 
     def __init__(
         self,
+        engine: _IntervalEngine,
         f: Formula,
         t_count: int,
         prefix: int,
         period: int,
         lam_idx: dict[Standpoint, tuple[int, ...]],
         designated: int,
+        reach: set[int],
         leaves: dict[Formula, int],
         symmetry: bool,
         budget: list[int],
@@ -476,12 +503,9 @@ class _ShapeSearch:
         self.symmetry = symmetry
         self.budget = budget
         self.lam_idx = lam_idx
-        self.engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
+        self.engine = engine
         self.origin_bit = 1 << (designated * self.L)
 
-        reach = set() if _trace_independent(f) else {designated}
-        for sp in modal_standpoints(f):
-            reach.update(lam_idx[sp])
         relevant = sorted(reach)
         node_order = [0] + list(range(max(prefix, 1), self.L)) + list(range(1, prefix))
         self.cells = [
@@ -615,7 +639,10 @@ def bounded_search(
     formula (non-empty extents, the universal one fixed to everything), then
     the designated trace, then valuations.  The search prunes with interval
     bounds but visits witnesses in the plain enumeration order, so the first
-    one returned is deterministic.
+    one returned is deterministic.  The interval engine is compiled once per
+    (trace count, prefix, period) shape and bound to each standpoint
+    assignment of that shape in turn; the formula walks that decide which
+    traces a stratum reads run once per call.
     """
     voc = vocab(f)
     missing = voc.props - set(bounds.props)
@@ -628,17 +655,26 @@ def bounded_search(
     # covers them all.  Both reductions return the same first witness the
     # plain enumeration would.
     max_traces = bounds.max_traces if voc.standpoints else 1
-    designated_choices = 1 if _trace_independent(f) else None
+    independent = _trace_independent(f)
+    designated_choices = 1 if independent else None
+    modal_sps = modal_standpoints(f)
     budget = [node_limit, node_limit]
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     for t_count in range(1, max_traces + 1):
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
+                engine = None
                 for lam_idx in _lambda_assignments(sps, t_count):
+                    if engine is None:
+                        engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
+                    else:
+                        engine.bind(lam_idx)
+                    modal_reach = {t for sp in modal_sps for t in lam_idx[sp]}
                     for designated in range(designated_choices or t_count):
+                        reach = modal_reach if independent else modal_reach | {designated}
                         search = _ShapeSearch(
-                            f, t_count, prefix, period, lam_idx, designated,
-                            leaves, symmetry, budget,
+                            engine, f, t_count, prefix, period, lam_idx, designated,
+                            reach, leaves, symmetry, budget,
                         )
                         model = search.run()
                         if model is not None:
@@ -666,12 +702,13 @@ def bounded_search_product(
 # Witness serialization
 
 def model_to_json(model: SLTLModel, designated: str) -> dict:
-    """Witness object matching the documented schema."""
+    """Witness object matching the documented schema.  Standpoints are
+    listed by name, so the bytes never depend on how the model was built."""
     traces = {
         tid: [sorted(tr.valuation(k)) for k in range(model.length)]
         for tid, tr in model.traces.items()
     }
-    lam = {str(sp): sorted(members) for sp, members in model.lam.items()}
+    lam = {str(sp): sorted(model.lam[sp]) for sp in sorted(model.lam, key=str)}
     return {
         "prefix_len": model.prefix_len,
         "period_len": model.period_len,

@@ -216,6 +216,27 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_solve_json_is_independent_of_the_hash_seed():
+    # the witness lambda of the automaton (LtlPsl) and grid (PSL) paths is
+    # built from standpoint sets, whose iteration order follows the hash seed
+    src = os.path.dirname(os.path.dirname(sltl.__file__))
+    specs = [
+        "(G X [@s] (true | (@s <= @t))) & (![@*] p) & (true)",
+        "(<@t> [@s] p) & (p) & (!<@t> [@*] (@s <= @t))",
+    ]
+    for spec in specs:
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-m", "sltl.cli", "solve", "--json", spec],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1], spec
+
+
 def test_exit_codes_match_verdicts_on_regression_corpus(capsys):
     corpus = {
         "G F p": 0,

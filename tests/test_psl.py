@@ -273,6 +273,8 @@ def test_grid_model_for_fixed_width():
     # width too small for two forced-apart witnesses
     tight = grid_model_for([parse("[@s] p")], fam, 1)
     assert tight is not None
+    with pytest.raises(ValueError, match="outside the grid universe"):
+        grid_model_for([parse("<@t> p")], fam, 4)
 
 
 def test_psl_witness_json_shape():

@@ -254,6 +254,23 @@ def test_search_node_limit_is_loud():
         bounded_search(f, SearchBounds.for_formula(f, 1, 2, 3), node_limit=5)
 
 
+def test_search_compiles_one_engine_per_shape(monkeypatch):
+    # strata of one (traces, prefix, period) shape differ only in the
+    # standpoint assignment and the designated trace, so they share an engine
+    shapes = []
+    init = _IntervalEngine.__init__
+
+    def counting_init(self, formulas, t_count, prefix, period, extents, leaves):
+        shapes.append((t_count, prefix, period))
+        init(self, formulas, t_count, prefix, period, extents, leaves)
+
+    monkeypatch.setattr(_IntervalEngine, "__init__", counting_init)
+    f = parse("G <@s> (p & X !p) & [@t] (p U q) & (@s <= @t)")
+    assert bounded_search(f, SearchBounds.for_formula(f, 2, 1, 1)) is None
+    assert len(shapes) <= 4
+    assert len(set(shapes)) == len(shapes)
+
+
 def test_search_requires_covering_vocabulary():
     f = parse("p & q")
     with pytest.raises(ValueError):
@@ -339,17 +356,26 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
 
 def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
     # the bounded search's use: every trace present, cells partly assigned
+    # an engine compiled under one standpoint assignment and bound to a
+    # second, as the bounded search reuses one per shape, is checked too
     rng = random.Random(32)
     props = ("p", "q")
     for _ in range(150):
-        f = random_formula(rng, 3, props=props, mode="sltl")
+        f = random_formula(rng, 3, props=props, mode="sltl", max_sharpenings=2)
         t_count, prefix, period = rng.randint(1, 4), rng.randint(0, 1), rng.randint(1, 2)
         L = prefix + period
         ids = tuple(range(t_count))
-        extents = {UNIVERSAL: ids}
-        for sp in (S, T):
-            extents[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
-        engine = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
+
+        def assignment():
+            ext = {UNIVERSAL: ids}
+            for sp in (S, T):
+                ext[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
+            return ext
+
+        extents = assignment()
+        rebound = _IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
+        rebound.bind(extents)
+        engines = [_IntervalEngine([f], t_count, prefix, period, extents, LEAVES), rebound]
         cells = [(t * L + k, i) for t in ids for k in range(L) for i in range(2)]
         partial, completions = _completions(rng, len(cells), 4)
         def masks(value):
@@ -359,8 +385,8 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
             ]
 
         tm, fm = masks(True), masks(False)
-        every = engine.full
-        lo, hi = engine.bounds(tm, fm, every, every, every)
+        every = engines[0].full
+        results = [engine.bounds(tm, fm, every, every, every) for engine in engines]
         lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in extents.items()}
         for chosen in completions:
             traces = {}
@@ -372,7 +398,8 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
                 traces[f"t{t}"] = UPTrace(tuple(row[:prefix]), tuple(row[prefix:]))
             model = SLTLModel(traces, lam, prefix, period)
             checked = [(1 << (t * L + k), f"t{t}", k) for t in ids for k in range(L)]
-            _assert_sound(f, lo, hi, model, checked)
+            for lo, hi in results:
+                _assert_sound(f, lo, hi, model, checked)
 
 
 # ---------------------------------------------------------------------------
