@@ -1,14 +1,18 @@
 """Generalized Büchi automaton over s-elementary sets, explored on the fly.
 
 States are maximally consistent, standpoint-consistent subsets of the
-closure set.  A state is determined by its assignment to the base members
-(propositions, sharpening atoms, next-step and modal formulas); Boolean and
-Until members are forced by the consistency equations, so enumeration
-backtracks over base assignments only.  It prunes with the interval engine
-of ``semantics`` on a single cell whose leaves are the base members: each
-Until member unfolds to ``b | (a & X(a U b))`` over its next-step
-companion, and once every base member is assigned the engine's lower
-bounds are the state's mask.  Letters never appear: a transition only
+closure set.  A state is standpoint-consistent when its propositional
+members have a grid model on the label family of its own true sharpening
+atoms, at the small-model width ``n`` or, failing that, ``n_safe``; the
+state space keeps that model, and the solver builds the witness of a run
+from the models of its states.  A state is determined by its assignment to
+the base members (propositions, sharpening atoms, next-step and modal
+formulas); Boolean and Until members are forced by the consistency
+equations, so enumeration backtracks over base assignments only.  It
+prunes with the interval engine of ``semantics`` on a single cell whose
+leaves are the base members: each Until member unfolds to
+``b | (a & X(a U b))`` over its next-step companion, and once every base
+member is assigned the engine's lower bounds are the state's mask.  Letters never appear: a transition only
 exists for the letter matching the source state's propositions.
 """
 
@@ -20,16 +24,21 @@ from typing import Iterator, Optional, TextIO
 from . import psl
 from .semantics import _IntervalEngine
 from .syntax import (
+    BOTTOM,
+    TOP,
+    UNIVERSAL,
     BoxS,
     ClosureSet,
     DiamondS,
     Formula,
     Next,
+    Not,
     Prop,
     Sharper,
     Until,
-    _has_temporal,
+    vocab,
 )
+from .translate import substitute_sharpenings
 
 DEFAULT_STATE_LIMIT = 200_000
 
@@ -56,13 +65,6 @@ class SElementarySet:
     def members(self) -> list[Formula]:
         return [g for i, g in enumerate(self.space.closure.formulas) if self.mask >> i & 1]
 
-    def psl_members(self) -> list[Formula]:
-        return [
-            g
-            for i, g in enumerate(self.space.closure.formulas)
-            if self.mask >> i & 1 and self.space.psl_flags[i]
-        ]
-
     def props(self) -> frozenset[str]:
         return frozenset(
             g.name
@@ -85,7 +87,23 @@ class Lasso:
 
 
 class StateSpace:
-    """Shared machinery for enumerating s-elementary sets of one closure."""
+    """Shared machinery for enumerating s-elementary sets of one closure.
+
+    A candidate state is kept when it is standpoint-consistent: its
+    propositional literals, with every sharpening atom of the closure
+    replaced by its truth on the label family of the state's true atoms,
+    have a grid model on that family.  The literals are the true
+    propositions, sharpening atoms and modal members and the negations of
+    the false ones; the state's other propositional members are Boolean
+    combinations of them, so the literals entail them and give the grid
+    search the same three-valued bounds.  The width is ``n`` (standpoints of
+    the seed plus diamond members plus one: the literals mention no other
+    standpoint and demand at most one witness per diamond member) or, when
+    that has no model, ``n_safe``, which also counts the box members
+    because negated boxes surface as diamonds in normal form.  A model at width ``n`` pads to one
+    at ``n_safe``.  Grid models are memoised per set of literals and
+    width; ``grid_solves`` counts the searches run.
+    """
 
     def __init__(self, cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT):
         self.closure = cl
@@ -93,9 +111,24 @@ class StateSpace:
             g for g in cl.formulas if isinstance(g, (Prop, Sharper, Next, DiamondS, BoxS))
         ]
         self.base_index = {g: i for i, g in enumerate(self.base)}
-        self.psl_flags = [not _has_temporal(g) for g in cl.formulas]
         self.state_limit = state_limit
         self.generated = 0
+        self.grid_solves = 0
+        self.universe = set(vocab(cl.seed).standpoints) | {UNIVERSAL}
+        n_dia = sum(1 for g in cl.formulas if isinstance(g, DiamondS))
+        n_box = sum(1 for g in cl.formulas if isinstance(g, BoxS))
+        self.n = len(self.universe) + n_dia + 1
+        self.n_safe = self.n + n_box
+        literal = (Prop, Sharper, DiamondS, BoxS)
+        self._literal_bits = sum(
+            1 << i
+            for i, g in enumerate(cl.formulas)
+            if isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal)
+        )
+        self._sharpenings = [
+            (i, (g.left, g.right)) for i, g in enumerate(cl.formulas) if isinstance(g, Sharper)
+        ]
+        self._models: dict[tuple[int, int], Optional[psl.PSLModel]] = {}
         self._next_bits = sum(1 << cl.index[g] for g in cl.next_members)
         self._successors: dict[int, list[SElementarySet]] = {}
         # one trace of one position: base member i is true/false when bit 0
@@ -122,9 +155,12 @@ class StateSpace:
                 self.generated += 1
                 if self.generated > self.state_limit:
                     raise AutomatonLimitError(self.state_limit)
-                state = SElementarySet(sum(lo[s] << k for k, s in enumerate(self._slots)), self)
-                if psl.standpoint_consistent(state.psl_members()):
-                    yield state
+                mask = sum(lo[s] << k for k, s in enumerate(self._slots))
+                if (
+                    self.grid_model(mask, self.n) is not None
+                    or self.grid_model(mask, self.n_safe) is not None
+                ):
+                    yield SElementarySet(mask, self)
                 return
             for cells in (fm, tm):
                 cells[i] = 1
@@ -132,6 +168,25 @@ class StateSpace:
                 cells[i] = 0
 
         yield from dfs(0)
+
+    def grid_model(self, mask: int, width: int) -> Optional[psl.PSLModel]:
+        """Grid model of the state's propositional literals at this width,
+        or None; the label family comes from the state's true sharpening
+        atoms, so the search never meets a negated atom."""
+        key = (mask & self._literal_bits, width)
+        if key not in self._models:
+            self.grid_solves += 1
+            rel = psl.sharpening_closure(
+                [pair for i, pair in self._sharpenings if mask >> i & 1], self.universe
+            )
+            truth = {pair: TOP if rel.entails(pair) else BOTTOM for _, pair in self._sharpenings}
+            members = [
+                substitute_sharpenings(g, truth)
+                for i, g in enumerate(self.closure.formulas)
+                if key[0] >> i & 1
+            ]
+            self._models[key] = psl.grid_model_for(members, psl.family_for(rel), width)
+        return self._models[key]
 
     def successors(self, b: SElementarySet) -> list[SElementarySet]:
         """Transition targets, memoised: the next-step members of the

@@ -18,7 +18,6 @@ from .syntax import (
     BOTTOM,
     DiamondS,
     Formula,
-    Not,
     Prop,
     Sharper,
     Standpoint,
@@ -28,9 +27,7 @@ from .syntax import (
     children,
     conj,
     neg,
-    size,
     to_nnf,
-    to_text,
     vocab,
 )
 from .semantics import _IntervalEngine
@@ -354,53 +351,7 @@ def sat(f: Formula) -> SatResult:
 
 
 # ---------------------------------------------------------------------------
-# Standpoint consistency of closure subsets
-
-_consistency_cache: dict[frozenset[Formula], bool] = {}
-
-
-def standpoint_consistent(members: Iterable[Formula]) -> bool:
-    """Is the conjunction of these propositional members satisfiable?
-
-    Fast path: a negated sharpening atom already entailed by the positive
-    ones is hopeless, no search needed.  Verdicts are memoized by the set of
-    members; the cache only ever stores final verdicts, so an interrupted
-    query leaves no entry behind.
-    """
-    mems = frozenset(members)
-    cached = _consistency_cache.get(mems)
-    if cached is not None:
-        return cached  # its members were checked when it was stored
-    for m in mems:
-        _require_propositional(m)
-    verdict = _consistent(mems)
-    _consistency_cache[mems] = verdict
-    return verdict
-
-
-def _consistent(mems: frozenset[Formula]) -> bool:
-    positives = [(g.left, g.right) for g in mems if isinstance(g, Sharper)]
-    negatives = [
-        (g.operand.left, g.operand.right)
-        for g in mems
-        if isinstance(g, Not) and isinstance(g.operand, Sharper)
-    ]
-    if negatives:
-        universe = vocab(conj(sorted(mems, key=lambda m: (size(m), to_text(m))))).standpoints
-        closure_rel = sharpening_closure(positives, universe)
-        for pair in negatives:
-            if closure_rel.entails(pair):
-                return False
-    ordered = sorted(mems, key=lambda m: (size(m), to_text(m)))
-    return sat(conj(ordered)).is_sat
-
-
-def clear_consistency_cache() -> None:
-    _consistency_cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# Grid models for externally fixed grids (used by the solver)
+# Grid models for externally fixed grids (used by the automaton)
 
 def grid_model_for(
     conjuncts: list[Formula], family: SFamily, n: int

@@ -27,8 +27,6 @@ from .semantics import (
     model_to_json,
 )
 from .syntax import (
-    DiamondS,
-    BoxS,
     Formula,
     Fragment,
     Standpoint,
@@ -79,69 +77,35 @@ def check_witness(f: Formula, model: SLTLModel, trace_id: str) -> bool:
 # ---------------------------------------------------------------------------
 # Witness construction from an accepting run
 
-def _uniform_grid(phi_d: Formula, cl) -> tuple[psl.SFamily, int, int]:
-    """Shared grid parameters for every position of a run.
-
-    One label family from the positive sharpening atoms, and one width that
-    dominates the per-position small-model requirement: every position's
-    propositional conjunction draws from the closure, so it mentions at most
-    all standpoints and can demand at most one witness per distinct diamond
-    member.  Negated box members surface extra diamonds in normal form, so
-    the fallback width also counts the box members.
-    """
-    voc = vocab(phi_d)
-    universe = set(voc.standpoints) | {UNIVERSAL}
-    rel = psl.sharpening_closure(voc.sharpenings, universe)
-    family = psl.family_for(rel)
-    n_dia = sum(1 for g in cl.formulas if isinstance(g, DiamondS))
-    n = len(universe) + n_dia + 1
-    n_box = sum(1 for g in cl.formulas if isinstance(g, BoxS))
-    n_safe = len(universe) + n_dia + n_box + 1
-    return family, n, n_safe
-
-
-def witness_from_lasso(lasso: Lasso, phi_d: Formula) -> tuple[SLTLModel, str]:
+def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     """Build a model from an accepting run.
 
-    Every run position gets a grid model of its state's propositional
-    members on one shared grid; the trace of a cell reads that cell's
-    valuation across positions, and the standpoint extents follow the cell
-    labels.  The designated trace is the first cell of the universal column.
-    ``solve`` checks the model once, on its own input formula.
+    Every run position reads its state's grid model back from the state
+    space that found it while deciding the state consistent: at width
+    ``n`` when every state of the run has a model there, else at
+    ``n_safe``, where each one has a model.  The run must share one label
+    family, as the runs of a partition formula do: their states all carry
+    the partition's true sharpening atoms.  The trace of a cell reads that
+    cell's valuation across positions, and the standpoint extents follow
+    the cell labels.  The designated trace is the first cell of the
+    universal column.  ``solve`` checks the model once, on its own input
+    formula.
     """
-    cl = lasso.cycle[0].space.closure
-    family, n, n_safe = _uniform_grid(phi_d, cl)
     states = list(lasso.stem) + list(lasso.cycle)
-
-    def solve_positions(width: int) -> Optional[list[dict]]:
-        cache: dict[int, Optional[psl.PSLModel]] = {}
-        out = []
-        for b in states:
-            if b.mask not in cache:
-                cache[b.mask] = psl.grid_model_for(b.psl_members(), family, width)
-            model = cache[b.mask]
-            if model is None:
-                return None
-            out.append(model.valuation)
-        return out
-
-    valuations = solve_positions(n)
-    width = n
-    if valuations is None:
-        valuations = solve_positions(n_safe)
-        width = n_safe
-    if valuations is None:
-        raise AssertionError("run state unexpectedly has no grid model")
+    space = states[0].space
+    models = [space.grid_model(b.mask, space.n) for b in states]
+    if any(m is None for m in models):
+        models = [space.grid_model(b.mask, space.n_safe) for b in states]
+    family, width = models[0].family, models[0].n
 
     prefix_len, period_len = len(lasso.stem), len(lasso.cycle)
     cells = [(i, j) for i in range(len(family)) for j in range(1, width + 1)]
     traces: dict[str, UPTrace] = {}
     for idx, cell in enumerate(cells):
-        column = [valuations[k][cell] for k in range(len(states))]
+        column = [m.valuation[cell] for m in models]
         traces[f"t{idx}"] = UPTrace(tuple(column[:prefix_len]), tuple(column[prefix_len:]))
     lam: dict[Standpoint, frozenset[str]] = {}
-    universe = set(vocab(phi_d).standpoints) | {UNIVERSAL}
-    for sp in universe:
+    for sp in space.universe:
         members = frozenset(
             f"t{idx}"
             for idx, (i, _) in enumerate(cells)
@@ -187,7 +151,7 @@ def _solve_partition(f: Formula, part: Partition, state_limit: int) -> Optional[
     lasso = find_accepting_lasso(cl, phi_d, state_limit)
     if lasso is None:
         return None
-    model, designated = witness_from_lasso(lasso, phi_d)
+    model, designated = witness_from_lasso(lasso)
     return _cover_standpoints(model, f), designated
 
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import random
@@ -31,6 +32,7 @@ from sltl.syntax import (
     classify,
     Fragment,
     closure,
+    conj,
     parse,
     to_text,
     vocab,
@@ -57,6 +59,23 @@ def test_initial_states_empty_for_contradiction():
 def test_initial_states_filtered_by_standpoint_consistency():
     f = parse("<@s> p & [@*] !p")
     assert list(initial_states(closure(f), f)) == []
+
+
+def _initial(text):
+    f = parse(text)
+    return list(initial_states(closure(f), f))
+
+
+def test_consistency_examples():
+    assert _initial("p & !p & X q") == []
+    assert _initial("<@s> p & [@*] !p & X q") == []
+    assert _initial("<@s> p & <@s> !p & (@s <= @t) & X q")
+
+
+def test_consistency_on_entailed_negation():
+    assert _initial("(@s <= @t) & (@t <= @u) & !(@s <= @u) & X p") == []
+    # a non-entailed negation is fine
+    assert _initial("(@s <= @t) & !(@t <= @s) & X p")
 
 
 def test_successors_respect_next_members():
@@ -143,7 +162,15 @@ def test_every_enumerated_state_is_consistent():
     cl = closure(f)
     space = StateSpace(cl)
     for b in space.enumerate([]):
-        assert psl.standpoint_consistent(b.psl_members())
+        assert psl.sat(conj(g for g in b.members() if not _has_temporal(g))).is_sat
+
+
+@functools.cache
+def _abstractly_consistent(members) -> bool:
+    """Complete PSL satisfiability of the members, with its own sharpening
+    partitions, label family and width: independent of the automaton's
+    grid filter.  Memoised here only to keep the brute force fast."""
+    return psl.sat(conj(members)).is_sat
 
 
 def _brute_force_states(space, constraints):
@@ -172,8 +199,8 @@ def _brute_force_states(space, constraints):
                 truth[g] = truth[g.right] or (truth[g.left] and truth[Next(g)])
         if any(truth[f] != req for f, req in constraints):
             continue
-        if not psl.standpoint_consistent(
-            g for g in cl.formulas if truth[g] and not _has_temporal(g)
+        if not _abstractly_consistent(
+            tuple(g for g in cl.formulas if truth[g] and not _has_temporal(g))
         ):
             continue
         masks.append(sum(1 << i for i, g in enumerate(cl.formulas) if truth[g]))

@@ -11,7 +11,6 @@ from sltl.psl import (
     SatResult,
     TemporalOperatorError,
     UNREPRESENTABLE,
-    clear_consistency_cache,
     family_for,
     grid_model_for,
     psl_model_to_json,
@@ -19,7 +18,6 @@ from sltl.psl import (
     sat_normal_form,
     sharpening_closure,
     split_for_grid,
-    standpoint_consistent,
 )
 from sltl.semantics import evaluate
 from sltl.solver import _lift_psl_model
@@ -227,36 +225,9 @@ def test_sat_agrees_with_brute_force_on_corpus():
         assert sat(f).is_sat == psl_brute_sat(f), to_text(f)
 
 
-# ---------------------------------------------------------------------------
-# Standpoint consistency
-
-def test_consistency_examples():
-    assert not standpoint_consistent([parse("p"), parse("!p")])
-    assert not standpoint_consistent([parse("<@s> p"), parse("[@*] !p")])
-    assert standpoint_consistent([parse("<@s> p"), parse("<@s> !p"), Sharper(S, T)])
-
-
-def test_consistency_fast_path_on_entailed_negation():
-    members = [Sharper(S, T), Sharper(T, Standpoint("u")), Not(Sharper(S, Standpoint("u")))]
-    assert not standpoint_consistent(members)
-    # a non-entailed negation is fine
-    assert standpoint_consistent([Sharper(S, T), Not(Sharper(T, S))])
-
-
 def test_consistency_rejects_temporal_members():
     with pytest.raises(TemporalOperatorError):
-        standpoint_consistent([parse("X p")])
-
-
-def test_consistency_cache_is_transparent():
-    rng = random.Random(53)
-    clear_consistency_cache()
-    for _ in range(60):
-        members = [random_formula(rng, 2, mode="psl") for _ in range(rng.randint(1, 3))]
-        first = standpoint_consistent(members)
-        again = standpoint_consistent(members)
-        uncached = psl._consistent(frozenset(members))
-        assert first == again == uncached
+        sat(parse("X p"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from conftest import random_formula
 import sltl.solver as solver_mod
 from sltl import psl, semantics
 from sltl.semantics import SearchBounds, bounded_search, evaluate, model_to_json
-from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json
+from sltl.automaton import find_accepting_lasso
+from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
     DiamondS,
     Prop,
@@ -176,6 +177,29 @@ def test_width_escalation_when_negated_boxes_force_cells_apart():
     fam_size, n = expected_grid_parameters(phi_d)
     # the default width would give fam_size * n traces; escalation widened it
     assert len(v.model.traces) > fam_size * n
+
+
+def test_grid_solves_once_per_member_set_and_width(monkeypatch):
+    solved = []
+    real = psl.grid_model_for
+
+    def recording(conjuncts, family, n):
+        solved.append((tuple(conjuncts), family, n))
+        return real(conjuncts, family, n)
+
+    monkeypatch.setattr(psl, "grid_model_for", recording)
+    f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
+    lasso = find_accepting_lasso(closure(f), f)
+    space = lasso.cycle[0].space
+    states = list(lasso.stem) + list(lasso.cycle)
+    assert len({b.mask for b in states}) > 1
+    assert space.grid_solves == len(solved) == len(set(solved))
+    # the run fits width n, so the witness reads back what enumeration found
+    assert all(space.grid_model(b.mask, space.n) is not None for b in states)
+    before = space.grid_solves
+    model, designated = witness_from_lasso(lasso)
+    assert space.grid_solves == len(solved) == before
+    assert check_witness(f, model, designated)
 
 
 def test_check_witness_rejects_flipped_bit():
