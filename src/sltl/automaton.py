@@ -129,7 +129,10 @@ class StateSpace:
             (i, (g.left, g.right)) for i, g in enumerate(cl.formulas) if isinstance(g, Sharper)
         ]
         self._models: dict[tuple[int, int], Optional[psl.PSLModel]] = {}
-        self._next_bits = sum(1 << cl.index[g] for g in cl.next_members)
+        # the members a source fixes in each of its targets: the operands of
+        # its next-step members, and its sharpening atoms, which are rigid
+        self._step_bits = sum(1 << cl.index[g] for g in cl.next_members)
+        self._step_bits |= sum(1 << i for i, _ in self._sharpenings)
         self._successors: dict[int, list[SElementarySet]] = {}
         # one trace of one position: base member i is true/false when bit 0
         # of tm[i]/fm[i] is set
@@ -190,12 +193,16 @@ class StateSpace:
 
     def successors(self, b: SElementarySet) -> list[SElementarySet]:
         """Transition targets, memoised: the next-step members of the
-        source fix the truth of their operands in every target, so sources
-        that agree on those members share their targets."""
-        key = b.mask & self._next_bits
+        source fix the truth of their operands in every target, and a
+        sharpening atom keeps its truth value along a run, so sources that
+        agree on those members and atoms share their targets."""
+        key = b.mask & self._step_bits
         targets = self._successors.get(key)
         if targets is None:
             constraints = [(g.operand, g in b) for g in self.closure.next_members]
+            constraints += [
+                (self.closure.formulas[i], bool(b.mask >> i & 1)) for i, _ in self._sharpenings
+            ]
             targets = list(self.enumerate(constraints))
             self._successors[key] = targets
         return targets

@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 from .syntax import (
     And,
     BOTTOM,
+    BoxS,
     DiamondS,
     Formula,
     Prop,
@@ -30,7 +31,7 @@ from .syntax import (
     to_nnf,
     vocab,
 )
-from .semantics import _IntervalEngine
+from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
 from .translate import iter_partitions, sharpening_witnesses, substitute_sharpenings
 
 
@@ -167,15 +168,27 @@ UNREPRESENTABLE = _Unrepresentable()
 
 
 def _conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
+    """The leaves of the And tree at the top of ``f``, left to right."""
+    parts: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            parts.append(g)
+    return parts
 
 
 def _mentions_sharper(f: Formula) -> bool:
-    if isinstance(f, Sharper):
-        return True
-    return any(_mentions_sharper(c) for c in children(f))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Sharper):
+            return True
+        stack.extend(children(g))
+    return False
 
 
 def split_for_grid(f: Formula):
@@ -204,15 +217,24 @@ def split_for_grid(f: Formula):
 
 
 def _count_diamonds(f: Formula) -> int:
-    own = 1 if isinstance(f, DiamondS) else 0
-    return own + sum(_count_diamonds(c) for c in children(f))
+    count = 0
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        count += isinstance(g, DiamondS)
+        stack.extend(children(g))
+    return count
 
 
 # ---------------------------------------------------------------------------
 # Grid search
 
 def _grid_search(
-    body: Formula, family: SFamily, n: int, props: tuple[str, ...]
+    body: Formula,
+    family: SFamily,
+    n: int,
+    props: tuple[str, ...],
+    budget: Optional[list[int]] = None,
 ) -> Optional[dict[tuple[int, int], frozenset[str]]]:
     """Find a valuation of the ``family x {1..n}`` grid satisfying the body
     at the designated cell, or None.
@@ -228,7 +250,37 @@ def _grid_search(
     traces the modalities quantify over.  The designated cell's valuation
     is chosen first; presence bits are tried absent before present, so the
     result is deterministic.
+
+    Each node propagates the body's top-level modal conjuncts, which must
+    hold wherever the body does, until nothing changes:
+
+    - for a box ``[@x] g``, every type of ``x``'s extent at which ``g`` is
+      false in every completion (its upper mask is clear) becomes absent;
+    - for a diamond ``<@x> g``, the candidates are the types of ``x``'s
+      extent, not absent, where ``g`` may hold: none fails the node, and a
+      single one becomes present.
+
+    A type both absent and present fails the node, and so does the
+    designated type turning absent; the search skips types that
+    propagation has decided.  Witnesses are those of the search without
+    propagation.  A valid presence assignment is one under which the body
+    holds at the designated type and every column carries between one and
+    ``min(n, 2^props)`` types.  Propagation and the other prunings remove
+    only subtrees without a valid assignment, and at a leaf the bounds are
+    exact, so the search returns the least valid assignment in its order
+    (the designated valuation, then the types of ``order`` absent before
+    present).  A node whose lower bound already holds returns its present
+    types, which is the least completion beneath it (every open type
+    absent) and valid, so again that least assignment; ``expand`` reads
+    only the present types.
+
+    ``budget`` is ``[remaining, limit]``, shared by every search of one
+    ``sat`` call, or a fresh one of DEFAULT_NODE_LIMIT nodes when None; each
+    node takes one, and SearchLimitError is raised once more than ``limit``
+    nodes were visited.
     """
+    if budget is None:
+        budget = [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
     plist = sorted(props)
     prop_bits = {p: i for i, p in enumerate(plist)}
     v_count = 1 << len(plist)
@@ -249,6 +301,13 @@ def _grid_search(
         engine = _IntervalEngine([body], n_types, 0, 1, extents, leaves)
     except KeyError as exc:
         raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
+    sweep, root = engine.sweep, engine.root
+    # the modal conjuncts as (extent mask, operand slot)
+    boxes, diamonds = [], []
+    for part in _conjuncts(body):
+        if isinstance(part, (BoxS, DiamondS)):
+            rule = (sum(1 << t for t in extents[part.standpoint]), engine.slot[part.operand])
+            (boxes if isinstance(part, BoxS) else diamonds).append(rule)
     cap = min(n, v_count)
 
     def val_set(v: int) -> frozenset[str]:
@@ -270,16 +329,38 @@ def _grid_search(
         order = [t for t in range(n_types) if t != dv]
 
         def dfs(idx: int, present: int, absent: int) -> Optional[dict]:
-            for col in col_masks:
-                if col & ~absent == 0:
-                    return None  # every type of the column ruled out
-                if (col & present).bit_count() > cap:
-                    return None  # more distinct valuations than cells
-            lo, hi = engine.bounds(true_masks, false_masks, d_bit, present, full ^ absent)
-            if not hi:
-                return None
-            if lo and all(col & present for col in col_masks):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchLimitError(budget[1], "grid search")
+            while True:
+                for col in col_masks:
+                    if col & ~absent == 0:
+                        return None  # every type of the column ruled out
+                    if (col & present).bit_count() > cap:
+                        return None  # more distinct valuations than cells
+                lo, hi = sweep(true_masks, false_masks, present, full ^ absent)
+                if not hi[root] & d_bit:
+                    return None
+                grown_absent = absent
+                for ext, g in boxes:
+                    grown_absent |= ext & ~hi[g]
+                grown_present = present
+                for ext, g in diamonds:
+                    candidates = ext & hi[g] & ~grown_absent
+                    if not candidates:
+                        return None
+                    if not candidates & (candidates - 1):
+                        grown_present |= candidates
+                if grown_present == present and grown_absent == absent:
+                    break
+                if grown_present & grown_absent or grown_absent & d_bit:
+                    return None
+                present, absent = grown_present, grown_absent
+            if lo[root] & d_bit and all(col & present for col in col_masks):
                 return expand(present, dv)
+            decided = present | absent
+            while idx < len(order) and decided >> order[idx] & 1:
+                idx += 1
             if idx == len(order):
                 return None
             t_bit = 1 << order[idx]
@@ -295,13 +376,17 @@ def _grid_search(
 # Satisfiability
 
 def sat_normal_form(
-    atoms: list[Sharper], body: Formula, n_override: Optional[int] = None
+    atoms: list[Sharper],
+    body: Formula,
+    n_override: Optional[int] = None,
+    budget: Optional[list[int]] = None,
 ) -> SatResult:
     """Complete satisfiability for ``(and of atoms) and body``.
 
     The grid width defaults to the least value the small-model property
     permits: one more than the number of standpoint symbols plus the number
-    of diamond occurrences in the body.
+    of diamond occurrences in the body.  ``budget`` is the grid search's
+    node budget (see ``_grid_search``).
     """
     star = Sharper(UNIVERSAL, UNIVERSAL)
     if star not in atoms:
@@ -314,21 +399,24 @@ def sat_normal_form(
     n2 = _count_diamonds(body)
     n = n_override if n_override is not None else n1 + n2 + 1
     props = tuple(sorted(vocab(body).props))
-    valuation = _grid_search(body, family, n, props)
+    valuation = _grid_search(body, family, n, props, budget)
     if valuation is None:
         return SatResult.unsat()
     model = PSLModel(family, n, valuation)
     return SatResult(model, (0, 1))
 
 
-def sat(f: Formula) -> SatResult:
+def sat(f: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
     """Complete satisfiability for any propositional standpoint formula.
 
     Sharpening atoms are decided by trying every partition into true and
     false atoms: the true ones become grid structure, the false ones are
     witnessed by a fresh variable visible to the finer standpoint only.
+    The grid searches of all partitions share one budget of ``node_limit``
+    nodes; SearchLimitError is raised when it runs out.
     """
     _require_propositional(f)
+    budget = [node_limit, node_limit]
     pairs = sorted(vocab(f).sharpenings, key=lambda p: (p[0].name, p[1].name))
     for part in iter_partitions(pairs):
         plus = sorted(part.i_plus, key=lambda p: (p[0].name, p[1].name))
@@ -344,7 +432,7 @@ def sat(f: Formula) -> SatResult:
         parts.append(substitute_sharpenings(f, mapping))
         norm = split_for_grid(conj(parts))
         assert norm is not UNREPRESENTABLE, "substitution left a sharpening atom behind"
-        result = sat_normal_form(*norm)
+        result = sat_normal_form(*norm, budget=budget)
         if result.is_sat:
             return result
     return SatResult.unsat()
@@ -359,7 +447,8 @@ def grid_model_for(
     """Model of the conjunction on the given grid, or None.
 
     The sharpening atoms among the conjuncts must already hold structurally
-    on the family (the caller builds the family from the same atoms).
+    on the family (the caller builds the family from the same atoms).  The
+    grid search gets DEFAULT_NODE_LIMIT nodes.
     """
     norm = split_for_grid(conj(conjuncts))
     if norm is UNREPRESENTABLE:

@@ -43,11 +43,14 @@ class ModelError(ValueError):
 
 
 class SearchLimitError(RuntimeError):
-    """The bounded search exceeded its node budget."""
+    """A search exceeded its node budget; ``layer`` names the search."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"bounded search exceeded the node limit of {limit}")
+    def __init__(self, limit: int, layer: str = "bounded search"):
+        super().__init__(
+            f"{layer} exceeded the node limit of {limit} at node {limit + 1}"
+        )
         self.limit = limit
+        self.layer = layer
 
 
 class WitnessFormatError(ValueError):

@@ -183,7 +183,7 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     opts = opts or SolveOptions()
     frag = classify(f)
     if frag is Fragment.PSL:
-        result = psl.sat(f)
+        result = psl.sat(f, node_limit=opts.node_limit)
         if not result.is_sat:
             return Verdict("unsat", frag, engine="psl")
         model, designated = _lift_psl_model(result, f)

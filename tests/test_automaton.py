@@ -86,6 +86,16 @@ def test_successors_respect_next_members():
             assert (Next(Prop("p")) in b) == (Prop("p") in b2)
 
 
+def test_sharpening_atoms_are_rigid_along_a_run():
+    f = parse("(@s <= @t) & X !(@s <= @t) & G F <@s> p")
+    assert find_accepting_lasso(closure(f), f) is None
+    kept = parse("(@s <= @t) & X (@s <= @t) & G F <@s> p")
+    lasso = find_accepting_lasso(closure(kept), kept)
+    atom = parse("@s <= @t")
+    states = list(lasso.stem) + list(lasso.cycle)
+    assert all(atom in b for b in states)
+
+
 def test_successors_unconstrained_without_next_members():
     f = parse("p | q")
     cl = closure(f)

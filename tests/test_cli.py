@@ -257,7 +257,14 @@ def test_env_node_limit(capsys, monkeypatch):
     monkeypatch.setenv("SLTL_NODE_LIMIT", "2")
     code, _, err = run(capsys, "solve", "--bounds", "2,1,2", "<@s> X p")
     assert code == 69
-    assert "node limit" in err
+    assert "node limit" in err and "bounded search" in err
+
+
+def test_env_node_limit_bounds_the_grid_search(capsys, monkeypatch):
+    monkeypatch.setenv("SLTL_NODE_LIMIT", "1")
+    code, _, err = run(capsys, "solve", "<@s> p & <@s> !p & <@t> q")
+    assert code == 69
+    assert "grid search" in err and "node limit of 1" in err
 
 
 @pytest.mark.parametrize("name", ["SLTL_NODE_LIMIT", "SLTL_STATE_LIMIT"])

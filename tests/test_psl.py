@@ -19,9 +19,11 @@ from sltl.psl import (
     sharpening_closure,
     split_for_grid,
 )
-from sltl.semantics import evaluate
+from sltl.semantics import SearchLimitError, evaluate
 from sltl.solver import _lift_psl_model
 from sltl.syntax import (
+    And,
+    BoxS,
     DiamondS,
     Not,
     Or,
@@ -223,6 +225,112 @@ def test_sat_agrees_with_brute_force_on_corpus():
             continue
         done += 1
         assert sat(f).is_sat == psl_brute_sat(f), to_text(f)
+
+
+def ring(k: int) -> str:
+    """Unsat: each p_i is seen without p_{i+1} at @s, yet p0 never holds."""
+    parts = [f"<@s>(p{i} & !p{(i + 1) % k})" for i in range(k)]
+    return " & ".join(parts + ["[@*]!p0"])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_ring_is_unsat_within_a_small_node_budget(k):
+    # without propagating the box conjunct, k=4 takes about 536k nodes
+    assert not sat(parse(ring(k)), node_limit=1_000).is_sat
+
+
+def test_sat_node_limit_is_loud():
+    with pytest.raises(SearchLimitError, match="grid search exceeded the node limit of 1"):
+        sat(parse("<@s> p & <@s> !p & <@t> q"), node_limit=1)
+
+
+def _expand(present, dv, cols, v_count, n, plist):
+    """The grid valuation of a presence assignment: each column lists its
+    present valuations in order (the designated one first in column 0) and
+    repeats its first one to fill ``n`` rows."""
+    valuation = {}
+    for c in range(cols):
+        chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
+        if c == 0:
+            chosen = [dv] + [v for v in chosen if v != dv]
+        rows = (chosen + [chosen[0]] * n)[:n]
+        for j, v in enumerate(rows, start=1):
+            valuation[(c, j)] = frozenset(p for i, p in enumerate(plist) if v >> i & 1)
+    return valuation
+
+
+def _first_valid_assignment(body, family, n, plist):
+    """Brute force in the grid search's order: designated valuation first,
+    then every other type absent before present, the lowest type deciding
+    first; the first assignment whose grid satisfies the body wins."""
+    v_count = 1 << len(plist)
+    cols = len(family)
+    cap = min(n, v_count)
+    for dv in range(v_count):
+        order = [t for t in range(cols * v_count) if t != dv]
+        for bits in range(1 << len(order)):
+            present = 1 << dv
+            for k, t in enumerate(order):
+                if bits >> (len(order) - 1 - k) & 1:
+                    present |= 1 << t
+            counts = [(present >> (c * v_count) & ((1 << v_count) - 1)).bit_count() for c in range(cols)]
+            if any(not 1 <= m <= cap for m in counts):
+                continue
+            valuation = _expand(present, dv, cols, v_count, n, plist)
+            if holds(PSLModel(family, n, valuation), body):
+                return valuation
+    return None
+
+
+def test_grid_search_returns_the_first_valid_assignment():
+    rng = random.Random(53)
+    done = sat_count = modal = 0
+    while done < 150:
+        plist = ["p", "q"][: rng.randint(1, 2)]
+
+        def literal():
+            atom = Prop(rng.choice(plist))
+            return atom if rng.random() < 0.5 else Not(atom)
+
+        # modal literals clash often enough to give both verdicts; nested
+        # modalities leave operands undecided under partial presence, and
+        # random formulas add sharpening atoms
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            if rng.random() < 0.25:
+                parts.append(random_formula(rng, 2, props=plist, mode="psl"))
+                continue
+            g = rng.choice([literal, lambda: And(literal(), literal()), lambda: Or(literal(), literal())])()
+            if rng.random() < 0.3:
+                g = Or(g, rng.choice([DiamondS, BoxS])(rng.choice([S, UNIVERSAL]), literal()))
+            wrap = rng.choice([None, DiamondS, BoxS])
+            parts.append(wrap(rng.choice([S, UNIVERSAL]), g) if wrap else g)
+        norm = split_for_grid(conj(parts))
+        if norm is UNREPRESENTABLE:
+            continue
+        atoms, body = norm
+        universe = vocab(conj(list(atoms) + [body])).standpoints
+        family = family_for(sharpening_closure([(a.left, a.right) for a in atoms], universe))
+        props = tuple(sorted(vocab(body).props))
+        if len(family) > 2 or not 1 <= len(props) <= 2:
+            continue
+        done += 1
+        modal += any(isinstance(c, (DiamondS, BoxS)) for c in psl._conjuncts(body))
+        n = rng.randint(1, 3)
+        expected = _first_valid_assignment(body, family, n, list(props))
+        sat_count += expected is not None
+        assert psl._grid_search(body, family, n, props, [10**6, 10**6]) == expected, to_text(body)
+    # the corpus exercises both verdicts and the propagation rules
+    assert 40 < sat_count < 110 and modal > 120
+
+
+def test_conjuncts_of_a_deep_chain():
+    chain = Prop("p0")
+    for i in range(1, 5_000):
+        chain = And(chain, Prop(f"p{i}"))
+    parts = psl._conjuncts(chain)
+    assert parts == [Prop(f"p{i}") for i in range(5_000)]
+    assert psl._count_diamonds(chain) == 0 and not psl._mentions_sharper(chain)
 
 
 def test_consistency_rejects_temporal_members():
