@@ -14,12 +14,17 @@ leaves are the base members: each Until member unfolds to
 ``b | (a & X(a U b))`` over its next-step companion, and once every base
 member is assigned the engine's lower bounds are the state's mask.  Letters never appear: a transition only
 exists for the letter matching the source state's propositions.
+
+Emptiness is decided on the fly by Couvreur's SCC search for generalized
+Büchi acceptance, with one acceptance set per Until member; the accepting
+run is cut from the states it visited as a short lasso.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, TextIO
+from typing import Container, Iterator, Optional, TextIO
 
 from . import psl
 from .semantics import _IntervalEngine
@@ -234,86 +239,123 @@ def acceptance_family(cl: ClosureSet) -> list[AcceptancePredicate]:
 def find_accepting_lasso(
     cl: ClosureSet, phi_d: Formula, state_limit: int = DEFAULT_STATE_LIMIT
 ) -> Optional[Lasso]:
-    """Nested depth-first emptiness check with lasso extraction.
+    """Couvreur's on-the-fly SCC emptiness check, with lasso extraction.
 
-    The generalized acceptance family is degeneralized with an index
-    counter appended to the state; the counter advances whenever the
-    current predicate holds, and a product state is accepting when the
-    counter sits at zero on a state satisfying the first predicate.
-    Exploration order is deterministic, so the returned lasso is too.
+    An iterative depth-first search from the initial states numbers each
+    state it visits and keeps a stack of the roots of the SCCs still open,
+    each with the union of its members' acceptance bits (bit ``i``: the
+    state satisfies predicate ``i`` of the acceptance family).  An edge to
+    an open state closes a cycle and merges every root above that state
+    into one; the search stops once the merged root covers every
+    acceptance set.  The generalized condition needs no counter, so each
+    state is visited once.  With no Until member any cycle accepts.
+
+    The lasso is built from the visited states: the stem is a shortest
+    path from the initial states enumerated so far to the SCC, and the
+    cycle leaves the state the stem enters, goes by shortest paths inside
+    the SCC to the nearest state of each acceptance set it has not yet
+    met, and returns to that state.  Searches follow ``enumerate`` and
+    ``successors`` order, so the returned lasso is deterministic.
     """
     if phi_d not in cl:
         raise ValueError("the closure set does not belong to this formula")
     space = StateSpace(cl, state_limit)
     preds = acceptance_family(cl)
-    k = max(1, len(preds))
+    full = (1 << len(preds)) - 1
+    accept: dict[int, int] = {}  # acceptance bits of every visited state, by mask
+    number: dict[int, int] = {}  # DFS number by mask, -1 once the state's SCC is closed
+    open_states: list[SElementarySet] = []  # members of the open SCCs, in DFS order
+    roots: list[list[int]] = []  # [DFS number, acceptance bits] per open SCC
+    todo: list[tuple[SElementarySet, Iterator[SElementarySet]]] = []
+    initial: list[SElementarySet] = []
 
-    def holds(b: SElementarySet, i: int) -> bool:
-        return preds[i](b) if preds else True
-
-    def prod_succ(node: tuple[SElementarySet, int]) -> list[tuple[SElementarySet, int]]:
-        b, i = node
-        j = (i + 1) % k if holds(b, i) else i
-        return [(b2, j) for b2 in space.successors(b)]
-
-    def accepting(node: tuple[SElementarySet, int]) -> bool:
-        return node[1] == 0 and holds(node[0], 0)
-
-    blue: set[tuple[SElementarySet, int]] = set()
-    red: set[tuple[SElementarySet, int]] = set()
-
-    def red_search(seed: tuple[SElementarySet, int]) -> Optional[list[tuple[SElementarySet, int]]]:
-        parent: dict[tuple[SElementarySet, int], Optional[tuple[SElementarySet, int]]] = {seed: None}
-        red.add(seed)
-        stack = [(seed, iter(prod_succ(seed)))]
-        while stack:
-            node, it = stack[-1]
-            pushed = False
-            for nxt in it:
-                if nxt == seed:
-                    path = [node]
-                    while path[-1] != seed:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                if nxt not in red:
-                    red.add(nxt)
-                    parent[nxt] = node
-                    stack.append((nxt, iter(prod_succ(nxt))))
-                    pushed = True
-                    break
-            if not pushed:
-                stack.pop()
-        return None
+    def visit(b: SElementarySet) -> None:
+        accept[b.mask] = sum(1 << i for i, p in enumerate(preds) if p(b))
+        number[b.mask] = len(number)
+        open_states.append(b)
+        roots.append([number[b.mask], accept[b.mask]])
+        todo.append((b, iter(space.successors(b))))
 
     for b0 in space.enumerate([(phi_d, True)]):
-        start = (b0, 0)
-        if start in blue:
+        initial.append(b0)
+        if b0.mask in number:
             continue
-        blue.add(start)
-        stack = [(start, iter(prod_succ(start)))]
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            pushed = False
-            for nxt in it:
-                if nxt not in blue:
-                    blue.add(nxt)
-                    stack.append((nxt, iter(prod_succ(nxt))))
-                    path.append(nxt)
-                    pushed = True
-                    break
-            if pushed:
+        visit(b0)
+        while todo:
+            b, it = todo[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                todo.pop()
+                if roots[-1][0] == number[b.mask]:
+                    top = roots.pop()[0]
+                    while open_states and number[open_states[-1].mask] >= top:
+                        number[open_states.pop().mask] = -1
                 continue
-            if accepting(node) and node not in red:
-                cycle_nodes = red_search(node)
-                if cycle_nodes is not None:
-                    stem = tuple(b for b, _ in path[:-1])
-                    cycle = tuple(b for b, _ in cycle_nodes)
-                    return Lasso(stem, cycle)
-            stack.pop()
-            path.pop()
+            k = number.get(nxt.mask)
+            if k is None:
+                visit(nxt)
+            elif k >= 0:
+                while roots[-1][0] > k:
+                    roots[-2][1] |= roots.pop()[1]
+                if roots[-1][1] == full:
+                    scc = {s.mask for s in open_states if number[s.mask] >= roots[-1][0]}
+                    return _lasso(space, initial, number, scc, accept, full)
     return None
+
+
+def _lasso(
+    space: StateSpace,
+    initial: list[SElementarySet],
+    visited: dict[int, int],
+    scc: set[int],
+    accept: dict[int, int],
+    full: int,
+) -> Lasso:
+    """The lasso through an accepting SCC (masks ``scc``) that
+    ``find_accepting_lasso`` stopped at."""
+    entry = next((b for b in initial if b.mask in scc), None)
+    stem: list[SElementarySet] = []
+    if entry is None:
+        stem = _path(space, initial, scc, visited)
+        entry = stem.pop()
+    cycle = [entry]
+    missing = full & ~accept[entry.mask]
+    while missing:
+        targets = {m for m in scc if accept[m] & missing}
+        step = _path(space, [cycle[-1]], targets, scc)[1:]
+        cycle += step
+        for b in step:
+            missing &= ~accept[b.mask]
+    cycle += _path(space, [cycle[-1]], {entry.mask}, scc)[1:-1]
+    return Lasso(tuple(stem), tuple(cycle))
+
+
+def _path(
+    space: StateSpace,
+    sources: list[SElementarySet],
+    targets: Container[int],
+    allowed: Container[int],
+) -> list[SElementarySet]:
+    """A shortest path of at least one step from a source to a target
+    state, through allowed states (targets and allowed states by mask),
+    found breadth-first in ``successors`` order; it starts at its source
+    and ends at its target.  The caller knows that one exists."""
+    parent: dict[int, Optional[SElementarySet]] = {b.mask: None for b in sources}
+    queue = deque(sources)
+    while True:
+        b = queue.popleft()
+        for b2 in space.successors(b):
+            if b2.mask not in allowed:
+                continue
+            if b2.mask in targets:
+                path = [b2, b]
+                while parent[path[-1].mask] is not None:
+                    path.append(parent[path[-1].mask])
+                path.reverse()
+                return path
+            if b2.mask not in parent:
+                parent[b2.mask] = b
+                queue.append(b2)
 
 
 def dump_state_graph(cl: ClosureSet, phi_d: Formula, out: TextIO, state_limit: int = DEFAULT_STATE_LIMIT) -> None:

@@ -324,51 +324,57 @@ def _grid_search(
                 valuation[(c, j)] = val_set(v)
         return valuation
 
+    def propagate(present: int, absent: int, d_bit: int):
+        """The node's presence and absence bits grown to the propagation
+        fixpoint, with its lower masks, or None when the node fails."""
+        while True:
+            for col in col_masks:
+                if col & ~absent == 0:
+                    return None  # every type of the column ruled out
+                if (col & present).bit_count() > cap:
+                    return None  # more distinct valuations than cells
+            lo, hi = sweep(true_masks, false_masks, present, full ^ absent)
+            if not hi[root] & d_bit:
+                return None
+            grown_absent = absent
+            for ext, g in boxes:
+                grown_absent |= ext & ~hi[g]
+            grown_present = present
+            for ext, g in diamonds:
+                candidates = ext & hi[g] & ~grown_absent
+                if not candidates:
+                    return None
+                if not candidates & (candidates - 1):
+                    grown_present |= candidates
+            if grown_present == present and grown_absent == absent:
+                return present, absent, lo
+            if grown_present & grown_absent or grown_absent & d_bit:
+                return None
+            present, absent = grown_present, grown_absent
+
     for dv in range(v_count):
         d_bit = 1 << dv  # designated type sits in column 0
         order = [t for t in range(n_types) if t != dv]
-
-        def dfs(idx: int, present: int, absent: int) -> Optional[dict]:
+        stack = [(0, d_bit, 0)]  # (index into order, present, absent)
+        while stack:
+            idx, present, absent = stack.pop()
             budget[0] -= 1
             if budget[0] < 0:
                 raise SearchLimitError(budget[1], "grid search")
-            while True:
-                for col in col_masks:
-                    if col & ~absent == 0:
-                        return None  # every type of the column ruled out
-                    if (col & present).bit_count() > cap:
-                        return None  # more distinct valuations than cells
-                lo, hi = sweep(true_masks, false_masks, present, full ^ absent)
-                if not hi[root] & d_bit:
-                    return None
-                grown_absent = absent
-                for ext, g in boxes:
-                    grown_absent |= ext & ~hi[g]
-                grown_present = present
-                for ext, g in diamonds:
-                    candidates = ext & hi[g] & ~grown_absent
-                    if not candidates:
-                        return None
-                    if not candidates & (candidates - 1):
-                        grown_present |= candidates
-                if grown_present == present and grown_absent == absent:
-                    break
-                if grown_present & grown_absent or grown_absent & d_bit:
-                    return None
-                present, absent = grown_present, grown_absent
+            node = propagate(present, absent, d_bit)
+            if node is None:
+                continue
+            present, absent, lo = node
             if lo[root] & d_bit and all(col & present for col in col_masks):
                 return expand(present, dv)
             decided = present | absent
             while idx < len(order) and decided >> order[idx] & 1:
                 idx += 1
-            if idx == len(order):
-                return None
-            t_bit = 1 << order[idx]
-            return dfs(idx + 1, present, absent | t_bit) or dfs(idx + 1, present | t_bit, absent)
-
-        found = dfs(0, d_bit, 0)
-        if found is not None:
-            return found
+            if idx < len(order):
+                t_bit = 1 << order[idx]
+                # pushed last, the absent branch is searched first
+                stack.append((idx + 1, present | t_bit, absent))
+                stack.append((idx + 1, present, absent | t_bit))
     return None
 
 

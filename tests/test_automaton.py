@@ -18,6 +18,7 @@ from sltl.automaton import (
 )
 from sltl import psl
 from sltl.semantics import SearchBounds, bounded_search
+from sltl.solver import check_witness, solve
 from sltl.syntax import (
     And,
     Bottom,
@@ -37,7 +38,7 @@ from sltl.syntax import (
     to_text,
     vocab,
 )
-from sltl.translate import apply_partition, iter_partitions
+from sltl.translate import apply_partition, counter_formula, iter_partitions
 
 
 def lasso_run_states(lasso: Lasso, horizon: int):
@@ -158,6 +159,23 @@ def test_lasso_edges_and_acceptance():
         assert any(pred(b) for b in lasso.cycle)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_counter_lasso_is_its_only_model(n):
+    # the counter's unique model trace repeats from position 0 with period 2^n
+    f = counter_formula(n)
+    lasso = find_accepting_lasso(closure(f), f)
+    assert (len(lasso.stem), len(lasso.cycle)) == (0, 2**n)
+
+
+def test_short_lasso_through_modal_acceptance_sets():
+    f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
+    lasso = find_accepting_lasso(closure(f), f)
+    assert len(lasso.stem) == 0 and len(lasso.cycle) <= 4
+    verdict = solve(f)
+    assert verdict.status == "sat"
+    assert check_witness(f, verdict.model, verdict.designated)
+
+
 def test_lasso_is_deterministic():
     f = parse("G F p & F q")
     cl = closure(f)
@@ -273,8 +291,9 @@ def test_partitioned_inputs_reach_the_automaton():
 
 
 def _reference_has_accepting_run(cl, phi_d) -> bool:
-    """Materialize the whole degeneralized product graph and look for a
-    cycle through an accepting node; independent of the nested DFS."""
+    """Materialize the whole product of the state graph with a
+    degeneralization counter and look for a cycle through an accepting
+    node; independent of the SCC search."""
     space = StateSpace(cl, state_limit=10**6)
     states = list(space.enumerate([]))
     preds = acceptance_family(cl)

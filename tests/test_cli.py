@@ -218,11 +218,15 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 def test_solve_json_is_independent_of_the_hash_seed():
     # the witness lambda of the automaton (LtlPsl) and grid (PSL) paths is
-    # built from standpoint sets, whose iteration order follows the hash seed
+    # built from standpoint sets, whose iteration order follows the hash
+    # seed; the last two specs take their lassos from the SCC search, which
+    # keys its dicts and sets by state
     src = os.path.dirname(os.path.dirname(sltl.__file__))
     specs = [
         "(G X [@s] (true | (@s <= @t))) & (![@*] p) & (true)",
         "(<@t> [@s] p) & (p) & (!<@t> [@*] (@s <= @t))",
+        "G F p & G F !p & (q U r)",
+        "G F <@s> p & G F [@s] !p & (q U <@t> !q)",
     ]
     for spec in specs:
         outs = []
@@ -235,6 +239,14 @@ def test_solve_json_is_independent_of_the_hash_seed():
             assert done.returncode == 0, done.stderr
             outs.append(done.stdout)
         assert outs[0] == outs[1], spec
+
+
+def test_grid_search_deeper_than_the_recursion_limit(capsys):
+    # 1,024 types, and the absent-first search meets its refutation about
+    # 1,000 levels deep
+    body = " | ".join(f"p{i}" for i in range(1, 10))
+    code, _, err = run(capsys, "solve", f"!p0 & <@*>(p0 & ({body}))")
+    assert code in (0, 1), err
 
 
 def test_exit_codes_match_verdicts_on_regression_corpus(capsys):
