@@ -96,7 +96,6 @@ def _cmd_solve(args) -> int:
         attach_translation=True,
         node_limit=_env_limit("SLTL_NODE_LIMIT", DEFAULT_NODE_LIMIT),
         state_limit=_env_limit("SLTL_STATE_LIMIT", DEFAULT_STATE_LIMIT),
-        symmetry=args.symmetry,
     )
     if args.bounds:
         opts.bounds = _parse_bounds(args.bounds, f)
@@ -237,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bounded-search limits: traces,prefix,period")
     p_solve.add_argument("--json", action="store_true", help="machine-readable verdict")
     p_solve.add_argument("--witness-out", metavar="PATH", help="write the witness JSON here")
-    p_solve.add_argument("--symmetry", action="store_true",
-                         help="enable the symmetry reduction of the bounded search")
     p_solve.add_argument("--dump-states", metavar="PATH",
                          help="dump the explored automaton state graph (not a stable format)")
     p_solve.set_defaults(func=_cmd_solve)

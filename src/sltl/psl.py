@@ -15,24 +15,21 @@ from typing import Iterable, Optional
 
 from .syntax import (
     And,
-    BOTTOM,
     BoxS,
     DiamondS,
     Formula,
     Prop,
     Sharper,
     Standpoint,
-    TOP,
     UNIVERSAL,
     _has_temporal,
-    children,
     conj,
-    neg,
+    nodes,
     to_nnf,
     vocab,
 )
 from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
-from .translate import iter_partitions, sharpening_witnesses, substitute_sharpenings
+from .translate import iter_partitions, partition_parts
 
 
 class TemporalOperatorError(ValueError):
@@ -182,13 +179,7 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 
 def _mentions_sharper(f: Formula) -> bool:
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Sharper):
-            return True
-        stack.extend(children(g))
-    return False
+    return any(isinstance(g, Sharper) for g in nodes(f))
 
 
 def split_for_grid(f: Formula):
@@ -217,13 +208,7 @@ def split_for_grid(f: Formula):
 
 
 def _count_diamonds(f: Formula) -> int:
-    count = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        count += isinstance(g, DiamondS)
-        stack.extend(children(g))
-    return count
+    return sum(isinstance(g, DiamondS) for g in nodes(f))
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +262,20 @@ def _grid_search(
     ``budget`` is ``[remaining, limit]``, shared by every search of one
     ``sat`` call, or a fresh one of DEFAULT_NODE_LIMIT nodes when None; each
     node takes one, and SearchLimitError is raised once more than ``limit``
-    nodes were visited.
+    nodes were visited, or at once when the grid has more types than nodes
+    remain.
     """
     if budget is None:
         budget = [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
     plist = sorted(props)
     prop_bits = {p: i for i, p in enumerate(plist)}
     v_count = 1 << len(plist)
-    vals = list(range(v_count))
     cols = len(family)
     n_types = cols * v_count
+    if n_types > budget[0]:
+        # the tables below grow with the type count; refuse before building
+        raise SearchLimitError(budget[1], "grid search")
+    vals = list(range(v_count))
     full = (1 << n_types) - 1
     col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(cols)]
     extents = {UNIVERSAL: tuple(range(n_types))}
@@ -423,20 +412,9 @@ def sat(f: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
     """
     _require_propositional(f)
     budget = [node_limit, node_limit]
-    pairs = sorted(vocab(f).sharpenings, key=lambda p: (p[0].name, p[1].name))
-    for part in iter_partitions(pairs):
-        plus = sorted(part.i_plus, key=lambda p: (p[0].name, p[1].name))
-        minus = sorted(part.i_minus, key=lambda p: (p[0].name, p[1].name))
-        mapping: dict[tuple[Standpoint, Standpoint], Formula] = {}
-        mapping.update({pair: TOP for pair in plus})
-        mapping.update({pair: BOTTOM for pair in minus})
-        witnesses = sharpening_witnesses(minus)
-        parts: list[Formula] = [Sharper(a, b) for (a, b) in plus]
-        for (a, b) in minus:
-            w = Prop(witnesses[(a, b)])
-            parts.append(And(DiamondS(a, w), neg(DiamondS(b, w))))
-        parts.append(substitute_sharpenings(f, mapping))
-        norm = split_for_grid(conj(parts))
+    for part in iter_partitions(vocab(f).sharpenings):
+        constraints, body = partition_parts(f, part)
+        norm = split_for_grid(conj(constraints + [body]))
         assert norm is not UNREPRESENTABLE, "substitution left a sharpening atom behind"
         result = sat_normal_form(*norm, budget=budget)
         if result.is_sat:

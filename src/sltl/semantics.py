@@ -31,7 +31,9 @@ from .syntax import (
     UNIVERSAL,
     Until,
     children,
+    fold,
     modal_standpoints,
+    nodes,
     vocab,
 )
 
@@ -228,11 +230,13 @@ def evaluate(model: SLTLModel, trace_id: str, position: int, f: Formula) -> bool
 def _trace_independent(f: Formula) -> bool:
     """Truth at (trace, position) never reads the current trace's own
     valuation: every proposition sits under a modality."""
-    if isinstance(f, Prop):
-        return False
-    if isinstance(f, (Sharper, DiamondS, BoxS)):
-        return True
-    return all(_trace_independent(c) for c in children(f))
+
+    def step(g: Formula, kids: tuple[bool, ...]) -> bool:
+        if isinstance(g, Prop):
+            return False
+        return isinstance(g, (Sharper, DiamondS, BoxS)) or all(kids)
+
+    return fold(f, step)
 
 
 def check_product_formula(f: Formula) -> None:
@@ -241,14 +245,13 @@ def check_product_formula(f: Formula) -> None:
     Only the universal modality is allowed and sharpening atoms are not;
     plain modal formulas are represented with the universal standpoint.
     """
-    if isinstance(f, Sharper):
-        raise ValueError("sharpening atoms are outside the product sublanguage")
-    if isinstance(f, (DiamondS, BoxS)) and not f.standpoint.is_universal:
-        raise ValueError(
-            f"modality over {f.standpoint} is outside the product sublanguage"
-        )
-    for c in children(f):
-        check_product_formula(c)
+    for g in nodes(f):
+        if isinstance(g, Sharper):
+            raise ValueError("sharpening atoms are outside the product sublanguage")
+        if isinstance(g, (DiamondS, BoxS)) and not g.standpoint.is_universal:
+            raise ValueError(
+                f"modality over {g.standpoint} is outside the product sublanguage"
+            )
 
 
 def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formula) -> bool:
@@ -480,6 +483,14 @@ class _ShapeSearch:
     (every modal extent, plus the designated trace unless the formula is
     trace-independent) stay empty: no satisfaction clause ever reads them.
     ``engine`` is compiled for the shape and bound to ``lam_idx``.
+
+    Symmetric assignments are skipped: of the traces with one standpoint
+    profile, none designated, only assignments in which their valuation
+    sequences (in cell order) are sorted are searched.  The first witness
+    is kept.  The plain search returns the lex-least assignment in this
+    node-major cell order, and swapping two interchangeable traces whose
+    sequences are out of order would give a smaller one, so that
+    assignment is already sorted and every prefix of it passes the check.
     """
 
     def __init__(
@@ -493,7 +504,6 @@ class _ShapeSearch:
         designated: int,
         reach: set[int],
         leaves: dict[Formula, int],
-        symmetry: bool,
         budget: list[int],
     ):
         self.f = f
@@ -503,7 +513,6 @@ class _ShapeSearch:
         self.L = prefix + period
         self.leaves = leaves
         self.designated = designated
-        self.symmetry = symmetry
         self.budget = budget
         self.lam_idx = lam_idx
         self.engine = engine
@@ -524,20 +533,14 @@ class _ShapeSearch:
         self.true_masks = [0] * len(leaves)
         self.false_masks = [irrelevant] * len(leaves)
 
-        # Traces with the same standpoint profile are interchangeable unless
-        # one of them is designated; the optional reduction keeps only
-        # assignments whose valuation sequences are sorted within a profile.
-        self.pairs: list[tuple[int, int]] = []
-        if symmetry:
-            profile = {}
-            for t in relevant:
-                if t == designated:
-                    continue
-                key = tuple(t in lam_idx[sp] for sp in sorted(lam_idx, key=str))
-                profile.setdefault(key, []).append(t)
-            for group in profile.values():
-                for a, b in zip(group, group[1:]):
-                    self.pairs.append((a, b))
+        # neighbours within a profile, whose sequences must be sorted
+        others = [t for t in relevant if t != designated]
+        profile: dict[tuple[bool, ...], list[int]] = {}
+        if len(others) > 1:
+            extents = list(lam_idx.values())
+            for t in others:
+                profile.setdefault(tuple([t in ext for ext in extents]), []).append(t)
+        self.pairs = [pair for group in profile.values() for pair in zip(group, group[1:])]
         self.pair_state = {pair: "eq" for pair in self.pairs}
         self.second_of = {}
         for pair in self.pairs:
@@ -632,7 +635,6 @@ def bounded_search(
     f: Formula,
     bounds: SearchBounds,
     *,
-    symmetry: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> Optional[tuple[SLTLModel, str]]:
     """First model of ``f`` within the bounds, or None if none exists there.
@@ -677,7 +679,7 @@ def bounded_search(
                         reach = modal_reach if independent else modal_reach | {designated}
                         search = _ShapeSearch(
                             engine, f, t_count, prefix, period, lam_idx, designated,
-                            reach, leaves, symmetry, budget,
+                            reach, leaves, budget,
                         )
                         model = search.run()
                         if model is not None:
@@ -689,12 +691,11 @@ def bounded_search_product(
     f: Formula,
     bounds: SearchBounds,
     *,
-    symmetry: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> Optional[tuple[ProductModel, str]]:
     """Bounded search under product-logic semantics, at position 0."""
     check_product_formula(f)
-    found = bounded_search(f, bounds, symmetry=symmetry, node_limit=node_limit)
+    found = bounded_search(f, bounds, node_limit=node_limit)
     if found is None:
         return None
     model, tid = found

@@ -47,7 +47,6 @@ class SolveOptions:
     attach_translation: bool = False
     node_limit: int = DEFAULT_NODE_LIMIT
     state_limit: int = DEFAULT_STATE_LIMIT
-    symmetry: bool = False
 
 
 @dataclass
@@ -209,7 +208,7 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
         if opts.fragment_strict:
             return Verdict("out_of_fragment", frag, translation=translation)
         bounds = opts.bounds or SearchBounds.for_formula(f, 3, 2, 3)
-        found = bounded_search(f, bounds, symmetry=opts.symmetry, node_limit=opts.node_limit)
+        found = bounded_search(f, bounds, node_limit=opts.node_limit)
         if found is None:
             return Verdict("unknown", frag, engine="oracle", bounds=bounds, translation=translation)
         model, designated = found

@@ -4,6 +4,12 @@ AST nodes, the surface-text parser, the canonical printer, negation normal
 form, closure sets and fragment classification.  Formulas are immutable and
 compare structurally, so they can be used as dictionary keys throughout the
 package.
+
+Walks over a formula loop over an explicit stack, so no formula is too deep
+for them: ``nodes`` lists every occurrence of a subformula in pre-order,
+and ``fold`` computes bottom-up, with ``rebuild`` as the homomorphic step
+that a rewrite calls for every connective it leaves alone.  The parser, the
+printer and negation normal form still recurse.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -156,6 +162,7 @@ class Until(Formula):
 # Formula-valued ones, read once instead of on every construction and walk.
 _FIELDS: dict[type, tuple[str, ...]] = {}
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+_REVERSED_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}  # the order a stack pushes
 
 # The generated per-field __hash__ would rehash the whole subtree on every
 # call; keep the cached one from Formula.
@@ -165,6 +172,7 @@ for _cls in (Top, Bottom, Prop, Sharper, Not, And, Or, DiamondS, BoxS, Next, Unt
     _CHILD_FIELDS[_cls] = tuple(
         fld.name for fld in dataclasses.fields(_cls) if fld.type == "Formula"
     )
+    _REVERSED_CHILD_FIELDS[_cls] = _CHILD_FIELDS[_cls][::-1]
 
 TOP = Top()
 BOTTOM = Bottom()
@@ -232,18 +240,71 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return tuple(getattr(f, name) for name in _CHILD_FIELDS[type(f)])
 
 
+def nodes(f: Formula) -> Iterator[Formula]:
+    """Every occurrence of a subformula of ``f``, in pre-order, left to
+    right; shared subterms are yielded once per occurrence."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for name in _REVERSED_CHILD_FIELDS[type(g)]:
+            stack.append(getattr(g, name))
+
+
+_T = TypeVar("_T")
+
+
+def fold(f: Formula, step: Callable[[Formula, tuple], _T]) -> _T:
+    """Post-order evaluation over every occurrence: ``step(g, kids)`` gets
+    the results for ``g``'s children, left to right, and the left subtree
+    is folded before the right one."""
+    # the reverse of a right-to-left pre-order is the left-to-right post-order
+    order = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        order.append(g)
+        for name in _CHILD_FIELDS[type(g)]:
+            stack.append(getattr(g, name))
+    results: list = []
+    for g in reversed(order):
+        k = len(_CHILD_FIELDS[type(g)])
+        if k:
+            kids = tuple(results[-k:])
+            del results[-k:]
+            results.append(step(g, kids))
+        else:
+            results.append(step(g, ()))
+    return results[0]
+
+
+def rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+    """``g`` over new children: the default ``fold`` step of a rewrite.
+
+    Negations are rebuilt with ``neg``, so constants fold and double
+    negations collapse; a node whose children are unchanged is kept.
+    """
+    if isinstance(g, Not):
+        return neg(kids[0])
+    if all(k is getattr(g, name) for k, name in zip(kids, _CHILD_FIELDS[type(g)])):
+        return g
+    if isinstance(g, (DiamondS, BoxS)):
+        return type(g)(g.standpoint, kids[0])
+    return type(g)(*kids)
+
+
 def subformulas(f: Formula) -> list[Formula]:
     """All distinct subformulas of ``f`` (including ``f``), children first."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        for child in children(g):
-            walk(child)
-        seen[g] = None
-
-    walk(f)
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            seen[g] = None
+        elif g not in seen:
+            stack.append((g, True))
+            for name in _REVERSED_CHILD_FIELDS[type(g)]:
+                stack.append((getattr(g, name), False))
     return list(seen)
 
 
@@ -569,53 +630,37 @@ def simplify(f: Formula) -> Formula:
     right side, modalities over constants (extents are never empty) and the
     reflexive or universally capped sharpening atoms.
     """
-    if isinstance(f, Not):
-        return neg(simplify(f.operand))
-    if isinstance(f, And):
-        a, b = simplify(f.left), simplify(f.right)
-        if BOTTOM in (a, b):
+    return fold(f, _simplify_step)
+
+
+def _simplify_step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+    if isinstance(g, And):
+        a, b = kids
+        if isinstance(a, Bottom) or isinstance(b, Bottom):
             return BOTTOM
-        if a == TOP:
+        if isinstance(a, Top):
             return b
-        if b == TOP:
+        if isinstance(b, Top):
             return a
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = simplify(f.left), simplify(f.right)
-        if TOP in (a, b):
+    elif isinstance(g, Or):
+        a, b = kids
+        if isinstance(a, Top) or isinstance(b, Top):
             return TOP
-        if a == BOTTOM:
+        if isinstance(a, Bottom):
             return b
-        if b == BOTTOM:
+        if isinstance(b, Bottom):
             return a
-        return Or(a, b)
-    if isinstance(f, Next):
-        a = simplify(f.operand)
-        if isinstance(a, (Top, Bottom)):
-            return a
-        return Next(a)
-    if isinstance(f, Until):
-        a, b = simplify(f.left), simplify(f.right)
-        if isinstance(b, (Top, Bottom)):
+    elif isinstance(g, (Next, DiamondS, BoxS)):
+        if isinstance(kids[0], (Top, Bottom)):
+            return kids[0]
+    elif isinstance(g, Until):
+        a, b = kids
+        if isinstance(b, (Top, Bottom)) or isinstance(a, Bottom):
             return b
-        if a == BOTTOM:
-            return b
-        return Until(a, b)
-    if isinstance(f, DiamondS):
-        a = simplify(f.operand)
-        if isinstance(a, (Top, Bottom)):
-            return a
-        return DiamondS(f.standpoint, a)
-    if isinstance(f, BoxS):
-        a = simplify(f.operand)
-        if isinstance(a, (Top, Bottom)):
-            return a
-        return BoxS(f.standpoint, a)
-    if isinstance(f, Sharper):
-        if f.left == f.right or f.right.is_universal:
+    elif isinstance(g, Sharper):
+        if g.left == g.right or g.right.is_universal:
             return TOP
-        return f
-    return f
+    return rebuild(g, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +721,14 @@ def _nnf_neg(f: Formula) -> Formula:
 
 def is_nnf(f: Formula) -> bool:
     """True when negations sit only on atoms or always-blocks."""
-    if isinstance(f, Not):
-        op = f.operand
-        if isinstance(op, (Prop, Sharper)):
-            return True
-        if isinstance(op, Until) and op.left == TOP:
-            return is_nnf(op.right)
-        return False
-    return all(is_nnf(c) for c in children(f))
+    for g in nodes(f):
+        if isinstance(g, Not):
+            op = g.operand
+            if isinstance(op, (Prop, Sharper)):
+                continue
+            if not (isinstance(op, Until) and op.left == TOP):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -742,21 +787,22 @@ class Fragment(Enum):
 
 
 def _has_temporal(f: Formula) -> bool:
-    if isinstance(f, (Next, Until)):
-        return True
-    return any(_has_temporal(c) for c in children(f))
+    return any(isinstance(g, (Next, Until)) for g in nodes(f))
 
 
 def _has_standpoint(f: Formula) -> bool:
-    if isinstance(f, (DiamondS, BoxS, Sharper)):
-        return True
-    return any(_has_standpoint(c) for c in children(f))
+    return any(isinstance(g, (DiamondS, BoxS, Sharper)) for g in nodes(f))
 
 
 def _temporal_under_modal(f: Formula) -> bool:
-    if isinstance(f, (DiamondS, BoxS)):
-        return _has_temporal(f.operand) or _temporal_under_modal(f.operand)
-    return any(_temporal_under_modal(c) for c in children(f))
+    # a subtree is a run of ``size`` consecutive pre-order occurrences
+    scope_end = 0  # index past the open modal scopes
+    for i, g in enumerate(nodes(f)):
+        if i < scope_end and isinstance(g, (Next, Until)):
+            return True
+        if isinstance(g, (DiamondS, BoxS)):
+            scope_end = max(scope_end, i + size(g))
+    return False
 
 
 def classify(f: Formula) -> Fragment:
@@ -791,8 +837,7 @@ def vocab(f: Formula) -> Vocabulary:
     props: set[str] = set()
     standpoints: set[Standpoint] = set()
     sharpenings: set[tuple[Standpoint, Standpoint]] = set()
-
-    def walk(g: Formula) -> None:
+    for g in nodes(f):
         if isinstance(g, Prop):
             props.add(g.name)
         elif isinstance(g, Sharper):
@@ -801,10 +846,6 @@ def vocab(f: Formula) -> Vocabulary:
             sharpenings.add((g.left, g.right))
         elif isinstance(g, (DiamondS, BoxS)):
             standpoints.add(g.standpoint)
-        for c in children(g):
-            walk(c)
-
-    walk(f)
     if standpoints:
         standpoints.add(UNIVERSAL)
     return Vocabulary(frozenset(props), frozenset(standpoints), frozenset(sharpenings))
@@ -812,13 +853,4 @@ def vocab(f: Formula) -> Vocabulary:
 
 def modal_standpoints(f: Formula) -> frozenset[Standpoint]:
     """Standpoints that appear as the index of a modal operator."""
-    out: set[Standpoint] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (DiamondS, BoxS)):
-            out.add(g.standpoint)
-        for c in children(g):
-            walk(c)
-
-    walk(f)
-    return frozenset(out)
+    return frozenset(g.standpoint for g in nodes(f) if isinstance(g, (DiamondS, BoxS)))

@@ -14,28 +14,27 @@ from typing import Iterable, Iterator
 from .syntax import (
     And,
     BOTTOM,
-    Bottom,
     BoxS,
     DiamondS,
     Formula,
     Fragment,
     Next,
-    Not,
     Or,
     Prop,
     Sharper,
     Standpoint,
     TOP,
-    Top,
     UNIVERSAL,
     Until,
     always,
-    children,
     classify,
     conj,
+    fold,
     iff,
     implies,
     neg,
+    nodes,
+    rebuild,
     vocab,
 )
 from .semantics import check_product_formula
@@ -88,23 +87,13 @@ def substitute_sharpenings(
 ) -> Formula:
     """Replace every occurrence of the mapped sharpening atoms, purely
     syntactically (negations are rebuilt so constants fold)."""
-    if isinstance(f, Sharper):
-        return mapping.get((f.left, f.right), f)
-    if isinstance(f, Not):
-        return neg(substitute_sharpenings(f.operand, mapping))
-    if isinstance(f, And):
-        return And(substitute_sharpenings(f.left, mapping), substitute_sharpenings(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(substitute_sharpenings(f.left, mapping), substitute_sharpenings(f.right, mapping))
-    if isinstance(f, DiamondS):
-        return DiamondS(f.standpoint, substitute_sharpenings(f.operand, mapping))
-    if isinstance(f, BoxS):
-        return BoxS(f.standpoint, substitute_sharpenings(f.operand, mapping))
-    if isinstance(f, Next):
-        return Next(substitute_sharpenings(f.operand, mapping))
-    if isinstance(f, Until):
-        return Until(substitute_sharpenings(f.left, mapping), substitute_sharpenings(f.right, mapping))
-    return f
+
+    def step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+        if isinstance(g, Sharper):
+            return mapping.get((g.left, g.right), g)
+        return rebuild(g, kids)
+
+    return fold(f, step)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +135,7 @@ def rigidity_guard(standpoints: Iterable[Standpoint]) -> Formula:
 def _occurring_standpoints(f: Formula) -> list[Standpoint]:
     """Non-universal standpoints in first-occurrence order."""
     seen: list[Standpoint] = []
-
-    def walk(g: Formula) -> None:
+    for g in nodes(f):
         sps: tuple[Standpoint, ...] = ()
         if isinstance(g, (DiamondS, BoxS)):
             sps = (g.standpoint,)
@@ -156,10 +144,6 @@ def _occurring_standpoints(f: Formula) -> list[Standpoint]:
         for sp in sps:
             if not sp.is_universal and sp not in seen:
                 seen.append(sp)
-        for c in children(g):
-            walk(c)
-
-    walk(f)
     return seen
 
 
@@ -172,35 +156,21 @@ def translate_standpoints_away(f: Formula) -> Formula:
     between guard variables.  Atoms involving the universal standpoint fold
     to their semantic value instead of guarding it.
     """
-    if isinstance(f, (Top, Bottom, Prop)):
-        return f
-    if isinstance(f, Sharper):
-        if f.right.is_universal:
+    return fold(f, _guard_step)
+
+
+def _guard_step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+    if isinstance(g, Sharper):
+        if g.right.is_universal:
             return TOP
-        if f.left.is_universal:
-            return BoxS(UNIVERSAL, guard_prop(f.right))
-        return BoxS(UNIVERSAL, implies(guard_prop(f.left), guard_prop(f.right)))
-    if isinstance(f, Not):
-        return neg(translate_standpoints_away(f.operand))
-    if isinstance(f, And):
-        return And(translate_standpoints_away(f.left), translate_standpoints_away(f.right))
-    if isinstance(f, Or):
-        return Or(translate_standpoints_away(f.left), translate_standpoints_away(f.right))
-    if isinstance(f, Next):
-        return Next(translate_standpoints_away(f.operand))
-    if isinstance(f, Until):
-        return Until(translate_standpoints_away(f.left), translate_standpoints_away(f.right))
-    if isinstance(f, DiamondS):
-        inner = translate_standpoints_away(f.operand)
-        if f.standpoint.is_universal:
-            return DiamondS(UNIVERSAL, inner)
-        return DiamondS(UNIVERSAL, And(guard_prop(f.standpoint), inner))
-    if isinstance(f, BoxS):
-        inner = translate_standpoints_away(f.operand)
-        if f.standpoint.is_universal:
-            return BoxS(UNIVERSAL, inner)
-        return BoxS(UNIVERSAL, implies(guard_prop(f.standpoint), inner))
-    raise TypeError(f"not a formula: {f!r}")
+        if g.left.is_universal:
+            return BoxS(UNIVERSAL, guard_prop(g.right))
+        return BoxS(UNIVERSAL, implies(guard_prop(g.left), guard_prop(g.right)))
+    if isinstance(g, DiamondS) and not g.standpoint.is_universal:
+        return DiamondS(UNIVERSAL, And(guard_prop(g.standpoint), kids[0]))
+    if isinstance(g, BoxS) and not g.standpoint.is_universal:
+        return BoxS(UNIVERSAL, implies(guard_prop(g.standpoint), kids[0]))
+    return rebuild(g, kids)
 
 
 def sltl_to_product(f: Formula) -> Formula:
@@ -238,33 +208,18 @@ def until_to_strict(f: Formula) -> Formula:
     defs: list[Formula] = []
     renamed: dict[Formula, Prop] = {}
 
-    def ren(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, Prop, Sharper)):
-            return g
-        if isinstance(g, Not):
-            return neg(ren(g.operand))
-        if isinstance(g, And):
-            return And(ren(g.left), ren(g.right))
-        if isinstance(g, Or):
-            return Or(ren(g.left), ren(g.right))
-        if isinstance(g, Next):
-            return Next(ren(g.operand))
-        if isinstance(g, DiamondS):
-            return DiamondS(g.standpoint, ren(g.operand))
-        if isinstance(g, BoxS):
-            return BoxS(g.standpoint, ren(g.operand))
-        if isinstance(g, Until):
-            a, b = ren(g.left), ren(g.right)
-            key = Until(a, b)
-            if key not in renamed:
-                var = Prop(f"$u{len(renamed)}")
-                renamed[key] = var
-                strict = Next(Until(a, b))
-                defs.append(BoxS(UNIVERSAL, always(iff(var, Or(b, And(a, strict))))))
-            return renamed[key]
-        raise TypeError(f"not a formula: {g!r}")
+    def step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+        if not isinstance(g, Until):
+            return rebuild(g, kids)
+        a, b = kids
+        key = Until(a, b)
+        if key not in renamed:
+            var = Prop(f"$u{len(renamed)}")
+            renamed[key] = var
+            defs.append(BoxS(UNIVERSAL, always(iff(var, Or(b, And(a, Next(key)))))))
+        return renamed[key]
 
-    top = ren(f)
+    top = fold(f, step)
     if not defs:
         return f
     return conj([top] + defs)
@@ -273,16 +228,13 @@ def until_to_strict(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Partition compilation
 
-def apply_partition(f: Formula, part: Partition) -> Formula:
-    """Substitute the partitioned sharpening atoms and conjoin the global
-    constraint that enforces the guess.
+def partition_parts(f: Formula, part: Partition) -> tuple[list[Formula], Formula]:
+    """The constraints that enforce a partition of the sharpening atoms, and
+    ``f`` with those atoms replaced by their guessed truth values.
 
-    True atoms are asserted always; false ones get a fresh witness variable
-    conceivable for the finer standpoint but not the coarser one.
+    A true atom is its own constraint; a false one gets a fresh witness
+    variable conceivable for the finer standpoint but not the coarser one.
     """
-    atoms = vocab(f).sharpenings
-    if part.i_plus | part.i_minus != atoms or part.i_plus & part.i_minus:
-        raise ValueError("partition does not cover the sharpening atoms of the formula")
     plus = sorted(part.i_plus, key=lambda p: (p[0].name, p[1].name))
     minus = sorted(part.i_minus, key=lambda p: (p[0].name, p[1].name))
     mapping: dict[tuple[Standpoint, Standpoint], Formula] = {p: TOP for p in plus}
@@ -292,7 +244,17 @@ def apply_partition(f: Formula, part: Partition) -> Formula:
     for (a, b) in minus:
         w = Prop(witnesses[(a, b)])
         constraints.append(And(DiamondS(a, w), neg(DiamondS(b, w))))
-    return And(substitute_sharpenings(f, mapping), always(conj(constraints)))
+    return constraints, substitute_sharpenings(f, mapping)
+
+
+def apply_partition(f: Formula, part: Partition) -> Formula:
+    """Substitute the partitioned sharpening atoms and conjoin, always, the
+    constraints that enforce the guess (see ``partition_parts``)."""
+    atoms = vocab(f).sharpenings
+    if part.i_plus | part.i_minus != atoms or part.i_plus & part.i_minus:
+        raise ValueError("partition does not cover the sharpening atoms of the formula")
+    constraints, body = partition_parts(f, part)
+    return And(body, always(conj(constraints)))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,29 @@ def test_grid_search_deeper_than_the_recursion_limit(capsys):
     assert code in (0, 1), err
 
 
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--symmetry"]])
+def test_removed_solve_options_are_usage_errors(capsys, option):
+    code, _, _ = run(capsys, "solve", *option, "p U q")
+    assert code == 64
+
+
+@pytest.mark.parametrize("count", [40, 300])
+def test_grid_search_refuses_more_types_than_its_budget(capsys, count):
+    # 2^40 valuation types cannot be listed (MemoryError), 2^300 cannot be
+    # counted in a machine word (OverflowError)
+    spec = " & ".join(f"<@s> p{i}" for i in range(count))
+    code, _, err = run(capsys, "solve", spec)
+    assert code == 69, err
+    assert "grid search" in err
+
+
+def test_classify_wider_than_the_recursion_limit(capsys):
+    spec = " & ".join(f"F p{i}" for i in range(2_000))
+    code, out, err = run(capsys, "classify", spec)
+    assert code == 0, err
+    assert out.strip() == "PureLTL"
+
+
 def test_exit_codes_match_verdicts_on_regression_corpus(capsys):
     corpus = {
         "G F p": 0,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import S, T, iter_models, naive_sat, random_formula
 
-from sltl import psl
+from sltl import psl, semantics
 from sltl.semantics import (
     ModelError,
     ProductModel,
@@ -23,6 +23,7 @@ from sltl.semantics import (
     model_to_json,
 )
 from sltl.syntax import (
+    And,
     Prop,
     Sharper,
     Standpoint,
@@ -226,12 +227,36 @@ def test_search_monotone_in_bounds():
             assert big is not None
 
 
-def test_search_symmetry_flag_preserves_verdicts():
+def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
+    # Random formulas rarely need three traces, so each one is also tried
+    # with a conjunct that does; only then can two non-designated traces
+    # share a profile in a witness.
+    three = parse("<@*>(r & x) & <@*>(r & !x) & <@*>(!r & x)")
     rng = random.Random(31)
-    for _ in range(40):
+    cases = []
+    for _ in range(60):
         f = random_formula(rng, 3)
-        b = SearchBounds.for_formula(f, 3, 1, 2)
-        assert (bounded_search(f, b) is None) == (bounded_search(f, b, symmetry=True) is None)
+        for g in (f, And(f, three)):
+            b = SearchBounds.for_formula(g, 3, 1, 2)
+            found = bounded_search(g, b)
+            cases.append((g, b, found and model_to_json(*found)))
+
+    paired = []
+
+    class PlainSearch(semantics._ShapeSearch):
+        """The plain enumeration: no pairs of interchangeable traces."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            paired.append(bool(self.pairs))
+            self.pairs = []
+
+    monkeypatch.setattr(semantics, "_ShapeSearch", PlainSearch)
+    for f, b, expected in cases:
+        found = bounded_search(f, b)
+        assert (found and model_to_json(*found)) == expected, str(f)
+    assert any(paired), "no stratum had interchangeable traces"
+    assert sum(w is not None and len(w["traces"]) == 3 for _, _, w in cases) > 30
 
 
 def test_search_is_deterministic():

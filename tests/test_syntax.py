@@ -4,7 +4,8 @@ import pytest
 
 from conftest import S, T, random_formula, iter_models
 
-from sltl.semantics import evaluate
+from sltl.psl import _count_diamonds, _mentions_sharper
+from sltl.semantics import _trace_independent, check_product_formula, evaluate
 from sltl.syntax import (
     And,
     BOTTOM,
@@ -22,18 +23,33 @@ from sltl.syntax import (
     TOP,
     UNIVERSAL,
     Until,
+    _has_standpoint,
+    _has_temporal,
+    _temporal_under_modal,
     classify,
     closure,
+    conj,
+    eventually,
+    fold,
     is_nnf,
+    modal_standpoints,
     neg,
+    nodes,
     parse,
+    simplify,
     size,
     subformulas,
     to_nnf,
     to_text,
     vocab,
 )
-from sltl.translate import recurring_counter_formula
+from sltl.translate import (
+    _occurring_standpoints,
+    recurring_counter_formula,
+    substitute_sharpenings,
+    translate_standpoints_away,
+    until_to_strict,
+)
 
 
 def test_parse_basic_shapes():
@@ -293,3 +309,83 @@ def test_vocab_of_counter_demand():
     v = vocab(recurring_counter_formula(2))
     assert v.props == {"p", "p1", "p2"}
     assert v.standpoints == {Standpoint("s"), UNIVERSAL}
+
+
+# ---------------------------------------------------------------------------
+# Walks without recursion
+
+_DEPTH = 5_000
+
+
+def _deep_chain() -> Formula:
+    """``X`` nested 5,000 deep over a modality and a sharpening atom."""
+    f = And(DiamondS(S, Until(Prop("p"), Prop("q"))), Sharper(S, T))
+    for _ in range(_DEPTH):
+        f = Next(f)
+    return f
+
+
+def _wide_chain() -> Formula:
+    """5,000 conjoined ``F p_i``: a left-deep And spine."""
+    return conj([eventually(Prop(f"p{i}")) for i in range(_DEPTH)])
+
+
+# Results are compared through size, classify and vocab: the generated
+# ``__eq__`` of two distinct 5,000-deep formulas recurses by itself.
+
+def test_nodes_and_fold_visit_every_occurrence_of_deep_formulas():
+    for f in (_deep_chain(), _wide_chain()):
+        assert sum(1 for _ in nodes(f)) == size(f)
+        assert fold(f, lambda g, kids: 1 + sum(kids)) == size(f)
+        subs = subformulas(f)
+        assert subs[-1] is f and len(subs) == len(set(subs))
+
+
+def test_nodes_is_left_to_right_pre_order_and_fold_post_order():
+    f = parse("(p U q) & !r")
+    assert [to_text(g) for g in nodes(f)] == ["p U q & !r", "p U q", "p", "q", "!r", "r"]
+    seen = []
+    fold(f, lambda g, kids: seen.append(to_text(g)))
+    assert seen == ["p", "q", "p U q", "r", "!r", "p U q & !r"]
+
+
+def test_syntax_walks_on_deep_formulas():
+    deep, wide = _deep_chain(), _wide_chain()
+    assert classify(deep) is Fragment.FULL_SLTL
+    assert classify(wide) is Fragment.PURE_LTL
+    assert _has_temporal(deep) and _has_temporal(wide)
+    assert _has_standpoint(deep) and not _has_standpoint(wide)
+    assert _temporal_under_modal(deep) and not _temporal_under_modal(wide)
+    assert is_nnf(deep) and is_nnf(wide)
+    v = vocab(deep)
+    assert v.props == {"p", "q"} and v.sharpenings == {(S, T)}
+    assert v.standpoints == {S, T, UNIVERSAL}
+    assert len(vocab(wide).props) == _DEPTH
+    assert modal_standpoints(deep) == {S} and modal_standpoints(wide) == frozenset()
+    for f in (deep, wide):
+        g = simplify(f)
+        assert size(g) == size(f) and classify(g) is classify(f)
+
+
+def test_translate_walks_on_deep_formulas():
+    deep, wide = _deep_chain(), _wide_chain()
+    assert _occurring_standpoints(deep) == [S, T] and _occurring_standpoints(wide) == []
+    g = substitute_sharpenings(deep, {(S, T): TOP})
+    assert size(g) == size(deep) and vocab(g).sharpenings == frozenset()
+    g = translate_standpoints_away(deep)
+    assert modal_standpoints(g) == {UNIVERSAL} and {"@s", "@t"} <= vocab(g).props
+    h = until_to_strict(g)
+    assert "$u0" in vocab(h).props and classify(h) is Fragment.FULL_SLTL
+    h = until_to_strict(wide)
+    assert f"$u{_DEPTH - 1}" in vocab(h).props and classify(h) is Fragment.FULL_SLTL
+
+
+def test_semantics_and_psl_walks_on_deep_formulas():
+    deep, wide = _deep_chain(), _wide_chain()
+    # the first offender in pre-order is the modality, not the atom below it
+    with pytest.raises(ValueError, match="modality over @s"):
+        check_product_formula(deep)
+    check_product_formula(wide)
+    assert _trace_independent(deep) and not _trace_independent(wide)
+    assert _mentions_sharper(deep) and not _mentions_sharper(wide)
+    assert _count_diamonds(deep) == 1 and _count_diamonds(wide) == 0
