@@ -3,17 +3,19 @@
 States are maximally consistent, standpoint-consistent subsets of the
 closure set.  A state is standpoint-consistent when its propositional
 members have a grid model on the label family of its own true sharpening
-atoms, at the small-model width ``n`` or, failing that, ``n_safe``; the
-state space keeps that model, and the solver builds the witness of a run
-from the models of its states.  A state is determined by its assignment to
-the base members (propositions, sharpening atoms, next-step and modal
-formulas); Boolean and Until members are forced by the consistency
-equations, so enumeration backtracks over base assignments only.  It
-prunes with the interval engine of ``semantics`` on a single cell whose
-leaves are the base members: each Until member unfolds to
-``b | (a & X(a U b))`` over its next-step companion, and once every base
-member is assigned the engine's lower bounds are the state's mask.  Letters never appear: a transition only
-exists for the letter matching the source state's propositions.
+atoms, at the small-model width ``n`` or, failing that, ``n_safe``.  The
+grid is compiled once per label family and searched per state, within one
+node budget; the state space keeps each model, and the solver builds the
+witness of a run from the models of its states.  A state is determined by
+its assignment to the base members (propositions, sharpening atoms,
+next-step and modal formulas); Boolean and Until members are forced by
+the consistency equations, so enumeration backtracks over base
+assignments only.  It prunes with the interval engine of ``semantics`` on
+a single cell whose leaves are the base members: each Until member
+unfolds to ``b | (a & X(a U b))`` over its next-step companion, and once
+every base member is assigned the engine's lower bounds are the state's
+mask.  Letters never appear: a transition only exists for the letter
+matching the source state's propositions.
 
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
@@ -27,10 +29,8 @@ from dataclasses import dataclass, field
 from typing import Container, Iterator, Optional, TextIO
 
 from . import psl
-from .semantics import _IntervalEngine
+from .semantics import DEFAULT_NODE_LIMIT, _IntervalEngine
 from .syntax import (
-    BOTTOM,
-    TOP,
     UNIVERSAL,
     BoxS,
     ClosureSet,
@@ -41,9 +41,9 @@ from .syntax import (
     Prop,
     Sharper,
     Until,
+    to_nnf,
     vocab,
 )
-from .translate import substitute_sharpenings
 
 DEFAULT_STATE_LIMIT = 200_000
 
@@ -95,28 +95,35 @@ class StateSpace:
     """Shared machinery for enumerating s-elementary sets of one closure.
 
     A candidate state is kept when it is standpoint-consistent: its
-    propositional literals, with every sharpening atom of the closure
-    replaced by its truth on the label family of the state's true atoms,
-    have a grid model on that family.  The literals are the true
-    propositions, sharpening atoms and modal members and the negations of
-    the false ones; the state's other propositional members are Boolean
-    combinations of them, so the literals entail them and give the grid
-    search the same three-valued bounds.  The width is ``n`` (standpoints of
-    the seed plus diamond members plus one: the literals mention no other
-    standpoint and demand at most one witness per diamond member) or, when
-    that has no model, ``n_safe``, which also counts the box members
-    because negated boxes surface as diamonds in normal form.  A model at width ``n`` pads to one
-    at ``n_safe``.  Grid models are memoised per set of literals and
-    width; ``grid_solves`` counts the searches run.
+    propositional literals have a grid model on the label family of its
+    true sharpening atoms.  The literals are the true propositions,
+    sharpening atoms and modal members and the negations of the false
+    ones, in negation normal form; the state's other propositional members
+    are Boolean combinations of them, so the literals entail them and give
+    the grid search the same three-valued bounds.  Each label family's grid
+    is compiled once, over every literal of the closure, and on it a
+    sharpening atom holds iff the true atoms entail it.  The width is ``n``
+    (standpoints of the seed plus diamond members plus one: the literals
+    mention no other standpoint and demand at most one witness per diamond
+    member) or, when that has no model, ``n_safe``, which also counts the
+    box members because negated boxes surface as diamonds in normal form.
+    A model at width ``n`` pads to one at ``n_safe``.  Grid models are
+    memoised per set of literals and width; ``grid_solves`` counts the
+    searches run, which share ``budget`` (see ``psl.grid_model_for``), by
+    default DEFAULT_NODE_LIMIT nodes.
     """
 
-    def __init__(self, cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT):
+    def __init__(
+        self, cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT,
+        budget: Optional[list[int]] = None,
+    ):
         self.closure = cl
         self.base: list[Formula] = [
             g for g in cl.formulas if isinstance(g, (Prop, Sharper, Next, DiamondS, BoxS))
         ]
         self.base_index = {g: i for i, g in enumerate(self.base)}
         self.state_limit = state_limit
+        self.budget = budget or [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
         self.generated = 0
         self.grid_solves = 0
         self.universe = set(vocab(cl.seed).standpoints) | {UNIVERSAL}
@@ -125,19 +132,21 @@ class StateSpace:
         self.n = len(self.universe) + n_dia + 1
         self.n_safe = self.n + n_box
         literal = (Prop, Sharper, DiamondS, BoxS)
-        self._literal_bits = sum(
-            1 << i
+        self._literals = {
+            i: to_nnf(g)
             for i, g in enumerate(cl.formulas)
             if isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal)
-        )
+        }
+        self._literal_bits = sum(1 << i for i in self._literals)
         self._sharpenings = [
             (i, (g.left, g.right)) for i, g in enumerate(cl.formulas) if isinstance(g, Sharper)
         ]
+        self._sharpening_bits = sum(1 << i for i, _ in self._sharpenings)
         self._models: dict[tuple[int, int], Optional[psl.PSLModel]] = {}
+        self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
         # the members a source fixes in each of its targets: the operands of
         # its next-step members, and its sharpening atoms, which are rigid
-        self._step_bits = sum(1 << cl.index[g] for g in cl.next_members)
-        self._step_bits |= sum(1 << i for i, _ in self._sharpenings)
+        self._step_bits = self._sharpening_bits | sum(1 << cl.index[g] for g in cl.next_members)
         self._successors: dict[int, list[SElementarySet]] = {}
         # one trace of one position: base member i is true/false when bit 0
         # of tm[i]/fm[i] is set
@@ -179,22 +188,26 @@ class StateSpace:
 
     def grid_model(self, mask: int, width: int) -> Optional[psl.PSLModel]:
         """Grid model of the state's propositional literals at this width,
-        or None; the label family comes from the state's true sharpening
-        atoms, so the search never meets a negated atom."""
+        or None."""
         key = (mask & self._literal_bits, width)
         if key not in self._models:
             self.grid_solves += 1
-            rel = psl.sharpening_closure(
-                [pair for i, pair in self._sharpenings if mask >> i & 1], self.universe
-            )
-            truth = {pair: TOP if rel.entails(pair) else BOTTOM for _, pair in self._sharpenings}
-            members = [
-                substitute_sharpenings(g, truth)
-                for i, g in enumerate(self.closure.formulas)
-                if key[0] >> i & 1
-            ]
-            self._models[key] = psl.grid_model_for(members, psl.family_for(rel), width)
+            members = [g for i, g in self._literals.items() if key[0] >> i & 1]
+            self._models[key] = psl.grid_model_for(self.grid(mask), members, width, self.budget)
         return self._models[key]
+
+    def grid(self, mask: int) -> psl.CompiledGrid:
+        """The compiled grid of the label family of the state's true
+        sharpening atoms; states with the same family share one."""
+        key = mask & self._sharpening_bits
+        if key not in self._grids:
+            true = [pair for i, pair in self._sharpenings if key >> i & 1]
+            family = psl.family_for(psl.sharpening_closure(true, self.universe))
+            shared = next((g for g in self._grids.values() if g.family == family), None)
+            self._grids[key] = shared or psl.CompiledGrid(
+                family, vocab(self.closure.seed).props, list(self._literals.values()), self.budget
+            )
+        return self._grids[key]
 
     def successors(self, b: SElementarySet) -> list[SElementarySet]:
         """Transition targets, memoised: the next-step members of the
@@ -237,7 +250,8 @@ def acceptance_family(cl: ClosureSet) -> list[AcceptancePredicate]:
 
 
 def find_accepting_lasso(
-    cl: ClosureSet, phi_d: Formula, state_limit: int = DEFAULT_STATE_LIMIT
+    cl: ClosureSet, phi_d: Formula, state_limit: int = DEFAULT_STATE_LIMIT,
+    budget: Optional[list[int]] = None,
 ) -> Optional[Lasso]:
     """Couvreur's on-the-fly SCC emptiness check, with lasso extraction.
 
@@ -255,11 +269,12 @@ def find_accepting_lasso(
     cycle leaves the state the stem enters, goes by shortest paths inside
     the SCC to the nearest state of each acceptance set it has not yet
     met, and returns to that state.  Searches follow ``enumerate`` and
-    ``successors`` order, so the returned lasso is deterministic.
+    ``successors`` order, so the returned lasso is deterministic.  The
+    states' grid searches share ``budget`` (see ``StateSpace``).
     """
     if phi_d not in cl:
         raise ValueError("the closure set does not belong to this formula")
-    space = StateSpace(cl, state_limit)
+    space = StateSpace(cl, state_limit, budget)
     preds = acceptance_family(cl)
     full = (1 << len(preds)) - 1
     accept: dict[int, int] = {}  # acceptance bits of every visited state, by mask
@@ -358,9 +373,13 @@ def _path(
                 queue.append(b2)
 
 
-def dump_state_graph(cl: ClosureSet, phi_d: Formula, out: TextIO, state_limit: int = DEFAULT_STATE_LIMIT) -> None:
-    """Line-oriented dump of the reachable state graph, for inspection only."""
-    space = StateSpace(cl, state_limit)
+def dump_state_graph(
+    cl: ClosureSet, phi_d: Formula, out: TextIO, state_limit: int = DEFAULT_STATE_LIMIT,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+) -> None:
+    """Line-oriented dump of the reachable state graph, for inspection only;
+    its grid searches share one budget of ``node_limit`` nodes."""
+    space = StateSpace(cl, state_limit, [node_limit, node_limit])
     preds = acceptance_family(cl)
     seen: dict[int, SElementarySet] = {}
     order: list[int] = []

@@ -102,7 +102,7 @@ def _cmd_solve(args) -> int:
     try:
         verdict = solve(f, opts)
         if args.dump_states:
-            _dump_states(args.dump_states, f, verdict, opts.state_limit)
+            _dump_states(args.dump_states, f, verdict, opts)
     except SearchLimitError as exc:
         raise _CliError(EX_RESOURCE, f"search node limit hit: {exc}") from exc
     except AutomatonLimitError as exc:
@@ -126,7 +126,7 @@ def _cmd_solve(args) -> int:
     }[verdict.status]
 
 
-def _dump_states(path: str, f: Formula, verdict: Verdict, state_limit: int) -> None:
+def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) -> None:
     """Dump the graph of the partition a sat verdict came from, else of the
     first partition."""
     if verdict.fragment not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
@@ -136,7 +136,7 @@ def _dump_states(path: str, f: Formula, verdict: Verdict, state_limit: int) -> N
     phi_d = partition_formula(f, part)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            dump_state_graph(closure(phi_d), phi_d, fh, state_limit)
+            dump_state_graph(closure(phi_d), phi_d, fh, opts.state_limit, opts.node_limit)
     except OSError as exc:
         raise _CliError(EX_CANTCREAT, f"cannot write {path}: {exc}") from exc
 

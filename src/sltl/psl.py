@@ -11,7 +11,7 @@ propositional standpoint formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .syntax import (
     And,
@@ -21,6 +21,7 @@ from .syntax import (
     Prop,
     Sharper,
     Standpoint,
+    TOP,
     UNIVERSAL,
     _has_temporal,
     conj,
@@ -214,30 +215,72 @@ def _count_diamonds(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Grid search
 
-def _grid_search(
-    body: Formula,
-    family: SFamily,
-    n: int,
-    props: tuple[str, ...],
-    budget: Optional[list[int]] = None,
-) -> Optional[dict[tuple[int, int], frozenset[str]]]:
-    """Find a valuation of the ``family x {1..n}`` grid satisfying the body
-    at the designated cell, or None.
+class CompiledGrid:
+    """A label family's grid tables and one interval engine compiled over
+    ``formulas``, for every search of a conjunction of them at any width.
+
+    The types are the (column, valuation) pairs over the sorted
+    propositions, column by column.  The engine runs on a one-position
+    lasso whose traces are the types: propositions are constant masks, and
+    ``bind`` folds a sharpening atom to whether the left extent lies inside
+    the right one, which on the family of a sharpening closure holds iff
+    the closure relates them (``of(a)`` is a column).  A grid with more
+    types than ``budget`` has nodes left (see ``grid_model_for``) is
+    refused with SearchLimitError before any table is built.
+    """
+
+    def __init__(
+        self, family: SFamily, props: Iterable[str], formulas: Sequence[Formula], budget: list[int]
+    ):
+        self.family = family
+        self.props = tuple(sorted(props))
+        self.v_count = v_count = 1 << len(self.props)
+        n_types = len(family) * v_count
+        if n_types > budget[0]:
+            # the tables below grow with the type count
+            raise SearchLimitError(budget[1], "grid search")
+        self.full = (1 << n_types) - 1
+        self.col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
+        extents = {UNIVERSAL: tuple(range(n_types))}
+        for sp in frozenset().union(*family.sets):
+            extents[sp] = tuple(t for t in range(n_types) if sp in family.sets[t // v_count])
+        self.ext_masks = {sp: sum(1 << t for t in ts) for sp, ts in extents.items()}
+        self.true_masks = [
+            sum(1 << t for t in range(n_types) if t % v_count >> i & 1)
+            for i in range(len(self.props))
+        ]
+        self.false_masks = [self.full ^ m for m in self.true_masks]
+        self.val_sets = [
+            frozenset(p for i, p in enumerate(self.props) if v >> i & 1) for v in range(v_count)
+        ]
+        leaves = {Prop(p): i for i, p in enumerate(self.props)}
+        try:
+            # the engine's first formula is its root, which no search reads
+            self.engine = _IntervalEngine([TOP, *formulas], n_types, 0, 1, extents, leaves)
+        except KeyError as exc:
+            raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
+
+
+def grid_model_for(
+    grid: CompiledGrid, conjuncts: Sequence[Formula], n: int, budget: list[int]
+) -> Optional[PSLModel]:
+    """A model of the conjunction at the designated cell (0, 1) of the
+    ``family x {1..n}`` grid, or None; ``grid`` was compiled over the
+    conjuncts.
 
     Backtracks over which valuations each column carries (its present
     types) rather than over individual cells: modal truth only reads the
     per-column valuation sets, so the search is complete as long as a
     column never needs more distinct valuations than it has cells, and a
     found presence assignment expands to the full grid by padding columns
-    with copies.  Three-valued truth comes from the bounded search's
-    interval engine on a one-position lasso whose traces are the types:
-    propositions are constant masks, and the presence bits decide which
-    traces the modalities quantify over.  The designated cell's valuation
-    is chosen first; presence bits are tried absent before present, so the
-    result is deterministic.
+    with copies.  Three-valued truth comes from the grid's engine: the
+    presence bits decide which types the modalities quantify over, and the
+    conjunction's lower and upper masks are the AND of its conjuncts'.  The
+    designated cell's valuation is chosen first; presence bits are tried
+    absent before present, so the result is deterministic.
 
-    Each node propagates the body's top-level modal conjuncts, which must
-    hold wherever the body does, until nothing changes:
+    Each node propagates the modal conjuncts, which must hold wherever the
+    conjunction does, until nothing changes:
 
     - for a box ``[@x] g``, every type of ``x``'s extent at which ``g`` is
       false in every completion (its upper mask is clear) becomes absent;
@@ -248,70 +291,45 @@ def _grid_search(
     A type both absent and present fails the node, and so does the
     designated type turning absent; the search skips types that
     propagation has decided.  Witnesses are those of the search without
-    propagation.  A valid presence assignment is one under which the body
-    holds at the designated type and every column carries between one and
-    ``min(n, 2^props)`` types.  Propagation and the other prunings remove
-    only subtrees without a valid assignment, and at a leaf the bounds are
-    exact, so the search returns the least valid assignment in its order
-    (the designated valuation, then the types of ``order`` absent before
-    present).  A node whose lower bound already holds returns its present
-    types, which is the least completion beneath it (every open type
-    absent) and valid, so again that least assignment; ``expand`` reads
-    only the present types.
+    propagation.  A valid presence assignment is one under which the
+    conjunction holds at the designated type and every column carries
+    between one and ``min(n, 2^props)`` types.  Propagation and the other
+    prunings remove only subtrees without a valid assignment, and at a leaf
+    the bounds are exact, so the search returns the least valid assignment
+    in its order (the designated valuation, then the types of ``order``
+    absent before present).  A node whose lower bound already holds returns
+    its present types, which is the least completion beneath it (every open
+    type absent) and valid, so again that least assignment; ``expand``
+    reads only the present types.  The assignment depends on the family,
+    the propositions, ``n`` and the conjunction's masks alone, so it is the
+    one a grid compiled for the conjunction alone would give.
 
-    ``budget`` is ``[remaining, limit]``, shared by every search of one
-    ``sat`` call, or a fresh one of DEFAULT_NODE_LIMIT nodes when None; each
-    node takes one, and SearchLimitError is raised once more than ``limit``
-    nodes were visited, or at once when the grid has more types than nodes
-    remain.
+    ``budget`` is ``[remaining, limit]``, shared by every grid search of
+    one ``solve``; each node takes one, and SearchLimitError is raised once
+    more than ``limit`` nodes were visited.
     """
-    if budget is None:
-        budget = [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
-    plist = sorted(props)
-    prop_bits = {p: i for i, p in enumerate(plist)}
-    v_count = 1 << len(plist)
-    cols = len(family)
-    n_types = cols * v_count
-    if n_types > budget[0]:
-        # the tables below grow with the type count; refuse before building
-        raise SearchLimitError(budget[1], "grid search")
-    vals = list(range(v_count))
-    full = (1 << n_types) - 1
-    col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(cols)]
-    extents = {UNIVERSAL: tuple(range(n_types))}
-    for sp in frozenset().union(*family.sets):
-        extents[sp] = tuple(t for t in range(n_types) if sp in family.sets[t // v_count])
-    true_masks = [
-        sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(len(plist))
-    ]
-    false_masks = [full ^ m for m in true_masks]
-    leaves = {Prop(p): i for p, i in prop_bits.items()}
-    try:
-        engine = _IntervalEngine([body], n_types, 0, 1, extents, leaves)
-    except KeyError as exc:
-        raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
-    sweep, root = engine.sweep, engine.root
+    sweep, slot = grid.engine.sweep, grid.engine.slot
+    roots = [slot[g] for g in conjuncts]
     # the modal conjuncts as (extent mask, operand slot)
     boxes, diamonds = [], []
-    for part in _conjuncts(body):
-        if isinstance(part, (BoxS, DiamondS)):
-            rule = (sum(1 << t for t in extents[part.standpoint]), engine.slot[part.operand])
-            (boxes if isinstance(part, BoxS) else diamonds).append(rule)
+    for g in conjuncts:
+        if isinstance(g, (BoxS, DiamondS)):
+            rule = (grid.ext_masks[g.standpoint], slot[g.operand])
+            (boxes if isinstance(g, BoxS) else diamonds).append(rule)
+    v_count, col_masks, full = grid.v_count, grid.col_masks, grid.full
+    true_masks, false_masks = grid.true_masks, grid.false_masks
     cap = min(n, v_count)
 
-    def val_set(v: int) -> frozenset[str]:
-        return frozenset(p for p in plist if v >> prop_bits[p] & 1)
-
-    def expand(present: int, dv: int) -> dict[tuple[int, int], frozenset[str]]:
+    def expand(present: int, dv: int) -> PSLModel:
         valuation = {}
-        for c in range(cols):
-            chosen = [v for v in vals if present >> (c * v_count + v) & 1]
+        for c in range(len(col_masks)):
+            chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
             if c == 0:
                 chosen = [dv] + [v for v in chosen if v != dv]
             rows = (chosen + [chosen[0]] * n)[:n]
             for j, v in enumerate(rows, start=1):
-                valuation[(c, j)] = val_set(v)
-        return valuation
+                valuation[(c, j)] = grid.val_sets[v]
+        return PSLModel(grid.family, n, valuation)
 
     def propagate(present: int, absent: int, d_bit: int):
         """The node's presence and absence bits grown to the propagation
@@ -323,7 +341,7 @@ def _grid_search(
                 if (col & present).bit_count() > cap:
                     return None  # more distinct valuations than cells
             lo, hi = sweep(true_masks, false_masks, present, full ^ absent)
-            if not hi[root] & d_bit:
+            if any(not hi[r] & d_bit for r in roots):
                 return None
             grown_absent = absent
             for ext, g in boxes:
@@ -343,7 +361,7 @@ def _grid_search(
 
     for dv in range(v_count):
         d_bit = 1 << dv  # designated type sits in column 0
-        order = [t for t in range(n_types) if t != dv]
+        order = [t for t in range(len(col_masks) * v_count) if t != dv]
         stack = [(0, d_bit, 0)]  # (index into order, present, absent)
         while stack:
             idx, present, absent = stack.pop()
@@ -354,7 +372,7 @@ def _grid_search(
             if node is None:
                 continue
             present, absent, lo = node
-            if lo[root] & d_bit and all(col & present for col in col_masks):
+            if all(lo[r] & d_bit for r in roots) and all(col & present for col in col_masks):
                 return expand(present, dv)
             decided = present | absent
             while idx < len(order) and decided >> order[idx] & 1:
@@ -380,25 +398,22 @@ def sat_normal_form(
 
     The grid width defaults to the least value the small-model property
     permits: one more than the number of standpoint symbols plus the number
-    of diamond occurrences in the body.  ``budget`` is the grid search's
-    node budget (see ``_grid_search``).
+    of diamond occurrences in the body.  The grid is compiled over the
+    body's conjuncts; ``budget`` is the grid search's node budget (see
+    ``grid_model_for``).
     """
+    if budget is None:
+        budget = [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
     star = Sharper(UNIVERSAL, UNIVERSAL)
     if star not in atoms:
         atoms = list(atoms) + [star]
-    whole = conj(list(atoms) + [body])
-    universe = vocab(whole).standpoints
+    universe = vocab(conj(list(atoms) + [body])).standpoints
     closure_rel = sharpening_closure([(a.left, a.right) for a in atoms], universe)
-    family = family_for(closure_rel)
-    n1 = len(universe)
-    n2 = _count_diamonds(body)
-    n = n_override if n_override is not None else n1 + n2 + 1
-    props = tuple(sorted(vocab(body).props))
-    valuation = _grid_search(body, family, n, props, budget)
-    if valuation is None:
-        return SatResult.unsat()
-    model = PSLModel(family, n, valuation)
-    return SatResult(model, (0, 1))
+    n = n_override if n_override is not None else len(universe) + _count_diamonds(body) + 1
+    parts = _conjuncts(body)
+    grid = CompiledGrid(family_for(closure_rel), vocab(body).props, parts, budget)
+    model = grid_model_for(grid, parts, n, budget)
+    return SatResult.unsat() if model is None else SatResult(model, (0, 1))
 
 
 def sat(f: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
@@ -420,33 +435,6 @@ def sat(f: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
         if result.is_sat:
             return result
     return SatResult.unsat()
-
-
-# ---------------------------------------------------------------------------
-# Grid models for externally fixed grids (used by the automaton)
-
-def grid_model_for(
-    conjuncts: list[Formula], family: SFamily, n: int
-) -> Optional[PSLModel]:
-    """Model of the conjunction on the given grid, or None.
-
-    The sharpening atoms among the conjuncts must already hold structurally
-    on the family (the caller builds the family from the same atoms).  The
-    grid search gets DEFAULT_NODE_LIMIT nodes.
-    """
-    norm = split_for_grid(conj(conjuncts))
-    if norm is UNREPRESENTABLE:
-        raise ValueError("negated sharpening atom in a grid conjunction")
-    atoms, body = norm
-    for atom in atoms:
-        for labels in family.sets:
-            if atom.left in labels and atom.right not in labels:
-                raise ValueError(f"family does not realize the atom {atom}")
-    props = tuple(sorted(vocab(body).props))
-    valuation = _grid_search(body, family, n, props)
-    if valuation is None:
-        return None
-    return PSLModel(family, n, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -144,16 +144,6 @@ def partition_formula(f: Formula, part: Partition) -> Formula:
     return simplify(apply_partition(f, part))
 
 
-def _solve_partition(f: Formula, part: Partition, state_limit: int) -> Optional[tuple[SLTLModel, str]]:
-    phi_d = partition_formula(f, part)
-    cl = closure(phi_d)
-    lasso = find_accepting_lasso(cl, phi_d, state_limit)
-    if lasso is None:
-        return None
-    model, designated = witness_from_lasso(lasso)
-    return _cover_standpoints(model, f), designated
-
-
 def _cover_standpoints(model: SLTLModel, f: Formula) -> SLTLModel:
     """Extend the assignment to standpoints folding eliminated from the
     partition formula; their extents no longer matter, so they cover
@@ -191,10 +181,13 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
             psl_model=result.model,
         )
     elif frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+        budget = [opts.node_limit, opts.node_limit]  # shared by the partitions
         for part in iter_partitions(vocab(f).sharpenings):
-            found = _solve_partition(f, part, opts.state_limit)
-            if found is not None:
-                model, designated = found
+            phi_d = partition_formula(f, part)
+            lasso = find_accepting_lasso(closure(phi_d), phi_d, opts.state_limit, budget)
+            if lasso is not None:
+                model, designated = witness_from_lasso(lasso)
+                model = _cover_standpoints(model, f)
                 break
         else:
             return Verdict("unsat", frag, engine="automaton")

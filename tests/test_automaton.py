@@ -17,17 +17,22 @@ from sltl.automaton import (
     initial_states,
 )
 from sltl import psl
-from sltl.semantics import SearchBounds, bounded_search
-from sltl.solver import check_witness, solve
+from sltl.semantics import SearchBounds, SearchLimitError, bounded_search
+from sltl.solver import check_witness, partition_formula, solve
 from sltl.syntax import (
+    BOTTOM,
     And,
     Bottom,
+    BoxS,
+    DiamondS,
     Next,
     Not,
     Or,
     Prop,
+    Sharper,
     TOP,
     Top,
+    UNIVERSAL,
     Until,
     _has_temporal,
     classify,
@@ -38,7 +43,12 @@ from sltl.syntax import (
     to_text,
     vocab,
 )
-from sltl.translate import apply_partition, counter_formula, iter_partitions
+from sltl.translate import (
+    apply_partition,
+    counter_formula,
+    iter_partitions,
+    substitute_sharpenings,
+)
 
 
 def lasso_run_states(lasso: Lasso, horizon: int):
@@ -370,3 +380,93 @@ def test_state_graph_dump_format():
     edges = [ln for ln in lines if ln.startswith("edge ")]
     assert states and edges
     assert all("acc=" in ln and "props={" in ln for ln in states)
+
+
+def _true_atom_closure(cl, mask):
+    """The sharpening closure of a state's true atoms over the standpoints
+    of the seed."""
+    held = [
+        (g.left, g.right)
+        for i, g in enumerate(cl.formulas)
+        if isinstance(g, Sharper) and mask >> i & 1
+    ]
+    return psl.sharpening_closure(held, set(vocab(cl.seed).standpoints) | {UNIVERSAL})
+
+
+def _one_shot_grid_model(space, mask, width):
+    """A state's grid model as each state once got it alone: its literals
+    with every sharpening atom of the closure replaced by its truth on the
+    family of the state's true atoms, split into normal form, and searched
+    on a grid compiled for that body alone."""
+    cl = space.closure
+    rel = _true_atom_closure(cl, mask)
+    pairs = [(g.left, g.right) for g in cl.formulas if isinstance(g, Sharper)]
+    truth = {pair: TOP if rel.entails(pair) else BOTTOM for pair in pairs}
+    literal = (Prop, Sharper, DiamondS, BoxS)
+    members = [
+        substitute_sharpenings(g, truth)
+        for i, g in enumerate(cl.formulas)
+        if mask >> i & 1
+        and (isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal))
+    ]
+    _, body = psl.split_for_grid(conj(members))
+    grid = psl.CompiledGrid(psl.family_for(rel), vocab(body).props, [body], [10**6, 10**6])
+    return psl.grid_model_for(grid, [body], width, [10**6, 10**6])
+
+
+def test_shared_grid_matches_one_shot_grids():
+    rng = random.Random(211)
+    done = states = negated = 0
+    while done < 200:
+        mode = ("ltl", "ltl_psl")[done % 2]
+        f = random_formula(rng, 3, mode=mode, max_sharpenings=2)
+        if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+            continue
+        part = rng.choice(list(iter_partitions(vocab(f).sharpenings)))
+        phi_d = partition_formula(f, part)
+        space = StateSpace(closure(phi_d))
+        if len(space.base) > 10:
+            continue
+        done += 1
+        candidates = []
+        solve_state = space.grid_model
+        space.grid_model = lambda mask, width: candidates.append(mask) or solve_state(mask, width)
+        list(space.enumerate([]))  # every base assignment, sharpening atoms false too
+        for mask in dict.fromkeys(candidates):
+            states += 1
+            negated += any(
+                isinstance(g, Sharper) and not mask >> i & 1
+                for i, g in enumerate(space.closure.formulas)
+            )
+            for width in (space.n, space.n_safe):
+                want = _one_shot_grid_model(space, mask, width)
+                assert solve_state(mask, width) == want, to_text(phi_d)
+    assert states > 3_000 and negated > 200
+
+
+def test_one_grid_engine_per_label_family(monkeypatch):
+    compiles = []
+    real = psl._IntervalEngine
+
+    def counting(*args):
+        compiles.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(psl, "_IntervalEngine", counting)
+    # a partition formula keeps its sharpening atoms true along every run;
+    # the raw formula's first initial states, with the atom false, have no
+    # successors, so the search goes on to initial states with it true
+    f = parse("((@s <= @t) | X p) & G !p & G F <@s> q")
+    part = next(p for p in iter_partitions(vocab(f).sharpenings) if p.i_plus)
+    for phi_d, families in ((partition_formula(f, part), 1), (f, 2)):
+        compiles.clear()
+        cl = closure(phi_d)
+        space = find_accepting_lasso(cl, phi_d).cycle[0].space
+        seen = {psl.family_for(_true_atom_closure(cl, bits)) for bits, _ in space._models}
+        assert len(seen) == families and len(compiles) == families, to_text(phi_d)
+
+
+def test_dump_state_graph_node_limit_is_loud():
+    f = parse("G <@s> p & F [@t] !p")
+    with pytest.raises(SearchLimitError, match="grid search"):
+        dump_state_graph(closure(f), f, io.StringIO(), node_limit=1)

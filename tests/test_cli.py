@@ -302,6 +302,13 @@ def test_env_node_limit_bounds_the_grid_search(capsys, monkeypatch):
     assert "grid search" in err and "node limit of 1" in err
 
 
+def test_env_node_limit_bounds_the_automatons_grid_searches(capsys, monkeypatch):
+    monkeypatch.setenv("SLTL_NODE_LIMIT", "1")
+    code, _, err = run(capsys, "solve", "G <@s> p & F [@t] !p")
+    assert code == 69
+    assert "grid search" in err and "node limit of 1" in err
+
+
 @pytest.mark.parametrize("name", ["SLTL_NODE_LIMIT", "SLTL_STATE_LIMIT"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_env_limit_below_one_is_a_usage_error(capsys, monkeypatch, name, value):

@@ -6,6 +6,7 @@ from conftest import S, T, psl_brute_sat, random_formula
 
 from sltl import psl
 from sltl.psl import (
+    CompiledGrid,
     PSLModel,
     SFamily,
     SatResult,
@@ -319,7 +320,10 @@ def test_grid_search_returns_the_first_valid_assignment():
         n = rng.randint(1, 3)
         expected = _first_valid_assignment(body, family, n, list(props))
         sat_count += expected is not None
-        assert psl._grid_search(body, family, n, props, [10**6, 10**6]) == expected, to_text(body)
+        parts = psl._conjuncts(body)
+        grid = CompiledGrid(family, props, parts, [10**6, 10**6])
+        found = grid_model_for(grid, parts, n, [10**6, 10**6])
+        assert (found and found.valuation) == expected, to_text(body)
     # the corpus exercises both verdicts and the propagation rules
     assert 40 < sat_count < 110 and modal > 120
 
@@ -345,15 +349,17 @@ def test_grid_model_for_fixed_width():
     universe = {S, UNIVERSAL}
     rel = sharpening_closure([], universe)
     fam = family_for(rel)
-    model = grid_model_for([parse("<@s> p"), parse("!p")], fam, 4)
+    parts = [parse("<@s> p"), parse("!p"), parse("[@s] p")]
+    grid = CompiledGrid(fam, ["p"], parts, [10**6, 10**6])
+    model = grid_model_for(grid, parts[:2], 4, [10**6, 10**6])
     assert model is not None
     assert model.n == 4
     assert holds(model, parse("<@s> p & !p"))
     # width too small for two forced-apart witnesses
-    tight = grid_model_for([parse("[@s] p")], fam, 1)
+    tight = grid_model_for(grid, parts[2:], 1, [10**6, 10**6])
     assert tight is not None
     with pytest.raises(ValueError, match="outside the grid universe"):
-        grid_model_for([parse("<@t> p")], fam, 4)
+        CompiledGrid(fam, ["p"], [parse("<@t> p")], [10**6, 10**6])
 
 
 def test_psl_witness_json_shape():

@@ -183,9 +183,9 @@ def test_grid_solves_once_per_member_set_and_width(monkeypatch):
     solved = []
     real = psl.grid_model_for
 
-    def recording(conjuncts, family, n):
-        solved.append((tuple(conjuncts), family, n))
-        return real(conjuncts, family, n)
+    def recording(grid, conjuncts, n, budget):
+        solved.append((grid, tuple(conjuncts), n))
+        return real(grid, conjuncts, n, budget)
 
     monkeypatch.setattr(psl, "grid_model_for", recording)
     f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
