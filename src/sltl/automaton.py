@@ -157,11 +157,15 @@ class StateSpace:
         self, constraints: list[tuple[Formula, bool]]
     ) -> Iterator[SElementarySet]:
         """All s-elementary sets meeting the constraints, in the order of
-        base assignments (closure index order, false before true)."""
+        base assignments: closure index order, sharpening atoms true before
+        false and every other base member false before true."""
         sweep = self._engine.sweep
         checks = [(self._engine.slot[f], req) for f, req in constraints]
         tm = [0] * len(self.base)
         fm = [0] * len(self.base)
+        # local, not shared: ``successors`` enumerates again while this
+        # generator is suspended
+        order = [(tm, fm) if isinstance(g, Sharper) else (fm, tm) for g in self.base]
 
         def dfs(i: int) -> Iterator[SElementarySet]:
             lo, hi = sweep(tm, fm, 1, 1)
@@ -179,7 +183,7 @@ class StateSpace:
                 ):
                     yield SElementarySet(mask, self)
                 return
-            for cells in (fm, tm):
+            for cells in order[i]:
                 cells[i] = 1
                 yield from dfs(i + 1)
                 cells[i] = 0

@@ -24,11 +24,20 @@ from .semantics import (
     model_from_json,
     model_to_json,
 )
-from .solver import SolveOptions, Verdict, check_witness, partition_formula, solve, verdict_to_json
-from .syntax import Formula, Fragment, ParseError, classify, closure, parse, to_text, vocab
+from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
+from .syntax import (
+    Formula,
+    Fragment,
+    ParseError,
+    classify,
+    closure,
+    parse,
+    simplify,
+    to_text,
+    vocab,
+)
 from .translate import (
     counter_formula,
-    iter_partitions,
     product_to_sltl,
     psl_to_s5,
     recurring_counter_formula,
@@ -127,16 +136,15 @@ def _cmd_solve(args) -> int:
 
 
 def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) -> None:
-    """Dump the graph of the partition a sat verdict came from, else of the
-    first partition."""
+    """Dump the state graph the automaton explores: that of the simplified
+    input."""
     if verdict.fragment not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
         print("state dump applies to automaton-eligible fragments only", file=sys.stderr)
         return
-    part = verdict.partition or next(iter_partitions(vocab(f).sharpenings))
-    phi_d = partition_formula(f, part)
+    phi = simplify(f)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            dump_state_graph(closure(phi_d), phi_d, fh, opts.state_limit, opts.node_limit)
+            dump_state_graph(closure(phi), phi, fh, opts.state_limit, opts.node_limit)
     except OSError as exc:
         raise _CliError(EX_CANTCREAT, f"cannot write {path}: {exc}") from exc
 

@@ -1,11 +1,13 @@
 """Propositional standpoint logic: grid models and complete satisfiability.
 
 Satisfiability goes through the normalized small-model property: a
-satisfiable conjunction of sharpening atoms and a sharpening-free body in
-negation normal form has a model on the grid of sharpening-closed label
-sets times a small index range.  The grid search here is therefore complete
-for the fragment, and the partition wrapper extends it to arbitrary
-propositional standpoint formulas.
+satisfiable conjunction of sharpening atoms and a body in negation normal
+form has a model on the grid of sharpening-closed label sets times a small
+index range.  On that grid a sharpening atom holds iff the closure of the
+conjoined atoms relates its standpoints, so atoms inside the body are
+constants of the grid.  The grid search here is therefore complete for the
+fragment, and ``sat`` extends it to arbitrary propositional standpoint
+formulas by guessing which atoms hold.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .syntax import (
     vocab,
 )
 from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
-from .translate import iter_partitions, partition_parts
+from .translate import iter_partitions
 
 
 class TemporalOperatorError(ValueError):
@@ -152,19 +154,6 @@ class SatResult:
 # ---------------------------------------------------------------------------
 # Normal form for the grid solver
 
-class _Unrepresentable:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNREPRESENTABLE"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNREPRESENTABLE = _Unrepresentable()
-
-
 def _conjuncts(f: Formula) -> list[Formula]:
     """The leaves of the And tree at the top of ``f``, left to right."""
     parts: list[Formula] = []
@@ -179,17 +168,12 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return parts
 
 
-def _mentions_sharper(f: Formula) -> bool:
-    return any(isinstance(g, Sharper) for g in nodes(f))
-
-
-def split_for_grid(f: Formula):
-    """Split into sharpening atoms and a sharpening-free NNF body.
+def split_for_grid(f: Formula) -> tuple[list[Sharper], Formula]:
+    """Split into the top-level sharpening atoms and an NNF body.
 
     The reflexive universal atom is always added so the universal standpoint
-    is mentioned.  Returns UNREPRESENTABLE when a sharpening atom survives
-    inside or under negation in the body; the partition wrapper eliminates
-    those before calling here.
+    is mentioned.  Atoms nested in the body stay there: on the grid of the
+    top-level atoms they hold iff those atoms entail them.
     """
     _require_propositional(f)
     atoms: list[Sharper] = []
@@ -200,8 +184,6 @@ def split_for_grid(f: Formula):
         else:
             rest.append(part)
     body = to_nnf(conj(rest))
-    if _mentions_sharper(body):
-        return UNREPRESENTABLE
     star = Sharper(UNIVERSAL, UNIVERSAL)
     if star not in atoms:
         atoms.append(star)
@@ -359,8 +341,14 @@ def grid_model_for(
                 return None
             present, absent = grown_present, grown_absent
 
+    # with nothing present and every type possible the upper masks are
+    # the highest any node reaches: a valuation clear in one of them fails
+    # at its root, so it is skipped without spending a node
+    _, top = sweep(true_masks, false_masks, 0, full)
     for dv in range(v_count):
         d_bit = 1 << dv  # designated type sits in column 0
+        if any(not top[r] & d_bit for r in roots):
+            continue
         order = [t for t in range(len(col_masks) * v_count) if t != dv]
         stack = [(0, d_bit, 0)]  # (index into order, present, absent)
         while stack:
@@ -420,18 +408,23 @@ def sat(f: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
     """Complete satisfiability for any propositional standpoint formula.
 
     Sharpening atoms are decided by trying every partition into true and
-    false atoms: the true ones become grid structure, the false ones are
-    witnessed by a fresh variable visible to the finer standpoint only.
+    false atoms: the true ones become grid structure, and on their grid an
+    atom of the formula holds iff their closure entails it.  A partition
+    whose true atoms entail one of its false atoms is skipped; the others
+    have pairwise distinct label families, as ``of(a)`` is the least label
+    set containing ``a``, and a false atom is witnessed by that column.
     The grid searches of all partitions share one budget of ``node_limit``
     nodes; SearchLimitError is raised when it runs out.
     """
     _require_propositional(f)
     budget = [node_limit, node_limit]
+    body = to_nnf(f)
+    universe = vocab(f).standpoints
     for part in iter_partitions(vocab(f).sharpenings):
-        constraints, body = partition_parts(f, part)
-        norm = split_for_grid(conj(constraints + [body]))
-        assert norm is not UNREPRESENTABLE, "substitution left a sharpening atom behind"
-        result = sat_normal_form(*norm, budget=budget)
+        if any(sharpening_closure(part.i_plus, universe).entails(p) for p in part.i_minus):
+            continue
+        atoms = [Sharper(a, b) for a, b in part.i_plus]
+        result = sat_normal_form(atoms, body, budget=budget)
         if result.is_sat:
             return result
     return SatResult.unsat()

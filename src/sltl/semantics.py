@@ -290,7 +290,7 @@ class _IntervalEngine:
     whose companion ``X(a U b)`` is a leaf compiles to ``b | (a & X(a U b))``,
     which holds on every lasso.  On a one-position lasso (``L == 1``) a cell
     is a trace, ``X a`` is ``a``, ``a U b`` is ``b`` and a modality is one
-    mask test.
+    mask test, which knows that no extent is empty in a completion.
 
     Three searches run on it: the bounded search (propositions as leaves,
     every trace present), the PSL grid search (a one-position lasso whose
@@ -424,11 +424,13 @@ class _IntervalEngine:
                 lo[i] = lo[a] | lo[b]
                 hi[i] = hi[a] | hi[b]
             elif op == _OP_SOME:
-                lo[i] = full if lo[a] & aux & present else 0
+                # an extent is never empty in a completion, so one of its
+                # possible traces is present
+                lo[i] = full if lo[a] & aux & present or not ~lo[a] & aux & possible else 0
                 hi[i] = full if hi[a] & aux & possible else 0
             elif op == _OP_ALL:
                 lo[i] = 0 if ~lo[a] & aux & possible else full
-                hi[i] = 0 if ~hi[a] & aux & present else full
+                hi[i] = 0 if ~hi[a] & aux & present or not hi[a] & aux & possible else full
             elif op == _OP_CONST:
                 lo[i], hi[i] = aux
             elif op == _OP_SOME_AT:

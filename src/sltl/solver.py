@@ -1,9 +1,11 @@
 """Top-level decision pipeline.
 
 Classifies the input, routes it to the right engine (grid solver for the
-propositional fragment, partition plus automaton for the temporal fragment
-without standpoint-scoped temporal operators, bounded search otherwise) and
-packages a checkable witness with every satisfiable verdict.
+propositional fragment, one automaton run on the simplified input for the
+temporal fragment without standpoint-scoped temporal operators, bounded
+search otherwise) and packages a checkable witness with every satisfiable
+verdict.  The automaton path guesses no sharpening atoms: it carries them
+as rigid state bits, and the verdict's partition is read off the witness.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .syntax import (
     to_text,
     vocab,
 )
-from .translate import Partition, apply_partition, iter_partitions, sltl_to_product
+from .translate import Partition, sltl_to_product
 
 
 @dataclass
@@ -82,13 +84,14 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     Every run position reads its state's grid model back from the state
     space that found it while deciding the state consistent: at width
     ``n`` when every state of the run has a model there, else at
-    ``n_safe``, where each one has a model.  The run must share one label
-    family, as the runs of a partition formula do: their states all carry
-    the partition's true sharpening atoms.  The trace of a cell reads that
-    cell's valuation across positions, and the standpoint extents follow
-    the cell labels.  The designated trace is the first cell of the
-    universal column.  ``solve`` checks the model once, on its own input
-    formula.
+    ``n_safe``, where each one has a model.  The run shares one label
+    family, as every run does: sharpening atoms keep their truth value
+    along a run, and the family is that of the true ones.  The trace of a
+    cell reads that cell's valuation across positions, and the standpoint
+    extents follow the cell labels, so a sharpening atom holds in the
+    model iff it held along the run.  The designated trace is the first
+    cell of the universal column.  ``solve`` checks the model once, on its
+    own input formula.
     """
     states = list(lasso.stem) + list(lasso.cycle)
     space = states[0].space
@@ -136,17 +139,9 @@ def _lift_psl_model(result: psl.SatResult, f: Formula) -> tuple[SLTLModel, str]:
     return SLTLModel(traces, lam, 0, 1), "t0"
 
 
-def partition_formula(f: Formula, part: Partition) -> Formula:
-    """The formula the automaton explores for one partition."""
-    # Constant folding can shrink the closure dramatically (dead Until
-    # branches in particular); the folded formula is equivalent, so its
-    # witnesses are witnesses of the partition formula.
-    return simplify(apply_partition(f, part))
-
-
 def _cover_standpoints(model: SLTLModel, f: Formula) -> SLTLModel:
     """Extend the assignment to standpoints folding eliminated from the
-    partition formula; their extents no longer matter, so they cover
+    simplified formula; their extents no longer matter, so they cover
     everything."""
     missing = {
         sp for sp in vocab(f).standpoints if sp not in model.lam
@@ -159,12 +154,19 @@ def _cover_standpoints(model: SLTLModel, f: Formula) -> SLTLModel:
     return SLTLModel(model.traces, lam, model.prefix_len, model.period_len)
 
 
+def _witness_partition(model: SLTLModel, f: Formula) -> Partition:
+    """The truth of the input's sharpening atoms in the witness."""
+    atoms = vocab(f).sharpenings
+    plus = frozenset((a, b) for a, b in atoms if model.lam[a] <= model.lam[b])
+    return Partition(plus, atoms - plus)
+
+
 def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
     Propositional inputs are decided by the grid solver, temporal inputs
-    without standpoint-scoped temporal operators by the partition/automaton
-    pipeline (complete in both directions), and everything else by the
+    without standpoint-scoped temporal operators by one automaton run on
+    ``simplify(f)`` (complete in both directions), and everything else by the
     bounded search, which can say sat or unknown but never unsat.  Every
     sat verdict's witness is checked once on ``f``: here for the grid and
     automaton engines, inside ``bounded_search`` for the bounded search.
@@ -181,19 +183,18 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
             psl_model=result.model,
         )
     elif frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
-        budget = [opts.node_limit, opts.node_limit]  # shared by the partitions
-        for part in iter_partitions(vocab(f).sharpenings):
-            phi_d = partition_formula(f, part)
-            lasso = find_accepting_lasso(closure(phi_d), phi_d, opts.state_limit, budget)
-            if lasso is not None:
-                model, designated = witness_from_lasso(lasso)
-                model = _cover_standpoints(model, f)
-                break
-        else:
+        # Constant folding can shrink the closure dramatically (dead Until
+        # branches in particular); the folded formula is equivalent.
+        phi = simplify(f)
+        budget = [opts.node_limit, opts.node_limit]
+        lasso = find_accepting_lasso(closure(phi), phi, opts.state_limit, budget)
+        if lasso is None:
             return Verdict("unsat", frag, engine="automaton")
+        model, designated = witness_from_lasso(lasso)
+        model = _cover_standpoints(model, f)
         verdict = Verdict(
             "sat", frag, engine="automaton", model=model, designated=designated,
-            partition=part,
+            partition=_witness_partition(model, f),
         )
     else:
         # Full language: bounded search only, never an unsat claim.

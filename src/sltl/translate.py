@@ -2,8 +2,9 @@
 
 Embeddings between the product logic and SLTL, the guarded translation of
 standpoints into propositional variables, strict-until renaming, the
-partition compilation of sharpening atoms, and the binary-counter formula
-generators.  Everything here is pure and size-linear in its input.
+partitions of sharpening atoms that ``psl.sat`` guesses, and the
+binary-counter formula generators.  Everything here is pure and
+size-linear in its input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Iterable, Iterator
 
 from .syntax import (
     And,
-    BOTTOM,
     BoxS,
     DiamondS,
     Formula,
@@ -35,14 +35,14 @@ from .syntax import (
     neg,
     nodes,
     rebuild,
-    vocab,
 )
 from .semantics import check_product_formula
 
 
 @dataclass(frozen=True)
 class Partition:
-    """A guessed truth assignment to the sharpening atoms of a formula."""
+    """A truth assignment to the sharpening atoms of a formula: guessed by
+    ``psl.sat``, read off the witness of an automaton verdict."""
 
     i_plus: frozenset[tuple[Standpoint, Standpoint]]
     i_minus: frozenset[tuple[Standpoint, Standpoint]]
@@ -59,41 +59,6 @@ def iter_partitions(
         minus = frozenset(ordered[i] for i in range(k) if mask >> i & 1)
         plus = frozenset(ordered) - minus
         yield Partition(plus, minus)
-
-
-def sharpening_witnesses(
-    pairs: Iterable[tuple[Standpoint, Standpoint]]
-) -> dict[tuple[Standpoint, Standpoint], str]:
-    """Fresh witness variable per falsified sharpening atom.
-
-    Underscores in standpoint names can make two pairs collide on the plain
-    scheme; a numeric suffix keeps the names distinct and deterministic.
-    """
-    names: dict[tuple[Standpoint, Standpoint], str] = {}
-    used: set[str] = set()
-    for a, b in pairs:
-        base = f"$sh_{a.name}_{b.name}"
-        name, k = base, 2
-        while name in used:
-            name = f"{base}_{k}"
-            k += 1
-        used.add(name)
-        names[(a, b)] = name
-    return names
-
-
-def substitute_sharpenings(
-    f: Formula, mapping: dict[tuple[Standpoint, Standpoint], Formula]
-) -> Formula:
-    """Replace every occurrence of the mapped sharpening atoms, purely
-    syntactically (negations are rebuilt so constants fold)."""
-
-    def step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
-        if isinstance(g, Sharper):
-            return mapping.get((g.left, g.right), g)
-        return rebuild(g, kids)
-
-    return fold(f, step)
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +188,6 @@ def until_to_strict(f: Formula) -> Formula:
     if not defs:
         return f
     return conj([top] + defs)
-
-
-# ---------------------------------------------------------------------------
-# Partition compilation
-
-def partition_parts(f: Formula, part: Partition) -> tuple[list[Formula], Formula]:
-    """The constraints that enforce a partition of the sharpening atoms, and
-    ``f`` with those atoms replaced by their guessed truth values.
-
-    A true atom is its own constraint; a false one gets a fresh witness
-    variable conceivable for the finer standpoint but not the coarser one.
-    """
-    plus = sorted(part.i_plus, key=lambda p: (p[0].name, p[1].name))
-    minus = sorted(part.i_minus, key=lambda p: (p[0].name, p[1].name))
-    mapping: dict[tuple[Standpoint, Standpoint], Formula] = {p: TOP for p in plus}
-    mapping.update({p: BOTTOM for p in minus})
-    witnesses = sharpening_witnesses(minus)
-    constraints: list[Formula] = [Sharper(a, b) for (a, b) in plus]
-    for (a, b) in minus:
-        w = Prop(witnesses[(a, b)])
-        constraints.append(And(DiamondS(a, w), neg(DiamondS(b, w))))
-    return constraints, substitute_sharpenings(f, mapping)
-
-
-def apply_partition(f: Formula, part: Partition) -> Formula:
-    """Substitute the partitioned sharpening atoms and conjoin, always, the
-    constraints that enforce the guess (see ``partition_parts``)."""
-    atoms = vocab(f).sharpenings
-    if part.i_plus | part.i_minus != atoms or part.i_plus & part.i_minus:
-        raise ValueError("partition does not cover the sharpening atoms of the formula")
-    constraints, body = partition_parts(f, part)
-    return And(body, always(conj(constraints)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from sltl.syntax import (
 
 S = Standpoint("s")
 T = Standpoint("t")
+U = Standpoint("u")
 
 
 # ---------------------------------------------------------------------------

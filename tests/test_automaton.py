@@ -18,7 +18,7 @@ from sltl.automaton import (
 )
 from sltl import psl
 from sltl.semantics import SearchBounds, SearchLimitError, bounded_search
-from sltl.solver import check_witness, partition_formula, solve
+from sltl.solver import check_witness, solve
 from sltl.syntax import (
     BOTTOM,
     And,
@@ -39,16 +39,14 @@ from sltl.syntax import (
     Fragment,
     closure,
     conj,
+    fold,
     parse,
+    rebuild,
+    simplify,
     to_text,
     vocab,
 )
-from sltl.translate import (
-    apply_partition,
-    counter_formula,
-    iter_partitions,
-    substitute_sharpenings,
-)
+from sltl.translate import counter_formula
 
 
 def lasso_run_states(lasso: Lasso, horizon: int):
@@ -213,11 +211,13 @@ def _abstractly_consistent(members) -> bool:
 
 def _brute_force_states(space, constraints):
     """Masks of the s-elementary sets meeting the constraints: every base
-    assignment in closure-index order, false before true, with the other
-    members derived from their consistency equations."""
+    assignment in closure-index order, sharpening atoms true before false
+    and the other base members false before true, with the other members
+    derived from their consistency equations."""
     cl = space.closure
     masks = []
-    for values in itertools.product((False, True), repeat=len(space.base)):
+    choices = [(True, False) if isinstance(g, Sharper) else (False, True) for g in space.base]
+    for values in itertools.product(*choices):
         truth = dict(zip(space.base, values))
         for g in cl.formulas:  # operands precede the members built on them
             if g in truth:
@@ -281,6 +281,8 @@ def test_agreement_with_bounded_search_on_corpus():
 
 
 def test_partitioned_inputs_reach_the_automaton():
+    # inputs with sharpening atoms reach the automaton unpartitioned: it
+    # carries the atoms as rigid state bits, both values in one search
     rng = random.Random(103)
     done = 0
     while done < 15:
@@ -288,16 +290,12 @@ def test_partitioned_inputs_reach_the_automaton():
         if not vocab(f).sharpenings:
             continue
         done += 1
-        sat_somewhere = False
-        for part in iter_partitions(vocab(f).sharpenings):
-            phi_d = apply_partition(f, part)
-            assert classify(phi_d) in (Fragment.LTL_PSL, Fragment.PURE_LTL, Fragment.PSL)
-            if find_accepting_lasso(closure(phi_d), phi_d) is not None:
-                sat_somewhere = True
-                break
+        phi = simplify(f)
+        assert classify(phi) in (Fragment.LTL_PSL, Fragment.PURE_LTL, Fragment.PSL)
+        lasso = find_accepting_lasso(closure(phi), phi)
         bounds = SearchBounds.for_formula(f, 2, 1, 2)
         if bounded_search(f, bounds) is not None:
-            assert sat_somewhere, to_text(f)
+            assert lasso is not None, to_text(f)
 
 
 def _reference_has_accepting_run(cl, phi_d) -> bool:
@@ -393,6 +391,13 @@ def _true_atom_closure(cl, mask):
     return psl.sharpening_closure(held, set(vocab(cl.seed).standpoints) | {UNIVERSAL})
 
 
+def _substitute(f, truth):
+    """``f`` with its sharpening atoms replaced by their truth values."""
+    return fold(
+        f, lambda g, kids: truth[(g.left, g.right)] if isinstance(g, Sharper) else rebuild(g, kids)
+    )
+
+
 def _one_shot_grid_model(space, mask, width):
     """A state's grid model as each state once got it alone: its literals
     with every sharpening atom of the closure replaced by its truth on the
@@ -404,7 +409,7 @@ def _one_shot_grid_model(space, mask, width):
     truth = {pair: TOP if rel.entails(pair) else BOTTOM for pair in pairs}
     literal = (Prop, Sharper, DiamondS, BoxS)
     members = [
-        substitute_sharpenings(g, truth)
+        _substitute(g, truth)
         for i, g in enumerate(cl.formulas)
         if mask >> i & 1
         and (isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal))
@@ -417,13 +422,12 @@ def _one_shot_grid_model(space, mask, width):
 def test_shared_grid_matches_one_shot_grids():
     rng = random.Random(211)
     done = states = negated = 0
-    while done < 200:
+    while done < 300:
         mode = ("ltl", "ltl_psl")[done % 2]
         f = random_formula(rng, 3, mode=mode, max_sharpenings=2)
         if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
             continue
-        part = rng.choice(list(iter_partitions(vocab(f).sharpenings)))
-        phi_d = partition_formula(f, part)
+        phi_d = simplify(f)
         space = StateSpace(closure(phi_d))
         if len(space.base) > 10:
             continue
@@ -453,12 +457,14 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(psl, "_IntervalEngine", counting)
-    # a partition formula keeps its sharpening atoms true along every run;
-    # the raw formula's first initial states, with the atom false, have no
-    # successors, so the search goes on to initial states with it true
-    f = parse("((@s <= @t) | X p) & G !p & G F <@s> q")
-    part = next(p for p in iter_partitions(vocab(f).sharpenings) if p.i_plus)
-    for phi_d, families in ((partition_formula(f, part), 1), (f, 2)):
+    # sharpening atoms are tried true first: the first formula's initial
+    # states with the atom true reach an accepting cycle; the second's have
+    # no successors, so the search goes on to initial states with it false
+    for text, families in (
+        ("((@s <= @t) | X p) & G !p & G F <@s> q", 1),
+        ("(!(@s <= @t) | X p) & G !p & G F <@s> q", 2),
+    ):
+        phi_d = parse(text)
         compiles.clear()
         cl = closure(phi_d)
         space = find_accepting_lasso(cl, phi_d).cycle[0].space

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,8 +12,7 @@ from sltl.automaton import dump_state_graph
 from sltl.cli import main
 from sltl.syntax import closure, parse, simplify, vocab
 from sltl.semantics import model_from_json
-from sltl.solver import partition_formula, solve
-from sltl.translate import apply_partition, iter_partitions
+from sltl.solver import check_witness
 
 
 def run(capsys, *argv):
@@ -174,34 +174,49 @@ def test_dump_states_writes_graph(tmp_path, capsys):
 
 
 def test_dump_states_is_the_searched_graph(tmp_path, capsys):
-    # folding drops the dead Until branch; the dump shows the folded graph
+    # the dump shows the graph of the folded input: the atom is a rigid
+    # state bit, so the Until over its negation stays in the closure
     text = "(@s <= @t) & (!(@s <= @t) U X p) & F q"
     dump = tmp_path / "graph.txt"
     code, _, _ = run(capsys, "solve", "--dump-states", str(dump), text)
     assert code == 0
-    f = parse(text)
-    phi_d = simplify(apply_partition(f, next(iter_partitions(vocab(f).sharpenings))))
+    phi_d = simplify(parse(text))
     searched = io.StringIO()
     dump_state_graph(closure(phi_d), phi_d, searched)
     lines = dump.read_text().splitlines()
     assert lines == searched.getvalue().splitlines()
-    assert sum(ln.startswith("state ") for ln in lines) == 16
-    assert sum(ln.startswith("edge ") for ln in lines) == 64
+    assert sum(ln.startswith("state ") for ln in lines) == 32
+    assert sum(ln.startswith("edge ") for ln in lines) == 128
 
 
 def test_dump_states_follows_the_sat_partition(tmp_path, capsys):
-    # the first partition asserts @s <= @t, which contradicts the input; the
-    # dump is the graph of the partition the sat verdict came from
+    # the atom is false in the witness; the dump is the one graph the
+    # automaton searched, whose runs all keep the atom false
     text = "!(@s <= @t) & X (p U q)"
     dump = tmp_path / "graph.txt"
-    code, _, _ = run(capsys, "solve", "--dump-states", str(dump), text)
+    code, out, _ = run(capsys, "solve", "--json", "--dump-states", str(dump), text)
     assert code == 0
-    f = parse(text)
-    phi_d = partition_formula(f, solve(f).partition)
+    assert json.loads(out)["partition"] == {"i_plus": [], "i_minus": [["@s", "@t"]]}
+    phi_d = simplify(parse(text))
     searched = io.StringIO()
     dump_state_graph(closure(phi_d), phi_d, searched)
-    assert searched.getvalue()
-    assert dump.read_text() == searched.getvalue()
+    lines = dump.read_text().splitlines()
+    assert lines == searched.getvalue().splitlines()
+    assert sum(ln.startswith("state ") for ln in lines) == 8
+    assert sum(ln.startswith("edge ") for ln in lines) == 32
+
+
+def test_solve_answers_a_three_atom_input_within_seconds(capsys):
+    # one automaton over the atoms' state bits; one automaton per guessed
+    # partition spent the default node budget here, in minutes, and exited 69
+    text = "!@t <= @u & (X [@s] p & X (true U p)) & [@u] <@u> (q & @u <= @s)"
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "solve", "--json", text)
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    model, designated = model_from_json(witness)
+    assert check_witness(parse(text), model, designated)
 
 
 def test_import_leaves_the_thread_pool_unloaded():

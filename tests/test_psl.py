@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import S, T, psl_brute_sat, random_formula
+from conftest import S, T, U, psl_brute_sat, random_formula
 
 from sltl import psl
 from sltl.psl import (
@@ -11,7 +11,6 @@ from sltl.psl import (
     SFamily,
     SatResult,
     TemporalOperatorError,
-    UNREPRESENTABLE,
     family_for,
     grid_model_for,
     psl_model_to_json,
@@ -96,9 +95,7 @@ def test_evaluate_sharpening_is_family_inclusion():
 # Normal form
 
 def test_split_separates_atoms_and_body():
-    res = split_for_grid(parse("@s <= @t & <@s> p"))
-    assert res is not UNREPRESENTABLE
-    atoms, body = res
+    atoms, body = split_for_grid(parse("@s <= @t & <@s> p"))
     assert Sharper(S, T) in atoms
     assert Sharper(UNIVERSAL, UNIVERSAL) in atoms
     assert body == DiamondS(S, Prop("p"))
@@ -110,9 +107,17 @@ def test_split_pushes_negations_into_the_body():
     assert body == DiamondS(S, Or(Not(Prop("p")), Not(Prop("q"))))
 
 
-def test_split_rejects_negated_sharpening():
-    assert split_for_grid(parse("!(@s <= @t)")) is UNREPRESENTABLE
-    assert split_for_grid(parse("<@s> (@s <= @t)")) is UNREPRESENTABLE
+def test_split_keeps_nested_sharpening_atoms_in_the_body():
+    atoms, body = split_for_grid(parse("!(@s <= @t)"))
+    assert atoms == [Sharper(UNIVERSAL, UNIVERSAL)]
+    assert body == Not(Sharper(S, T))
+    assert sat_normal_form(atoms, body).is_sat
+    # a nested atom holds on the grid iff the top-level atoms entail it
+    atoms, body = split_for_grid(parse("<@s> (@s <= @t)"))
+    assert body == DiamondS(S, Sharper(S, T))
+    assert not sat_normal_form(atoms, body).is_sat
+    atoms, body = split_for_grid(parse("@s <= @t & <@s> (@s <= @t)"))
+    assert sat_normal_form(atoms, body).is_sat
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +160,7 @@ def test_grid_model_shape_conditions():
     checked = 0
     while checked < 60:
         f = random_formula(rng, 3, mode="psl")
-        norm = split_for_grid(f)
-        if norm is UNREPRESENTABLE:
-            continue
-        atoms, body = norm
+        atoms, body = split_for_grid(f)
         res = sat_normal_form(atoms, body)
         if not res.is_sat:
             continue
@@ -184,10 +186,7 @@ def test_sat_monotone_in_width():
     done = 0
     while done < 40:
         f = random_formula(rng, 3, mode="psl")
-        norm = split_for_grid(f)
-        if norm is UNREPRESENTABLE:
-            continue
-        atoms, body = norm
+        atoms, body = split_for_grid(f)
         res = sat_normal_form(atoms, body)
         if not res.is_sat:
             continue
@@ -226,6 +225,53 @@ def test_sat_agrees_with_brute_force_on_corpus():
             continue
         done += 1
         assert sat(f).is_sat == psl_brute_sat(f), to_text(f)
+
+
+def test_sat_with_three_atoms_agrees_with_brute_force():
+    rng = random.Random(59)
+    done = sat_seen = 0
+    while done < 60:
+        f = random_formula(rng, 4, props=("p",), sps=(S, T, U), mode="psl", max_sharpenings=3)
+        if len(vocab(f).sharpenings) != 3 or size(f) > 16:
+            continue
+        done += 1
+        res = sat(f)
+        assert res.is_sat == psl_brute_sat(f), to_text(f)
+        if res.is_sat:
+            sat_seen += 1
+            model, designated = _lift_psl_model(res, f)
+            assert evaluate(model, designated, 0, f), to_text(f)
+            # false atoms are columns of the grid, not fresh propositions
+            assert all(v <= {"p"} for v in res.model.valuation.values())
+    assert 0 < sat_seen < done
+
+
+def test_sat_skips_partitions_whose_true_atoms_entail_a_false_one(monkeypatch):
+    families = []
+    real = psl.sat_normal_form
+
+    def recording(atoms, body, **kwargs):
+        families.append(family_for(sharpening_closure([(a.left, a.right) for a in atoms], [S, T, U])))
+        return real(atoms, body, **kwargs)
+
+    monkeypatch.setattr(psl, "sat_normal_form", recording)
+    # unsat, so every partition is walked; s <= t and t <= u entail s <= u
+    f = parse("p & !p & (@s <= @t | @t <= @u | @s <= @u)")
+    assert not sat(f).is_sat
+    assert len(families) == 7 and len(set(families)) == 7
+
+
+def test_root_failures_spend_no_grid_nodes():
+    # the conjunction rules out every designated valuation but the last at
+    # the root, which one sweep shows before the search spends a node
+    props = [f"p{i}" for i in range(1, 11)]
+    conjuncts = [Prop(p) for p in props]
+    family = family_for(sharpening_closure([], {UNIVERSAL}))
+    grid = CompiledGrid(family, props, conjuncts, [10**6, 10**6])
+    budget = [1, 1]
+    model = grid_model_for(grid, conjuncts, 1, budget)
+    assert model.valuation == {(0, 1): frozenset(props)}
+    assert budget[0] == 0
 
 
 def ring(k: int) -> str:
@@ -306,10 +352,7 @@ def test_grid_search_returns_the_first_valid_assignment():
                 g = Or(g, rng.choice([DiamondS, BoxS])(rng.choice([S, UNIVERSAL]), literal()))
             wrap = rng.choice([None, DiamondS, BoxS])
             parts.append(wrap(rng.choice([S, UNIVERSAL]), g) if wrap else g)
-        norm = split_for_grid(conj(parts))
-        if norm is UNREPRESENTABLE:
-            continue
-        atoms, body = norm
+        atoms, body = split_for_grid(conj(parts))
         universe = vocab(conj(list(atoms) + [body])).standpoints
         family = family_for(sharpening_closure([(a.left, a.right) for a in atoms], universe))
         props = tuple(sorted(vocab(body).props))
@@ -334,7 +377,7 @@ def test_conjuncts_of_a_deep_chain():
         chain = And(chain, Prop(f"p{i}"))
     parts = psl._conjuncts(chain)
     assert parts == [Prop(f"p{i}") for i in range(5_000)]
-    assert psl._count_diamonds(chain) == 0 and not psl._mentions_sharper(chain)
+    assert psl._count_diamonds(chain) == 0
 
 
 def test_consistency_rejects_temporal_members():

@@ -344,6 +344,23 @@ def _assert_sound(f, lo, hi, model, cells):
             assert not evaluate(model, tid, k, f), (f, tid, k)
 
 
+def test_interval_engine_knows_extents_are_never_empty():
+    # on the grid a sharpening atom is a constant; with nothing present yet
+    # a box over a false one is already false and a diamond over a true one
+    # already true, as every completion gives each extent a present type
+    extents = {UNIVERSAL: (0, 1, 2), S: (1, 2), T: (2,)}
+    formulas = [parse("[@s] (@s <= @t)"), parse("<@s> !(@s <= @t)"), parse("[@t] (@t <= @s)")]
+    engine = _IntervalEngine(formulas, 3, 0, 1, extents, LEAVES)
+    lo, hi = engine.sweep([0, 0], [0, 0], 0, 0b111)
+    box, dia, true_box = (engine.slot[f] for f in formulas)
+    assert (lo[box], hi[box]) == (0, 0)
+    assert (lo[dia], hi[dia]) == (0b111, 0b111)
+    assert (lo[true_box], hi[true_box]) == (0b111, 0b111)
+    # once a type is ruled out, the rest of the extent still decides
+    lo, hi = engine.sweep([0, 0], [0, 0], 0, 0b011)
+    assert hi[box] == 0 and lo[dia] == 0b111
+
+
 def test_interval_engine_sound_on_grid_types_with_partial_presence():
     # the grid search's use: one-position traces are (column, valuation)
     # types with constant valuations, and presence is partly decided

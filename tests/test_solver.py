@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_formula
+from conftest import S, T, U, random_formula
 
 import sltl.solver as solver_mod
 from sltl import psl, semantics
@@ -11,17 +11,21 @@ from sltl.semantics import SearchBounds, bounded_search, evaluate, model_to_json
 from sltl.automaton import find_accepting_lasso
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
+    And,
     DiamondS,
     Prop,
+    Sharper,
     UNIVERSAL,
     classify,
     Fragment,
     closure,
+    neg,
     parse,
     simplify,
+    to_text,
     vocab,
 )
-from sltl.translate import apply_partition, iter_partitions, recurring_counter_formula
+from sltl.translate import counter_formula, recurring_counter_formula
 
 
 def expected_grid_parameters(phi_d):
@@ -105,8 +109,7 @@ def test_automaton_witness_has_grid_many_traces():
     f = parse("G [@*] p & F q")
     v = solve(f)
     assert v.status == "sat" and v.engine == "automaton"
-    phi_d = simplify(apply_partition(f, next(iter_partitions(vocab(f).sharpenings))))
-    fam_size, n = expected_grid_parameters(phi_d)
+    fam_size, n = expected_grid_parameters(simplify(f))
     assert len(v.model.traces) == fam_size * n
     # universal box: every trace carries p everywhere
     for tr in v.model.traces.values():
@@ -118,42 +121,118 @@ def test_automaton_witness_has_grid_many_traces():
 def test_degenerate_grid_without_standpoints_still_has_parallel_traces():
     f = parse("G F p")
     v = solve(f)
-    phi_d = simplify(apply_partition(f, next(iter_partitions(frozenset()))))
-    fam_size, n = expected_grid_parameters(phi_d)
+    fam_size, n = expected_grid_parameters(simplify(f))
     assert fam_size == 1
     assert len(v.model.traces) == n
     assert check_witness(f, v.model, v.designated)
 
 
+def _spy_on_the_automaton(monkeypatch):
+    """Record the formulas ``solve`` runs the automaton on, and the true
+    sharpening atoms of every grid its states are searched on."""
+    runs, held = [], []
+    real_run, real_grid = solver_mod.find_accepting_lasso, psl.grid_model_for
+
+    def run(cl, phi, *args):
+        runs.append(phi)
+        return real_run(cl, phi, *args)
+
+    def grid(g, conjuncts, n, budget):
+        # an atom holds on a family iff every label set with its left
+        # standpoint has its right one
+        held.append(frozenset(
+            (a, b) for a, b in [(S, T), (T, S)]
+            if all(a not in labels or b in labels for labels in g.family.sets)
+        ))
+        return real_grid(g, conjuncts, n, budget)
+
+    monkeypatch.setattr(solver_mod, "find_accepting_lasso", run)
+    monkeypatch.setattr(psl, "grid_model_for", grid)
+    return runs, held
+
+
 def test_partition_exhaustiveness_before_unsat(monkeypatch):
-    calls = []
-    real = solver_mod.apply_partition
-
-    def spy(f, part):
-        calls.append(part)
-        return real(f, part)
-
-    monkeypatch.setattr(solver_mod, "apply_partition", spy)
-    f = parse("(@s <= @t) & !(@s <= @t) & X p")
-    v = solve(f)
-    assert v.status == "unsat"
-    assert len(calls) == 2  # both partitions of the single atom
+    # one automaton run decides both values of every atom before unsat
+    runs, held = _spy_on_the_automaton(monkeypatch)
+    f = parse("((@s <= @t) | (@t <= @s)) & G(<@s> q & [@t] !q & <@t> r & [@s] !r) & X p")
+    assert solve(f).status == "unsat"
+    assert runs == [simplify(f)]
+    assert {frozenset({(S, T)}), frozenset({(T, S)})} <= set(held)
 
 
 def test_partition_short_circuits_on_first_success(monkeypatch):
-    calls = []
-    real = solver_mod.apply_partition
+    # atoms are tried true first, and the search stops at the first
+    # accepting run: no state with the atom false is searched
+    runs, held = _spy_on_the_automaton(monkeypatch)
+    for text in ("(@s <= @t) & X p", "((@s <= @t) | X p) & G F <@s> q"):
+        runs.clear()
+        held.clear()
+        f = parse(text)
+        v = solve(f)
+        assert v.status == "sat"
+        assert runs == [simplify(f)]
+        assert held and set(held) == {frozenset({(S, T)})}
+        assert v.partition.i_minus == frozenset()
 
-    def spy(f, part):
-        calls.append(part)
-        return real(f, part)
 
-    monkeypatch.setattr(solver_mod, "apply_partition", spy)
-    f = parse("(@s <= @t) & X p")
-    v = solve(f)
-    assert v.status == "sat"
-    assert len(calls) == 1
-    assert v.partition.i_minus == frozenset()
+def test_verdict_partition_is_the_witness_atom_truth():
+    rng = random.Random(139)
+    seen = set()
+    for _ in range(60):
+        # a conjoined negated atom makes some atoms false in the witness
+        a, b = rng.sample([S, T, U], 2)
+        g = random_formula(rng, 4, sps=(S, T, U), mode="ltl_psl", max_sharpenings=2)
+        f = And(g, neg(Sharper(a, b)))
+        v = solve(f)
+        if v.engine != "automaton" or v.status != "sat":
+            continue
+        atoms = vocab(f).sharpenings
+        lam = v.model.lam
+        assert v.partition.i_plus | v.partition.i_minus == atoms
+        assert not v.partition.i_plus & v.partition.i_minus
+        for a, b in atoms:
+            holds = evaluate(v.model, v.designated, 0, Sharper(a, b))
+            assert ((a, b) in v.partition.i_plus) == holds == (lam[a] <= lam[b]), to_text(f)
+            seen.add(holds)
+    assert seen == {True, False}
+
+
+def test_multi_atom_inputs_agree_with_bounded_search():
+    rng = random.Random(151)
+    done = sat_seen = 0
+    while done < 60:
+        f = random_formula(rng, 4, sps=(S, T, U), mode="ltl_psl", max_sharpenings=3)
+        if not 2 <= len(vocab(f).sharpenings) <= 3:
+            continue
+        if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+            continue
+        done += 1
+        v = solve(f)  # a sat verdict's witness is checked inside
+        assert v.status in ("sat", "unsat")
+        if bounded_search(f, SearchBounds.for_formula(f, 2, 1, 2)) is not None:
+            sat_seen += 1
+            assert v.status == "sat", to_text(f)
+    assert sat_seen > 20
+
+
+def test_node_limit_is_not_spent_on_root_failures():
+    # the counter's states each force one valuation of four bits; tried in
+    # turn, the valuations before it took 136 nodes in all, and 16 is the
+    # least budget its 16-type grid is compiled under
+    f = counter_formula(4)
+    v = solve(f, SolveOptions(node_limit=16))
+    assert v.status == "sat" and check_witness(f, v.model, v.designated)
+
+
+def test_modalities_over_false_atoms_fail_at_the_root():
+    # the atoms fold to constants on each state's grid, and a box over a
+    # false one has no model; without knowing that extents are never empty,
+    # the grid searches took over two million nodes on this input
+    f = parse(
+        "X (!(q | p) & q & (X q | (@s <= @t | q)) U <@u> p U @u <= @s U p"
+        " & <@u> [@*] [@s] [@u] @s <= @t)"
+    )
+    assert solve(f, SolveOptions(node_limit=1_000)).status == "unsat"
 
 
 def test_solve_is_deterministic():
@@ -173,8 +252,7 @@ def test_width_escalation_when_negated_boxes_force_cells_apart():
     v = solve(f)
     assert v.status == "sat"
     assert check_witness(f, v.model, v.designated)
-    phi_d = simplify(apply_partition(f, next(iter_partitions(frozenset()))))
-    fam_size, n = expected_grid_parameters(phi_d)
+    fam_size, n = expected_grid_parameters(simplify(f))
     # the default width would give fam_size * n traces; escalation widened it
     assert len(v.model.traces) > fam_size * n
 

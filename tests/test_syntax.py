@@ -4,7 +4,7 @@ import pytest
 
 from conftest import S, T, random_formula, iter_models
 
-from sltl.psl import _count_diamonds, _mentions_sharper
+from sltl.psl import _count_diamonds
 from sltl.semantics import _trace_independent, check_product_formula, evaluate
 from sltl.syntax import (
     And,
@@ -46,7 +46,6 @@ from sltl.syntax import (
 from sltl.translate import (
     _occurring_standpoints,
     recurring_counter_formula,
-    substitute_sharpenings,
     translate_standpoints_away,
     until_to_strict,
 )
@@ -370,8 +369,6 @@ def test_syntax_walks_on_deep_formulas():
 def test_translate_walks_on_deep_formulas():
     deep, wide = _deep_chain(), _wide_chain()
     assert _occurring_standpoints(deep) == [S, T] and _occurring_standpoints(wide) == []
-    g = substitute_sharpenings(deep, {(S, T): TOP})
-    assert size(g) == size(deep) and vocab(g).sharpenings == frozenset()
     g = translate_standpoints_away(deep)
     assert modal_standpoints(g) == {UNIVERSAL} and {"@s", "@t"} <= vocab(g).props
     h = until_to_strict(g)
@@ -387,5 +384,4 @@ def test_semantics_and_psl_walks_on_deep_formulas():
         check_product_formula(deep)
     check_product_formula(wide)
     assert _trace_independent(deep) and not _trace_independent(wide)
-    assert _mentions_sharper(deep) and not _mentions_sharper(wide)
     assert _count_diamonds(deep) == 1 and _count_diamonds(wide) == 0

@@ -36,15 +36,12 @@ from sltl.syntax import (
     vocab,
 )
 from sltl.translate import (
-    Partition,
-    apply_partition,
     counter_formula,
     iter_partitions,
     product_to_sltl,
     psl_to_s5,
     recurring_counter_formula,
     rigidity_guard,
-    sharpening_witnesses,
     sltl_to_product,
     translate_standpoints_away,
     until_to_strict,
@@ -184,7 +181,7 @@ def test_until_renaming_preserves_bounded_satisfiability():
 
 
 # ---------------------------------------------------------------------------
-# Partition compilation
+# Partitions of sharpening atoms
 
 def test_iter_partitions_orders_by_falsified_count():
     pairs = [(S, T), (T, S)]
@@ -193,63 +190,6 @@ def test_iter_partitions_orders_by_falsified_count():
     assert parts[0].i_minus == frozenset()
     sizes = [len(p.i_minus) for p in parts]
     assert sizes == sorted(sizes)
-
-
-def test_sharpening_witness_names_disambiguate():
-    a_b = (Standpoint("a_b"), Standpoint("c"))
-    a = (Standpoint("a"), Standpoint("b_c"))
-    names = sharpening_witnesses([a_b, a])
-    assert len(set(names.values())) == 2
-    assert all(n.startswith("$sh_") for n in names.values())
-
-
-def test_apply_partition_with_no_atoms():
-    f = parse("p U q")
-    out = apply_partition(f, Partition(frozenset(), frozenset()))
-    assert out == And(f, always(TOP))
-
-
-def test_apply_partition_true_atom():
-    f = And(Sharper(S, T), Prop("p"))
-    out = apply_partition(f, Partition(frozenset({(S, T)}), frozenset()))
-    assert out == And(And(TOP, Prop("p")), always(Sharper(S, T)))
-
-
-def test_apply_partition_false_atom_demands_a_witness():
-    f = And(Sharper(S, T), Prop("p"))
-    out = apply_partition(f, Partition(frozenset(), frozenset({(S, T)})))
-    text = to_text(out)
-    assert "false & p" in text
-    assert "$sh_s_t" in text
-    assert classify(out) is Fragment.LTL_PSL
-
-
-def test_apply_partition_validates_coverage():
-    f = And(Sharper(S, T), Prop("p"))
-    with pytest.raises(ValueError):
-        apply_partition(f, Partition(frozenset(), frozenset()))
-    with pytest.raises(ValueError):
-        apply_partition(
-            f, Partition(frozenset({(S, T)}), frozenset({(S, T)}))
-        )
-
-
-def test_apply_partition_preserves_satisfiability_over_some_branch():
-    rng = random.Random(71)
-    done = 0
-    while done < 25:
-        f = random_formula(rng, 3, mode="ltl_psl", max_sharpenings=1)
-        bounds = SearchBounds.for_formula(f, 2, 1, 2)
-        if bounded_search(f, bounds) is None:
-            continue
-        done += 1
-        hit = False
-        for part in iter_partitions(vocab(f).sharpenings):
-            phi_d = apply_partition(f, part)
-            if bounded_search(phi_d, SearchBounds.for_formula(phi_d, 3, 1, 2)) is not None:
-                hit = True
-                break
-        assert hit, to_text(f)
 
 
 # ---------------------------------------------------------------------------
