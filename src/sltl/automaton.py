@@ -107,10 +107,12 @@ class StateSpace:
     mention no other standpoint and demand at most one witness per diamond
     member) or, when that has no model, ``n_safe``, which also counts the
     box members because negated boxes surface as diamonds in normal form.
-    A model at width ``n`` pads to one at ``n_safe``.  Grid models are
-    memoised per set of literals and width; ``grid_solves`` counts the
-    searches run, which share ``budget`` (see ``psl.grid_model_for``), by
-    default DEFAULT_NODE_LIMIT nodes.
+    A model at width ``n`` pads to one at ``n_safe``.  A search reads its
+    width only up to the ``2^props`` valuations a column can carry, so when
+    ``n`` already reaches them ``n_safe`` is ``n`` and a failed state is not
+    searched again.  Grid models are memoised per set of literals and
+    width; ``grid_solves`` counts the searches run, which share ``budget``
+    (see ``psl.grid_model_for``), by default DEFAULT_NODE_LIMIT nodes.
     """
 
     def __init__(
@@ -130,7 +132,11 @@ class StateSpace:
         n_dia = sum(1 for g in cl.formulas if isinstance(g, DiamondS))
         n_box = sum(1 for g in cl.formulas if isinstance(g, BoxS))
         self.n = len(self.universe) + n_dia + 1
-        self.n_safe = self.n + n_box
+        # a search reads its width only through min(width, 2^props), so a
+        # wider one under the same cap would fail as the first one did
+        v_count = 1 << len(vocab(cl.seed).props)
+        wider = min(self.n + n_box, v_count) > min(self.n, v_count)
+        self.n_safe = self.n + n_box if wider else self.n
         literal = (Prop, Sharper, DiamondS, BoxS)
         self._literals = {
             i: to_nnf(g)

@@ -8,8 +8,10 @@ package.
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
 and ``fold`` computes bottom-up, with ``rebuild`` as the homomorphic step
-that a rewrite calls for every connective it leaves alone.  The parser, the
-printer and negation normal form still recurse.
+that a rewrite calls for every connective it leaves alone.  The parser
+loops over two stacks, so no input is too deep for it either; it and the
+printer read one operator table.  The printer and negation normal form
+still recurse.
 """
 
 from __future__ import annotations
@@ -309,13 +311,43 @@ def subformulas(f: Formula) -> list[Formula]:
 
 
 # ---------------------------------------------------------------------------
+# Operator table, read by the printer and the parser
+
+# Binary operators by token: precedence (higher binds tighter), whether they
+# group to the right, and the constructor.  ``->`` and ``<->`` are sugar
+# that is never printed.
+_BINARY: dict[str, tuple[int, bool, Callable[[Formula, Formula], Formula]]] = {
+    "<->": (1, True, iff),
+    "->": (2, True, implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+    "U": (5, True, Until),
+}
+_PREC_UNARY = 6  # every prefix operator binds tighter than any binary one
+
+# Prefix operators by token kind, built from the token's value (the
+# standpoint of a modality) and the operand.
+_PREFIX: dict[str, Callable[[str, Formula], Formula]] = {
+    "!": lambda _, f: neg(f),
+    "X": lambda _, f: Next(f),
+    "F": lambda _, f: eventually(f),
+    "G": lambda _, f: always(f),
+    "dia": lambda sp, f: DiamondS(Standpoint(sp), f),
+    "box": lambda sp, f: BoxS(Standpoint(sp), f),
+}
+
+
+# ---------------------------------------------------------------------------
 # Canonical printer
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNTIL = 3
-_PREC_UNARY = 4
-_PREC_ATOM = 5
+# Each printed binary node: its separator, the contexts of its left and
+# right operands (the side an operator groups to takes an operand of its
+# own precedence, the other side needs a tighter one) and its precedence.
+_PRINT_BINARY = {
+    cls: (f" {tok} ", prec + right, prec + (not right), prec)
+    for cls, tok in ((Or, "|"), (And, "&"), (Until, "U"))
+    for prec, right, _ in [_BINARY[tok]]
+}
 
 
 def to_text(f: Formula) -> str:
@@ -340,15 +372,9 @@ def _print(f: Formula, ctx: int) -> str:
         return _wrap(f"<{f.standpoint}> " + _print(f.operand, _PREC_UNARY), _PREC_UNARY, ctx)
     if isinstance(f, BoxS):
         return _wrap(f"[{f.standpoint}] " + _print(f.operand, _PREC_UNARY), _PREC_UNARY, ctx)
-    if isinstance(f, Until):
-        s = _print(f.left, _PREC_UNARY) + " U " + _print(f.right, _PREC_UNTIL)
-        return _wrap(s, _PREC_UNTIL, ctx)
-    if isinstance(f, And):
-        s = _print(f.left, _PREC_AND) + " & " + _print(f.right, _PREC_AND + 1)
-        return _wrap(s, _PREC_AND, ctx)
-    if isinstance(f, Or):
-        s = _print(f.left, _PREC_OR) + " | " + _print(f.right, _PREC_OR + 1)
-        return _wrap(s, _PREC_OR, ctx)
+    if type(f) in _PRINT_BINARY:
+        sep, left, right, prec = _PRINT_BINARY[type(f)]
+        return _wrap(_print(f.left, left) + sep + _print(f.right, right), prec, ctx)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -359,255 +385,75 @@ def _wrap(s: str, prec: int, ctx: int) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-_SINGLE = {"(": "LPAR", ")": "RPAR", "&": "AND", "|": "OR", "!": "NOT"}
-_KEYWORDS = {"true": "TRUE", "false": "FALSE", "X": "X", "U": "U", "F": "F", "G": "G", "R": "R"}
+_STANDPOINT = rf"(?:\*|{_NAME_RE.pattern})"  # a standpoint name after '@'
+# One master pattern: leading whitespace, then the token kinds, then the
+# malformed lexemes, each with its message; the last one catches any other
+# character, and an empty ``end`` closes the text.
+_LEXEMES = [
+    ("op", r"<->|<=|->|[()&|!]|(?:true|false|[XUFGR])(?![A-Za-z0-9_])"),
+    ("name", _NAME_RE.pattern),
+    ("at", rf"@{_STANDPOINT}"),
+    ("dia", rf"<(?:@{_STANDPOINT})?>"),
+    ("box", rf"\[(?:@{_STANDPOINT})?\]"),
+    ("reserved", r"\$[A-Za-z0-9_]+"),
+]
+_LEX_ERRORS = [
+    (rf"<@{_NAME_RE.pattern}", "unterminated '<@...>' modality, expected '>'"),
+    (r"<@", "expected a standpoint name after '<@'"),
+    (r"<", "expected '<->', '<=' or '<@...>' after '<'"),
+    (rf"\[@{_NAME_RE.pattern}", "unterminated '[@...]' modality, expected ']'"),
+    (r"\[@", "expected a standpoint name after '[@'"),
+    (r"\[", "expected '@' after '[' (standpoints are written '[@name]')"),
+    (r"-", "expected '->' after '-'"),
+    (r"@", "expected a standpoint name after '@'"),
+    (r"\$", "expected a name after '$'"),
+    (r".", "unexpected character {!r}"),
+]
+_ERROR_MESSAGES = {f"error{i}": message for i, (_, message) in enumerate(_LEX_ERRORS)}
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _LEXEMES)
+    + "".join(f"|(?P<error{i}>{pattern})" for i, (pattern, _) in enumerate(_LEX_ERRORS))
+    + r"|(?P<end>\Z))",
+    re.DOTALL,
+)
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """The error at character offset ``pos``, as a 1-based line and column."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, offset)`` triples, closed by an ``end`` token.
 
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
-    def read_name(start: int, what: str) -> str:
-        m = _NAME_RE.match(text, start)
-        if not m:
-            raise err(f"expected {what}")
-        return m.group()
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("IFF", "<->", line, col))
-                i += 3
-                col += 3
-                continue
-            if text.startswith("<=", i):
-                tokens.append(_Token("SHARPER", "<=", line, col))
-                i += 2
-                col += 2
-                continue
-            if text.startswith("<>", i):
-                # plain product-logic diamond: alias for the universal one
-                tokens.append(_Token("DIA", "*", line, col))
-                i += 2
-                col += 2
-                continue
-            if text.startswith("<@", i):
-                if text.startswith("<@*>", i):
-                    name, consumed = "*", 4
-                else:
-                    name = read_name(i + 2, "a standpoint name after '<@'")
-                    consumed = 2 + len(name) + 1
-                    if not text.startswith(">", i + 2 + len(name)):
-                        raise err("unterminated '<@...>' modality, expected '>'")
-                tokens.append(_Token("DIA", name, line, col))
-                i += consumed
-                col += consumed
-                continue
-            raise err("expected '<->', '<=' or '<@...>' after '<'")
-        if ch == "[":
-            if text.startswith("[]", i):
-                tokens.append(_Token("BOX", "*", line, col))
-                i += 2
-                col += 2
-                continue
-            if text.startswith("[@*]", i):
-                name, consumed = "*", 4
-            elif text.startswith("[@", i):
-                name = read_name(i + 2, "a standpoint name after '[@'")
-                consumed = 2 + len(name) + 1
-                if not text.startswith("]", i + 2 + len(name)):
-                    raise err("unterminated '[@...]' modality, expected ']'")
-            else:
-                raise err("expected '@' after '[' (standpoints are written '[@name]')")
-            tokens.append(_Token("BOX", name, line, col))
-            i += consumed
-            col += consumed
-            continue
-        if ch == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("IMPLIES", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise err("expected '->' after '-'")
-        if ch == "@":
-            if text.startswith("@*", i):
-                name = "*"
-            else:
-                name = read_name(i + 1, "a standpoint name after '@'")
-            tokens.append(_Token("AT", name, line, col))
-            i += 1 + len(name)
-            col += 1 + len(name)
-            continue
-        if ch == "$":
-            m = re.match(r"\$[A-Za-z0-9_]+", text[i:])
-            if not m:
-                raise err("expected a name after '$'")
-            tokens.append(_Token("RESERVED", m.group(), line, col))
-            i += len(m.group())
-            col += len(m.group())
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(_Token(_KEYWORDS.get(word, "IDENT"), word, line, col))
-            i += len(word)
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+    Operators and keywords are their own kind; the value of ``at``, ``dia``
+    and ``box`` is the standpoint name, ``*`` for the plain modalities.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "op":
+            kind = value
+        elif kind in ("at", "dia", "box"):
+            value = value.strip("<>[]@") or "*"
+        elif kind in _ERROR_MESSAGES:
+            raise _error(text, pos, _ERROR_MESSAGES[kind].format(value))
+        tokens.append((kind, value, pos))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], allow_reserved: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_reserved = allow_reserved
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, msg: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(msg, tok.line, tok.col)
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.peek().kind != "EOF":
-            raise self.error(f"unexpected {self.peek().value!r} after the formula")
-        return f
-
-    def formula(self) -> Formula:
-        a = self.implication()
-        if self.peek().kind == "IFF":
-            self.advance()
-            return iff(a, self.formula())
-        return a
-
-    def implication(self) -> Formula:
-        a = self.disjunction()
-        if self.peek().kind == "IMPLIES":
-            self.advance()
-            return implies(a, self.implication())
-        return a
-
-    def disjunction(self) -> Formula:
-        a = self.conjunction()
-        while self.peek().kind == "OR":
-            self.advance()
-            a = Or(a, self.conjunction())
-        return a
-
-    def conjunction(self) -> Formula:
-        a = self.until()
-        while self.peek().kind == "AND":
-            self.advance()
-            a = And(a, self.until())
-        return a
-
-    def until(self) -> Formula:
-        a = self.unary()
-        if self.peek().kind == "R":
-            raise self.error("the release operator 'R' is not supported")
-        if self.peek().kind == "U":
-            self.advance()
-            return Until(a, self.until())
-        return a
-
-    def unary(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "NOT":
-            self.advance()
-            return neg(self.unary())
-        if kind == "X":
-            self.advance()
-            return Next(self.unary())
-        if kind == "F":
-            self.advance()
-            return eventually(self.unary())
-        if kind == "G":
-            self.advance()
-            return always(self.unary())
-        if kind == "R":
-            raise self.error("the release operator 'R' is not supported")
-        if kind == "DIA":
-            tok = self.advance()
-            return DiamondS(Standpoint(tok.value), self.unary())
-        if kind == "BOX":
-            tok = self.advance()
-            return BoxS(Standpoint(tok.value), self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LPAR":
-            self.advance()
-            f = self.formula()
-            if self.peek().kind != "RPAR":
-                raise self.error("unbalanced parentheses, expected ')'")
-            self.advance()
-            return f
-        if tok.kind == "TRUE":
-            self.advance()
-            return TOP
-        if tok.kind == "FALSE":
-            self.advance()
-            return BOTTOM
-        if tok.kind == "IDENT":
-            self.advance()
-            return Prop(tok.value)
-        if tok.kind == "RESERVED":
-            if not self.allow_reserved:
-                raise self.error(f"names starting with '$' are reserved: {tok.value!r}")
-            self.advance()
-            return Prop(tok.value)
-        if tok.kind == "AT":
-            self.advance()
-            if self.peek().kind == "SHARPER":
-                self.advance()
-                right = self.peek()
-                if right.kind != "AT":
-                    raise self.error("expected a standpoint ('@name') after '<='")
-                self.advance()
-                return Sharper(Standpoint(tok.value), Standpoint(right.value))
-            return Prop("@" + tok.value)
-        if tok.kind == "EOF":
-            raise self.error("expected a formula, got end of input")
-        raise self.error(f"expected a formula, got {tok.value!r}")
+def _reduce(pending: list[tuple[int, str, str]], operands: list[Formula], floor: int) -> None:
+    """Apply the pending operators of precedence ``floor`` or tighter."""
+    while pending and pending[-1][0] >= floor:
+        prec, kind, value = pending.pop()
+        if prec == _PREC_UNARY:
+            operands[-1] = _PREFIX[kind](value, operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = _BINARY[kind][2](operands[-1], right)
 
 
 def parse(text: str, allow_reserved: bool = False) -> Formula:
@@ -618,8 +464,71 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
     their disjunctive forms, and double negations collapse.  ``$``-prefixed
     names are reserved for generated variables and rejected unless
     ``allow_reserved`` is set (used when re-reading translated output).
+
+    One loop over the tokens keeps two stacks: the operands built so far,
+    and the pending prefix operators, open parentheses and binary
+    operators with their precedence.  A binary operator first applies the
+    pending ones that bind at least as tightly (more tightly, when it
+    groups to the right); ``)`` and the end of input apply all of them
+    down to the matching ``(``.  Nothing recurses, so input depth is
+    unlimited.
     """
-    return _Parser(_tokenize(text), allow_reserved).parse()
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    pending: list[tuple[int, str, str]] = []  # (precedence, kind, value); "(" has 0
+    i = 0
+    while True:
+        # an operand, after any prefix operators and open parentheses
+        kind, value, pos = tokens[i]
+        while kind in _PREFIX or kind == "(":
+            pending.append((_PREC_UNARY if kind != "(" else 0, kind, value))
+            i += 1
+            kind, value, pos = tokens[i]
+        i += 1
+        if kind == "name" or kind == "reserved" and allow_reserved:
+            operands.append(Prop(value))
+        elif kind == "true":
+            operands.append(TOP)
+        elif kind == "false":
+            operands.append(BOTTOM)
+        elif kind == "at" and tokens[i][0] == "<=":
+            kind, right, pos = tokens[i + 1]
+            if kind != "at":
+                raise _error(text, pos, "expected a standpoint ('@name') after '<='")
+            operands.append(Sharper(Standpoint(value), Standpoint(right)))
+            i += 2
+        elif kind == "at":
+            operands.append(Prop("@" + value))
+        elif kind == "R":
+            raise _error(text, pos, "the release operator 'R' is not supported")
+        elif kind == "reserved":
+            raise _error(text, pos, f"names starting with '$' are reserved: {value!r}")
+        elif kind == "end":
+            raise _error(text, pos, "expected a formula, got end of input")
+        else:
+            raise _error(text, pos, f"expected a formula, got {value!r}")
+        # closing parentheses, then a binary operator or the end
+        while True:
+            kind, value, pos = tokens[i]
+            i += 1
+            if kind == "R":
+                raise _error(text, pos, "the release operator 'R' is not supported")
+            if kind in _BINARY:
+                prec, right, _ = _BINARY[kind]
+                _reduce(pending, operands, prec + right)
+                pending.append((prec, kind, value))
+                break
+            _reduce(pending, operands, 1)
+            if kind == ")":
+                if not pending:
+                    raise _error(text, pos, "unexpected ')' after the formula")
+                pending.pop()
+            elif pending:
+                raise _error(text, pos, "unbalanced parentheses, expected ')'")
+            elif kind != "end":
+                raise _error(text, pos, f"unexpected {value!r} after the formula")
+            else:
+                return operands[0]
 
 
 def simplify(f: Formula) -> Formula:

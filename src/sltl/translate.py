@@ -51,14 +51,24 @@ class Partition:
 def iter_partitions(
     pairs: Iterable[tuple[Standpoint, Standpoint]]
 ) -> Iterator[Partition]:
-    """All partitions, fewest falsified atoms first, then by bitmask."""
+    """All partitions, fewest falsified atoms first, then by bitmask.
+
+    Lazy: the masks of each count are stepped through in ascending order
+    (Gosper's next-same-popcount step), so the first partitions come at
+    once however many atoms there are.
+    """
     ordered = sorted(set(pairs), key=lambda p: (p[0].name, p[1].name))
     k = len(ordered)
-    masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
-    for mask in masks:
-        minus = frozenset(ordered[i] for i in range(k) if mask >> i & 1)
-        plus = frozenset(ordered) - minus
-        yield Partition(plus, minus)
+    atoms = frozenset(ordered)
+    yield Partition(atoms, frozenset())
+    for falsified in range(1, k + 1):
+        mask = (1 << falsified) - 1
+        while mask < 1 << k:
+            minus = frozenset(ordered[i] for i in range(k) if mask >> i & 1)
+            yield Partition(atoms - minus, minus)
+            low = mask & -mask
+            ripple = mask + low
+            mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,19 @@ def _one_shot_grid_model(space, mask, width):
     return psl.grid_model_for(grid, [body], width, [10**6, 10**6])
 
 
+def test_no_second_search_when_the_wider_grid_caps_alike():
+    # one proposition: a column carries at most 2 valuations, which width n
+    # already allows, so a state that fails at n is not searched again
+    f = parse("G ([@s] p | <@s> !p) & G F [@s] !p")
+    space = StateSpace(closure(f))
+    assert any(isinstance(g, BoxS) for g in space.closure) and space.n_safe == space.n
+    states = list(space.enumerate([]))
+    failed = [key for key, model in space._models.items() if model is None]
+    assert states and failed
+    assert space.grid_solves == len(space._models) == len({lits for lits, _ in space._models})
+    assert solve(f).status == "sat"
+
+
 def test_shared_grid_matches_one_shot_grids():
     rng = random.Random(211)
     done = states = negated = 0

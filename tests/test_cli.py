@@ -287,6 +287,24 @@ def test_classify_wider_than_the_recursion_limit(capsys):
     assert out.strip() == "PureLTL"
 
 
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("X " * 10_000 + "p", "PureLTL"),
+        ("(" * 10_000 + "p" + ")" * 10_000, "PSL"),
+        (" U ".join(["p"] * 10_000), "PureLTL"),
+        (" -> ".join(["p"] * 10_000), "PSL"),
+    ],
+    ids=["next", "parentheses", "until", "implies"],
+)
+def test_classify_deeper_than_the_recursion_limit(capsys, text, fragment):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "classify", text)
+    assert time.perf_counter() - started < 1
+    assert code == 0, err
+    assert out.strip() == fragment
+
+
 def test_exit_codes_match_verdicts_on_regression_corpus(capsys):
     corpus = {
         "G F p": 0,

@@ -1,4 +1,7 @@
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,48 @@ def test_print_parse_round_trip_on_corpus():
 def test_round_trip_covers_guard_and_reserved_names():
     f = And(Prop("@s"), Not(Prop("$u1")))
     assert parse(to_text(f), allow_reserved=True) == f
+
+
+def test_parse_outcomes_match_the_golden_file():
+    # ``data/make_parse_outcomes.py`` wrote the file: every input's printed
+    # formula or error, with ``allow_reserved`` off and on
+    def outcome(text: str, allow_reserved: bool) -> str:
+        try:
+            return to_text(parse(text, allow_reserved))
+        except ParseError as err:
+            return str(err)
+
+    path = Path(__file__).parent / "data" / "parse_outcomes.txt"
+    rows = [json.loads(line) for line in path.read_text(encoding="ascii").splitlines()]
+    assert len(rows) == 1_000
+    wrong = [
+        (text, plain, reserved)
+        for text, plain, reserved in rows
+        if (outcome(text, False), outcome(text, True)) != (plain, reserved)
+    ]
+    assert wrong == []
+
+
+_DEEP = 10_000
+
+
+@pytest.mark.parametrize(
+    "text,size_of,depth",
+    [
+        ("X " * _DEEP + "p", _DEEP + 1, _DEEP + 1),
+        ("(" * _DEEP + "p" + ")" * _DEEP, 1, 1),
+        (" U ".join(["p"] * _DEEP), 2 * _DEEP - 1, _DEEP),
+        # each ``->`` adds an Or and a Not
+        (" -> ".join(["p"] * _DEEP), 3 * _DEEP - 2, _DEEP + 1),
+    ],
+    ids=["next", "parentheses", "until", "implies"],
+)
+def test_parse_answers_inputs_deeper_than_the_recursion_limit(text, size_of, depth):
+    started = time.perf_counter()
+    f = parse(text)
+    assert time.perf_counter() - started < 1
+    assert size(f) == size_of
+    assert fold(f, lambda g, kids: 1 + max(kids, default=0)) == depth
 
 
 def test_size_counts_nodes():
