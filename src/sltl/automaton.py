@@ -1,16 +1,19 @@
 """Generalized Büchi automaton over s-elementary sets, explored on the fly.
 
+It decides every input of the fragments PSL, PureLTL and LtlPsl; a
+propositional input is the special case without next-step members.
 States are maximally consistent, standpoint-consistent subsets of the
-closure set.  A state is standpoint-consistent when its propositional
-members have a grid model on the label family of its own true sharpening
-atoms, at the small-model width ``n`` or, failing that, ``n_safe``.  The
-grid is compiled once per label family and searched per state, within one
-node budget; the state space keeps each model, and the solver builds the
-witness of a run from the models of its states.  A state is determined by
-its assignment to the base members (propositions, sharpening atoms,
-next-step and modal formulas); Boolean and Until members are forced by
-the consistency equations, so enumeration backtracks over base
-assignments only.  It prunes with the interval engine of ``semantics`` on
+closure set, which stops at modal formulas: a modal member is a leaf that
+a state's grid decides whole.  A state is standpoint-consistent when its
+propositional members have a grid model on the label family of its own
+true sharpening atoms, at the small-model width ``n`` or, failing that,
+``n_safe``.  The grid is compiled once per label family and searched per
+state, within one node budget; the state space keeps each model, and the
+solver builds the witness of a run from the models of its states.  A
+state is determined by its assignment to the base members (propositions,
+sharpening atoms, next-step and modal formulas); Boolean and Until members
+are forced by the consistency equations, so enumeration backtracks over
+base assignments only.  It prunes with the interval engine of ``semantics`` on
 a single cell whose leaves are the base members: each Until member
 unfolds to ``b | (a & X(a U b))`` over its next-step companion, and once
 every base member is assigned the engine's lower bounds are the state's
@@ -19,7 +22,9 @@ matching the source state's propositions.
 
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
-run is cut from the states it visited as a short lasso.
+run is cut from the states it visited as a short lasso.  Without next-step
+members every state is its own successor, and the first initial state is
+the lasso.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .syntax import (
     Prop,
     Sharper,
     Until,
-    to_nnf,
+    neg,
     vocab,
 )
 
@@ -98,15 +103,18 @@ class StateSpace:
     propositional literals have a grid model on the label family of its
     true sharpening atoms.  The literals are the true propositions,
     sharpening atoms and modal members and the negations of the false
-    ones, in negation normal form; the state's other propositional members
-    are Boolean combinations of them, so the literals entail them and give
-    the grid search the same three-valued bounds.  Each label family's grid
+    ones, a negated modal member as its dual over the negated operand, so
+    that the grid search propagates it (its strong Kleene bounds are those
+    of the negation); the state's other propositional members are Boolean
+    combinations of the literals, so the literals entail them and give the
+    grid search the same three-valued bounds.  Each label family's grid
     is compiled once, over every literal of the closure, and on it a
-    sharpening atom holds iff the true atoms entail it.  The width is ``n``
-    (standpoints of the seed plus diamond members plus one: the literals
-    mention no other standpoint and demand at most one witness per diamond
-    member) or, when that has no model, ``n_safe``, which also counts the
-    box members because negated boxes surface as diamonds in normal form.
+    sharpening atom holds iff the true atoms entail it, beneath a modality
+    too.  The width is ``n`` (standpoints of the seed plus distinct diamond
+    subformulas of the seed plus one: the literals mention no other
+    standpoint and demand at most one witness per diamond) or, when that
+    has no model, ``n_safe``, which also counts the box subformulas because
+    negated boxes become diamonds.
     A model at width ``n`` pads to one at ``n_safe``.  A search reads its
     width only up to the ``2^props`` valuations a column can carry, so when
     ``n`` already reaches them ``n_safe`` is ``n`` and a failed state is not
@@ -128,18 +136,18 @@ class StateSpace:
         self.budget = budget or [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
         self.generated = 0
         self.grid_solves = 0
-        self.universe = set(vocab(cl.seed).standpoints) | {UNIVERSAL}
-        n_dia = sum(1 for g in cl.formulas if isinstance(g, DiamondS))
-        n_box = sum(1 for g in cl.formulas if isinstance(g, BoxS))
-        self.n = len(self.universe) + n_dia + 1
+        voc = vocab(cl.seed)
+        self.universe = set(voc.standpoints) | {UNIVERSAL}
+        self.props = voc.props
+        self.n = len(self.universe) + cl.diamond_count + 1
         # a search reads its width only through min(width, 2^props), so a
         # wider one under the same cap would fail as the first one did
-        v_count = 1 << len(vocab(cl.seed).props)
-        wider = min(self.n + n_box, v_count) > min(self.n, v_count)
-        self.n_safe = self.n + n_box if wider else self.n
+        v_count = 1 << len(self.props)
+        wider = min(self.n + cl.box_count, v_count) > min(self.n, v_count)
+        self.n_safe = self.n + cl.box_count if wider else self.n
         literal = (Prop, Sharper, DiamondS, BoxS)
         self._literals = {
-            i: to_nnf(g)
+            i: _dual(g)
             for i, g in enumerate(cl.formulas)
             if isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal)
         }
@@ -163,15 +171,19 @@ class StateSpace:
         self, constraints: list[tuple[Formula, bool]]
     ) -> Iterator[SElementarySet]:
         """All s-elementary sets meeting the constraints, in the order of
-        base assignments: closure index order, sharpening atoms true before
-        false and every other base member false before true."""
+        base assignments: closure index order, sharpening atoms and modal
+        members true before false, propositions and next-step members false
+        before true.  A modal member the constraints leave open is more
+        often needed true than false: tried false first, its state more
+        often failed the grid search."""
         sweep = self._engine.sweep
         checks = [(self._engine.slot[f], req) for f, req in constraints]
         tm = [0] * len(self.base)
         fm = [0] * len(self.base)
         # local, not shared: ``successors`` enumerates again while this
         # generator is suspended
-        order = [(tm, fm) if isinstance(g, Sharper) else (fm, tm) for g in self.base]
+        true_first = (Sharper, DiamondS, BoxS)
+        order = [(tm, fm) if isinstance(g, true_first) else (fm, tm) for g in self.base]
 
         def dfs(i: int) -> Iterator[SElementarySet]:
             lo, hi = sweep(tm, fm, 1, 1)
@@ -215,7 +227,7 @@ class StateSpace:
             family = psl.family_for(psl.sharpening_closure(true, self.universe))
             shared = next((g for g in self._grids.values() if g.family == family), None)
             self._grids[key] = shared or psl.CompiledGrid(
-                family, vocab(self.closure.seed).props, list(self._literals.values()), self.budget
+                family, self.props, list(self._literals.values()), self.budget
             )
         return self._grids[key]
 
@@ -234,6 +246,15 @@ class StateSpace:
             targets = list(self.enumerate(constraints))
             self._successors[key] = targets
         return targets
+
+
+def _dual(g: Formula) -> Formula:
+    """A negated modal member as its dual over the negated operand, the
+    form the grid search propagates; any other literal as it stands."""
+    if isinstance(g, Not) and isinstance(g.operand, (DiamondS, BoxS)):
+        dual = BoxS if isinstance(g.operand, DiamondS) else DiamondS
+        return dual(g.operand.standpoint, neg(g.operand.operand))
+    return g
 
 
 def initial_states(cl: ClosureSet, phi_d: Formula, space: Optional[StateSpace] = None) -> Iterator[SElementarySet]:
@@ -272,7 +293,11 @@ def find_accepting_lasso(
     an open state closes a cycle and merges every root above that state
     into one; the search stops once the merged root covers every
     acceptance set.  The generalized condition needs no counter, so each
-    state is visited once.  With no Until member any cycle accepts.
+    state is visited once.  With no Until member any cycle accepts.  A
+    closure without next-step members has no Until member either, and its
+    states constrain their successors by their sharpening atoms alone, so
+    every state is its own successor: the lasso is the first initial state,
+    with an empty stem and a one-state cycle.
 
     The lasso is built from the visited states: the stem is a shortest
     path from the initial states enumerated so far to the SCC, and the
@@ -285,6 +310,9 @@ def find_accepting_lasso(
     if phi_d not in cl:
         raise ValueError("the closure set does not belong to this formula")
     space = StateSpace(cl, state_limit, budget)
+    if not cl.next_members:
+        first = next(space.enumerate([(phi_d, True)]), None)
+        return None if first is None else Lasso((), (first,))
     preds = acceptance_family(cl)
     full = (1 << len(preds)) - 1
     accept: dict[int, int] = {}  # acceptance bits of every visited state, by mask

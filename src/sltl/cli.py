@@ -137,9 +137,9 @@ def _cmd_solve(args) -> int:
 
 def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) -> None:
     """Dump the state graph the automaton explores: that of the simplified
-    input."""
-    if verdict.fragment not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
-        print("state dump applies to automaton-eligible fragments only", file=sys.stderr)
+    input, for every fragment but FullSLTL."""
+    if verdict.fragment is Fragment.FULL_SLTL:
+        print("state dump applies to PSL, PureLTL and LtlPsl inputs only", file=sys.stderr)
         return
     phi = simplify(f)
     try:

@@ -1,13 +1,14 @@
-"""Propositional standpoint logic: grid models and complete satisfiability.
+"""Propositional standpoint logic: label families, compiled grids and grid
+models.
 
-Satisfiability goes through the normalized small-model property: a
-satisfiable conjunction of sharpening atoms and a body in negation normal
-form has a model on the grid of sharpening-closed label sets times a small
-index range.  On that grid a sharpening atom holds iff the closure of the
-conjoined atoms relates its standpoints, so atoms inside the body are
-constants of the grid.  The grid search here is therefore complete for the
-fragment, and ``sat`` extends it to arbitrary propositional standpoint
-formulas by guessing which atoms hold.
+The normalized small-model property puts a model of a satisfiable
+propositional standpoint formula on a grid: the columns are the label sets
+of the sharpening closure of its true atoms, each repeated over a small
+index range.  On that grid a sharpening atom holds iff the closure relates
+its standpoints, so atoms are constants of the grid.  The automaton
+decides PSL inputs too, one grid search per state literal set (see
+``automaton.StateSpace``): this module supplies the families, the compiled
+grids, the search and the models.
 """
 
 from __future__ import annotations
@@ -16,32 +17,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .syntax import (
-    And,
     BoxS,
     DiamondS,
     Formula,
     Prop,
-    Sharper,
     Standpoint,
     TOP,
     UNIVERSAL,
-    _has_temporal,
-    conj,
-    nodes,
-    to_nnf,
-    vocab,
 )
-from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
-from .translate import iter_partitions
-
-
-class TemporalOperatorError(ValueError):
-    """A temporal operator reached a propositional-only code path."""
-
-
-def _require_propositional(f: Formula) -> None:
-    if _has_temporal(f):
-        raise TemporalOperatorError(f"temporal operator in a propositional context: {f}")
+from .semantics import SearchLimitError, _IntervalEngine
 
 
 # ---------------------------------------------------------------------------
@@ -135,63 +119,6 @@ class PSLModel:
         if sp.is_universal:
             return self.cells()
         return [c for c in self.cells() if sp in self.labels(c)]
-
-
-@dataclass
-class SatResult:
-    model: Optional[PSLModel]
-    designated: Optional[tuple[int, int]]
-
-    @property
-    def is_sat(self) -> bool:
-        return self.model is not None
-
-    @staticmethod
-    def unsat() -> "SatResult":
-        return SatResult(None, None)
-
-
-# ---------------------------------------------------------------------------
-# Normal form for the grid solver
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The leaves of the And tree at the top of ``f``, left to right."""
-    parts: list[Formula] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.append(g.right)
-            stack.append(g.left)
-        else:
-            parts.append(g)
-    return parts
-
-
-def split_for_grid(f: Formula) -> tuple[list[Sharper], Formula]:
-    """Split into the top-level sharpening atoms and an NNF body.
-
-    The reflexive universal atom is always added so the universal standpoint
-    is mentioned.  Atoms nested in the body stay there: on the grid of the
-    top-level atoms they hold iff those atoms entail them.
-    """
-    _require_propositional(f)
-    atoms: list[Sharper] = []
-    rest: list[Formula] = []
-    for part in _conjuncts(f):
-        if isinstance(part, Sharper):
-            atoms.append(part)
-        else:
-            rest.append(part)
-    body = to_nnf(conj(rest))
-    star = Sharper(UNIVERSAL, UNIVERSAL)
-    if star not in atoms:
-        atoms.append(star)
-    return atoms, body
-
-
-def _count_diamonds(f: Formula) -> int:
-    return sum(isinstance(g, DiamondS) for g in nodes(f))
 
 
 # ---------------------------------------------------------------------------
@@ -371,63 +298,6 @@ def grid_model_for(
                 stack.append((idx + 1, present | t_bit, absent))
                 stack.append((idx + 1, present, absent | t_bit))
     return None
-
-
-# ---------------------------------------------------------------------------
-# Satisfiability
-
-def sat_normal_form(
-    atoms: list[Sharper],
-    body: Formula,
-    n_override: Optional[int] = None,
-    budget: Optional[list[int]] = None,
-) -> SatResult:
-    """Complete satisfiability for ``(and of atoms) and body``.
-
-    The grid width defaults to the least value the small-model property
-    permits: one more than the number of standpoint symbols plus the number
-    of diamond occurrences in the body.  The grid is compiled over the
-    body's conjuncts; ``budget`` is the grid search's node budget (see
-    ``grid_model_for``).
-    """
-    if budget is None:
-        budget = [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
-    star = Sharper(UNIVERSAL, UNIVERSAL)
-    if star not in atoms:
-        atoms = list(atoms) + [star]
-    universe = vocab(conj(list(atoms) + [body])).standpoints
-    closure_rel = sharpening_closure([(a.left, a.right) for a in atoms], universe)
-    n = n_override if n_override is not None else len(universe) + _count_diamonds(body) + 1
-    parts = _conjuncts(body)
-    grid = CompiledGrid(family_for(closure_rel), vocab(body).props, parts, budget)
-    model = grid_model_for(grid, parts, n, budget)
-    return SatResult.unsat() if model is None else SatResult(model, (0, 1))
-
-
-def sat(f: Formula, node_limit: int = DEFAULT_NODE_LIMIT) -> SatResult:
-    """Complete satisfiability for any propositional standpoint formula.
-
-    Sharpening atoms are decided by trying every partition into true and
-    false atoms: the true ones become grid structure, and on their grid an
-    atom of the formula holds iff their closure entails it.  A partition
-    whose true atoms entail one of its false atoms is skipped; the others
-    have pairwise distinct label families, as ``of(a)`` is the least label
-    set containing ``a``, and a false atom is witnessed by that column.
-    The grid searches of all partitions share one budget of ``node_limit``
-    nodes; SearchLimitError is raised when it runs out.
-    """
-    _require_propositional(f)
-    budget = [node_limit, node_limit]
-    body = to_nnf(f)
-    universe = vocab(f).standpoints
-    for part in iter_partitions(vocab(f).sharpenings):
-        if any(sharpening_closure(part.i_plus, universe).entails(p) for p in part.i_minus):
-            continue
-        atoms = [Sharper(a, b) for a, b in part.i_plus]
-        result = sat_normal_form(atoms, body, budget=budget)
-        if result.is_sat:
-            return result
-    return SatResult.unsat()
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
 """Top-level decision pipeline.
 
-Classifies the input, routes it to the right engine (grid solver for the
-propositional fragment, one automaton run on the simplified input for the
-temporal fragment without standpoint-scoped temporal operators, bounded
-search otherwise) and packages a checkable witness with every satisfiable
-verdict.  The automaton path guesses no sharpening atoms: it carries them
-as rigid state bits, and the verdict's partition is read off the witness.
+Classifies the input, routes it to the right engine (one automaton run on
+the simplified input for every fragment without standpoint-scoped
+temporal operators, propositional inputs included; bounded search
+otherwise) and packages a checkable witness with every satisfiable
+verdict.  The automaton guesses no sharpening atoms: it carries them as
+rigid state bits, and the verdict's partition is read off the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import psl
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     Lasso,
+    SElementarySet,
     find_accepting_lasso,
 )
 from .semantics import (
@@ -32,7 +33,7 @@ from .syntax import (
     Formula,
     Fragment,
     Standpoint,
-    UNIVERSAL,
+    Vocabulary,
     classify,
     closure,
     simplify,
@@ -57,13 +58,13 @@ class Verdict:
 
     status: str  # sat | unsat | unknown | out_of_fragment
     fragment: Fragment
-    engine: Optional[str] = None  # psl | automaton | oracle
+    engine: Optional[str] = None  # automaton | oracle
     model: Optional[SLTLModel] = None
     designated: Optional[str] = None
     partition: Optional[Partition] = None
     bounds: Optional[SearchBounds] = None
     translation: Optional[str] = None
-    psl_model: Optional[psl.PSLModel] = None
+    psl_model: Optional[psl.PSLModel] = None  # the grid model of a PSL input
 
     @property
     def is_sat(self) -> bool:
@@ -77,6 +78,16 @@ def check_witness(f: Formula, model: SLTLModel, trace_id: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # Witness construction from an accepting run
+
+def _run_models(states: Sequence[SElementarySet]) -> list[psl.PSLModel]:
+    """The kept grid models of the states of one run: at width ``n`` when
+    each state has one there, else at ``n_safe``."""
+    space = states[0].space
+    models = [space.grid_model(b.mask, space.n) for b in states]
+    if any(m is None for m in models):
+        models = [space.grid_model(b.mask, space.n_safe) for b in states]
+    return models
+
 
 def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     """Build a model from an accepting run.
@@ -95,9 +106,7 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     """
     states = list(lasso.stem) + list(lasso.cycle)
     space = states[0].space
-    models = [space.grid_model(b.mask, space.n) for b in states]
-    if any(m is None for m in models):
-        models = [space.grid_model(b.mask, space.n_safe) for b in states]
+    models = _run_models(states)
     family, width = models[0].family, models[0].n
 
     prefix_len, period_len = len(lasso.stem), len(lasso.cycle)
@@ -106,14 +115,17 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     for idx, cell in enumerate(cells):
         column = [m.valuation[cell] for m in models]
         traces[f"t{idx}"] = UPTrace(tuple(column[:prefix_len]), tuple(column[prefix_len:]))
-    lam: dict[Standpoint, frozenset[str]] = {}
-    for sp in space.universe:
-        members = frozenset(
-            f"t{idx}"
-            for idx, (i, _) in enumerate(cells)
-            if sp.is_universal or sp in family.sets[i]
+    ids = list(traces)  # column by column, ``width`` cells each
+    columns = [ids[i * width:(i + 1) * width] for i in range(len(family))]
+    lam: dict[Standpoint, frozenset[str]] = {
+        sp: frozenset(
+            tid
+            for labels, column in zip(family.sets, columns)
+            if sp.is_universal or sp in labels
+            for tid in column
         )
-        lam[sp] = members
+        for sp in space.universe
+    }
     model = SLTLModel(traces, lam, prefix_len, period_len)
     designated = "t0"
     return model, designated
@@ -122,30 +134,11 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
 # ---------------------------------------------------------------------------
 # The pipeline
 
-def _lift_psl_model(result: psl.SatResult, f: Formula) -> tuple[SLTLModel, str]:
-    """A grid model becomes a one-position model with period one."""
-    grid = result.model
-    cells = grid.cells()
-    traces = {
-        f"t{idx}": UPTrace((), (grid.valuation[cell],)) for idx, cell in enumerate(cells)
-    }
-    lam: dict[Standpoint, frozenset[str]] = {}
-    for sp in set(vocab(f).standpoints) | {UNIVERSAL}:
-        lam[sp] = frozenset(
-            f"t{idx}"
-            for idx, (i, _) in enumerate(cells)
-            if sp.is_universal or sp in grid.family.sets[i]
-        )
-    return SLTLModel(traces, lam, 0, 1), "t0"
-
-
-def _cover_standpoints(model: SLTLModel, f: Formula) -> SLTLModel:
+def _cover_standpoints(model: SLTLModel, voc: Vocabulary) -> SLTLModel:
     """Extend the assignment to standpoints folding eliminated from the
     simplified formula; their extents no longer matter, so they cover
     everything."""
-    missing = {
-        sp for sp in vocab(f).standpoints if sp not in model.lam
-    }
+    missing = {sp for sp in voc.standpoints if sp not in model.lam}
     if not missing:
         return model
     ids = frozenset(model.traces)
@@ -154,9 +147,9 @@ def _cover_standpoints(model: SLTLModel, f: Formula) -> SLTLModel:
     return SLTLModel(model.traces, lam, model.prefix_len, model.period_len)
 
 
-def _witness_partition(model: SLTLModel, f: Formula) -> Partition:
+def _witness_partition(model: SLTLModel, voc: Vocabulary) -> Partition:
     """The truth of the input's sharpening atoms in the witness."""
-    atoms = vocab(f).sharpenings
+    atoms = voc.sharpenings
     plus = frozenset((a, b) for a, b in atoms if model.lam[a] <= model.lam[b])
     return Partition(plus, atoms - plus)
 
@@ -164,39 +157,17 @@ def _witness_partition(model: SLTLModel, f: Formula) -> Partition:
 def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
-    Propositional inputs are decided by the grid solver, temporal inputs
-    without standpoint-scoped temporal operators by one automaton run on
-    ``simplify(f)`` (complete in both directions), and everything else by the
-    bounded search, which can say sat or unknown but never unsat.  Every
-    sat verdict's witness is checked once on ``f``: here for the grid and
-    automaton engines, inside ``bounded_search`` for the bounded search.
+    Inputs without standpoint-scoped temporal operators (PSL, PureLTL and
+    LtlPsl) are decided by one automaton run on ``simplify(f)``, complete
+    in both directions; a propositional input's run is one state, whose
+    grid model is also returned as ``psl_model``.  Everything else goes to
+    the bounded search, which can say sat or unknown but never unsat.
+    Every sat verdict's witness is checked once on ``f``: here for the
+    automaton, inside ``bounded_search`` for the bounded search.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
-    if frag is Fragment.PSL:
-        result = psl.sat(f, node_limit=opts.node_limit)
-        if not result.is_sat:
-            return Verdict("unsat", frag, engine="psl")
-        model, designated = _lift_psl_model(result, f)
-        verdict = Verdict(
-            "sat", frag, engine="psl", model=model, designated=designated,
-            psl_model=result.model,
-        )
-    elif frag in (Fragment.PURE_LTL, Fragment.LTL_PSL):
-        # Constant folding can shrink the closure dramatically (dead Until
-        # branches in particular); the folded formula is equivalent.
-        phi = simplify(f)
-        budget = [opts.node_limit, opts.node_limit]
-        lasso = find_accepting_lasso(closure(phi), phi, opts.state_limit, budget)
-        if lasso is None:
-            return Verdict("unsat", frag, engine="automaton")
-        model, designated = witness_from_lasso(lasso)
-        model = _cover_standpoints(model, f)
-        verdict = Verdict(
-            "sat", frag, engine="automaton", model=model, designated=designated,
-            partition=_witness_partition(model, f),
-        )
-    else:
+    if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.
         translation = to_text(sltl_to_product(f)) if opts.attach_translation else None
         if opts.fragment_strict:
@@ -210,8 +181,23 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
             "sat", frag, engine="oracle", model=model, designated=designated,
             bounds=bounds,
         )
+    # Constant folding can shrink the closure dramatically (dead Until
+    # branches in particular); the folded formula is equivalent.
+    phi = simplify(f)
+    budget = [opts.node_limit, opts.node_limit]
+    lasso = find_accepting_lasso(closure(phi), phi, opts.state_limit, budget)
+    if lasso is None:
+        return Verdict("unsat", frag, engine="automaton")
+    model, designated = witness_from_lasso(lasso)
+    voc = vocab(f)
+    model = _cover_standpoints(model, voc)
+    verdict = Verdict(
+        "sat", frag, engine="automaton", model=model, designated=designated,
+        partition=_witness_partition(model, voc),
+        psl_model=_run_models(lasso.cycle)[0] if frag is Fragment.PSL else None,
+    )
     if not check_witness(f, model, designated):
-        raise AssertionError(f"{verdict.engine} witness fails the evaluator on the input")
+        raise AssertionError("automaton witness fails the evaluator on the input")
     return verdict
 
 

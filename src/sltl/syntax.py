@@ -644,13 +644,40 @@ def is_nnf(f: Formula) -> bool:
 # Closure sets
 
 class ClosureSet:
-    """Subformulas of a seed plus constants, closed under negation and the
-    next-step companions of the Until members; deterministically ordered."""
+    """The formulas an automaton state assigns, deterministically ordered.
+
+    The members are the seed's subformulas outside modal operands, every
+    sharpening atom of the seed wherever it occurs, the constants, the
+    next-step companions of the Until members, and the negations of all
+    these.  A modal formula is a leaf: on the automaton's fragments its
+    operand is temporal-free, and a state decides it whole on its grid.
+    Sharpening atoms beneath a modality are members all the same, because
+    atoms are rigid state bits and the true ones choose the grid's label
+    family.  ``diamond_count`` and ``box_count`` count the distinct
+    diamond and box subformulas of the seed, modal operands included, for
+    the grid widths.
+    """
 
     def __init__(self, seed: Formula):
-        members = set(subformulas(seed))
-        members.add(TOP)
-        members.add(BOTTOM)
+        members: set[Formula] = {TOP, BOTTOM}
+        beneath: set[Formula] = set()  # subformulas met inside a modal operand
+        modal: set[Formula] = set()
+        stack = [(seed, False)]
+        while stack:
+            g, inside = stack.pop()
+            seen = beneath if inside else members
+            if g in seen:
+                continue
+            seen.add(g)
+            if isinstance(g, (DiamondS, BoxS)):
+                modal.add(g)
+                inside = True
+            elif inside and isinstance(g, Sharper):
+                members.add(g)
+            for name in _CHILD_FIELDS[type(g)]:
+                stack.append((getattr(g, name), inside))
+        self.diamond_count = sum(isinstance(g, DiamondS) for g in modal)
+        self.box_count = len(modal) - self.diamond_count
         for g in list(members):
             if isinstance(g, Until):
                 members.add(Next(g))
@@ -682,6 +709,8 @@ class ClosureSet:
 
 
 def closure(f: Formula) -> ClosureSet:
+    """The closure set of ``f``: its members stop at modal formulas, which
+    are leaves, but keep every sharpening atom (see ``ClosureSet``)."""
     return ClosureSet(f)
 
 

@@ -2,15 +2,15 @@
 
 Embeddings between the product logic and SLTL, the guarded translation of
 standpoints into propositional variables, strict-until renaming, the
-partitions of sharpening atoms that ``psl.sat`` guesses, and the
-binary-counter formula generators.  Everything here is pure and
+partition type of a verdict's sharpening atoms, and the binary-counter
+formula generators.  Everything here is pure and
 size-linear in its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .syntax import (
     And,
@@ -41,34 +41,12 @@ from .semantics import check_product_formula
 
 @dataclass(frozen=True)
 class Partition:
-    """A truth assignment to the sharpening atoms of a formula: guessed by
-    ``psl.sat``, read off the witness of an automaton verdict."""
+    """A truth assignment to the sharpening atoms of a formula, read off
+    the witness of an automaton verdict: ``i_plus`` holds the true atoms,
+    ``i_minus`` the false ones."""
 
     i_plus: frozenset[tuple[Standpoint, Standpoint]]
     i_minus: frozenset[tuple[Standpoint, Standpoint]]
-
-
-def iter_partitions(
-    pairs: Iterable[tuple[Standpoint, Standpoint]]
-) -> Iterator[Partition]:
-    """All partitions, fewest falsified atoms first, then by bitmask.
-
-    Lazy: the masks of each count are stepped through in ascending order
-    (Gosper's next-same-popcount step), so the first partitions come at
-    once however many atoms there are.
-    """
-    ordered = sorted(set(pairs), key=lambda p: (p[0].name, p[1].name))
-    k = len(ordered)
-    atoms = frozenset(ordered)
-    yield Partition(atoms, frozenset())
-    for falsified in range(1, k + 1):
-        mask = (1 << falsified) - 1
-        while mask < 1 << k:
-            minus = frozenset(ordered[i] for i in range(k) if mask >> i & 1)
-            yield Partition(atoms - minus, minus)
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from sltl.semantics import (
     evaluate,
     evaluate_product,
 )
-from sltl.solver import _lift_psl_model, check_witness, solve
+from sltl.solver import check_witness, solve
 from sltl.syntax import (
     DiamondS,
     Prop,
@@ -42,6 +42,7 @@ from sltl.syntax import (
     parse,
     simplify,
     size,
+    subformulas,
     to_text,
     vocab,
 )
@@ -112,7 +113,8 @@ def test_criterion_03_witness_size(agreement_run):
         held = verdict.partition.i_plus & vocab(phi_d).sharpenings
         rel = psl.sharpening_closure(held, universe)
         family_size = len({rel.of(sp) for sp in rel.universe})
-        n_dia = sum(1 for g in closure(phi_d).formulas if isinstance(g, DiamondS))
+        # the width counts every diamond subformula, beneath modalities too
+        n_dia = sum(1 for g in subformulas(phi_d) if isinstance(g, DiamondS))
         expected_n = len(universe) + n_dia + 1
         assert len(verdict.model.traces) == family_size * expected_n, to_text(f)
         sized += 1
@@ -125,25 +127,32 @@ def test_criterion_04_grid_shape():
     checked = 0
     while checked < 200:
         f = random_formula(rng, rng.randint(1, 4), mode="psl", max_sharpenings=2)
-        result = psl.sat(f)
-        if not result.is_sat:
+        verdict = solve(f)
+        if not verdict.is_sat:
             continue
         checked += 1
-        m = result.model
+        m = verdict.psl_model
         # condition 1: precisifications are exactly the family-by-width grid
         assert set(m.valuation) == {
             (i, j) for i in range(len(m.family)) for j in range(1, m.n + 1)
         }
-        # condition 2: the designated cell is the first universal-column cell
-        assert result.designated == (0, 1)
+        # condition 2: the designated cell is the first universal-column
+        # cell, whose trace the witness designates
+        assert verdict.designated == "t0" and m.cells()[0] == (0, 1)
         assert m.family.sets[0] == m.family.s_star
         # condition 3: cell labels are exactly the family set of the column
         for cell in m.valuation:
             assert m.labels(cell) == m.family.sets[cell[0]]
         assert all(UNIVERSAL in s for s in m.family.sets)
-        # the grid model satisfies the formula at the designated cell
-        model, designated = _lift_psl_model(result, f)
-        assert evaluate(model, designated, 0, f), to_text(f)
+        # the witness is the grid model, one trace per cell, and it
+        # satisfies the formula at the designated cell
+        cells, traces = m.cells(), verdict.model.traces
+        assert (verdict.model.prefix_len, verdict.model.period_len) == (0, 1)
+        assert len(traces) == len(cells)
+        assert [traces[f"t{k}"].valuation(0) for k in range(len(cells))] == [
+            m.valuation[c] for c in cells
+        ]
+        assert evaluate(verdict.model, verdict.designated, 0, f), to_text(f)
     report(4, f"{checked} satisfiable grid models meet all three shape conditions")
 
 
@@ -151,7 +160,7 @@ def test_criterion_05_psl_completeness_micro_corpus():
     started = time.time()
     count = 0
     for f in enumerate_psl_formulas(5):
-        assert psl.sat(f).is_sat == psl_brute_sat(f), to_text(f)
+        assert solve(f).is_sat == psl_brute_sat(f), to_text(f)
         count += 1
     rng = random.Random(5150)
     sampled = 0
@@ -161,7 +170,7 @@ def test_criterion_05_psl_completeness_micro_corpus():
         )
         if not 6 <= size(f) <= 10:
             continue
-        assert psl.sat(f).is_sat == psl_brute_sat(f), to_text(f)
+        assert solve(f).is_sat == psl_brute_sat(f), to_text(f)
         sampled += 1
     elapsed = time.time() - started
     assert elapsed < 300, f"micro-corpus run took {elapsed:.0f}s"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_formula
+from conftest import psl_brute_sat_bitwise, random_formula
 
 from sltl.automaton import (
     AutomatonLimitError,
@@ -43,6 +43,7 @@ from sltl.syntax import (
     parse,
     rebuild,
     simplify,
+    to_nnf,
     to_text,
     vocab,
 )
@@ -198,25 +199,28 @@ def test_every_enumerated_state_is_consistent():
     cl = closure(f)
     space = StateSpace(cl)
     for b in space.enumerate([]):
-        assert psl.sat(conj(g for g in b.members() if not _has_temporal(g))).is_sat
+        assert psl_brute_sat_bitwise(conj(g for g in b.members() if not _has_temporal(g)))
 
 
 @functools.cache
 def _abstractly_consistent(members) -> bool:
-    """Complete PSL satisfiability of the members, with its own sharpening
-    partitions, label family and width: independent of the automaton's
-    grid filter.  Memoised here only to keep the brute force fast."""
-    return psl.sat(conj(members)).is_sat
+    """Complete PSL satisfiability of the members, by the brute-force
+    reference: independent of the automaton's grid filter.  Memoised here
+    only to keep the brute force fast."""
+    return psl_brute_sat_bitwise(conj(members))
 
 
 def _brute_force_states(space, constraints):
     """Masks of the s-elementary sets meeting the constraints: every base
-    assignment in closure-index order, sharpening atoms true before false
-    and the other base members false before true, with the other members
-    derived from their consistency equations."""
+    assignment in closure-index order, sharpening atoms and modal members
+    true before false and the other base members false before true, with
+    the other members derived from their consistency equations."""
     cl = space.closure
     masks = []
-    choices = [(True, False) if isinstance(g, Sharper) else (False, True) for g in space.base]
+    choices = [
+        (True, False) if isinstance(g, (Sharper, DiamondS, BoxS)) else (False, True)
+        for g in space.base
+    ]
     for values in itertools.product(*choices):
         truth = dict(zip(space.base, values))
         for g in cl.formulas:  # operands precede the members built on them
@@ -401,7 +405,7 @@ def _substitute(f, truth):
 def _one_shot_grid_model(space, mask, width):
     """A state's grid model as each state once got it alone: its literals
     with every sharpening atom of the closure replaced by its truth on the
-    family of the state's true atoms, split into normal form, and searched
+    family of the state's true atoms, in negation normal form, and searched
     on a grid compiled for that body alone."""
     cl = space.closure
     rel = _true_atom_closure(cl, mask)
@@ -414,7 +418,7 @@ def _one_shot_grid_model(space, mask, width):
         if mask >> i & 1
         and (isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal))
     ]
-    _, body = psl.split_for_grid(conj(members))
+    body = to_nnf(conj(members))
     grid = psl.CompiledGrid(psl.family_for(rel), vocab(body).props, [body], [10**6, 10**6])
     return psl.grid_model_for(grid, [body], width, [10**6, 10**6])
 

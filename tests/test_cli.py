@@ -206,6 +206,32 @@ def test_dump_states_follows_the_sat_partition(tmp_path, capsys):
     assert sum(ln.startswith("edge ") for ln in lines) == 32
 
 
+def test_dump_states_on_a_psl_input(tmp_path, capsys):
+    # a propositional input runs on the automaton too; its states assign
+    # the atom and the modal leaves, and with no next-step member each one
+    # reaches every state that agrees on the atom, itself included
+    text = "<@s> p & <@s> !p & (@s <= @t | [@t] q)"
+    dump = tmp_path / "graph.txt"
+    code, _, err = run(capsys, "solve", "--dump-states", str(dump), text)
+    assert code == 0 and err == ""
+    phi_d = simplify(parse(text))
+    searched = io.StringIO()
+    dump_state_graph(closure(phi_d), phi_d, searched)
+    lines = dump.read_text().splitlines()
+    assert lines == searched.getvalue().splitlines()
+    states = [ln.split()[1] for ln in lines if ln.startswith("state ")]
+    edges = [ln.split()[1::2] for ln in lines if ln.startswith("edge ")]
+    assert (len(states), len(edges)) == (12, 72)
+    assert all([s, s] in edges for s in states)
+
+
+def test_dump_states_skips_full_sltl_inputs(tmp_path, capsys):
+    dump = tmp_path / "graph.txt"
+    code, _, err = run(capsys, "solve", "--dump-states", str(dump), "<@s> X p")
+    assert code == 0
+    assert "PSL, PureLTL and LtlPsl" in err and not dump.exists()
+
+
 def test_solve_answers_a_three_atom_input_within_seconds(capsys):
     # one automaton over the atoms' state bits; one automaton per guessed
     # partition spent the default node budget here, in minutes, and exited 69

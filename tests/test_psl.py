@@ -2,25 +2,28 @@ import random
 
 import pytest
 
-from conftest import S, T, U, psl_brute_sat, random_formula
+from conftest import (
+    S,
+    T,
+    U,
+    enumerate_psl_formulas,
+    psl_brute_sat,
+    psl_brute_sat_bitwise,
+    random_formula,
+)
 
-from sltl import psl
+from sltl.automaton import StateSpace, find_accepting_lasso
 from sltl.psl import (
     CompiledGrid,
     PSLModel,
     SFamily,
-    SatResult,
-    TemporalOperatorError,
     family_for,
     grid_model_for,
     psl_model_to_json,
-    sat,
-    sat_normal_form,
     sharpening_closure,
-    split_for_grid,
 )
-from sltl.semantics import SearchLimitError, evaluate
-from sltl.solver import _lift_psl_model
+from sltl.semantics import SLTLModel, SearchLimitError, UPTrace, evaluate
+from sltl.solver import SolveOptions, solve
 from sltl.syntax import (
     And,
     BoxS,
@@ -31,9 +34,13 @@ from sltl.syntax import (
     Sharper,
     Standpoint,
     UNIVERSAL,
+    closure,
     conj,
     parse,
+    simplify,
     size,
+    subformulas,
+    to_nnf,
     to_text,
     vocab,
 )
@@ -44,9 +51,21 @@ STAR_S = frozenset({UNIVERSAL, S})
 
 def holds(m: PSLModel, f) -> bool:
     """Truth of ``f`` at cell (0, 1), by the reference evaluator on the
-    lifted one-position model."""
-    lifted, designated = _lift_psl_model(SatResult(m, (0, 1)), f)
-    return evaluate(lifted, designated, 0, f)
+    one-position model whose traces are the grid's cells."""
+    cells = m.cells()
+    traces = {f"t{k}": UPTrace((), (m.valuation[c],)) for k, c in enumerate(cells)}
+    lam = {
+        sp: frozenset(
+            f"t{k}" for k, c in enumerate(cells) if sp.is_universal or sp in m.labels(c)
+        )
+        for sp in vocab(f).standpoints | {UNIVERSAL}
+    }
+    return evaluate(SLTLModel(traces, lam, 0, 1), "t0", 0, f)
+
+
+def _conjuncts(f):
+    """The leaves of the And tree at the top of ``f``, left to right."""
+    return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
 
 
 def test_sharpening_closure_links_everything_to_universal():
@@ -92,67 +111,66 @@ def test_evaluate_sharpening_is_family_inclusion():
 
 
 # ---------------------------------------------------------------------------
-# Normal form
+# Atoms and modal literals of the automaton's states
 
 def test_split_separates_atoms_and_body():
-    atoms, body = split_for_grid(parse("@s <= @t & <@s> p"))
-    assert Sharper(S, T) in atoms
-    assert Sharper(UNIVERSAL, UNIVERSAL) in atoms
-    assert body == DiamondS(S, Prop("p"))
+    # the sharpening atom is a state bit that picks the grid's family; the
+    # diamond is a leaf its grid decides, so its operand is no member
+    f = parse("@s <= @t & <@s> p")
+    space = StateSpace(closure(f))
+    assert space.base == [Sharper(S, T), DiamondS(S, Prop("p"))]
+    assert Prop("p") not in space.closure
+    (b,) = space.enumerate([(f, True)])
+    assert space.grid(b.mask).family == family_for(sharpening_closure([(S, T)], {S, T}))
+    assert holds(space.grid_model(b.mask, space.n), f)
 
 
 def test_split_pushes_negations_into_the_body():
-    atoms, body = split_for_grid(parse("<@s> !(p & q)"))
-    assert atoms == [Sharper(UNIVERSAL, UNIVERSAL)]
-    assert body == DiamondS(S, Or(Not(Prop("p")), Not(Prop("q"))))
+    # the grid sees a negated modal member as its dual, which it propagates
+    f = parse("<@s> !(p & q)")
+    space = StateSpace(closure(f))
+    literals = set(space._literals.values())
+    assert literals >= {f, BoxS(S, And(Prop("p"), Prop("q")))}
+    assert not any(isinstance(g, Not) and isinstance(g.operand, DiamondS) for g in literals)
 
 
 def test_split_keeps_nested_sharpening_atoms_in_the_body():
-    atoms, body = split_for_grid(parse("!(@s <= @t)"))
-    assert atoms == [Sharper(UNIVERSAL, UNIVERSAL)]
-    assert body == Not(Sharper(S, T))
-    assert sat_normal_form(atoms, body).is_sat
-    # a nested atom holds on the grid iff the top-level atoms entail it
-    atoms, body = split_for_grid(parse("<@s> (@s <= @t)"))
-    assert body == DiamondS(S, Sharper(S, T))
-    assert not sat_normal_form(atoms, body).is_sat
-    atoms, body = split_for_grid(parse("@s <= @t & <@s> (@s <= @t)"))
-    assert sat_normal_form(atoms, body).is_sat
+    # an atom beneath a modality is the same rigid state bit as at the top:
+    # its truth picks the family on which the modality is decided
+    assert solve(parse("!(@s <= @t)")).is_sat
+    assert Sharper(S, T) in closure(parse("<@s> (@s <= @t)"))
+    verdict = solve(parse("<@s> (@s <= @t)"))
+    assert verdict.is_sat and verdict.partition.i_plus == {(S, T)}
+    assert not solve(parse("!(@s <= @t) & <@s> (@s <= @t)")).is_sat
+    assert solve(parse("@s <= @t & <@s> (@s <= @t)")).is_sat
 
 
 # ---------------------------------------------------------------------------
-# Grid satisfiability
+# Grid models of PSL verdicts
 
 def test_sat_normal_form_simple_witness():
-    atoms, body = split_for_grid(Prop("p"))
-    res = sat_normal_form(atoms, body)
-    assert res.is_sat
-    assert res.designated == (0, 1)
-    assert "p" in res.model.valuation[(0, 1)]
+    v = solve(Prop("p"))
+    assert v.is_sat and v.designated == "t0"
+    assert "p" in v.psl_model.valuation[(0, 1)]
     # one standpoint symbol (the universal), no diamonds
-    assert res.model.n == 2
+    assert v.psl_model.n == 2
 
 
 def test_sat_normal_form_direct_contradiction():
-    atoms, body = split_for_grid(parse("<@s> p & [@s] !p"))
-    assert not sat_normal_form(atoms, body).is_sat
+    assert solve(parse("<@s> p & [@s] !p")).status == "unsat"
 
 
 def test_sat_normal_form_two_distinct_witness_cells():
-    atoms, body = split_for_grid(parse("<@s> p & <@s> !p"))
-    res = sat_normal_form(atoms, body)
-    assert res.is_sat
-    m = res.model
+    m = solve(parse("<@s> p & <@s> !p")).psl_model
     s_cells = m.extent(S)
     assert any("p" in m.valuation[c] for c in s_cells)
     assert any("p" not in m.valuation[c] for c in s_cells)
 
 
 def test_grid_width_counts_standpoints_and_diamonds():
-    atoms, body = split_for_grid(parse("<@s> p & <@t> q & [@s] (p | q)"))
-    res = sat_normal_form(atoms, body)
-    # standpoints s, t and the universal one; two diamond occurrences
-    assert res.model.n == 3 + 2 + 1
+    m = solve(parse("<@s> p & <@t> q & [@s] (p | q)")).psl_model
+    # standpoints s, t and the universal one; two diamond subformulas
+    assert m.n == 3 + 2 + 1
 
 
 def test_grid_model_shape_conditions():
@@ -160,25 +178,28 @@ def test_grid_model_shape_conditions():
     checked = 0
     while checked < 60:
         f = random_formula(rng, 3, mode="psl")
-        atoms, body = split_for_grid(f)
-        res = sat_normal_form(atoms, body)
-        if not res.is_sat:
+        v = solve(f)
+        if not v.is_sat:
             continue
         checked += 1
-        m = res.model
-        universe = vocab(conj([a for a in atoms] + [body])).standpoints
-        rel = sharpening_closure([(a.left, a.right) for a in atoms], universe)
+        m = v.psl_model
+        phi = simplify(f)
+        universe = vocab(phi).standpoints | {UNIVERSAL}
+        rel = sharpening_closure(v.partition.i_plus & vocab(phi).sharpenings, universe)
         # condition 1: the precisification set is exactly family x 1..N
         assert set(m.valuation) == {(i, j) for i in range(len(m.family)) for j in range(1, m.n + 1)}
         assert set(m.family.sets) == {rel.of(sp) for sp in rel.universe}
         # condition 2: the designated cell is the first universal-column cell
-        assert res.designated == (0, 1)
-        assert holds(m, conj(list(atoms) + [body]))
+        assert v.designated == "t0"
+        assert holds(m, phi)
         # condition 3: the labels of a cell are exactly its family set
         for (i, j) in m.valuation:
             assert m.labels((i, j)) == m.family.sets[i]
-        # width: one more than standpoints plus diamond occurrences
-        assert m.n == len(universe) + psl._count_diamonds(body) + 1
+        # width: one more than standpoints plus diamond subformulas, or
+        # wider by the box subformulas when that has no model
+        subs = subformulas(phi)
+        n = len(universe) + sum(isinstance(g, DiamondS) for g in subs) + 1
+        assert m.n in (n, n + sum(isinstance(g, BoxS) for g in subs)), to_text(f)
 
 
 def test_sat_monotone_in_width():
@@ -186,33 +207,34 @@ def test_sat_monotone_in_width():
     done = 0
     while done < 40:
         f = random_formula(rng, 3, mode="psl")
-        atoms, body = split_for_grid(f)
-        res = sat_normal_form(atoms, body)
-        if not res.is_sat:
+        phi = simplify(f)
+        lasso = find_accepting_lasso(closure(phi), phi)
+        if lasso is None:
             continue
         done += 1
-        wider = sat_normal_form(atoms, body, n_override=res.model.n + 1)
-        assert wider.is_sat
-        assert wider.model.n == res.model.n + 1
+        (b,) = lasso.cycle
+        space = b.space
+        width = next(w for w in (space.n, space.n_safe) if space.grid_model(b.mask, w))
+        wider = space.grid_model(b.mask, width + 1)
+        assert wider is not None and wider.n == width + 1
+        assert holds(wider, phi)
 
 
 # ---------------------------------------------------------------------------
-# General satisfiability through partitions
+# Sharpening atoms as state bits
 
 def test_sat_negated_sharpening_needs_two_extents():
-    res = sat(parse("!(@s <= @t)"))
-    assert res.is_sat
-    m = res.model
+    m = solve(parse("!(@s <= @t)")).psl_model
     assert not set(m.extent(S)) <= set(m.extent(T))
 
 
 def test_sat_conflicting_sharpening_atoms():
-    assert not sat(parse("(@s <= @t) & !(@s <= @t)")).is_sat
+    assert not solve(parse("(@s <= @t) & !(@s <= @t)")).is_sat
 
 
 def test_sat_modal_flattening():
-    nested = sat(parse("<@s> <@t> p")).is_sat
-    flat = sat(parse("<@t> p")).is_sat
+    nested = solve(parse("<@s> <@t> p")).is_sat
+    flat = solve(parse("<@t> p")).is_sat
     assert nested and flat
 
 
@@ -224,7 +246,21 @@ def test_sat_agrees_with_brute_force_on_corpus():
         if size(f) > 12:
             continue
         done += 1
-        assert sat(f).is_sat == psl_brute_sat(f), to_text(f)
+        assert solve(f).is_sat == psl_brute_sat(f), to_text(f)
+
+
+def test_bitwise_brute_force_agrees_with_the_set_loop():
+    for f in enumerate_psl_formulas(4):
+        assert psl_brute_sat_bitwise(f) == psl_brute_sat(f), to_text(f)
+    rng = random.Random(61)
+    verdicts = set()
+    for k in range(300):
+        props, sps = (("p", "q"), (S,)) if k % 2 else (("p",), (S, T))
+        depth = rng.randint(2, 5)
+        f = random_formula(rng, depth, props=props, sps=sps, mode="psl", max_sharpenings=2)
+        verdicts.add(psl_brute_sat(f))
+        assert psl_brute_sat_bitwise(f) == psl_brute_sat(f), to_text(f)
+    assert verdicts == {True, False}
 
 
 def test_sat_with_three_atoms_agrees_with_brute_force():
@@ -235,30 +271,27 @@ def test_sat_with_three_atoms_agrees_with_brute_force():
         if len(vocab(f).sharpenings) != 3 or size(f) > 16:
             continue
         done += 1
-        res = sat(f)
-        assert res.is_sat == psl_brute_sat(f), to_text(f)
-        if res.is_sat:
+        v = solve(f)  # a sat verdict's witness is checked inside
+        assert v.is_sat == psl_brute_sat(f), to_text(f)
+        if v.is_sat:
             sat_seen += 1
-            model, designated = _lift_psl_model(res, f)
-            assert evaluate(model, designated, 0, f), to_text(f)
+            assert holds(v.psl_model, simplify(f)), to_text(f)
             # false atoms are columns of the grid, not fresh propositions
-            assert all(v <= {"p"} for v in res.model.valuation.values())
+            assert all(val <= {"p"} for val in v.psl_model.valuation.values())
     assert 0 < sat_seen < done
 
 
-def test_sat_skips_partitions_whose_true_atoms_entail_a_false_one(monkeypatch):
-    families = []
-    real = psl.sat_normal_form
-
-    def recording(atoms, body, **kwargs):
-        families.append(family_for(sharpening_closure([(a.left, a.right) for a in atoms], [S, T, U])))
-        return real(atoms, body, **kwargs)
-
-    monkeypatch.setattr(psl, "sat_normal_form", recording)
-    # unsat, so every partition is walked; s <= t and t <= u entail s <= u
-    f = parse("p & !p & (@s <= @t | @t <= @u | @s <= @u)")
-    assert not sat(f).is_sat
-    assert len(families) == 7 and len(set(families)) == 7
+def test_sat_skips_partitions_whose_true_atoms_entail_a_false_one():
+    # s <= t and t <= u entail s <= u: of the 8 truth assignments to the
+    # atoms, that one has no state, and the other 7 have pairwise distinct
+    # label families, one compiled grid each
+    f = parse("p & (@s <= @t | @t <= @u | @s <= @u)")
+    space = StateSpace(closure(f))
+    atoms = [Sharper(S, T), Sharper(T, U), Sharper(S, U)]
+    held = {tuple(a in b for a in atoms) for b in space.enumerate([])}
+    assert len(held) == 7 and (True, True, False) not in held
+    assert len(space._grids) == 8 and len({id(g) for g in space._grids.values()}) == 7
+    assert len({g.family for g in space._grids.values()}) == 7
 
 
 def test_root_failures_spend_no_grid_nodes():
@@ -283,12 +316,12 @@ def ring(k: int) -> str:
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_ring_is_unsat_within_a_small_node_budget(k):
     # without propagating the box conjunct, k=4 takes about 536k nodes
-    assert not sat(parse(ring(k)), node_limit=1_000).is_sat
+    assert not solve(parse(ring(k)), SolveOptions(node_limit=1_000)).is_sat
 
 
 def test_sat_node_limit_is_loud():
     with pytest.raises(SearchLimitError, match="grid search exceeded the node limit of 1"):
-        sat(parse("<@s> p & <@s> !p & <@t> q"), node_limit=1)
+        solve(parse("<@s> p & <@s> !p & <@t> q"), SolveOptions(node_limit=1))
 
 
 def _expand(present, dv, cols, v_count, n, plist):
@@ -352,37 +385,27 @@ def test_grid_search_returns_the_first_valid_assignment():
                 g = Or(g, rng.choice([DiamondS, BoxS])(rng.choice([S, UNIVERSAL]), literal()))
             wrap = rng.choice([None, DiamondS, BoxS])
             parts.append(wrap(rng.choice([S, UNIVERSAL]), g) if wrap else g)
-        atoms, body = split_for_grid(conj(parts))
-        universe = vocab(conj(list(atoms) + [body])).standpoints
-        family = family_for(sharpening_closure([(a.left, a.right) for a in atoms], universe))
+        # the top-level atoms pick the family; the rest, in normal form,
+        # are the conjuncts
+        top = _conjuncts(conj(parts))
+        atoms = [(g.left, g.right) for g in top if isinstance(g, Sharper)]
+        body = to_nnf(conj([g for g in top if not isinstance(g, Sharper)]))
+        universe = vocab(conj(top)).standpoints | {UNIVERSAL}
+        family = family_for(sharpening_closure(atoms, universe))
         props = tuple(sorted(vocab(body).props))
         if len(family) > 2 or not 1 <= len(props) <= 2:
             continue
         done += 1
-        modal += any(isinstance(c, (DiamondS, BoxS)) for c in psl._conjuncts(body))
+        parts = _conjuncts(body)
+        modal += any(isinstance(c, (DiamondS, BoxS)) for c in parts)
         n = rng.randint(1, 3)
         expected = _first_valid_assignment(body, family, n, list(props))
         sat_count += expected is not None
-        parts = psl._conjuncts(body)
         grid = CompiledGrid(family, props, parts, [10**6, 10**6])
         found = grid_model_for(grid, parts, n, [10**6, 10**6])
         assert (found and found.valuation) == expected, to_text(body)
     # the corpus exercises both verdicts and the propagation rules
     assert 40 < sat_count < 110 and modal > 120
-
-
-def test_conjuncts_of_a_deep_chain():
-    chain = Prop("p0")
-    for i in range(1, 5_000):
-        chain = And(chain, Prop(f"p{i}"))
-    parts = psl._conjuncts(chain)
-    assert parts == [Prop(f"p{i}") for i in range(5_000)]
-    assert psl._count_diamonds(chain) == 0
-
-
-def test_consistency_rejects_temporal_members():
-    with pytest.raises(TemporalOperatorError):
-        sat(parse("X p"))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +429,10 @@ def test_grid_model_for_fixed_width():
 
 
 def test_psl_witness_json_shape():
-    res = sat(parse("<@s> p"))
-    blob = psl_model_to_json(res.model, res.designated)
+    m = solve(parse("<@s> p")).psl_model
+    blob = psl_model_to_json(m, (0, 1))
     assert blob["designated"] == "0,1"
     assert blob["s_family"][0] == ["@*"]
     assert set(blob["valuation"]) == {
-        f"{i},{j}" for i in range(len(res.model.family)) for j in range(1, res.model.n + 1)
+        f"{i},{j}" for i in range(len(m.family)) for j in range(1, m.n + 1)
     }

@@ -1,9 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
-from conftest import S, T, U, random_formula
+from conftest import S, T, U, psl_brute_sat, random_formula
 
 import sltl.solver as solver_mod
 from sltl import psl, semantics
@@ -15,6 +16,7 @@ from sltl.syntax import (
     DiamondS,
     Prop,
     Sharper,
+    Standpoint,
     UNIVERSAL,
     classify,
     Fragment,
@@ -22,6 +24,7 @@ from sltl.syntax import (
     neg,
     parse,
     simplify,
+    subformulas,
     to_text,
     vocab,
 )
@@ -32,13 +35,12 @@ def expected_grid_parameters(phi_d):
     universe = set(vocab(phi_d).standpoints) | {UNIVERSAL}
     rel = psl.sharpening_closure(vocab(phi_d).sharpenings, universe)
     family = psl.family_for(rel)
-    cl = closure(phi_d)
-    n_dia = sum(1 for g in cl.formulas if isinstance(g, DiamondS))
+    n_dia = sum(1 for g in subformulas(phi_d) if isinstance(g, DiamondS))
     return len(family), len(universe) + n_dia + 1
 
 
 def test_routing_by_fragment():
-    assert solve(parse("p & <@s> q")).engine == "psl"
+    assert solve(parse("p & <@s> q")).engine == "automaton"
     assert solve(parse("p U q")).engine == "automaton"
     assert solve(parse("G [@s] p")).engine == "automaton"
     assert solve(parse("<@s> X p")).engine == "oracle"
@@ -295,21 +297,58 @@ def test_check_witness_rejects_flipped_bit():
 
 
 def test_psl_lift_agrees_with_grid_evaluation():
+    # a PSL witness is its grid model read as one-position traces, one per
+    # cell, with the standpoint extents of the cell labels
     rng = random.Random(109)
     done = 0
     while done < 40:
         f = random_formula(rng, 3, mode="psl", max_sharpenings=1)
-        res = psl.sat(f)
-        if not res.is_sat:
+        v = solve(f)
+        assert v.is_sat == psl_brute_sat(f), to_text(f)
+        if not v.is_sat:
             continue
         done += 1
-        v = solve(f)
-        assert v.status == "sat" and v.engine == "psl"
+        assert v.engine == "automaton"
+        m, model = v.psl_model, v.model
+        assert (model.prefix_len, model.period_len) == (0, 1)
+        for k, cell in enumerate(m.cells()):
+            assert model.traces[f"t{k}"].valuation(0) == m.valuation[cell]
+            for sp in m.labels(cell):
+                assert f"t{k}" in model.lam[sp]
         assert check_witness(f, v.model, v.designated)
 
 
+def test_nested_sharpening_atoms_are_state_bits():
+    # the atom occurs only beneath modalities; a closure without it never
+    # makes it true, so the box's t-witness of q finds no s-cell
+    f = parse("[@s] (q & @t <= @s & (true & p) & <@t> <@s> q)")
+    assert Sharper(T, S) in closure(simplify(f))
+    v = solve(f)
+    assert v.is_sat and v.partition.i_plus == {(T, S)}
+
+
+def test_sixty_four_atom_chain_is_sat():
+    # 2^64 truth assignments cannot be listed; the automaton tries atoms
+    # true first, and every atom true is sat
+    spec = " & ".join(f"@a{i} <= @a{i + 1}" for i in range(64))
+    verdict = solve(parse(spec))
+    assert verdict.status == "sat"
+    lam = verdict.model.lam
+    assert all(lam[Standpoint(f"a{i}")] <= lam[Standpoint(f"a{i + 1}")] for i in range(64))
+
+
+@pytest.mark.parametrize("k", [14, 64])
+def test_unsat_atom_chain_is_answered_at_once(k):
+    # the contradiction fails on every label family; one grid per guessed
+    # partition took over 20 s at k = 14
+    spec = " & ".join(f"@a{i} <= @a{i + 1}" for i in range(k)) + " & p & !p"
+    started = time.perf_counter()
+    assert solve(parse(spec)).status == "unsat"
+    assert time.perf_counter() - started < 2
+
+
 @pytest.mark.parametrize("text, engine", [
-    ("<@s> p & [@s] !q", "psl"),
+    ("<@s> p & [@s] !q", "automaton"),
     ("(@s <= @t) & G <@s> p & F q", "automaton"),
     ("<@s> X p", "oracle"),
 ])

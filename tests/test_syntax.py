@@ -7,7 +7,6 @@ import pytest
 
 from conftest import S, T, random_formula, iter_models
 
-from sltl.psl import _count_diamonds
 from sltl.semantics import _trace_independent, check_product_formula, evaluate
 from sltl.syntax import (
     And,
@@ -29,6 +28,7 @@ from sltl.syntax import (
     _has_standpoint,
     _has_temporal,
     _temporal_under_modal,
+    children,
     classify,
     closure,
     conj,
@@ -280,19 +280,40 @@ def test_closure_has_next_companions_of_until():
     assert neg(Next(f)) in cl
 
 
+def _outside_and_beneath(f):
+    """The subformulas of ``f`` outside modal operands, and those inside."""
+    if isinstance(f, (DiamondS, BoxS)):
+        return {f}, set(subformulas(f.operand))
+    outside, beneath = {f}, set()
+    for g in children(f):
+        o, b = _outside_and_beneath(g)
+        outside |= o
+        beneath |= b
+    return outside, beneath
+
+
 def test_closure_invariants_on_corpus():
     rng = random.Random(11)
     for _ in range(150):
-        f = random_formula(rng, rng.randint(0, 5))
+        f = random_formula(rng, rng.randint(0, 5), max_sharpenings=2)
         cl = closure(f)
         members = set(cl.formulas)
-        assert TOP in members and BOTTOM in members
-        assert set(subformulas(f)) <= members
+        outside, beneath = _outside_and_beneath(f)
+        atoms = {g for g in subformulas(f) if isinstance(g, Sharper)}
+        base = outside | atoms | {TOP, BOTTOM}
+        base |= {Next(g) for g in base if isinstance(g, Until)}
+        # the modal formulas are leaves: nothing beneath them is a member
+        # unless it also occurs outside, or is a sharpening atom
+        assert members == base | {neg(g) for g in base}, to_text(f)
         for g in members:
             assert neg(g) in members
         for g in members:
             if isinstance(g, Until):
                 assert Next(g) in members
+        # the widths count every modal subformula, beneath modalities too
+        subs = subformulas(f)
+        assert cl.diamond_count == sum(isinstance(g, DiamondS) for g in subs)
+        assert cl.box_count == sum(isinstance(g, BoxS) for g in subs)
         assert len(cl) <= 4 * size(f)
         # deterministic ordering: sorted by (size, canonical text)
         keys = [(size(g), to_text(g)) for g in cl.formulas]
@@ -429,4 +450,3 @@ def test_semantics_and_psl_walks_on_deep_formulas():
         check_product_formula(deep)
     check_product_formula(wide)
     assert _trace_independent(deep) and not _trace_independent(wide)
-    assert _count_diamonds(deep) == 1 and _count_diamonds(wide) == 0

@@ -15,7 +15,6 @@ from sltl.semantics import (
     evaluate,
     evaluate_product,
 )
-from sltl.solver import solve
 from sltl.syntax import (
     And,
     BoxS,
@@ -38,7 +37,6 @@ from sltl.syntax import (
 )
 from sltl.translate import (
     counter_formula,
-    iter_partitions,
     product_to_sltl,
     psl_to_s5,
     recurring_counter_formula,
@@ -179,40 +177,6 @@ def test_until_renaming_preserves_bounded_satisfiability():
             bounded_search_product(out, SearchBounds.for_formula(out, 2, 1, 2)) is not None
         )
         assert sat_f == sat_out, to_text(f)
-
-
-# ---------------------------------------------------------------------------
-# Partitions of sharpening atoms
-
-def test_iter_partitions_orders_by_falsified_count():
-    pairs = [(S, T), (T, S)]
-    parts = list(iter_partitions(pairs))
-    assert len(parts) == 4
-    assert parts[0].i_minus == frozenset()
-    sizes = [len(p.i_minus) for p in parts]
-    assert sizes == sorted(sizes)
-
-
-@pytest.mark.parametrize("k", range(9))
-def test_iter_partitions_lazy_order_is_the_sorted_one(k):
-    pairs = [(Standpoint(f"a{i}"), Standpoint(f"b{i}")) for i in range(k)]
-    ordered = sorted(pairs, key=lambda p: (p[0].name, p[1].name))
-    masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
-    want = [
-        frozenset(ordered[i] for i in range(k) if mask >> i & 1) for mask in masks
-    ]
-    parts = list(iter_partitions(reversed(pairs)))
-    assert [p.i_minus for p in parts] == want
-    assert all(p.i_plus == frozenset(pairs) - p.i_minus for p in parts)
-
-
-def test_sixty_four_atom_chain_is_sat_on_its_first_partition():
-    # 2^64 partitions cannot be listed; the first one, every atom true, is sat
-    spec = " & ".join(f"@a{i} <= @a{i + 1}" for i in range(64))
-    verdict = solve(parse(spec))
-    assert verdict.status == "sat"
-    lam = verdict.model.lam
-    assert all(lam[Standpoint(f"a{i}")] <= lam[Standpoint(f"a{i + 1}")] for i in range(64))
 
 
 # ---------------------------------------------------------------------------
