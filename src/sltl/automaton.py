@@ -23,8 +23,9 @@ matching the source state's propositions.
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
 run is cut from the states it visited as a short lasso.  Without next-step
-members every state is its own successor, and the first initial state is
-the lasso.
+members every state is its own successor, so one state holding the input
+is the lasso; it is read off a grid search of the input whole, one per
+assignment of the sharpening atoms, instead of enumerated.
 """
 
 from __future__ import annotations
@@ -37,16 +38,20 @@ from . import psl
 from .semantics import DEFAULT_NODE_LIMIT, _IntervalEngine
 from .syntax import (
     UNIVERSAL,
+    And,
     BoxS,
     ClosureSet,
     DiamondS,
     Formula,
     Next,
     Not,
+    Or,
     Prop,
     Sharper,
     Until,
     neg,
+    nodes,
+    to_nnf,
     vocab,
 )
 
@@ -108,7 +113,8 @@ class StateSpace:
     of the negation); the state's other propositional members are Boolean
     combinations of the literals, so the literals entail them and give the
     grid search the same three-valued bounds.  Each label family's grid
-    is compiled once, over every literal of the closure, and on it a
+    is compiled once, over every literal of the closure and, without
+    next-step members, the seed's conjuncts (see ``first_state``); on it a
     sharpening atom holds iff the true atoms entail it, beneath a modality
     too.  The width is ``n`` (standpoints of the seed plus distinct diamond
     subformulas of the seed plus one: the literals mention no other
@@ -158,6 +164,9 @@ class StateSpace:
         self._sharpening_bits = sum(1 << i for i, _ in self._sharpenings)
         self._models: dict[tuple[int, int], Optional[psl.PSLModel]] = {}
         self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
+        # without next-step members a run is one state, read off a grid
+        # search of the seed whole (see ``first_state``)
+        self._seed_parts = [] if cl.next_members else _conjuncts(cl.seed)
         # the members a source fixes in each of its targets: the operands of
         # its next-step members, and its sharpening atoms, which are rigid
         self._step_bits = self._sharpening_bits | sum(1 << cl.index[g] for g in cl.next_members)
@@ -227,9 +236,94 @@ class StateSpace:
             family = psl.family_for(psl.sharpening_closure(true, self.universe))
             shared = next((g for g in self._grids.values() if g.family == family), None)
             self._grids[key] = shared or psl.CompiledGrid(
-                family, self.props, list(self._literals.values()), self.budget
+                family, self.props, [*self._literals.values(), *self._seed_parts], self.budget
             )
         return self._grids[key]
+
+    def first_state(self) -> Optional[SElementarySet]:
+        """The first state containing the seed of a closure without
+        next-step members, or None.
+
+        Only the sharpening atoms are assigned, true first and pruned by
+        the interval engine: enumerating the modal members too would give
+        each Boolean-consistent assignment of them its own grid search.
+        Each assignment runs one grid search of the seed's conjuncts and
+        its atom literals at width ``n``; the state is the truth of every
+        base member at the designated cell of the model found, which it
+        keeps for the witness.  A failure is searched again at ``n_safe``
+        only when the seed's NNF has more distinct diamonds than the seed,
+        as one witness per such diamond suffices.  Once the first
+        assignment fails, the conjuncts without atoms are searched on the
+        family of no true atoms at the width of every valuation: a model
+        on any family copies there column by column and keeps the truth of
+        every formula without atoms, so when they fail no assignment has a
+        model.  Each assignment searched counts as a generated state."""
+        sweep = self._engine.sweep
+        seed = self._engine.slot[self.closure.seed]
+        atoms = [(i, self.base_index[self.closure.formulas[i]]) for i, _ in self._sharpenings]
+        tm = [0] * len(self.base)
+        fm = [0] * len(self.base)
+        wider = None  # whether a failure at ``n`` is searched at ``n_safe``
+
+        def assignments(k: int) -> Iterator[None]:
+            _, hi = sweep(tm, fm, 1, 1)
+            if not hi[seed]:
+                return
+            if k == len(atoms):
+                yield
+                return
+            for cells in (tm, fm):
+                cells[atoms[k][1]] = 1
+                yield from assignments(k + 1)
+                cells[atoms[k][1]] = 0
+
+        for tried, _ in enumerate(assignments(0)):
+            if tried == 1:
+                free = [
+                    g for g in self._seed_parts if not any(isinstance(h, Sharper) for h in nodes(g))
+                ]
+                self.grid_solves += 1
+                if psl.grid_model_for(self.grid(0), free, 1 << len(self.props), self.budget) is None:
+                    return None
+            self.generated += 1
+            if self.generated > self.state_limit:
+                raise AutomatonLimitError(self.state_limit)
+            grid = self.grid(sum(1 << i for i, b in atoms if tm[b]))
+            parts = self._seed_parts + [
+                self.closure.formulas[i] if tm[b] else neg(self.closure.formulas[i])
+                for i, b in atoms
+            ]
+            self.grid_solves += 1
+            model = psl.grid_model_for(grid, parts, self.n, self.budget)
+            if model is None and self.n_safe != self.n:
+                if wider is None:
+                    # a model needs one witness per diamond of the seed's
+                    # NNF, so ``n`` is complete unless those are more
+                    nnf = {g for g in nodes(to_nnf(self.closure.seed)) if isinstance(g, DiamondS)}
+                    wider = len(nnf) > self.closure.diamond_count
+                if wider:
+                    self.grid_solves += 1
+                    model = psl.grid_model_for(grid, parts, self.n_safe, self.budget)
+            if model is not None:
+                return self._state_of(grid, model)
+        return None
+
+    def _state_of(self, grid: psl.CompiledGrid, model: psl.PSLModel) -> SElementarySet:
+        """The state of the designated cell of a grid model of the seed,
+        which keeps the model as its own."""
+        types = {vals: v for v, vals in enumerate(grid.val_sets)}
+        cells = {c * grid.v_count + types[vals] for (c, _), vals in model.valuation.items()}
+        present = sum(1 << t for t in cells)
+        lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
+        d = types[model.valuation[(0, 1)]]  # the designated type, in column 0
+        tm = [lo[grid.engine.slot[g]] >> d & 1 for g in self.base]
+        lo, _ = self._engine.sweep(tm, [1 - t for t in tm], 1, 1)
+        mask = sum(lo[s] << k for k, s in enumerate(self._slots))
+        key = mask & self._literal_bits
+        self._models[(key, model.n)] = model
+        # a model at width ``n`` would have been found first
+        self._models.setdefault((key, self.n), None)
+        return SElementarySet(mask, self)
 
     def successors(self, b: SElementarySet) -> list[SElementarySet]:
         """Transition targets, memoised: the next-step members of the
@@ -255,6 +349,24 @@ def _dual(g: Formula) -> Formula:
         dual = BoxS if isinstance(g.operand, DiamondS) else DiamondS
         return dual(g.operand.standpoint, neg(g.operand.operand))
     return g
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of ``f`` for a grid search: the leaves of its top And
+    tree, a negated Or read as the And of the negations, and a negated
+    modal leaf as its dual (see ``_dual``), so that the search propagates
+    it; left to right."""
+    parts: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += [g.right, g.left]
+        elif isinstance(g, Not) and isinstance(g.operand, Or):
+            stack += [neg(g.operand.right), neg(g.operand.left)]
+        else:
+            parts.append(_dual(g))
+    return parts
 
 
 def initial_states(cl: ClosureSet, phi_d: Formula, space: Optional[StateSpace] = None) -> Iterator[SElementarySet]:
@@ -296,8 +408,8 @@ def find_accepting_lasso(
     state is visited once.  With no Until member any cycle accepts.  A
     closure without next-step members has no Until member either, and its
     states constrain their successors by their sharpening atoms alone, so
-    every state is its own successor: the lasso is the first initial state,
-    with an empty stem and a one-state cycle.
+    every state is its own successor: the lasso is ``first_state``, with
+    an empty stem and a one-state cycle.  ``phi_d`` is the closure's seed.
 
     The lasso is built from the visited states: the stem is a shortest
     path from the initial states enumerated so far to the SCC, and the
@@ -307,11 +419,11 @@ def find_accepting_lasso(
     ``successors`` order, so the returned lasso is deterministic.  The
     states' grid searches share ``budget`` (see ``StateSpace``).
     """
-    if phi_d not in cl:
+    if phi_d != cl.seed:
         raise ValueError("the closure set does not belong to this formula")
     space = StateSpace(cl, state_limit, budget)
     if not cl.next_members:
-        first = next(space.enumerate([(phi_d, True)]), None)
+        first = space.first_state()
         return None if first is None else Lasso((), (first,))
     preds = acceptance_family(cl)
     full = (1 << len(preds)) - 1

@@ -11,13 +11,12 @@ rigid state bits, and the verdict's partition is read off the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import psl
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     Lasso,
-    SElementarySet,
     find_accepting_lasso,
 )
 from .semantics import (
@@ -79,16 +78,6 @@ def check_witness(f: Formula, model: SLTLModel, trace_id: str) -> bool:
 # ---------------------------------------------------------------------------
 # Witness construction from an accepting run
 
-def _run_models(states: Sequence[SElementarySet]) -> list[psl.PSLModel]:
-    """The kept grid models of the states of one run: at width ``n`` when
-    each state has one there, else at ``n_safe``."""
-    space = states[0].space
-    models = [space.grid_model(b.mask, space.n) for b in states]
-    if any(m is None for m in models):
-        models = [space.grid_model(b.mask, space.n_safe) for b in states]
-    return models
-
-
 def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     """Build a model from an accepting run.
 
@@ -106,7 +95,9 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     """
     states = list(lasso.stem) + list(lasso.cycle)
     space = states[0].space
-    models = _run_models(states)
+    models = [space.grid_model(b.mask, space.n) for b in states]
+    if any(m is None for m in models):
+        models = [space.grid_model(b.mask, space.n_safe) for b in states]
     family, width = models[0].family, models[0].n
 
     prefix_len, period_len = len(lasso.stem), len(lasso.cycle)
@@ -194,8 +185,13 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     verdict = Verdict(
         "sat", frag, engine="automaton", model=model, designated=designated,
         partition=_witness_partition(model, voc),
-        psl_model=_run_models(lasso.cycle)[0] if frag is Fragment.PSL else None,
     )
+    if frag is Fragment.PSL:
+        # the run is one state, and its kept model is the one the witness read
+        (b,) = lasso.cycle
+        verdict.psl_model = b.space.grid_model(b.mask, b.space.n) or b.space.grid_model(
+            b.mask, b.space.n_safe
+        )
     if not check_witness(f, model, designated):
         raise AssertionError("automaton witness fails the evaluator on the input")
     return verdict

@@ -337,14 +337,61 @@ def test_sixty_four_atom_chain_is_sat():
     assert all(lam[Standpoint(f"a{i}")] <= lam[Standpoint(f"a{i + 1}")] for i in range(64))
 
 
+@pytest.mark.parametrize("body", ["p & !p", "<@s> p & [@s] !p"], ids=["boolean", "grid"])
 @pytest.mark.parametrize("k", [14, 64])
-def test_unsat_atom_chain_is_answered_at_once(k):
+def test_unsat_atom_chain_is_answered_at_once(k, body):
     # the contradiction fails on every label family; one grid per guessed
     # partition took over 20 s at k = 14
-    spec = " & ".join(f"@a{i} <= @a{i + 1}" for i in range(k)) + " & p & !p"
+    spec = " & ".join(f"@a{i} <= @a{i + 1}" for i in range(k)) + " & " + body
     started = time.perf_counter()
     assert solve(parse(spec)).status == "unsat"
     assert time.perf_counter() - started < 2
+
+
+def test_negated_boxes_are_searched_at_the_safe_width():
+    # the negated boxes are the diamonds of the NNF: the column of s needs
+    # four valuations, one more than the width n = 2 + 0 + 1 that counts
+    # no diamond, so the input is sat at n_safe = 3 + 5 boxes only
+    props = ["p", "q", "r", "u"]
+    only = " & ".join(
+        f"(!{a} -> " + " & ".join(b for b in props if b != a) + ")" for a in props
+    )
+    spec = " & ".join(f"![@s] {a}" for a in props) + f" & [@s] ({only})"
+    verdict = solve(parse(spec))
+    assert verdict.status == "sat" and verdict.psl_model.n == 8
+
+
+def _grid_searches(monkeypatch, text):
+    """The verdict on the input and the number of grid searches it ran."""
+    calls = []
+    search = psl.grid_model_for
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(psl, "grid_model_for", counting)
+    return solve(parse(text)).status, len(calls)
+
+
+def test_unsat_modal_disjunctions_take_one_grid_search(monkeypatch):
+    # one search per Boolean-consistent assignment of the diamonds would be
+    # 3^12 = 531,441, past the automaton's state limit
+    spec = " & ".join(f"(<@a{i}> p | <@b{i}> p)" for i in range(12)) + " & [@*] !p"
+    assert _grid_searches(monkeypatch, spec) == ("unsat", 1)
+
+
+def test_unsat_atom_disjunctions_stop_at_the_atom_free_conjuncts(monkeypatch):
+    # 3^8 atom assignments each choose a family; the conjuncts without
+    # atoms fail on every family, which one search on the family of no
+    # atoms shows once the first assignment has failed
+    spec = " & ".join(f"(@a{i} <= @b{i} | @b{i} <= @a{i})" for i in range(8))
+    assert _grid_searches(monkeypatch, spec + " & <@s> p & [@s] !p") == ("unsat", 2)
+    # when the conjuncts without atoms have a model, the search goes on to
+    # the next assignments: s = t and s inside t fail, t inside s holds
+    spec = "(@s <= @t | @t <= @s) & [@t] p & <@s> !p"
+    assert _grid_searches(monkeypatch, spec) == ("sat", 4)
+    assert solve(parse(spec)).partition.i_plus == {(T, S)}
 
 
 @pytest.mark.parametrize("text, engine", [
