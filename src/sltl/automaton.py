@@ -6,19 +6,19 @@ States are maximally consistent, standpoint-consistent subsets of the
 closure set, which stops at modal formulas: a modal member is a leaf that
 a state's grid decides whole.  A state is standpoint-consistent when its
 propositional members have a grid model on the label family of its own
-true sharpening atoms, at the small-model width ``n`` or, failing that,
-``n_safe``.  The grid is compiled once per label family and searched per
-state, within one node budget; the state space keeps each model, and the
-solver builds the witness of a run from the models of its states.  A
-state is determined by its assignment to the base members (propositions,
-sharpening atoms, next-step and modal formulas); Boolean and Until members
-are forced by the consistency equations, so enumeration backtracks over
-base assignments only.  It prunes with the interval engine of ``semantics`` on
-a single cell whose leaves are the base members: each Until member
-unfolds to ``b | (a & X(a U b))`` over its next-step companion, and once
-every base member is assigned the engine's lower bounds are the state's
-mask.  Letters never appear: a transition only exists for the letter
-matching the source state's propositions.
+true sharpening atoms.  The grid is compiled once per label family and
+searched once per state literal set, within one node budget; the state
+space keeps each model, and the solver builds the witness of a run from
+the models of its states.  A state is determined by its assignment to the
+base members (propositions, sharpening atoms, next-step and modal
+formulas); Boolean and Until members are forced by the consistency
+equations, so enumeration backtracks over base assignments only.  It
+prunes with the interval engine of ``semantics`` on a single cell whose
+leaves are the base members: each Until member unfolds to
+``b | (a & X(a U b))`` over its next-step companion, and once every base
+member is assigned the engine's lower bounds are the state's mask.
+Letters never appear: a transition only exists for the letter matching
+the source state's propositions.
 
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
@@ -51,7 +51,6 @@ from .syntax import (
     Until,
     neg,
     nodes,
-    to_nnf,
     vocab,
 )
 
@@ -116,17 +115,12 @@ class StateSpace:
     is compiled once, over every literal of the closure and, without
     next-step members, the seed's conjuncts (see ``first_state``); on it a
     sharpening atom holds iff the true atoms entail it, beneath a modality
-    too.  The width is ``n`` (standpoints of the seed plus distinct diamond
-    subformulas of the seed plus one: the literals mention no other
-    standpoint and demand at most one witness per diamond) or, when that
-    has no model, ``n_safe``, which also counts the box subformulas because
-    negated boxes become diamonds.
-    A model at width ``n`` pads to one at ``n_safe``.  A search reads its
-    width only up to the ``2^props`` valuations a column can carry, so when
-    ``n`` already reaches them ``n_safe`` is ``n`` and a failed state is not
-    searched again.  Grid models are memoised per set of literals and
-    width; ``grid_solves`` counts the searches run, which share ``budget``
-    (see ``psl.grid_model_for``), by default DEFAULT_NODE_LIMIT nodes.
+    too.  The search decides which types are present, with no cap on how
+    many a column holds, so a state has a grid model iff its literals have
+    any model on the family.  Grid models are memoised per set of
+    literals, so a state runs at most one search; ``grid_solves`` counts
+    the searches run, which share ``budget`` (see ``psl.grid_model_for``),
+    by default DEFAULT_NODE_LIMIT nodes.
     """
 
     def __init__(
@@ -145,12 +139,6 @@ class StateSpace:
         voc = vocab(cl.seed)
         self.universe = set(voc.standpoints) | {UNIVERSAL}
         self.props = voc.props
-        self.n = len(self.universe) + cl.diamond_count + 1
-        # a search reads its width only through min(width, 2^props), so a
-        # wider one under the same cap would fail as the first one did
-        v_count = 1 << len(self.props)
-        wider = min(self.n + cl.box_count, v_count) > min(self.n, v_count)
-        self.n_safe = self.n + cl.box_count if wider else self.n
         literal = (Prop, Sharper, DiamondS, BoxS)
         self._literals = {
             i: _dual(g)
@@ -162,7 +150,7 @@ class StateSpace:
             (i, (g.left, g.right)) for i, g in enumerate(cl.formulas) if isinstance(g, Sharper)
         ]
         self._sharpening_bits = sum(1 << i for i, _ in self._sharpenings)
-        self._models: dict[tuple[int, int], Optional[psl.PSLModel]] = {}
+        self._models: dict[int, Optional[psl.PSLModel]] = {}  # by literal bits
         self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
         # without next-step members a run is one state, read off a grid
         # search of the seed whole (see ``first_state``)
@@ -204,10 +192,7 @@ class StateSpace:
                 if self.generated > self.state_limit:
                     raise AutomatonLimitError(self.state_limit)
                 mask = sum(lo[s] << k for k, s in enumerate(self._slots))
-                if (
-                    self.grid_model(mask, self.n) is not None
-                    or self.grid_model(mask, self.n_safe) is not None
-                ):
+                if self.grid_model(mask) is not None:
                     yield SElementarySet(mask, self)
                 return
             for cells in order[i]:
@@ -217,14 +202,13 @@ class StateSpace:
 
         yield from dfs(0)
 
-    def grid_model(self, mask: int, width: int) -> Optional[psl.PSLModel]:
-        """Grid model of the state's propositional literals at this width,
-        or None."""
-        key = (mask & self._literal_bits, width)
+    def grid_model(self, mask: int) -> Optional[psl.PSLModel]:
+        """Grid model of the state's propositional literals, or None."""
+        key = mask & self._literal_bits
         if key not in self._models:
             self.grid_solves += 1
-            members = [g for i, g in self._literals.items() if key[0] >> i & 1]
-            self._models[key] = psl.grid_model_for(self.grid(mask), members, width, self.budget)
+            members = [g for i, g in self._literals.items() if key >> i & 1]
+            self._models[key] = psl.grid_model_for(self.grid(mask), members, self.budget)
         return self._models[key]
 
     def grid(self, mask: int) -> psl.CompiledGrid:
@@ -248,22 +232,18 @@ class StateSpace:
         the interval engine: enumerating the modal members too would give
         each Boolean-consistent assignment of them its own grid search.
         Each assignment runs one grid search of the seed's conjuncts and
-        its atom literals at width ``n``; the state is the truth of every
-        base member at the designated cell of the model found, which it
-        keeps for the witness.  A failure is searched again at ``n_safe``
-        only when the seed's NNF has more distinct diamonds than the seed,
-        as one witness per such diamond suffices.  Once the first
-        assignment fails, the conjuncts without atoms are searched on the
-        family of no true atoms at the width of every valuation: a model
-        on any family copies there column by column and keeps the truth of
-        every formula without atoms, so when they fail no assignment has a
-        model.  Each assignment searched counts as a generated state."""
+        its atom literals; the state is the truth of every base member at
+        the designated cell of the model found, which it keeps for the
+        witness.  Once the first assignment fails, the conjuncts without
+        atoms are searched on the family of no true atoms: a model on any
+        family copies there column by column and keeps the truth of every
+        formula without atoms, so when they fail no assignment has a model.
+        Each assignment searched counts as a generated state."""
         sweep = self._engine.sweep
         seed = self._engine.slot[self.closure.seed]
         atoms = [(i, self.base_index[self.closure.formulas[i]]) for i, _ in self._sharpenings]
         tm = [0] * len(self.base)
         fm = [0] * len(self.base)
-        wider = None  # whether a failure at ``n`` is searched at ``n_safe``
 
         def assignments(k: int) -> Iterator[None]:
             _, hi = sweep(tm, fm, 1, 1)
@@ -283,7 +263,7 @@ class StateSpace:
                     g for g in self._seed_parts if not any(isinstance(h, Sharper) for h in nodes(g))
                 ]
                 self.grid_solves += 1
-                if psl.grid_model_for(self.grid(0), free, 1 << len(self.props), self.budget) is None:
+                if psl.grid_model_for(self.grid(0), free, self.budget) is None:
                     return None
             self.generated += 1
             if self.generated > self.state_limit:
@@ -294,16 +274,7 @@ class StateSpace:
                 for i, b in atoms
             ]
             self.grid_solves += 1
-            model = psl.grid_model_for(grid, parts, self.n, self.budget)
-            if model is None and self.n_safe != self.n:
-                if wider is None:
-                    # a model needs one witness per diamond of the seed's
-                    # NNF, so ``n`` is complete unless those are more
-                    nnf = {g for g in nodes(to_nnf(self.closure.seed)) if isinstance(g, DiamondS)}
-                    wider = len(nnf) > self.closure.diamond_count
-                if wider:
-                    self.grid_solves += 1
-                    model = psl.grid_model_for(grid, parts, self.n_safe, self.budget)
+            model = psl.grid_model_for(grid, parts, self.budget)
             if model is not None:
                 return self._state_of(grid, model)
         return None
@@ -319,10 +290,7 @@ class StateSpace:
         tm = [lo[grid.engine.slot[g]] >> d & 1 for g in self.base]
         lo, _ = self._engine.sweep(tm, [1 - t for t in tm], 1, 1)
         mask = sum(lo[s] << k for k, s in enumerate(self._slots))
-        key = mask & self._literal_bits
-        self._models[(key, model.n)] = model
-        # a model at width ``n`` would have been found first
-        self._models.setdefault((key, self.n), None)
+        self._models[mask & self._literal_bits] = model
         return SElementarySet(mask, self)
 
     def successors(self, b: SElementarySet) -> list[SElementarySet]:
@@ -405,19 +373,24 @@ def find_accepting_lasso(
     an open state closes a cycle and merges every root above that state
     into one; the search stops once the merged root covers every
     acceptance set.  The generalized condition needs no counter, so each
-    state is visited once.  With no Until member any cycle accepts.  A
-    closure without next-step members has no Until member either, and its
-    states constrain their successors by their sharpening atoms alone, so
-    every state is its own successor: the lasso is ``first_state``, with
-    an empty stem and a one-state cycle.  ``phi_d`` is the closure's seed.
+    state is visited once.  A state's successors are tried in the most
+    acceptance sets first, ties in ``successors`` order, so a state in
+    every set is entered before the search closes a cycle through states
+    that each lack one: ``G F p & G F q`` gets period 1, not 3.  With no
+    Until member any cycle accepts.  A closure without next-step members
+    has no Until member either, and its states constrain their successors
+    by their sharpening atoms alone, so every state is its own successor:
+    the lasso is ``first_state``, with an empty stem and a one-state
+    cycle.  ``phi_d`` is the closure's seed.
 
     The lasso is built from the visited states: the stem is a shortest
     path from the initial states enumerated so far to the SCC, and the
     cycle leaves the state the stem enters, goes by shortest paths inside
     the SCC to the nearest state of each acceptance set it has not yet
     met, and returns to that state.  Searches follow ``enumerate`` and
-    ``successors`` order, so the returned lasso is deterministic.  The
-    states' grid searches share ``budget`` (see ``StateSpace``).
+    ``successors`` order and that ranking, so the returned lasso is
+    deterministic.  The states' grid searches share ``budget`` (see
+    ``StateSpace``).
     """
     if phi_d != cl.seed:
         raise ValueError("the closure set does not belong to this formula")
@@ -434,12 +407,16 @@ def find_accepting_lasso(
     todo: list[tuple[SElementarySet, Iterator[SElementarySet]]] = []
     initial: list[SElementarySet] = []
 
+    def bits(b: SElementarySet) -> int:
+        return sum(1 << i for i, p in enumerate(preds) if p(b))
+
     def visit(b: SElementarySet) -> None:
-        accept[b.mask] = sum(1 << i for i, p in enumerate(preds) if p(b))
+        accept[b.mask] = bits(b)
         number[b.mask] = len(number)
         open_states.append(b)
         roots.append([number[b.mask], accept[b.mask]])
-        todo.append((b, iter(space.successors(b))))
+        ranked = sorted(space.successors(b), key=lambda t: -bits(t).bit_count())
+        todo.append((b, iter(ranked)))
 
     for b0 in space.enumerate([(phi_d, True)]):
         initial.append(b0)

@@ -1,14 +1,16 @@
 """Propositional standpoint logic: label families, compiled grids and grid
 models.
 
-The normalized small-model property puts a model of a satisfiable
-propositional standpoint formula on a grid: the columns are the label sets
-of the sharpening closure of its true atoms, each repeated over a small
-index range.  On that grid a sharpening atom holds iff the closure relates
-its standpoints, so atoms are constants of the grid.  The automaton
-decides PSL inputs too, one grid search per state literal set (see
-``automaton.StateSpace``): this module supplies the families, the compiled
-grids, the search and the models.
+A model of a propositional standpoint formula lives on a grid whose
+columns are the label sets of the sharpening closure of its true atoms.  On
+that grid a sharpening atom holds iff the closure relates its standpoints,
+so atoms are constants of the grid, and modal truth reads only which
+valuations each column carries: its present types.  The search decides
+those presence sets, and a model lists each column's valuations, padded to
+the column that carries the most.  The automaton decides PSL inputs too,
+one grid search per state literal set (see ``automaton.StateSpace``): this
+module supplies the families, the compiled grids, the search and the
+models.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class PSLModel:
 
 class CompiledGrid:
     """A label family's grid tables and one interval engine compiled over
-    ``formulas``, for every search of a conjunction of them at any width.
+    ``formulas``, for every search of a conjunction of them.
 
     The types are the (column, valuation) pairs over the sorted
     propositions, column by column.  The engine runs on a one-position
@@ -171,18 +173,17 @@ class CompiledGrid:
 
 
 def grid_model_for(
-    grid: CompiledGrid, conjuncts: Sequence[Formula], n: int, budget: list[int]
+    grid: CompiledGrid, conjuncts: Sequence[Formula], budget: list[int]
 ) -> Optional[PSLModel]:
     """A model of the conjunction at the designated cell (0, 1) of the
-    ``family x {1..n}`` grid, or None; ``grid`` was compiled over the
-    conjuncts.
+    grid, or None; ``grid`` was compiled over the conjuncts.
 
     Backtracks over which valuations each column carries (its present
     types) rather than over individual cells: modal truth only reads the
-    per-column valuation sets, so the search is complete as long as a
-    column never needs more distinct valuations than it has cells, and a
-    found presence assignment expands to the full grid by padding columns
-    with copies.  Three-valued truth comes from the grid's engine: the
+    per-column valuation sets, so a search of every presence assignment is
+    complete, and a found one expands to a grid as wide as the column with
+    the most present types, padding the other columns with copies of their
+    first cell.  Three-valued truth comes from the grid's engine: the
     presence bits decide which types the modalities quantify over, and the
     conjunction's lower and upper masks are the AND of its conjuncts'.  The
     designated cell's valuation is chosen first; presence bits are tried
@@ -201,17 +202,17 @@ def grid_model_for(
     designated type turning absent; the search skips types that
     propagation has decided.  Witnesses are those of the search without
     propagation.  A valid presence assignment is one under which the
-    conjunction holds at the designated type and every column carries
-    between one and ``min(n, 2^props)`` types.  Propagation and the other
-    prunings remove only subtrees without a valid assignment, and at a leaf
-    the bounds are exact, so the search returns the least valid assignment
-    in its order (the designated valuation, then the types of ``order``
-    absent before present).  A node whose lower bound already holds returns
-    its present types, which is the least completion beneath it (every open
-    type absent) and valid, so again that least assignment; ``expand``
-    reads only the present types.  The assignment depends on the family,
-    the propositions, ``n`` and the conjunction's masks alone, so it is the
-    one a grid compiled for the conjunction alone would give.
+    conjunction holds at the designated type and every column carries at
+    least one type.  Propagation and the other prunings remove only
+    subtrees without a valid assignment, and at a leaf the bounds are
+    exact, so the search returns the least valid assignment in its order
+    (the designated valuation, then the types of ``order`` absent before
+    present).  A node whose lower bound already holds returns its present
+    types, which is the least completion beneath it (every open type
+    absent) and valid, so again that least assignment; ``expand`` reads
+    only the present types.  The assignment depends on the family, the
+    propositions and the conjunction's masks alone, so it is the one a grid
+    compiled for the conjunction alone would give.
 
     ``budget`` is ``[remaining, limit]``, shared by every grid search of
     one ``solve``; each node takes one, and SearchLimitError is raised once
@@ -227,28 +228,28 @@ def grid_model_for(
             (boxes if isinstance(g, BoxS) else diamonds).append(rule)
     v_count, col_masks, full = grid.v_count, grid.col_masks, grid.full
     true_masks, false_masks = grid.true_masks, grid.false_masks
-    cap = min(n, v_count)
 
     def expand(present: int, dv: int) -> PSLModel:
-        valuation = {}
+        columns = []
         for c in range(len(col_masks)):
             chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
             if c == 0:
                 chosen = [dv] + [v for v in chosen if v != dv]
-            rows = (chosen + [chosen[0]] * n)[:n]
-            for j, v in enumerate(rows, start=1):
-                valuation[(c, j)] = grid.val_sets[v]
+            columns.append(chosen)
+        n = max(map(len, columns))
+        valuation = {
+            (c, j): grid.val_sets[v]
+            for c, chosen in enumerate(columns)
+            for j, v in enumerate(chosen + chosen[:1] * (n - len(chosen)), start=1)
+        }
         return PSLModel(grid.family, n, valuation)
 
     def propagate(present: int, absent: int, d_bit: int):
         """The node's presence and absence bits grown to the propagation
         fixpoint, with its lower masks, or None when the node fails."""
         while True:
-            for col in col_masks:
-                if col & ~absent == 0:
-                    return None  # every type of the column ruled out
-                if (col & present).bit_count() > cap:
-                    return None  # more distinct valuations than cells
+            if any(col & ~absent == 0 for col in col_masks):
+                return None  # every type of a column ruled out
             lo, hi = sweep(true_masks, false_masks, present, full ^ absent)
             if any(not hi[r] & d_bit for r in roots):
                 return None

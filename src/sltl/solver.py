@@ -82,29 +82,28 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
     """Build a model from an accepting run.
 
     Every run position reads its state's grid model back from the state
-    space that found it while deciding the state consistent: at width
-    ``n`` when every state of the run has a model there, else at
-    ``n_safe``, where each one has a model.  The run shares one label
-    family, as every run does: sharpening atoms keep their truth value
-    along a run, and the family is that of the true ones.  The trace of a
-    cell reads that cell's valuation across positions, and the standpoint
-    extents follow the cell labels, so a sharpening atom holds in the
-    model iff it held along the run.  The designated trace is the first
-    cell of the universal column.  ``solve`` checks the model once, on its
-    own input formula.
+    space that found it while deciding the state consistent.  The run
+    shares one label family, as every run does: sharpening atoms keep
+    their truth value along a run, and the family is that of the true
+    ones.  The witness is as wide as the widest model of the run; a
+    narrower model repeats the first cell of each column in the cells it
+    lacks, which changes no column's set of valuations and so no modal
+    truth.  The trace of a cell reads that cell's valuation across
+    positions, and the standpoint extents follow the cell labels, so a
+    sharpening atom holds in the model iff it held along the run.  The
+    designated trace is the first cell of the universal column.  ``solve``
+    checks the model once, on its own input formula.
     """
     states = list(lasso.stem) + list(lasso.cycle)
     space = states[0].space
-    models = [space.grid_model(b.mask, space.n) for b in states]
-    if any(m is None for m in models):
-        models = [space.grid_model(b.mask, space.n_safe) for b in states]
-    family, width = models[0].family, models[0].n
+    models = [space.grid_model(b.mask) for b in states]
+    family, width = models[0].family, max(m.n for m in models)
 
     prefix_len, period_len = len(lasso.stem), len(lasso.cycle)
     cells = [(i, j) for i in range(len(family)) for j in range(1, width + 1)]
     traces: dict[str, UPTrace] = {}
-    for idx, cell in enumerate(cells):
-        column = [m.valuation[cell] for m in models]
+    for idx, (i, j) in enumerate(cells):
+        column = [m.valuation[(i, j if j <= m.n else 1)] for m in models]
         traces[f"t{idx}"] = UPTrace(tuple(column[:prefix_len]), tuple(column[prefix_len:]))
     ids = list(traces)  # column by column, ``width`` cells each
     columns = [ids[i * width:(i + 1) * width] for i in range(len(family))]
@@ -189,9 +188,7 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     if frag is Fragment.PSL:
         # the run is one state, and its kept model is the one the witness read
         (b,) = lasso.cycle
-        verdict.psl_model = b.space.grid_model(b.mask, b.space.n) or b.space.grid_model(
-            b.mask, b.space.n_safe
-        )
+        verdict.psl_model = b.space.grid_model(b.mask)
     if not check_witness(f, model, designated):
         raise AssertionError("automaton witness fails the evaluator on the input")
     return verdict

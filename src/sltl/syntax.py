@@ -9,9 +9,9 @@ Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
 and ``fold`` computes bottom-up, with ``rebuild`` as the homomorphic step
 that a rewrite calls for every connective it leaves alone.  The parser
-loops over two stacks, so no input is too deep for it either; it and the
-printer read one operator table.  The printer and negation normal form
-still recurse.
+loops over two stacks and the printer over one, so no input is too deep
+for them either; both read one operator table.  Negation normal form
+still recurses.
 """
 
 from __future__ import annotations
@@ -349,37 +349,52 @@ _PRINT_BINARY = {
     for prec, right, _ in [_BINARY[tok]]
 }
 
+# The text of each printed leaf, and the text before the operand of each
+# printed prefix operator.
+_PRINT_LEAF: dict[type, Callable[[Formula], str]] = {
+    Top: lambda g: "true",
+    Bottom: lambda g: "false",
+    Prop: lambda g: g.name,
+    Sharper: lambda g: f"{g.left} <= {g.right}",
+}
+_PRINT_PREFIX: dict[type, Callable[[Formula], str]] = {
+    Not: lambda g: "!",
+    Next: lambda g: "X ",
+    DiamondS: lambda g: f"<{g.standpoint}> ",
+    BoxS: lambda g: f"[{g.standpoint}] ",
+}
+
 
 def to_text(f: Formula) -> str:
-    """Canonical text form; ``parse(to_text(f)) == f`` for every AST."""
-    return _print(f, 0)
+    """Canonical text form; ``parse(to_text(f)) == f`` for every AST.
 
-
-def _print(f: Formula, ctx: int) -> str:
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Sharper):
-        return f"{f.left} <= {f.right}"
-    if isinstance(f, Not):
-        return _wrap("!" + _print(f.operand, _PREC_UNARY), _PREC_UNARY, ctx)
-    if isinstance(f, Next):
-        return _wrap("X " + _print(f.operand, _PREC_UNARY), _PREC_UNARY, ctx)
-    if isinstance(f, DiamondS):
-        return _wrap(f"<{f.standpoint}> " + _print(f.operand, _PREC_UNARY), _PREC_UNARY, ctx)
-    if isinstance(f, BoxS):
-        return _wrap(f"[{f.standpoint}] " + _print(f.operand, _PREC_UNARY), _PREC_UNARY, ctx)
-    if type(f) in _PRINT_BINARY:
-        sep, left, right, prec = _PRINT_BINARY[type(f)]
-        return _wrap(_print(f.left, left) + sep + _print(f.right, right), prec, ctx)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(s: str, prec: int, ctx: int) -> str:
-    return f"({s})" if prec < ctx else s
+    Loops over a stack of pending pieces, each a text or a formula with the
+    precedence its place needs, so no formula is too deep to print.  A
+    formula is parenthesized when its operator binds looser than that.
+    """
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        cls = type(g)
+        if cls in _PRINT_LEAF:
+            out.append(_PRINT_LEAF[cls](g))
+            continue
+        # pieces in stack order, the last one printed first
+        if cls in _PRINT_BINARY:
+            sep, left, right, prec = _PRINT_BINARY[cls]
+            pieces = ((g.right, right), sep, (g.left, left))
+        elif cls in _PRINT_PREFIX:
+            prec = _PREC_UNARY
+            pieces = ((g.operand, prec), _PRINT_PREFIX[cls](g))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        stack += (")", *pieces, "(") if prec < ctx else pieces
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -653,15 +668,12 @@ class ClosureSet:
     operand is temporal-free, and a state decides it whole on its grid.
     Sharpening atoms beneath a modality are members all the same, because
     atoms are rigid state bits and the true ones choose the grid's label
-    family.  ``diamond_count`` and ``box_count`` count the distinct
-    diamond and box subformulas of the seed, modal operands included, for
-    the grid widths.
+    family.
     """
 
     def __init__(self, seed: Formula):
         members: set[Formula] = {TOP, BOTTOM}
         beneath: set[Formula] = set()  # subformulas met inside a modal operand
-        modal: set[Formula] = set()
         stack = [(seed, False)]
         while stack:
             g, inside = stack.pop()
@@ -670,14 +682,11 @@ class ClosureSet:
                 continue
             seen.add(g)
             if isinstance(g, (DiamondS, BoxS)):
-                modal.add(g)
                 inside = True
             elif inside and isinstance(g, Sharper):
                 members.add(g)
             for name in _CHILD_FIELDS[type(g)]:
                 stack.append((getattr(g, name), inside))
-        self.diamond_count = sum(isinstance(g, DiamondS) for g in modal)
-        self.box_count = len(modal) - self.diamond_count
         for g in list(members):
             if isinstance(g, Until):
                 members.add(Next(g))
@@ -703,9 +712,6 @@ class ClosureSet:
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.formulas)
-
-    def position(self, f: Formula) -> int:
-        return self.index[f]
 
 
 def closure(f: Formula) -> ClosureSet:

@@ -176,6 +176,16 @@ def test_counter_lasso_is_its_only_model(n):
     assert (len(lasso.stem), len(lasso.cycle)) == (0, 2**n)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_cycle_through_a_state_in_every_acceptance_set_is_one_state(k):
+    # a state with every p_i true meets every acceptance set and is its own
+    # successor; a cycle through states that each lack one took k + 1
+    f = parse(" & ".join(f"G F p{i}" for i in range(k)))
+    lasso = find_accepting_lasso(closure(f), f)
+    assert len(lasso.cycle) == 1
+    assert lasso.cycle[0].props() == {f"p{i}" for i in range(k)}
+
+
 def test_short_lasso_through_modal_acceptance_sets():
     f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
     lasso = find_accepting_lasso(closure(f), f)
@@ -402,7 +412,7 @@ def _substitute(f, truth):
     )
 
 
-def _one_shot_grid_model(space, mask, width):
+def _one_shot_grid_model(space, mask):
     """A state's grid model as each state once got it alone: its literals
     with every sharpening atom of the closure replaced by its truth on the
     family of the state's true atoms, in negation normal form, and searched
@@ -420,19 +430,27 @@ def _one_shot_grid_model(space, mask, width):
     ]
     body = to_nnf(conj(members))
     grid = psl.CompiledGrid(psl.family_for(rel), vocab(body).props, [body], [10**6, 10**6])
-    return psl.grid_model_for(grid, [body], width, [10**6, 10**6])
+    return psl.grid_model_for(grid, [body], [10**6, 10**6])
 
 
-def test_no_second_search_when_the_wider_grid_caps_alike():
-    # one proposition: a column carries at most 2 valuations, which width n
-    # already allows, so a state that fails at n is not searched again
+def test_a_failed_state_is_searched_once(monkeypatch):
+    # a literal set is searched once, also when it has no grid model
+    searched = []
+    real = psl.grid_model_for
+
+    def recording(grid, conjuncts, budget):
+        searched.append((id(grid), tuple(conjuncts)))
+        return real(grid, conjuncts, budget)
+
+    monkeypatch.setattr(psl, "grid_model_for", recording)
     f = parse("G ([@s] p | <@s> !p) & G F [@s] !p")
     space = StateSpace(closure(f))
-    assert any(isinstance(g, BoxS) for g in space.closure) and space.n_safe == space.n
     states = list(space.enumerate([]))
     failed = [key for key, model in space._models.items() if model is None]
     assert states and failed
-    assert space.grid_solves == len(space._models) == len({lits for lits, _ in space._models})
+    assert space.grid_solves == len(searched) == len(set(searched)) == len(space._models)
+    # enumerating again reads every literal set's model back
+    assert list(space.enumerate([])) == states and len(searched) == len(space._models)
     assert solve(f).status == "sat"
 
 
@@ -451,7 +469,7 @@ def test_shared_grid_matches_one_shot_grids():
         done += 1
         candidates = []
         solve_state = space.grid_model
-        space.grid_model = lambda mask, width: candidates.append(mask) or solve_state(mask, width)
+        space.grid_model = lambda mask: candidates.append(mask) or solve_state(mask)
         list(space.enumerate([]))  # every base assignment, sharpening atoms false too
         for mask in dict.fromkeys(candidates):
             states += 1
@@ -459,9 +477,7 @@ def test_shared_grid_matches_one_shot_grids():
                 isinstance(g, Sharper) and not mask >> i & 1
                 for i, g in enumerate(space.closure.formulas)
             )
-            for width in (space.n, space.n_safe):
-                want = _one_shot_grid_model(space, mask, width)
-                assert solve_state(mask, width) == want, to_text(phi_d)
+            assert solve_state(mask) == _one_shot_grid_model(space, mask), to_text(phi_d)
     assert states > 3_000 and negated > 200
 
 
@@ -485,7 +501,7 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         compiles.clear()
         cl = closure(phi_d)
         space = find_accepting_lasso(cl, phi_d).cycle[0].space
-        seen = {psl.family_for(_true_atom_closure(cl, bits)) for bits, _ in space._models}
+        seen = {psl.family_for(_true_atom_closure(cl, bits)) for bits in space._models}
         assert len(seen) == families and len(compiles) == families, to_text(phi_d)
 
 

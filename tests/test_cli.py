@@ -10,9 +10,10 @@ import pytest
 import sltl
 from sltl.automaton import dump_state_graph
 from sltl.cli import main
-from sltl.syntax import closure, parse, simplify, vocab
+from sltl.syntax import closure, parse, simplify, to_text, vocab
 from sltl.semantics import model_from_json
 from sltl.solver import check_witness
+from sltl.translate import sltl_to_product, until_to_strict
 
 
 def run(capsys, *argv):
@@ -311,6 +312,19 @@ def test_classify_wider_than_the_recursion_limit(capsys):
     code, out, err = run(capsys, "classify", spec)
     assert code == 0, err
     assert out.strip() == "PureLTL"
+
+
+@pytest.mark.parametrize("target, translate", [
+    ("strict-until", until_to_strict), ("ptls5", sltl_to_product),
+])
+def test_translate_wider_than_the_recursion_limit(capsys, target, translate):
+    # the translation is printed by a loop, not by a walk per nesting level
+    spec = " & ".join(f"F p{i}" for i in range(2_000))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "translate", "--to", target, spec)
+    assert time.perf_counter() - started < 1
+    assert code == 0, err
+    assert out.strip() == to_text(translate(parse(spec)))
 
 
 @pytest.mark.parametrize(

@@ -122,7 +122,7 @@ def test_split_separates_atoms_and_body():
     assert Prop("p") not in space.closure
     (b,) = space.enumerate([(f, True)])
     assert space.grid(b.mask).family == family_for(sharpening_closure([(S, T)], {S, T}))
-    assert holds(space.grid_model(b.mask, space.n), f)
+    assert holds(space.grid_model(b.mask), f)
 
 
 def test_split_pushes_negations_into_the_body():
@@ -152,8 +152,8 @@ def test_sat_normal_form_simple_witness():
     v = solve(Prop("p"))
     assert v.is_sat and v.designated == "t0"
     assert "p" in v.psl_model.valuation[(0, 1)]
-    # one standpoint symbol (the universal), no diamonds
-    assert v.psl_model.n == 2
+    # one column carrying one valuation
+    assert v.psl_model.n == 1
 
 
 def test_sat_normal_form_direct_contradiction():
@@ -167,10 +167,30 @@ def test_sat_normal_form_two_distinct_witness_cells():
     assert any("p" not in m.valuation[c] for c in s_cells)
 
 
-def test_grid_width_counts_standpoints_and_diamonds():
+def _column_valuations(m: PSLModel) -> list[set]:
+    return [{v for (c, _), v in m.valuation.items() if c == i} for i in range(len(m.family))]
+
+
+def test_grid_width_is_the_most_valuations_a_column_holds():
+    # one cell in each column: the s- and t-cells with p and q serve both
+    # diamonds and the box
     m = solve(parse("<@s> p & <@t> q & [@s] (p | q)")).psl_model
-    # standpoints s, t and the universal one; two diamond subformulas
-    assert m.n == 3 + 2 + 1
+    assert m.n == 1 and len(m.family) == 3
+    # the s-column needs p and !p, the others one valuation each, which
+    # fills their second cell with a copy of the first
+    m = solve(parse("<@s> p & <@s> !p & <@t> q")).psl_model
+    assert m.n == 2 and [len(vals) for vals in _column_valuations(m)] == [1, 2, 1]
+    for c in range(len(m.family)):
+        assert len(_column_valuations(m)[c]) == 2 or m.valuation[(c, 2)] == m.valuation[(c, 1)]
+
+
+def test_diamonds_beneath_a_negated_member_widen_nothing():
+    # the negated member is a box in the state, so its inner diamond
+    # demands no cell; a width counting every diamond subformula gave 9
+    # cells a column and 27 witness cells
+    f = parse("(<@*> (<@*> p & [@t] true)) & (!<@*> <@*> (@s <= @t)) & (<@*> [@*] p | !(p | true))")
+    v = solve(f)
+    assert v.is_sat and v.psl_model.n == 1 and len(v.model.traces) == 3
 
 
 def test_grid_model_shape_conditions():
@@ -195,11 +215,11 @@ def test_grid_model_shape_conditions():
         # condition 3: the labels of a cell are exactly its family set
         for (i, j) in m.valuation:
             assert m.labels((i, j)) == m.family.sets[i]
-        # width: one more than standpoints plus diamond subformulas, or
-        # wider by the box subformulas when that has no model
+        # width: the most valuations one column carries, within the
+        # small-model bound of the standpoints plus modal subformulas plus one
+        assert m.n == max(map(len, _column_valuations(m))), to_text(f)
         subs = subformulas(phi)
-        n = len(universe) + sum(isinstance(g, DiamondS) for g in subs) + 1
-        assert m.n in (n, n + sum(isinstance(g, BoxS) for g in subs)), to_text(f)
+        assert m.n <= len(universe) + sum(isinstance(g, (DiamondS, BoxS)) for g in subs) + 1
 
 
 def test_sat_monotone_in_width():
@@ -213,11 +233,12 @@ def test_sat_monotone_in_width():
             continue
         done += 1
         (b,) = lasso.cycle
-        space = b.space
-        width = next(w for w in (space.n, space.n_safe) if space.grid_model(b.mask, w))
-        wider = space.grid_model(b.mask, width + 1)
-        assert wider is not None and wider.n == width + 1
-        assert holds(wider, phi)
+        m = b.space.grid_model(b.mask)
+        # one more cell per column, a copy of its first, as a witness pads
+        # a narrower model of its run
+        wider = dict(m.valuation)
+        wider.update({(c, m.n + 1): m.valuation[(c, 1)] for c in range(len(m.family))})
+        assert holds(m, phi) and holds(PSLModel(m.family, m.n + 1, wider), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +323,7 @@ def test_root_failures_spend_no_grid_nodes():
     family = family_for(sharpening_closure([], {UNIVERSAL}))
     grid = CompiledGrid(family, props, conjuncts, [10**6, 10**6])
     budget = [1, 1]
-    model = grid_model_for(grid, conjuncts, 1, budget)
+    model = grid_model_for(grid, conjuncts, budget)
     assert model.valuation == {(0, 1): frozenset(props)}
     assert budget[0] == 0
 
@@ -327,7 +348,7 @@ def test_sat_node_limit_is_loud():
 def _expand(present, dv, cols, v_count, n, plist):
     """The grid valuation of a presence assignment: each column lists its
     present valuations in order (the designated one first in column 0) and
-    repeats its first one to fill ``n`` rows."""
+    repeats its first one to fill ``n`` rows, the most any column has."""
     valuation = {}
     for c in range(cols):
         chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
@@ -339,13 +360,13 @@ def _expand(present, dv, cols, v_count, n, plist):
     return valuation
 
 
-def _first_valid_assignment(body, family, n, plist):
+def _first_valid_assignment(body, family, plist):
     """Brute force in the grid search's order: designated valuation first,
     then every other type absent before present, the lowest type deciding
-    first; the first assignment whose grid satisfies the body wins."""
+    first; the first assignment with a type in every column whose grid
+    satisfies the body wins."""
     v_count = 1 << len(plist)
     cols = len(family)
-    cap = min(n, v_count)
     for dv in range(v_count):
         order = [t for t in range(cols * v_count) if t != dv]
         for bits in range(1 << len(order)):
@@ -354,8 +375,9 @@ def _first_valid_assignment(body, family, n, plist):
                 if bits >> (len(order) - 1 - k) & 1:
                     present |= 1 << t
             counts = [(present >> (c * v_count) & ((1 << v_count) - 1)).bit_count() for c in range(cols)]
-            if any(not 1 <= m <= cap for m in counts):
+            if 0 in counts:
                 continue
+            n = max(counts)
             valuation = _expand(present, dv, cols, v_count, n, plist)
             if holds(PSLModel(family, n, valuation), body):
                 return valuation
@@ -398,11 +420,10 @@ def test_grid_search_returns_the_first_valid_assignment():
         done += 1
         parts = _conjuncts(body)
         modal += any(isinstance(c, (DiamondS, BoxS)) for c in parts)
-        n = rng.randint(1, 3)
-        expected = _first_valid_assignment(body, family, n, list(props))
+        expected = _first_valid_assignment(body, family, list(props))
         sat_count += expected is not None
         grid = CompiledGrid(family, props, parts, [10**6, 10**6])
-        found = grid_model_for(grid, parts, n, [10**6, 10**6])
+        found = grid_model_for(grid, parts, [10**6, 10**6])
         assert (found and found.valuation) == expected, to_text(body)
     # the corpus exercises both verdicts and the propagation rules
     assert 40 < sat_count < 110 and modal > 120
@@ -415,15 +436,18 @@ def test_grid_model_for_fixed_width():
     universe = {S, UNIVERSAL}
     rel = sharpening_closure([], universe)
     fam = family_for(rel)
-    parts = [parse("<@s> p"), parse("!p"), parse("[@s] p")]
+    parts = [parse("<@s> p"), parse("!p"), parse("[@s] p"), parse("<@s> !p")]
     grid = CompiledGrid(fam, ["p"], parts, [10**6, 10**6])
-    model = grid_model_for(grid, parts[:2], 4, [10**6, 10**6])
-    assert model is not None
-    assert model.n == 4
+    # the designated cell lacks p and the s-cell has it: one cell a column
+    model = grid_model_for(grid, parts[:2], [10**6, 10**6])
+    assert model.n == 1
+    assert model.valuation == {(0, 1): frozenset(), (1, 1): frozenset({"p"})}
     assert holds(model, parse("<@s> p & !p"))
-    # width too small for two forced-apart witnesses
-    tight = grid_model_for(grid, parts[2:], 1, [10**6, 10**6])
-    assert tight is not None
+    # two forced-apart witnesses in the s-column make the grid two wide
+    model = grid_model_for(grid, [parts[0], parts[3]], [10**6, 10**6])
+    assert model.n == 2 and holds(model, parse("<@s> p & <@s> !p"))
+    assert {model.valuation[(1, 1)], model.valuation[(1, 2)]} == {frozenset(), frozenset({"p"})}
+    assert grid_model_for(grid, parts[1:3], [10**6, 10**6]).n == 1
     with pytest.raises(ValueError, match="outside the grid universe"):
         CompiledGrid(fam, ["p"], [parse("<@t> p")], [10**6, 10**6])
 

@@ -13,30 +13,33 @@ from sltl.automaton import find_accepting_lasso
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
     And,
-    DiamondS,
     Prop,
     Sharper,
     Standpoint,
-    UNIVERSAL,
     classify,
     Fragment,
     closure,
     neg,
     parse,
     simplify,
-    subformulas,
     to_text,
     vocab,
 )
 from sltl.translate import counter_formula, recurring_counter_formula
 
 
-def expected_grid_parameters(phi_d):
-    universe = set(vocab(phi_d).standpoints) | {UNIVERSAL}
-    rel = psl.sharpening_closure(vocab(phi_d).sharpenings, universe)
-    family = psl.family_for(rel)
-    n_dia = sum(1 for g in subformulas(phi_d) if isinstance(g, DiamondS))
-    return len(family), len(universe) + n_dia + 1
+def run_grid_parameters(phi_d):
+    """The family size of the automaton's run on ``phi_d`` and the most
+    valuations one column of its states' grid models carries."""
+    lasso = find_accepting_lasso(closure(phi_d), phi_d)
+    states = list(lasso.stem) + list(lasso.cycle)
+    models = [b.space.grid_model(b.mask) for b in states]
+    most = max(
+        len({v for (c, _), v in m.valuation.items() if c == i})
+        for m in models
+        for i in range(len(m.family))
+    )
+    return len(models[0].family), most
 
 
 def test_routing_by_fragment():
@@ -111,7 +114,9 @@ def test_automaton_witness_has_grid_many_traces():
     f = parse("G [@*] p & F q")
     v = solve(f)
     assert v.status == "sat" and v.engine == "automaton"
-    fam_size, n = expected_grid_parameters(simplify(f))
+    fam_size, n = run_grid_parameters(simplify(f))
+    # one column, one valuation in every state: p, then q as well
+    assert (fam_size, n) == (1, 1)
     assert len(v.model.traces) == fam_size * n
     # universal box: every trace carries p everywhere
     for tr in v.model.traces.values():
@@ -120,11 +125,12 @@ def test_automaton_witness_has_grid_many_traces():
     assert evaluate(v.model, v.designated, 0, parse("F q"))
 
 
-def test_degenerate_grid_without_standpoints_still_has_parallel_traces():
+def test_degenerate_grid_without_standpoints_has_one_trace():
+    # without modalities no state needs a second cell
     f = parse("G F p")
     v = solve(f)
-    fam_size, n = expected_grid_parameters(simplify(f))
-    assert fam_size == 1
+    fam_size, n = run_grid_parameters(simplify(f))
+    assert (fam_size, n) == (1, 1)
     assert len(v.model.traces) == n
     assert check_witness(f, v.model, v.designated)
 
@@ -139,14 +145,14 @@ def _spy_on_the_automaton(monkeypatch):
         runs.append(phi)
         return real_run(cl, phi, *args)
 
-    def grid(g, conjuncts, n, budget):
+    def grid(g, conjuncts, budget):
         # an atom holds on a family iff every label set with its left
         # standpoint has its right one
         held.append(frozenset(
             (a, b) for a, b in [(S, T), (T, S)]
             if all(a not in labels or b in labels for labels in g.family.sets)
         ))
-        return real_grid(g, conjuncts, n, budget)
+        return real_grid(g, conjuncts, budget)
 
     monkeypatch.setattr(solver_mod, "find_accepting_lasso", run)
     monkeypatch.setattr(psl, "grid_model_for", grid)
@@ -246,7 +252,7 @@ def test_solve_is_deterministic():
 
 def test_width_escalation_when_negated_boxes_force_cells_apart():
     # four negated boxes force four pairwise distinct cells in the s-column,
-    # more than the diamond-free width estimate provides
+    # and the witness is exactly that wide
     f = parse(
         "![@s](!p | !q) & ![@s](!p | q) & ![@s](p | !q) & ![@s](p | q) & X true"
     )
@@ -254,18 +260,19 @@ def test_width_escalation_when_negated_boxes_force_cells_apart():
     v = solve(f)
     assert v.status == "sat"
     assert check_witness(f, v.model, v.designated)
-    fam_size, n = expected_grid_parameters(simplify(f))
-    # the default width would give fam_size * n traces; escalation widened it
-    assert len(v.model.traces) > fam_size * n
+    assert run_grid_parameters(simplify(f)) == (2, 4)
+    assert len(v.model.traces) == 2 * 4
+    s_traces = sorted(v.model.lam[S])
+    assert len({frozenset(v.model.traces[t].valuation(0)) for t in s_traces}) == 4
 
 
 def test_grid_solves_once_per_member_set_and_width(monkeypatch):
     solved = []
     real = psl.grid_model_for
 
-    def recording(grid, conjuncts, n, budget):
-        solved.append((grid, tuple(conjuncts), n))
-        return real(grid, conjuncts, n, budget)
+    def recording(grid, conjuncts, budget):
+        solved.append((grid, tuple(conjuncts)))
+        return real(grid, conjuncts, budget)
 
     monkeypatch.setattr(psl, "grid_model_for", recording)
     f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
@@ -274,8 +281,9 @@ def test_grid_solves_once_per_member_set_and_width(monkeypatch):
     states = list(lasso.stem) + list(lasso.cycle)
     assert len({b.mask for b in states}) > 1
     assert space.grid_solves == len(solved) == len(set(solved))
-    # the run fits width n, so the witness reads back what enumeration found
-    assert all(space.grid_model(b.mask, space.n) is not None for b in states)
+    # every state of the run kept its model, so the witness reads back
+    # what enumeration found
+    assert all(space.grid_model(b.mask) is not None for b in states)
     before = space.grid_solves
     model, designated = witness_from_lasso(lasso)
     assert space.grid_solves == len(solved) == before
@@ -348,17 +356,20 @@ def test_unsat_atom_chain_is_answered_at_once(k, body):
     assert time.perf_counter() - started < 2
 
 
-def test_negated_boxes_are_searched_at_the_safe_width():
+def test_negated_boxes_widen_the_grid_to_the_valuations_they_force():
     # the negated boxes are the diamonds of the NNF: the column of s needs
-    # four valuations, one more than the width n = 2 + 0 + 1 that counts
-    # no diamond, so the input is sat at n_safe = 3 + 5 boxes only
+    # four valuations, each lacking one proposition, one more than the
+    # standpoints plus diamond subformulas plus one (2 + 0 + 1) would give
     props = ["p", "q", "r", "u"]
     only = " & ".join(
         f"(!{a} -> " + " & ".join(b for b in props if b != a) + ")" for a in props
     )
     spec = " & ".join(f"![@s] {a}" for a in props) + f" & [@s] ({only})"
     verdict = solve(parse(spec))
-    assert verdict.status == "sat" and verdict.psl_model.n == 8
+    m = verdict.psl_model
+    assert verdict.status == "sat" and m.n == 4
+    s_column = {m.valuation[(1, j)] for j in range(1, 5)}
+    assert s_column == {frozenset(props) - {a} for a in props}
 
 
 def _grid_searches(monkeypatch, text):
