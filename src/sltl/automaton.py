@@ -1,31 +1,25 @@
 """Generalized Büchi automaton over s-elementary sets, explored on the fly.
 
-It decides every input of the fragments PSL, PureLTL and LtlPsl; a
-propositional input is the special case without next-step members.
-States are maximally consistent, standpoint-consistent subsets of the
-closure set, which stops at modal formulas: a modal member is a leaf that
-a state's grid decides whole.  A state is standpoint-consistent when its
-propositional members have a grid model on the label family of its own
-true sharpening atoms.  The grid is compiled once per label family and
-searched once per state literal set, within one node budget; the state
-space keeps each model, and the solver builds the witness of a run from
-the models of its states.  A state is determined by its assignment to the
-base members (propositions, sharpening atoms, next-step and modal
+It decides every input of the fragments PSL, PureLTL and LtlPsl.  States
+are maximally consistent, standpoint-consistent subsets of the closure
+set, which stops at modal formulas: a modal member is a leaf that a
+state's grid decides whole.  A state is determined by its assignment to
+the base members (propositions, sharpening atoms, next-step and modal
 formulas); Boolean and Until members are forced by the consistency
-equations, so enumeration backtracks over base assignments only.  It
-prunes with the interval engine of ``semantics`` on a single cell whose
-leaves are the base members: each Until member unfolds to
-``b | (a & X(a U b))`` over its next-step companion, and once every base
-member is assigned the engine's lower bounds are the state's mask.
-Letters never appear: a transition only exists for the letter matching
-the source state's propositions.
+equations.  Enumeration branches on the base members that fix successors
+and acceptance sets and reads the others off a grid model, which the state
+keeps for the witness (see ``StateSpace``).  It prunes with the interval
+engine of ``semantics`` on a single cell whose leaves are the base
+members: each Until member unfolds to ``b | (a & X(a U b))`` over its
+next-step companion, and once every base member is assigned the engine's
+lower bounds are the state's mask.  Letters never appear: a transition
+only exists for the letter matching the source state's propositions.
 
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
-run is cut from the states it visited as a short lasso.  Without next-step
-members every state is its own successor, so one state holding the input
-is the lasso; it is read off a grid search of the input whole, one per
-assignment of the sharpening atoms, instead of enumerated.
+run is cut from the states it visited as a short lasso.  Every state comes
+from ``StateSpace.enumerate``; without next-step members every state is
+its own successor, so the first initial state is the lasso.
 """
 
 from __future__ import annotations
@@ -103,24 +97,32 @@ class Lasso:
 class StateSpace:
     """Shared machinery for enumerating s-elementary sets of one closure.
 
-    A candidate state is kept when it is standpoint-consistent: its
-    propositional literals have a grid model on the label family of its
-    true sharpening atoms.  The literals are the true propositions,
-    sharpening atoms and modal members and the negations of the false
-    ones, a negated modal member as its dual over the negated operand, so
-    that the grid search propagates it (its strong Kleene bounds are those
-    of the negation); the state's other propositional members are Boolean
-    combinations of the literals, so the literals entail them and give the
-    grid search the same three-valued bounds.  Each label family's grid
-    is compiled once, over every literal of the closure and, without
-    next-step members, the seed's conjuncts (see ``first_state``); on it a
-    sharpening atom holds iff the true atoms entail it, beneath a modality
-    too.  The search decides which types are present, with no cap on how
-    many a column holds, so a state has a grid model iff its literals have
-    any model on the family.  Grid models are memoised per set of
-    literals, so a state runs at most one search; ``grid_solves`` counts
-    the searches run, which share ``budget`` (see ``psl.grid_model_for``),
-    by default DEFAULT_NODE_LIMIT nodes.
+    A state is standpoint-consistent when its propositional literals have a
+    grid model on the label family of its true sharpening atoms.  The
+    literals are the true propositions, sharpening atoms and modal members
+    and the negations of the false ones, a negated modal member as its dual
+    over the negated operand, so that the grid search propagates it (its
+    strong Kleene bounds are those of the negation); they entail the
+    state's other propositional members.
+
+    Enumeration branches only on the members that fix a state's successors
+    or acceptance sets (``branch``): the sharpening atoms, the next-step
+    members and every base member of a conjunct of the seed with a
+    next-step or Until subformula.  The other propositions and modal
+    members occur only in the seed's temporal-free conjuncts, so states
+    that differ in them alone have the same successors and acceptance sets,
+    and one state per branch assignment keeps emptiness.  That state reads
+    its grid-decided members off the designated cell of the grid model that
+    shows the assignment consistent, and keeps the model for the witness.
+
+    Each label family's grid is compiled once, over every literal of the
+    closure and the seed's temporal-free conjuncts; on it a sharpening atom
+    holds iff the true atoms entail it, beneath a modality too.  The search
+    decides which types are present, with no cap on how many a column
+    holds, so a conjunction has a grid model iff it has any model on the
+    family.  Searches are memoised by the conjuncts they search;
+    ``grid_solves`` counts those run, which share ``budget`` (see
+    ``psl.grid_model_for``), by default DEFAULT_NODE_LIMIT nodes.
     """
 
     def __init__(
@@ -150,66 +152,136 @@ class StateSpace:
             (i, (g.left, g.right)) for i, g in enumerate(cl.formulas) if isinstance(g, Sharper)
         ]
         self._sharpening_bits = sum(1 << i for i, _ in self._sharpenings)
-        self._models: dict[int, Optional[psl.PSLModel]] = {}  # by literal bits
-        self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
-        # without next-step members a run is one state, read off a grid
-        # search of the seed whole (see ``first_state``)
-        self._seed_parts = [] if cl.next_members else _conjuncts(cl.seed)
-        # the members a source fixes in each of its targets: the operands of
-        # its next-step members, and its sharpening atoms, which are rigid
-        self._step_bits = self._sharpening_bits | sum(1 << cl.index[g] for g in cl.next_members)
-        self._successors: dict[int, list[SElementarySet]] = {}
         # one trace of one position: base member i is true/false when bit 0
         # of tm[i]/fm[i] is set
         self._engine = _IntervalEngine(cl.formulas, 1, 0, 1, {}, self.base_index)
         self._slots = [self._engine.slot[g] for g in cl.formulas]
+        # the seed's temporal-free conjuncts as (slot, grid form), and the
+        # subformulas of the others; without next-step members no conjunct
+        # has a temporal operator, and without temporal-free conjuncts
+        # every base member branches
+        self._parts: list[tuple[int, Formula]] = []
+        temporal_parts = []
+        for c in _conjuncts(cl.seed):
+            if cl.next_members and any(isinstance(h, (Next, Until)) for h in nodes(c)):
+                temporal_parts.append(c)
+            else:
+                self._parts.append((self._engine.slot[c], _dual(c)))
+        temporal = set([h for c in temporal_parts for h in nodes(c)] if self._parts else self.base)
+        # the branch members as (base position, tried true first), and the
+        # grid-decided members as (base position, member)
+        self.branch: list[Formula] = []
+        self._order: list[tuple[int, bool]] = []
+        self._decided: list[tuple[int, Formula]] = []
+        self._branch_bits = 0
+        for b, g in enumerate(self.base):
+            if isinstance(g, (Sharper, Next)) or g in temporal:
+                self.branch.append(g)
+                self._order.append((b, not isinstance(g, (Prop, Next))))
+                self._branch_bits |= 1 << cl.index[g]
+            else:
+                self._decided.append((b, g))
+        # the members a source fixes in each of its targets: the operands of
+        # its next-step members, and its sharpening atoms, which are rigid
+        self._step_bits = self._sharpening_bits | sum(1 << cl.index[g] for g in cl.next_members)
+        self._searches: dict[tuple, Optional[tuple[psl.PSLModel, list[int]]]] = {}
+        self._models: dict[int, psl.PSLModel] = {}  # by state mask
+        self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
+        self._successors: dict[int, list[SElementarySet]] = {}
 
-    def enumerate(
-        self, constraints: list[tuple[Formula, bool]]
-    ) -> Iterator[SElementarySet]:
-        """All s-elementary sets meeting the constraints, in the order of
-        base assignments: closure index order, sharpening atoms and modal
+    def enumerate(self, constraints: list[tuple[Formula, bool]]) -> Iterator[SElementarySet]:
+        """One s-elementary set per branch assignment meeting the
+        constraints, which are on the seed or on branch members alone.
+        Assignments follow closure index order, sharpening atoms and modal
         members true before false, propositions and next-step members false
         before true.  A modal member the constraints leave open is more
         often needed true than false: tried false first, its state more
-        often failed the grid search."""
+        often failed the grid search.
+
+        Each assignment runs one grid search of its branch literals and,
+        when the seed is required, of the seed's temporal-free conjuncts it
+        leaves open.  Once the first assignment of a required seed fails,
+        those conjuncts without atoms are searched on the family of no true
+        atoms: a model on any family copies there column by column and
+        keeps the truth of every formula without atoms, so when they fail
+        no assignment has a model.  Each assignment counts as a generated
+        state."""
         sweep = self._engine.sweep
         checks = [(self._engine.slot[f], req) for f, req in constraints]
+        seeded = (self._engine.slot[self.closure.seed], True) in checks
         tm = [0] * len(self.base)
         fm = [0] * len(self.base)
         # local, not shared: ``successors`` enumerates again while this
         # generator is suspended
-        true_first = (Sharper, DiamondS, BoxS)
-        order = [(tm, fm) if isinstance(g, true_first) else (fm, tm) for g in self.base]
+        order = [(b, (tm, fm) if first else (fm, tm)) for b, first in self._order]
 
-        def dfs(i: int) -> Iterator[SElementarySet]:
+        def leaves(k: int) -> Iterator[list[int]]:
             lo, hi = sweep(tm, fm, 1, 1)
             # a constraint fails once neither bound can reach its value
             if any(lo[s] != req and hi[s] != req for s, req in checks):
                 return
-            if i == len(self.base):
-                self.generated += 1
-                if self.generated > self.state_limit:
-                    raise AutomatonLimitError(self.state_limit)
-                mask = sum(lo[s] << k for k, s in enumerate(self._slots))
-                if self.grid_model(mask) is not None:
-                    yield SElementarySet(mask, self)
+            if k == len(order):
+                yield lo
                 return
-            for cells in order[i]:
-                cells[i] = 1
-                yield from dfs(i + 1)
-                cells[i] = 0
+            b, choices = order[k]
+            for cells in choices:
+                cells[b] = 1
+                yield from leaves(k + 1)
+                cells[b] = 0
 
-        yield from dfs(0)
+        first_failed = False
+        for n, lo in enumerate(leaves(0)):
+            self.generated += 1
+            if self.generated > self.state_limit:
+                raise AutomatonLimitError(self.state_limit)
+            if n == 1 and first_failed:
+                free = [g for _, g in self._parts if Sharper not in map(type, nodes(g))]
+                if self._search((0, *free), 0) is None:
+                    return
+            mask = sum(lo[s] << k for k, s in enumerate(self._slots))
+            opened = [g for s, g in self._parts if not lo[s]] if seeded else []
+            found = self._search((mask & self._literal_bits, *opened), mask)
+            if found is None:
+                first_failed = n == 0 and seeded
+                continue
+            model, truth = found
+            if truth:
+                full_tm, full_fm = tm[:], fm[:]
+                for (b, _), t in zip(self._decided, truth):
+                    full_tm[b], full_fm[b] = t, 1 - t
+                lo, _ = sweep(full_tm, full_fm, 1, 1)
+                mask = sum(lo[s] << k for k, s in enumerate(self._slots))
+            self._models.setdefault(mask, model)
+            yield SElementarySet(mask, self)
+
+    def _search(self, key: tuple, mask: int) -> Optional[tuple[psl.PSLModel, list[int]]]:
+        """A grid model of the conjunction ``key`` on the family of the
+        true atoms of ``mask``, with the truth of each grid-decided member
+        at its designated cell, or None.  The conjunction is the literals
+        whose closure bits ``key[0]`` sets and the formulas after them."""
+        if key not in self._searches:
+            self.grid_solves += 1
+            grid = self.grid(mask)
+            conjuncts = [g for i, g in self._literals.items() if key[0] >> i & 1] + list(key[1:])
+            model = psl.grid_model_for(grid, conjuncts, self.budget)
+            self._searches[key] = None if model is None else (model, self._read(grid, model))
+        return self._searches[key]
+
+    def _read(self, grid: psl.CompiledGrid, model: psl.PSLModel) -> list[int]:
+        """The truth of each grid-decided member at the designated cell."""
+        if not self._decided:
+            return []
+        types = {vals: v for v, vals in enumerate(grid.val_sets)}
+        cells = {c * grid.v_count + types[vals] for (c, _), vals in model.valuation.items()}
+        present = sum(1 << t for t in cells)
+        lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
+        d = types[model.valuation[(0, 1)]]  # the designated type, in column 0
+        return [lo[grid.engine.slot[g]] >> d & 1 for _, g in self._decided]
 
     def grid_model(self, mask: int) -> Optional[psl.PSLModel]:
-        """Grid model of the state's propositional literals, or None."""
-        key = mask & self._literal_bits
-        if key not in self._models:
-            self.grid_solves += 1
-            members = [g for i, g in self._literals.items() if key >> i & 1]
-            self._models[key] = psl.grid_model_for(self.grid(mask), members, self.budget)
-        return self._models[key]
+        """The grid model a state was read off, or None for a mask that no
+        enumeration yielded."""
+        return self._models.get(mask)
 
     def grid(self, mask: int) -> psl.CompiledGrid:
         """The compiled grid of the label family of the state's true
@@ -219,85 +291,17 @@ class StateSpace:
             true = [pair for i, pair in self._sharpenings if key >> i & 1]
             family = psl.family_for(psl.sharpening_closure(true, self.universe))
             shared = next((g for g in self._grids.values() if g.family == family), None)
-            self._grids[key] = shared or psl.CompiledGrid(
-                family, self.props, [*self._literals.values(), *self._seed_parts], self.budget
-            )
+            formulas = [*self._literals.values(), *(g for _, g in self._parts)]
+            self._grids[key] = shared or psl.CompiledGrid(family, self.props, formulas, self.budget)
         return self._grids[key]
-
-    def first_state(self) -> Optional[SElementarySet]:
-        """The first state containing the seed of a closure without
-        next-step members, or None.
-
-        Only the sharpening atoms are assigned, true first and pruned by
-        the interval engine: enumerating the modal members too would give
-        each Boolean-consistent assignment of them its own grid search.
-        Each assignment runs one grid search of the seed's conjuncts and
-        its atom literals; the state is the truth of every base member at
-        the designated cell of the model found, which it keeps for the
-        witness.  Once the first assignment fails, the conjuncts without
-        atoms are searched on the family of no true atoms: a model on any
-        family copies there column by column and keeps the truth of every
-        formula without atoms, so when they fail no assignment has a model.
-        Each assignment searched counts as a generated state."""
-        sweep = self._engine.sweep
-        seed = self._engine.slot[self.closure.seed]
-        atoms = [(i, self.base_index[self.closure.formulas[i]]) for i, _ in self._sharpenings]
-        tm = [0] * len(self.base)
-        fm = [0] * len(self.base)
-
-        def assignments(k: int) -> Iterator[None]:
-            _, hi = sweep(tm, fm, 1, 1)
-            if not hi[seed]:
-                return
-            if k == len(atoms):
-                yield
-                return
-            for cells in (tm, fm):
-                cells[atoms[k][1]] = 1
-                yield from assignments(k + 1)
-                cells[atoms[k][1]] = 0
-
-        for tried, _ in enumerate(assignments(0)):
-            if tried == 1:
-                free = [
-                    g for g in self._seed_parts if not any(isinstance(h, Sharper) for h in nodes(g))
-                ]
-                self.grid_solves += 1
-                if psl.grid_model_for(self.grid(0), free, self.budget) is None:
-                    return None
-            self.generated += 1
-            if self.generated > self.state_limit:
-                raise AutomatonLimitError(self.state_limit)
-            grid = self.grid(sum(1 << i for i, b in atoms if tm[b]))
-            parts = self._seed_parts + [
-                self.closure.formulas[i] if tm[b] else neg(self.closure.formulas[i])
-                for i, b in atoms
-            ]
-            self.grid_solves += 1
-            model = psl.grid_model_for(grid, parts, self.budget)
-            if model is not None:
-                return self._state_of(grid, model)
-        return None
-
-    def _state_of(self, grid: psl.CompiledGrid, model: psl.PSLModel) -> SElementarySet:
-        """The state of the designated cell of a grid model of the seed,
-        which keeps the model as its own."""
-        types = {vals: v for v, vals in enumerate(grid.val_sets)}
-        cells = {c * grid.v_count + types[vals] for (c, _), vals in model.valuation.items()}
-        present = sum(1 << t for t in cells)
-        lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
-        d = types[model.valuation[(0, 1)]]  # the designated type, in column 0
-        tm = [lo[grid.engine.slot[g]] >> d & 1 for g in self.base]
-        lo, _ = self._engine.sweep(tm, [1 - t for t in tm], 1, 1)
-        mask = sum(lo[s] << k for k, s in enumerate(self._slots))
-        self._models[mask & self._literal_bits] = model
-        return SElementarySet(mask, self)
 
     def successors(self, b: SElementarySet) -> list[SElementarySet]:
         """Transition targets, memoised: the next-step members of the
         source fix the truth of their operands in every target, and a
         sharpening atom keeps its truth value along a run, so sources that
-        agree on those members and atoms share their targets."""
+        agree on those members and atoms share their targets.  The target
+        with the source's branch assignment is the source itself, so a
+        state is its own successor whenever its branch assignment allows."""
         key = b.mask & self._step_bits
         targets = self._successors.get(key)
         if targets is None:
@@ -307,7 +311,9 @@ class StateSpace:
             ]
             targets = list(self.enumerate(constraints))
             self._successors[key] = targets
-        return targets
+        if not self._decided:
+            return targets
+        return [b if (t.mask ^ b.mask) & self._branch_bits == 0 else t for t in targets]
 
 
 def _dual(g: Formula) -> Formula:
@@ -320,10 +326,9 @@ def _dual(g: Formula) -> Formula:
 
 
 def _conjuncts(f: Formula) -> list[Formula]:
-    """The conjuncts of ``f`` for a grid search: the leaves of its top And
-    tree, a negated Or read as the And of the negations, and a negated
-    modal leaf as its dual (see ``_dual``), so that the search propagates
-    it; left to right."""
+    """The conjuncts of ``f``: the leaves of its top And tree, a negated Or
+    read as the And of the negations, left to right.  Each is a member of
+    the closure of ``f``."""
     parts: list[Formula] = []
     stack = [f]
     while stack:
@@ -333,17 +338,16 @@ def _conjuncts(f: Formula) -> list[Formula]:
         elif isinstance(g, Not) and isinstance(g.operand, Or):
             stack += [neg(g.operand.right), neg(g.operand.left)]
         else:
-            parts.append(_dual(g))
+            parts.append(g)
     return parts
 
 
-def initial_states(cl: ClosureSet, phi_d: Formula, space: Optional[StateSpace] = None) -> Iterator[SElementarySet]:
-    """Lazy stream of the s-elementary sets containing the formula."""
-    if phi_d not in cl:
+def initial_states(cl: ClosureSet, phi_d: Formula) -> Iterator[SElementarySet]:
+    """Lazy stream of the s-elementary sets containing the closure's seed
+    ``phi_d``, one per branch assignment (see ``StateSpace``)."""
+    if phi_d != cl.seed:
         raise ValueError("the closure set does not belong to this formula")
-    if space is None:
-        space = StateSpace(cl)
-    return space.enumerate([(phi_d, True)])
+    return StateSpace(cl).enumerate([(phi_d, True)])
 
 
 @dataclass(frozen=True)
@@ -379,9 +383,9 @@ def find_accepting_lasso(
     that each lack one: ``G F p & G F q`` gets period 1, not 3.  With no
     Until member any cycle accepts.  A closure without next-step members
     has no Until member either, and its states constrain their successors
-    by their sharpening atoms alone, so every state is its own successor:
-    the lasso is ``first_state``, with an empty stem and a one-state
-    cycle.  ``phi_d`` is the closure's seed.
+    by their sharpening atoms alone, so every state is its own successor
+    and the lasso is the first initial state, with an empty stem and a
+    one-state cycle.  ``phi_d`` is the closure's seed.
 
     The lasso is built from the visited states: the stem is a shortest
     path from the initial states enumerated so far to the SCC, and the
@@ -396,7 +400,7 @@ def find_accepting_lasso(
         raise ValueError("the closure set does not belong to this formula")
     space = StateSpace(cl, state_limit, budget)
     if not cl.next_members:
-        first = space.first_state()
+        first = next(space.enumerate([(phi_d, True)]), None)
         return None if first is None else Lasso((), (first,))
     preds = acceptance_family(cl)
     full = (1 << len(preds)) - 1
@@ -508,14 +512,9 @@ def dump_state_graph(
     its grid searches share one budget of ``node_limit`` nodes."""
     space = StateSpace(cl, state_limit, [node_limit, node_limit])
     preds = acceptance_family(cl)
-    seen: dict[int, SElementarySet] = {}
-    order: list[int] = []
-    initial_masks = set()
-    for b in space.enumerate([(phi_d, True)]):
-        initial_masks.add(b.mask)
-        if b.mask not in seen:
-            seen[b.mask] = b
-            order.append(b.mask)
+    seen = {b.mask: b for b in space.enumerate([(phi_d, True)])}
+    order = list(seen)
+    initial_masks = set(seen)
     edges: list[tuple[int, int]] = []
     i = 0
     while i < len(order):

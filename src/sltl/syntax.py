@@ -10,8 +10,7 @@ for them: ``nodes`` lists every occurrence of a subformula in pre-order,
 and ``fold`` computes bottom-up, with ``rebuild`` as the homomorphic step
 that a rewrite calls for every connective it leaves alone.  The parser
 loops over two stacks and the printer over one, so no input is too deep
-for them either; both read one operator table.  Negation normal form
-still recurses.
+for them either; both read one operator table.
 """
 
 from __future__ import annotations
@@ -596,51 +595,43 @@ def to_nnf(f: Formula) -> Formula:
     In the result, ``Not`` appears only on propositions, sharpening atoms
     and on always-blocks ``Not(Until(Top, _))``, which encode the dual of
     Until without a release operator.
+
+    Each occurrence is carried with its polarity (``True`` under an even
+    number of negations): a loop lists them in pre-order, and a second
+    builds their normal forms in reverse, so no formula is too deep.
     """
-    if isinstance(f, Not):
-        return _nnf_neg(f.operand)
-    if isinstance(f, (Top, Bottom, Prop, Sharper)):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, DiamondS):
-        return DiamondS(f.standpoint, to_nnf(f.operand))
-    if isinstance(f, BoxS):
-        return BoxS(f.standpoint, to_nnf(f.operand))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.operand))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    order: list[tuple[Formula, bool]] = []
+    stack = [(f, True)]
+    while stack:
+        g, positive = stack.pop()
+        order.append((g, positive))
+        if isinstance(g, Not):
+            stack.append((g.operand, not positive))
+        elif isinstance(g, Until) and not positive:
+            # !(a U b)  ==  G !b  |  (!b U (!a & !b)), with G kept as !(true U b)
+            stack += [(g.left, False), (g.right, False), (g.right, True)]
+        else:
+            stack += [(getattr(g, name), positive) for name in _CHILD_FIELDS[type(g)]]
+    done: list[Formula] = []
+    for g, positive in reversed(order):
+        if isinstance(g, Not):
+            continue  # its operand's form, already built, is its own
+        if isinstance(g, (Top, Bottom, Prop, Sharper)):
+            done.append(g if positive else neg(g))
+        elif isinstance(g, Until) and not positive:
+            b, nb, na = done.pop(), done.pop(), done.pop()
+            done.append(Or(Not(Until(TOP, b)), Until(nb, And(na, nb))))
+        else:
+            k = len(_CHILD_FIELDS[type(g)])
+            kids = done[-k:]
+            del done[-k:]
+            build = type(g) if positive else _NNF_DUAL[type(g)]
+            modal = isinstance(g, (DiamondS, BoxS))
+            done.append(build(g.standpoint, *kids) if modal else build(*kids))
+    return done[0]
 
 
-def _nnf_neg(f: Formula) -> Formula:
-    if isinstance(f, (Prop, Sharper)):
-        return Not(f)
-    if isinstance(f, Top):
-        return BOTTOM
-    if isinstance(f, Bottom):
-        return TOP
-    if isinstance(f, Not):
-        return to_nnf(f.operand)
-    if isinstance(f, And):
-        return Or(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, Or):
-        return And(_nnf_neg(f.left), _nnf_neg(f.right))
-    if isinstance(f, DiamondS):
-        return BoxS(f.standpoint, _nnf_neg(f.operand))
-    if isinstance(f, BoxS):
-        return DiamondS(f.standpoint, _nnf_neg(f.operand))
-    if isinstance(f, Next):
-        return Next(_nnf_neg(f.operand))
-    if isinstance(f, Until):
-        # !(a U b)  ==  G !b  |  (!b U (!a & !b)), with G kept as !(true U b).
-        never_b = Not(Until(TOP, to_nnf(f.right)))
-        nb = _nnf_neg(f.right)
-        return Or(never_b, Until(nb, And(_nnf_neg(f.left), nb)))
-    raise TypeError(f"not a formula: {f!r}")
+_NNF_DUAL: dict[type, type] = {And: Or, Or: And, DiamondS: BoxS, BoxS: DiamondS, Next: Next}
 
 
 def is_nnf(f: Formula) -> bool:

@@ -10,6 +10,7 @@ from conftest import psl_brute_sat_bitwise, random_formula
 from sltl.automaton import (
     AutomatonLimitError,
     Lasso,
+    SElementarySet,
     StateSpace,
     acceptance_family,
     dump_state_graph,
@@ -107,14 +108,18 @@ def test_sharpening_atoms_are_rigid_along_a_run():
 
 
 def test_successors_unconstrained_without_next_members():
+    # p and q fix no successor and no acceptance set: nothing branches, so
+    # the unconstrained enumeration has one state, and the source's only
+    # successor is itself, which keeps the p and q its grid model chose
     f = parse("p | q")
     cl = closure(f)
     some_state = next(initial_states(cl, f))
     space = some_state.space
+    assert space.branch == []
     succs = space.successors(some_state)
     everything = list(space.enumerate([]))
-    assert {b.mask for b in succs} == {b.mask for b in everything}
-    assert len(succs) == 4  # free choice of p and q
+    assert succs == [some_state] and len(everything) == 1
+    assert f in some_state and f not in everything[0]
 
 
 def test_acceptance_family_examples():
@@ -222,17 +227,19 @@ def _abstractly_consistent(members) -> bool:
 
 def _brute_force_states(space, constraints):
     """Masks of the s-elementary sets meeting the constraints: every base
-    assignment in closure-index order, sharpening atoms and modal members
-    true before false and the other base members false before true, with
-    the other members derived from their consistency equations."""
+    assignment, the branch members outermost, each group in closure-index
+    order, sharpening atoms and modal members true before false and the
+    other base members false before true, with the other members derived
+    from their consistency equations."""
     cl = space.closure
     masks = []
+    base = space.branch + [g for g in space.base if g not in space.branch]
     choices = [
         (True, False) if isinstance(g, (Sharper, DiamondS, BoxS)) else (False, True)
-        for g in space.base
+        for g in base
     ]
     for values in itertools.product(*choices):
-        truth = dict(zip(space.base, values))
+        truth = dict(zip(base, values))
         for g in cl.formulas:  # operands precede the members built on them
             if g in truth:
                 continue
@@ -272,15 +279,29 @@ def test_enumeration_matches_brute_force(mode):
             continue
         done += 1
         initial = [(f, True)]
-        got = [b.mask for b in space.enumerate(initial)]
-        assert got == _brute_force_states(space, initial), to_text(f)
+        _assert_one_state_per_branch_assignment(space, initial, to_text(f))
         successor_constraints = {
             tuple((g.operand, g in b) for g in space.closure.next_members)
             for b in space.enumerate([])
         }
         for succ in sorted(successor_constraints, key=lambda c: [req for _, req in c]):
-            got = [b2.mask for b2 in space.enumerate(list(succ))]
-            assert got == _brute_force_states(space, succ), to_text(f)
+            _assert_one_state_per_branch_assignment(space, list(succ), to_text(f))
+
+
+def _assert_one_state_per_branch_assignment(space, constraints, text):
+    """Every enumerated state is a brute-force state, and the states'
+    branch assignments are the brute force's, each once, in order."""
+    cl = space.closure
+
+    def branch_assignment(mask):
+        return tuple(mask >> cl.index[g] & 1 for g in space.branch)
+
+    got = [b.mask for b in space.enumerate(constraints)]
+    want = _brute_force_states(space, constraints)
+    assert set(got) <= set(want), text
+    assert [branch_assignment(m) for m in got] == list(
+        dict.fromkeys(branch_assignment(m) for m in want)
+    ), text
 
 
 def test_agreement_with_bounded_search_on_corpus():
@@ -315,9 +336,10 @@ def test_partitioned_inputs_reach_the_automaton():
 def _reference_has_accepting_run(cl, phi_d) -> bool:
     """Materialize the whole product of the state graph with a
     degeneralization counter and look for a cycle through an accepting
-    node; independent of the SCC search."""
+    node; independent of the SCC search and of the enumeration's choice of
+    one state per branch assignment: the graph has every brute-force state."""
     space = StateSpace(cl, state_limit=10**6)
-    states = list(space.enumerate([]))
+    states = [SElementarySet(m, space) for m in _brute_force_states(space, [])]
     preds = acceptance_family(cl)
     k = max(1, len(preds))
 
@@ -394,14 +416,9 @@ def test_state_graph_dump_format():
     assert all("acc=" in ln and "props={" in ln for ln in states)
 
 
-def _true_atom_closure(cl, mask):
-    """The sharpening closure of a state's true atoms over the standpoints
-    of the seed."""
-    held = [
-        (g.left, g.right)
-        for i, g in enumerate(cl.formulas)
-        if isinstance(g, Sharper) and mask >> i & 1
-    ]
+def _true_atom_closure(cl, held):
+    """The sharpening closure of the true atoms ``held`` over the
+    standpoints of the seed."""
     return psl.sharpening_closure(held, set(vocab(cl.seed).standpoints) | {UNIVERSAL})
 
 
@@ -412,24 +429,30 @@ def _substitute(f, truth):
     )
 
 
-def _one_shot_grid_model(space, mask):
-    """A state's grid model as each state once got it alone: its literals
-    with every sharpening atom of the closure replaced by its truth on the
-    family of the state's true atoms, in negation normal form, and searched
-    on a grid compiled for that body alone."""
-    cl = space.closure
-    rel = _true_atom_closure(cl, mask)
-    pairs = [(g.left, g.right) for g in cl.formulas if isinstance(g, Sharper)]
-    truth = {pair: TOP if rel.entails(pair) else BOTTOM for pair in pairs}
+def _state_literals(cl, mask):
+    """The literal members of a state: its propositions, sharpening atoms
+    and modal members, true or negated."""
     literal = (Prop, Sharper, DiamondS, BoxS)
-    members = [
-        _substitute(g, truth)
+    return [
+        g
         for i, g in enumerate(cl.formulas)
         if mask >> i & 1
         and (isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal))
     ]
-    body = to_nnf(conj(members))
-    grid = psl.CompiledGrid(psl.family_for(rel), vocab(body).props, [body], [10**6, 10**6])
+
+
+def _one_shot_grid_model(space, conjuncts):
+    """A conjunction's grid model as each state once got it alone: every
+    sharpening atom of the closure replaced by its truth on the family of
+    the atoms the conjunction asserts, in negation normal form, and
+    searched on a grid over the input's propositions compiled for that
+    body alone."""
+    cl = space.closure
+    rel = _true_atom_closure(cl, [(g.left, g.right) for g in conjuncts if isinstance(g, Sharper)])
+    pairs = [(g.left, g.right) for g in cl.formulas if isinstance(g, Sharper)]
+    truth = {pair: TOP if rel.entails(pair) else BOTTOM for pair in pairs}
+    body = to_nnf(conj(_substitute(g, truth) for g in conjuncts))
+    grid = psl.CompiledGrid(psl.family_for(rel), space.props, [body], [10**6, 10**6])
     return psl.grid_model_for(grid, [body], [10**6, 10**6])
 
 
@@ -446,18 +469,31 @@ def test_a_failed_state_is_searched_once(monkeypatch):
     f = parse("G ([@s] p | <@s> !p) & G F [@s] !p")
     space = StateSpace(closure(f))
     states = list(space.enumerate([]))
-    failed = [key for key, model in space._models.items() if model is None]
+    failed = [key for key, found in space._searches.items() if found is None]
     assert states and failed
-    assert space.grid_solves == len(searched) == len(set(searched)) == len(space._models)
-    # enumerating again reads every literal set's model back
-    assert list(space.enumerate([])) == states and len(searched) == len(space._models)
+    assert space.grid_solves == len(searched) == len(set(searched)) == len(space._searches)
+    # enumerating again reads every conjunct set's model back
+    assert list(space.enumerate([])) == states and len(searched) == len(space._searches)
     assert solve(f).status == "sat"
 
 
-def test_shared_grid_matches_one_shot_grids():
+def test_shared_grid_matches_one_shot_grids(monkeypatch):
+    # every search on a shared grid, failed ones included, finds what a
+    # grid compiled for its conjunction alone finds; and the model a state
+    # was read off is the one-shot model of all its literals, grid-decided
+    # ones included, so reading them off loses no model
+    searched = []
+    real = psl.grid_model_for
+
+    def recording(grid, conjuncts, budget):
+        model = real(grid, conjuncts, budget)
+        searched.append((list(conjuncts), model))
+        return model
+
+    monkeypatch.setattr(psl, "grid_model_for", recording)
     rng = random.Random(211)
-    done = states = negated = 0
-    while done < 300:
+    done = searches = states = negated = 0
+    while done < 1_100:
         mode = ("ltl", "ltl_psl")[done % 2]
         f = random_formula(rng, 3, mode=mode, max_sharpenings=2)
         if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
@@ -467,18 +503,18 @@ def test_shared_grid_matches_one_shot_grids():
         if len(space.base) > 10:
             continue
         done += 1
-        candidates = []
-        solve_state = space.grid_model
-        space.grid_model = lambda mask: candidates.append(mask) or solve_state(mask)
-        list(space.enumerate([]))  # every base assignment, sharpening atoms false too
-        for mask in dict.fromkeys(candidates):
+        searched.clear()
+        enumerated = list(space.enumerate([]))  # every branch assignment, atoms false too
+        calls = searched[:]  # the one-shot searches below are recorded too
+        for b in enumerated:
             states += 1
-            negated += any(
-                isinstance(g, Sharper) and not mask >> i & 1
-                for i, g in enumerate(space.closure.formulas)
-            )
-            assert solve_state(mask) == _one_shot_grid_model(space, mask), to_text(phi_d)
-    assert states > 3_000 and negated > 200
+            want = _one_shot_grid_model(space, _state_literals(space.closure, b.mask))
+            assert space.grid_model(b.mask) == want, to_text(phi_d)
+        for conjuncts, model in calls:
+            searches += 1
+            negated += any(isinstance(g, Not) and isinstance(g.operand, Sharper) for g in conjuncts)
+            assert model == _one_shot_grid_model(space, conjuncts), to_text(phi_d)
+    assert searches > 3_000 and states > 3_000 and negated > 200
 
 
 def test_one_grid_engine_per_label_family(monkeypatch):
@@ -489,7 +525,15 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         compiles.append(args)
         return real(*args)
 
+    searched = []
+    search = psl.grid_model_for
+
+    def recording(grid, conjuncts, budget):
+        searched.append(conjuncts)
+        return search(grid, conjuncts, budget)
+
     monkeypatch.setattr(psl, "_IntervalEngine", counting)
+    monkeypatch.setattr(psl, "grid_model_for", recording)
     # sharpening atoms are tried true first: the first formula's initial
     # states with the atom true reach an accepting cycle; the second's have
     # no successors, so the search goes on to initial states with it false
@@ -499,9 +543,11 @@ def test_one_grid_engine_per_label_family(monkeypatch):
     ):
         phi_d = parse(text)
         compiles.clear()
+        searched.clear()
         cl = closure(phi_d)
-        space = find_accepting_lasso(cl, phi_d).cycle[0].space
-        seen = {psl.family_for(_true_atom_closure(cl, bits)) for bits in space._models}
+        find_accepting_lasso(cl, phi_d)
+        held = [[(g.left, g.right) for g in c if isinstance(g, Sharper)] for c in searched]
+        seen = {psl.family_for(_true_atom_closure(cl, atoms)) for atoms in held}
         assert len(seen) == families and len(compiles) == families, to_text(phi_d)
 
 

@@ -387,9 +387,28 @@ def _grid_searches(monkeypatch, text):
 
 def test_unsat_modal_disjunctions_take_one_grid_search(monkeypatch):
     # one search per Boolean-consistent assignment of the diamonds would be
-    # 3^12 = 531,441, past the automaton's state limit
+    # 3^12 = 531,441, past the automaton's state limit.  With a next-step
+    # conjunct the diamonds still only occur in temporal-free conjuncts, so
+    # they are read off the grid, not branched on: the first assignment of
+    # q fails, and so do the conjuncts without atoms, searched once
     spec = " & ".join(f"(<@a{i}> p | <@b{i}> p)" for i in range(12)) + " & [@*] !p"
     assert _grid_searches(monkeypatch, spec) == ("unsat", 1)
+    assert _grid_searches(monkeypatch, "X q & " + spec) == ("unsat", 2)
+
+
+@pytest.mark.parametrize("text", [
+    "(!p & false | p U q U q) & ([@s] !r | <@s> @s <= @t U (@u <= @t & true)) & <@t> <@s> r",
+    "<@s> (q | [@u] r) & !([@t] p & @s <= @t U p) & (@t <= @u & <@t> q | <@*> <@t> r)"
+    " & (r | <@s> (true | p)) & ([@*] @t <= @s & !@t <= @u & (true & true & <@t> r))",
+])
+def test_ltl_psl_inputs_with_grid_decided_members_are_sat_at_once(text):
+    # branching on the modal members of the temporal-free conjuncts ran
+    # grid searches that spent the default node budget, after minutes
+    f = parse(text)
+    started = time.perf_counter()
+    v = solve(f)
+    assert time.perf_counter() - started < 1
+    assert v.status == "sat" and check_witness(f, v.model, v.designated)
 
 
 def test_unsat_atom_disjunctions_stop_at_the_atom_free_conjuncts(monkeypatch):

@@ -32,6 +32,7 @@ from sltl.syntax import (
     classify,
     closure,
     conj,
+    disj,
     eventually,
     fold,
     is_nnf,
@@ -250,6 +251,22 @@ def test_nnf_shape_predicate():
     for _ in range(200):
         f = random_formula(rng, rng.randint(0, 4))
         assert is_nnf(to_nnf(f))
+
+
+def test_nnf_answers_formulas_deeper_and_wider_than_the_recursion_limit():
+    # results are compared through the printer, which loops: the generated
+    # ``__eq__`` of two distinct deep formulas recurses by itself
+    deep = parse("!" + "X " * _DEEP + "(p & q)")
+    want = Or(Not(Prop("p")), Not(Prop("q")))
+    for _ in range(_DEEP):
+        want = Next(want)
+    wide = parse(" & ".join(f"F p{i}" for i in range(2_000)))
+    started = time.perf_counter()
+    got_deep, got_wide = to_nnf(deep), to_nnf(Not(wide))
+    assert time.perf_counter() - started < 1
+    assert to_text(got_deep) == to_text(want)
+    each = [to_nnf(Not(eventually(Prop(f"p{i}")))) for i in range(2_000)]
+    assert to_text(got_wide) == to_text(disj(each)) and is_nnf(got_wide)
 
 
 def _equivalent_on_small_models(f: Formula, g: Formula, max_traces: int) -> bool:
