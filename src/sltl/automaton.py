@@ -3,17 +3,17 @@
 It decides every input of the fragments PSL, PureLTL and LtlPsl.  States
 are maximally consistent, standpoint-consistent subsets of the closure
 set, which stops at modal formulas: a modal member is a leaf that a
-state's grid decides whole.  A state is determined by its assignment to
-the base members (propositions, sharpening atoms, next-step and modal
-formulas); Boolean and Until members are forced by the consistency
-equations.  Enumeration branches on the base members that fix successors
-and acceptance sets and reads the others off a grid model, which the state
-keeps for the witness (see ``StateSpace``).  It prunes with the interval
-engine of ``semantics`` on a single cell whose leaves are the base
-members: each Until member unfolds to ``b | (a & X(a U b))`` over its
-next-step companion, and once every base member is assigned the engine's
-lower bounds are the state's mask.  Letters never appear: a transition
-only exists for the letter matching the source state's propositions.
+state's grid decides whole.  A state is fixed by its assignment to the
+base members (propositions, sharpening atoms, next-step and modal
+formulas), because the consistency equations force its Boolean and Until
+members; so a state is an ``int`` whose bit ``b`` is set when
+``StateSpace.base[b]`` is true.  Enumeration branches on the base members
+that fix successors and acceptance sets and reads the others off a grid
+model, which it keeps for the witness (see ``StateSpace``).  It prunes
+with the interval engine of ``semantics`` on a single cell whose leaves
+are the base members: each Until member unfolds to ``b | (a & X(a U b))``
+over its next-step companion.  Letters never appear: a transition only
+exists for the letter matching the source state's propositions.
 
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
@@ -25,7 +25,7 @@ its own successor, so the first initial state is the lasso.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Container, Iterator, Optional, TextIO
 
 from . import psl
@@ -60,50 +60,27 @@ class AutomatonLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SElementarySet:
-    """One automaton state: a bitmask over the closure index."""
-
-    mask: int
-    space: "StateSpace" = field(compare=False, repr=False, hash=False)
-
-    def __contains__(self, f: Formula) -> bool:
-        pos = self.space.closure.index.get(f)
-        return pos is not None and bool(self.mask >> pos & 1)
-
-    def members(self) -> list[Formula]:
-        return [g for i, g in enumerate(self.space.closure.formulas) if self.mask >> i & 1]
-
-    def props(self) -> frozenset[str]:
-        return frozenset(
-            g.name
-            for i, g in enumerate(self.space.closure.formulas)
-            if self.mask >> i & 1 and isinstance(g, Prop)
-        )
-
-
-@dataclass(frozen=True)
 class Lasso:
-    """Accepting run presented as a stem plus a repeating cycle."""
+    """Accepting run presented as a stem plus a repeating cycle of states,
+    with the grid model each run position's state was read off, stem
+    first."""
 
-    stem: tuple[SElementarySet, ...]
-    cycle: tuple[SElementarySet, ...]
-
-    def state_at(self, k: int) -> SElementarySet:
-        if k < len(self.stem):
-            return self.stem[k]
-        return self.cycle[(k - len(self.stem)) % len(self.cycle)]
+    stem: tuple[int, ...]
+    cycle: tuple[int, ...]
+    models: tuple[psl.PSLModel, ...]
 
 
 class StateSpace:
     """Shared machinery for enumerating s-elementary sets of one closure.
 
-    A state is standpoint-consistent when its propositional literals have a
-    grid model on the label family of its true sharpening atoms.  The
-    literals are the true propositions, sharpening atoms and modal members
-    and the negations of the false ones, a negated modal member as its dual
-    over the negated operand, so that the grid search propagates it (its
-    strong Kleene bounds are those of the negation); they entail the
-    state's other propositional members.
+    A state is an ``int`` over ``base``: bit ``b`` is set when ``base[b]``
+    is true.  It is standpoint-consistent when its propositional literals
+    have a grid model on the label family of its true sharpening atoms.
+    The literals are the true propositions, sharpening atoms and modal
+    members and the negations of the false ones, a negated modal member as
+    its dual over the negated operand, so that the grid search propagates
+    it (its strong Kleene bounds are those of the negation); they entail
+    the state's other propositional members.
 
     Enumeration branches only on the members that fix a state's successors
     or acceptance sets (``branch``): the sharpening atoms, the next-step
@@ -114,15 +91,20 @@ class StateSpace:
     and one state per branch assignment keeps emptiness.  That state reads
     its grid-decided members off the designated cell of the grid model that
     shows the assignment consistent, and keeps the model for the witness.
+    Its acceptance bits (``accepting``; bit ``i``: Until member ``i`` is
+    false or its right operand true) are read at the branch assignment,
+    where the engine's bounds of each Until member and its right operand
+    are exact: every base member beneath them branches.
 
-    Each label family's grid is compiled once, over every literal of the
-    closure and the seed's temporal-free conjuncts; on it a sharpening atom
-    holds iff the true atoms entail it, beneath a modality too.  The search
-    decides which types are present, with no cap on how many a column
-    holds, so a conjunction has a grid model iff it has any model on the
-    family.  Searches are memoised by the conjuncts they search;
-    ``grid_solves`` counts those run, which share ``budget`` (see
-    ``psl.grid_model_for``), by default DEFAULT_NODE_LIMIT nodes.
+    Each label family's grid is compiled once, over the branch literals in
+    both polarities, the grid-decided members and the seed's temporal-free
+    conjuncts; on it a sharpening atom holds iff the true atoms entail it,
+    beneath a modality too.  The search decides which types are present,
+    with no cap on how many a column holds, so a conjunction has a grid
+    model iff it has any model on the family.  Searches are memoised by
+    the conjuncts they search; ``grid_solves`` counts those run, which
+    share ``budget`` (see ``psl.grid_model_for``), by default
+    DEFAULT_NODE_LIMIT nodes.
     """
 
     def __init__(
@@ -133,7 +115,7 @@ class StateSpace:
         self.base: list[Formula] = [
             g for g in cl.formulas if isinstance(g, (Prop, Sharper, Next, DiamondS, BoxS))
         ]
-        self.base_index = {g: i for i, g in enumerate(self.base)}
+        self.base_index = {g: b for b, g in enumerate(self.base)}
         self.state_limit = state_limit
         self.budget = budget or [DEFAULT_NODE_LIMIT, DEFAULT_NODE_LIMIT]
         self.generated = 0
@@ -141,21 +123,11 @@ class StateSpace:
         voc = vocab(cl.seed)
         self.universe = set(voc.standpoints) | {UNIVERSAL}
         self.props = voc.props
-        literal = (Prop, Sharper, DiamondS, BoxS)
-        self._literals = {
-            i: _dual(g)
-            for i, g in enumerate(cl.formulas)
-            if isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal)
-        }
-        self._literal_bits = sum(1 << i for i in self._literals)
-        self._sharpenings = [
-            (i, (g.left, g.right)) for i, g in enumerate(cl.formulas) if isinstance(g, Sharper)
-        ]
-        self._sharpening_bits = sum(1 << i for i, _ in self._sharpenings)
-        # one trace of one position: base member i is true/false when bit 0
-        # of tm[i]/fm[i] is set
+        # one trace of one position: base member b is true/false when bit 0
+        # of tm[b]/fm[b] is set
         self._engine = _IntervalEngine(cl.formulas, 1, 0, 1, {}, self.base_index)
-        self._slots = [self._engine.slot[g] for g in cl.formulas]
+        slot = self._engine.slot
+        self._untils = [(slot[g], slot[g.right]) for g in cl.until_members]
         # the seed's temporal-free conjuncts as (slot, grid form), and the
         # subformulas of the others; without next-step members no conjunct
         # has a temporal operator, and without temporal-free conjuncts
@@ -166,46 +138,61 @@ class StateSpace:
             if cl.next_members and any(isinstance(h, (Next, Until)) for h in nodes(c)):
                 temporal_parts.append(c)
             else:
-                self._parts.append((self._engine.slot[c], _dual(c)))
+                self._parts.append((slot[c], _dual(c)))
         temporal = set([h for c in temporal_parts for h in nodes(c)] if self._parts else self.base)
-        # the branch members as (base position, tried true first), and the
-        # grid-decided members as (base position, member)
+        # the branch members as (base position, tried true first), the
+        # grid-decided members as (base position, member), and the branch
+        # literals as (base position, member, grid form of its negation)
         self.branch: list[Formula] = []
         self._order: list[tuple[int, bool]] = []
         self._decided: list[tuple[int, Formula]] = []
+        self._literals: list[tuple[int, Formula, Formula]] = []
         self._branch_bits = 0
         for b, g in enumerate(self.base):
             if isinstance(g, (Sharper, Next)) or g in temporal:
                 self.branch.append(g)
                 self._order.append((b, not isinstance(g, (Prop, Next))))
-                self._branch_bits |= 1 << cl.index[g]
+                self._branch_bits |= 1 << b
+                if not isinstance(g, Next):
+                    self._literals.append((b, g, _dual(neg(g))))
             else:
                 self._decided.append((b, g))
+        self._literal_bits = sum(1 << b for b, _, _ in self._literals)
+        self._sharpening_bits = sum(
+            1 << b for b, g in enumerate(self.base) if isinstance(g, Sharper)
+        )
         # the members a source fixes in each of its targets: the operands of
         # its next-step members, and its sharpening atoms, which are rigid
-        self._step_bits = self._sharpening_bits | sum(1 << cl.index[g] for g in cl.next_members)
-        self._searches: dict[tuple, Optional[tuple[psl.PSLModel, list[int]]]] = {}
-        self._models: dict[int, psl.PSLModel] = {}  # by state mask
+        self._step_bits = self._sharpening_bits | sum(
+            1 << self.base_index[g] for g in cl.next_members
+        )
+        self._searches: dict[tuple, Optional[tuple[psl.PSLModel, int]]] = {}
+        self._models: dict[int, psl.PSLModel] = {}  # by state
+        self.accepting: dict[int, int] = {}  # acceptance bits by state
         self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
-        self._successors: dict[int, list[SElementarySet]] = {}
+        self._successors: dict[int, list[int]] = {}
 
-    def enumerate(self, constraints: list[tuple[Formula, bool]]) -> Iterator[SElementarySet]:
-        """One s-elementary set per branch assignment meeting the
-        constraints, which are on the seed or on branch members alone.
-        Assignments follow closure index order, sharpening atoms and modal
-        members true before false, propositions and next-step members false
-        before true.  A modal member the constraints leave open is more
-        often needed true than false: tried false first, its state more
-        often failed the grid search.
+    def enumerate(self, constraints: list[tuple[Formula, bool]]) -> Iterator[int]:
+        """One state per branch assignment meeting the constraints, which
+        are on the seed or on branch members alone.  Assignments follow
+        closure index order, sharpening atoms and modal members true before
+        false, propositions and next-step members false before true.  A
+        modal member the constraints leave open is more often needed true
+        than false: tried false first, its state more often failed the grid
+        search.  The depth-first walk is a loop that backtracks over the
+        assigned prefix of the branch order, not a recursion, so any number
+        of branch members fits.
 
         Each assignment runs one grid search of its branch literals and,
         when the seed is required, of the seed's temporal-free conjuncts it
-        leaves open.  Once the first assignment of a required seed fails,
-        those conjuncts without atoms are searched on the family of no true
-        atoms: a model on any family copies there column by column and
-        keeps the truth of every formula without atoms, so when they fail
-        no assignment has a model.  Each assignment counts as a generated
-        state."""
+        leaves open; its state is the assignment with the grid-decided
+        members the model shows true, and ``accepting`` records its
+        acceptance bits.  Once the first assignment of a required seed
+        fails, those conjuncts without atoms are searched once, unmemoised,
+        on the family of no true atoms: a model on any family copies there
+        column by column and keeps the truth of every formula without
+        atoms, so when they fail no assignment has a model.  Each
+        assignment counts as a generated state."""
         sweep = self._engine.sweep
         checks = [(self._engine.slot[f], req) for f, req in constraints]
         seeded = (self._engine.slot[self.closure.seed], True) in checks
@@ -215,105 +202,127 @@ class StateSpace:
         # generator is suspended
         order = [(b, (tm, fm) if first else (fm, tm)) for b, first in self._order]
 
-        def leaves(k: int) -> Iterator[list[int]]:
-            lo, hi = sweep(tm, fm, 1, 1)
-            # a constraint fails once neither bound can reach its value
-            if any(lo[s] != req and hi[s] != req for s, req in checks):
-                return
-            if k == len(order):
-                yield lo
-                return
-            b, choices = order[k]
-            for cells in choices:
-                cells[b] = 1
-                yield from leaves(k + 1)
-                cells[b] = 0
+        def leaves() -> Iterator[list[int]]:
+            # the members order[:k] are assigned; a constraint fails once
+            # neither bound can reach its value
+            k = 0
+            while k >= 0:
+                lo, hi = sweep(tm, fm, 1, 1)
+                if all(lo[s] == req or hi[s] == req for s, req in checks):
+                    if k < len(order):
+                        b, (first, _) = order[k]
+                        first[b] = 1
+                        k += 1
+                        continue
+                    yield lo
+                # back to the deepest member still on its first value
+                k -= 1
+                while k >= 0:
+                    b, (first, second) = order[k]
+                    if first[b]:
+                        first[b], second[b] = 0, 1
+                        k += 1
+                        break
+                    second[b] = 0
+                    k -= 1
 
         first_failed = False
-        for n, lo in enumerate(leaves(0)):
+        for n, lo in enumerate(leaves()):
             self.generated += 1
             if self.generated > self.state_limit:
                 raise AutomatonLimitError(self.state_limit)
             if n == 1 and first_failed:
+                self.grid_solves += 1
                 free = [g for _, g in self._parts if Sharper not in map(type, nodes(g))]
-                if self._search((0, *free), 0) is None:
+                if psl.grid_model_for(self.grid(0), free, self.budget) is None:
                     return
-            mask = sum(lo[s] << k for k, s in enumerate(self._slots))
+            state = sum(t << b for b, t in enumerate(tm))
             opened = [g for s, g in self._parts if not lo[s]] if seeded else []
-            found = self._search((mask & self._literal_bits, *opened), mask)
+            found = self._search((state & self._literal_bits, *opened))
             if found is None:
                 first_failed = n == 0 and seeded
                 continue
-            model, truth = found
-            if truth:
-                full_tm, full_fm = tm[:], fm[:]
-                for (b, _), t in zip(self._decided, truth):
-                    full_tm[b], full_fm[b] = t, 1 - t
-                lo, _ = sweep(full_tm, full_fm, 1, 1)
-                mask = sum(lo[s] << k for k, s in enumerate(self._slots))
-            self._models.setdefault(mask, model)
-            yield SElementarySet(mask, self)
+            model, decided = found
+            state |= decided
+            self._models.setdefault(state, model)
+            self.accepting[state] = sum(
+                1 << i for i, (u, r) in enumerate(self._untils) if not lo[u] or lo[r]
+            )
+            yield state
 
-    def _search(self, key: tuple, mask: int) -> Optional[tuple[psl.PSLModel, list[int]]]:
-        """A grid model of the conjunction ``key`` on the family of the
-        true atoms of ``mask``, with the truth of each grid-decided member
-        at its designated cell, or None.  The conjunction is the literals
-        whose closure bits ``key[0]`` sets and the formulas after them."""
+    def _search(self, key: tuple) -> Optional[tuple[psl.PSLModel, int]]:
+        """A grid model of the conjunction ``key`` on the family of its true
+        atoms, with the grid-decided members true at its designated cell as
+        state bits, or None.  The conjunction is the branch literals, true
+        where the state bits ``key[0]`` are set and negated elsewhere, and
+        the formulas after them."""
         if key not in self._searches:
             self.grid_solves += 1
-            grid = self.grid(mask)
-            conjuncts = [g for i, g in self._literals.items() if key[0] >> i & 1] + list(key[1:])
-            model = psl.grid_model_for(grid, conjuncts, self.budget)
+            grid = self.grid(key[0])
+            conjuncts = [g if key[0] >> b & 1 else ng for b, g, ng in self._literals]
+            model = psl.grid_model_for(grid, conjuncts + list(key[1:]), self.budget)
             self._searches[key] = None if model is None else (model, self._read(grid, model))
         return self._searches[key]
 
-    def _read(self, grid: psl.CompiledGrid, model: psl.PSLModel) -> list[int]:
-        """The truth of each grid-decided member at the designated cell."""
+    def _read(self, grid: psl.CompiledGrid, model: psl.PSLModel) -> int:
+        """The grid-decided members true at the designated cell, as state
+        bits."""
         if not self._decided:
-            return []
+            return 0
         types = {vals: v for v, vals in enumerate(grid.val_sets)}
         cells = {c * grid.v_count + types[vals] for (c, _), vals in model.valuation.items()}
         present = sum(1 << t for t in cells)
         lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
         d = types[model.valuation[(0, 1)]]  # the designated type, in column 0
-        return [lo[grid.engine.slot[g]] >> d & 1 for _, g in self._decided]
+        return sum((lo[grid.engine.slot[g]] >> d & 1) << b for b, g in self._decided)
 
-    def grid_model(self, mask: int) -> Optional[psl.PSLModel]:
-        """The grid model a state was read off, or None for a mask that no
+    def grid_model(self, state: int) -> Optional[psl.PSLModel]:
+        """The grid model a state was read off, or None for a state that no
         enumeration yielded."""
-        return self._models.get(mask)
+        return self._models.get(state)
 
-    def grid(self, mask: int) -> psl.CompiledGrid:
+    def true_props(self, state: int) -> frozenset[str]:
+        """The propositions true in a state."""
+        return frozenset(
+            g.name for b, g in enumerate(self.base) if state >> b & 1 and isinstance(g, Prop)
+        )
+
+    def grid(self, state: int) -> psl.CompiledGrid:
         """The compiled grid of the label family of the state's true
         sharpening atoms; states with the same family share one."""
-        key = mask & self._sharpening_bits
+        key = state & self._sharpening_bits
         if key not in self._grids:
-            true = [pair for i, pair in self._sharpenings if key >> i & 1]
+            true = [(g.left, g.right) for b, g in enumerate(self.base) if key >> b & 1]
             family = psl.family_for(psl.sharpening_closure(true, self.universe))
             shared = next((g for g in self._grids.values() if g.family == family), None)
-            formulas = [*self._literals.values(), *(g for _, g in self._parts)]
+            formulas = [
+                *(f for _, g, ng in self._literals for f in (g, ng)),
+                *(g for _, g in self._decided),
+                *(g for _, g in self._parts),
+            ]
             self._grids[key] = shared or psl.CompiledGrid(family, self.props, formulas, self.budget)
         return self._grids[key]
 
-    def successors(self, b: SElementarySet) -> list[SElementarySet]:
+    def successors(self, state: int) -> list[int]:
         """Transition targets, memoised: the next-step members of the
         source fix the truth of their operands in every target, and a
         sharpening atom keeps its truth value along a run, so sources that
         agree on those members and atoms share their targets.  The target
         with the source's branch assignment is the source itself, so a
         state is its own successor whenever its branch assignment allows."""
-        key = b.mask & self._step_bits
+        key = state & self._step_bits
         targets = self._successors.get(key)
         if targets is None:
-            constraints = [(g.operand, g in b) for g in self.closure.next_members]
-            constraints += [
-                (self.closure.formulas[i], bool(b.mask >> i & 1)) for i, _ in self._sharpenings
+            constraints = [
+                (g.operand if isinstance(g, Next) else g, bool(key >> b & 1))
+                for b, g in enumerate(self.base)
+                if self._step_bits >> b & 1
             ]
             targets = list(self.enumerate(constraints))
             self._successors[key] = targets
         if not self._decided:
             return targets
-        return [b if (t.mask ^ b.mask) & self._branch_bits == 0 else t for t in targets]
+        return [state if (t ^ state) & self._branch_bits == 0 else t for t in targets]
 
 
 def _dual(g: Formula) -> Formula:
@@ -342,50 +351,27 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return parts
 
 
-def initial_states(cl: ClosureSet, phi_d: Formula) -> Iterator[SElementarySet]:
-    """Lazy stream of the s-elementary sets containing the closure's seed
-    ``phi_d``, one per branch assignment (see ``StateSpace``)."""
-    if phi_d != cl.seed:
-        raise ValueError("the closure set does not belong to this formula")
-    return StateSpace(cl).enumerate([(phi_d, True)])
-
-
-@dataclass(frozen=True)
-class AcceptancePredicate:
-    """Accepting-set membership test for one Until member of the closure."""
-
-    until: Until
-
-    def __call__(self, b: SElementarySet) -> bool:
-        return (self.until not in b) or (self.until.right in b)
-
-
-def acceptance_family(cl: ClosureSet) -> list[AcceptancePredicate]:
-    return [AcceptancePredicate(g) for g in cl.until_members]
-
-
 def find_accepting_lasso(
-    cl: ClosureSet, phi_d: Formula, state_limit: int = DEFAULT_STATE_LIMIT,
-    budget: Optional[list[int]] = None,
+    cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT, budget: Optional[list[int]] = None,
 ) -> Optional[Lasso]:
-    """Couvreur's on-the-fly SCC emptiness check, with lasso extraction.
+    """Couvreur's on-the-fly SCC emptiness check from the states holding
+    the closure's seed, with lasso extraction.
 
     An iterative depth-first search from the initial states numbers each
     state it visits and keeps a stack of the roots of the SCCs still open,
-    each with the union of its members' acceptance bits (bit ``i``: the
-    state satisfies predicate ``i`` of the acceptance family).  An edge to
-    an open state closes a cycle and merges every root above that state
-    into one; the search stops once the merged root covers every
-    acceptance set.  The generalized condition needs no counter, so each
-    state is visited once.  A state's successors are tried in the most
-    acceptance sets first, ties in ``successors`` order, so a state in
-    every set is entered before the search closes a cycle through states
-    that each lack one: ``G F p & G F q`` gets period 1, not 3.  With no
-    Until member any cycle accepts.  A closure without next-step members
-    has no Until member either, and its states constrain their successors
-    by their sharpening atoms alone, so every state is its own successor
-    and the lasso is the first initial state, with an empty stem and a
-    one-state cycle.  ``phi_d`` is the closure's seed.
+    each with the union of its members' acceptance bits (see
+    ``StateSpace.accepting``).  An edge to an open state closes a cycle
+    and merges every root above that state into one; the search stops once
+    the merged root covers every acceptance set.  The generalized condition
+    needs no counter, so each state is visited once.  A state's successors
+    are tried in the most acceptance sets first, ties in ``successors``
+    order, so a state in every set is entered before the search closes a
+    cycle through states that each lack one: ``G F p & G F q`` gets period
+    1, not 3.  With no Until member any cycle accepts.  A closure without
+    next-step members has no Until member either, and its states constrain
+    their successors by their sharpening atoms alone, so every state is its
+    own successor and the lasso is the first initial state, with an empty
+    stem and a one-state cycle.
 
     The lasso is built from the visited states: the stem is a shortest
     path from the initial states enumerated so far to the SCC, and the
@@ -393,38 +379,32 @@ def find_accepting_lasso(
     the SCC to the nearest state of each acceptance set it has not yet
     met, and returns to that state.  Searches follow ``enumerate`` and
     ``successors`` order and that ranking, so the returned lasso is
-    deterministic.  The states' grid searches share ``budget`` (see
-    ``StateSpace``).
+    deterministic; it carries each position's grid model.  The states'
+    grid searches share ``budget`` (see ``StateSpace``).
     """
-    if phi_d != cl.seed:
-        raise ValueError("the closure set does not belong to this formula")
     space = StateSpace(cl, state_limit, budget)
+    seeded = space.enumerate([(cl.seed, True)])
     if not cl.next_members:
-        first = next(space.enumerate([(phi_d, True)]), None)
-        return None if first is None else Lasso((), (first,))
-    preds = acceptance_family(cl)
-    full = (1 << len(preds)) - 1
-    accept: dict[int, int] = {}  # acceptance bits of every visited state, by mask
-    number: dict[int, int] = {}  # DFS number by mask, -1 once the state's SCC is closed
-    open_states: list[SElementarySet] = []  # members of the open SCCs, in DFS order
+        first = next(seeded, None)
+        return None if first is None else Lasso((), (first,), (space.grid_model(first),))
+    full = (1 << len(cl.until_members)) - 1
+    accept = space.accepting
+    number: dict[int, int] = {}  # DFS number by state, -1 once the state's SCC is closed
+    open_states: list[int] = []  # members of the open SCCs, in DFS order
     roots: list[list[int]] = []  # [DFS number, acceptance bits] per open SCC
-    todo: list[tuple[SElementarySet, Iterator[SElementarySet]]] = []
-    initial: list[SElementarySet] = []
+    todo: list[tuple[int, Iterator[int]]] = []
+    initial: list[int] = []
 
-    def bits(b: SElementarySet) -> int:
-        return sum(1 << i for i, p in enumerate(preds) if p(b))
-
-    def visit(b: SElementarySet) -> None:
-        accept[b.mask] = bits(b)
-        number[b.mask] = len(number)
+    def visit(b: int) -> None:
+        number[b] = len(number)
         open_states.append(b)
-        roots.append([number[b.mask], accept[b.mask]])
-        ranked = sorted(space.successors(b), key=lambda t: -bits(t).bit_count())
+        roots.append([number[b], accept[b]])
+        ranked = sorted(space.successors(b), key=lambda t: -accept[t].bit_count())
         todo.append((b, iter(ranked)))
 
-    for b0 in space.enumerate([(phi_d, True)]):
+    for b0 in seeded:
         initial.append(b0)
-        if b0.mask in number:
+        if b0 in number:
             continue
         visit(b0)
         while todo:
@@ -432,104 +412,94 @@ def find_accepting_lasso(
             nxt = next(it, None)
             if nxt is None:
                 todo.pop()
-                if roots[-1][0] == number[b.mask]:
+                if roots[-1][0] == number[b]:
                     top = roots.pop()[0]
-                    while open_states and number[open_states[-1].mask] >= top:
-                        number[open_states.pop().mask] = -1
+                    while open_states and number[open_states[-1]] >= top:
+                        number[open_states.pop()] = -1
                 continue
-            k = number.get(nxt.mask)
+            k = number.get(nxt)
             if k is None:
                 visit(nxt)
             elif k >= 0:
                 while roots[-1][0] > k:
                     roots[-2][1] |= roots.pop()[1]
                 if roots[-1][1] == full:
-                    scc = {s.mask for s in open_states if number[s.mask] >= roots[-1][0]}
-                    return _lasso(space, initial, number, scc, accept, full)
+                    scc = {s for s in open_states if number[s] >= roots[-1][0]}
+                    return _lasso(space, initial, number, scc, full)
     return None
 
 
 def _lasso(
-    space: StateSpace,
-    initial: list[SElementarySet],
-    visited: dict[int, int],
-    scc: set[int],
-    accept: dict[int, int],
-    full: int,
+    space: StateSpace, initial: list[int], visited: dict[int, int], scc: set[int], full: int,
 ) -> Lasso:
-    """The lasso through an accepting SCC (masks ``scc``) that
+    """The lasso through an accepting SCC (states ``scc``) that
     ``find_accepting_lasso`` stopped at."""
-    entry = next((b for b in initial if b.mask in scc), None)
-    stem: list[SElementarySet] = []
+    accept = space.accepting
+    entry = next((b for b in initial if b in scc), None)
+    stem: list[int] = []
     if entry is None:
         stem = _path(space, initial, scc, visited)
         entry = stem.pop()
     cycle = [entry]
-    missing = full & ~accept[entry.mask]
+    missing = full & ~accept[entry]
     while missing:
         targets = {m for m in scc if accept[m] & missing}
         step = _path(space, [cycle[-1]], targets, scc)[1:]
         cycle += step
         for b in step:
-            missing &= ~accept[b.mask]
-    cycle += _path(space, [cycle[-1]], {entry.mask}, scc)[1:-1]
-    return Lasso(tuple(stem), tuple(cycle))
+            missing &= ~accept[b]
+    cycle += _path(space, [cycle[-1]], {entry}, scc)[1:-1]
+    return Lasso(tuple(stem), tuple(cycle), tuple(map(space.grid_model, stem + cycle)))
 
 
 def _path(
-    space: StateSpace,
-    sources: list[SElementarySet],
-    targets: Container[int],
-    allowed: Container[int],
-) -> list[SElementarySet]:
+    space: StateSpace, sources: list[int], targets: Container[int], allowed: Container[int],
+) -> list[int]:
     """A shortest path of at least one step from a source to a target
-    state, through allowed states (targets and allowed states by mask),
-    found breadth-first in ``successors`` order; it starts at its source
-    and ends at its target.  The caller knows that one exists."""
-    parent: dict[int, Optional[SElementarySet]] = {b.mask: None for b in sources}
+    state, through allowed states, found breadth-first in ``successors``
+    order; it starts at its source and ends at its target.  The caller
+    knows that one exists."""
+    parent: dict[int, Optional[int]] = {b: None for b in sources}
     queue = deque(sources)
     while True:
         b = queue.popleft()
         for b2 in space.successors(b):
-            if b2.mask not in allowed:
+            if b2 not in allowed:
                 continue
-            if b2.mask in targets:
+            if b2 in targets:
                 path = [b2, b]
-                while parent[path[-1].mask] is not None:
-                    path.append(parent[path[-1].mask])
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
                 path.reverse()
                 return path
-            if b2.mask not in parent:
-                parent[b2.mask] = b
+            if b2 not in parent:
+                parent[b2] = b
                 queue.append(b2)
 
 
 def dump_state_graph(
-    cl: ClosureSet, phi_d: Formula, out: TextIO, state_limit: int = DEFAULT_STATE_LIMIT,
+    cl: ClosureSet, out: TextIO, state_limit: int = DEFAULT_STATE_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> None:
-    """Line-oriented dump of the reachable state graph, for inspection only;
-    its grid searches share one budget of ``node_limit`` nodes."""
+    """Line-oriented dump of the state graph reachable from the states
+    holding the closure's seed, for inspection only; a state's id is its
+    base assignment in hex.  Its grid searches share one budget of
+    ``node_limit`` nodes."""
     space = StateSpace(cl, state_limit, [node_limit, node_limit])
-    preds = acceptance_family(cl)
-    seen = {b.mask: b for b in space.enumerate([(phi_d, True)])}
-    order = list(seen)
-    initial_masks = set(seen)
+    order = list(dict.fromkeys(space.enumerate([(cl.seed, True)])))
+    initial = set(order)
+    seen = set(order)
     edges: list[tuple[int, int]] = []
-    i = 0
-    while i < len(order):
-        b = seen[order[i]]
-        i += 1
+    for b in order:  # grows as new targets are met
         for b2 in space.successors(b):
-            edges.append((b.mask, b2.mask))
-            if b2.mask not in seen:
-                seen[b2.mask] = b2
-                order.append(b2.mask)
-    for mask in order:
-        b = seen[mask]
-        flags = "".join("1" if p(b) else "0" for p in preds)
-        init = "i" if mask in initial_masks else "."
-        props = ",".join(sorted(b.props()))
-        out.write(f"state {mask:#x} {init} acc={flags or '-'} props={{{props}}}\n")
+            edges.append((b, b2))
+            if b2 not in seen:
+                seen.add(b2)
+                order.append(b2)
+    for b in order:
+        flags = "".join(str(space.accepting[b] >> i & 1) for i in range(len(cl.until_members)))
+        init = "i" if b in initial else "."
+        props = ",".join(sorted(space.true_props(b)))
+        out.write(f"state {b:#x} {init} acc={flags or '-'} props={{{props}}}\n")
     for src, dst in edges:
         out.write(f"edge {src:#x} -> {dst:#x}\n")

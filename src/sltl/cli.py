@@ -144,7 +144,7 @@ def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) ->
     phi = simplify(f)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            dump_state_graph(closure(phi), phi, fh, opts.state_limit, opts.node_limit)
+            dump_state_graph(closure(phi), fh, opts.state_limit, opts.node_limit)
     except OSError as exc:
         raise _CliError(EX_CANTCREAT, f"cannot write {path}: {exc}") from exc
 

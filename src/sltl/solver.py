@@ -11,7 +11,7 @@ rigid state bits, and the verdict's partition is read off the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import psl
 from .automaton import (
@@ -29,6 +29,7 @@ from .semantics import (
     model_to_json,
 )
 from .syntax import (
+    UNIVERSAL,
     Formula,
     Fragment,
     Standpoint,
@@ -78,25 +79,24 @@ def check_witness(f: Formula, model: SLTLModel, trace_id: str) -> bool:
 # ---------------------------------------------------------------------------
 # Witness construction from an accepting run
 
-def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
-    """Build a model from an accepting run.
+def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple[SLTLModel, str]:
+    """Build a model from an accepting run and the input's standpoints.
 
-    Every run position reads its state's grid model back from the state
-    space that found it while deciding the state consistent.  The run
-    shares one label family, as every run does: sharpening atoms keep
-    their truth value along a run, and the family is that of the true
-    ones.  The witness is as wide as the widest model of the run; a
-    narrower model repeats the first cell of each column in the cells it
-    lacks, which changes no column's set of valuations and so no modal
-    truth.  The trace of a cell reads that cell's valuation across
-    positions, and the standpoint extents follow the cell labels, so a
-    sharpening atom holds in the model iff it held along the run.  The
+    Every run position reads the grid model its state was read off, which
+    the lasso carries.  The run shares one label family, as every run
+    does: sharpening atoms keep their truth value along a run, and the
+    family is that of the true ones.  The witness is as wide as the widest
+    model of the run; a narrower model repeats the first cell of each
+    column in the cells it lacks, which changes no column's set of
+    valuations and so no modal truth.  The trace of a cell reads that
+    cell's valuation across positions, and each standpoint's extent is the
+    traces of the columns it labels, so a sharpening atom holds in the
+    model iff it held along the run.  A standpoint that labels no column,
+    one that simplification folded away, covers every trace.  The
     designated trace is the first cell of the universal column.  ``solve``
     checks the model once, on its own input formula.
     """
-    states = list(lasso.stem) + list(lasso.cycle)
-    space = states[0].space
-    models = [space.grid_model(b.mask) for b in states]
+    models = lasso.models
     family, width = models[0].family, max(m.n for m in models)
 
     prefix_len, period_len = len(lasso.stem), len(lasso.cycle)
@@ -107,15 +107,10 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
         traces[f"t{idx}"] = UPTrace(tuple(column[:prefix_len]), tuple(column[prefix_len:]))
     ids = list(traces)  # column by column, ``width`` cells each
     columns = [ids[i * width:(i + 1) * width] for i in range(len(family))]
-    lam: dict[Standpoint, frozenset[str]] = {
-        sp: frozenset(
-            tid
-            for labels, column in zip(family.sets, columns)
-            if sp.is_universal or sp in labels
-            for tid in column
-        )
-        for sp in space.universe
-    }
+    lam: dict[Standpoint, frozenset[str]] = {}
+    for sp in {UNIVERSAL, *standpoints}:
+        labelled = [t for labels, cells in zip(family.sets, columns) if sp in labels for t in cells]
+        lam[sp] = frozenset(labelled or ids)
     model = SLTLModel(traces, lam, prefix_len, period_len)
     designated = "t0"
     return model, designated
@@ -123,19 +118,6 @@ def witness_from_lasso(lasso: Lasso) -> tuple[SLTLModel, str]:
 
 # ---------------------------------------------------------------------------
 # The pipeline
-
-def _cover_standpoints(model: SLTLModel, voc: Vocabulary) -> SLTLModel:
-    """Extend the assignment to standpoints folding eliminated from the
-    simplified formula; their extents no longer matter, so they cover
-    everything."""
-    missing = {sp for sp in voc.standpoints if sp not in model.lam}
-    if not missing:
-        return model
-    ids = frozenset(model.traces)
-    lam = dict(model.lam)
-    lam.update({sp: ids for sp in missing})
-    return SLTLModel(model.traces, lam, model.prefix_len, model.period_len)
-
 
 def _witness_partition(model: SLTLModel, voc: Vocabulary) -> Partition:
     """The truth of the input's sharpening atoms in the witness."""
@@ -175,20 +157,18 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     # branches in particular); the folded formula is equivalent.
     phi = simplify(f)
     budget = [opts.node_limit, opts.node_limit]
-    lasso = find_accepting_lasso(closure(phi), phi, opts.state_limit, budget)
+    lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
     if lasso is None:
         return Verdict("unsat", frag, engine="automaton")
-    model, designated = witness_from_lasso(lasso)
     voc = vocab(f)
-    model = _cover_standpoints(model, voc)
+    model, designated = witness_from_lasso(lasso, voc.standpoints)
     verdict = Verdict(
         "sat", frag, engine="automaton", model=model, designated=designated,
         partition=_witness_partition(model, voc),
     )
     if frag is Fragment.PSL:
-        # the run is one state, and its kept model is the one the witness read
-        (b,) = lasso.cycle
-        verdict.psl_model = b.space.grid_model(b.mask)
+        # the run is one state, whose model the witness read
+        (verdict.psl_model,) = lasso.models
     if not check_witness(f, model, designated):
         raise AssertionError("automaton witness fails the evaluator on the input")
     return verdict

@@ -10,12 +10,9 @@ from conftest import psl_brute_sat_bitwise, random_formula
 from sltl.automaton import (
     AutomatonLimitError,
     Lasso,
-    SElementarySet,
     StateSpace,
-    acceptance_family,
     dump_state_graph,
     find_accepting_lasso,
-    initial_states,
 )
 from sltl import psl
 from sltl.semantics import SearchBounds, SearchLimitError, bounded_search
@@ -51,30 +48,67 @@ from sltl.syntax import (
 from sltl.translate import counter_formula
 
 
-def lasso_run_states(lasso: Lasso, horizon: int):
-    return [lasso.state_at(k) for k in range(horizon)]
+def _state_at(lasso: Lasso, k: int) -> int:
+    """The state at position ``k`` of the lasso's run."""
+    if k < len(lasso.stem):
+        return lasso.stem[k]
+    return lasso.cycle[(k - len(lasso.stem)) % len(lasso.cycle)]
+
+
+def _closure_truth(cl, base_truth):
+    """The truth of every closure member, from the truth of the base
+    members (a dict) by the consistency equations."""
+    truth = dict(base_truth)
+    for g in cl.formulas:  # operands precede the members built on them
+        if g in truth:
+            continue
+        if isinstance(g, Top):
+            truth[g] = True
+        elif isinstance(g, Bottom):
+            truth[g] = False
+        elif isinstance(g, Not):
+            truth[g] = not truth[g.operand]
+        elif isinstance(g, And):
+            truth[g] = truth[g.left] and truth[g.right]
+        elif isinstance(g, Or):
+            truth[g] = truth[g.left] or truth[g.right]
+        else:
+            assert isinstance(g, Until), g
+            truth[g] = truth[g.right] or (truth[g.left] and truth[Next(g)])
+    return truth
+
+
+def _members(space, state):
+    """The closure members true in a state, in closure order, derived from
+    its base assignment by the consistency equations."""
+    base_truth = {g: bool(state >> b & 1) for b, g in enumerate(space.base)}
+    truth = _closure_truth(space.closure, base_truth)
+    return [g for g in space.closure.formulas if truth[g]]
+
+
+def _initial_states(f):
+    """A fresh state space of ``f``'s closure and its states holding ``f``."""
+    space = StateSpace(closure(f))
+    return space, list(space.enumerate([(f, True)]))
 
 
 def test_initial_states_contain_the_formula():
     f = Prop("p")
-    states = list(initial_states(closure(f), f))
+    space, states = _initial_states(f)
     assert states
-    assert all(f in b for b in states)
+    assert all(f in _members(space, b) for b in states)
 
 
 def test_initial_states_empty_for_contradiction():
-    f = parse("p & !p")
-    assert list(initial_states(closure(f), f)) == []
+    assert _initial_states(parse("p & !p"))[1] == []
 
 
 def test_initial_states_filtered_by_standpoint_consistency():
-    f = parse("<@s> p & [@*] !p")
-    assert list(initial_states(closure(f), f)) == []
+    assert _initial_states(parse("<@s> p & [@*] !p"))[1] == []
 
 
 def _initial(text):
-    f = parse(text)
-    return list(initial_states(closure(f), f))
+    return _initial_states(parse(text))[1]
 
 
 def test_consistency_examples():
@@ -91,20 +125,22 @@ def test_consistency_on_entailed_negation():
 
 def test_successors_respect_next_members():
     f = parse("X p | X !p")
-    cl = closure(f)
-    for b in initial_states(cl, f):
-        for b2 in b.space.successors(b):
-            assert (Next(Prop("p")) in b) == (Prop("p") in b2)
+    space, states = _initial_states(f)
+    assert states
+    for b in states:
+        for b2 in space.successors(b):
+            assert (Next(Prop("p")) in _members(space, b)) == (Prop("p") in _members(space, b2))
 
 
 def test_sharpening_atoms_are_rigid_along_a_run():
     f = parse("(@s <= @t) & X !(@s <= @t) & G F <@s> p")
-    assert find_accepting_lasso(closure(f), f) is None
+    assert find_accepting_lasso(closure(f)) is None
     kept = parse("(@s <= @t) & X (@s <= @t) & G F <@s> p")
-    lasso = find_accepting_lasso(closure(kept), kept)
+    lasso = find_accepting_lasso(closure(kept))
     atom = parse("@s <= @t")
+    space = StateSpace(closure(kept))  # the same base order as the search's
     states = list(lasso.stem) + list(lasso.cycle)
-    assert all(atom in b for b in states)
+    assert all(atom in _members(space, b) for b in states)
 
 
 def test_successors_unconstrained_without_next_members():
@@ -112,42 +148,41 @@ def test_successors_unconstrained_without_next_members():
     # the unconstrained enumeration has one state, and the source's only
     # successor is itself, which keeps the p and q its grid model chose
     f = parse("p | q")
-    cl = closure(f)
-    some_state = next(initial_states(cl, f))
-    space = some_state.space
+    space, (some_state, *_) = _initial_states(f)
     assert space.branch == []
     succs = space.successors(some_state)
     everything = list(space.enumerate([]))
     assert succs == [some_state] and len(everything) == 1
-    assert f in some_state and f not in everything[0]
+    assert f in _members(space, some_state) and f not in _members(space, everything[0])
 
 
 def test_acceptance_family_examples():
+    # one acceptance set per Until member; a state is in it when the Until
+    # is false or its right operand true
     f = parse("p U q")
-    cl = closure(f)
-    fam = acceptance_family(cl)
-    assert len(fam) == 1
-    until = fam[0].until
-    assert until == Until(Prop("p"), Prop("q"))
-    good = next(b for b in initial_states(cl, f) if Prop("q") in b)
-    assert fam[0](good)
+    space, states = _initial_states(f)
+    assert space.closure.until_members == (Until(Prop("p"), Prop("q")),)
+    good = next(b for b in states if Prop("q") in _members(space, b))
+    assert space.accepting[good] == 1
+    bad = next(b for b in states if Prop("q") not in _members(space, b))
+    assert space.accepting[bad] == 0
 
     g = parse("G p")  # sugar over an Until of the negation
-    fam_g = acceptance_family(closure(g))
-    assert len(fam_g) == 1
-    assert fam_g[0].until == Until(TOP, Not(Prop("p")))
+    assert closure(g).until_members == (Until(TOP, Not(Prop("p"))),)
 
-    assert acceptance_family(closure(parse("p & q"))) == []
+    assert closure(parse("p & q")).until_members == ()
 
 
 def test_lasso_for_always_p():
     f = parse("G p")
     cl = closure(f)
-    lasso = find_accepting_lasso(cl, f)
+    lasso = find_accepting_lasso(cl)
     assert lasso is not None
-    for b in lasso_run_states(lasso, len(lasso.stem) + len(lasso.cycle)):
-        assert Prop("p") in b
-        assert f in b
+    space = StateSpace(cl)
+    for k in range(len(lasso.stem) + len(lasso.cycle)):
+        members = _members(space, _state_at(lasso, k))
+        assert Prop("p") in members
+        assert f in members
 
 
 @pytest.mark.parametrize(
@@ -156,28 +191,34 @@ def test_lasso_for_always_p():
 )
 def test_no_lasso_for_contradictions(text):
     f = parse(text)
-    assert find_accepting_lasso(closure(f), f) is None
+    assert find_accepting_lasso(closure(f)) is None
 
 
 def test_lasso_edges_and_acceptance():
     f = parse("(p U q) & G F p & X !q")
     cl = closure(f)
-    lasso = find_accepting_lasso(cl, f)
+    lasso = find_accepting_lasso(cl)
     assert lasso is not None
+    space = StateSpace(cl)
+    assert f in _members(space, _state_at(lasso, 0))
     length = len(lasso.stem) + len(lasso.cycle)
     for k in range(2 * length):
-        b, b2 = lasso.state_at(k), lasso.state_at(k + 1)
+        b, b2 = _members(space, _state_at(lasso, k)), _members(space, _state_at(lasso, k + 1))
         for g in cl.next_members:
             assert (g in b) == (g.operand in b2)
-    for pred in acceptance_family(cl):
-        assert any(pred(b) for b in lasso.cycle)
+    assert cl.until_members
+    for until in cl.until_members:
+        assert any(
+            until not in members or until.right in members
+            for members in (_members(space, b) for b in lasso.cycle)
+        )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_counter_lasso_is_its_only_model(n):
     # the counter's unique model trace repeats from position 0 with period 2^n
     f = counter_formula(n)
-    lasso = find_accepting_lasso(closure(f), f)
+    lasso = find_accepting_lasso(closure(f))
     assert (len(lasso.stem), len(lasso.cycle)) == (0, 2**n)
 
 
@@ -186,14 +227,16 @@ def test_cycle_through_a_state_in_every_acceptance_set_is_one_state(k):
     # a state with every p_i true meets every acceptance set and is its own
     # successor; a cycle through states that each lack one took k + 1
     f = parse(" & ".join(f"G F p{i}" for i in range(k)))
-    lasso = find_accepting_lasso(closure(f), f)
+    lasso = find_accepting_lasso(closure(f))
     assert len(lasso.cycle) == 1
-    assert lasso.cycle[0].props() == {f"p{i}" for i in range(k)}
+    members = _members(StateSpace(closure(f)), lasso.cycle[0])
+    props = {g.name for g in members if isinstance(g, Prop)}
+    assert props == {f"p{i}" for i in range(k)}
 
 
 def test_short_lasso_through_modal_acceptance_sets():
     f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
-    lasso = find_accepting_lasso(closure(f), f)
+    lasso = find_accepting_lasso(closure(f))
     assert len(lasso.stem) == 0 and len(lasso.cycle) <= 4
     verdict = solve(f)
     assert verdict.status == "sat"
@@ -203,18 +246,20 @@ def test_short_lasso_through_modal_acceptance_sets():
 def test_lasso_is_deterministic():
     f = parse("G F p & F q")
     cl = closure(f)
-    l1 = find_accepting_lasso(cl, f)
-    l2 = find_accepting_lasso(closure(f), f)
-    assert [b.mask for b in l1.stem] == [b.mask for b in l2.stem]
-    assert [b.mask for b in l1.cycle] == [b.mask for b in l2.cycle]
+    l1 = find_accepting_lasso(cl)
+    l2 = find_accepting_lasso(closure(f))
+    assert l1.stem == l2.stem and l1.cycle == l2.cycle
+    assert l1.models == l2.models
 
 
 def test_every_enumerated_state_is_consistent():
     f = parse("<@s> p & (q U <@s> !p)")
     cl = closure(f)
     space = StateSpace(cl)
-    for b in space.enumerate([]):
-        assert psl_brute_sat_bitwise(conj(g for g in b.members() if not _has_temporal(g)))
+    states = list(space.enumerate([]))
+    assert states
+    for b in states:
+        assert psl_brute_sat_bitwise(conj(g for g in _members(space, b) if not _has_temporal(g)))
 
 
 @functools.cache
@@ -239,23 +284,7 @@ def _brute_force_states(space, constraints):
         for g in base
     ]
     for values in itertools.product(*choices):
-        truth = dict(zip(base, values))
-        for g in cl.formulas:  # operands precede the members built on them
-            if g in truth:
-                continue
-            if isinstance(g, Top):
-                truth[g] = True
-            elif isinstance(g, Bottom):
-                truth[g] = False
-            elif isinstance(g, Not):
-                truth[g] = not truth[g.operand]
-            elif isinstance(g, And):
-                truth[g] = truth[g.left] and truth[g.right]
-            elif isinstance(g, Or):
-                truth[g] = truth[g.left] or truth[g.right]
-            else:
-                assert isinstance(g, Until), g
-                truth[g] = truth[g.right] or (truth[g.left] and truth[Next(g)])
+        truth = _closure_truth(cl, dict(zip(base, values)))
         if any(truth[f] != req for f, req in constraints):
             continue
         if not _abstractly_consistent(
@@ -281,7 +310,7 @@ def test_enumeration_matches_brute_force(mode):
         initial = [(f, True)]
         _assert_one_state_per_branch_assignment(space, initial, to_text(f))
         successor_constraints = {
-            tuple((g.operand, g in b) for g in space.closure.next_members)
+            tuple((g.operand, g in _members(space, b)) for g in space.closure.next_members)
             for b in space.enumerate([])
         }
         for succ in sorted(successor_constraints, key=lambda c: [req for _, req in c]):
@@ -289,19 +318,55 @@ def test_enumeration_matches_brute_force(mode):
 
 
 def _assert_one_state_per_branch_assignment(space, constraints, text):
-    """Every enumerated state is a brute-force state, and the states'
-    branch assignments are the brute force's, each once, in order."""
-    cl = space.closure
-
-    def branch_assignment(mask):
-        return tuple(mask >> cl.index[g] & 1 for g in space.branch)
-
-    got = [b.mask for b in space.enumerate(constraints)]
-    want = _brute_force_states(space, constraints)
+    """Every enumerated state is the base assignment of a brute-force
+    state, and the states' branch assignments are the brute force's, each
+    once, in order."""
+    got = list(space.enumerate(constraints))
+    want = [_base_assignment(space, m) for m in _brute_force_states(space, constraints)]
     assert set(got) <= set(want), text
-    assert [branch_assignment(m) for m in got] == list(
-        dict.fromkeys(branch_assignment(m) for m in want)
+
+    def branch_assignment(state):
+        return tuple(state >> space.base_index[g] & 1 for g in space.branch)
+
+    assert [branch_assignment(b) for b in got] == list(
+        dict.fromkeys(branch_assignment(b) for b in want)
     ), text
+
+
+def _base_assignment(space, mask):
+    """The state of a closure mask: its base members' bits, in base order."""
+    return sum((mask >> space.closure.index[g] & 1) << b for b, g in enumerate(space.base))
+
+
+@pytest.mark.parametrize("mode", ["ltl", "ltl_psl"])
+def test_acceptance_bits_match_the_closure_mask(mode):
+    # enumeration reads a state's acceptance bits at its branch assignment,
+    # before the grid fills in the other base members; they must be the
+    # acceptance sets of the whole state: the Until member false or its
+    # right operand true, on the brute-force closure mask of the state
+    rng = random.Random(131)
+    done = checked = outside = 0
+    while done < 60:
+        f = random_formula(rng, 4, mode=mode, max_sharpenings=1)
+        if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
+            continue
+        space = StateSpace(closure(f))
+        if not space.closure.until_members or len(space.base) > 12:
+            continue
+        done += 1
+        cl = space.closure
+        states = list(space.enumerate([(f, True)])) + list(space.enumerate([]))
+        for b in states + [t for b in states for t in space.successors(b)]:
+            truth = _closure_truth(cl, {g: bool(b >> i & 1) for i, g in enumerate(space.base)})
+            want = sum(
+                1 << i
+                for i, until in enumerate(cl.until_members)
+                if not truth[until] or truth[until.right]
+            )
+            assert space.accepting[b] == want, to_text(f)
+            checked += 1
+            outside += want != (1 << len(cl.until_members)) - 1
+    assert checked > 500 and outside > 100
 
 
 def test_agreement_with_bounded_search_on_corpus():
@@ -312,7 +377,7 @@ def test_agreement_with_bounded_search_on_corpus():
         done += 1
         bounds = SearchBounds.for_formula(f, 2, 1, 2)
         if bounded_search(f, bounds) is not None:
-            assert find_accepting_lasso(closure(f), f) is not None, to_text(f)
+            assert find_accepting_lasso(closure(f)) is not None, to_text(f)
 
 
 def test_partitioned_inputs_reach_the_automaton():
@@ -327,7 +392,7 @@ def test_partitioned_inputs_reach_the_automaton():
         done += 1
         phi = simplify(f)
         assert classify(phi) in (Fragment.LTL_PSL, Fragment.PURE_LTL, Fragment.PSL)
-        lasso = find_accepting_lasso(closure(phi), phi)
+        lasso = find_accepting_lasso(closure(phi))
         bounds = SearchBounds.for_formula(f, 2, 1, 2)
         if bounded_search(f, bounds) is not None:
             assert lasso is not None, to_text(f)
@@ -339,40 +404,44 @@ def _reference_has_accepting_run(cl, phi_d) -> bool:
     node; independent of the SCC search and of the enumeration's choice of
     one state per branch assignment: the graph has every brute-force state."""
     space = StateSpace(cl, state_limit=10**6)
-    states = [SElementarySet(m, space) for m in _brute_force_states(space, [])]
-    preds = acceptance_family(cl)
-    k = max(1, len(preds))
+    states = _brute_force_states(space, [])  # closure masks
+    untils = cl.until_members
+    k = max(1, len(untils))
 
-    def holds(b, i):
-        return preds[i](b) if preds else True
+    def has(mask, g):
+        return bool(mask >> cl.index[g] & 1)
+
+    def holds(mask, i):
+        if not untils:
+            return True
+        return not has(mask, untils[i]) or has(mask, untils[i].right)
 
     succ = {}
     for b in states:
-        succ[b.mask] = [
+        succ[b] = [
             b2
             for b2 in states
-            if all((g in b) == (g.operand in b2) for g in cl.next_members)
+            if all(has(b, g) == has(b2, g.operand) for g in cl.next_members)
         ]
 
     def prod_succ(node):
         b, i = node
         j = (i + 1) % k if holds(b, i) else i
-        return [(b2.mask, j) for b2 in succ[b.mask]]
+        return [(b2, j) for b2 in succ[b]]
 
-    by_mask = {b.mask: b for b in states}
-    initials = [(b.mask, 0) for b in states if phi_d in b]
+    initials = [(b, 0) for b in states if has(b, phi_d)]
     reachable = set(initials)
     frontier = list(initials)
     while frontier:
         node = frontier.pop()
-        for nxt in prod_succ((by_mask[node[0]], node[1])):
+        for nxt in prod_succ(node):
             if nxt not in reachable:
                 reachable.add(nxt)
                 frontier.append(nxt)
-    accepting = [n for n in reachable if n[1] == 0 and holds(by_mask[n[0]], 0)]
+    accepting = [n for n in reachable if n[1] == 0 and holds(n[0], 0)]
     for target in accepting:
         seen = set()
-        stack = list(prod_succ((by_mask[target[0]], target[1])))
+        stack = list(prod_succ(target))
         stack = [n for n in stack if n in reachable]
         while stack:
             node = stack.pop()
@@ -381,9 +450,7 @@ def _reference_has_accepting_run(cl, phi_d) -> bool:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(
-                n for n in prod_succ((by_mask[node[0]], node[1])) if n in reachable
-            )
+            stack.extend(n for n in prod_succ(node) if n in reachable)
     return False
 
 
@@ -394,7 +461,7 @@ def test_emptiness_matches_whole_graph_reference():
         f = random_formula(rng, 2, props=("p", "q"), mode="ltl_psl", max_sharpenings=0)
         done += 1
         cl = closure(f)
-        got = find_accepting_lasso(cl, f) is not None
+        got = find_accepting_lasso(cl) is not None
         want = _reference_has_accepting_run(closure(f), f)
         assert got == want, to_text(f)
 
@@ -402,13 +469,13 @@ def test_emptiness_matches_whole_graph_reference():
 def test_state_limit_is_loud():
     f = parse("G F p & G F q & G F r")
     with pytest.raises(AutomatonLimitError):
-        find_accepting_lasso(closure(f), f, state_limit=3)
+        find_accepting_lasso(closure(f), state_limit=3)
 
 
 def test_state_graph_dump_format():
     f = parse("p U q")
     out = io.StringIO()
-    dump_state_graph(closure(f), f, out)
+    dump_state_graph(closure(f), out)
     lines = out.getvalue().splitlines()
     states = [ln for ln in lines if ln.startswith("state ")]
     edges = [ln for ln in lines if ln.startswith("edge ")]
@@ -429,15 +496,14 @@ def _substitute(f, truth):
     )
 
 
-def _state_literals(cl, mask):
+def _state_literals(space, state):
     """The literal members of a state: its propositions, sharpening atoms
     and modal members, true or negated."""
     literal = (Prop, Sharper, DiamondS, BoxS)
     return [
         g
-        for i, g in enumerate(cl.formulas)
-        if mask >> i & 1
-        and (isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal))
+        for g in _members(space, state)
+        if isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal)
     ]
 
 
@@ -508,8 +574,8 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
         calls = searched[:]  # the one-shot searches below are recorded too
         for b in enumerated:
             states += 1
-            want = _one_shot_grid_model(space, _state_literals(space.closure, b.mask))
-            assert space.grid_model(b.mask) == want, to_text(phi_d)
+            want = _one_shot_grid_model(space, _state_literals(space, b))
+            assert space.grid_model(b) == want, to_text(phi_d)
         for conjuncts, model in calls:
             searches += 1
             negated += any(isinstance(g, Not) and isinstance(g.operand, Sharper) for g in conjuncts)
@@ -545,7 +611,7 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         compiles.clear()
         searched.clear()
         cl = closure(phi_d)
-        find_accepting_lasso(cl, phi_d)
+        find_accepting_lasso(cl)
         held = [[(g.left, g.right) for g in c if isinstance(g, Sharper)] for c in searched]
         seen = {psl.family_for(_true_atom_closure(cl, atoms)) for atoms in held}
         assert len(seen) == families and len(compiles) == families, to_text(phi_d)
@@ -554,4 +620,4 @@ def test_one_grid_engine_per_label_family(monkeypatch):
 def test_dump_state_graph_node_limit_is_loud():
     f = parse("G <@s> p & F [@t] !p")
     with pytest.raises(SearchLimitError, match="grid search"):
-        dump_state_graph(closure(f), f, io.StringIO(), node_limit=1)
+        dump_state_graph(closure(f), io.StringIO(), node_limit=1)

@@ -183,7 +183,7 @@ def test_dump_states_is_the_searched_graph(tmp_path, capsys):
     assert code == 0
     phi_d = simplify(parse(text))
     searched = io.StringIO()
-    dump_state_graph(closure(phi_d), phi_d, searched)
+    dump_state_graph(closure(phi_d), searched)
     lines = dump.read_text().splitlines()
     assert lines == searched.getvalue().splitlines()
     assert sum(ln.startswith("state ") for ln in lines) == 32
@@ -200,7 +200,7 @@ def test_dump_states_follows_the_sat_partition(tmp_path, capsys):
     assert json.loads(out)["partition"] == {"i_plus": [], "i_minus": [["@s", "@t"]]}
     phi_d = simplify(parse(text))
     searched = io.StringIO()
-    dump_state_graph(closure(phi_d), phi_d, searched)
+    dump_state_graph(closure(phi_d), searched)
     lines = dump.read_text().splitlines()
     assert lines == searched.getvalue().splitlines()
     assert sum(ln.startswith("state ") for ln in lines) == 8
@@ -217,7 +217,7 @@ def test_dump_states_on_a_psl_input(tmp_path, capsys):
     assert code == 0 and err == ""
     phi_d = simplify(parse(text))
     searched = io.StringIO()
-    dump_state_graph(closure(phi_d), phi_d, searched)
+    dump_state_graph(closure(phi_d), searched)
     lines = dump.read_text().splitlines()
     assert lines == searched.getvalue().splitlines()
     states = [ln.split()[1] for ln in lines if ln.startswith("state ")]
@@ -312,6 +312,16 @@ def test_classify_wider_than_the_recursion_limit(capsys):
     code, out, err = run(capsys, "classify", spec)
     assert code == 0, err
     assert out.strip() == "PureLTL"
+
+
+def test_solve_wider_than_the_recursion_limit(capsys):
+    # one branch member per F p_i: the state enumeration walks them with a
+    # loop, not a frame each, and reaches the grid, which refuses its 2^600
+    # types with exit 69 (resource limit) rather than 70 (internal error)
+    spec = " & ".join(f"F p{i}" for i in range(600))
+    code, _, err = run(capsys, "solve", spec)
+    assert code == 69, err
+    assert "grid search" in err
 
 
 @pytest.mark.parametrize("target, translate", [

@@ -12,6 +12,7 @@ from conftest import (
     random_formula,
 )
 
+from sltl import psl
 from sltl.automaton import StateSpace, find_accepting_lasso
 from sltl.psl import (
     CompiledGrid,
@@ -34,6 +35,7 @@ from sltl.syntax import (
     Sharper,
     Standpoint,
     UNIVERSAL,
+    Until,
     closure,
     conj,
     parse,
@@ -121,17 +123,28 @@ def test_split_separates_atoms_and_body():
     assert space.base == [Sharper(S, T), DiamondS(S, Prop("p"))]
     assert Prop("p") not in space.closure
     (b,) = space.enumerate([(f, True)])
-    assert space.grid(b.mask).family == family_for(sharpening_closure([(S, T)], {S, T}))
-    assert holds(space.grid_model(b.mask), f)
+    assert space.grid(b).family == family_for(sharpening_closure([(S, T)], {S, T}))
+    assert holds(space.grid_model(b), f)
 
 
-def test_split_pushes_negations_into_the_body():
-    # the grid sees a negated modal member as its dual, which it propagates
-    f = parse("<@s> !(p & q)")
-    space = StateSpace(closure(f))
-    literals = set(space._literals.values())
-    assert literals >= {f, BoxS(S, And(Prop("p"), Prop("q")))}
-    assert not any(isinstance(g, Not) and isinstance(g.operand, DiamondS) for g in literals)
+def test_split_pushes_negations_into_the_body(monkeypatch):
+    # the grid sees a negated modal member as its dual, which it propagates:
+    # beneath an Until the diamond branches, and its states search it true
+    # and false
+    searched = []
+    search = psl.grid_model_for
+
+    def recording(grid, conjuncts, budget):
+        searched.extend(conjuncts)
+        return search(grid, conjuncts, budget)
+
+    monkeypatch.setattr(psl, "grid_model_for", recording)
+    diamond = parse("<@s> !(p & q)")
+    space = StateSpace(closure(Until(Prop("r"), diamond)))
+    assert diamond in space.branch
+    list(space.enumerate([]))
+    assert set(searched) >= {diamond, BoxS(S, And(Prop("p"), Prop("q")))}
+    assert not any(isinstance(g, Not) and isinstance(g.operand, DiamondS) for g in searched)
 
 
 def test_split_keeps_nested_sharpening_atoms_in_the_body():
@@ -228,12 +241,11 @@ def test_sat_monotone_in_width():
     while done < 40:
         f = random_formula(rng, 3, mode="psl")
         phi = simplify(f)
-        lasso = find_accepting_lasso(closure(phi), phi)
+        lasso = find_accepting_lasso(closure(phi))
         if lasso is None:
             continue
         done += 1
-        (b,) = lasso.cycle
-        m = b.space.grid_model(b.mask)
+        (m,) = lasso.models
         # one more cell per column, a copy of its first, as a witness pads
         # a narrower model of its run
         wider = dict(m.valuation)
@@ -309,7 +321,7 @@ def test_sat_skips_partitions_whose_true_atoms_entail_a_false_one():
     f = parse("p & (@s <= @t | @t <= @u | @s <= @u)")
     space = StateSpace(closure(f))
     atoms = [Sharper(S, T), Sharper(T, U), Sharper(S, U)]
-    held = {tuple(a in b for a in atoms) for b in space.enumerate([])}
+    held = {tuple(bool(b >> space.base_index[a] & 1) for a in atoms) for b in space.enumerate([])}
     assert len(held) == 7 and (True, True, False) not in held
     assert len(space._grids) == 8 and len({id(g) for g in space._grids.values()}) == 7
     assert len({g.family for g in space._grids.values()}) == 7

@@ -7,7 +7,7 @@ import pytest
 from conftest import S, T, U, psl_brute_sat, random_formula
 
 import sltl.solver as solver_mod
-from sltl import psl, semantics
+from sltl import automaton, psl, semantics
 from sltl.semantics import SearchBounds, bounded_search, evaluate, model_to_json
 from sltl.automaton import find_accepting_lasso
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
@@ -31,9 +31,7 @@ from sltl.translate import counter_formula, recurring_counter_formula
 def run_grid_parameters(phi_d):
     """The family size of the automaton's run on ``phi_d`` and the most
     valuations one column of its states' grid models carries."""
-    lasso = find_accepting_lasso(closure(phi_d), phi_d)
-    states = list(lasso.stem) + list(lasso.cycle)
-    models = [b.space.grid_model(b.mask) for b in states]
+    models = find_accepting_lasso(closure(phi_d)).models
     most = max(
         len({v for (c, _), v in m.valuation.items() if c == i})
         for m in models
@@ -141,9 +139,9 @@ def _spy_on_the_automaton(monkeypatch):
     runs, held = [], []
     real_run, real_grid = solver_mod.find_accepting_lasso, psl.grid_model_for
 
-    def run(cl, phi, *args):
-        runs.append(phi)
-        return real_run(cl, phi, *args)
+    def run(cl, *args):
+        runs.append(cl.seed)
+        return real_run(cl, *args)
 
     def grid(g, conjuncts, budget):
         # an atom holds on a family iff every label set with its left
@@ -274,18 +272,27 @@ def test_grid_solves_once_per_member_set_and_width(monkeypatch):
         solved.append((grid, tuple(conjuncts)))
         return real(grid, conjuncts, budget)
 
+    spaces = []
+    real_init = automaton.StateSpace.__init__
+
+    def init(space, *args):
+        real_init(space, *args)
+        spaces.append(space)
+
     monkeypatch.setattr(psl, "grid_model_for", recording)
+    monkeypatch.setattr(automaton.StateSpace, "__init__", init)
     f = parse("G F <@s> p & G F [@s] !p & (q U <@t> !q)")
-    lasso = find_accepting_lasso(closure(f), f)
-    space = lasso.cycle[0].space
+    lasso = find_accepting_lasso(closure(f))
+    (space,) = spaces
     states = list(lasso.stem) + list(lasso.cycle)
-    assert len({b.mask for b in states}) > 1
+    assert len(set(states)) > 1
     assert space.grid_solves == len(solved) == len(set(solved))
-    # every state of the run kept its model, so the witness reads back
-    # what enumeration found
-    assert all(space.grid_model(b.mask) is not None for b in states)
+    # every state of the run kept its model, and the lasso carries it, so
+    # the witness reads back what enumeration found
+    assert all(space.grid_model(b) is not None for b in states)
+    assert lasso.models == tuple(space.grid_model(b) for b in states)
     before = space.grid_solves
-    model, designated = witness_from_lasso(lasso)
+    model, designated = witness_from_lasso(lasso, vocab(f).standpoints)
     assert space.grid_solves == len(solved) == before
     assert check_witness(f, model, designated)
 
