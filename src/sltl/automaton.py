@@ -124,8 +124,11 @@ class StateSpace:
         self.universe = set(voc.standpoints) | {UNIVERSAL}
         self.props = voc.props
         # one trace of one position: base member b is true/false when bit 0
-        # of tm[b]/fm[b] is set
-        self._engine = _IntervalEngine(cl.formulas, 1, 0, 1, {}, self.base_index)
+        # of tm[b]/fm[b] is set; a conjunct of the seed may be the negation
+        # of a member, which is compiled after the closure, so that the
+        # children of each member are compiled before it
+        conjuncts = _conjuncts(cl.seed)
+        self._engine = _IntervalEngine([*cl.formulas, *conjuncts], 1, 0, 1, {}, self.base_index)
         slot = self._engine.slot
         self._untils = [(slot[g], slot[g.right]) for g in cl.until_members]
         # the seed's temporal-free conjuncts as (slot, grid form), and the
@@ -134,7 +137,7 @@ class StateSpace:
         # every base member branches
         self._parts: list[tuple[int, Formula]] = []
         temporal_parts = []
-        for c in _conjuncts(cl.seed):
+        for c in conjuncts:
             if cl.next_members and any(isinstance(h, (Next, Until)) for h in nodes(c)):
                 temporal_parts.append(c)
             else:
@@ -166,8 +169,10 @@ class StateSpace:
         self._step_bits = self._sharpening_bits | sum(
             1 << self.base_index[g] for g in cl.next_members
         )
-        self._searches: dict[tuple, Optional[tuple[psl.PSLModel, int]]] = {}
-        self._models: dict[int, psl.PSLModel] = {}  # by state
+        # a search's grid, present types, designated valuation and decided
+        # bits; a state's grid, present types and designated valuation
+        self._searches: dict[tuple, Optional[tuple[psl.CompiledGrid, int, int, int]]] = {}
+        self._models: dict[int, tuple[psl.CompiledGrid, int, int]] = {}
         self.accepting: dict[int, int] = {}  # acceptance bits by state
         self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
         self._successors: dict[int, list[int]] = {}
@@ -242,44 +247,41 @@ class StateSpace:
             if found is None:
                 first_failed = n == 0 and seeded
                 continue
-            model, decided = found
-            state |= decided
-            self._models.setdefault(state, model)
+            state |= found[3]
+            self._models.setdefault(state, found[:3])
             self.accepting[state] = sum(
                 1 << i for i, (u, r) in enumerate(self._untils) if not lo[u] or lo[r]
             )
             yield state
 
-    def _search(self, key: tuple) -> Optional[tuple[psl.PSLModel, int]]:
-        """A grid model of the conjunction ``key`` on the family of its true
-        atoms, with the grid-decided members true at its designated cell as
-        state bits, or None.  The conjunction is the branch literals, true
-        where the state bits ``key[0]`` are set and negated elsewhere, and
-        the formulas after them."""
+    def _search(self, key: tuple) -> Optional[tuple[psl.CompiledGrid, int, int, int]]:
+        """The grid of the conjunction ``key``, the family of its true
+        atoms, with the present types and the designated valuation of its
+        grid model and the grid-decided members true at the designated type
+        as state bits, or None.  The conjunction is the branch literals,
+        true where the state bits ``key[0]`` are set and negated elsewhere,
+        and the formulas after them."""
         if key not in self._searches:
             self.grid_solves += 1
             grid = self.grid(key[0])
             conjuncts = [g if key[0] >> b & 1 else ng for b, g, ng in self._literals]
-            model = psl.grid_model_for(grid, conjuncts + list(key[1:]), self.budget)
-            self._searches[key] = None if model is None else (model, self._read(grid, model))
+            found = psl.grid_model_for(grid, conjuncts + list(key[1:]), self.budget)
+            self._searches[key] = None if found is None else (grid, *found, self._read(grid, *found))
         return self._searches[key]
 
-    def _read(self, grid: psl.CompiledGrid, model: psl.PSLModel) -> int:
-        """The grid-decided members true at the designated cell, as state
-        bits."""
+    def _read(self, grid: psl.CompiledGrid, present: int, dv: int) -> int:
+        """The grid-decided members true at the designated type ``dv`` when
+        the types ``present`` are, as state bits."""
         if not self._decided:
             return 0
-        types = {vals: v for v, vals in enumerate(grid.val_sets)}
-        cells = {c * grid.v_count + types[vals] for (c, _), vals in model.valuation.items()}
-        present = sum(1 << t for t in cells)
         lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
-        d = types[model.valuation[(0, 1)]]  # the designated type, in column 0
-        return sum((lo[grid.engine.slot[g]] >> d & 1) << b for b, g in self._decided)
+        return sum((lo[grid.engine.slot[g]] >> dv & 1) << b for b, g in self._decided)
 
     def grid_model(self, state: int) -> Optional[psl.PSLModel]:
         """The grid model a state was read off, or None for a state that no
         enumeration yielded."""
-        return self._models.get(state)
+        found = self._models.get(state)
+        return None if found is None else psl.expand(*found)
 
     def true_props(self, state: int) -> frozenset[str]:
         """The propositions true in a state."""
@@ -293,7 +295,7 @@ class StateSpace:
         key = state & self._sharpening_bits
         if key not in self._grids:
             true = [(g.left, g.right) for b, g in enumerate(self.base) if key >> b & 1]
-            family = psl.family_for(psl.sharpening_closure(true, self.universe))
+            family = psl.label_family(true, self.universe)
             shared = next((g for g in self._grids.values() if g.family == family), None)
             formulas = [
                 *(f for _, g, ng in self._literals for f in (g, ng)),
@@ -337,7 +339,7 @@ def _dual(g: Formula) -> Formula:
 def _conjuncts(f: Formula) -> list[Formula]:
     """The conjuncts of ``f``: the leaves of its top And tree, a negated Or
     read as the And of the negations, left to right.  Each is a member of
-    the closure of ``f``."""
+    the closure of ``f`` or the negation of one."""
     parts: list[Formula] = []
     stack = [f]
     while stack:

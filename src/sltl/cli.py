@@ -136,8 +136,9 @@ def _cmd_solve(args) -> int:
 
 
 def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) -> None:
-    """Dump the state graph the automaton explores: that of the simplified
-    input, for every fragment but FullSLTL."""
+    """Dump the automaton's state graph of the simplified input, for every
+    fragment but FullSLTL: the whole graph reachable from the initial
+    states, not only the part the emptiness search explores."""
     if verdict.fragment is Fragment.FULL_SLTL:
         print("state dump applies to PSL, PureLTL and LtlPsl inputs only", file=sys.stderr)
         return
@@ -245,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true", help="machine-readable verdict")
     p_solve.add_argument("--witness-out", metavar="PATH", help="write the witness JSON here")
     p_solve.add_argument("--dump-states", metavar="PATH",
-                         help="dump the explored automaton state graph (not a stable format)")
+                         help="dump the automaton state graph reachable from the initial states "
+                              "(not a stable format)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_tr = subs.add_parser("translate", help="formula-to-formula constructions")

@@ -2,15 +2,16 @@
 models.
 
 A model of a propositional standpoint formula lives on a grid whose
-columns are the label sets of the sharpening closure of its true atoms.  On
-that grid a sharpening atom holds iff the closure relates its standpoints,
-so atoms are constants of the grid, and modal truth reads only which
-valuations each column carries: its present types.  The search decides
-those presence sets, and a model lists each column's valuations, padded to
-the column that carries the most.  The automaton decides PSL inputs too,
-one grid search per state literal set (see ``automaton.StateSpace``): this
-module supplies the families, the compiled grids, the search and the
-models.
+columns are the label sets of its true sharpening atoms (``label_family``).
+On that grid a sharpening atom holds iff the reflexive-transitive closure
+of the true atoms relates its standpoints, so atoms are constants of the
+grid, and modal truth reads only which valuations each column carries: its
+present types.  The search answers with those presence sets, and
+``expand`` turns them into a model that lists each column's valuations,
+padded to the column that carries the most.  The automaton decides PSL
+inputs too, one grid search per state literal set (see
+``automaton.StateSpace``): this module supplies the families, the compiled
+grids, the search and the models.
 """
 
 from __future__ import annotations
@@ -31,78 +32,42 @@ from .semantics import SearchLimitError, _IntervalEngine
 
 
 # ---------------------------------------------------------------------------
-# Sharpening closure and the label-set family
+# Label families and grid models
 
-@dataclass(frozen=True)
-class SharpeningClosure:
-    """Reflexive-transitive closure of the sharpening atoms, with every
-    standpoint linked to the universal one."""
-
-    universe: frozenset[Standpoint]
-    relation: frozenset[tuple[Standpoint, Standpoint]]
-
-    def of(self, sp: Standpoint) -> frozenset[Standpoint]:
-        return frozenset(b for (a, b) in self.relation if a == sp)
-
-    def entails(self, pair: tuple[Standpoint, Standpoint]) -> bool:
-        return pair in self.relation
-
-
-def sharpening_closure(
+def label_family(
     atoms: Iterable[tuple[Standpoint, Standpoint]], universe: Iterable[Standpoint]
-) -> SharpeningClosure:
-    univ = set(universe)
-    univ.add(UNIVERSAL)
-    rel = {(a, b) for a, b in atoms}
-    for a, b in list(rel):
-        univ.add(a)
-        univ.add(b)
-    for sp in univ:
-        rel.add((sp, UNIVERSAL))
-        rel.add((sp, sp))
-    members = sorted(univ, key=lambda s: s.name)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c in members:
-                if (b, c) in rel and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return SharpeningClosure(frozenset(univ), frozenset(rel))
+) -> tuple[frozenset[Standpoint], ...]:
+    """The grid's columns: the distinct label sets of the standpoints of
+    ``universe``, the atoms and the universal one.  The label set of ``x``
+    is every standpoint that the reflexive-transitive closure of the
+    atoms, with every standpoint sharpening the universal one, relates
+    ``x`` to.  The universal standpoint's set comes first, the others
+    follow by size and then by their sorted names."""
+    above: dict[Standpoint, set[Standpoint]] = {sp: set() for sp in (UNIVERSAL, *universe)}
+    for a, b in atoms:
+        above.setdefault(a, set()).add(b)
+        above.setdefault(b, set())
 
+    def labels(sp: Standpoint) -> frozenset[Standpoint]:
+        seen = {sp, UNIVERSAL}
+        stack = list(seen)
+        while stack:
+            new = above[stack.pop()] - seen
+            seen |= new
+            stack += new
+        return frozenset(seen)
 
-@dataclass(frozen=True)
-class SFamily:
-    """The distinct label sets of the grid; the universal one comes first."""
+    star = labels(UNIVERSAL)
+    rest = {labels(sp) for sp in above} - {star}
+    return (star, *sorted(rest, key=lambda s: (len(s), sorted(x.name for x in s))))
 
-    sets: tuple[frozenset[Standpoint], ...]
-
-    @property
-    def s_star(self) -> frozenset[Standpoint]:
-        return self.sets[0]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-def family_for(closure_rel: SharpeningClosure) -> SFamily:
-    star = closure_rel.of(UNIVERSAL)
-    rest = {closure_rel.of(sp) for sp in closure_rel.universe}
-    rest.discard(star)
-    ordered = [star] + sorted(rest, key=lambda s: (len(s), sorted(x.name for x in s)))
-    return SFamily(tuple(ordered))
-
-
-# ---------------------------------------------------------------------------
-# Grid models
 
 @dataclass
 class PSLModel:
     """Precisifications are the cells of ``family x {1..n}``; the standpoint
-    labels of a cell are exactly its family set."""
+    labels of a cell are exactly its column's label set."""
 
-    family: SFamily
+    family: tuple[frozenset[Standpoint], ...]
     n: int
     valuation: dict[tuple[int, int], frozenset[str]]
 
@@ -115,12 +80,7 @@ class PSLModel:
         return [(i, j) for i in range(len(self.family)) for j in range(1, self.n + 1)]
 
     def labels(self, cell: tuple[int, int]) -> frozenset[Standpoint]:
-        return self.family.sets[cell[0]]
-
-    def extent(self, sp: Standpoint) -> list[tuple[int, int]]:
-        if sp.is_universal:
-            return self.cells()
-        return [c for c in self.cells() if sp in self.labels(c)]
+        return self.family[cell[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +94,15 @@ class CompiledGrid:
     propositions, column by column.  The engine runs on a one-position
     lasso whose traces are the types: propositions are constant masks, and
     ``bind`` folds a sharpening atom to whether the left extent lies inside
-    the right one, which on the family of a sharpening closure holds iff
-    the closure relates them (``of(a)`` is a column).  A grid with more
-    types than ``budget`` has nodes left (see ``grid_model_for``) is
+    the right one, which on a ``label_family`` holds iff the closure of its
+    atoms relates them (the label set of ``a`` is a column).  A grid with
+    more types than ``budget`` has nodes left (see ``grid_model_for``) is
     refused with SearchLimitError before any table is built.
     """
 
     def __init__(
-        self, family: SFamily, props: Iterable[str], formulas: Sequence[Formula], budget: list[int]
+        self, family: tuple[frozenset[Standpoint], ...], props: Iterable[str],
+        formulas: Sequence[Formula], budget: list[int],
     ):
         self.family = family
         self.props = tuple(sorted(props))
@@ -153,9 +114,8 @@ class CompiledGrid:
         self.full = (1 << n_types) - 1
         self.col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
         extents = {UNIVERSAL: tuple(range(n_types))}
-        for sp in frozenset().union(*family.sets):
-            extents[sp] = tuple(t for t in range(n_types) if sp in family.sets[t // v_count])
-        self.ext_masks = {sp: sum(1 << t for t in ts) for sp, ts in extents.items()}
+        for sp in frozenset().union(*family):
+            extents[sp] = tuple(t for t in range(n_types) if sp in family[t // v_count])
         self.true_masks = [
             sum(1 << t for t in range(n_types) if t % v_count >> i & 1)
             for i in range(len(self.props))
@@ -174,16 +134,15 @@ class CompiledGrid:
 
 def grid_model_for(
     grid: CompiledGrid, conjuncts: Sequence[Formula], budget: list[int]
-) -> Optional[PSLModel]:
-    """A model of the conjunction at the designated cell (0, 1) of the
-    grid, or None; ``grid`` was compiled over the conjuncts.
+) -> Optional[tuple[int, int]]:
+    """The present types and the designated valuation of a model of the
+    conjunction at the designated type, or None; ``grid`` was compiled
+    over the conjuncts, and ``expand`` builds the model.
 
     Backtracks over which valuations each column carries (its present
     types) rather than over individual cells: modal truth only reads the
     per-column valuation sets, so a search of every presence assignment is
-    complete, and a found one expands to a grid as wide as the column with
-    the most present types, padding the other columns with copies of their
-    first cell.  Three-valued truth comes from the grid's engine: the
+    complete.  Three-valued truth comes from the grid's engine: the
     presence bits decide which types the modalities quantify over, and the
     conjunction's lower and upper masks are the AND of its conjuncts'.  The
     designated cell's valuation is chosen first; presence bits are tried
@@ -209,10 +168,10 @@ def grid_model_for(
     (the designated valuation, then the types of ``order`` absent before
     present).  A node whose lower bound already holds returns its present
     types, which is the least completion beneath it (every open type
-    absent) and valid, so again that least assignment; ``expand`` reads
-    only the present types.  The assignment depends on the family, the
-    propositions and the conjunction's masks alone, so it is the one a grid
-    compiled for the conjunction alone would give.
+    absent) and valid, so again that least assignment.  The assignment
+    depends on the family, the propositions and the conjunction's masks
+    alone, so it is the one a grid compiled for the conjunction alone
+    would give.
 
     ``budget`` is ``[remaining, limit]``, shared by every grid search of
     one ``solve``; each node takes one, and SearchLimitError is raised once
@@ -224,25 +183,10 @@ def grid_model_for(
     boxes, diamonds = [], []
     for g in conjuncts:
         if isinstance(g, (BoxS, DiamondS)):
-            rule = (grid.ext_masks[g.standpoint], slot[g.operand])
+            rule = (grid.engine.masks[g.standpoint], slot[g.operand])
             (boxes if isinstance(g, BoxS) else diamonds).append(rule)
     v_count, col_masks, full = grid.v_count, grid.col_masks, grid.full
     true_masks, false_masks = grid.true_masks, grid.false_masks
-
-    def expand(present: int, dv: int) -> PSLModel:
-        columns = []
-        for c in range(len(col_masks)):
-            chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
-            if c == 0:
-                chosen = [dv] + [v for v in chosen if v != dv]
-            columns.append(chosen)
-        n = max(map(len, columns))
-        valuation = {
-            (c, j): grid.val_sets[v]
-            for c, chosen in enumerate(columns)
-            for j, v in enumerate(chosen + chosen[:1] * (n - len(chosen)), start=1)
-        }
-        return PSLModel(grid.family, n, valuation)
 
     def propagate(present: int, absent: int, d_bit: int):
         """The node's presence and absence bits grown to the propagation
@@ -289,7 +233,7 @@ def grid_model_for(
                 continue
             present, absent, lo = node
             if all(lo[r] & d_bit for r in roots) and all(col & present for col in col_masks):
-                return expand(present, dv)
+                return present, dv
             decided = present | absent
             while idx < len(order) and decided >> order[idx] & 1:
                 idx += 1
@@ -301,12 +245,34 @@ def grid_model_for(
     return None
 
 
+def expand(grid: CompiledGrid, present: int, dv: int) -> PSLModel:
+    """The grid model of the present types, with the designated valuation
+    ``dv`` at cell (0, 1): as wide as the column with the most present
+    types, each column listing its valuations in type order (the
+    designated one first in column 0) and padding with copies of its first
+    cell."""
+    v_count = grid.v_count
+    columns = []
+    for c in range(len(grid.family)):
+        chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
+        if c == 0:
+            chosen = [dv] + [v for v in chosen if v != dv]
+        columns.append(chosen)
+    n = max(map(len, columns))
+    valuation = {
+        (c, j): grid.val_sets[v]
+        for c, chosen in enumerate(columns)
+        for j, v in enumerate(chosen + chosen[:1] * (n - len(chosen)), start=1)
+    }
+    return PSLModel(grid.family, n, valuation)
+
+
 # ---------------------------------------------------------------------------
 # Witness serialization
 
 def psl_model_to_json(model: PSLModel, designated: tuple[int, int]) -> dict:
     return {
-        "s_family": [sorted(str(sp) for sp in s) for s in model.family.sets],
+        "s_family": [sorted(str(sp) for sp in s) for s in model.family],
         "n": model.n,
         "valuation": {f"{i},{j}": sorted(v) for (i, j), v in sorted(model.valuation.items())},
         "designated": f"{designated[0]},{designated[1]}",

@@ -378,11 +378,12 @@ class _IntervalEngine:
 
     def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
         """Bind the program to one standpoint assignment: each standpoint's
-        extent (the indices of its traces) becomes a cell mask in the modal
-        instructions, and each sharpening atom becomes the constant it
-        denotes.  A standpoint missing from ``extents`` is a KeyError."""
+        extent (the indices of its traces) becomes a cell mask (``masks``)
+        in the modal instructions, and each sharpening atom becomes the
+        constant it denotes.  A standpoint missing from ``extents`` is a
+        KeyError."""
         block, L, full = self.block0, self.L, self.full
-        masks = {
+        self.masks = masks = {
             sp: sum(block << (t * L) for t in idxs) for sp, idxs in extents.items()
         }
         instrs = []

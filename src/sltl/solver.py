@@ -109,7 +109,7 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
     columns = [ids[i * width:(i + 1) * width] for i in range(len(family))]
     lam: dict[Standpoint, frozenset[str]] = {}
     for sp in {UNIVERSAL, *standpoints}:
-        labelled = [t for labels, cells in zip(family.sets, columns) if sp in labels for t in cells]
+        labelled = [t for labels, cells in zip(family, columns) if sp in labels for t in cells]
         lam[sp] = frozenset(labelled or ids)
     model = SLTLModel(traces, lam, prefix_len, period_len)
     designated = "t0"

@@ -653,17 +653,17 @@ class ClosureSet:
     """The formulas an automaton state assigns, deterministically ordered.
 
     The members are the seed's subformulas outside modal operands, every
-    sharpening atom of the seed wherever it occurs, the constants, the
-    next-step companions of the Until members, and the negations of all
-    these.  A modal formula is a leaf: on the automaton's fragments its
-    operand is temporal-free, and a state decides it whole on its grid.
-    Sharpening atoms beneath a modality are members all the same, because
-    atoms are rigid state bits and the true ones choose the grid's label
-    family.
+    sharpening atom of the seed wherever it occurs, and the next-step
+    companions of the Until members.  A false member is a clear state bit,
+    so no negation is added.  A modal formula is a leaf: on the automaton's
+    fragments its operand is temporal-free, and a state decides it whole on
+    its grid.  Sharpening atoms beneath a modality are members all the
+    same, because atoms are rigid state bits and the true ones choose the
+    grid's label family.
     """
 
     def __init__(self, seed: Formula):
-        members: set[Formula] = {TOP, BOTTOM}
+        members: set[Formula] = set()
         beneath: set[Formula] = set()  # subformulas met inside a modal operand
         stack = [(seed, False)]
         while stack:
@@ -681,8 +681,6 @@ class ClosureSet:
         for g in list(members):
             if isinstance(g, Until):
                 members.add(Next(g))
-        for g in list(members):
-            members.add(neg(g))
         self.seed = seed
         self.formulas: tuple[Formula, ...] = tuple(
             sorted(members, key=lambda g: (size(g), to_text(g)))

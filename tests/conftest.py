@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from sltl.semantics import SLTLModel, UPTrace, evaluate
 from sltl.syntax import (
@@ -270,6 +271,51 @@ def psl_brute_sat_bitwise(f: Formula) -> bool:
     for sp in sps:
         inhabited &= some(ext(sp))
     return truth(f) & chosen & inhabited != 0
+
+
+# ---------------------------------------------------------------------------
+# Label families by a relation fixpoint
+
+@dataclass(frozen=True)
+class SharpeningClosure:
+    """Reflexive-transitive closure of the sharpening atoms, with every
+    standpoint linked to the universal one."""
+
+    universe: frozenset[Standpoint]
+    relation: frozenset[tuple[Standpoint, Standpoint]]
+
+    def of(self, sp: Standpoint) -> frozenset[Standpoint]:
+        return frozenset(b for (a, b) in self.relation if a == sp)
+
+    def entails(self, pair: tuple[Standpoint, Standpoint]) -> bool:
+        return pair in self.relation
+
+
+def sharpening_closure(atoms, universe) -> SharpeningClosure:
+    """The closure as a relation, grown pair by pair to its fixpoint."""
+    univ = set(universe) | {UNIVERSAL}
+    rel = set(atoms)
+    for a, b in rel:
+        univ |= {a, b}
+    for sp in univ:
+        rel |= {(sp, UNIVERSAL), (sp, sp)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c in univ:
+                if (b, c) in rel and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return SharpeningClosure(frozenset(univ), frozenset(rel))
+
+
+def family_for(closure_rel: SharpeningClosure) -> tuple[frozenset[Standpoint], ...]:
+    """The distinct label sets of the closure: the universal standpoint's
+    first, then the others by size and sorted names."""
+    star = closure_rel.of(UNIVERSAL)
+    rest = {closure_rel.of(sp) for sp in closure_rel.universe} - {star}
+    return (star, *sorted(rest, key=lambda s: (len(s), sorted(x.name for x in s))))
 
 
 # ---------------------------------------------------------------------------

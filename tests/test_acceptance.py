@@ -112,8 +112,7 @@ def test_criterion_03_witness_size(agreement_run):
         phi_d = simplify(f)
         universe = set(vocab(phi_d).standpoints) | {UNIVERSAL}
         held = verdict.partition.i_plus & vocab(phi_d).sharpenings
-        rel = psl.sharpening_closure(held, universe)
-        family_size = len({rel.of(sp) for sp in rel.universe})
+        family_size = len(psl.label_family(held, universe))
         # the traces come column by column, ``width`` per column; the width
         # is the most valuations one column carries at one position
         model = verdict.model
@@ -152,11 +151,14 @@ def test_criterion_04_grid_shape():
         # condition 2: the designated cell is the first universal-column
         # cell, whose trace the witness designates
         assert verdict.designated == "t0" and m.cells()[0] == (0, 1)
-        assert m.family.sets[0] == m.family.s_star
+        # the universal column comes first: its labels are the standpoints
+        # that every column carries, and no column repeats
+        assert m.family[0] == frozenset.intersection(*m.family)
+        assert len(set(m.family)) == len(m.family)
         # condition 3: cell labels are exactly the family set of the column
         for cell in m.valuation:
-            assert m.labels(cell) == m.family.sets[cell[0]]
-        assert all(UNIVERSAL in s for s in m.family.sets)
+            assert m.labels(cell) == m.family[cell[0]]
+        assert all(UNIVERSAL in s for s in m.family)
         # the witness is the grid model, one trace per cell, and it
         # satisfies the formula at the designated cell
         cells, traces = m.cells(), verdict.model.traces

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import psl_brute_sat_bitwise, random_formula
+from conftest import family_for, psl_brute_sat_bitwise, random_formula, sharpening_closure
 
 from sltl.automaton import (
     AutomatonLimitError,
@@ -38,6 +38,7 @@ from sltl.syntax import (
     closure,
     conj,
     fold,
+    neg,
     parse,
     rebuild,
     simplify,
@@ -259,7 +260,14 @@ def test_every_enumerated_state_is_consistent():
     states = list(space.enumerate([]))
     assert states
     for b in states:
-        assert psl_brute_sat_bitwise(conj(g for g in _members(space, b) if not _has_temporal(g)))
+        base_truth = {g: bool(b >> i & 1) for i, g in enumerate(space.base)}
+        assert psl_brute_sat_bitwise(conj(_temporal_free_literals(cl, _closure_truth(cl, base_truth))))
+
+
+def _temporal_free_literals(cl, truth):
+    """The temporal-free members of the closure, each true one as it
+    stands and each false one negated."""
+    return tuple(g if truth[g] else neg(g) for g in cl.formulas if not _has_temporal(g))
 
 
 @functools.cache
@@ -287,9 +295,7 @@ def _brute_force_states(space, constraints):
         truth = _closure_truth(cl, dict(zip(base, values)))
         if any(truth[f] != req for f, req in constraints):
             continue
-        if not _abstractly_consistent(
-            tuple(g for g in cl.formulas if truth[g] and not _has_temporal(g))
-        ):
+        if not _abstractly_consistent(_temporal_free_literals(cl, truth)):
             continue
         masks.append(sum(1 << i for i, g in enumerate(cl.formulas) if truth[g]))
     return masks
@@ -485,8 +491,8 @@ def test_state_graph_dump_format():
 
 def _true_atom_closure(cl, held):
     """The sharpening closure of the true atoms ``held`` over the
-    standpoints of the seed."""
-    return psl.sharpening_closure(held, set(vocab(cl.seed).standpoints) | {UNIVERSAL})
+    standpoints of the seed, by the relation fixpoint."""
+    return sharpening_closure(held, set(vocab(cl.seed).standpoints) | {UNIVERSAL})
 
 
 def _substitute(f, truth):
@@ -497,14 +503,10 @@ def _substitute(f, truth):
 
 
 def _state_literals(space, state):
-    """The literal members of a state: its propositions, sharpening atoms
-    and modal members, true or negated."""
-    literal = (Prop, Sharper, DiamondS, BoxS)
-    return [
-        g
-        for g in _members(space, state)
-        if isinstance(g, literal) or isinstance(g, Not) and isinstance(g.operand, literal)
-    ]
+    """The literals of a state: its propositions, sharpening atoms and
+    modal members, the true ones as they stand and the false ones
+    negated."""
+    return [g if state >> b & 1 else neg(g) for b, g in enumerate(space.base) if not isinstance(g, Next)]
 
 
 def _one_shot_grid_model(space, conjuncts):
@@ -518,8 +520,9 @@ def _one_shot_grid_model(space, conjuncts):
     pairs = [(g.left, g.right) for g in cl.formulas if isinstance(g, Sharper)]
     truth = {pair: TOP if rel.entails(pair) else BOTTOM for pair in pairs}
     body = to_nnf(conj(_substitute(g, truth) for g in conjuncts))
-    grid = psl.CompiledGrid(psl.family_for(rel), space.props, [body], [10**6, 10**6])
-    return psl.grid_model_for(grid, [body], [10**6, 10**6])
+    grid = psl.CompiledGrid(family_for(rel), space.props, [body], [10**6, 10**6])
+    found = psl.grid_model_for(grid, [body], [10**6, 10**6])
+    return None if found is None else psl.expand(grid, *found)
 
 
 def test_a_failed_state_is_searched_once(monkeypatch):
@@ -552,9 +555,9 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
     real = psl.grid_model_for
 
     def recording(grid, conjuncts, budget):
-        model = real(grid, conjuncts, budget)
-        searched.append((list(conjuncts), model))
-        return model
+        found = real(grid, conjuncts, budget)
+        searched.append((list(conjuncts), None if found is None else psl.expand(grid, *found)))
+        return found
 
     monkeypatch.setattr(psl, "grid_model_for", recording)
     rng = random.Random(211)
@@ -613,7 +616,7 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         cl = closure(phi_d)
         find_accepting_lasso(cl)
         held = [[(g.left, g.right) for g in c if isinstance(g, Sharper)] for c in searched]
-        seen = {psl.family_for(_true_atom_closure(cl, atoms)) for atoms in held}
+        seen = {family_for(_true_atom_closure(cl, atoms)) for atoms in held}
         assert len(seen) == families and len(compiles) == families, to_text(phi_d)
 
 

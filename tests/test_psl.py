@@ -7,9 +7,11 @@ from conftest import (
     T,
     U,
     enumerate_psl_formulas,
+    family_for,
     psl_brute_sat,
     psl_brute_sat_bitwise,
     random_formula,
+    sharpening_closure,
 )
 
 from sltl import psl
@@ -17,11 +19,10 @@ from sltl.automaton import StateSpace, find_accepting_lasso
 from sltl.psl import (
     CompiledGrid,
     PSLModel,
-    SFamily,
-    family_for,
+    expand,
     grid_model_for,
+    label_family,
     psl_model_to_json,
-    sharpening_closure,
 )
 from sltl.semantics import SLTLModel, SearchLimitError, UPTrace, evaluate
 from sltl.solver import SolveOptions, solve
@@ -70,26 +71,56 @@ def _conjuncts(f):
     return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
 
 
-def test_sharpening_closure_links_everything_to_universal():
-    rel = sharpening_closure([(S, T)], {S, T})
-    assert rel.entails((S, T))
-    assert rel.entails((S, UNIVERSAL)) and rel.entails((T, UNIVERSAL))
-    assert rel.entails((S, S)) and not rel.entails((T, S))
-    chain = sharpening_closure([(S, T), (T, Standpoint("u"))], {S, T, Standpoint("u")})
-    assert chain.entails((S, Standpoint("u")))
+def _extent(m: PSLModel, sp: Standpoint) -> list:
+    """The cells of a grid model that ``sp`` labels."""
+    return [c for c in m.cells() if sp.is_universal or sp in m.labels(c)]
+
+
+def test_label_family_links_everything_to_universal():
+    # s sharpens t, and each sharpens the universal standpoint and itself;
+    # t does not sharpen s
+    assert label_family([(S, T)], {S, T}) == (STAR, frozenset({UNIVERSAL, T}), frozenset({UNIVERSAL, S, T}))
+    chain = label_family([(S, T), (T, U)], {S, T, U})
+    assert frozenset({UNIVERSAL, S, T, U}) in chain
+    # a standpoint of an atom outside the universe is a column all the same
+    assert label_family([(S, T)], {UNIVERSAL}) == label_family([(S, T)], {S, T})
 
 
 def test_family_orders_universal_first():
-    rel = sharpening_closure([(S, T)], {S, T})
-    fam = family_for(rel)
-    assert fam.s_star == STAR
-    assert frozenset({S, T, UNIVERSAL}) in fam.sets
-    assert all(UNIVERSAL in s for s in fam.sets)
+    fam = label_family([(S, T)], {S, T})
+    assert fam[0] == STAR
+    assert frozenset({S, T, UNIVERSAL}) in fam
+    assert all(UNIVERSAL in s for s in fam)
     assert len(fam) <= 3
+    # the universal standpoint sharpening s puts s in every label set
+    assert label_family([(UNIVERSAL, S)], {S, T}) == (STAR_S, frozenset({UNIVERSAL, S, T}))
+
+
+def test_label_family_matches_the_closure_fixpoint():
+    # the reachability walk against the relation grown pair by pair, on
+    # random atoms over up to four named standpoints and the universal one
+    rng = random.Random(67)
+    names = [Standpoint(x) for x in "stuv"]
+    star_left = star_right = chains = cycles = 0
+    for k in range(600):
+        sps = names[: rng.randint(1, 4)]
+        pool = sps + [UNIVERSAL]
+        atoms = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 5))]
+        if k % 4 == 0:  # a chain through every named standpoint, closed half the time
+            order = rng.sample(sps, len(sps))
+            atoms += list(zip(order, order[1:] + order[:1] * (k % 8 == 0)))
+        universe = rng.sample(pool, rng.randint(0, len(pool)))
+        rel = sharpening_closure(atoms, universe)
+        assert label_family(atoms, universe) == family_for(rel), (atoms, universe)
+        star_left += any(a.is_universal and not b.is_universal for a, b in atoms)
+        star_right += any(b.is_universal and not a.is_universal for a, b in atoms)
+        chains += any(b == c and len({a, b, d}) == 3 for a, b in atoms for c, d in atoms)
+        cycles += any(a != b and rel.entails((b, a)) for a, b in rel.relation if not b.is_universal)
+    assert min(star_left, star_right, chains, cycles) > 100
 
 
 def test_evaluate_on_single_cell_grid():
-    fam = SFamily((STAR,))
+    fam = (STAR,)
     m = PSLModel(fam, 1, {(0, 1): frozenset({"p"})})
     assert holds(m, parse("<@*> p"))
     assert holds(m, parse("[@*] p"))
@@ -97,7 +128,7 @@ def test_evaluate_on_single_cell_grid():
 
 
 def test_evaluate_box_reads_only_matching_cells():
-    fam = SFamily((STAR, STAR_S))
+    fam = (STAR, STAR_S)
     with_p = PSLModel(fam, 1, {(0, 1): frozenset(), (1, 1): frozenset({"p"})})
     without_p = PSLModel(fam, 1, {(0, 1): frozenset({"p"}), (1, 1): frozenset()})
     f = parse("[@s] p")
@@ -106,7 +137,7 @@ def test_evaluate_box_reads_only_matching_cells():
 
 
 def test_evaluate_sharpening_is_family_inclusion():
-    fam = SFamily((STAR, STAR_S, frozenset({UNIVERSAL, S, T})))
+    fam = (STAR, STAR_S, frozenset({UNIVERSAL, S, T}))
     m = PSLModel(fam, 1, {(i, 1): frozenset() for i in range(3)})
     assert not holds(m, Sharper(S, T))  # the {*,s} cell lacks t
     assert holds(m, Sharper(T, S))  # every t-cell carries s
@@ -175,7 +206,7 @@ def test_sat_normal_form_direct_contradiction():
 
 def test_sat_normal_form_two_distinct_witness_cells():
     m = solve(parse("<@s> p & <@s> !p")).psl_model
-    s_cells = m.extent(S)
+    s_cells = _extent(m, S)
     assert any("p" in m.valuation[c] for c in s_cells)
     assert any("p" not in m.valuation[c] for c in s_cells)
 
@@ -221,13 +252,13 @@ def test_grid_model_shape_conditions():
         rel = sharpening_closure(v.partition.i_plus & vocab(phi).sharpenings, universe)
         # condition 1: the precisification set is exactly family x 1..N
         assert set(m.valuation) == {(i, j) for i in range(len(m.family)) for j in range(1, m.n + 1)}
-        assert set(m.family.sets) == {rel.of(sp) for sp in rel.universe}
+        assert m.family == family_for(rel)
         # condition 2: the designated cell is the first universal-column cell
         assert v.designated == "t0"
         assert holds(m, phi)
         # condition 3: the labels of a cell are exactly its family set
         for (i, j) in m.valuation:
-            assert m.labels((i, j)) == m.family.sets[i]
+            assert m.labels((i, j)) == m.family[i]
         # width: the most valuations one column carries, within the
         # small-model bound of the standpoints plus modal subformulas plus one
         assert m.n == max(map(len, _column_valuations(m))), to_text(f)
@@ -258,7 +289,7 @@ def test_sat_monotone_in_width():
 
 def test_sat_negated_sharpening_needs_two_extents():
     m = solve(parse("!(@s <= @t)")).psl_model
-    assert not set(m.extent(S)) <= set(m.extent(T))
+    assert not set(_extent(m, S)) <= set(_extent(m, T))
 
 
 def test_sat_conflicting_sharpening_atoms():
@@ -332,11 +363,11 @@ def test_root_failures_spend_no_grid_nodes():
     # the root, which one sweep shows before the search spends a node
     props = [f"p{i}" for i in range(1, 11)]
     conjuncts = [Prop(p) for p in props]
-    family = family_for(sharpening_closure([], {UNIVERSAL}))
-    grid = CompiledGrid(family, props, conjuncts, [10**6, 10**6])
+    grid = CompiledGrid(label_family([], {UNIVERSAL}), props, conjuncts, [10**6, 10**6])
     budget = [1, 1]
-    model = grid_model_for(grid, conjuncts, budget)
-    assert model.valuation == {(0, 1): frozenset(props)}
+    present, dv = grid_model_for(grid, conjuncts, budget)
+    assert (present, dv) == (1 << 1023, 1023)
+    assert expand(grid, present, dv).valuation == {(0, 1): frozenset(props)}
     assert budget[0] == 0
 
 
@@ -425,7 +456,7 @@ def test_grid_search_returns_the_first_valid_assignment():
         atoms = [(g.left, g.right) for g in top if isinstance(g, Sharper)]
         body = to_nnf(conj([g for g in top if not isinstance(g, Sharper)]))
         universe = vocab(conj(top)).standpoints | {UNIVERSAL}
-        family = family_for(sharpening_closure(atoms, universe))
+        family = label_family(atoms, universe)
         props = tuple(sorted(vocab(body).props))
         if len(family) > 2 or not 1 <= len(props) <= 2:
             continue
@@ -436,7 +467,7 @@ def test_grid_search_returns_the_first_valid_assignment():
         sat_count += expected is not None
         grid = CompiledGrid(family, props, parts, [10**6, 10**6])
         found = grid_model_for(grid, parts, [10**6, 10**6])
-        assert (found and found.valuation) == expected, to_text(body)
+        assert (found and expand(grid, *found).valuation) == expected, to_text(body)
     # the corpus exercises both verdicts and the propagation rules
     assert 40 < sat_count < 110 and modal > 120
 
@@ -445,21 +476,23 @@ def test_grid_search_returns_the_first_valid_assignment():
 # Externally fixed grids and serialization
 
 def test_grid_model_for_fixed_width():
-    universe = {S, UNIVERSAL}
-    rel = sharpening_closure([], universe)
-    fam = family_for(rel)
+    fam = label_family([], {S, UNIVERSAL})
     parts = [parse("<@s> p"), parse("!p"), parse("[@s] p"), parse("<@s> !p")]
     grid = CompiledGrid(fam, ["p"], parts, [10**6, 10**6])
+
+    def model_of(conjuncts):
+        return expand(grid, *grid_model_for(grid, conjuncts, [10**6, 10**6]))
+
     # the designated cell lacks p and the s-cell has it: one cell a column
-    model = grid_model_for(grid, parts[:2], [10**6, 10**6])
+    model = model_of(parts[:2])
     assert model.n == 1
     assert model.valuation == {(0, 1): frozenset(), (1, 1): frozenset({"p"})}
     assert holds(model, parse("<@s> p & !p"))
     # two forced-apart witnesses in the s-column make the grid two wide
-    model = grid_model_for(grid, [parts[0], parts[3]], [10**6, 10**6])
+    model = model_of([parts[0], parts[3]])
     assert model.n == 2 and holds(model, parse("<@s> p & <@s> !p"))
     assert {model.valuation[(1, 1)], model.valuation[(1, 2)]} == {frozenset(), frozenset({"p"})}
-    assert grid_model_for(grid, parts[1:3], [10**6, 10**6]).n == 1
+    assert model_of(parts[1:3]).n == 1
     with pytest.raises(ValueError, match="outside the grid universe"):
         CompiledGrid(fam, ["p"], [parse("<@t> p")], [10**6, 10**6])
 

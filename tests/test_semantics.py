@@ -370,11 +370,11 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
     for _ in range(150):
         f = random_formula(rng, 3, props=props, mode="psl", max_sharpenings=0)
         atoms = rng.choice([[], [(S, T)]])
-        family = psl.family_for(psl.sharpening_closure(atoms, [S, T]))
+        family = psl.label_family(atoms, [S, T])
         n_types = len(family) * v_count
         extents = {UNIVERSAL: tuple(range(n_types))}
         for sp in (S, T):
-            extents[sp] = tuple(t for t in range(n_types) if sp in family.sets[t // v_count])
+            extents[sp] = tuple(t for t in range(n_types) if sp in family[t // v_count])
         full = (1 << n_types) - 1
         tm = [sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(2)]
         fm = [full ^ m for m in tm]

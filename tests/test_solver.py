@@ -148,7 +148,7 @@ def _spy_on_the_automaton(monkeypatch):
         # standpoint has its right one
         held.append(frozenset(
             (a, b) for a, b in [(S, T), (T, S)]
-            if all(a not in labels or b in labels for labels in g.family.sets)
+            if all(a not in labels or b in labels for labels in g.family)
         ))
         return real_grid(g, conjuncts, budget)
 

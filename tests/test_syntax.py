@@ -307,15 +307,18 @@ def test_nnf_equivalence_on_corpus():
 
 def test_closure_smallest_case():
     cl = closure(Prop("p"))
-    assert set(cl.formulas) == {TOP, BOTTOM, Prop("p"), Not(Prop("p"))}
-    assert len(cl) == 4
+    assert cl.formulas == (Prop("p"),)
+    assert len(cl) == 1
+    # a negation or a constant is a member only as a subformula of the seed
+    assert set(closure(parse("!p")).formulas) == {Prop("p"), Not(Prop("p"))}
+    assert set(closure(parse("F p")).formulas) == {TOP, Prop("p"), parse("F p"), Next(parse("F p"))}
 
 
 def test_closure_has_next_companions_of_until():
     f = parse("p U q")
     cl = closure(f)
-    assert Next(f) in cl
-    assert neg(Next(f)) in cl
+    assert set(cl.formulas) == {Prop("p"), Prop("q"), f, Next(f)}
+    assert neg(Next(f)) not in cl
 
 
 def _outside_and_beneath(f):
@@ -338,17 +341,18 @@ def test_closure_invariants_on_corpus():
         members = set(cl.formulas)
         outside, beneath = _outside_and_beneath(f)
         atoms = {g for g in subformulas(f) if isinstance(g, Sharper)}
-        base = outside | atoms | {TOP, BOTTOM}
+        base = outside | atoms
         base |= {Next(g) for g in base if isinstance(g, Until)}
         # the modal formulas are leaves: nothing beneath them is a member
-        # unless it also occurs outside, or is a sharpening atom
-        assert members == base | {neg(g) for g in base}, to_text(f)
-        for g in members:
-            assert neg(g) in members
+        # unless it also occurs outside, or is a sharpening atom; no
+        # negation or constant is added
+        assert members == base, to_text(f)
         for g in members:
             if isinstance(g, Until):
                 assert Next(g) in members
-        assert len(cl) <= 4 * size(f)
+        assert len(cl) == len(cl.formulas) == len(members)
+        # the distinct subformulas and one companion per Until
+        assert len(cl) <= 2 * size(f)
         # deterministic ordering: sorted by (size, canonical text)
         keys = [(size(g), to_text(g)) for g in cl.formulas]
         assert keys == sorted(keys)
