@@ -650,7 +650,11 @@ def is_nnf(f: Formula) -> bool:
 # Closure sets
 
 class ClosureSet:
-    """The formulas an automaton state assigns, deterministically ordered.
+    """The formulas an automaton state assigns, ordered by size and then by
+    the position of their last occurrence in ``nodes(seed)``; an Until's
+    next-step companion that does not occur there takes the Until's
+    position.  The key prints nothing, so a deep seed orders in linear
+    time, and children come before their parents.
 
     The members are the seed's subformulas outside modal operands, every
     sharpening atom of the seed wherever it occurs, and the next-step
@@ -678,12 +682,14 @@ class ClosureSet:
                 members.add(g)
             for name in _CHILD_FIELDS[type(g)]:
                 stack.append((getattr(g, name), inside))
+        last = {g: i for i, g in enumerate(nodes(seed))}
         for g in list(members):
             if isinstance(g, Until):
                 members.add(Next(g))
+                last.setdefault(Next(g), last[g])
         self.seed = seed
         self.formulas: tuple[Formula, ...] = tuple(
-            sorted(members, key=lambda g: (size(g), to_text(g)))
+            sorted(members, key=lambda g: (size(g), last[g]))
         )
         self.index: dict[Formula, int] = {g: i for i, g in enumerate(self.formulas)}
         self.until_members: tuple[Until, ...] = tuple(

@@ -321,6 +321,23 @@ def test_closure_has_next_companions_of_until():
     assert neg(Next(f)) not in cl
 
 
+@pytest.mark.parametrize(
+    "seed,members",
+    [
+        (conj([Prop("p")] + [Prop("q")] * (_DEEP - 1)), _DEEP + 1),
+        (conj([eventually(Prop(f"p{i}")) for i in range(2_000)]), 8_000),
+    ],
+    ids=["deep-and", "wide-eventually"],
+)
+def test_closure_orders_deep_and_wide_seeds_in_linear_time(seed, members):
+    # the order key reads positions in the seed, not printed text, whose
+    # length grows with the depth of a chain
+    started = time.perf_counter()
+    cl = closure(seed)
+    assert time.perf_counter() - started < 1
+    assert len(cl) == members and cl.formulas[-1] is seed
+
+
 def _outside_and_beneath(f):
     """The subformulas of ``f`` outside modal operands, and those inside."""
     if isinstance(f, (DiamondS, BoxS)):
@@ -353,9 +370,12 @@ def test_closure_invariants_on_corpus():
         assert len(cl) == len(cl.formulas) == len(members)
         # the distinct subformulas and one companion per Until
         assert len(cl) <= 2 * size(f)
-        # deterministic ordering: sorted by (size, canonical text)
-        keys = [(size(g), to_text(g)) for g in cl.formulas]
-        assert keys == sorted(keys)
+        # deterministic ordering: by size, then by the last occurrence in
+        # the seed's pre-order, where a companion missing from the seed
+        # takes its Until's; no two members share a key
+        last = {g: i for i, g in enumerate(nodes(f))}
+        keys = [(size(g), last[g] if g in last else last[g.operand]) for g in cl.formulas]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------
