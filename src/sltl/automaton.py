@@ -247,8 +247,9 @@ class StateSpace:
             if found is None:
                 first_failed = n == 0 and seeded
                 continue
-            state |= found[3]
-            self._models.setdefault(state, found[:3])
+            grid, present, dv, decided = found
+            state |= decided
+            self._models.setdefault(state, (grid, present, dv))
             self.accepting[state] = sum(
                 1 << i for i, (u, r) in enumerate(self._untils) if not lo[u] or lo[r]
             )

@@ -246,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true", help="machine-readable verdict")
     p_solve.add_argument("--witness-out", metavar="PATH", help="write the witness JSON here")
     p_solve.add_argument("--dump-states", metavar="PATH",
-                         help="dump the automaton state graph reachable from the initial states "
-                              "(not a stable format)")
+                         help="dump the automaton's reachable state graph (not a stable format)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_tr = subs.add_parser("translate", help="formula-to-formula constructions")
