@@ -260,8 +260,8 @@ def test_every_enumerated_state_is_consistent():
     states = list(space.enumerate([]))
     assert states
     for b in states:
-        base_truth = {g: bool(b >> i & 1) for i, g in enumerate(space.base)}
-        assert psl_brute_sat_bitwise(conj(_temporal_free_literals(cl, _closure_truth(cl, base_truth))))
+        truth = _closure_truth(cl, {g: bool(b >> i & 1) for i, g in enumerate(space.base)})
+        assert psl_brute_sat_bitwise(conj(_temporal_free_literals(cl, truth)))
 
 
 def _temporal_free_literals(cl, truth):
@@ -506,7 +506,11 @@ def _state_literals(space, state):
     """The literals of a state: its propositions, sharpening atoms and
     modal members, the true ones as they stand and the false ones
     negated."""
-    return [g if state >> b & 1 else neg(g) for b, g in enumerate(space.base) if not isinstance(g, Next)]
+    return [
+        g if state >> b & 1 else neg(g)
+        for b, g in enumerate(space.base)
+        if not isinstance(g, Next)
+    ]
 
 
 def _one_shot_grid_model(space, conjuncts):

@@ -79,7 +79,8 @@ def _extent(m: PSLModel, sp: Standpoint) -> list:
 def test_label_family_links_everything_to_universal():
     # s sharpens t, and each sharpens the universal standpoint and itself;
     # t does not sharpen s
-    assert label_family([(S, T)], {S, T}) == (STAR, frozenset({UNIVERSAL, T}), frozenset({UNIVERSAL, S, T}))
+    family = label_family([(S, T)], {S, T})
+    assert family == (STAR, frozenset({UNIVERSAL, T}), frozenset({UNIVERSAL, S, T}))
     chain = label_family([(S, T), (T, U)], {S, T, U})
     assert frozenset({UNIVERSAL, S, T, U}) in chain
     # a standpoint of an atom outside the universe is a column all the same
