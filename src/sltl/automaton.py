@@ -169,10 +169,10 @@ class StateSpace:
         self._step_bits = self._sharpening_bits | sum(
             1 << self.base_index[g] for g in cl.next_members
         )
-        # a search's grid, present types, designated valuation and decided
-        # bits; a state's grid, present types and designated valuation
-        self._searches: dict[tuple, Optional[tuple[psl.CompiledGrid, int, int, int]]] = {}
-        self._models: dict[int, tuple[psl.CompiledGrid, int, int]] = {}
+        # a search's present types, designated valuation and decided bits;
+        # a state's present types and designated valuation, on its grid
+        self._searches: dict[tuple, Optional[tuple[int, int, int]]] = {}
+        self._models: dict[int, tuple[int, int]] = {}
         self.accepting: dict[int, int] = {}  # acceptance bits by state
         self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
         self._successors: dict[int, list[int]] = {}
@@ -247,27 +247,28 @@ class StateSpace:
             if found is None:
                 first_failed = n == 0 and seeded
                 continue
-            grid, present, dv, decided = found
+            present, dv, decided = found
             state |= decided
-            self._models.setdefault(state, (grid, present, dv))
+            self._models.setdefault(state, (present, dv))
             self.accepting[state] = sum(
                 1 << i for i, (u, r) in enumerate(self._untils) if not lo[u] or lo[r]
             )
             yield state
 
-    def _search(self, key: tuple) -> Optional[tuple[psl.CompiledGrid, int, int, int]]:
-        """The grid of the conjunction ``key``, the family of its true
-        atoms, with the present types and the designated valuation of its
-        grid model and the grid-decided members true at the designated type
-        as state bits, or None.  The conjunction is the branch literals,
-        true where the state bits ``key[0]`` are set and negated elsewhere,
-        and the formulas after them."""
+    def _search(self, key: tuple) -> Optional[tuple[int, int, int]]:
+        """The present types and the designated valuation of a grid model
+        of the conjunction ``key`` on the grid of its true atoms, with the
+        grid-decided members true at the designated type as state bits, or
+        None.  The conjunction is the branch literals, true where the state
+        bits ``key[0]`` are set and negated elsewhere, and the formulas
+        after them.  ``key[0]`` holds every sharpening atom's bit, so its
+        grid is that of each state the search yields."""
         if key not in self._searches:
             self.grid_solves += 1
             grid = self.grid(key[0])
             conjuncts = [g if key[0] >> b & 1 else ng for b, g, ng in self._literals]
             found = psl.grid_model_for(grid, conjuncts + list(key[1:]), self.budget)
-            self._searches[key] = None if found is None else (grid, *found, self._read(grid, *found))
+            self._searches[key] = None if found is None else (*found, self._read(grid, *found))
         return self._searches[key]
 
     def _read(self, grid: psl.CompiledGrid, present: int, dv: int) -> int:
@@ -282,7 +283,7 @@ class StateSpace:
         """The grid model a state was read off, or None for a state that no
         enumeration yielded."""
         found = self._models.get(state)
-        return None if found is None else psl.expand(*found)
+        return None if found is None else psl.expand(self.grid(state), *found)
 
     def true_props(self, state: int) -> frozenset[str]:
         """The propositions true in a state."""

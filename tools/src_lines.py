@@ -5,16 +5,14 @@ the string that opens a module, class or function body; a comment line is
 one whose first non-blank character is ``#``.  Lines inside any other
 string literal always count as code.  Run from anywhere:
 
-    python3 tools/src_lines.py            # src/sltl/*.py
-    python3 tools/src_lines.py FILE...    # the named files
+    python3 tools/src_lines.py
 
-It prints one line per file and a total, and always exits 0.
+It prints one line per file of ``src/sltl/*.py`` and a total.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,17 +41,15 @@ def count(source: str) -> tuple[int, int]:
     return len(lines), code
 
 
-def main(argv: list[str]) -> int:
-    paths = [Path(a) for a in argv] or sorted((ROOT / "src" / "sltl").glob("*.py"))
+def main() -> None:
     total_physical = total_code = 0
-    for path in paths:
+    for path in sorted((ROOT / "src" / "sltl").glob("*.py")):
         physical, code = count(path.read_text(encoding="utf-8"))
         total_physical += physical
         total_code += code
         print(f"{physical:6d} {code:6d}  {path.name}")
     print(f"{total_physical:6d} {total_code:6d}  total (physical, code)")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
