@@ -10,10 +10,12 @@ members; so a state is an ``int`` whose bit ``b`` is set when
 ``StateSpace.base[b]`` is true.  Enumeration branches on the base members
 that fix successors and acceptance sets and reads the others off a grid
 model, which it keeps for the witness (see ``StateSpace``).  It prunes
-with the interval engine of ``semantics`` on a single cell whose leaves
-are the base members: each Until member unfolds to ``b | (a & X(a U b))``
-over its next-step companion.  Letters never appear: a transition only
-exists for the letter matching the source state's propositions.
+with the interval engine of ``semantics``, whose leaves are the base
+members: each Until member unfolds to ``b | (a & X(a U b))`` over its
+next-step companion, and one sweep evaluates up to 1,024 assignments of
+the last branch members, one per cell.  Letters never appear: a
+transition only exists for the letter matching the source state's
+propositions.
 
 Emptiness is decided on the fly by Couvreur's SCC search for generalized
 Büchi acceptance, with one acceptance set per Until member; the accepting
@@ -49,6 +51,9 @@ from .syntax import (
 )
 
 DEFAULT_STATE_LIMIT = 200_000
+# the most branch members that enumeration assigns bit-parallel, one cell
+# per assignment: 1,024 cells per sweep
+_TAIL_WIDTH = 10
 
 
 class AutomatonLimitError(RuntimeError):
@@ -96,6 +101,13 @@ class StateSpace:
     where the engine's bounds of each Until member and its right operand
     are exact: every base member beneath them branches.
 
+    The enumeration's interval engine runs on ``2^w`` one-position cells,
+    one per assignment of the last ``w`` branch members (the tail), where
+    ``w`` is at most ``_TAIL_WIDTH``; the depth-first walk assigns the
+    other branch members (the head) at every cell at once.  No instruction
+    of its program reads another cell, since the modal members and
+    sharpening atoms are leaves.
+
     Each label family's grid is compiled once, over the branch literals in
     both polarities, the grid-decided members and the seed's temporal-free
     conjuncts; on it a sharpening atom holds iff the true atoms entail it,
@@ -123,43 +135,61 @@ class StateSpace:
         voc = vocab(cl.seed)
         self.universe = set(voc.standpoints) | {UNIVERSAL}
         self.props = voc.props
-        # one trace of one position: base member b is true/false when bit 0
-        # of tm[b]/fm[b] is set; a conjunct of the seed may be the negation
-        # of a member, which is compiled after the closure, so that the
-        # children of each member are compiled before it
+        # the seed's temporal-free conjuncts, and the subformulas of the
+        # others; without next-step members no conjunct has a temporal
+        # operator, and without temporal-free conjuncts every base member
+        # branches
         conjuncts = _conjuncts(cl.seed)
-        self._engine = _IntervalEngine([*cl.formulas, *conjuncts], 1, 0, 1, {}, self.base_index)
-        slot = self._engine.slot
-        self._untils = [(slot[g], slot[g.right]) for g in cl.until_members]
-        # the seed's temporal-free conjuncts as (slot, grid form), and the
-        # subformulas of the others; without next-step members no conjunct
-        # has a temporal operator, and without temporal-free conjuncts
-        # every base member branches
-        self._parts: list[tuple[int, Formula]] = []
+        parts: list[Formula] = []
         temporal_parts = []
         for c in conjuncts:
             if cl.next_members and any(isinstance(h, (Next, Until)) for h in nodes(c)):
                 temporal_parts.append(c)
             else:
-                self._parts.append((slot[c], _dual(c)))
-        temporal = set([h for c in temporal_parts for h in nodes(c)] if self._parts else self.base)
+                parts.append(c)
+        temporal = set([h for c in temporal_parts for h in nodes(c)] if parts else self.base)
         # the branch members as (base position, tried true first), the
         # grid-decided members as (base position, member), and the branch
         # literals as (base position, member, grid form of its negation)
         self.branch: list[Formula] = []
-        self._order: list[tuple[int, bool]] = []
+        order: list[tuple[int, bool]] = []
         self._decided: list[tuple[int, Formula]] = []
         self._literals: list[tuple[int, Formula, Formula]] = []
         self._branch_bits = 0
         for b, g in enumerate(self.base):
             if isinstance(g, (Sharper, Next)) or g in temporal:
                 self.branch.append(g)
-                self._order.append((b, not isinstance(g, (Prop, Next))))
+                order.append((b, not isinstance(g, (Prop, Next))))
                 self._branch_bits |= 1 << b
                 if not isinstance(g, Next):
                     self._literals.append((b, g, _dual(neg(g))))
             else:
                 self._decided.append((b, g))
+        # one position per cell, one cell per assignment of the last
+        # ``width`` branch members (the tail): base member b is true/false
+        # at the cells set in tm[b]/fm[b].  A conjunct of the seed may be
+        # the negation of a member, which is compiled after the closure, so
+        # that the children of each member are compiled before it
+        width = min(_TAIL_WIDTH, len(self.branch))
+        self._engine = _IntervalEngine(
+            [*cl.formulas, *conjuncts], 1 << width, 0, 1, {}, self.base_index
+        )
+        slot = self._engine.slot
+        self._untils = [(slot[g], slot[g.right]) for g in cl.until_members]
+        self._parts = [(slot[c], _dual(c)) for c in parts]
+        # a tail member takes its first value at the cells whose bit p is
+        # clear, and the earliest member the highest bit, so that cells in
+        # ascending order visit the tail assignments in branch order; each
+        # mask repeats a block of 2^(p + 1) cells
+        full = self._engine.full
+        self._tail_tm = [0] * len(self.base)
+        self._tail_fm = [0] * len(self.base)
+        for p, (b, first) in enumerate(reversed(order[len(order) - width:])):
+            half = 1 << p
+            second = (((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1))
+            t, f = (full ^ second, second) if first else (second, full ^ second)
+            self._tail_tm[b], self._tail_fm[b] = t, f
+        self._head = order[: len(order) - width]
         self._literal_bits = sum(1 << b for b, _, _ in self._literals)
         self._sharpening_bits = sum(
             1 << b for b, g in enumerate(self.base) if isinstance(g, Sharper)
@@ -184,9 +214,15 @@ class StateSpace:
         false, propositions and next-step members false before true.  A
         modal member the constraints leave open is more often needed true
         than false: tried false first, its state more often failed the grid
-        search.  The depth-first walk is a loop that backtracks over the
-        assigned prefix of the branch order, not a recursion, so any number
-        of branch members fits.
+        search.  The depth-first walk over the head members is a loop that
+        backtracks over their assigned prefix, not a recursion, so any
+        number of branch members fits.  Each node sweeps every tail
+        assignment at once, and is pruned when a constraint fails at every
+        cell; at a leaf, the cells meeting the constraints are its tail
+        assignments in branch order, ascending.  By the monotonicity of the
+        three-valued bounds, a cell meets them iff every prefix of its
+        assignment does, so the assignments and their order are those of
+        the walk over every branch member.
 
         Each assignment runs one grid search of its branch literals and,
         when the seed is required, of the seed's temporal-free conjuncts it
@@ -198,41 +234,46 @@ class StateSpace:
         column by column and keeps the truth of every formula without
         atoms, so when they fail no assignment has a model.  Each
         assignment counts as a generated state."""
-        sweep = self._engine.sweep
+        sweep, full = self._engine.sweep, self._engine.full
         checks = [(self._engine.slot[f], req) for f, req in constraints]
         seeded = (self._engine.slot[self.closure.seed], True) in checks
-        tm = [0] * len(self.base)
-        fm = [0] * len(self.base)
         # local, not shared: ``successors`` enumerates again while this
         # generator is suspended
-        order = [(b, (tm, fm) if first else (fm, tm)) for b, first in self._order]
+        tm = self._tail_tm.copy()
+        fm = self._tail_fm.copy()
+        head = [(b, (tm, fm) if first else (fm, tm)) for b, first in self._head]
 
-        def leaves() -> Iterator[list[int]]:
-            # the members order[:k] are assigned; a constraint fails once
-            # neither bound can reach its value
+        def leaves() -> Iterator[tuple[list[int], int]]:
+            # the members head[:k] are assigned at every cell; a cell fails
+            # once neither bound of a constraint can reach its value there
             k = 0
             while k >= 0:
-                lo, hi = sweep(tm, fm, 1, 1)
-                if all(lo[s] == req or hi[s] == req for s, req in checks):
-                    if k < len(order):
-                        b, (first, _) = order[k]
-                        first[b] = 1
+                lo, hi = sweep(tm, fm, full, full)
+                ok = full
+                for s, req in checks:
+                    ok &= hi[s] if req else ~lo[s]
+                if ok:
+                    if k < len(head):
+                        b, (first, _) = head[k]
+                        first[b] = full
                         k += 1
                         continue
-                    yield lo
+                    while ok:
+                        yield lo, (ok & -ok).bit_length() - 1
+                        ok &= ok - 1
                 # back to the deepest member still on its first value
                 k -= 1
                 while k >= 0:
-                    b, (first, second) = order[k]
+                    b, (first, second) = head[k]
                     if first[b]:
-                        first[b], second[b] = 0, 1
+                        first[b], second[b] = 0, full
                         k += 1
                         break
                     second[b] = 0
                     k -= 1
 
         first_failed = False
-        for n, lo in enumerate(leaves()):
+        for n, (lo, c) in enumerate(leaves()):
             self.generated += 1
             if self.generated > self.state_limit:
                 raise AutomatonLimitError(self.state_limit)
@@ -241,8 +282,8 @@ class StateSpace:
                 free = [g for _, g in self._parts if Sharper not in map(type, nodes(g))]
                 if psl.grid_model_for(self.grid(0), free, self.budget) is None:
                     return
-            state = sum(t << b for b, t in enumerate(tm))
-            opened = [g for s, g in self._parts if not lo[s]] if seeded else []
+            state = sum((t >> c & 1) << b for b, t in enumerate(tm))
+            opened = [g for s, g in self._parts if not lo[s] >> c & 1] if seeded else []
             found = self._search((state & self._literal_bits, *opened))
             if found is None:
                 first_failed = n == 0 and seeded
@@ -251,7 +292,8 @@ class StateSpace:
             state |= decided
             self._models.setdefault(state, (present, dv))
             self.accepting[state] = sum(
-                1 << i for i, (u, r) in enumerate(self._untils) if not lo[u] or lo[r]
+                1 << i for i, (u, r) in enumerate(self._untils)
+                if not lo[u] >> c & 1 or lo[r] >> c & 1
             )
             yield state
 

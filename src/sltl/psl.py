@@ -28,7 +28,7 @@ from .syntax import (
     TOP,
     UNIVERSAL,
 )
-from .semantics import SearchLimitError, _IntervalEngine
+from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,10 @@ class CompiledGrid:
     ``bind`` folds a sharpening atom to whether the left extent lies inside
     the right one, which on a ``label_family`` holds iff the closure of its
     atoms relates them (the label set of ``a`` is a column).  A grid with
-    more types than ``budget`` has nodes left (see ``grid_model_for``) is
-    refused with SearchLimitError before any table is built.
+    more types than ``budget``'s node limit, or than DEFAULT_NODE_LIMIT
+    where that is larger (see ``grid_model_for``), is refused with
+    SearchLimitError before any table is built: the tables stay as small as
+    at the default limit, and the node count still bounds the search.
     """
 
     def __init__(
@@ -108,7 +110,7 @@ class CompiledGrid:
         self.props = tuple(sorted(props))
         self.v_count = v_count = 1 << len(self.props)
         n_types = len(family) * v_count
-        if n_types > budget[0]:
+        if n_types > max(budget[1], DEFAULT_NODE_LIMIT):
             # the tables below grow with the type count
             raise SearchLimitError(budget[1], "grid search")
         self.full = (1 << n_types) - 1

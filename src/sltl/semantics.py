@@ -295,8 +295,8 @@ class _IntervalEngine:
     Three searches run on it: the bounded search (propositions as leaves,
     every trace present), the PSL grid search (a one-position lasso whose
     traces are the grid's (column, valuation) types, with presence masks),
-    and the automaton's state enumeration (one cell, the closure's base
-    members as leaves).
+    and the automaton's state enumeration (one cell per assignment of the
+    last branch members, the closure's base members as leaves).
     """
 
     def __init__(

@@ -14,7 +14,7 @@ from sltl.automaton import (
     dump_state_graph,
     find_accepting_lasso,
 )
-from sltl import psl
+from sltl import automaton, psl, semantics
 from sltl.semantics import SearchBounds, SearchLimitError, bounded_search
 from sltl.solver import check_witness, solve
 from sltl.syntax import (
@@ -223,6 +223,26 @@ def test_counter_lasso_is_its_only_model(n):
     assert (len(lasso.stem), len(lasso.cycle)) == (0, 2**n)
 
 
+def test_counter_enumeration_sweeps_bit_parallel(monkeypatch):
+    # 21 branch members: a head walk over 11 and a tail of 1,024 cells per
+    # sweep; the plain depth-first walk made 25,457 sweeps here
+    sweeps = []
+    sweep = semantics._IntervalEngine.sweep
+
+    def counted(engine, *args):
+        sweeps.append(None)
+        return sweep(engine, *args)
+
+    monkeypatch.setattr(semantics._IntervalEngine, "sweep", counted)
+    space = StateSpace(closure(counter_formula(5)))
+    monkeypatch.setattr(automaton, "StateSpace", lambda *args: space)
+    lasso = find_accepting_lasso(closure(counter_formula(5)))
+    assert len(space.branch) == 21
+    assert len(sweeps) <= 3_000
+    assert (space.generated, space.grid_solves) == (1_533, 32)
+    assert (len(lasso.stem), len(lasso.cycle)) == (0, 32)
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_cycle_through_a_state_in_every_acceptance_set_is_one_state(k):
     # a state with every p_i true meets every acceptance set and is its own
@@ -302,25 +322,34 @@ def _brute_force_states(space, constraints):
 
 
 @pytest.mark.parametrize("mode", ["ltl", "ltl_psl"])
-def test_enumeration_matches_brute_force(mode):
+def test_enumeration_matches_brute_force(mode, monkeypatch):
+    # every formula here has at most 10 base members, so at the default
+    # width the walk is all tail (one sweep of bit-parallel cells); width 0
+    # is the plain depth-first walk, and width 2 splits it into a head walk
+    # and a tail of four cells
+    widths = (automaton._TAIL_WIDTH, 0, 2)
     rng = random.Random(127)
     done = 0
     while done < 40:
         f = random_formula(rng, 4, mode=mode, max_sharpenings=1)
         if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
             continue
-        space = StateSpace(closure(f))
-        if len(space.base) > 10:
+        if len(StateSpace(closure(f)).base) > 10:
             continue
         done += 1
-        initial = [(f, True)]
-        _assert_one_state_per_branch_assignment(space, initial, to_text(f))
-        successor_constraints = {
-            tuple((g.operand, g in _members(space, b)) for g in space.closure.next_members)
-            for b in space.enumerate([])
-        }
-        for succ in sorted(successor_constraints, key=lambda c: [req for _, req in c]):
-            _assert_one_state_per_branch_assignment(space, list(succ), to_text(f))
+        for width in widths:
+            monkeypatch.setattr(automaton, "_TAIL_WIDTH", width)
+            space = StateSpace(closure(f))
+            # no instruction reads another cell, so cells are independent
+            assert all(op < semantics._OP_SOME for op, _, _, _ in space._engine.program)
+            initial = [(f, True)]
+            _assert_one_state_per_branch_assignment(space, initial, to_text(f))
+            successor_constraints = {
+                tuple((g.operand, g in _members(space, b)) for g in space.closure.next_members)
+                for b in space.enumerate([])
+            }
+            for succ in sorted(successor_constraints, key=lambda c: [req for _, req in c]):
+                _assert_one_state_per_branch_assignment(space, list(succ), to_text(f))
 
 
 def _assert_one_state_per_branch_assignment(space, constraints, text):

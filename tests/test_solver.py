@@ -223,9 +223,17 @@ def test_multi_atom_inputs_agree_with_bounded_search():
 
 def test_node_limit_is_not_spent_on_root_failures():
     # the counter's states each force one valuation of four bits; tried in
-    # turn, the valuations before it took 136 nodes in all, and 16 is the
-    # least budget its 16-type grid is compiled under
+    # turn, the valuations before it took 136 nodes in all, and 16, one per
+    # grid search, is the least budget it answers under
     f = counter_formula(4)
+    v = solve(f, SolveOptions(node_limit=16))
+    assert v.status == "sat" and check_witness(f, v.model, v.designated)
+
+
+def test_grid_larger_than_the_node_limit_is_searched():
+    # 1,024 types and a search of one node: the grid's tables are bounded
+    # by the default limit, the search by the nodes left
+    f = parse("G(" + " & ".join(f"p{i}" for i in range(1, 11)) + ")")
     v = solve(f, SolveOptions(node_limit=16))
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
 
