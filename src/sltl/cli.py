@@ -113,7 +113,7 @@ def _cmd_solve(args) -> int:
         if args.dump_states:
             _dump_states(args.dump_states, f, verdict, opts)
     except SearchLimitError as exc:
-        raise _CliError(EX_RESOURCE, f"search node limit hit: {exc}") from exc
+        raise _CliError(EX_RESOURCE, f"search limit reached: {exc}") from exc
     except AutomatonLimitError as exc:
         raise _CliError(EX_RESOURCE, f"automaton state limit hit: {exc}") from exc
     if args.witness_out and verdict.model is not None:

@@ -110,9 +110,14 @@ class CompiledGrid:
         self.props = tuple(sorted(props))
         self.v_count = v_count = 1 << len(self.props)
         n_types = len(family) * v_count
-        if n_types > max(budget[1], DEFAULT_NODE_LIMIT):
-            # the tables below grow with the type count
-            raise SearchLimitError(budget[1], "grid search")
+        limit = max(budget[1], DEFAULT_NODE_LIMIT)
+        if n_types > limit:
+            # the tables below grow with the type count, which is printed
+            # as a power: 2^props may have more digits than str() allows
+            raise SearchLimitError(limit, "grid search", (
+                f"grid search refused a grid of {len(family)} x 2^{len(self.props)} "
+                f"types (columns x 2^propositions), over its limit of {limit} types"
+            ))
         self.full = (1 << n_types) - 1
         self.col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
         extents = {UNIVERSAL: tuple(range(n_types))}
@@ -217,12 +222,16 @@ def grid_model_for(
 
     # with nothing present and every type possible the upper masks are
     # the highest any node reaches: a valuation clear in one of them fails
-    # at its root, so it is skipped without spending a node
+    # at its root, so only the set bits of their AND over column 0 (where
+    # the designated type sits) are tried, in ascending order
     _, top = sweep(true_masks, false_masks, 0, full)
-    for dv in range(v_count):
-        d_bit = 1 << dv  # designated type sits in column 0
-        if any(not top[r] & d_bit for r in roots):
-            continue
+    candidates = col_masks[0]
+    for r in roots:
+        candidates &= top[r]
+    while candidates:
+        d_bit = candidates & -candidates
+        candidates ^= d_bit
+        dv = d_bit.bit_length() - 1
         order = [t for t in range(len(col_masks) * v_count) if t != dv]
         stack = [(0, d_bit, 0)]  # (index into order, present, absent)
         while stack:

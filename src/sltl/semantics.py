@@ -11,9 +11,10 @@ the automaton's state enumeration share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .syntax import (
     And,
@@ -45,11 +46,13 @@ class ModelError(ValueError):
 
 
 class SearchLimitError(RuntimeError):
-    """A search exceeded its node budget; ``layer`` names the search."""
+    """A search exceeded its node budget, or refused to start because its
+    tables would exceed ``limit`` (``message`` then says so); ``layer``
+    names the search."""
 
-    def __init__(self, limit: int, layer: str = "bounded search"):
+    def __init__(self, limit: int, layer: str = "bounded search", message: str = ""):
         super().__init__(
-            f"{layer} exceeded the node limit of {limit} at node {limit + 1}"
+            message or f"{layer} exceeded the node limit of {limit} at node {limit + 1}"
         )
         self.limit = limit
         self.layer = layer
@@ -477,7 +480,8 @@ class _IntervalEngine:
 
 class _ShapeSearch:
     """Depth-first enumeration of the valuations of one (traces, shape,
-    standpoint assignment, designated trace) stratum.
+    standpoint assignment, designated trace) stratum; ``bounded_search``
+    designates trace 0 in every stratum.
 
     Cells are assigned false before true in a fixed order (the origin node
     first, then the cycle nodes, then the rest of the prefix), so together
@@ -620,18 +624,33 @@ class _ShapeSearch:
         return model
 
 
+@functools.lru_cache(maxsize=None)
 def _lambda_assignments(
-    sps: list[Standpoint], t_count: int
-) -> Iterable[dict[Standpoint, tuple[int, ...]]]:
+    n_sps: int, t_count: int, renamed: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The assignments of non-empty extents of ``t_count`` traces to
+    ``n_sps`` standpoints, one per orbit under the permutations of the
+    traces from ``renamed`` on, each as its extents (trace indices).
+
+    An assignment is the tuple of its extents' trace masks, and
+    assignments come in ascending tuple order, so the kept one, the least
+    tuple of its orbit, is the first of its orbit.  Memoised: the result
+    is immutable and depends on the three counts alone.
+    """
     ids = tuple(range(t_count))
-    if not sps:
-        yield {UNIVERSAL: ids}
-        return
-    subsets = [tuple(t for t in ids if mask >> t & 1) for mask in range(1, 1 << t_count)]
-    for combo in itertools.product(subsets, repeat=len(sps)):
-        lam = dict(zip(sps, combo))
-        lam[UNIVERSAL] = ids
-        yield lam
+    extent = [tuple(t for t in ids if mask >> t & 1) for mask in range(1 << t_count)]
+    # each renaming but the identity, as a table from a mask to its image
+    tables = [
+        [sum(1 << image[t] for t in members) for members in extent]
+        for image in itertools.islice(
+            (ids[:renamed] + perm for perm in itertools.permutations(ids[renamed:])), 1, None
+        )
+    ]
+    return tuple(
+        tuple(map(extent.__getitem__, combo))
+        for combo in itertools.product(range(1, 1 << t_count), repeat=n_sps)
+        if all(combo <= tuple(map(table.__getitem__, combo)) for table in tables)
+    )
 
 
 def bounded_search(
@@ -645,12 +664,20 @@ def bounded_search(
     Enumeration order: trace count ascending, then (prefix, period)
     lexicographic, then standpoint assignments over the standpoints of the
     formula (non-empty extents, the universal one fixed to everything), then
-    the designated trace, then valuations.  The search prunes with interval
-    bounds but visits witnesses in the plain enumeration order, so the first
-    one returned is deterministic.  The interval engine is compiled once per
-    (trace count, prefix, period) shape and bound to each standpoint
-    assignment of that shape in turn; the formula walks that decide which
-    traces a stratum reads run once per call.
+    valuations.  The designated trace is always ``t0``, and only the first
+    assignment of each orbit under renaming the other traces is searched
+    (under renaming every trace when the formula is trace-independent; see
+    ``_lambda_assignments``).  Renaming traces preserves truth, so a model
+    at any assignment and designated trace is, renamed, a model at ``t0``
+    and a kept assignment of the same stratum: the first stratum with a
+    model, and the first model when it designates ``t0``, are those of the
+    search over every assignment and designated trace.  The search prunes
+    with interval bounds but visits witnesses in the plain enumeration
+    order, so the first one returned is deterministic.  The interval engine
+    is compiled once per (trace count, prefix, period) shape and bound to
+    each kept assignment of that shape in turn.  The kept assignments, and
+    the traces each one's strata read, are listed once per trace count, and
+    the formula walks that decide those traces run once per call.
     """
     voc = vocab(f)
     missing = voc.props - set(bounds.props)
@@ -658,35 +685,36 @@ def bounded_search(
         raise ValueError(f"bounds do not cover propositions: {sorted(missing)}")
     sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
     # Formulas with no standpoint construct read only the designated trace,
-    # so larger models add nothing; trace-independent formulas hold at the
-    # first trace whenever they hold anywhere, so one designated choice
-    # covers them all.  Both reductions return the same first witness the
-    # plain enumeration would.
+    # so larger models add nothing; trace-independent formulas hold at
+    # every trace whenever they hold at one, so the designated trace may be
+    # renamed too.
     max_traces = bounds.max_traces if voc.standpoints else 1
     independent = _trace_independent(f)
-    designated_choices = 1 if independent else None
     modal_sps = modal_standpoints(f)
     budget = [node_limit, node_limit]
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     for t_count in range(1, max_traces + 1):
+        # the kept assignments, each with the traces its strata read
+        ids = tuple(range(t_count))
+        assignments = []
+        for combo in _lambda_assignments(len(sps), t_count, 0 if independent else 1):
+            lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
+            reach = {t for sp in modal_sps for t in lam_idx[sp]}
+            assignments.append((lam_idx, reach if independent else reach | {0}))
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
                 engine = None
-                for lam_idx in _lambda_assignments(sps, t_count):
+                for lam_idx, reach in assignments:
                     if engine is None:
                         engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
                     else:
                         engine.bind(lam_idx)
-                    modal_reach = {t for sp in modal_sps for t in lam_idx[sp]}
-                    for designated in range(designated_choices or t_count):
-                        reach = modal_reach if independent else modal_reach | {designated}
-                        search = _ShapeSearch(
-                            engine, f, t_count, prefix, period, lam_idx, designated,
-                            reach, leaves, budget,
-                        )
-                        model = search.run()
-                        if model is not None:
-                            return model, f"t{designated}"
+                    search = _ShapeSearch(
+                        engine, f, t_count, prefix, period, lam_idx, 0, reach, leaves, budget,
+                    )
+                    model = search.run()
+                    if model is not None:
+                        return model, "t0"
     return None
 
 

@@ -305,6 +305,9 @@ def test_grid_search_refuses_more_types_than_its_budget(capsys, count):
     code, _, err = run(capsys, "solve", spec)
     assert code == 69, err
     assert "grid search" in err
+    # refused before any node ran: the message names the grid's size
+    assert f"refused a grid of 2 x 2^{count} types" in err
+    assert "at node" not in err
 
 
 def test_classify_wider_than_the_recursion_limit(capsys):
@@ -322,6 +325,8 @@ def test_solve_wider_than_the_recursion_limit(capsys):
     code, _, err = run(capsys, "solve", spec)
     assert code == 69, err
     assert "grid search" in err
+    assert "refused a grid of 1 x 2^600 types" in err
+    assert "at node" not in err
 
 
 @pytest.mark.parametrize("target, translate", [

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -370,6 +371,16 @@ def test_root_failures_spend_no_grid_nodes():
     assert (present, dv) == (1 << 1023, 1023)
     assert expand(grid, present, dv).valuation == {(0, 1): frozenset(props)}
     assert budget[0] == 0
+
+
+def test_root_candidates_come_from_one_mask():
+    # 4,096 states, each a grid search over 2^12 designated valuations:
+    # walking only the set bits of the roots' column-0 mask answers in
+    # about a second, testing every valuation in turn took about 12 s
+    start = time.perf_counter()
+    v = solve(parse("F (" + " & ".join(f"p{i}" for i in range(12)) + ")"))
+    assert v.is_sat
+    assert time.perf_counter() - start < 4
 
 
 def ring(k: int) -> str:

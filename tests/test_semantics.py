@@ -6,6 +6,7 @@ import pytest
 from conftest import S, T, iter_models, naive_sat, random_formula
 
 from sltl import psl, semantics
+from sltl.solver import check_witness
 from sltl.semantics import (
     ModelError,
     ProductModel,
@@ -29,6 +30,7 @@ from sltl.syntax import (
     Standpoint,
     UNIVERSAL,
     closure,
+    modal_standpoints,
     parse,
     vocab,
 )
@@ -257,6 +259,83 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
         assert (found and model_to_json(*found)) == expected, str(f)
     assert any(paired), "no stratum had interchangeable traces"
     assert sum(w is not None and len(w["traces"]) == 3 for _, _, w in cases) > 30
+
+
+def _search_every_assignment(f, bounds):
+    """The bounded search over every standpoint assignment and every
+    designated trace, in the order trace count, prefix, period, assignment
+    (extent masks ascending), designated trace: (model, designated) or
+    None."""
+    voc = vocab(f)
+    sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
+    modal_sps = modal_standpoints(f)
+    leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
+    budget = [10**8, 10**8]
+    for t_count in range(1, (bounds.max_traces if voc.standpoints else 1) + 1):
+        ids = tuple(range(t_count))
+        subsets = [tuple(t for t in ids if mask >> t & 1) for mask in range(1, 1 << t_count)]
+        for prefix in range(bounds.max_prefix + 1):
+            for period in range(1, bounds.max_period + 1):
+                for combo in itertools.product(subsets, repeat=len(sps)):
+                    lam = dict(zip(sps, combo))
+                    lam[UNIVERSAL] = ids
+                    engine = _IntervalEngine([f], t_count, prefix, period, lam, leaves)
+                    for d in ids:
+                        reach = {t for sp in modal_sps for t in lam[sp]} | {d}
+                        model = semantics._ShapeSearch(
+                            engine, f, t_count, prefix, period, lam, d, reach, leaves, budget,
+                        ).run()
+                        if model is not None:
+                            return model, f"t{d}"
+    return None
+
+
+def test_one_stratum_per_renaming_class_finds_the_same_stratum():
+    # two standpoints and a sharpening atom now and then; two formulas in
+    # three get a conjunct that needs one or two s-traces apart from the
+    # designated one, so that renamed strata matter
+    apart = [parse("p & <@s> !p"), parse("p & <@s> (!p & q) & <@s> (!p & !q)")]
+    rng = random.Random(2121)
+    shapes = []
+    for i in range(120):
+        f = random_formula(rng, 3, sps=(S, T), max_sharpenings=1)
+        if i % 3:
+            f = And(f, apart[i % 3 - 1])
+        b = SearchBounds.for_formula(f, 3, 1, 2)
+        found = bounded_search(f, b)
+        expected = _search_every_assignment(f, b)
+        assert (found is None) == (expected is None), str(f)
+        if found is None:
+            continue
+        (model, designated), (reference, _) = found, expected
+        shape = (len(model.traces), model.prefix_len, model.period_len)
+        assert shape == (len(reference.traces), reference.prefix_len, reference.period_len)
+        assert designated == "t0"
+        assert check_witness(f, model, designated), str(f)
+        shapes.append(shape)
+    assert sum(t == 2 for t, _, _ in shapes) > 10
+    assert sum(t == 3 for t, _, _ in shapes) > 10
+
+
+@pytest.mark.parametrize("f, bounds, strata", [
+    (parse("p & <@s> X q & [@s] X !q"), (3, 1, 1), 18),
+    (recurring_counter_formula(1), (4, 1, 1), 20),
+    (parse("p & <@s> X q & [@s] X !q & (@s <= @t)"), (3, 0, 1), 39),
+])
+def test_strata_are_searched_once_per_renaming_class(monkeypatch, f, bounds, strata):
+    # none of the three has a model in its bounds, so every kept stratum
+    # is searched: over every assignment and designated trace they would
+    # be 56, 52 and 166
+    built = [0]
+
+    class CountedSearch(semantics._ShapeSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built[0] += 1
+
+    monkeypatch.setattr(semantics, "_ShapeSearch", CountedSearch)
+    assert bounded_search(f, SearchBounds.for_formula(f, *bounds)) is None
+    assert built[0] == strata
 
 
 def test_search_is_deterministic():
