@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .syntax import (
     And,
@@ -624,33 +624,77 @@ class _ShapeSearch:
         return model
 
 
-@functools.lru_cache(maxsize=None)
 def _lambda_assignments(
     n_sps: int, t_count: int, renamed: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The assignments of non-empty extents of ``t_count`` traces to
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the assignments of non-empty extents of ``t_count`` traces to
     ``n_sps`` standpoints, one per orbit under the permutations of the
     traces from ``renamed`` on, each as its extents (trace indices).
 
     An assignment is the tuple of its extents' trace masks, and
-    assignments come in ascending tuple order, so the kept one, the least
-    tuple of its orbit, is the first of its orbit.  Memoised: the result
-    is immutable and depends on the three counts alone.
+    assignments come in ascending tuple order.  The kept one, the least
+    tuple of its orbit and so the first of it, is the one whose renamed
+    traces have non-increasing profiles (the tuple of a trace's
+    memberships, standpoint by standpoint).  Masks are chosen standpoint by
+    standpoint, and a mask is skipped when it gives a trace a smaller
+    profile than the renamed trace below it while the two are still tied.
+    A mask constant on the renamed traces never is, so every prefix
+    extends to a kept assignment: the work between two yields is at most
+    ``n_sps * 2**t_count`` mask tests, however many assignments the
+    orbits hold.
     """
+    if not n_sps:
+        yield ()
+        return
     ids = tuple(range(t_count))
     extent = [tuple(t for t in ids if mask >> t & 1) for mask in range(1 << t_count)]
-    # each renaming but the identity, as a table from a mask to its image
-    tables = [
-        [sum(1 << image[t] for t in members) for members in extent]
-        for image in itertools.islice(
-            (ids[:renamed] + perm for perm in itertools.permutations(ids[renamed:])), 1, None
-        )
-    ]
-    return tuple(
-        tuple(map(extent.__getitem__, combo))
-        for combo in itertools.product(range(1, 1 << t_count), repeat=n_sps)
-        if all(combo <= tuple(map(table.__getitem__, combo)) for table in tables)
-    )
+    top = 1 << t_count
+    combo: list[int] = []
+    # tied[i] has bit t when renamed traces t and t + 1 are in the same
+    # extents among the first i standpoints; untried[i] is the next mask
+    # to try for standpoint i
+    tied = [((top >> 1) - 1) & -(1 << renamed)]
+    untried = [1]
+    while untried:
+        i = len(untried) - 1
+        mask = untried[i]
+        if mask == top:
+            untried.pop()
+            tied.pop()
+            if combo:
+                combo.pop()
+            continue
+        untried[i] = mask + 1
+        if tied[i] & ~mask & mask >> 1:
+            continue  # swapping a tied pair gives a smaller assignment
+        if i + 1 == n_sps:
+            yield tuple(extent[m] for m in combo) + (extent[mask],)
+        else:
+            combo.append(mask)
+            tied.append(tied[i] & ~(mask ^ mask >> 1))
+            untried.append(1)
+
+
+# the most assignments per three counts that ``_first_assignments`` keeps
+_KEPT_ASSIGNMENTS = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _first_assignments(n_sps: int, t_count: int, renamed: int) -> tuple:
+    """The first ``_KEPT_ASSIGNMENTS`` of ``_lambda_assignments``, shared by
+    every search that asks for the same three counts."""
+    return tuple(itertools.islice(_lambda_assignments(n_sps, t_count, renamed), _KEPT_ASSIGNMENTS))
+
+
+def _kept_assignments(
+    n_sps: int, t_count: int, renamed: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """``_lambda_assignments``, the first ones from the shared memo and the
+    rest, if the search gets that far, made anew."""
+    first = _first_assignments(n_sps, t_count, renamed)
+    yield from first
+    if len(first) == _KEPT_ASSIGNMENTS:
+        yield from itertools.islice(_lambda_assignments(n_sps, t_count, renamed), len(first), None)
 
 
 def bounded_search(
@@ -675,9 +719,12 @@ def bounded_search(
     with interval bounds but visits witnesses in the plain enumeration
     order, so the first one returned is deterministic.  The interval engine
     is compiled once per (trace count, prefix, period) shape and bound to
-    each kept assignment of that shape in turn.  The kept assignments, and
-    the traces each one's strata read, are listed once per trace count, and
-    the formula walks that decide those traces run once per call.
+    each kept assignment of that shape in turn.  Kept assignments are made
+    as the search reaches them (the first ones of each trace count come
+    from a memo shared by all calls), and every stratum costs the budget a
+    node, so a search over many standpoints exits at its node limit rather
+    than listing every assignment first.  The formula walks that decide
+    which traces a stratum reads run once per call.
     """
     voc = vocab(f)
     missing = voc.props - set(bounds.props)
@@ -694,17 +741,15 @@ def bounded_search(
     budget = [node_limit, node_limit]
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     for t_count in range(1, max_traces + 1):
-        # the kept assignments, each with the traces its strata read
         ids = tuple(range(t_count))
-        assignments = []
-        for combo in _lambda_assignments(len(sps), t_count, 0 if independent else 1):
-            lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
-            reach = {t for sp in modal_sps for t in lam_idx[sp]}
-            assignments.append((lam_idx, reach if independent else reach | {0}))
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
                 engine = None
-                for lam_idx, reach in assignments:
+                for combo in _kept_assignments(len(sps), t_count, 0 if independent else 1):
+                    lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
+                    reach = {t for sp in modal_sps for t in lam_idx[sp]}
+                    if not independent:
+                        reach.add(0)
                     if engine is None:
                         engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
                     else:

@@ -338,6 +338,22 @@ def test_strata_are_searched_once_per_renaming_class(monkeypatch, f, bounds, str
     assert built[0] == strata
 
 
+def test_assignments_are_made_as_the_search_reaches_them():
+    # nine standpoints and a model that needs three traces: of the 7**9
+    # (about 40 million) assignments of three traces, the search needs the
+    # fourth it keeps, after the 3**9 strata of two traces, so it must not
+    # list them all first
+    others = " & ".join(f"<@s{i}> true" for i in range(8))
+    f = parse(f"!p & !q & <@z> (p & !q) & <@z> (q & !p) & {others}")
+    found = bounded_search(f, SearchBounds.for_formula(f, 3, 0, 1))
+    assert found is not None
+    model, designated = found
+    assert (len(model.traces), designated) == (3, "t0")
+    assert check_witness(f, model, designated)
+    assignments = semantics._lambda_assignments(10, 3, 1)
+    assert next(assignments) == ((0,),) * 10
+
+
 def test_search_is_deterministic():
     f = parse("<@s> (p & q) | X (p U q)")
     b = SearchBounds.for_formula(f, 2, 1, 2)
