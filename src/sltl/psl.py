@@ -25,7 +25,6 @@ from .syntax import (
     Formula,
     Prop,
     Standpoint,
-    TOP,
     UNIVERSAL,
 )
 from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
@@ -133,8 +132,7 @@ class CompiledGrid:
         ]
         leaves = {Prop(p): i for i, p in enumerate(self.props)}
         try:
-            # the engine's first formula is its root, which no search reads
-            self.engine = _IntervalEngine([TOP, *formulas], n_types, 0, 1, extents, leaves)
+            self.engine = _IntervalEngine(formulas, n_types, 0, 1, extents, leaves)
         except KeyError as exc:
             raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
 

@@ -376,7 +376,6 @@ class _IntervalEngine:
             compile_node(g)
         self.program = program
         self.slot = slot
-        self.root = slot[formulas[0]]
         self.bind(extents)
 
     def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
@@ -451,13 +450,6 @@ class _IntervalEngine:
                 hi[i] = self._until(hi[a], hi[b])
         return lo, hi
 
-    def bounds(
-        self, tm: list[int], fm: list[int], bit: int, present: int, possible: int
-    ) -> tuple[int, int]:
-        """(lower, upper) truth of the first formula at the cells of ``bit``."""
-        lo, hi = self.sweep(tm, fm, present, possible)
-        return lo[self.root] & bit, hi[self.root] & bit
-
     def _spread(self, m: int) -> int:
         """Every trace gets, at each node, the OR of ``m`` over all traces."""
         for sh in self.folds:
@@ -478,150 +470,88 @@ class _IntervalEngine:
 # ---------------------------------------------------------------------------
 # Bounded satisfiability search
 
-class _ShapeSearch:
-    """Depth-first enumeration of the valuations of one (traces, shape,
-    standpoint assignment, designated trace) stratum; ``bounded_search``
-    designates trace 0 in every stratum.
+def _search_stratum(
+    engine: _IntervalEngine,
+    f: Formula,
+    n_props: int,
+    reach: set[int],
+    prev: dict[int, int],
+    budget: list[int],
+) -> Optional[list[int]]:
+    """The first valuation of one (traces, shape, standpoint assignment)
+    stratum that satisfies ``f`` at trace 0, position 0, as one mask of
+    true cells per proposition, or None.
 
+    ``engine`` is compiled for the shape and bound to the assignment.
     Cells are assigned false before true in a fixed order (the origin node
     first, then the cycle nodes, then the rest of the prefix), so together
-    with interval pruning the search returns exactly the first witness of
-    the plain enumeration in that cell order.  Traces outside ``reach``
-    (every modal extent, plus the designated trace unless the formula is
-    trace-independent) stay empty: no satisfaction clause ever reads them.
-    ``engine`` is compiled for the shape and bound to ``lam_idx``.
+    with interval pruning the walk returns exactly the first witness of
+    the plain enumeration in that cell order.  It is a loop: each node
+    sweeps the engine once and costs the budget one node, then assigns the
+    next cell or backtracks over the assigned prefix to the deepest cell
+    still false, which turns true.  Traces outside ``reach`` (every modal
+    extent, plus trace 0 unless the formula is trace-independent) stay
+    empty: no satisfaction clause ever reads them.
 
-    Symmetric assignments are skipped: of the traces with one standpoint
-    profile, none designated, only assignments in which their valuation
-    sequences (in cell order) are sorted are searched.  The first witness
-    is kept.  The plain search returns the lex-least assignment in this
-    node-major cell order, and swapping two interchangeable traces whose
-    sequences are out of order would give a smaller one, so that
-    assignment is already sorted and every prefix of it passes the check.
+    Symmetric assignments are skipped: ``prev`` maps a trace to the one
+    before it with the same standpoint profile, and only valuations in
+    which the two traces' sequences (in cell order) are sorted are
+    searched.  The first witness is kept.  The plain search returns the
+    lex-least assignment in this node-major cell order, and swapping two
+    interchangeable traces whose sequences are out of order would give a
+    smaller one, so that assignment is already sorted and every prefix of
+    it passes the check.  ``lt_at[t]`` is the depth at which the sequences
+    of ``prev[t]`` and ``t`` first differed on the current branch; an
+    entry at the current depth or deeper (``len(cells)`` included) was
+    left by an abandoned branch or says they are equal so far, so
+    backtracking restores nothing.  Only a false value can be forbidden,
+    and the cell then takes true at no extra node.
     """
-
-    def __init__(
-        self,
-        engine: _IntervalEngine,
-        f: Formula,
-        t_count: int,
-        prefix: int,
-        period: int,
-        lam_idx: dict[Standpoint, tuple[int, ...]],
-        designated: int,
-        reach: set[int],
-        leaves: dict[Formula, int],
-        budget: list[int],
-    ):
-        self.f = f
-        self.t_count = t_count
-        self.prefix = prefix
-        self.period = period
-        self.L = prefix + period
-        self.leaves = leaves
-        self.designated = designated
-        self.budget = budget
-        self.lam_idx = lam_idx
-        self.engine = engine
-        self.origin_bit = 1 << (designated * self.L)
-
-        relevant = sorted(reach)
-        node_order = [0] + list(range(max(prefix, 1), self.L)) + list(range(1, prefix))
-        self.cells = [
-            (t, k, p)
-            for k in node_order
-            for t in relevant
-            for p in range(len(leaves))
-        ]
-        irrelevant = 0
-        for t in range(t_count):
-            if t not in reach:
-                irrelevant |= self.engine.block0 << (t * self.L)
-        self.true_masks = [0] * len(leaves)
-        self.false_masks = [irrelevant] * len(leaves)
-
-        # neighbours within a profile, whose sequences must be sorted
-        others = [t for t in relevant if t != designated]
-        profile: dict[tuple[bool, ...], list[int]] = {}
-        if len(others) > 1:
-            extents = list(lam_idx.values())
-            for t in others:
-                profile.setdefault(tuple([t in ext for ext in extents]), []).append(t)
-        self.pairs = [pair for group in profile.values() for pair in zip(group, group[1:])]
-        self.pair_state = {pair: "eq" for pair in self.pairs}
-        self.second_of = {}
-        for pair in self.pairs:
-            self.second_of.setdefault(pair[1], []).append(pair)
-
-    def run(self) -> Optional[SLTLModel]:
-        return self._dfs(0)
-
-    def _dfs(self, idx: int) -> Optional[SLTLModel]:
-        self.budget[0] -= 1
-        if self.budget[0] < 0:
-            raise SearchLimitError(self.budget[1])
-        every = self.engine.full  # all traces of the stratum are present
-        lo, hi = self.engine.bounds(self.true_masks, self.false_masks, self.origin_bit, every, every)
-        if not hi:
-            return None
-        if lo:
-            return self._materialize()
-        assert idx < len(self.cells), "fully assigned model left undecided"
-        t, k, p = self.cells[idx]
-        bit = 1 << (t * self.L + k)
-        for value in (False, True):
-            journal = None
-            if self.pairs:
-                journal = self._shift_pair_states(t, k, p, value)
-                if journal is False:
-                    continue
-            if value:
-                self.true_masks[p] |= bit
-            else:
-                self.false_masks[p] |= bit
-            found = self._dfs(idx + 1)
-            if value:
-                self.true_masks[p] &= ~bit
-            else:
-                self.false_masks[p] &= ~bit
-            if journal:
-                for pair, old in journal:
-                    self.pair_state[pair] = old
-            if found is not None:
-                return found
-        return None
-
-    def _shift_pair_states(self, t: int, k: int, p: int, value: bool):
-        """Advance the sorted-sequence comparison; False means prune."""
-        journal = []
-        for pair in self.second_of.get(t, ()):
-            if self.pair_state[pair] != "eq":
-                continue
-            other_bit = 1 << (pair[0] * self.L + k)
-            other = bool(self.true_masks[p] & other_bit)
-            if other == value:
-                continue
-            if other and not value:
-                for q, old in journal:
-                    self.pair_state[q] = old
-                return False
-            journal.append((pair, "eq"))
-            self.pair_state[pair] = "lt"
-        return journal
-
-    def _materialize(self) -> SLTLModel:
-        traces: dict[str, UPTrace] = {}
-        for t in range(self.t_count):
-            vals = []
-            for k in range(self.L):
-                bit = 1 << (t * self.L + k)
-                vals.append(frozenset(g.name for g, i in self.leaves.items() if self.true_masks[i] & bit))
-            traces[f"t{t}"] = UPTrace(tuple(vals[: self.prefix]), tuple(vals[self.prefix:]))
-        lam = {sp: frozenset(f"t{t}" for t in idxs) for sp, idxs in self.lam_idx.items()}
-        model = SLTLModel(traces, lam, self.prefix, self.period)
-        if not evaluate(model, f"t{self.designated}", 0, self.f):
-            raise AssertionError("search engine produced a model the evaluator rejects")
-        return model
+    L, prefix, every = engine.L, engine.prefix, engine.full
+    sweep, root = engine.sweep, engine.slot[f]
+    node_order = [0, *range(max(prefix, 1), L), *range(1, prefix)]
+    # proposition, cell bit, trace, and the cell bit of prev[trace] or 0
+    cells = [
+        (p, 1 << (t * L + k), t, 1 << (prev[t] * L + k) if t in prev else 0)
+        for k in node_order
+        for t in sorted(reach)
+        for p in range(n_props)
+    ]
+    unread = every ^ sum(engine.block0 << (t * L) for t in reach)
+    tm, fm = [0] * n_props, [unread] * n_props
+    lt_at = dict.fromkeys(prev, len(cells))
+    i = 0
+    while i >= 0:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchLimitError(budget[1])
+        lo, hi = sweep(tm, fm, every, every)
+        if hi[root] & 1:
+            if lo[root] & 1:
+                return tm
+            assert i < len(cells), "fully assigned model left undecided"
+            p, bit, t, before = cells[i]
+            masks = fm
+            if before and lt_at[t] >= i:
+                lt_at[t] = len(cells)  # equal so far, this cell included
+                if tm[p] & before:
+                    masks = tm  # false would sort trace t below prev[t]
+            masks[p] |= bit
+            i += 1
+            continue
+        i -= 1
+        while i >= 0:
+            p, bit, t, before = cells[i]
+            if fm[p] & bit:
+                fm[p] ^= bit
+                tm[p] |= bit
+                if before and lt_at[t] >= i:
+                    lt_at[t] = i
+                i += 1
+                break
+            tm[p] ^= bit
+            i -= 1
+    return None
 
 
 def _lambda_assignments(
@@ -724,7 +654,9 @@ def bounded_search(
     from a memo shared by all calls), and every stratum costs the budget a
     node, so a search over many standpoints exits at its node limit rather
     than listing every assignment first.  The formula walks that decide
-    which traces a stratum reads run once per call.
+    which traces a stratum reads run once per call.  The model is not
+    checked here: ``solve`` checks every witness it returns, and a direct
+    caller can with ``solver.check_witness``.
     """
     voc = vocab(f)
     missing = voc.props - set(bounds.props)
@@ -750,16 +682,29 @@ def bounded_search(
                     reach = {t for sp in modal_sps for t in lam_idx[sp]}
                     if not independent:
                         reach.add(0)
+                    # each read trace but t0 to the one before it with its profile
+                    prev, last = {}, {}
+                    for t in sorted(reach - {0}):
+                        profile = tuple(t in ext for ext in combo)
+                        if profile in last:
+                            prev[t] = last[profile]
+                        last[profile] = t
                     if engine is None:
                         engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
                     else:
                         engine.bind(lam_idx)
-                    search = _ShapeSearch(
-                        engine, f, t_count, prefix, period, lam_idx, 0, reach, leaves, budget,
-                    )
-                    model = search.run()
-                    if model is not None:
-                        return model, "t0"
+                    tm = _search_stratum(engine, f, len(leaves), reach, prev, budget)
+                    if tm is not None:
+                        L = prefix + period
+                        traces = {}
+                        for t in ids:
+                            vals = [
+                                frozenset(p for p, m in zip(bounds.props, tm) if m >> (t * L + k) & 1)
+                                for k in range(L)
+                            ]
+                            traces[f"t{t}"] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))
+                        lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in lam_idx.items()}
+                        return SLTLModel(traces, lam, prefix, period), "t0"
     return None
 
 

@@ -134,8 +134,8 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
     in both directions; a propositional input's run is one state, whose
     grid model is also returned as ``psl_model``.  Everything else goes to
     the bounded search, which can say sat or unknown but never unsat.
-    Every sat verdict's witness is checked once on ``f``: here for the
-    automaton, inside ``bounded_search`` for the bounded search.
+    Every sat verdict's witness, from either engine, is checked once on
+    ``f``, here.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
@@ -149,28 +149,29 @@ def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
         if found is None:
             return Verdict("unknown", frag, engine="oracle", bounds=bounds, translation=translation)
         model, designated = found
-        return Verdict(
+        verdict = Verdict(
             "sat", frag, engine="oracle", model=model, designated=designated,
             bounds=bounds,
         )
-    # Constant folding can shrink the closure dramatically (dead Until
-    # branches in particular); the folded formula is equivalent.
-    phi = simplify(f)
-    budget = [opts.node_limit, opts.node_limit]
-    lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
-    if lasso is None:
-        return Verdict("unsat", frag, engine="automaton")
-    voc = vocab(f)
-    model, designated = witness_from_lasso(lasso, voc.standpoints)
-    verdict = Verdict(
-        "sat", frag, engine="automaton", model=model, designated=designated,
-        partition=_witness_partition(model, voc),
-    )
-    if frag is Fragment.PSL:
-        # the run is one state, whose model the witness read
-        (verdict.psl_model,) = lasso.models
+    else:
+        # Constant folding can shrink the closure dramatically (dead Until
+        # branches in particular); the folded formula is equivalent.
+        phi = simplify(f)
+        budget = [opts.node_limit, opts.node_limit]
+        lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
+        if lasso is None:
+            return Verdict("unsat", frag, engine="automaton")
+        voc = vocab(f)
+        model, designated = witness_from_lasso(lasso, voc.standpoints)
+        verdict = Verdict(
+            "sat", frag, engine="automaton", model=model, designated=designated,
+            partition=_witness_partition(model, voc),
+        )
+        if frag is Fragment.PSL:
+            # the run is one state, whose model the witness read
+            (verdict.psl_model,) = lasso.models
     if not check_witness(f, model, designated):
-        raise AssertionError("automaton witness fails the evaluator on the input")
+        raise AssertionError(f"{verdict.engine} witness fails the evaluator on the input")
     return verdict
 
 

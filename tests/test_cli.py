@@ -329,6 +329,15 @@ def test_solve_wider_than_the_recursion_limit(capsys):
     assert "at node" not in err
 
 
+def test_bounded_search_wider_than_the_recursion_limit(capsys):
+    # 600 propositions give a stratum at least 600 cells: the bounded
+    # search walks them with a loop, not a frame each, and finds a model
+    body = " & ".join(f"p{i}" for i in range(600))
+    code, out, err = run(capsys, "solve", f"<@s> X ({body})")
+    assert code == 0, err
+    assert out.startswith("sat")
+
+
 @pytest.mark.parametrize("target, translate", [
     ("strict-until", until_to_strict), ("ptls5", sltl_to_product),
 ])

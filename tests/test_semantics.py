@@ -215,8 +215,10 @@ def test_search_agrees_with_naive_enumeration():
     rng = random.Random(99)
     for _ in range(60):
         f = random_formula(rng, 3)
-        got = bounded_search(f, SearchBounds.for_formula(f, 2, 1, 2)) is not None
-        assert got == naive_sat(f, 2, 1, 2)
+        found = bounded_search(f, SearchBounds.for_formula(f, 2, 1, 2))
+        assert (found is not None) == naive_sat(f, 2, 1, 2)
+        # bounded_search leaves the check of its witness to its caller
+        assert found is None or check_witness(f, *found), str(f)
 
 
 def test_search_monotone_in_bounds():
@@ -225,8 +227,9 @@ def test_search_monotone_in_bounds():
         f = random_formula(rng, 3)
         small = bounded_search(f, SearchBounds.for_formula(f, 1, 1, 2))
         if small is not None:
+            assert check_witness(f, *small), str(f)
             big = bounded_search(f, SearchBounds.for_formula(f, 2, 2, 3))
-            assert big is not None
+            assert big is not None and check_witness(f, *big), str(f)
 
 
 def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
@@ -242,18 +245,23 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
             b = SearchBounds.for_formula(g, 3, 1, 2)
             found = bounded_search(g, b)
             cases.append((g, b, found and model_to_json(*found)))
+    # t0 is !p, !p; t1 and t2 share a profile and need p, !p and !p, p,
+    # sorted only as t1 = !p, p and t2 = p, !p: t2's second cell is false
+    # under t1's true one, allowed once their sequences differ
+    cross = parse("!p & X !p & <@*> (p & X !p) & <@*> (!p & X p)")
+    b = SearchBounds.for_formula(cross, 3, 0, 2)
+    found = bounded_search(cross, b)
+    cases.append((cross, b, found and model_to_json(*found)))
 
     paired = []
+    search = semantics._search_stratum
 
-    class PlainSearch(semantics._ShapeSearch):
+    def plain_search(engine, f, n_props, reach, prev, budget):
         """The plain enumeration: no pairs of interchangeable traces."""
+        paired.append(bool(prev))
+        return search(engine, f, n_props, reach, {}, budget)
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            paired.append(bool(self.pairs))
-            self.pairs = []
-
-    monkeypatch.setattr(semantics, "_ShapeSearch", PlainSearch)
+    monkeypatch.setattr(semantics, "_search_stratum", plain_search)
     for f, b, expected in cases:
         found = bounded_search(f, b)
         assert (found and model_to_json(*found)) == expected, str(f)
@@ -261,11 +269,35 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
     assert sum(w is not None and len(w["traces"]) == 3 for _, _, w in cases) > 30
 
 
+@pytest.mark.parametrize("f, bounds, nodes", [
+    (parse("p & <@s> X q & [@s] X !q"), (3, 1, 1), 3367),
+    (recurring_counter_formula(1), (4, 1, 1), 8568),
+])
+def test_search_spends_one_node_per_sweep(monkeypatch, f, bounds, nodes):
+    # neither has a model in its bounds, so every node is visited; a
+    # symmetry check that forbids more or fewer valuations than the
+    # unsorted ones changes the counts
+    b = SearchBounds.for_formula(f, *bounds)
+    with pytest.raises(SearchLimitError):
+        bounded_search(f, b, node_limit=nodes - 1)
+    sweeps = [0]
+    sweep = _IntervalEngine.sweep
+
+    def counted_sweep(self, *args):
+        sweeps[0] += 1
+        return sweep(self, *args)
+
+    monkeypatch.setattr(_IntervalEngine, "sweep", counted_sweep)
+    assert bounded_search(f, b, node_limit=nodes) is None
+    assert sweeps[0] == nodes
+
+
 def _search_every_assignment(f, bounds):
-    """The bounded search over every standpoint assignment and every
+    """The plain bounded search over every standpoint assignment and every
     designated trace, in the order trace count, prefix, period, assignment
-    (extent masks ascending), designated trace: (model, designated) or
-    None."""
+    (extent masks ascending), designated trace: the (trace count, prefix,
+    period) shape of the first model, or None.  Designated trace ``d`` is
+    searched as trace 0 of the assignment that swaps traces 0 and ``d``."""
     voc = vocab(f)
     sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
     modal_sps = modal_standpoints(f)
@@ -277,16 +309,18 @@ def _search_every_assignment(f, bounds):
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
                 for combo in itertools.product(subsets, repeat=len(sps)):
-                    lam = dict(zip(sps, combo))
-                    lam[UNIVERSAL] = ids
-                    engine = _IntervalEngine([f], t_count, prefix, period, lam, leaves)
                     for d in ids:
-                        reach = {t for sp in modal_sps for t in lam[sp]} | {d}
-                        model = semantics._ShapeSearch(
-                            engine, f, t_count, prefix, period, lam, d, reach, leaves, budget,
-                        ).run()
-                        if model is not None:
-                            return model, f"t{d}"
+                        swap = {0: d, d: 0}
+                        lam = {
+                            sp: tuple(sorted(swap.get(t, t) for t in ext))
+                            for sp, ext in zip(sps, combo)
+                        }
+                        lam[UNIVERSAL] = ids
+                        engine = _IntervalEngine([f], t_count, prefix, period, lam, leaves)
+                        reach = {t for sp in modal_sps for t in lam[sp]} | {0}
+                        found = semantics._search_stratum(engine, f, len(leaves), reach, {}, budget)
+                        if found is not None:
+                            return t_count, prefix, period
     return None
 
 
@@ -307,9 +341,9 @@ def test_one_stratum_per_renaming_class_finds_the_same_stratum():
         assert (found is None) == (expected is None), str(f)
         if found is None:
             continue
-        (model, designated), (reference, _) = found, expected
+        model, designated = found
         shape = (len(model.traces), model.prefix_len, model.period_len)
-        assert shape == (len(reference.traces), reference.prefix_len, reference.period_len)
+        assert shape == expected
         assert designated == "t0"
         assert check_witness(f, model, designated), str(f)
         shapes.append(shape)
@@ -326,16 +360,16 @@ def test_strata_are_searched_once_per_renaming_class(monkeypatch, f, bounds, str
     # none of the three has a model in its bounds, so every kept stratum
     # is searched: over every assignment and designated trace they would
     # be 56, 52 and 166
-    built = [0]
+    searched = [0]
+    search = semantics._search_stratum
 
-    class CountedSearch(semantics._ShapeSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built[0] += 1
+    def counted_search(*args):
+        searched[0] += 1
+        return search(*args)
 
-    monkeypatch.setattr(semantics, "_ShapeSearch", CountedSearch)
+    monkeypatch.setattr(semantics, "_search_stratum", counted_search)
     assert bounded_search(f, SearchBounds.for_formula(f, *bounds)) is None
-    assert built[0] == strata
+    assert searched[0] == strata
 
 
 def test_assignments_are_made_as_the_search_reaches_them():
@@ -477,7 +511,8 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
         partial, completions = _completions(rng, n_types, 5)
         present = sum(1 << t for t, v in enumerate(partial) if v is True)
         possible = full ^ sum(1 << t for t, v in enumerate(partial) if v is False)
-        lo, hi = engine.bounds(tm, fm, full, present, possible)
+        lo, hi = engine.sweep(tm, fm, present, possible)
+        lo, hi = lo[engine.slot[f]] & full, hi[engine.slot[f]] & full
         for chosen in completions:
             types = [t for t in range(n_types) if chosen[t]]
             lam = {sp: frozenset(f"t{t}" for t in types if t in ext) for sp, ext in extents.items()}
@@ -523,7 +558,10 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
 
         tm, fm = masks(True), masks(False)
         every = engines[0].full
-        results = [engine.bounds(tm, fm, every, every, every) for engine in engines]
+        results = []
+        for engine in engines:
+            lo, hi = engine.sweep(tm, fm, every, every)
+            results.append((lo[engine.slot[f]] & every, hi[engine.slot[f]] & every))
         lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in extents.items()}
         for chosen in completions:
             traces = {}
