@@ -82,10 +82,9 @@ class StateSpace:
     is true.  It is standpoint-consistent when its propositional literals
     have a grid model on the label family of its true sharpening atoms.
     The literals are the true propositions, sharpening atoms and modal
-    members and the negations of the false ones, a negated modal member as
-    its dual over the negated operand, so that the grid search propagates
-    it (its strong Kleene bounds are those of the negation); they entail
-    the state's other propositional members.
+    members and the negations of the false ones, which the grid search
+    propagates as written (see ``psl.grid_model_for``); they entail the
+    state's other propositional members.
 
     Enumeration branches only on the members that fix a state's successors
     or acceptance sets (``branch``): the sharpening atoms, the next-step
@@ -150,7 +149,7 @@ class StateSpace:
         temporal = set([h for c in temporal_parts for h in nodes(c)] if parts else self.base)
         # the branch members as (base position, tried true first), the
         # grid-decided members as (base position, member), and the branch
-        # literals as (base position, member, grid form of its negation)
+        # literals as (base position, member, its negation)
         self.branch: list[Formula] = []
         order: list[tuple[int, bool]] = []
         self._decided: list[tuple[int, Formula]] = []
@@ -162,7 +161,7 @@ class StateSpace:
                 order.append((b, not isinstance(g, (Prop, Next))))
                 self._branch_bits |= 1 << b
                 if not isinstance(g, Next):
-                    self._literals.append((b, g, _dual(neg(g))))
+                    self._literals.append((b, g, neg(g)))
             else:
                 self._decided.append((b, g))
         # one position per cell, one cell per assignment of the last
@@ -176,7 +175,7 @@ class StateSpace:
         )
         slot = self._engine.slot
         self._untils = [(slot[g], slot[g.right]) for g in cl.until_members]
-        self._parts = [(slot[c], _dual(c)) for c in parts]
+        self._parts = [(slot[c], c) for c in parts]
         # a tail member takes its first value at the cells whose bit p is
         # clear, and the earliest member the highest bit, so that cells in
         # ascending order visit the tail assignments in branch order; each
@@ -369,15 +368,6 @@ class StateSpace:
         if not self._decided:
             return targets
         return [state if (t ^ state) & self._branch_bits == 0 else t for t in targets]
-
-
-def _dual(g: Formula) -> Formula:
-    """A negated modal member as its dual over the negated operand, the
-    form the grid search propagates; any other literal as it stands."""
-    if isinstance(g, Not) and isinstance(g.operand, (DiamondS, BoxS)):
-        dual = BoxS if isinstance(g.operand, DiamondS) else DiamondS
-        return dual(g.operand.standpoint, neg(g.operand.operand))
-    return g
 
 
 def _conjuncts(f: Formula) -> list[Formula]:

@@ -4,12 +4,15 @@ Subcommands: ``solve``, ``translate``, ``gen``, ``check``, ``classify``.
 Verdict exit codes: 0 sat, 1 unsat, 2 unknown, 3 out of fragment (strict
 mode).  Error exit codes follow the BSD convention: 64 usage, 65 bad data,
 66 missing input, 69 resource limit, 70 internal error, 73 output file
-cannot be created.
+cannot be created, 74 standard output cannot be written (a closed pipe or
+a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -34,7 +37,6 @@ from .syntax import (
     parse,
     simplify,
     to_text,
-    vocab,
 )
 from .translate import (
     counter_formula,
@@ -46,7 +48,8 @@ from .translate import (
 )
 
 EX_OK, EX_UNSAT, EX_UNKNOWN, EX_FRAGMENT = 0, 1, 2, 3
-EX_USAGE, EX_DATAERR, EX_NOINPUT, EX_RESOURCE, EX_INTERNAL, EX_CANTCREAT = 64, 65, 66, 69, 70, 73
+EX_USAGE, EX_DATAERR, EX_NOINPUT, EX_RESOURCE, EX_INTERNAL = 64, 65, 66, 69, 70
+EX_CANTCREAT, EX_IOERR = 73, 74
 
 
 class _CliError(Exception):
@@ -80,7 +83,7 @@ def _parse_bounds(text: str, f: Formula) -> SearchBounds:
     except ValueError as exc:
         raise _CliError(EX_USAGE, "--bounds expects three integers: traces,prefix,period") from exc
     try:
-        return SearchBounds(t, p, q, tuple(vocab(f).props))
+        return SearchBounds.for_formula(f, t, p, q)
     except ValueError as exc:
         raise _CliError(EX_USAGE, str(exc)) from exc
 
@@ -276,14 +279,26 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
+    # a command's output is written in one place, which reports a failed
+    # write however much the command printed
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:  # noqa: BLE001 - last-resort reporting
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL
+    try:
+        print(out.getvalue(), end="", flush=True)
+    except OSError as exc:
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again on exit; that write goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
+    return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .syntax import (
     BoxS,
     DiamondS,
     Formula,
+    Not,
     Prop,
     Standpoint,
     UNIVERSAL,
@@ -157,10 +158,16 @@ def grid_model_for(
     conjunction does, until nothing changes:
 
     - for a box ``[@x] g``, every type of ``x``'s extent at which ``g`` is
-      false in every completion (its upper mask is clear) becomes absent;
+      false in every completion (its upper mask is clear) becomes absent,
+      and for a negated diamond ``!<@x> g`` every one at which ``g`` is
+      true in every completion (its lower mask is set);
     - for a diamond ``<@x> g``, the candidates are the types of ``x``'s
       extent, not absent, where ``g`` may hold: none fails the node, and a
-      single one becomes present.
+      single one becomes present; for a negated box ``![@x] g``, the
+      candidates are those where ``g`` may fail.
+
+    The rules of ``!<@x> g`` and ``![@x] g`` are those of the duals
+    ``[@x] !g`` and ``<@x> !g``, whose strong Kleene bounds are theirs.
 
     A type both absent and present fails the node, and so does the
     designated type turning absent; the search skips types that
@@ -170,10 +177,10 @@ def grid_model_for(
     least one type.  Propagation and the other prunings remove only
     subtrees without a valid assignment, and at a leaf the bounds are
     exact, so the search returns the least valid assignment in its order
-    (the designated valuation, then the types of ``order`` absent before
-    present).  A node whose lower bound already holds returns its present
-    types, which is the least completion beneath it (every open type
-    absent) and valid, so again that least assignment.  The assignment
+    (the designated valuation, then the other types in ascending order,
+    absent before present).  A node whose lower bound already holds
+    returns its present types, which is the least completion beneath it
+    (every open type absent) and valid, so again that least assignment.  The assignment
     depends on the family, the propositions and the conjunction's masks
     alone, so it is the one a grid compiled for the conjunction alone
     would give.
@@ -184,13 +191,15 @@ def grid_model_for(
     """
     sweep, slot = grid.engine.sweep, grid.engine.slot
     roots = [slot[g] for g in conjuncts]
-    # the modal conjuncts as (extent mask, operand slot)
+    # the modal conjuncts as (extent mask, operand slot, negated): a
+    # negated diamond is a box rule, a negated box a diamond rule
     boxes, diamonds = [], []
     for g in conjuncts:
-        if isinstance(g, (BoxS, DiamondS)):
-            rule = (grid.engine.masks[g.standpoint], slot[g.operand])
-            (boxes if isinstance(g, BoxS) else diamonds).append(rule)
-    v_count, col_masks, full = grid.v_count, grid.col_masks, grid.full
+        h, negated = (g.operand, True) if isinstance(g, Not) else (g, False)
+        if isinstance(h, (BoxS, DiamondS)):
+            rule = (grid.engine.masks[h.standpoint], slot[h.operand], negated)
+            (boxes if isinstance(h, BoxS) != negated else diamonds).append(rule)
+    col_masks, full = grid.col_masks, grid.full
     true_masks, false_masks = grid.true_masks, grid.false_masks
 
     def propagate(present: int, absent: int, d_bit: int):
@@ -203,11 +212,11 @@ def grid_model_for(
             if any(not hi[r] & d_bit for r in roots):
                 return None
             grown_absent = absent
-            for ext, g in boxes:
-                grown_absent |= ext & ~hi[g]
+            for ext, g, negated in boxes:
+                grown_absent |= ext & (lo[g] if negated else ~hi[g])
             grown_present = present
-            for ext, g in diamonds:
-                candidates = ext & hi[g] & ~grown_absent
+            for ext, g, negated in diamonds:
+                candidates = ext & (~lo[g] if negated else hi[g]) & ~grown_absent
                 if not candidates:
                     return None
                 if not candidates & (candidates - 1):
@@ -226,31 +235,34 @@ def grid_model_for(
     candidates = col_masks[0]
     for r in roots:
         candidates &= top[r]
+    # (next type, present, absent, designated bit), one entry per
+    # candidate, pushed highest first so that the lowest is searched
+    # first; the designated type starts present, so the walk over the
+    # types passes over it
+    stack = []
     while candidates:
-        d_bit = candidates & -candidates
+        d_bit = 1 << candidates.bit_length() - 1
         candidates ^= d_bit
-        dv = d_bit.bit_length() - 1
-        order = [t for t in range(len(col_masks) * v_count) if t != dv]
-        stack = [(0, d_bit, 0)]  # (index into order, present, absent)
-        while stack:
-            idx, present, absent = stack.pop()
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchLimitError(budget[1], "grid search")
-            node = propagate(present, absent, d_bit)
-            if node is None:
-                continue
-            present, absent, lo = node
-            if all(lo[r] & d_bit for r in roots) and all(col & present for col in col_masks):
-                return present, dv
-            decided = present | absent
-            while idx < len(order) and decided >> order[idx] & 1:
-                idx += 1
-            if idx < len(order):
-                t_bit = 1 << order[idx]
-                # pushed last, the absent branch is searched first
-                stack.append((idx + 1, present | t_bit, absent))
-                stack.append((idx + 1, present, absent | t_bit))
+        stack.append((0, d_bit, 0, d_bit))
+    while stack:
+        t, present, absent, d_bit = stack.pop()
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchLimitError(budget[1], "grid search")
+        node = propagate(present, absent, d_bit)
+        if node is None:
+            continue
+        present, absent, lo = node
+        if all(lo[r] & d_bit for r in roots) and all(col & present for col in col_masks):
+            return present, d_bit.bit_length() - 1
+        decided = present | absent
+        while decided >> t & 1:
+            t += 1
+        t_bit = 1 << t
+        if t_bit & full:
+            # pushed last, the absent branch is searched first
+            stack.append((t + 1, present | t_bit, absent, d_bit))
+            stack.append((t + 1, present, absent | t_bit, d_bit))
     return None
 
 

@@ -32,8 +32,6 @@ from .syntax import (
     UNIVERSAL,
     Until,
     children,
-    fold,
-    modal_standpoints,
     nodes,
     vocab,
 )
@@ -228,18 +226,6 @@ def evaluate(model: SLTLModel, trace_id: str, position: int, f: Formula) -> bool
     if position < 0:
         raise ModelError("positions are natural numbers")
     return _Evaluator(model).vector(trace_id, f)[model.node(position)]
-
-
-def _trace_independent(f: Formula) -> bool:
-    """Truth at (trace, position) never reads the current trace's own
-    valuation: every proposition sits under a modality."""
-
-    def step(g: Formula, kids: tuple[bool, ...]) -> bool:
-        if isinstance(g, Prop):
-            return False
-        return isinstance(g, (Sharper, DiamondS, BoxS)) or all(kids)
-
-    return fold(f, step)
 
 
 def check_product_formula(f: Formula) -> None:
@@ -653,10 +639,10 @@ def bounded_search(
     as the search reaches them (the first ones of each trace count come
     from a memo shared by all calls), and every stratum costs the budget a
     node, so a search over many standpoints exits at its node limit rather
-    than listing every assignment first.  The formula walks that decide
-    which traces a stratum reads run once per call.  The model is not
-    checked here: ``solve`` checks every witness it returns, and a direct
-    caller can with ``solver.check_witness``.
+    than listing every assignment first.  Which traces a stratum reads is
+    decided by the formula's ``Vocabulary``, the one walk of ``f``.  The
+    model is not checked here: ``solve`` checks every witness it returns,
+    and a direct caller can with ``solver.check_witness``.
     """
     voc = vocab(f)
     missing = voc.props - set(bounds.props)
@@ -668,8 +654,7 @@ def bounded_search(
     # every trace whenever they hold at one, so the designated trace may be
     # renamed too.
     max_traces = bounds.max_traces if voc.standpoints else 1
-    independent = _trace_independent(f)
-    modal_sps = modal_standpoints(f)
+    independent = voc.trace_independent
     budget = [node_limit, node_limit]
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     for t_count in range(1, max_traces + 1):
@@ -679,7 +664,7 @@ def bounded_search(
                 engine = None
                 for combo in _kept_assignments(len(sps), t_count, 0 if independent else 1):
                     lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
-                    reach = {t for sp in modal_sps for t in lam_idx[sp]}
+                    reach = {t for sp in voc.modal for t in lam_idx[sp]}
                     if not independent:
                         reach.add(0)
                     # each read trace but t0 to the one before it with its profile

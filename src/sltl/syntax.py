@@ -667,26 +667,21 @@ class ClosureSet:
     """
 
     def __init__(self, seed: Formula):
+        # one pre-order scan: a subtree is a run of ``size`` occurrences,
+        # so an occurrence lies in a modal operand while it is before the
+        # end of the outermost open modal scope
         members: set[Formula] = set()
-        beneath: set[Formula] = set()  # subformulas met inside a modal operand
-        stack = [(seed, False)]
-        while stack:
-            g, inside = stack.pop()
-            seen = beneath if inside else members
-            if g in seen:
-                continue
-            seen.add(g)
-            if isinstance(g, (DiamondS, BoxS)):
-                inside = True
-            elif inside and isinstance(g, Sharper):
+        last: dict[Formula, int] = {}
+        scope_end = 0
+        for i, g in enumerate(nodes(seed)):
+            last[g] = i
+            if i >= scope_end or isinstance(g, Sharper):
                 members.add(g)
-            for name in _CHILD_FIELDS[type(g)]:
-                stack.append((getattr(g, name), inside))
-        last = {g: i for i, g in enumerate(nodes(seed))}
-        for g in list(members):
-            if isinstance(g, Until):
-                members.add(Next(g))
-                last.setdefault(Next(g), last[g])
+            if i >= scope_end and isinstance(g, (DiamondS, BoxS)):
+                scope_end = i + size(g)
+        for g in [g for g in members if isinstance(g, Until)]:
+            members.add(Next(g))
+            last.setdefault(Next(g), last[g])
         self.seed = seed
         self.formulas: tuple[Formula, ...] = tuple(
             sorted(members, key=lambda g: (size(g), last[g]))
@@ -725,71 +720,69 @@ class Fragment(Enum):
     FULL_SLTL = "FullSLTL"
 
 
-def _has_temporal(f: Formula) -> bool:
-    return any(isinstance(g, (Next, Until)) for g in nodes(f))
-
-
-def _has_standpoint(f: Formula) -> bool:
-    return any(isinstance(g, (DiamondS, BoxS, Sharper)) for g in nodes(f))
-
-
-def _temporal_under_modal(f: Formula) -> bool:
-    # a subtree is a run of ``size`` consecutive pre-order occurrences
-    scope_end = 0  # index past the open modal scopes
-    for i, g in enumerate(nodes(f)):
-        if i < scope_end and isinstance(g, (Next, Until)):
-            return True
-        if isinstance(g, (DiamondS, BoxS)):
-            scope_end = max(scope_end, i + size(g))
-    return False
-
-
 def classify(f: Formula) -> Fragment:
-    """Smallest fragment containing ``f``.
+    """Smallest fragment containing ``f``: ``vocab(f).fragment``.
 
     Propositional formulas fall into PSL, which the solver can decide
     without the automaton.
     """
-    if not _has_temporal(f):
-        return Fragment.PSL
-    if not _has_standpoint(f):
-        return Fragment.PURE_LTL
-    if not _temporal_under_modal(f):
-        return Fragment.LTL_PSL
-    return Fragment.FULL_SLTL
+    return vocab(f).fragment
 
 
 @dataclass(frozen=True)
 class Vocabulary:
+    """What one scan reads off a formula: its propositions, standpoints
+    and sharpening atoms; ``modal``, the standpoints that index a
+    modality; ``fragment``, the smallest fragment containing it; and
+    ``trace_independent``, whether every proposition sits under a
+    modality, so that truth at (trace, position) never reads the current
+    trace's own valuation."""
+
     props: frozenset[str]
     standpoints: frozenset[Standpoint]
     sharpenings: frozenset[tuple[Standpoint, Standpoint]]
+    modal: frozenset[Standpoint]
+    fragment: Fragment
+    trace_independent: bool
 
 
 def vocab(f: Formula) -> Vocabulary:
-    """Syntactic vocabulary scan.
+    """Every syntactic verdict on ``f``, from one pre-order scan.
 
-    The universal standpoint is listed whenever it occurs or any other
-    standpoint does, since the downstream sharpening relation always links
-    standpoints to it.
+    A subtree is a run of ``size`` consecutive pre-order occurrences, so
+    the scan knows when it is inside a modal operand by the end of the
+    outermost open modal scope.  The universal standpoint is listed
+    whenever it occurs or any other standpoint does, since the downstream
+    sharpening relation always links standpoints to it.
     """
     props: set[str] = set()
     standpoints: set[Standpoint] = set()
     sharpenings: set[tuple[Standpoint, Standpoint]] = set()
-    for g in nodes(f):
-        if isinstance(g, Prop):
+    modal: set[Standpoint] = set()
+    temporal, temporal_under_modal, independent = False, False, True
+    scope_end = 0  # index past the outermost open modal scope
+    for i, g in enumerate(nodes(f)):
+        cls = type(g)
+        if cls is Prop:
             props.add(g.name)
-        elif isinstance(g, Sharper):
-            standpoints.add(g.left)
-            standpoints.add(g.right)
+            independent &= i < scope_end
+        elif cls is Next or cls is Until:
+            temporal = True
+            temporal_under_modal |= i < scope_end
+        elif cls is DiamondS or cls is BoxS:
+            modal.add(g.standpoint)
+            scope_end = max(scope_end, i + size(g))
+        elif cls is Sharper:
+            standpoints.update((g.left, g.right))
             sharpenings.add((g.left, g.right))
-        elif isinstance(g, (DiamondS, BoxS)):
-            standpoints.add(g.standpoint)
+    standpoints |= modal
     if standpoints:
         standpoints.add(UNIVERSAL)
-    return Vocabulary(frozenset(props), frozenset(standpoints), frozenset(sharpenings))
-
-
-def modal_standpoints(f: Formula) -> frozenset[Standpoint]:
-    """Standpoints that appear as the index of a modal operator."""
-    return frozenset(g.standpoint for g in nodes(f) if isinstance(g, (DiamondS, BoxS)))
+    fragment = (
+        Fragment.PSL if not temporal
+        else Fragment.PURE_LTL if not standpoints
+        else Fragment.LTL_PSL if not temporal_under_modal
+        else Fragment.FULL_SLTL
+    )
+    sets = map(frozenset, (props, standpoints, sharpenings, modal))
+    return Vocabulary(*sets, fragment, independent)

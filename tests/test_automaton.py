@@ -32,7 +32,6 @@ from sltl.syntax import (
     Top,
     UNIVERSAL,
     Until,
-    _has_temporal,
     classify,
     Fragment,
     closure,
@@ -287,7 +286,9 @@ def test_every_enumerated_state_is_consistent():
 def _temporal_free_literals(cl, truth):
     """The temporal-free members of the closure, each true one as it
     stands and each false one negated."""
-    return tuple(g if truth[g] else neg(g) for g in cl.formulas if not _has_temporal(g))
+    return tuple(
+        g if truth[g] else neg(g) for g in cl.formulas if classify(g) is Fragment.PSL
+    )
 
 
 @functools.cache

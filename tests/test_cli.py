@@ -422,3 +422,35 @@ def test_unwritable_output_path_exits_73(tmp_path, capsys, option):
     assert code == 73
     assert err.startswith("error: cannot write")
     assert not target.exists()
+
+
+def _run_cli(args, stdout):
+    """The installed CLI's exit code and stderr, with ``stdout`` as its
+    standard output."""
+    src = os.path.dirname(os.path.dirname(sltl.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "sltl.cli", *args], stdout=stdout, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+def test_closed_stdout_pipe_exits_74():
+    # the read end is closed before the child starts, so its write fails
+    # whatever it prints; a reader such as ``head -c 1`` might lose the race
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = _run_cli(["solve", "--json", "<@s> p"], write_end)
+    finally:
+        os.close(write_end)
+    assert code == 74
+    assert err.startswith("error: cannot write to standard output") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_device_exits_74():
+    with open("/dev/full", "w") as full:
+        code, err = _run_cli(["classify", "p"], full)
+    assert code == 74
+    assert err.startswith("error: cannot write to standard output") and err.count("\n") == 1

@@ -161,9 +161,8 @@ def test_split_separates_atoms_and_body():
 
 
 def test_split_pushes_negations_into_the_body(monkeypatch):
-    # the grid sees a negated modal member as its dual, which it propagates:
-    # beneath an Until the diamond branches, and its states search it true
-    # and false
+    # the grid sees a negated modal member as written: beneath an Until the
+    # diamond branches, and its states search it true and negated
     searched = []
     search = psl.grid_model_for
 
@@ -176,8 +175,35 @@ def test_split_pushes_negations_into_the_body(monkeypatch):
     space = StateSpace(closure(Until(Prop("r"), diamond)))
     assert diamond in space.branch
     list(space.enumerate([]))
-    assert set(searched) >= {diamond, BoxS(S, And(Prop("p"), Prop("q")))}
-    assert not any(isinstance(g, Not) and isinstance(g.operand, DiamondS) for g in searched)
+    assert set(searched) >= {diamond, Not(diamond)}
+    assert BoxS(S, And(Prop("p"), Prop("q"))) not in searched
+
+
+def test_negated_modal_conjuncts_are_propagated_as_their_duals():
+    # !<@s> p rules out the s-types with p, which leaves <@s> q one
+    # candidate: propagation makes it present and the root node answers.
+    # Unpropagated, neither conjunct would decide a type there.  ![@s] !q
+    # is the same diamond rule, and each search spends what its dual does.
+    family = label_family([], {S})
+    p, q = Prop("p"), Prop("q")
+    for conjuncts, duals in [
+        ([Not(DiamondS(S, p)), DiamondS(S, q)], [BoxS(S, Not(p)), DiamondS(S, q)]),
+        ([Not(DiamondS(S, p)), Not(BoxS(S, Not(q)))], [BoxS(S, Not(p)), DiamondS(S, q)]),
+    ]:
+        spent = []
+        for cs in (conjuncts, duals):
+            grid = CompiledGrid(family, ["p", "q"], cs, [100, 100])
+            budget = [100, 100]
+            found = grid_model_for(grid, cs, budget)
+            spent.append(100 - budget[0])
+            assert found is not None and holds(expand(grid, *found), conj(cs))
+        assert spent == [1, 1]
+    # an unsatisfiable pair fails at the root of each designated valuation
+    cs = [Not(DiamondS(S, p)), DiamondS(S, And(p, q))]
+    grid = CompiledGrid(family, ["p", "q"], cs, [100, 100])
+    budget = [100, 100]
+    assert grid_model_for(grid, cs, budget) is None
+    assert 100 - budget[0] == 4
 
 
 def test_split_keeps_nested_sharpening_atoms_in_the_body():

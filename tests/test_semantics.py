@@ -30,7 +30,6 @@ from sltl.syntax import (
     Standpoint,
     UNIVERSAL,
     closure,
-    modal_standpoints,
     parse,
     vocab,
 )
@@ -300,7 +299,6 @@ def _search_every_assignment(f, bounds):
     searched as trace 0 of the assignment that swaps traces 0 and ``d``."""
     voc = vocab(f)
     sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
-    modal_sps = modal_standpoints(f)
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     budget = [10**8, 10**8]
     for t_count in range(1, (bounds.max_traces if voc.standpoints else 1) + 1):
@@ -317,7 +315,7 @@ def _search_every_assignment(f, bounds):
                         }
                         lam[UNIVERSAL] = ids
                         engine = _IntervalEngine([f], t_count, prefix, period, lam, leaves)
-                        reach = {t for sp in modal_sps for t in lam[sp]} | {0}
+                        reach = {t for sp in voc.modal for t in lam[sp]} | {0}
                         found = semantics._search_stratum(engine, f, len(leaves), reach, {}, budget)
                         if found is not None:
                             return t_count, prefix, period

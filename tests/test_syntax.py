@@ -7,7 +7,7 @@ import pytest
 
 from conftest import S, T, random_formula, iter_models
 
-from sltl.semantics import _trace_independent, check_product_formula, evaluate
+from sltl.semantics import check_product_formula, evaluate
 from sltl.syntax import (
     And,
     BOTTOM,
@@ -25,9 +25,6 @@ from sltl.syntax import (
     TOP,
     UNIVERSAL,
     Until,
-    _has_standpoint,
-    _has_temporal,
-    _temporal_under_modal,
     children,
     classify,
     closure,
@@ -36,7 +33,6 @@ from sltl.syntax import (
     eventually,
     fold,
     is_nnf,
-    modal_standpoints,
     neg,
     nodes,
     parse,
@@ -418,6 +414,52 @@ def test_classify_monotone_under_temporal_erasure():
 # ---------------------------------------------------------------------------
 # Vocabulary
 
+def _reference_verdicts(f: Formula) -> tuple:
+    """The fragment, the modal standpoints and the trace-independence of
+    ``f``, computed bottom-up rather than by ``vocab``'s scan of modal
+    scopes: per subformula, whether it has a temporal operator, a
+    standpoint construct, a temporal operator under a modality and a
+    proposition outside every modality, and its modal standpoints."""
+
+    def step(g, kids):
+        modal_op = isinstance(g, (DiamondS, BoxS))
+        temporal = isinstance(g, (Next, Until)) or any(k[0] for k in kids)
+        standpoint = isinstance(g, (DiamondS, BoxS, Sharper)) or any(k[1] for k in kids)
+        under = any(k[2] for k in kids) or modal_op and kids[0][0]
+        free = not modal_op and (isinstance(g, Prop) or any(k[3] for k in kids))
+        modal = frozenset({g.standpoint} if modal_op else ()).union(*(k[4] for k in kids))
+        return temporal, standpoint, under, free, modal
+
+    temporal, standpoint, under, free, modal = fold(f, step)
+    if not temporal:
+        fragment = Fragment.PSL
+    elif not standpoint:
+        fragment = Fragment.PURE_LTL
+    elif not under:
+        fragment = Fragment.LTL_PSL
+    else:
+        fragment = Fragment.FULL_SLTL
+    return fragment, modal, not free
+
+
+def _vocab_verdicts(v) -> tuple:
+    return v.fragment, v.modal, v.trace_independent
+
+
+@pytest.mark.parametrize("mode", ["psl", "ltl", "ltl_psl", "sltl"])
+def test_vocab_verdicts_match_the_bottom_up_reference(mode):
+    rng = random.Random(23)
+    fragments = set()
+    for _ in range(300):
+        f = random_formula(rng, rng.randint(1, 5), props=("p", "q"), sps=(S, T), mode=mode)
+        assert _vocab_verdicts(vocab(f)) == _reference_verdicts(f), to_text(f)
+        assert classify(f) is vocab(f).fragment
+        fragments.add(classify(f))
+    # the generator reaches the fragment it is named after
+    assert {"psl": Fragment.PSL, "ltl": Fragment.PURE_LTL, "ltl_psl": Fragment.LTL_PSL,
+            "sltl": Fragment.FULL_SLTL}[mode] in fragments
+
+
 def test_vocab_examples():
     v = vocab(parse("p & <@s> q"))
     assert v.props == {"p", "q"}
@@ -476,15 +518,16 @@ def test_syntax_walks_on_deep_formulas():
     deep, wide = _deep_chain(), _wide_chain()
     assert classify(deep) is Fragment.FULL_SLTL
     assert classify(wide) is Fragment.PURE_LTL
-    assert _has_temporal(deep) and _has_temporal(wide)
-    assert _has_standpoint(deep) and not _has_standpoint(wide)
-    assert _temporal_under_modal(deep) and not _temporal_under_modal(wide)
+    for f in (deep, wide):
+        assert _vocab_verdicts(vocab(f)) == _reference_verdicts(f)
     assert is_nnf(deep) and is_nnf(wide)
     v = vocab(deep)
     assert v.props == {"p", "q"} and v.sharpenings == {(S, T)}
     assert v.standpoints == {S, T, UNIVERSAL}
-    assert len(vocab(wide).props) == _DEPTH
-    assert modal_standpoints(deep) == {S} and modal_standpoints(wide) == frozenset()
+    assert v.modal == {S} and v.trace_independent
+    w = vocab(wide)
+    assert len(w.props) == _DEPTH
+    assert w.modal == frozenset() and not w.trace_independent
     for f in (deep, wide):
         g = simplify(f)
         assert size(g) == size(f) and classify(g) is classify(f)
@@ -494,7 +537,7 @@ def test_translate_walks_on_deep_formulas():
     deep, wide = _deep_chain(), _wide_chain()
     assert _occurring_standpoints(deep) == [S, T] and _occurring_standpoints(wide) == []
     g = translate_standpoints_away(deep)
-    assert modal_standpoints(g) == {UNIVERSAL} and {"@s", "@t"} <= vocab(g).props
+    assert vocab(g).modal == {UNIVERSAL} and {"@s", "@t"} <= vocab(g).props
     h = until_to_strict(g)
     assert "$u0" in vocab(h).props and classify(h) is Fragment.FULL_SLTL
     h = until_to_strict(wide)
@@ -507,4 +550,4 @@ def test_semantics_and_psl_walks_on_deep_formulas():
     with pytest.raises(ValueError, match="modality over @s"):
         check_product_formula(deep)
     check_product_formula(wide)
-    assert _trace_independent(deep) and not _trace_independent(wide)
+    assert vocab(deep).trace_independent and not vocab(wide).trace_independent
