@@ -360,30 +360,37 @@ class _IntervalEngine:
             program.append((_OP_LEAF, 0, 0, i))
         for g in formulas:
             compile_node(g)
+        # compile_node's closure holds compile_node itself and the engine,
+        # a cycle that only the cyclic garbage collector would free;
+        # emptying its cell frees the engine once no one refers to it
+        del compile_node
         self.program = program
         self.slot = slot
+        # the instructions that name standpoints, the only ones bind changes
+        self.bound_at = [i for i, ins in enumerate(program) if ins[0] >= _OP_SOME]
         self.bind(extents)
 
     def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
         """Bind the program to one standpoint assignment: each standpoint's
         extent (the indices of its traces) becomes a cell mask (``masks``)
         in the modal instructions, and each sharpening atom becomes the
-        constant it denotes.  A standpoint missing from ``extents`` is a
-        KeyError."""
+        constant it denotes.  The bound instruction list is a copy of the
+        program patched at ``bound_at``, the indices of those instructions,
+        which the constructor records.  A standpoint missing from
+        ``extents`` is a KeyError."""
         block, L, full = self.block0, self.L, self.full
         self.masks = masks = {
             sp: sum(block << (t * L) for t in idxs) for sp, idxs in extents.items()
         }
-        instrs = []
-        for ins in self.program:
-            op, a, b, aux = ins
+        instrs = self.program.copy()
+        for i in self.bound_at:
+            op, a, b, aux = instrs[i]
             if op == _OP_SHARPER:
                 left, right = aux
                 c = full if masks[left] | masks[right] == masks[right] else 0
-                ins = (_OP_CONST, 0, 0, (c, c))
-            elif op >= _OP_SOME:
-                ins = (op, a, b, masks[aux])
-            instrs.append(ins)
+                instrs[i] = (_OP_CONST, 0, 0, (c, c))
+            else:
+                instrs[i] = (op, a, b, masks[aux])
         self.instrs = instrs
 
     def sweep(

@@ -1,9 +1,10 @@
 """Formula syntax for standpoint linear temporal logic.
 
 AST nodes, the surface-text parser, the canonical printer, negation normal
-form, closure sets and fragment classification.  Formulas are immutable and
-compare structurally, so they can be used as dictionary keys throughout the
-package.
+form, closure sets and fragment classification.  Formulas are immutable
+slotted objects that hash and compare structurally, so they can be used as
+dictionary keys throughout the package; each constructor computes its
+node's hash and size from its children's, so building a node is O(1).
 
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
@@ -15,7 +16,6 @@ for them either; both read one operator table.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -34,15 +34,46 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Standpoint:
+class _Immutable:
+    """A slotted value whose fields no one assigns: assigning to or
+    deleting an attribute raises ``AttributeError``, and constructors set
+    their fields through the slot descriptors.  The hash is cached in the
+    ``_hash`` slot at construction; ``_FIELDS`` lists the constructor's
+    arguments, for pickling and ``repr``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, _value=None):  # also __delattr__
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS[type(self)])
+        return f"{type(self).__name__}({fields})"
+
+
+class Standpoint(_Immutable):
     """A named standpoint; ``*`` is the universal one."""
 
-    name: str
+    __slots__ = ("name", "_hash")
 
-    def __post_init__(self):
-        if self.name != "*" and not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"bad standpoint name: {self.name!r}")
+    def __init__(self, name: str):
+        if name != "*" and not _NAME_RE.fullmatch(name):
+            raise ValueError(f"bad standpoint name: {name!r}")
+        _SET_SP_NAME(self, name)
+        _SET_SP_HASH(self, hash(name))
+
+    def __eq__(self, other):
+        return self is other or type(other) is Standpoint and self.name == other.name
+
+    __hash__ = _Immutable.__hash__
 
     @property
     def is_universal(self) -> bool:
@@ -52,44 +83,54 @@ class Standpoint:
         return "@" + self.name
 
 
+_SET_SP_NAME = Standpoint.name.__set__
+_SET_SP_HASH = Standpoint._hash.__set__
 UNIVERSAL = Standpoint("*")
 
 
-class Formula:
+class Formula(_Immutable):
     """Base class of all formula nodes.
 
-    Instances are frozen dataclasses.  Hash and node count are computed once
-    at construction (children are already built, so both are O(#fields)).
+    Nodes are immutable.  Each constructor computes the node's structural
+    hash and node count from its children's cached ones, in O(1), with a
+    class tag (``_tag``) in the hash.  Equality is structural too: it
+    returns early on identity, then on class and hash, and only then
+    compares fields (``_same``).  ``vocab`` memoises its result on the node
+    it reads, in the ``_vocab`` slot.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_size", "_vocab")
 
-    def __post_init__(self):
-        cls = type(self)
-        parts = [cls.__name__]
-        parts.extend(getattr(self, name) for name in _FIELDS[cls])
-        n = 1 + sum(getattr(self, name)._size for name in _CHILD_FIELDS[cls])
-        object.__setattr__(self, "_hash", hash(tuple(parts)))
-        object.__setattr__(self, "_size", n)
+    def __init__(self):  # the constants
+        _SET_HASH(self, self._tag)
+        _SET_SIZE(self, 1)
 
-    def __hash__(self):
-        return self._hash
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self) and self._hash == other._hash and _same(self, other)
+        )
+
+    __hash__ = _Immutable.__hash__
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+_SET_HASH = Formula._hash.__set__
+_SET_SIZE = Formula._size.__set__
+_SET_VOCAB = Formula._vocab.__set__
+
+
 class Top(Formula):
-    pass
+    __slots__ = ()
+    _tag = 1
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
+    _tag = 2
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
     """Propositional variable.
 
@@ -98,82 +139,151 @@ class Prop(Formula):
     the ``$`` prefix are reserved for generated variables.
     """
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _valid_prop_name(self.name):
-            raise ValueError(f"bad proposition name: {self.name!r}")
-        super().__post_init__()
+    def __init__(self, name: str):
+        if not _valid_prop_name(name):
+            raise ValueError(f"bad proposition name: {name!r}")
+        _SET_PROP_NAME(self, name)
+        _SET_HASH(self, hash((3, name)))
+        _SET_SIZE(self, 1)
+
+    def __eq__(self, other):
+        return self is other or type(other) is Prop and self.name == other.name
+
+    __hash__ = _Immutable.__hash__
 
 
-@dataclass(frozen=True)
 class Sharper(Formula):
     """Sharpening atom: the left standpoint refines the right one."""
 
-    left: Standpoint
-    right: Standpoint
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Standpoint, right: Standpoint):
+        _SET_SHARPER_LEFT(self, left)
+        _SET_SHARPER_RIGHT(self, right)
+        _SET_HASH(self, hash((4, left._hash, right._hash)))
+        _SET_SIZE(self, 1)
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
+class _Unary(Formula):
+    __slots__ = ("operand",)
 
-    def __post_init__(self):
-        if isinstance(self.operand, Not):
+    def __init__(self, operand: Formula):
+        _SET_OPERAND(self, operand)
+        _SET_HASH(self, hash((self._tag, operand._hash)))
+        _SET_SIZE(self, 1 + operand._size)
+
+
+class _Modal(_Unary):
+    __slots__ = ("standpoint",)
+
+    def __init__(self, standpoint: Standpoint, operand: Formula):
+        _SET_STANDPOINT(self, standpoint)
+        _SET_OPERAND(self, operand)
+        _SET_HASH(self, hash((self._tag, standpoint._hash, operand._hash)))
+        _SET_SIZE(self, 1 + operand._size)
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _SET_LEFT(self, left)
+        _SET_RIGHT(self, right)
+        _SET_HASH(self, hash((self._tag, left._hash, right._hash)))
+        _SET_SIZE(self, 1 + left._size + right._size)
+
+
+class Not(_Unary):
+    __slots__ = ()
+    _tag = 5
+
+    def __init__(self, operand: Formula):
+        if type(operand) is Not:
             raise ValueError("double negation is not representable; use neg()")
-        super().__post_init__()
+        _Unary.__init__(self, operand)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+    _tag = 6
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+    _tag = 7
 
 
-@dataclass(frozen=True)
-class DiamondS(Formula):
-    standpoint: Standpoint
-    operand: Formula
+class DiamondS(_Modal):
+    __slots__ = ()
+    _tag = 8
 
 
-@dataclass(frozen=True)
-class BoxS(Formula):
-    standpoint: Standpoint
-    operand: Formula
+class BoxS(_Modal):
+    __slots__ = ()
+    _tag = 9
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    operand: Formula
+class Next(_Unary):
+    __slots__ = ()
+    _tag = 10
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Until(_Binary):
+    __slots__ = ()
+    _tag = 11
 
 
-# Field names of each node class in declaration order, all of them and the
-# Formula-valued ones, read once instead of on every construction and walk.
-_FIELDS: dict[type, tuple[str, ...]] = {}
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
-_REVERSED_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}  # the order a stack pushes
+_SET_PROP_NAME = Prop.name.__set__
+_SET_SHARPER_LEFT = Sharper.left.__set__
+_SET_SHARPER_RIGHT = Sharper.right.__set__
+_SET_OPERAND = _Unary.operand.__set__
+_SET_STANDPOINT = _Modal.standpoint.__set__
+_SET_LEFT = _Binary.left.__set__
+_SET_RIGHT = _Binary.right.__set__
 
-# The generated per-field __hash__ would rehash the whole subtree on every
-# call; keep the cached one from Formula.
-for _cls in (Top, Bottom, Prop, Sharper, Not, And, Or, DiamondS, BoxS, Next, Until):
-    _cls.__hash__ = Formula.__hash__  # type: ignore[method-assign]
-    _FIELDS[_cls] = tuple(fld.name for fld in dataclasses.fields(_cls))
-    _CHILD_FIELDS[_cls] = tuple(
-        fld.name for fld in dataclasses.fields(_cls) if fld.type == "Formula"
-    )
-    _REVERSED_CHILD_FIELDS[_cls] = _CHILD_FIELDS[_cls][::-1]
+# Field names of each class in constructor order, all of them and the
+# Formula-valued ones, read once instead of on every walk.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    Standpoint: ("name",), Top: (), Bottom: (), Prop: ("name",), Sharper: ("left", "right"),
+    Not: ("operand",), Next: ("operand",), DiamondS: ("standpoint", "operand"),
+    BoxS: ("standpoint", "operand"), And: ("left", "right"), Or: ("left", "right"),
+    Until: ("left", "right"),
+}
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: () if cls is Sharper else tuple(n for n in names if n not in ("name", "standpoint"))
+    for cls, names in _FIELDS.items()
+}
+_REVERSED_CHILD_FIELDS = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
+
+
+def _same(f: Formula, g: Formula) -> bool:
+    """Structural equality of two nodes of one class and hash.
+
+    Loops down the larger child and recurses only into the smaller one,
+    whose size is at most half, so the depth is at most log2 of the size
+    and no formula is too deep to compare.
+    """
+    while True:
+        if not _CHILD_FIELDS[type(f)]:
+            return all(getattr(f, name) == getattr(g, name) for name in _FIELDS[type(f)])
+        if isinstance(f, _Binary):
+            a, b, c, d = f.left, f.right, g.left, g.right
+            if a._size < b._size:
+                a, b, c, d = b, a, d, c
+            if b != d:
+                return False
+            f, g = a, c
+        elif isinstance(f, _Modal) and f.standpoint != g.standpoint:
+            return False
+        else:
+            f, g = f.operand, g.operand
+        if f is g:
+            return True
+        if type(f) is not type(g) or f._hash != g._hash:
+            return False
+
 
 TOP = Top()
 BOTTOM = Bottom()
@@ -747,7 +857,10 @@ class Vocabulary:
 
 
 def vocab(f: Formula) -> Vocabulary:
-    """Every syntactic verdict on ``f``, from one pre-order scan.
+    """Every syntactic verdict on ``f``, from one pre-order scan, memoised
+    on ``f`` itself: ``classify``, ``SearchBounds.for_formula``, the
+    searches and ``solve`` all read the same formula object, and scan it
+    once between them.
 
     A subtree is a run of ``size`` consecutive pre-order occurrences, so
     the scan knows when it is inside a modal operand by the end of the
@@ -755,6 +868,10 @@ def vocab(f: Formula) -> Vocabulary:
     whenever it occurs or any other standpoint does, since the downstream
     sharpening relation always links standpoints to it.
     """
+    try:
+        return f._vocab
+    except AttributeError:
+        pass
     props: set[str] = set()
     standpoints: set[Standpoint] = set()
     sharpenings: set[tuple[Standpoint, Standpoint]] = set()
@@ -785,4 +902,6 @@ def vocab(f: Formula) -> Vocabulary:
         else Fragment.FULL_SLTL
     )
     sets = map(frozenset, (props, standpoints, sharpenings, modal))
-    return Vocabulary(*sets, fragment, independent)
+    voc = Vocabulary(*sets, fragment, independent)
+    _SET_VOCAB(f, voc)
+    return voc

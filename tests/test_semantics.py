@@ -524,6 +524,27 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
             _assert_sound(f, lo, hi, model, [(1 << t, f"t{t}", 0) for t in types])
 
 
+def test_bind_gives_the_instructions_of_a_fresh_compile():
+    rng = random.Random(41)
+    for _ in range(200):
+        f = random_formula(rng, 4, props=("p", "q"), mode="sltl", max_sharpenings=2)
+        t_count, prefix, period = rng.randint(1, 4), rng.randint(0, 2), rng.randint(1, 2)
+        ids = tuple(range(t_count))
+
+        def assignment():
+            ext = {UNIVERSAL: ids}
+            for sp in (S, T):
+                ext[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
+            return ext
+
+        engine = _IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
+        for _ in range(3):
+            extents = assignment()
+            engine.bind(extents)
+            fresh = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
+            assert engine.instrs == fresh.instrs
+
+
 def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
     # the bounded search's use: every trace present, cells partly assigned
     # an engine compiled under one standpoint assignment and bound to a

@@ -7,7 +7,7 @@ import pytest
 from conftest import S, T, U, psl_brute_sat, random_formula
 
 import sltl.solver as solver_mod
-from sltl import automaton, psl, semantics
+from sltl import automaton, psl, semantics, syntax
 from sltl.semantics import SearchBounds, bounded_search, evaluate, model_to_json
 from sltl.automaton import find_accepting_lasso
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
@@ -38,6 +38,35 @@ def run_grid_parameters(phi_d):
         for i in range(len(m.family))
     )
     return len(models[0].family), most
+
+
+def _count_vocabularies(monkeypatch) -> list:
+    built = []
+    real = syntax.Vocabulary
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(syntax, "Vocabulary", counting)
+    return built
+
+
+def test_solve_scans_a_full_sltl_input_once(monkeypatch):
+    built = _count_vocabularies(monkeypatch)
+    f = parse("<@s> X p & [@t] F !q & (@s <= @t)")
+    opts = SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 1))
+    assert solve(f, opts).fragment is Fragment.FULL_SLTL
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("text", ["X p & <@s> p", "X p & <@s> (p & true)"])
+def test_solve_scans_an_ltl_psl_input_and_its_simplification(monkeypatch, text):
+    # the automaton reads simplify(f), a second formula only when it differs
+    built = _count_vocabularies(monkeypatch)
+    f = parse(text)
+    assert solve(f).fragment is Fragment.LTL_PSL
+    assert len(built) == 1 + (simplify(f) is not f)
 
 
 def test_routing_by_fragment():

@@ -9,6 +9,7 @@ from conftest import S, T, random_formula, iter_models
 
 from sltl.semantics import check_product_formula, evaluate
 from sltl.syntax import (
+    _FIELDS,
     And,
     BOTTOM,
     BoxS,
@@ -36,6 +37,7 @@ from sltl.syntax import (
     neg,
     nodes,
     parse,
+    rebuild,
     simplify,
     size,
     subformulas,
@@ -194,6 +196,67 @@ def test_print_answers_formulas_deeper_than_the_recursion_limit(text):
     assert printed == text
 
 
+def _change_leaf(f: Formula, k: int) -> Formula:
+    """``f`` with its ``k``-th leaf occurrence (in post-order) replaced by a
+    proposition that occurs in no random formula."""
+    count = iter(range(size(f)))
+
+    def step(g, kids):
+        if not kids and next(count) == k:
+            return Prop("r")
+        return rebuild(g, kids)
+
+    return fold(f, step)
+
+
+def test_node_invariants_on_random_formulas():
+    for seed in range(300):
+        f = random_formula(random.Random(seed), 4, max_sharpenings=2)
+        g = random_formula(random.Random(seed), 4, max_sharpenings=2)
+        assert f == g and hash(f) == hash(g)
+        assert size(f) == len(list(nodes(f)))
+        leaves = sum(1 for h in nodes(f) if not children(h))
+        changed = _change_leaf(g, random.Random(seed).randrange(leaves))
+        assert changed != f and f != changed
+        for h in nodes(f):
+            for name in (*_FIELDS[type(h)], "_hash", "_size"):
+                with pytest.raises(AttributeError):
+                    setattr(h, name, TOP)
+                with pytest.raises(AttributeError):
+                    delattr(h, name)
+        with pytest.raises(AttributeError):
+            S.name = "t"
+        assert parse(to_text(f)) == f
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda f, i: DiamondS(S, f),
+        lambda f, i: And(f, Prop(f"q{i % 7}")),
+        lambda f, i: Until(Prop(f"q{i % 7}"), f),
+    ],
+    ids=["diamond", "left-and", "right-until"],
+)
+def test_equality_of_deep_formulas_does_not_recurse(wrap):
+    def chain(bottom):
+        f = bottom
+        for i in range(10_000):
+            f = wrap(f, i)
+        return f
+
+    a, b = chain(Prop("p")), chain(Prop("p"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != chain(Prop("r")) and chain(Prop("r")) != a
+
+
+def test_closure_of_two_equal_deep_chains():
+    # two separately parsed equal subtrees meet in the closure's member set
+    chain = "<@s> " * 1_500 + "p"
+    cl = closure(parse(f"({chain}) | ({chain})"))
+    assert len(cl) == 2
+
+
 def test_size_counts_nodes():
     assert size(Prop("p")) == 1
     assert size(parse("p U q")) == 3
@@ -250,8 +313,6 @@ def test_nnf_shape_predicate():
 
 
 def test_nnf_answers_formulas_deeper_and_wider_than_the_recursion_limit():
-    # results are compared through the printer, which loops: the generated
-    # ``__eq__`` of two distinct deep formulas recurses by itself
     deep = parse("!" + "X " * _DEEP + "(p & q)")
     want = Or(Not(Prop("p")), Not(Prop("q")))
     for _ in range(_DEEP):
@@ -260,7 +321,7 @@ def test_nnf_answers_formulas_deeper_and_wider_than_the_recursion_limit():
     started = time.perf_counter()
     got_deep, got_wide = to_nnf(deep), to_nnf(Not(wide))
     assert time.perf_counter() - started < 1
-    assert to_text(got_deep) == to_text(want)
+    assert got_deep == want
     each = [to_nnf(Not(eventually(Prop(f"p{i}")))) for i in range(2_000)]
     assert to_text(got_wide) == to_text(disj(each)) and is_nnf(got_wide)
 
@@ -494,9 +555,6 @@ def _wide_chain() -> Formula:
     """5,000 conjoined ``F p_i``: a left-deep And spine."""
     return conj([eventually(Prop(f"p{i}")) for i in range(_DEPTH)])
 
-
-# Results are compared through size, classify and vocab: the generated
-# ``__eq__`` of two distinct 5,000-deep formulas recurses by itself.
 
 def test_nodes_and_fold_visit_every_occurrence_of_deep_formulas():
     for f in (_deep_chain(), _wide_chain()):
