@@ -9,7 +9,10 @@ formulas), because the consistency equations force its Boolean and Until
 members; so a state is an ``int`` whose bit ``b`` is set when
 ``StateSpace.base[b]`` is true.  Enumeration branches on the base members
 that fix successors and acceptance sets and reads the others off a grid
-model, which it keeps for the witness (see ``StateSpace``).  It prunes
+model, which it keeps for the witness (see ``StateSpace``).  Without
+modal members and sharpening atoms a state whose temporal-free conjuncts
+are decided at its cell needs no grid: its model is the one cell of its
+propositions, every grid-decided one false.  It prunes
 with the interval engine of ``semantics``, whose leaves are the base
 members: each Until member unfolds to ``b | (a & X(a U b))`` over its
 next-step companion, and one sweep evaluates up to 1,024 assignments of
@@ -100,6 +103,17 @@ class StateSpace:
     where the engine's bounds of each Until member and its right operand
     are exact: every base member beneath them branches.
 
+    A space whose base has no modal member and no sharpening atom (a
+    PureLTL closure, or a PSL one without standpoints) has a grid of one
+    column, and a state's branch literals are propositions.  Where its
+    temporal-free conjuncts are all decided at its cell (every
+    ``successors`` target, and every seeded state that leaves none open)
+    the grid search would return its designated valuation: the branch
+    propositions as their literals and every grid-decided member false.
+    Such a state runs no search, and its grid model is that one cell
+    (``grid_model``).  The first of them still checks the grid's size
+    (``psl.grid_types``), which is where a search would have compiled it.
+
     The enumeration's interval engine runs on ``2^w`` one-position cells,
     one per assignment of the last ``w`` branch members (the tail), where
     ``w`` is at most ``_TAIL_WIDTH``; the depth-first walk assigns the
@@ -115,7 +129,8 @@ class StateSpace:
     model iff it has any model on the family.  Searches are memoised by
     the conjuncts they search; ``grid_solves`` counts those run, which
     share ``budget`` (see ``psl.grid_model_for``), by default
-    DEFAULT_NODE_LIMIT nodes.
+    DEFAULT_NODE_LIMIT nodes.  Grids are compiled lazily, at the first
+    search on their family.
     """
 
     def __init__(
@@ -134,6 +149,10 @@ class StateSpace:
         voc = vocab(cl.seed)
         self.universe = set(voc.standpoints) | {UNIVERSAL}
         self.props = voc.props
+        # no modal member and no sharpening atom: states that leave no
+        # conjunct open need no grid; the first of them checks its size
+        self._gridless = not any(isinstance(g, (Sharper, DiamondS, BoxS)) for g in self.base)
+        self._unsized = self._gridless
         # the seed's temporal-free conjuncts, and the subformulas of the
         # others; without next-step members no conjunct has a temporal
         # operator, and without temporal-free conjuncts every base member
@@ -225,14 +244,16 @@ class StateSpace:
 
         Each assignment runs one grid search of its branch literals and,
         when the seed is required, of the seed's temporal-free conjuncts it
-        leaves open; its state is the assignment with the grid-decided
-        members the model shows true, and ``accepting`` records its
-        acceptance bits.  Once the first assignment of a required seed
-        fails, those conjuncts without atoms are searched once, unmemoised,
-        on the family of no true atoms: a model on any family copies there
-        column by column and keeps the truth of every formula without
-        atoms, so when they fail no assignment has a model.  Each
-        assignment counts as a generated state."""
+        leaves open, except where the space has no standpoints and it
+        leaves none open (see the class docstring); its state is the
+        assignment with the grid-decided members the model shows true, and
+        ``accepting`` records its acceptance bits.  Once the first
+        assignment of a required seed fails, those conjuncts without atoms
+        are searched once, unmemoised, on the family of no true atoms: a
+        model on any family copies there column by column and keeps the
+        truth of every formula without atoms, so when they fail no
+        assignment has a model.  Each assignment counts as a generated
+        state."""
         sweep, full = self._engine.sweep, self._engine.full
         checks = [(self._engine.slot[f], req) for f, req in constraints]
         seeded = (self._engine.slot[self.closure.seed], True) in checks
@@ -283,13 +304,18 @@ class StateSpace:
                     return
             state = sum((t >> c & 1) << b for b, t in enumerate(tm))
             opened = [g for s, g in self._parts if not lo[s] >> c & 1] if seeded else []
-            found = self._search((state & self._literal_bits, *opened))
-            if found is None:
-                first_failed = n == 0 and seeded
-                continue
-            present, dv, decided = found
-            state |= decided
-            self._models.setdefault(state, (present, dv))
+            if self._gridless and not opened:
+                if self._unsized:
+                    psl.grid_types(1, len(self.props), self.budget)
+                    self._unsized = False
+            else:
+                found = self._search((state & self._literal_bits, *opened))
+                if found is None:
+                    first_failed = n == 0 and seeded
+                    continue
+                present, dv, decided = found
+                state |= decided
+                self._models.setdefault(state, (present, dv))
             self.accepting[state] = sum(
                 1 << i for i, (u, r) in enumerate(self._untils)
                 if not lo[u] >> c & 1 or lo[r] >> c & 1
@@ -322,7 +348,13 @@ class StateSpace:
 
     def grid_model(self, state: int) -> Optional[psl.PSLModel]:
         """The grid model a state was read off, or None for a state that no
-        enumeration yielded."""
+        enumeration yielded.  Without standpoints it is the one cell of the
+        state's propositions, as ``expand`` would build it from any search
+        (see the class docstring)."""
+        if self._gridless:
+            if state not in self.accepting:
+                return None
+            return psl.PSLModel((frozenset({UNIVERSAL}),), 1, {(0, 1): self.true_props(state)})
         found = self._models.get(state)
         return None if found is None else psl.expand(self.grid(state), *found)
 

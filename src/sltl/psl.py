@@ -11,7 +11,10 @@ present types.  The search answers with those presence sets, and
 padded to the column that carries the most.  The automaton decides PSL
 inputs too, one grid search per state literal set (see
 ``automaton.StateSpace``): this module supplies the families, the compiled
-grids, the search and the models.
+grids, their size check (``grid_types``), the search and the models.  A
+state of an input without standpoints that leaves no conjunct open runs
+no search: its model is the one cell of its propositions, and only the
+size check runs, once.
 """
 
 from __future__ import annotations
@@ -98,8 +101,9 @@ class CompiledGrid:
     atoms relates them (the label set of ``a`` is a column).  A grid with
     more types than ``budget``'s node limit, or than DEFAULT_NODE_LIMIT
     where that is larger (see ``grid_model_for``), is refused with
-    SearchLimitError before any table is built: the tables stay as small as
-    at the default limit, and the node count still bounds the search.
+    SearchLimitError before any table is built (``grid_types``): the tables
+    stay as small as at the default limit, and the node count still bounds
+    the search.
     """
 
     def __init__(
@@ -109,15 +113,7 @@ class CompiledGrid:
         self.family = family
         self.props = tuple(sorted(props))
         self.v_count = v_count = 1 << len(self.props)
-        n_types = len(family) * v_count
-        limit = max(budget[1], DEFAULT_NODE_LIMIT)
-        if n_types > limit:
-            # the tables below grow with the type count, which is printed
-            # as a power: 2^props may have more digits than str() allows
-            raise SearchLimitError(limit, "grid search", (
-                f"grid search refused a grid of {len(family)} x 2^{len(self.props)} "
-                f"types (columns x 2^propositions), over its limit of {limit} types"
-            ))
+        n_types = grid_types(len(family), len(self.props), budget)
         self.full = (1 << n_types) - 1
         self.col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
         extents = {UNIVERSAL: tuple(range(n_types))}
@@ -136,6 +132,21 @@ class CompiledGrid:
             self.engine = _IntervalEngine(formulas, n_types, 0, 1, extents, leaves)
         except KeyError as exc:
             raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
+
+
+def grid_types(columns: int, n_props: int, budget: list[int]) -> int:
+    """The type count ``columns x 2^n_props`` of a grid, or SearchLimitError
+    when it exceeds ``budget``'s node limit and DEFAULT_NODE_LIMIT both:
+    a grid's tables grow with its type count, so no larger grid is built."""
+    n_types = columns << n_props
+    limit = max(budget[1], DEFAULT_NODE_LIMIT)
+    if n_types > limit:
+        # printed as a power: 2^props may have more digits than str() allows
+        raise SearchLimitError(limit, "grid search", (
+            f"grid search refused a grid of {columns} x 2^{n_props} "
+            f"types (columns x 2^propositions), over its limit of {limit} types"
+        ))
+    return n_types
 
 
 def grid_model_for(

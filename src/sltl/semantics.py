@@ -253,7 +253,7 @@ def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formu
 # Interval engine: three-valued truth bounds over a partially assigned model
 
 _OP_CONST, _OP_LEAF, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
-_OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 12)
+_OP_TOP, _OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 13)
 
 
 class _IntervalEngine:
@@ -266,20 +266,24 @@ class _IntervalEngine:
     coincide once every relevant cell and every presence bit is assigned.
     Modalities quantify over the present traces of their extent.
 
-    The formulas are compiled once per lasso shape (trace count, prefix,
-    period) into a program, one slot per compiled formula (``slot``), whose
-    modal instructions name their standpoint and whose sharpening atoms name
-    their two standpoints.  ``bind`` turns the program into the instruction
-    list for one standpoint assignment: extent masks go into the modal
-    instructions and each sharpening atom folds to a constant.  The
-    constructor binds ``extents``; the bounded search rebinds one engine
-    for every standpoint assignment of a shape.  ``sweep`` interprets the
-    bound instructions.  Leaves are the formulas of the ``leaves`` map,
-    whose cells are read from the ``tm``/``fm`` entry it names.  An Until
-    whose companion ``X(a U b)`` is a leaf compiles to ``b | (a & X(a U b))``,
-    which holds on every lasso.  On a one-position lasso (``L == 1``) a cell
-    is a trace, ``X a`` is ``a``, ``a U b`` is ``b`` and a modality is one
-    mask test, which knows that no extent is empty in a completion.
+    The formulas are compiled into a program, one slot per compiled formula
+    (``slot``), whose modal instructions name their standpoint and whose
+    sharpening atoms name their two standpoints.  The program depends on
+    the lasso shape (trace count, prefix, period) only through ``L == 1``,
+    so ``reshape`` moves an engine to any shape with the same ``L == 1``.
+    ``bind`` turns the program into the instruction list for one standpoint
+    assignment at the current shape: extent masks go into the modal
+    instructions, each sharpening atom folds to a constant and ``TOP`` to
+    the mask of every cell.  The constructor binds ``extents``; the bounded
+    search compiles one engine per value of ``L == 1``, and reshapes and
+    rebinds it for every shape and standpoint assignment.  ``sweep``
+    interprets the bound instructions.  Leaves are the formulas of the
+    ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
+    names.  An Until whose companion ``X(a U b)`` is a leaf compiles to
+    ``b | (a & X(a U b))``, which holds on every lasso.  On a one-position
+    lasso (``L == 1``) a cell is a trace, ``X a`` is ``a``, ``a U b`` is
+    ``b`` and a modality is one mask test, which knows that no extent is
+    empty in a completion.
 
     Three searches run on it: the bounded search (propositions as leaves,
     every trace present), the PSL grid search (a one-position lasso whose
@@ -297,19 +301,8 @@ class _IntervalEngine:
         extents: dict[Standpoint, tuple[int, ...]],
         leaves: dict[Formula, int],
     ):
-        L = prefix + period
-        self.L = L
-        self.prefix = prefix
-        block = (1 << L) - 1
-        self.block0 = block
-        self.repl = sum(1 << (t * L) for t in range(t_count))
-        self.full = block * self.repl
-        self.keep = self.full ^ (self.repl << (L - 1))
-        # shifts that OR every trace's block into block 0
-        self.folds = tuple(
-            L << j for j in range(t_count.bit_length()) if 1 << j < t_count
-        )
-        one = L == 1
+        self.reshape(t_count, prefix, period)
+        one = self.L == 1
 
         program: list[tuple[int, int, int, object]] = []
         slot: dict[Formula, int] = {}
@@ -328,7 +321,7 @@ class _IntervalEngine:
                 slot[g] = compile_node(children(g)[-1])
                 return slot[g]
             if isinstance(g, Top):
-                ins = (_OP_CONST, 0, 0, (self.full, self.full))
+                ins = (_OP_TOP, 0, 0, None)
             elif isinstance(g, Bottom):
                 ins = (_OP_CONST, 0, 0, (0, 0))
             elif isinstance(g, Sharper):
@@ -366,18 +359,35 @@ class _IntervalEngine:
         del compile_node
         self.program = program
         self.slot = slot
-        # the instructions that name standpoints, the only ones bind changes
-        self.bound_at = [i for i, ins in enumerate(program) if ins[0] >= _OP_SOME]
+        # TOP and the instructions that name standpoints, the only ones
+        # bind changes
+        self.bound_at = [i for i, ins in enumerate(program) if ins[0] >= _OP_TOP]
         self.bind(extents)
+
+    def reshape(self, t_count: int, prefix: int, period: int) -> None:
+        """Set the lasso shape: ``t_count`` traces of ``prefix + period``
+        nodes each.  The program stays, so the new shape must keep
+        ``L == 1`` as compiled; ``bind`` must follow before a sweep."""
+        L = prefix + period
+        self.L = L
+        self.prefix = prefix
+        self.block0 = block = (1 << L) - 1
+        self.repl = ((1 << t_count * L) - 1) // block
+        self.full = block * self.repl
+        self.keep = self.full ^ (self.repl << (L - 1))
+        # shifts that OR every trace's block into block 0
+        self.folds = tuple(
+            L << j for j in range(t_count.bit_length()) if 1 << j < t_count
+        )
 
     def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
         """Bind the program to one standpoint assignment: each standpoint's
         extent (the indices of its traces) becomes a cell mask (``masks``)
-        in the modal instructions, and each sharpening atom becomes the
-        constant it denotes.  The bound instruction list is a copy of the
-        program patched at ``bound_at``, the indices of those instructions,
-        which the constructor records.  A standpoint missing from
-        ``extents`` is a KeyError."""
+        in the modal instructions, and each sharpening atom and ``TOP``
+        becomes the constant it denotes at the current shape.  The bound
+        instruction list is a copy of the program patched at ``bound_at``,
+        the indices of those instructions, which the constructor records.
+        A standpoint missing from ``extents`` is a KeyError."""
         block, L, full = self.block0, self.L, self.full
         self.masks = masks = {
             sp: sum(block << (t * L) for t in idxs) for sp, idxs in extents.items()
@@ -385,7 +395,9 @@ class _IntervalEngine:
         instrs = self.program.copy()
         for i in self.bound_at:
             op, a, b, aux = instrs[i]
-            if op == _OP_SHARPER:
+            if op == _OP_TOP:
+                instrs[i] = (_OP_CONST, 0, 0, (full, full))
+            elif op == _OP_SHARPER:
                 left, right = aux
                 c = full if masks[left] | masks[right] == masks[right] else 0
                 instrs[i] = (_OP_CONST, 0, 0, (c, c))
@@ -641,8 +653,9 @@ def bounded_search(
     search over every assignment and designated trace.  The search prunes
     with interval bounds but visits witnesses in the plain enumeration
     order, so the first one returned is deterministic.  The interval engine
-    is compiled once per (trace count, prefix, period) shape and bound to
-    each kept assignment of that shape in turn.  Kept assignments are made
+    is compiled once per value of ``prefix + period == 1``, reshaped to
+    each (trace count, prefix, period) shape and bound to each kept
+    assignment of that shape in turn.  Kept assignments are made
     as the search reaches them (the first ones of each trace count come
     from a memo shared by all calls), and every stratum costs the budget a
     node, so a search over many standpoints exits at its node limit rather
@@ -664,11 +677,15 @@ def bounded_search(
     independent = voc.trace_independent
     budget = [node_limit, node_limit]
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
+    engines: dict[bool, _IntervalEngine] = {}  # by prefix + period == 1
     for t_count in range(1, max_traces + 1):
         ids = tuple(range(t_count))
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
-                engine = None
+                one = prefix + period == 1
+                engine = engines.get(one)
+                if engine is not None:
+                    engine.reshape(t_count, prefix, period)
                 for combo in _kept_assignments(len(sps), t_count, 0 if independent else 1):
                     lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
                     reach = {t for sp in voc.modal for t in lam_idx[sp]}
@@ -682,7 +699,9 @@ def bounded_search(
                             prev[t] = last[profile]
                         last[profile] = t
                     if engine is None:
-                        engine = _IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
+                        engine = engines[one] = _IntervalEngine(
+                            [f], t_count, prefix, period, lam_idx, leaves
+                        )
                     else:
                         engine.bind(lam_idx)
                     tm = _search_stratum(engine, f, len(leaves), reach, prev, budget)

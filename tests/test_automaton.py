@@ -238,7 +238,8 @@ def test_counter_enumeration_sweeps_bit_parallel(monkeypatch):
     lasso = find_accepting_lasso(closure(counter_formula(5)))
     assert len(space.branch) == 21
     assert len(sweeps) <= 3_000
-    assert (space.generated, space.grid_solves) == (1_533, 32)
+    # no standpoint and no temporal-free conjunct: no state needs a grid
+    assert (space.generated, space.grid_solves) == (1_533, 0)
     assert (len(lasso.stem), len(lasso.cycle)) == (0, 32)
 
 
@@ -584,7 +585,9 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
     # every search on a shared grid, failed ones included, finds what a
     # grid compiled for its conjunction alone finds; and the model a state
     # was read off is the one-shot model of all its literals, grid-decided
-    # ones included, so reading them off loses no model
+    # ones included, so reading them off loses no model.  A state without
+    # standpoints runs no search (PureLTL spaces here), and its one-cell
+    # model is checked against the one-shot search all the same
     searched = []
     real = psl.grid_model_for
 
@@ -595,9 +598,9 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
 
     monkeypatch.setattr(psl, "grid_model_for", recording)
     rng = random.Random(211)
-    done = searches = states = negated = 0
-    while done < 1_100:
-        mode = ("ltl", "ltl_psl")[done % 2]
+    done = searches = states = negated = gridless = 0
+    while done < 1_650:
+        mode = ("ltl", "ltl_psl", "ltl_psl")[done % 3]
         f = random_formula(rng, 3, mode=mode, max_sharpenings=2)
         if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
             continue
@@ -611,13 +614,14 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
         calls = searched[:]  # the one-shot searches below are recorded too
         for b in enumerated:
             states += 1
+            gridless += space._gridless
             want = _one_shot_grid_model(space, _state_literals(space, b))
             assert space.grid_model(b) == want, to_text(phi_d)
         for conjuncts, model in calls:
             searches += 1
             negated += any(isinstance(g, Not) and isinstance(g.operand, Sharper) for g in conjuncts)
             assert model == _one_shot_grid_model(space, conjuncts), to_text(phi_d)
-    assert searches > 3_000 and states > 3_000 and negated > 200
+    assert searches > 3_000 and states > 3_000 and negated > 200 and gridless > 5_000
 
 
 def test_one_grid_engine_per_label_family(monkeypatch):

@@ -329,6 +329,17 @@ def test_solve_wider_than_the_recursion_limit(capsys):
     assert "at node" not in err
 
 
+def test_grid_refusal_stays_at_the_first_gridless_state(capsys):
+    # no state searches a grid, yet the first one that skips it is refused
+    # as the grid of 2^30 types would have been, before the enumeration runs
+    # to its state limit
+    spec = " & ".join(f"F p{i}" for i in range(30))
+    code, _, err = run(capsys, "solve", spec)
+    assert code == 69, err
+    assert "refused a grid of 1 x 2^30 types" in err
+    assert "at node" not in err
+
+
 def test_bounded_search_wider_than_the_recursion_limit(capsys):
     # 600 propositions give a stratum at least 600 cells: the bounded
     # search walks them with a loop, not a frame each, and finds a model

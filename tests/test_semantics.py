@@ -543,6 +543,21 @@ def test_bind_gives_the_instructions_of_a_fresh_compile():
             engine.bind(extents)
             fresh = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
             assert engine.instrs == fresh.instrs
+        # reshaped to another shape with the same L == 1, and bound there,
+        # it is a fresh compile at that shape: its masks and instructions
+        for _ in range(3):
+            t_count = rng.randint(1, 4)
+            if engine.L == 1:
+                prefix, period = 0, 1
+            else:
+                prefix, period = rng.choice([(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
+            ids = tuple(range(t_count))
+            extents = assignment()
+            engine.reshape(t_count, prefix, period)
+            engine.bind(extents)
+            fresh = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
+            shape = ("L", "prefix", "block0", "repl", "full", "keep", "folds", "masks", "instrs")
+            assert [getattr(engine, a) for a in shape] == [getattr(fresh, a) for a in shape]
 
 
 def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():

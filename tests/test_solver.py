@@ -251,19 +251,23 @@ def test_multi_atom_inputs_agree_with_bounded_search():
 
 
 def test_node_limit_is_not_spent_on_root_failures():
-    # the counter's states each force one valuation of four bits; tried in
-    # turn, the valuations before it took 136 nodes in all, and 16, one per
-    # grid search, is the least budget it answers under
-    f = counter_formula(4)
+    # the modal member makes every state search a grid; the counter's
+    # states each force one valuation of four bits, and q false meets the
+    # diamond at the designated cell; tried in turn, the valuations before
+    # it took 136 nodes in all, and 16, one per grid search, is the least
+    # budget it answers under
+    f = And(counter_formula(4), parse("G <@*> !q"))
     v = solve(f, SolveOptions(node_limit=16))
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
+    with pytest.raises(semantics.SearchLimitError, match="grid search"):
+        solve(f, SolveOptions(node_limit=15))
 
 
 def test_grid_larger_than_the_node_limit_is_searched():
-    # 1,024 types and a search of one node: the grid's tables are bounded
+    # 2,048 types and a search of one node: the grid's tables are bounded
     # by the default limit, the search by the nodes left
-    f = parse("G(" + " & ".join(f"p{i}" for i in range(1, 11)) + ")")
-    v = solve(f, SolveOptions(node_limit=16))
+    f = parse("G(" + " & ".join(f"p{i}" for i in range(1, 11)) + " & <@*> !q)")
+    v = solve(f, SolveOptions(node_limit=1))
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
 
 
@@ -299,6 +303,56 @@ def test_width_escalation_when_negated_boxes_force_cells_apart():
     assert len(v.model.traces) == 2 * 4
     s_traces = sorted(v.model.lam[S])
     assert len({frozenset(v.model.traces[t].valuation(0)) for t in s_traces}) == 4
+
+
+@pytest.mark.parametrize("f", [
+    counter_formula(5),
+    parse("F (" + " & ".join(f"p{i}" for i in range(12)) + ")"),
+], ids=["counter5", "F-of-12"])
+def test_standpoint_free_states_build_no_grid(monkeypatch, f):
+    # every state decides its temporal-free conjuncts at its cell, so its
+    # grid model is its one cell, and no grid is compiled or searched
+    built = []
+    real = psl.CompiledGrid.__init__
+
+    def counting(grid, *args):
+        built.append(args)
+        real(grid, *args)
+
+    monkeypatch.setattr(psl.CompiledGrid, "__init__", counting)
+    v = solve(f)
+    assert v.status == "sat" and check_witness(f, v.model, v.designated)
+    assert built == []
+
+
+def test_gridless_states_give_the_verdicts_of_the_grid(monkeypatch):
+    # the one-cell model of a state without standpoints is the model its
+    # grid search gave: the same verdict JSON, witness included
+    rng = random.Random(4242)
+    texts = []
+    while len(texts) < 300:
+        f = random_formula(rng, 4, props=("p", "q", "r"), mode="ltl")
+        if classify(f) is Fragment.PURE_LTL:
+            texts.append(to_text(f))
+    gridless = [json.dumps(verdict_to_json(solve(parse(t))), sort_keys=True) for t in texts]
+    real_init = automaton.StateSpace.__init__
+
+    def searching(space, *args):
+        real_init(space, *args)
+        space._gridless = False
+
+    searches = []
+    real_search = psl.grid_model_for
+
+    def recording(grid, conjuncts, budget):
+        searches.append(conjuncts)
+        return real_search(grid, conjuncts, budget)
+
+    monkeypatch.setattr(automaton.StateSpace, "__init__", searching)
+    monkeypatch.setattr(psl, "grid_model_for", recording)
+    searched = [json.dumps(verdict_to_json(solve(parse(t))), sort_keys=True) for t in texts]
+    assert gridless == searched and len(searches) > 600
+    assert {json.loads(v)["status"] for v in gridless} == {"sat", "unsat"}
 
 
 def test_grid_solves_once_per_member_set_and_width(monkeypatch):
