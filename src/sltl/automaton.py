@@ -29,9 +29,9 @@ its own successor, so the first initial state is the lasso.
 
 from __future__ import annotations
 
+import io
 from collections import deque
-from dataclasses import dataclass
-from typing import Container, Iterator, Optional, TextIO
+from collections.abc import Container, Iterator
 
 from . import psl
 from .semantics import DEFAULT_NODE_LIMIT, _IntervalEngine
@@ -48,6 +48,7 @@ from .syntax import (
     Prop,
     Sharper,
     Until,
+    _FrozenRecord,
     neg,
     nodes,
     vocab,
@@ -67,15 +68,19 @@ class AutomatonLimitError(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(_FrozenRecord):
     """Accepting run presented as a stem plus a repeating cycle of states,
     with the grid model each run position's state was read off, stem
     first."""
 
-    stem: tuple[int, ...]
-    cycle: tuple[int, ...]
-    models: tuple[psl.PSLModel, ...]
+    __slots__ = ("stem", "cycle", "models")
+
+    def __init__(
+        self, stem: tuple[int, ...], cycle: tuple[int, ...], models: tuple[psl.PSLModel, ...]
+    ):
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "models", models)
 
 
 class StateSpace:
@@ -135,7 +140,7 @@ class StateSpace:
 
     def __init__(
         self, cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT,
-        budget: Optional[list[int]] = None,
+        budget: list[int] | None = None,
     ):
         self.closure = cl
         self.base: list[Formula] = [
@@ -219,7 +224,7 @@ class StateSpace:
         )
         # a search's present types, designated valuation and decided bits;
         # a state's present types and designated valuation, on its grid
-        self._searches: dict[tuple, Optional[tuple[int, int, int]]] = {}
+        self._searches: dict[tuple, tuple[int, int, int] | None] = {}
         self._models: dict[int, tuple[int, int]] = {}
         self.accepting: dict[int, int] = {}  # acceptance bits by state
         self._grids: dict[int, psl.CompiledGrid] = {}  # by true sharpening atoms
@@ -322,7 +327,7 @@ class StateSpace:
             )
             yield state
 
-    def _search(self, key: tuple) -> Optional[tuple[int, int, int]]:
+    def _search(self, key: tuple) -> tuple[int, int, int] | None:
         """The present types and the designated valuation of a grid model
         of the conjunction ``key`` on the grid of its true atoms, with the
         grid-decided members true at the designated type as state bits, or
@@ -346,7 +351,7 @@ class StateSpace:
         lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
         return sum((lo[grid.engine.slot[g]] >> dv & 1) << b for b, g in self._decided)
 
-    def grid_model(self, state: int) -> Optional[psl.PSLModel]:
+    def grid_model(self, state: int) -> psl.PSLModel | None:
         """The grid model a state was read off, or None for a state that no
         enumeration yielded.  Without standpoints it is the one cell of the
         state's propositions, as ``expand`` would build it from any search
@@ -420,8 +425,8 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 
 def find_accepting_lasso(
-    cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT, budget: Optional[list[int]] = None,
-) -> Optional[Lasso]:
+    cl: ClosureSet, state_limit: int = DEFAULT_STATE_LIMIT, budget: list[int] | None = None,
+) -> Lasso | None:
     """Couvreur's on-the-fly SCC emptiness check from the states holding
     the closure's seed, with lasso extraction.
 
@@ -527,7 +532,7 @@ def _path(
     state, through allowed states, found breadth-first in ``successors``
     order; it starts at its source and ends at its target.  The caller
     knows that one exists."""
-    parent: dict[int, Optional[int]] = {b: None for b in sources}
+    parent: dict[int, int | None] = {b: None for b in sources}
     queue = deque(sources)
     while True:
         b = queue.popleft()
@@ -546,7 +551,7 @@ def _path(
 
 
 def dump_state_graph(
-    cl: ClosureSet, out: TextIO, state_limit: int = DEFAULT_STATE_LIMIT,
+    cl: ClosureSet, out: io.TextIOBase, state_limit: int = DEFAULT_STATE_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> None:
     """Line-oriented dump of the state graph reachable from the states

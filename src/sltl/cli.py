@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from typing import Optional
 
 from .automaton import AutomatonLimitError, DEFAULT_STATE_LIMIT, dump_state_graph
 from .semantics import (
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,8 +19,7 @@ size check runs, once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .syntax import (
     BoxS,
@@ -30,6 +29,7 @@ from .syntax import (
     Prop,
     Standpoint,
     UNIVERSAL,
+    _Record,
 )
 from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
 
@@ -65,18 +65,20 @@ def label_family(
     return (star, *sorted(rest, key=lambda s: (len(s), sorted(x.name for x in s))))
 
 
-@dataclass
-class PSLModel:
+class PSLModel(_Record):
     """Precisifications are the cells of ``family x {1..n}``; the standpoint
     labels of a cell are exactly its column's label set."""
 
-    family: tuple[frozenset[Standpoint], ...]
-    n: int
-    valuation: dict[tuple[int, int], frozenset[str]]
+    __slots__ = ("family", "n", "valuation")
 
-    def __post_init__(self):
-        expected = set(self.cells())
-        if set(self.valuation) != expected:
+    def __init__(
+        self, family: tuple[frozenset[Standpoint], ...], n: int,
+        valuation: dict[tuple[int, int], frozenset[str]],
+    ):
+        self.family = family
+        self.n = n
+        self.valuation = valuation
+        if set(valuation) != set(self.cells()):
             raise ValueError("valuation must cover exactly the grid cells")
 
     def cells(self) -> list[tuple[int, int]]:
@@ -151,7 +153,7 @@ def grid_types(columns: int, n_props: int, budget: list[int]) -> int:
 
 def grid_model_for(
     grid: CompiledGrid, conjuncts: Sequence[Formula], budget: list[int]
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """The present types and the designated valuation of a model of the
     conjunction at the designated type, or None; ``grid`` was compiled
     over the conjuncts, and ``expand`` builds the model.

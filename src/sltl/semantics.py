@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .syntax import (
     And,
@@ -31,7 +30,9 @@ from .syntax import (
     Top,
     UNIVERSAL,
     Until,
-    children,
+    _FrozenRecord,
+    _REVERSED_CHILD_FIELDS,
+    _Record,
     nodes,
     vocab,
 )
@@ -60,15 +61,15 @@ class WitnessFormatError(ValueError):
     """Witness JSON that does not match the documented schema."""
 
 
-@dataclass(frozen=True)
-class UPTrace:
+class UPTrace(_FrozenRecord):
     """Ultimately periodic trace: ``prefix`` then ``period`` forever."""
 
-    prefix: tuple[frozenset[str], ...]
-    period: tuple[frozenset[str], ...]
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, prefix: tuple[frozenset[str], ...], period: tuple[frozenset[str], ...]):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period", period)
+        if not period:
             raise ModelError("a trace needs a non-empty period")
 
     def valuation(self, i: int) -> frozenset[str]:
@@ -77,28 +78,31 @@ class UPTrace:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
 
-@dataclass
-class SLTLModel:
+class SLTLModel(_Record):
     """A finite set of same-shaped traces plus the standpoint assignment.
 
     Immutable by convention after construction; nothing here mutates it.
     """
 
-    traces: dict[str, UPTrace]
-    lam: dict[Standpoint, frozenset[str]]
-    prefix_len: int
-    period_len: int
+    __slots__ = ("traces", "lam", "prefix_len", "period_len")
 
-    def __post_init__(self):
-        if not self.traces:
+    def __init__(
+        self, traces: dict[str, UPTrace], lam: dict[Standpoint, frozenset[str]],
+        prefix_len: int, period_len: int,
+    ):
+        self.traces = traces
+        self.lam = lam
+        self.prefix_len = prefix_len
+        self.period_len = period_len
+        if not traces:
             raise ModelError("a model needs at least one trace")
-        ids = frozenset(self.traces)
-        for tid, tr in self.traces.items():
-            if len(tr.prefix) != self.prefix_len or len(tr.period) != self.period_len:
+        ids = frozenset(traces)
+        for tid, tr in traces.items():
+            if len(tr.prefix) != prefix_len or len(tr.period) != period_len:
                 raise ModelError(f"trace {tid!r} does not match the shared shape")
-        if self.lam.get(UNIVERSAL) != ids:
+        if lam.get(UNIVERSAL) != ids:
             raise ModelError("the universal standpoint must cover every trace")
-        for sp, members in self.lam.items():
+        for sp, members in lam.items():
             if not members:
                 raise ModelError(f"standpoint {sp} has an empty trace set")
             if not members <= ids:
@@ -115,36 +119,37 @@ class SLTLModel:
         return self.prefix_len + self.period_len
 
 
-@dataclass
-class ProductModel:
+class ProductModel(_Record):
     """A model of the product of linear time with an S5 cloud of traces.
 
     Same trace data as an SLTL model, with the total accessibility relation
     left implicit and no standpoint assignment.
     """
 
-    traces: dict[str, UPTrace]
-    prefix_len: int
-    period_len: int
+    __slots__ = ("traces", "prefix_len", "period_len")
+
+    def __init__(self, traces: dict[str, UPTrace], prefix_len: int, period_len: int):
+        self.traces = traces
+        self.prefix_len = prefix_len
+        self.period_len = period_len
 
     def as_sltl(self) -> SLTLModel:
         ids = frozenset(self.traces)
         return SLTLModel(dict(self.traces), {UNIVERSAL: ids}, self.prefix_len, self.period_len)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(_FrozenRecord):
     """Bounds of the brute-force search, with an explicit vocabulary."""
 
-    max_traces: int
-    max_prefix: int
-    max_period: int
-    props: tuple[str, ...]
+    __slots__ = ("max_traces", "max_prefix", "max_period", "props")
 
-    def __post_init__(self):
-        if self.max_traces < 1 or self.max_period < 1 or self.max_prefix < 0:
+    def __init__(self, max_traces: int, max_prefix: int, max_period: int, props: tuple[str, ...]):
+        if max_traces < 1 or max_period < 1 or max_prefix < 0:
             raise ValueError("bounds must allow at least one trace and period position")
-        object.__setattr__(self, "props", tuple(sorted(set(self.props))))
+        object.__setattr__(self, "max_traces", max_traces)
+        object.__setattr__(self, "max_prefix", max_prefix)
+        object.__setattr__(self, "max_period", max_period)
+        object.__setattr__(self, "props", tuple(sorted(set(props))))
 
     @staticmethod
     def for_formula(f: Formula, max_traces: int, max_prefix: int, max_period: int) -> "SearchBounds":
@@ -311,15 +316,35 @@ class _IntervalEngine:
             g.operand: g for g in leaves if isinstance(g, Next) and isinstance(g.operand, Until)
         }
 
-        def compile_node(g: Formula) -> int:
-            if g in slot:
-                return slot[g]
-            if isinstance(g, Until) and g in unfold:
-                slot[g] = compile_node(Or(g.right, And(g.left, unfold[g])))
-                return slot[g]
-            if one and isinstance(g, (Next, Until)):
-                slot[g] = compile_node(children(g)[-1])
-                return slot[g]
+        for g, i in leaves.items():
+            slot[g] = len(program)
+            program.append((_OP_LEAF, 0, 0, i))
+        # a post-order over an explicit stack, children before parents:
+        # ``(g, None)`` asks for g's slot, ``(g, True)`` comes back to g once
+        # its children have theirs, and ``(g, h)`` once h, whose slot g
+        # shares, has its own
+        stack: list[tuple[Formula, object]] = [(g, None) for g in reversed(formulas)]
+        while stack:
+            g, ready = stack.pop()
+            if ready is None:
+                if g in slot:
+                    continue
+                cls = type(g)
+                if cls is Until and g in unfold:
+                    alias = Or(g.right, And(g.left, unfold[g]))
+                elif one and (cls is Next or cls is Until):
+                    alias = g.operand if cls is Next else g.right
+                else:
+                    stack.append((g, True))
+                    for name in _REVERSED_CHILD_FIELDS[cls]:
+                        stack.append((getattr(g, name), None))
+                    continue
+                stack.append((g, alias))
+                stack.append((alias, None))
+                continue
+            if ready is not True:
+                slot[g] = slot[ready]
+                continue
             if isinstance(g, Top):
                 ins = (_OP_TOP, 0, 0, None)
             elif isinstance(g, Bottom):
@@ -327,36 +352,25 @@ class _IntervalEngine:
             elif isinstance(g, Sharper):
                 ins = (_OP_SHARPER, 0, 0, (g.left, g.right))
             elif isinstance(g, Not):
-                ins = (_OP_NOT, compile_node(g.operand), 0, None)
+                ins = (_OP_NOT, slot[g.operand], 0, None)
             elif isinstance(g, And):
-                ins = (_OP_AND, compile_node(g.left), compile_node(g.right), None)
+                ins = (_OP_AND, slot[g.left], slot[g.right], None)
             elif isinstance(g, Or):
-                ins = (_OP_OR, compile_node(g.left), compile_node(g.right), None)
+                ins = (_OP_OR, slot[g.left], slot[g.right], None)
             elif isinstance(g, Next):
-                ins = (_OP_NEXT, compile_node(g.operand), 0, None)
+                ins = (_OP_NEXT, slot[g.operand], 0, None)
             elif isinstance(g, Until):
-                ins = (_OP_UNTIL, compile_node(g.left), compile_node(g.right), None)
+                ins = (_OP_UNTIL, slot[g.left], slot[g.right], None)
             elif isinstance(g, DiamondS):
                 op = _OP_SOME if one else _OP_SOME_AT
-                ins = (op, compile_node(g.operand), 0, g.standpoint)
+                ins = (op, slot[g.operand], 0, g.standpoint)
             elif isinstance(g, BoxS):
                 op = _OP_ALL if one else _OP_ALL_AT
-                ins = (op, compile_node(g.operand), 0, g.standpoint)
+                ins = (op, slot[g.operand], 0, g.standpoint)
             else:
                 raise TypeError(f"neither a leaf nor a connective: {g!r}")
             slot[g] = len(program)
             program.append(ins)
-            return slot[g]
-
-        for g, i in leaves.items():
-            slot[g] = len(program)
-            program.append((_OP_LEAF, 0, 0, i))
-        for g in formulas:
-            compile_node(g)
-        # compile_node's closure holds compile_node itself and the engine,
-        # a cycle that only the cyclic garbage collector would free;
-        # emptying its cell frees the engine once no one refers to it
-        del compile_node
         self.program = program
         self.slot = slot
         # TOP and the instructions that name standpoints, the only ones
@@ -482,7 +496,7 @@ def _search_stratum(
     reach: set[int],
     prev: dict[int, int],
     budget: list[int],
-) -> Optional[list[int]]:
+) -> list[int] | None:
     """The first valuation of one (traces, shape, standpoint assignment)
     stratum that satisfies ``f`` at trace 0, position 0, as one mask of
     true cells per proposition, or None.
@@ -637,7 +651,7 @@ def bounded_search(
     bounds: SearchBounds,
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
-) -> Optional[tuple[SLTLModel, str]]:
+) -> tuple[SLTLModel, str] | None:
     """First model of ``f`` within the bounds, or None if none exists there.
 
     Enumeration order: trace count ascending, then (prefix, period)
@@ -724,7 +738,7 @@ def bounded_search_product(
     bounds: SearchBounds,
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
-) -> Optional[tuple[ProductModel, str]]:
+) -> tuple[ProductModel, str] | None:
     """Bounded search under product-logic semantics, at position 0."""
     check_product_formula(f)
     found = bounded_search(f, bounds, node_limit=node_limit)

@@ -10,8 +10,7 @@ rigid state bits, and the verdict's partition is read off the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from . import psl
 from .automaton import (
@@ -34,6 +33,7 @@ from .syntax import (
     Fragment,
     Standpoint,
     Vocabulary,
+    _Record,
     classify,
     closure,
     simplify,
@@ -43,28 +43,48 @@ from .syntax import (
 from .translate import Partition, sltl_to_product
 
 
-@dataclass
-class SolveOptions:
-    bounds: Optional[SearchBounds] = None
-    fragment_strict: bool = False
-    attach_translation: bool = False
-    node_limit: int = DEFAULT_NODE_LIMIT
-    state_limit: int = DEFAULT_STATE_LIMIT
+class SolveOptions(_Record):
+    __slots__ = ("bounds", "fragment_strict", "attach_translation", "node_limit", "state_limit")
+
+    def __init__(
+        self, bounds: SearchBounds | None = None, fragment_strict: bool = False,
+        attach_translation: bool = False, node_limit: int = DEFAULT_NODE_LIMIT,
+        state_limit: int = DEFAULT_STATE_LIMIT,
+    ):
+        self.bounds = bounds
+        self.fragment_strict = fragment_strict
+        self.attach_translation = attach_translation
+        self.node_limit = node_limit
+        self.state_limit = state_limit
 
 
-@dataclass
-class Verdict:
+class Verdict(_Record):
     """Outcome of ``solve``; satisfiable verdicts carry a checked witness."""
 
-    status: str  # sat | unsat | unknown | out_of_fragment
-    fragment: Fragment
-    engine: Optional[str] = None  # automaton | oracle
-    model: Optional[SLTLModel] = None
-    designated: Optional[str] = None
-    partition: Optional[Partition] = None
-    bounds: Optional[SearchBounds] = None
-    translation: Optional[str] = None
-    psl_model: Optional[psl.PSLModel] = None  # the grid model of a PSL input
+    __slots__ = (
+        "status", "fragment", "engine", "model", "designated", "partition", "bounds",
+        "translation", "psl_model",
+    )
+
+    def __init__(
+        self,
+        status: str,  # sat | unsat | unknown | out_of_fragment
+        fragment: Fragment,
+        engine: str | None = None,  # automaton | oracle
+        model: SLTLModel | None = None, designated: str | None = None,
+        partition: Partition | None = None, bounds: SearchBounds | None = None,
+        translation: str | None = None,
+        psl_model: psl.PSLModel | None = None,  # the grid model of a PSL input
+    ):
+        self.status = status
+        self.fragment = fragment
+        self.engine = engine
+        self.model = model
+        self.designated = designated
+        self.partition = partition
+        self.bounds = bounds
+        self.translation = translation
+        self.psl_model = psl_model
 
     @property
     def is_sat(self) -> bool:
@@ -126,7 +146,7 @@ def _witness_partition(model: SLTLModel, voc: Vocabulary) -> Partition:
     return Partition(plus, atoms - plus)
 
 
-def solve(f: Formula, opts: Optional[SolveOptions] = None) -> Verdict:
+def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
     Inputs without standpoint-scoped temporal operators (PSL, PureLTL and

@@ -17,10 +17,9 @@ for them either; both read one operator table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from functools import reduce
-from typing import Callable, Iterable, Iterator, TypeVar
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -57,6 +56,43 @@ class _Immutable:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS[type(self)])
         return f"{type(self).__name__}({fields})"
+
+
+class _Record:
+    """A plain record whose ``__slots__`` are its fields, in the order of
+    its constructor's arguments: it compares and prints field by field, and
+    pickles through its constructor.  Its fields can be assigned, so it is
+    unhashable; ``_FrozenRecord`` is the immutable kind."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields no one assigns, as in ``_Immutable``: its
+    constructor sets them with ``object.__setattr__``, and it hashes by
+    their values."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _Immutable.__setattr__
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 class Standpoint(_Immutable):
@@ -362,10 +398,7 @@ def nodes(f: Formula) -> Iterator[Formula]:
             stack.append(getattr(g, name))
 
 
-_T = TypeVar("_T")
-
-
-def fold(f: Formula, step: Callable[[Formula, tuple], _T]) -> _T:
+def fold(f: Formula, step: Callable[[Formula, tuple], object]) -> object:
     """Post-order evaluation over every occurrence: ``step(g, kids)`` gets
     the results for ``g``'s children, left to right, and the left subtree
     is folded before the right one."""
@@ -839,8 +872,7 @@ def classify(f: Formula) -> Fragment:
     return vocab(f).fragment
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(_FrozenRecord):
     """What one scan reads off a formula: its propositions, standpoints
     and sharpening atoms; ``modal``, the standpoints that index a
     modality; ``fragment``, the smallest fragment containing it; and
@@ -848,12 +880,19 @@ class Vocabulary:
     modality, so that truth at (trace, position) never reads the current
     trace's own valuation."""
 
-    props: frozenset[str]
-    standpoints: frozenset[Standpoint]
-    sharpenings: frozenset[tuple[Standpoint, Standpoint]]
-    modal: frozenset[Standpoint]
-    fragment: Fragment
-    trace_independent: bool
+    __slots__ = ("props", "standpoints", "sharpenings", "modal", "fragment", "trace_independent")
+
+    def __init__(
+        self, props: frozenset[str], standpoints: frozenset[Standpoint],
+        sharpenings: frozenset[tuple[Standpoint, Standpoint]], modal: frozenset[Standpoint],
+        fragment: Fragment, trace_independent: bool,
+    ):
+        object.__setattr__(self, "props", props)
+        object.__setattr__(self, "standpoints", standpoints)
+        object.__setattr__(self, "sharpenings", sharpenings)
+        object.__setattr__(self, "modal", modal)
+        object.__setattr__(self, "fragment", fragment)
+        object.__setattr__(self, "trace_independent", trace_independent)
 
 
 def vocab(f: Formula) -> Vocabulary:

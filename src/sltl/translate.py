@@ -9,8 +9,7 @@ size-linear in its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .syntax import (
     And,
@@ -26,6 +25,7 @@ from .syntax import (
     TOP,
     UNIVERSAL,
     Until,
+    _FrozenRecord,
     always,
     classify,
     conj,
@@ -39,14 +39,19 @@ from .syntax import (
 from .semantics import check_product_formula
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_FrozenRecord):
     """A truth assignment to the sharpening atoms of a formula, read off
     the witness of an automaton verdict: ``i_plus`` holds the true atoms,
     ``i_minus`` the false ones."""
 
-    i_plus: frozenset[tuple[Standpoint, Standpoint]]
-    i_minus: frozenset[tuple[Standpoint, Standpoint]]
+    __slots__ = ("i_plus", "i_minus")
+
+    def __init__(
+        self, i_plus: frozenset[tuple[Standpoint, Standpoint]],
+        i_minus: frozenset[tuple[Standpoint, Standpoint]],
+    ):
+        object.__setattr__(self, "i_plus", i_plus)
+        object.__setattr__(self, "i_minus", i_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,15 @@ def test_bounded_search_wider_than_the_recursion_limit(capsys):
     assert out.startswith("sat")
 
 
+def test_engine_compiles_wider_than_the_recursion_limit(capsys):
+    # 1,600 disjuncts nest 1,600 deep: the interval engine compiles them
+    # with a loop, not a frame each
+    body = " | ".join(["p", "q"] * 800)
+    code, out, err = run(capsys, "solve", f"!p & !q & ({body})")
+    assert code == 1, err
+    assert out.startswith("unsat")
+
+
 @pytest.mark.parametrize("target, translate", [
     ("strict-until", until_to_strict), ("ptls5", sltl_to_product),
 ])

@@ -1,6 +1,9 @@
-"""Import hygiene of the package, checked on the source with ``ast``."""
+"""Import hygiene of the package, checked on the source with ``ast`` and in
+a fresh interpreter."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,18 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used_or_exported(path):
     assert _unused_imports(path) == []
+
+
+def test_import_loads_neither_dataclasses_nor_typing():
+    # every CLI call pays the package's import time, and these modules cost
+    # more of it than the package itself; -S keeps ``site`` from importing
+    # them first
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sltl; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
