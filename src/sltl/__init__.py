@@ -17,15 +17,13 @@ from .syntax import (
 from .semantics import (
     ProductModel,
     SLTLModel,
-    SearchBounds,
     UPTrace,
-    bounded_search,
-    bounded_search_product,
     evaluate,
     evaluate_product,
     model_from_json,
     model_to_json,
 )
+from .search import SearchBounds, bounded_search, bounded_search_product
 from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
 
 __all__ = [

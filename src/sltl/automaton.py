@@ -13,7 +13,7 @@ model, which it keeps for the witness (see ``StateSpace``).  Without
 modal members and sharpening atoms a state whose temporal-free conjuncts
 are decided at its cell needs no grid: its model is the one cell of its
 propositions, every grid-decided one false.  It prunes
-with the interval engine of ``semantics``, whose leaves are the base
+with the interval engine of ``search``, whose leaves are the base
 members: each Until member unfolds to ``b | (a & X(a U b))`` over its
 next-step companion, and one sweep evaluates up to 1,024 assignments of
 the last branch members, one per cell.  Letters never appear: a
@@ -34,7 +34,7 @@ from collections import deque
 from collections.abc import Container, Iterator
 
 from . import psl
-from .semantics import DEFAULT_NODE_LIMIT, _IntervalEngine
+from .search import DEFAULT_NODE_LIMIT, IntervalEngine
 from .syntax import (
     UNIVERSAL,
     And,
@@ -194,7 +194,7 @@ class StateSpace:
         # the negation of a member, which is compiled after the closure, so
         # that the children of each member are compiled before it
         width = min(_TAIL_WIDTH, len(self.branch))
-        self._engine = _IntervalEngine(
+        self._engine = IntervalEngine(
             [*cl.formulas, *conjuncts], 1 << width, 0, 1, {}, self.base_index
         )
         slot = self._engine.slot

@@ -18,14 +18,8 @@ import os
 import sys
 
 from .automaton import AutomatonLimitError, DEFAULT_STATE_LIMIT, dump_state_graph
-from .semantics import (
-    DEFAULT_NODE_LIMIT,
-    SearchBounds,
-    SearchLimitError,
-    WitnessFormatError,
-    model_from_json,
-    model_to_json,
-)
+from .search import DEFAULT_NODE_LIMIT, SearchBounds, SearchLimitError
+from .semantics import WitnessFormatError, model_from_json, model_to_json
 from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
 from .syntax import (
     Formula,
@@ -195,6 +189,12 @@ def _cmd_gen(args) -> int:
     return EX_OK
 
 
+_SCHEMA_HINT = (
+    "expected the documented witness schema "
+    "{prefix_len, period_len, traces, lambda, designated}"
+)
+
+
 def _cmd_check(args) -> int:
     f = _read_formula(args)
     try:
@@ -203,20 +203,17 @@ def _cmd_check(args) -> int:
     except OSError as exc:
         raise _CliError(EX_NOINPUT, f"cannot read {args.witness}: {exc}") from exc
     except json.JSONDecodeError as exc:
+        raise _CliError(EX_DATAERR, f"witness is not valid JSON ({exc}); {_SCHEMA_HINT}") from exc
+    except RecursionError as exc:
+        # the JSON decoder recurses once per nested array or object
         raise _CliError(
-            EX_DATAERR,
-            f"witness is not valid JSON ({exc}); expected the documented witness schema "
-            "{prefix_len, period_len, traces, lambda, designated}",
+            EX_DATAERR, f"witness JSON is nested too deeply ({exc}); {_SCHEMA_HINT}"
         ) from exc
     try:
         model, designated = model_from_json(data)
         ok = check_witness(f, model, designated)
     except (WitnessFormatError, ValueError) as exc:
-        raise _CliError(
-            EX_DATAERR,
-            f"bad witness: {exc}; expected the documented witness schema "
-            "{prefix_len, period_len, traces, lambda, designated}",
-        ) from exc
+        raise _CliError(EX_DATAERR, f"bad witness: {exc}; {_SCHEMA_HINT}") from exc
     print("witness accepted" if ok else "witness rejected")
     return EX_OK if ok else EX_UNSAT
 

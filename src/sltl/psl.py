@@ -31,7 +31,7 @@ from .syntax import (
     UNIVERSAL,
     _Record,
 )
-from .semantics import DEFAULT_NODE_LIMIT, SearchLimitError, _IntervalEngine
+from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class CompiledGrid:
         ]
         leaves = {Prop(p): i for i, p in enumerate(self.props)}
         try:
-            self.engine = _IntervalEngine(formulas, n_types, 0, 1, extents, leaves)
+            self.engine = IntervalEngine(formulas, n_types, 0, 1, extents, leaves)
         except KeyError as exc:
             raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
 

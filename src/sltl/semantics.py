@@ -1,19 +1,18 @@
-"""Finitely presented models and ground-truth evaluation.
+"""The trust base: lasso models, the satisfaction relation and witness JSON.
 
-Traces are ultimately periodic (a lasso: prefix plus repeating period) and
-every trace of a model shares one shape, so the product of all traces is
-itself a lasso and Until has a finite backward fixpoint.  On top of the
-evaluator sits a bounded brute-force satisfiability search: exhaustive
-within its bounds, sound for SAT, inconclusive for UNSAT.  It prunes with
-the interpreted three-valued interval engine, which the PSL grid search and
-the automaton's state enumeration share.
+A ``sat`` verdict is trusted because its witness satisfies the input
+under ``evaluate``, which follows the satisfaction relation of SLTL on
+ultimately periodic models clause by clause.  Traces are ultimately
+periodic (a lasso: prefix plus repeating period) and every trace of a
+model shares one shape, so Until has a finite backward fixpoint.
+Restricted to the universal standpoint, the same relation is the one of
+the product of linear time with S5 (``evaluate_product``).  This module
+imports nothing of the package but ``syntax``, shares no code with the
+engines it checks, and never recurses: ``syntax.py`` and this file are
+all a reader audits to trust a witness.
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
-from collections.abc import Iterator, Sequence
 
 from .syntax import (
     And,
@@ -31,30 +30,14 @@ from .syntax import (
     UNIVERSAL,
     Until,
     _FrozenRecord,
-    _REVERSED_CHILD_FIELDS,
     _Record,
     nodes,
-    vocab,
+    subformulas,
 )
-
-DEFAULT_NODE_LIMIT = 10_000_000
 
 
 class ModelError(ValueError):
     """Ill-formed model, or evaluation against a model that cannot host it."""
-
-
-class SearchLimitError(RuntimeError):
-    """A search exceeded its node budget, or refused to start because its
-    tables would exceed ``limit`` (``message`` then says so); ``layer``
-    names the search."""
-
-    def __init__(self, limit: int, layer: str = "bounded search", message: str = ""):
-        super().__init__(
-            message or f"{layer} exceeded the node limit of {limit} at node {limit + 1}"
-        )
-        self.limit = limit
-        self.layer = layer
 
 
 class WitnessFormatError(ValueError):
@@ -138,99 +121,81 @@ class ProductModel(_Record):
         return SLTLModel(dict(self.traces), {UNIVERSAL: ids}, self.prefix_len, self.period_len)
 
 
-class SearchBounds(_FrozenRecord):
-    """Bounds of the brute-force search, with an explicit vocabulary."""
-
-    __slots__ = ("max_traces", "max_prefix", "max_period", "props")
-
-    def __init__(self, max_traces: int, max_prefix: int, max_period: int, props: tuple[str, ...]):
-        if max_traces < 1 or max_period < 1 or max_prefix < 0:
-            raise ValueError("bounds must allow at least one trace and period position")
-        object.__setattr__(self, "max_traces", max_traces)
-        object.__setattr__(self, "max_prefix", max_prefix)
-        object.__setattr__(self, "max_period", max_period)
-        object.__setattr__(self, "props", tuple(sorted(set(props))))
-
-    @staticmethod
-    def for_formula(f: Formula, max_traces: int, max_prefix: int, max_period: int) -> "SearchBounds":
-        return SearchBounds(max_traces, max_prefix, max_period, tuple(vocab(f).props))
-
-
 # ---------------------------------------------------------------------------
 # Ground-truth evaluation
 
-class _Evaluator:
-    """Truth vectors of formulas at every lasso node of a fixed model."""
-
-    def __init__(self, model: SLTLModel):
-        self.m = model
-        self.L = model.length
-        self.succ = list(range(1, self.L)) + [model.prefix_len]
-        self.vectors: dict[tuple[str, Formula], list[bool]] = {}
-
-    def vector(self, tid: str, f: Formula) -> list[bool]:
-        key = (tid, f)
-        cached = self.vectors.get(key)
-        if cached is not None:
-            return cached
-        m, L = self.m, self.L
-        if isinstance(f, Top):
-            v = [True] * L
-        elif isinstance(f, Bottom):
-            v = [False] * L
-        elif isinstance(f, Prop):
-            tr = m.traces[tid]
-            v = [f.name in tr.valuation(k) for k in range(L)]
-        elif isinstance(f, Sharper):
-            verdict = self._extent(f.left) <= self._extent(f.right)
-            v = [verdict] * L
-        elif isinstance(f, Not):
-            v = [not x for x in self.vector(tid, f.operand)]
-        elif isinstance(f, And):
-            a, b = self.vector(tid, f.left), self.vector(tid, f.right)
-            v = [x and y for x, y in zip(a, b)]
-        elif isinstance(f, Or):
-            a, b = self.vector(tid, f.left), self.vector(tid, f.right)
-            v = [x or y for x, y in zip(a, b)]
-        elif isinstance(f, DiamondS):
-            vs = [self.vector(t2, f.operand) for t2 in sorted(self._extent(f.standpoint))]
-            v = [any(w[k] for w in vs) for k in range(L)]
-        elif isinstance(f, BoxS):
-            vs = [self.vector(t2, f.operand) for t2 in sorted(self._extent(f.standpoint))]
-            v = [all(w[k] for w in vs) for k in range(L)]
-        elif isinstance(f, Next):
-            a = self.vector(tid, f.operand)
-            v = [a[self.succ[k]] for k in range(L)]
-        elif isinstance(f, Until):
-            a, b = self.vector(tid, f.left), self.vector(tid, f.right)
-            v = [False] * L
-            p = self.m.prefix_len
-            # Least fixpoint on the cycle: two reverse passes reach it, then
-            # one pass propagates through the prefix.
-            for _ in range(2):
-                for k in range(L - 1, p - 1, -1):
-                    v[k] = b[k] or (a[k] and v[self.succ[k]])
-            for k in range(p - 1, -1, -1):
-                v[k] = b[k] or (a[k] and v[k + 1])
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self.vectors[key] = v
-        return v
-
-    def _extent(self, sp: Standpoint) -> frozenset[str]:
-        try:
-            return self.m.lam[sp]
-        except KeyError:
-            raise ModelError(f"standpoint {sp} is not assigned in the model") from None
-
-
 def evaluate(model: SLTLModel, trace_id: str, position: int, f: Formula) -> bool:
-    """Satisfaction at ``(trace, position)``, literally clause by clause."""
+    """Satisfaction at ``(trace, position)``, clause by clause.
+
+    One loop over the distinct subformulas of ``f``, children first, gives
+    each of them one mask per trace, whose bit ``k`` is its truth at lasso
+    node ``k``: Boolean connectives are bit operations, ``X`` moves each
+    bit to the node before it (the last node reads the first node of the
+    period), ``U`` is the least fixpoint of ``u = b | (a & X u)``, and a
+    modality ORs (diamond) or ANDs (box) the masks of its extent's traces,
+    the same mask at every trace.
+    """
     if trace_id not in model.traces:
         raise ModelError(f"unknown trace id {trace_id!r}")
     if position < 0:
         raise ModelError("positions are natural numbers")
-    return _Evaluator(model).vector(trace_id, f)[model.node(position)]
+    lam, L, prefix = model.lam, model.length, model.prefix_len
+    index = {tid: i for i, tid in enumerate(model.traces)}
+    n = len(index)
+    rows = [tr.prefix + tr.period for tr in model.traces.values()]
+    full = (1 << L) - 1
+
+    def extent(sp: Standpoint) -> frozenset[str]:
+        try:
+            return lam[sp]
+        except KeyError:
+            raise ModelError(f"standpoint {sp} is not assigned in the model") from None
+
+    def after(m: int) -> int:
+        """``X``: bit ``k`` of the result is bit ``succ(k)`` of ``m``."""
+        return m >> 1 | (m >> prefix & 1) << (L - 1)
+
+    masks: dict[Formula, list[int]] = {}
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Prop:
+            name = g.name
+            v = [sum(1 << k for k, row in enumerate(vals) if name in row) for vals in rows]
+        elif cls is Not:
+            v = [full ^ a for a in masks[g.operand]]
+        elif cls is And:
+            v = [a & b for a, b in zip(masks[g.left], masks[g.right])]
+        elif cls is Or:
+            v = [a | b for a, b in zip(masks[g.left], masks[g.right])]
+        elif cls is Next:
+            v = [after(a) for a in masks[g.operand]]
+        elif cls is Until:
+            v = []
+            for a, b in zip(masks[g.left], masks[g.right]):
+                u, step = 0, b
+                while step != u:
+                    u, step = step, b | a & after(step)
+                v.append(u)
+        elif cls is DiamondS:
+            operand, m = masks[g.operand], 0
+            for tid in extent(g.standpoint):
+                m |= operand[index[tid]]
+            v = [m] * n
+        elif cls is BoxS:
+            operand, m = masks[g.operand], full
+            for tid in extent(g.standpoint):
+                m &= operand[index[tid]]
+            v = [m] * n
+        elif cls is Sharper:
+            v = [full if extent(g.left) <= extent(g.right) else 0] * n
+        elif cls is Top:
+            v = [full] * n
+        elif cls is Bottom:
+            v = [0] * n
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        masks[g] = v
+    return bool(masks[f][index[trace_id]] >> model.node(position) & 1)
 
 
 def check_product_formula(f: Formula) -> None:
@@ -252,500 +217,6 @@ def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formu
     """Product-logic satisfaction; modalities quantify over all traces."""
     check_product_formula(f)
     return evaluate(model.as_sltl(), trace_id, position, f)
-
-
-# ---------------------------------------------------------------------------
-# Interval engine: three-valued truth bounds over a partially assigned model
-
-_OP_CONST, _OP_LEAF, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
-_OP_TOP, _OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 13)
-
-
-class _IntervalEngine:
-    """Lower/upper truth masks of formulas over a partially assigned lasso
-    whose traces may themselves be only possibly present.
-
-    Bit ``trace * L + node`` of a mask is the truth value at that cell.  The
-    lower mask is true where a formula holds in every completion of the
-    assignment, the upper mask where it holds in some completion; they
-    coincide once every relevant cell and every presence bit is assigned.
-    Modalities quantify over the present traces of their extent.
-
-    The formulas are compiled into a program, one slot per compiled formula
-    (``slot``), whose modal instructions name their standpoint and whose
-    sharpening atoms name their two standpoints.  The program depends on
-    the lasso shape (trace count, prefix, period) only through ``L == 1``,
-    so ``reshape`` moves an engine to any shape with the same ``L == 1``.
-    ``bind`` turns the program into the instruction list for one standpoint
-    assignment at the current shape: extent masks go into the modal
-    instructions, each sharpening atom folds to a constant and ``TOP`` to
-    the mask of every cell.  The constructor binds ``extents``; the bounded
-    search compiles one engine per value of ``L == 1``, and reshapes and
-    rebinds it for every shape and standpoint assignment.  ``sweep``
-    interprets the bound instructions.  Leaves are the formulas of the
-    ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
-    names.  An Until whose companion ``X(a U b)`` is a leaf compiles to
-    ``b | (a & X(a U b))``, which holds on every lasso.  On a one-position
-    lasso (``L == 1``) a cell is a trace, ``X a`` is ``a``, ``a U b`` is
-    ``b`` and a modality is one mask test, which knows that no extent is
-    empty in a completion.
-
-    Three searches run on it: the bounded search (propositions as leaves,
-    every trace present), the PSL grid search (a one-position lasso whose
-    traces are the grid's (column, valuation) types, with presence masks),
-    and the automaton's state enumeration (one cell per assignment of the
-    last branch members, the closure's base members as leaves).
-    """
-
-    def __init__(
-        self,
-        formulas: Sequence[Formula],
-        t_count: int,
-        prefix: int,
-        period: int,
-        extents: dict[Standpoint, tuple[int, ...]],
-        leaves: dict[Formula, int],
-    ):
-        self.reshape(t_count, prefix, period)
-        one = self.L == 1
-
-        program: list[tuple[int, int, int, object]] = []
-        slot: dict[Formula, int] = {}
-        # the Untils whose next-step companion is a leaf, mapped to it
-        unfold = {
-            g.operand: g for g in leaves if isinstance(g, Next) and isinstance(g.operand, Until)
-        }
-
-        for g, i in leaves.items():
-            slot[g] = len(program)
-            program.append((_OP_LEAF, 0, 0, i))
-        # a post-order over an explicit stack, children before parents:
-        # ``(g, None)`` asks for g's slot, ``(g, True)`` comes back to g once
-        # its children have theirs, and ``(g, h)`` once h, whose slot g
-        # shares, has its own
-        stack: list[tuple[Formula, object]] = [(g, None) for g in reversed(formulas)]
-        while stack:
-            g, ready = stack.pop()
-            if ready is None:
-                if g in slot:
-                    continue
-                cls = type(g)
-                if cls is Until and g in unfold:
-                    alias = Or(g.right, And(g.left, unfold[g]))
-                elif one and (cls is Next or cls is Until):
-                    alias = g.operand if cls is Next else g.right
-                else:
-                    stack.append((g, True))
-                    for name in _REVERSED_CHILD_FIELDS[cls]:
-                        stack.append((getattr(g, name), None))
-                    continue
-                stack.append((g, alias))
-                stack.append((alias, None))
-                continue
-            if ready is not True:
-                slot[g] = slot[ready]
-                continue
-            if isinstance(g, Top):
-                ins = (_OP_TOP, 0, 0, None)
-            elif isinstance(g, Bottom):
-                ins = (_OP_CONST, 0, 0, (0, 0))
-            elif isinstance(g, Sharper):
-                ins = (_OP_SHARPER, 0, 0, (g.left, g.right))
-            elif isinstance(g, Not):
-                ins = (_OP_NOT, slot[g.operand], 0, None)
-            elif isinstance(g, And):
-                ins = (_OP_AND, slot[g.left], slot[g.right], None)
-            elif isinstance(g, Or):
-                ins = (_OP_OR, slot[g.left], slot[g.right], None)
-            elif isinstance(g, Next):
-                ins = (_OP_NEXT, slot[g.operand], 0, None)
-            elif isinstance(g, Until):
-                ins = (_OP_UNTIL, slot[g.left], slot[g.right], None)
-            elif isinstance(g, DiamondS):
-                op = _OP_SOME if one else _OP_SOME_AT
-                ins = (op, slot[g.operand], 0, g.standpoint)
-            elif isinstance(g, BoxS):
-                op = _OP_ALL if one else _OP_ALL_AT
-                ins = (op, slot[g.operand], 0, g.standpoint)
-            else:
-                raise TypeError(f"neither a leaf nor a connective: {g!r}")
-            slot[g] = len(program)
-            program.append(ins)
-        self.program = program
-        self.slot = slot
-        # TOP and the instructions that name standpoints, the only ones
-        # bind changes
-        self.bound_at = [i for i, ins in enumerate(program) if ins[0] >= _OP_TOP]
-        self.bind(extents)
-
-    def reshape(self, t_count: int, prefix: int, period: int) -> None:
-        """Set the lasso shape: ``t_count`` traces of ``prefix + period``
-        nodes each.  The program stays, so the new shape must keep
-        ``L == 1`` as compiled; ``bind`` must follow before a sweep."""
-        L = prefix + period
-        self.L = L
-        self.prefix = prefix
-        self.block0 = block = (1 << L) - 1
-        self.repl = ((1 << t_count * L) - 1) // block
-        self.full = block * self.repl
-        self.keep = self.full ^ (self.repl << (L - 1))
-        # shifts that OR every trace's block into block 0
-        self.folds = tuple(
-            L << j for j in range(t_count.bit_length()) if 1 << j < t_count
-        )
-
-    def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
-        """Bind the program to one standpoint assignment: each standpoint's
-        extent (the indices of its traces) becomes a cell mask (``masks``)
-        in the modal instructions, and each sharpening atom and ``TOP``
-        becomes the constant it denotes at the current shape.  The bound
-        instruction list is a copy of the program patched at ``bound_at``,
-        the indices of those instructions, which the constructor records.
-        A standpoint missing from ``extents`` is a KeyError."""
-        block, L, full = self.block0, self.L, self.full
-        self.masks = masks = {
-            sp: sum(block << (t * L) for t in idxs) for sp, idxs in extents.items()
-        }
-        instrs = self.program.copy()
-        for i in self.bound_at:
-            op, a, b, aux = instrs[i]
-            if op == _OP_TOP:
-                instrs[i] = (_OP_CONST, 0, 0, (full, full))
-            elif op == _OP_SHARPER:
-                left, right = aux
-                c = full if masks[left] | masks[right] == masks[right] else 0
-                instrs[i] = (_OP_CONST, 0, 0, (c, c))
-            else:
-                instrs[i] = (op, a, b, masks[aux])
-        self.instrs = instrs
-
-    def sweep(
-        self, tm: list[int], fm: list[int], present: int, possible: int
-    ) -> tuple[list[int], list[int]]:
-        """(lower, upper) masks of every slot.
-
-        ``tm``/``fm`` hold per leaf the cells assigned true/false;
-        ``present``/``possible`` are the cells of the traces that are
-        definitely/possibly present.
-        """
-        count = len(self.instrs)
-        lo = [0] * count
-        hi = [0] * count
-        full = self.full
-        for i, (op, a, b, aux) in enumerate(self.instrs):
-            if op == _OP_LEAF:
-                lo[i] = tm[aux]
-                hi[i] = full ^ fm[aux]
-            elif op == _OP_NOT:
-                lo[i] = full ^ hi[a]
-                hi[i] = full ^ lo[a]
-            elif op == _OP_AND:
-                lo[i] = lo[a] & lo[b]
-                hi[i] = hi[a] & hi[b]
-            elif op == _OP_OR:
-                lo[i] = lo[a] | lo[b]
-                hi[i] = hi[a] | hi[b]
-            elif op == _OP_SOME:
-                # an extent is never empty in a completion, so one of its
-                # possible traces is present
-                lo[i] = full if lo[a] & aux & present or not ~lo[a] & aux & possible else 0
-                hi[i] = full if hi[a] & aux & possible else 0
-            elif op == _OP_ALL:
-                lo[i] = 0 if ~lo[a] & aux & possible else full
-                hi[i] = 0 if ~hi[a] & aux & present or not hi[a] & aux & possible else full
-            elif op == _OP_CONST:
-                lo[i], hi[i] = aux
-            elif op == _OP_SOME_AT:
-                lo[i] = self._spread(lo[a] & aux & present)
-                hi[i] = self._spread(hi[a] & aux & possible)
-            elif op == _OP_ALL_AT:
-                lo[i] = full ^ self._spread(~lo[a] & aux & possible)
-                hi[i] = full ^ self._spread(~hi[a] & aux & present)
-            elif op == _OP_NEXT:
-                lo[i] = self._next(lo[a])
-                hi[i] = self._next(hi[a])
-            else:
-                lo[i] = self._until(lo[a], lo[b])
-                hi[i] = self._until(hi[a], hi[b])
-        return lo, hi
-
-    def _spread(self, m: int) -> int:
-        """Every trace gets, at each node, the OR of ``m`` over all traces."""
-        for sh in self.folds:
-            m |= m >> sh
-        return (m & self.block0) * self.repl
-
-    def _next(self, m: int) -> int:
-        return ((m >> 1) & self.keep) | (((m >> self.prefix) & self.repl) << (self.L - 1))
-
-    def _until(self, a: int, b: int) -> int:
-        """Least fixpoint of ``u = b | (a & X u)``."""
-        u, step = 0, b
-        while step != u:
-            u, step = step, b | (a & self._next(step))
-        return u
-
-
-# ---------------------------------------------------------------------------
-# Bounded satisfiability search
-
-def _search_stratum(
-    engine: _IntervalEngine,
-    f: Formula,
-    n_props: int,
-    reach: set[int],
-    prev: dict[int, int],
-    budget: list[int],
-) -> list[int] | None:
-    """The first valuation of one (traces, shape, standpoint assignment)
-    stratum that satisfies ``f`` at trace 0, position 0, as one mask of
-    true cells per proposition, or None.
-
-    ``engine`` is compiled for the shape and bound to the assignment.
-    Cells are assigned false before true in a fixed order (the origin node
-    first, then the cycle nodes, then the rest of the prefix), so together
-    with interval pruning the walk returns exactly the first witness of
-    the plain enumeration in that cell order.  It is a loop: each node
-    sweeps the engine once and costs the budget one node, then assigns the
-    next cell or backtracks over the assigned prefix to the deepest cell
-    still false, which turns true.  Traces outside ``reach`` (every modal
-    extent, plus trace 0 unless the formula is trace-independent) stay
-    empty: no satisfaction clause ever reads them.
-
-    Symmetric assignments are skipped: ``prev`` maps a trace to the one
-    before it with the same standpoint profile, and only valuations in
-    which the two traces' sequences (in cell order) are sorted are
-    searched.  The first witness is kept.  The plain search returns the
-    lex-least assignment in this node-major cell order, and swapping two
-    interchangeable traces whose sequences are out of order would give a
-    smaller one, so that assignment is already sorted and every prefix of
-    it passes the check.  ``lt_at[t]`` is the depth at which the sequences
-    of ``prev[t]`` and ``t`` first differed on the current branch; an
-    entry at the current depth or deeper (``len(cells)`` included) was
-    left by an abandoned branch or says they are equal so far, so
-    backtracking restores nothing.  Only a false value can be forbidden,
-    and the cell then takes true at no extra node.
-    """
-    L, prefix, every = engine.L, engine.prefix, engine.full
-    sweep, root = engine.sweep, engine.slot[f]
-    node_order = [0, *range(max(prefix, 1), L), *range(1, prefix)]
-    # proposition, cell bit, trace, and the cell bit of prev[trace] or 0
-    cells = [
-        (p, 1 << (t * L + k), t, 1 << (prev[t] * L + k) if t in prev else 0)
-        for k in node_order
-        for t in sorted(reach)
-        for p in range(n_props)
-    ]
-    unread = every ^ sum(engine.block0 << (t * L) for t in reach)
-    tm, fm = [0] * n_props, [unread] * n_props
-    lt_at = dict.fromkeys(prev, len(cells))
-    i = 0
-    while i >= 0:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchLimitError(budget[1])
-        lo, hi = sweep(tm, fm, every, every)
-        if hi[root] & 1:
-            if lo[root] & 1:
-                return tm
-            assert i < len(cells), "fully assigned model left undecided"
-            p, bit, t, before = cells[i]
-            masks = fm
-            if before and lt_at[t] >= i:
-                lt_at[t] = len(cells)  # equal so far, this cell included
-                if tm[p] & before:
-                    masks = tm  # false would sort trace t below prev[t]
-            masks[p] |= bit
-            i += 1
-            continue
-        i -= 1
-        while i >= 0:
-            p, bit, t, before = cells[i]
-            if fm[p] & bit:
-                fm[p] ^= bit
-                tm[p] |= bit
-                if before and lt_at[t] >= i:
-                    lt_at[t] = i
-                i += 1
-                break
-            tm[p] ^= bit
-            i -= 1
-    return None
-
-
-def _lambda_assignments(
-    n_sps: int, t_count: int, renamed: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield the assignments of non-empty extents of ``t_count`` traces to
-    ``n_sps`` standpoints, one per orbit under the permutations of the
-    traces from ``renamed`` on, each as its extents (trace indices).
-
-    An assignment is the tuple of its extents' trace masks, and
-    assignments come in ascending tuple order.  The kept one, the least
-    tuple of its orbit and so the first of it, is the one whose renamed
-    traces have non-increasing profiles (the tuple of a trace's
-    memberships, standpoint by standpoint).  Masks are chosen standpoint by
-    standpoint, and a mask is skipped when it gives a trace a smaller
-    profile than the renamed trace below it while the two are still tied.
-    A mask constant on the renamed traces never is, so every prefix
-    extends to a kept assignment: the work between two yields is at most
-    ``n_sps * 2**t_count`` mask tests, however many assignments the
-    orbits hold.
-    """
-    if not n_sps:
-        yield ()
-        return
-    ids = tuple(range(t_count))
-    extent = [tuple(t for t in ids if mask >> t & 1) for mask in range(1 << t_count)]
-    top = 1 << t_count
-    combo: list[int] = []
-    # tied[i] has bit t when renamed traces t and t + 1 are in the same
-    # extents among the first i standpoints; untried[i] is the next mask
-    # to try for standpoint i
-    tied = [((top >> 1) - 1) & -(1 << renamed)]
-    untried = [1]
-    while untried:
-        i = len(untried) - 1
-        mask = untried[i]
-        if mask == top:
-            untried.pop()
-            tied.pop()
-            if combo:
-                combo.pop()
-            continue
-        untried[i] = mask + 1
-        if tied[i] & ~mask & mask >> 1:
-            continue  # swapping a tied pair gives a smaller assignment
-        if i + 1 == n_sps:
-            yield tuple(extent[m] for m in combo) + (extent[mask],)
-        else:
-            combo.append(mask)
-            tied.append(tied[i] & ~(mask ^ mask >> 1))
-            untried.append(1)
-
-
-# the most assignments per three counts that ``_first_assignments`` keeps
-_KEPT_ASSIGNMENTS = 1024
-
-
-@functools.lru_cache(maxsize=64)
-def _first_assignments(n_sps: int, t_count: int, renamed: int) -> tuple:
-    """The first ``_KEPT_ASSIGNMENTS`` of ``_lambda_assignments``, shared by
-    every search that asks for the same three counts."""
-    return tuple(itertools.islice(_lambda_assignments(n_sps, t_count, renamed), _KEPT_ASSIGNMENTS))
-
-
-def _kept_assignments(
-    n_sps: int, t_count: int, renamed: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """``_lambda_assignments``, the first ones from the shared memo and the
-    rest, if the search gets that far, made anew."""
-    first = _first_assignments(n_sps, t_count, renamed)
-    yield from first
-    if len(first) == _KEPT_ASSIGNMENTS:
-        yield from itertools.islice(_lambda_assignments(n_sps, t_count, renamed), len(first), None)
-
-
-def bounded_search(
-    f: Formula,
-    bounds: SearchBounds,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> tuple[SLTLModel, str] | None:
-    """First model of ``f`` within the bounds, or None if none exists there.
-
-    Enumeration order: trace count ascending, then (prefix, period)
-    lexicographic, then standpoint assignments over the standpoints of the
-    formula (non-empty extents, the universal one fixed to everything), then
-    valuations.  The designated trace is always ``t0``, and only the first
-    assignment of each orbit under renaming the other traces is searched
-    (under renaming every trace when the formula is trace-independent; see
-    ``_lambda_assignments``).  Renaming traces preserves truth, so a model
-    at any assignment and designated trace is, renamed, a model at ``t0``
-    and a kept assignment of the same stratum: the first stratum with a
-    model, and the first model when it designates ``t0``, are those of the
-    search over every assignment and designated trace.  The search prunes
-    with interval bounds but visits witnesses in the plain enumeration
-    order, so the first one returned is deterministic.  The interval engine
-    is compiled once per value of ``prefix + period == 1``, reshaped to
-    each (trace count, prefix, period) shape and bound to each kept
-    assignment of that shape in turn.  Kept assignments are made
-    as the search reaches them (the first ones of each trace count come
-    from a memo shared by all calls), and every stratum costs the budget a
-    node, so a search over many standpoints exits at its node limit rather
-    than listing every assignment first.  Which traces a stratum reads is
-    decided by the formula's ``Vocabulary``, the one walk of ``f``.  The
-    model is not checked here: ``solve`` checks every witness it returns,
-    and a direct caller can with ``solver.check_witness``.
-    """
-    voc = vocab(f)
-    missing = voc.props - set(bounds.props)
-    if missing:
-        raise ValueError(f"bounds do not cover propositions: {sorted(missing)}")
-    sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
-    # Formulas with no standpoint construct read only the designated trace,
-    # so larger models add nothing; trace-independent formulas hold at
-    # every trace whenever they hold at one, so the designated trace may be
-    # renamed too.
-    max_traces = bounds.max_traces if voc.standpoints else 1
-    independent = voc.trace_independent
-    budget = [node_limit, node_limit]
-    leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
-    engines: dict[bool, _IntervalEngine] = {}  # by prefix + period == 1
-    for t_count in range(1, max_traces + 1):
-        ids = tuple(range(t_count))
-        for prefix in range(bounds.max_prefix + 1):
-            for period in range(1, bounds.max_period + 1):
-                one = prefix + period == 1
-                engine = engines.get(one)
-                if engine is not None:
-                    engine.reshape(t_count, prefix, period)
-                for combo in _kept_assignments(len(sps), t_count, 0 if independent else 1):
-                    lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
-                    reach = {t for sp in voc.modal for t in lam_idx[sp]}
-                    if not independent:
-                        reach.add(0)
-                    # each read trace but t0 to the one before it with its profile
-                    prev, last = {}, {}
-                    for t in sorted(reach - {0}):
-                        profile = tuple(t in ext for ext in combo)
-                        if profile in last:
-                            prev[t] = last[profile]
-                        last[profile] = t
-                    if engine is None:
-                        engine = engines[one] = _IntervalEngine(
-                            [f], t_count, prefix, period, lam_idx, leaves
-                        )
-                    else:
-                        engine.bind(lam_idx)
-                    tm = _search_stratum(engine, f, len(leaves), reach, prev, budget)
-                    if tm is not None:
-                        L = prefix + period
-                        traces = {}
-                        for t in ids:
-                            vals = [
-                                frozenset(p for p, m in zip(bounds.props, tm) if m >> (t * L + k) & 1)
-                                for k in range(L)
-                            ]
-                            traces[f"t{t}"] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))
-                        lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in lam_idx.items()}
-                        return SLTLModel(traces, lam, prefix, period), "t0"
-    return None
-
-
-def bounded_search_product(
-    f: Formula,
-    bounds: SearchBounds,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> tuple[ProductModel, str] | None:
-    """Bounded search under product-logic semantics, at position 0."""
-    check_product_formula(f)
-    found = bounded_search(f, bounds, node_limit=node_limit)
-    if found is None:
-        return None
-    model, tid = found
-    return ProductModel(model.traces, model.prefix_len, model.period_len), tid
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,8 @@ from .automaton import (
     Lasso,
     find_accepting_lasso,
 )
-from .semantics import (
-    DEFAULT_NODE_LIMIT,
-    SLTLModel,
-    SearchBounds,
-    UPTrace,
-    bounded_search,
-    evaluate,
-    model_to_json,
-)
+from .search import DEFAULT_NODE_LIMIT, SearchBounds, bounded_search
+from .semantics import SLTLModel, UPTrace, evaluate, model_to_json
 from .syntax import (
     UNIVERSAL,
     Formula,

@@ -2,10 +2,11 @@
 
 The references here deliberately avoid the engines under test: temporal
 satisfiability is checked by enumerating whole models and calling the
-evaluator, and propositional standpoint satisfiability by enumerating
-models up to bisimulation (a precisification is determined by its
-standpoint profile and valuation, so a model is a non-empty set of such
-types).
+evaluator, the evaluator itself against a clause-by-clause rendering of
+the satisfaction relation, and propositional standpoint satisfiability by
+enumerating models up to bisimulation (a precisification is determined by
+its standpoint profile and valuation, so a model is a non-empty set of
+such types).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from sltl.semantics import SLTLModel, UPTrace, evaluate
 from sltl.syntax import (
     And,
     BOTTOM,
+    Bottom,
     BoxS,
     DiamondS,
     Formula,
@@ -28,6 +30,7 @@ from sltl.syntax import (
     Sharper,
     Standpoint,
     TOP,
+    Top,
     UNIVERSAL,
     Until,
     neg,
@@ -135,6 +138,68 @@ def naive_sat(f: Formula, max_traces: int, max_prefix: int, max_period: int) -> 
             if evaluate(model, tid, 0, f):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Clause-by-clause reference evaluator
+
+class ReferenceEvaluator:
+    """Truth vectors of formulas at every lasso node of a fixed model, each
+    clause of the satisfaction relation written out over lists of booleans.
+    It recurses, which is fine at test sizes; ``semantics.evaluate`` packs
+    the same clauses into bit masks and one loop."""
+
+    def __init__(self, model: SLTLModel):
+        self.m = model
+        self.L = model.length
+        self.succ = list(range(1, self.L)) + [model.prefix_len]
+        self.vectors: dict[tuple[str, Formula], list[bool]] = {}
+
+    def vector(self, tid: str, f: Formula) -> list[bool]:
+        key = (tid, f)
+        if key in self.vectors:
+            return self.vectors[key]
+        m, L = self.m, self.L
+        if isinstance(f, Top):
+            v = [True] * L
+        elif isinstance(f, Bottom):
+            v = [False] * L
+        elif isinstance(f, Prop):
+            v = [f.name in m.traces[tid].valuation(k) for k in range(L)]
+        elif isinstance(f, Sharper):
+            v = [m.lam[f.left] <= m.lam[f.right]] * L
+        elif isinstance(f, Not):
+            v = [not x for x in self.vector(tid, f.operand)]
+        elif isinstance(f, And):
+            a, b = self.vector(tid, f.left), self.vector(tid, f.right)
+            v = [x and y for x, y in zip(a, b)]
+        elif isinstance(f, Or):
+            a, b = self.vector(tid, f.left), self.vector(tid, f.right)
+            v = [x or y for x, y in zip(a, b)]
+        elif isinstance(f, DiamondS):
+            vs = [self.vector(t2, f.operand) for t2 in sorted(m.lam[f.standpoint])]
+            v = [any(w[k] for w in vs) for k in range(L)]
+        elif isinstance(f, BoxS):
+            vs = [self.vector(t2, f.operand) for t2 in sorted(m.lam[f.standpoint])]
+            v = [all(w[k] for w in vs) for k in range(L)]
+        elif isinstance(f, Next):
+            a = self.vector(tid, f.operand)
+            v = [a[self.succ[k]] for k in range(L)]
+        elif isinstance(f, Until):
+            a, b = self.vector(tid, f.left), self.vector(tid, f.right)
+            v = [False] * L
+            p = m.prefix_len
+            # least fixpoint on the cycle: two reverse passes reach it, then
+            # one pass propagates through the prefix
+            for _ in range(2):
+                for k in range(L - 1, p - 1, -1):
+                    v[k] = b[k] or (a[k] and v[self.succ[k]])
+            for k in range(p - 1, -1, -1):
+                v[k] = b[k] or (a[k] and v[k + 1])
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self.vectors[key] = v
+        return v
 
 
 # ---------------------------------------------------------------------------

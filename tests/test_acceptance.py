@@ -21,13 +21,11 @@ from conftest import (
 )
 
 from sltl import psl
+from sltl.search import SearchBounds, bounded_search, bounded_search_product
 from sltl.semantics import (
     ProductModel,
     SLTLModel,
-    SearchBounds,
     UPTrace,
-    bounded_search,
-    bounded_search_product,
     evaluate,
     evaluate_product,
 )

@@ -14,8 +14,8 @@ from sltl.automaton import (
     dump_state_graph,
     find_accepting_lasso,
 )
-from sltl import automaton, psl, semantics
-from sltl.semantics import SearchBounds, SearchLimitError, bounded_search
+from sltl import automaton, psl
+from sltl.search import _OP_SOME, IntervalEngine, SearchBounds, SearchLimitError, bounded_search
 from sltl.solver import check_witness, solve
 from sltl.syntax import (
     BOTTOM,
@@ -226,13 +226,13 @@ def test_counter_enumeration_sweeps_bit_parallel(monkeypatch):
     # 21 branch members: a head walk over 11 and a tail of 1,024 cells per
     # sweep; the plain depth-first walk made 25,457 sweeps here
     sweeps = []
-    sweep = semantics._IntervalEngine.sweep
+    sweep = IntervalEngine.sweep
 
     def counted(engine, *args):
         sweeps.append(None)
         return sweep(engine, *args)
 
-    monkeypatch.setattr(semantics._IntervalEngine, "sweep", counted)
+    monkeypatch.setattr(IntervalEngine, "sweep", counted)
     space = StateSpace(closure(counter_formula(5)))
     monkeypatch.setattr(automaton, "StateSpace", lambda *args: space)
     lasso = find_accepting_lasso(closure(counter_formula(5)))
@@ -343,7 +343,7 @@ def test_enumeration_matches_brute_force(mode, monkeypatch):
             monkeypatch.setattr(automaton, "_TAIL_WIDTH", width)
             space = StateSpace(closure(f))
             # no instruction reads another cell, so cells are independent
-            assert all(op < semantics._OP_SOME for op, _, _, _ in space._engine.program)
+            assert all(op < _OP_SOME for op, _, _, _ in space._engine.program)
             initial = [(f, True)]
             _assert_one_state_per_branch_assignment(space, initial, to_text(f))
             successor_constraints = {
@@ -626,7 +626,7 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
 
 def test_one_grid_engine_per_label_family(monkeypatch):
     compiles = []
-    real = psl._IntervalEngine
+    real = psl.IntervalEngine
 
     def counting(*args):
         compiles.append(args)
@@ -639,7 +639,7 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         searched.append(conjuncts)
         return search(grid, conjuncts, budget)
 
-    monkeypatch.setattr(psl, "_IntervalEngine", counting)
+    monkeypatch.setattr(psl, "IntervalEngine", counting)
     monkeypatch.setattr(psl, "grid_model_for", recording)
     # sharpening atoms are tried true first: the first formula's initial
     # states with the atom true reach an accepting cycle; the second's have

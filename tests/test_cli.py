@@ -147,6 +147,17 @@ def test_check_truncated_json_is_a_data_error(tmp_path, capsys):
     assert "schema" in err
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["arrays", "objects"])
+def test_check_deeply_nested_json_is_a_data_error(tmp_path, capsys, opening, closing):
+    # the JSON decoder recurses once per nesting level: 100,000 levels are
+    # bad data (65), not an internal error (70)
+    deep = tmp_path / "deep.json"
+    deep.write_text(opening * 100_000 + "1" + closing * 100_000)
+    code, _, err = run(capsys, "check", "p", str(deep))
+    assert code == 65, err
+    assert "nested too deeply" in err and "schema" in err
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", "p", str(tmp_path / "absent.json"))
     assert code == 66
@@ -356,6 +367,30 @@ def test_engine_compiles_wider_than_the_recursion_limit(capsys):
     code, out, err = run(capsys, "solve", f"!p & !q & ({body})")
     assert code == 1, err
     assert out.startswith("unsat")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " & ".join(["p"] + ["q"] * 1_499),
+        "<@s> " * 1_500 + "p",
+        " | ".join(["p", "q"] * 799 + ["p", "X p"]),
+        "<@s> " * 10_000 + "p",
+    ],
+    ids=["and-1500", "diamond-1500", "or-1600", "diamond-10000"],
+)
+def test_witness_check_deeper_than_the_recursion_limit(tmp_path, capsys, text):
+    # the witness check evaluates one distinct subformula after another in
+    # a loop, not a frame per nesting level, both in solve and in check
+    witness = tmp_path / "w.json"
+    started = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--witness-out", str(witness), text)
+    assert time.perf_counter() - started < 1
+    assert code == 0, err
+    assert out.startswith("sat")
+    code, out, err = run(capsys, "check", text, str(witness))
+    assert code == 0, err
+    assert out.strip() == "witness accepted"
 
 
 @pytest.mark.parametrize("target, translate", [

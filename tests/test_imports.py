@@ -34,6 +34,21 @@ def test_every_import_is_used_or_exported(path):
     assert _unused_imports(path) == []
 
 
+def test_semantics_imports_only_syntax_from_the_package():
+    # the trust base: a witness check reads no module but these two, so an
+    # engine fault cannot hide in the checker
+    tree = ast.parse((SRC / "semantics.py").read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            dots = "." * node.level
+            package.update(dots + n for n in names if dots or n.split(".")[0] == "sltl")
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.split(".")[0] == "sltl")
+    assert package == {".syntax"}
+
+
 def test_import_loads_neither_dataclasses_nor_typing():
     # every CLI call pays the package's import time, and these modules cost
     # more of it than the package itself; -S keeps ``site`` from importing

@@ -25,7 +25,8 @@ from sltl.psl import (
     label_family,
     psl_model_to_json,
 )
-from sltl.semantics import SLTLModel, SearchLimitError, UPTrace, evaluate
+from sltl.search import SearchLimitError
+from sltl.semantics import SLTLModel, UPTrace, evaluate
 from sltl.solver import SolveOptions, solve
 from sltl.syntax import (
     And,

@@ -7,14 +7,8 @@ import pytest
 
 from sltl.automaton import DEFAULT_STATE_LIMIT, Lasso
 from sltl.psl import PSLModel
-from sltl.semantics import (
-    DEFAULT_NODE_LIMIT,
-    ModelError,
-    ProductModel,
-    SLTLModel,
-    SearchBounds,
-    UPTrace,
-)
+from sltl.search import DEFAULT_NODE_LIMIT, SearchBounds
+from sltl.semantics import ModelError, ProductModel, SLTLModel, UPTrace
 from sltl.solver import SolveOptions, Verdict
 from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary
 from sltl.translate import Partition

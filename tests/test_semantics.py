@@ -3,21 +3,23 @@ import random
 
 import pytest
 
-from conftest import S, T, iter_models, naive_sat, random_formula
+from conftest import ReferenceEvaluator, S, T, iter_models, naive_sat, random_formula
 
-from sltl import psl, semantics
+from sltl import psl, search
 from sltl.solver import check_witness
+from sltl.search import (
+    IntervalEngine,
+    SearchBounds,
+    SearchLimitError,
+    bounded_search,
+    bounded_search_product,
+)
 from sltl.semantics import (
     ModelError,
     ProductModel,
     SLTLModel,
-    SearchBounds,
-    SearchLimitError,
     UPTrace,
     WitnessFormatError,
-    _IntervalEngine,
-    bounded_search,
-    bounded_search_product,
     evaluate,
     evaluate_product,
     model_from_json,
@@ -25,12 +27,18 @@ from sltl.semantics import (
 )
 from sltl.syntax import (
     And,
+    BoxS,
+    DiamondS,
+    Next,
     Prop,
     Sharper,
     Standpoint,
     UNIVERSAL,
+    Until,
     closure,
+    nodes,
     parse,
+    to_text,
     vocab,
 )
 from sltl.translate import recurring_counter_formula
@@ -136,6 +144,24 @@ def test_until_matches_the_position_quantifier():
                 for j in range(i, i + horizon)
             )
             assert evaluate(m, "t0", i, f) == expected
+
+
+def test_evaluate_matches_the_clause_by_clause_reference():
+    # 300 random formulas with sharpening atoms, both modalities, X and U,
+    # each on 20 models drawn from every model of up to two traces, prefix 1
+    # and period 2, compared at every trace and lasso node
+    rng = random.Random(2027)
+    models = list(iter_models({"p", "q"}, 2, 1, 2, [S, T]))
+    seen = set()
+    for _ in range(300):
+        f = random_formula(rng, 4)
+        seen.update(type(g) for g in nodes(f))
+        for model in rng.sample(models, 20):
+            reference = ReferenceEvaluator(model)
+            for tid in model.traces:
+                got = [evaluate(model, tid, k, f) for k in range(model.length)]
+                assert got == reference.vector(tid, f), (to_text(f), model_to_json(model, tid))
+    assert {Sharper, DiamondS, BoxS, Next, Until} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +279,14 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
     cases.append((cross, b, found and model_to_json(*found)))
 
     paired = []
-    search = semantics._search_stratum
+    real = search._search_stratum
 
     def plain_search(engine, f, n_props, reach, prev, budget):
         """The plain enumeration: no pairs of interchangeable traces."""
         paired.append(bool(prev))
-        return search(engine, f, n_props, reach, {}, budget)
+        return real(engine, f, n_props, reach, {}, budget)
 
-    monkeypatch.setattr(semantics, "_search_stratum", plain_search)
+    monkeypatch.setattr(search, "_search_stratum", plain_search)
     for f, b, expected in cases:
         found = bounded_search(f, b)
         assert (found and model_to_json(*found)) == expected, str(f)
@@ -280,13 +306,13 @@ def test_search_spends_one_node_per_sweep(monkeypatch, f, bounds, nodes):
     with pytest.raises(SearchLimitError):
         bounded_search(f, b, node_limit=nodes - 1)
     sweeps = [0]
-    sweep = _IntervalEngine.sweep
+    sweep = IntervalEngine.sweep
 
     def counted_sweep(self, *args):
         sweeps[0] += 1
         return sweep(self, *args)
 
-    monkeypatch.setattr(_IntervalEngine, "sweep", counted_sweep)
+    monkeypatch.setattr(IntervalEngine, "sweep", counted_sweep)
     assert bounded_search(f, b, node_limit=nodes) is None
     assert sweeps[0] == nodes
 
@@ -314,9 +340,9 @@ def _search_every_assignment(f, bounds):
                             for sp, ext in zip(sps, combo)
                         }
                         lam[UNIVERSAL] = ids
-                        engine = _IntervalEngine([f], t_count, prefix, period, lam, leaves)
+                        engine = IntervalEngine([f], t_count, prefix, period, lam, leaves)
                         reach = {t for sp in voc.modal for t in lam[sp]} | {0}
-                        found = semantics._search_stratum(engine, f, len(leaves), reach, {}, budget)
+                        found = search._search_stratum(engine, f, len(leaves), reach, {}, budget)
                         if found is not None:
                             return t_count, prefix, period
     return None
@@ -359,13 +385,13 @@ def test_strata_are_searched_once_per_renaming_class(monkeypatch, f, bounds, str
     # is searched: over every assignment and designated trace they would
     # be 56, 52 and 166
     searched = [0]
-    search = semantics._search_stratum
+    real = search._search_stratum
 
     def counted_search(*args):
         searched[0] += 1
-        return search(*args)
+        return real(*args)
 
-    monkeypatch.setattr(semantics, "_search_stratum", counted_search)
+    monkeypatch.setattr(search, "_search_stratum", counted_search)
     assert bounded_search(f, SearchBounds.for_formula(f, *bounds)) is None
     assert searched[0] == strata
 
@@ -382,7 +408,7 @@ def test_assignments_are_made_as_the_search_reaches_them():
     model, designated = found
     assert (len(model.traces), designated) == (3, "t0")
     assert check_witness(f, model, designated)
-    assignments = semantics._lambda_assignments(10, 3, 1)
+    assignments = search._lambda_assignments(10, 3, 1)
     assert next(assignments) == ((0,),) * 10
 
 
@@ -410,13 +436,13 @@ def test_search_compiles_one_engine_per_shape(monkeypatch):
     # strata of one (traces, prefix, period) shape differ only in the
     # standpoint assignment and the designated trace, so they share an engine
     shapes = []
-    init = _IntervalEngine.__init__
+    init = IntervalEngine.__init__
 
     def counting_init(self, formulas, t_count, prefix, period, extents, leaves):
         shapes.append((t_count, prefix, period))
         init(self, formulas, t_count, prefix, period, extents, leaves)
 
-    monkeypatch.setattr(_IntervalEngine, "__init__", counting_init)
+    monkeypatch.setattr(IntervalEngine, "__init__", counting_init)
     f = parse("G <@s> (p & X !p) & [@t] (p U q) & (@s <= @t)")
     assert bounded_search(f, SearchBounds.for_formula(f, 2, 1, 1)) is None
     assert len(shapes) <= 4
@@ -477,7 +503,7 @@ def test_interval_engine_knows_extents_are_never_empty():
     # already true, as every completion gives each extent a present type
     extents = {UNIVERSAL: (0, 1, 2), S: (1, 2), T: (2,)}
     formulas = [parse("[@s] (@s <= @t)"), parse("<@s> !(@s <= @t)"), parse("[@t] (@t <= @s)")]
-    engine = _IntervalEngine(formulas, 3, 0, 1, extents, LEAVES)
+    engine = IntervalEngine(formulas, 3, 0, 1, extents, LEAVES)
     lo, hi = engine.sweep([0, 0], [0, 0], 0, 0b111)
     box, dia, true_box = (engine.slot[f] for f in formulas)
     assert (lo[box], hi[box]) == (0, 0)
@@ -505,7 +531,7 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
         full = (1 << n_types) - 1
         tm = [sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(2)]
         fm = [full ^ m for m in tm]
-        engine = _IntervalEngine([f], n_types, 0, 1, extents, LEAVES)
+        engine = IntervalEngine([f], n_types, 0, 1, extents, LEAVES)
         partial, completions = _completions(rng, n_types, 5)
         present = sum(1 << t for t, v in enumerate(partial) if v is True)
         possible = full ^ sum(1 << t for t, v in enumerate(partial) if v is False)
@@ -537,11 +563,11 @@ def test_bind_gives_the_instructions_of_a_fresh_compile():
                 ext[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
             return ext
 
-        engine = _IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
+        engine = IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
         for _ in range(3):
             extents = assignment()
             engine.bind(extents)
-            fresh = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
+            fresh = IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
             assert engine.instrs == fresh.instrs
         # reshaped to another shape with the same L == 1, and bound there,
         # it is a fresh compile at that shape: its masks and instructions
@@ -555,7 +581,7 @@ def test_bind_gives_the_instructions_of_a_fresh_compile():
             extents = assignment()
             engine.reshape(t_count, prefix, period)
             engine.bind(extents)
-            fresh = _IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
+            fresh = IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
             shape = ("L", "prefix", "block0", "repl", "full", "keep", "folds", "masks", "instrs")
             assert [getattr(engine, a) for a in shape] == [getattr(fresh, a) for a in shape]
 
@@ -579,9 +605,9 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
             return ext
 
         extents = assignment()
-        rebound = _IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
+        rebound = IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
         rebound.bind(extents)
-        engines = [_IntervalEngine([f], t_count, prefix, period, extents, LEAVES), rebound]
+        engines = [IntervalEngine([f], t_count, prefix, period, extents, LEAVES), rebound]
         cells = [(t * L + k, i) for t in ids for k in range(L) for i in range(2)]
         partial, completions = _completions(rng, len(cells), 4)
         def masks(value):

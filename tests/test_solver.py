@@ -7,8 +7,9 @@ import pytest
 from conftest import S, T, U, psl_brute_sat, random_formula
 
 import sltl.solver as solver_mod
-from sltl import automaton, psl, semantics, syntax
-from sltl.semantics import SearchBounds, bounded_search, evaluate, model_to_json
+from sltl import automaton, psl, syntax
+from sltl.search import SearchBounds, SearchLimitError, bounded_search
+from sltl.semantics import evaluate, model_to_json
 from sltl.automaton import find_accepting_lasso
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
@@ -259,7 +260,7 @@ def test_node_limit_is_not_spent_on_root_failures():
     f = And(counter_formula(4), parse("G <@*> !q"))
     v = solve(f, SolveOptions(node_limit=16))
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
-    with pytest.raises(semantics.SearchLimitError, match="grid search"):
+    with pytest.raises(SearchLimitError, match="grid search"):
         solve(f, SolveOptions(node_limit=15))
 
 
@@ -527,18 +528,18 @@ def test_unsat_atom_disjunctions_stop_at_the_atom_free_conjuncts(monkeypatch):
     ("(@s <= @t) & G <@s> p & F q", "automaton"),
     ("<@s> X p", "oracle"),
 ])
-def test_sat_verdict_builds_one_evaluator(monkeypatch, text, engine):
-    built = []
-    init = semantics._Evaluator.__init__
+def test_sat_verdict_runs_one_check(monkeypatch, text, engine):
+    calls = []
+    real = solver_mod.evaluate
 
-    def counting_init(self, model):
-        built.append(model)
-        init(self, model)
+    def counting(model, trace_id, position, f):
+        calls.append((model, trace_id, position))
+        return real(model, trace_id, position, f)
 
-    monkeypatch.setattr(semantics._Evaluator, "__init__", counting_init)
+    monkeypatch.setattr(solver_mod, "evaluate", counting)
     v = solve(parse(text))
     assert (v.status, v.engine) == ("sat", engine)
-    assert built == [v.model]
+    assert calls == [(v.model, v.designated, 0)]
 
 
 def test_verdict_json_schema():

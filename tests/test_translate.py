@@ -5,13 +5,11 @@ import pytest
 
 from conftest import S, T, random_formula
 
+from sltl.search import SearchBounds, bounded_search, bounded_search_product
 from sltl.semantics import (
     ProductModel,
     SLTLModel,
-    SearchBounds,
     UPTrace,
-    bounded_search,
-    bounded_search_product,
     evaluate,
     evaluate_product,
 )
