@@ -15,22 +15,19 @@ from .syntax import (
     vocab,
 )
 from .semantics import (
-    ProductModel,
     SLTLModel,
     UPTrace,
     evaluate,
-    evaluate_product,
     model_from_json,
     model_to_json,
 )
-from .search import SearchBounds, bounded_search, bounded_search_product
+from .search import SearchBounds, bounded_search
 from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
 
 __all__ = [
     "Formula",
     "Fragment",
     "ParseError",
-    "ProductModel",
     "SLTLModel",
     "SearchBounds",
     "SolveOptions",
@@ -39,12 +36,10 @@ __all__ = [
     "UPTrace",
     "Verdict",
     "bounded_search",
-    "bounded_search_product",
     "check_witness",
     "classify",
     "closure",
     "evaluate",
-    "evaluate_product",
     "model_from_json",
     "model_to_json",
     "parse",

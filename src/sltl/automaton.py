@@ -34,7 +34,7 @@ from collections import deque
 from collections.abc import Container, Iterator
 
 from . import psl
-from .search import DEFAULT_NODE_LIMIT, IntervalEngine
+from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError
 from .syntax import (
     UNIVERSAL,
     And,
@@ -58,14 +58,6 @@ DEFAULT_STATE_LIMIT = 200_000
 # the most branch members that enumeration assigns bit-parallel, one cell
 # per assignment: 1,024 cells per sweep
 _TAIL_WIDTH = 10
-
-
-class AutomatonLimitError(RuntimeError):
-    """State generation exceeded the configured limit."""
-
-    def __init__(self, limit: int):
-        super().__init__(f"automaton search exceeded the state limit of {limit}")
-        self.limit = limit
 
 
 class Lasso(_FrozenRecord):
@@ -301,7 +293,9 @@ class StateSpace:
         for n, (lo, c) in enumerate(leaves()):
             self.generated += 1
             if self.generated > self.state_limit:
-                raise AutomatonLimitError(self.state_limit)
+                raise SearchLimitError(self.state_limit, "automaton", (
+                    f"automaton exceeded the state limit of {self.state_limit}"
+                ))
             if n == 1 and first_failed:
                 self.grid_solves += 1
                 free = [g for _, g in self._parts if Sharper not in map(type, nodes(g))]

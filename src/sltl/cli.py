@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .automaton import AutomatonLimitError, DEFAULT_STATE_LIMIT, dump_state_graph
+from .automaton import DEFAULT_STATE_LIMIT, dump_state_graph
 from .search import DEFAULT_NODE_LIMIT, SearchBounds, SearchLimitError
 from .semantics import WitnessFormatError, model_from_json, model_to_json
 from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
@@ -52,14 +52,20 @@ class _CliError(Exception):
 
 
 def _read_formula(args) -> Formula:
+    # a file and standard input are read as UTF-8 whatever the locale's
+    # error handler: undecodable bytes become lone surrogates, which the
+    # parser reports as unexpected characters at their position
     if args.file is not None:
         try:
-            with open(args.file, encoding="utf-8") as fh:
+            with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
             raise _CliError(EX_NOINPUT, f"cannot read {args.file}: {exc}") from exc
     elif args.formula == "-":
-        text = sys.stdin.read()
+        if hasattr(sys.stdin, "buffer"):
+            text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+        else:  # a text stream put in place of standard input
+            text = sys.stdin.read()
     elif args.formula is not None:
         text = args.formula
     else:
@@ -98,7 +104,6 @@ def _cmd_solve(args) -> int:
     f = _read_formula(args)
     opts = SolveOptions(
         fragment_strict=args.fragment_strict,
-        attach_translation=True,
         node_limit=_env_limit("SLTL_NODE_LIMIT", DEFAULT_NODE_LIMIT),
         state_limit=_env_limit("SLTL_STATE_LIMIT", DEFAULT_STATE_LIMIT),
     )
@@ -110,8 +115,6 @@ def _cmd_solve(args) -> int:
             _dump_states(args.dump_states, f, verdict, opts)
     except SearchLimitError as exc:
         raise _CliError(EX_RESOURCE, f"search limit reached: {exc}") from exc
-    except AutomatonLimitError as exc:
-        raise _CliError(EX_RESOURCE, f"automaton state limit hit: {exc}") from exc
     if args.witness_out and verdict.model is not None:
         try:
             with open(args.witness_out, "w", encoding="utf-8") as fh:
@@ -119,10 +122,17 @@ def _cmd_solve(args) -> int:
                 fh.write("\n")
         except OSError as exc:
             raise _CliError(EX_CANTCREAT, f"cannot write {args.witness_out}: {exc}") from exc
+    # an undecided input is shown with its product-logic translation
+    translation = None
+    if verdict.status in ("unknown", "out_of_fragment"):
+        translation = to_text(sltl_to_product(f))
     if args.json:
-        print(json.dumps(verdict_to_json(verdict), indent=2))
+        blob = verdict_to_json(verdict)
+        if translation is not None:
+            blob["translation"] = translation
+        print(json.dumps(blob, indent=2))
     else:
-        _print_verdict(verdict)
+        _print_verdict(verdict, translation)
     return {
         "sat": EX_OK,
         "unsat": EX_UNSAT,
@@ -146,7 +156,7 @@ def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) ->
         raise _CliError(EX_CANTCREAT, f"cannot write {path}: {exc}") from exc
 
 
-def _print_verdict(v: Verdict) -> None:
+def _print_verdict(v: Verdict, translation: str | None) -> None:
     line = f"{v.status} [{v.fragment.value}"
     if v.engine:
         line += f", engine={v.engine}"
@@ -160,8 +170,8 @@ def _print_verdict(v: Verdict) -> None:
         b = v.bounds
         print(f"bounded search exhausted: traces<={b.max_traces}, "
               f"prefix<={b.max_prefix}, period<={b.max_period}")
-    if v.translation is not None and v.status in ("unknown", "out_of_fragment"):
-        print(f"product-logic translation: {v.translation}")
+    if translation is not None:
+        print(f"product-logic translation: {translation}")
 
 
 def _cmd_translate(args) -> int:
@@ -204,6 +214,8 @@ def _cmd_check(args) -> int:
         raise _CliError(EX_NOINPUT, f"cannot read {args.witness}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(EX_DATAERR, f"witness is not valid JSON ({exc}); {_SCHEMA_HINT}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(EX_DATAERR, f"witness is not UTF-8 text ({exc}); {_SCHEMA_HINT}") from exc
     except RecursionError as exc:
         # the JSON decoder recurses once per nested array or object
         raise _CliError(
@@ -284,6 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        # a search's tables outgrew the memory the process may use
+        print("error: out of memory", file=sys.stderr)
+        return EX_RESOURCE
     except Exception as exc:  # noqa: BLE001 - last-resort reporting
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL

@@ -16,7 +16,7 @@ import functools
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .semantics import ProductModel, SLTLModel, UPTrace, check_product_formula
+from .semantics import SLTLModel, UPTrace
 from .syntax import (
     And,
     Bottom,
@@ -41,9 +41,10 @@ DEFAULT_NODE_LIMIT = 10_000_000
 
 
 class SearchLimitError(RuntimeError):
-    """A search exceeded its node budget, or refused to start because its
-    tables would exceed ``limit`` (``message`` then says so); ``layer``
-    names the search."""
+    """A search exceeded its node budget, the automaton its state limit, or
+    a search refused to start because its tables would exceed ``limit``
+    (``message`` then says which); ``layer`` names the search: "bounded
+    search", "grid search" or "automaton"."""
 
     def __init__(self, limit: int, layer: str = "bounded search", message: str = ""):
         super().__init__(
@@ -406,17 +407,23 @@ def _lambda_assignments(
     standpoint, and a mask is skipped when it gives a trace a smaller
     profile than the renamed trace below it while the two are still tied.
     A mask constant on the renamed traces never is, so every prefix
-    extends to a kept assignment: the work between two yields is at most
-    ``n_sps * 2**t_count`` mask tests, however many assignments the
-    orbits hold.
+    extends to a kept assignment.  A skipped mask jumps to the next mask
+    that keeps the highest pair it breaks: the one that adds the lower
+    trace of that pair and drops every trace below it, since every mask
+    in between breaks the same pair.  After a jump only the pair just
+    below can break, so the work between two yields is at most
+    ``n_sps * t_count`` jumps, however many assignments the orbits hold,
+    and an extent is made only for a kept mask.
     """
     if not n_sps:
         yield ()
         return
-    ids = tuple(range(t_count))
-    extent = [tuple(t for t in ids if mask >> t & 1) for mask in range(1 << t_count)]
     top = 1 << t_count
-    combo: list[int] = []
+
+    def extent(mask: int) -> tuple[int, ...]:
+        return tuple(t for t in range(t_count) if mask >> t & 1)
+
+    combo: list[tuple[int, ...]] = []
     # tied[i] has bit t when renamed traces t and t + 1 are in the same
     # extents among the first i standpoints; untried[i] is the next mask
     # to try for standpoint i
@@ -431,13 +438,17 @@ def _lambda_assignments(
             if combo:
                 combo.pop()
             continue
+        broken = tied[i] & ~mask & mask >> 1
+        if broken:
+            # swapping a tied pair gives a smaller assignment
+            low = 1 << (broken.bit_length() - 1)
+            untried[i] = (mask | low) & -low
+            continue
         untried[i] = mask + 1
-        if tied[i] & ~mask & mask >> 1:
-            continue  # swapping a tied pair gives a smaller assignment
         if i + 1 == n_sps:
-            yield tuple(extent[m] for m in combo) + (extent[mask],)
+            yield (*combo, extent(mask))
         else:
-            combo.append(mask)
+            combo.append(extent(mask))
             tied.append(tied[i] & ~(mask ^ mask >> 1))
             untried.append(1)
 
@@ -550,17 +561,3 @@ def bounded_search(
                         return SLTLModel(traces, lam, prefix, period), "t0"
     return None
 
-
-def bounded_search_product(
-    f: Formula,
-    bounds: SearchBounds,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> tuple[ProductModel, str] | None:
-    """Bounded search under product-logic semantics, at position 0."""
-    check_product_formula(f)
-    found = bounded_search(f, bounds, node_limit=node_limit)
-    if found is None:
-        return None
-    model, tid = found
-    return ProductModel(model.traces, model.prefix_len, model.period_len), tid

@@ -6,7 +6,9 @@ ultimately periodic models clause by clause.  Traces are ultimately
 periodic (a lasso: prefix plus repeating period) and every trace of a
 model shares one shape, so Until has a finite backward fixpoint.
 Restricted to the universal standpoint, the same relation is the one of
-the product of linear time with S5 (``evaluate_product``).  This module
+the product of linear time with S5: a product model is an SLTL model
+whose only standpoint is ``@*``, and a product formula is one that
+``check_product_formula`` accepts, evaluated by ``evaluate``.  This module
 imports nothing of the package but ``syntax``, shares no code with the
 engines it checks, and never recurses: ``syntax.py`` and this file are
 all a reader audits to trust a witness.
@@ -102,25 +104,6 @@ class SLTLModel(_Record):
         return self.prefix_len + self.period_len
 
 
-class ProductModel(_Record):
-    """A model of the product of linear time with an S5 cloud of traces.
-
-    Same trace data as an SLTL model, with the total accessibility relation
-    left implicit and no standpoint assignment.
-    """
-
-    __slots__ = ("traces", "prefix_len", "period_len")
-
-    def __init__(self, traces: dict[str, UPTrace], prefix_len: int, period_len: int):
-        self.traces = traces
-        self.prefix_len = prefix_len
-        self.period_len = period_len
-
-    def as_sltl(self) -> SLTLModel:
-        ids = frozenset(self.traces)
-        return SLTLModel(dict(self.traces), {UNIVERSAL: ids}, self.prefix_len, self.period_len)
-
-
 # ---------------------------------------------------------------------------
 # Ground-truth evaluation
 
@@ -211,12 +194,6 @@ def check_product_formula(f: Formula) -> None:
             raise ValueError(
                 f"modality over {g.standpoint} is outside the product sublanguage"
             )
-
-
-def evaluate_product(model: ProductModel, trace_id: str, position: int, f: Formula) -> bool:
-    """Product-logic satisfaction; modalities quantify over all traces."""
-    check_product_formula(f)
-    return evaluate(model.as_sltl(), trace_id, position, f)
 
 
 # ---------------------------------------------------------------------------

@@ -30,23 +30,20 @@ from .syntax import (
     classify,
     closure,
     simplify,
-    to_text,
     vocab,
 )
-from .translate import Partition, sltl_to_product
+from .translate import Partition
 
 
 class SolveOptions(_Record):
-    __slots__ = ("bounds", "fragment_strict", "attach_translation", "node_limit", "state_limit")
+    __slots__ = ("bounds", "fragment_strict", "node_limit", "state_limit")
 
     def __init__(
         self, bounds: SearchBounds | None = None, fragment_strict: bool = False,
-        attach_translation: bool = False, node_limit: int = DEFAULT_NODE_LIMIT,
-        state_limit: int = DEFAULT_STATE_LIMIT,
+        node_limit: int = DEFAULT_NODE_LIMIT, state_limit: int = DEFAULT_STATE_LIMIT,
     ):
         self.bounds = bounds
         self.fragment_strict = fragment_strict
-        self.attach_translation = attach_translation
         self.node_limit = node_limit
         self.state_limit = state_limit
 
@@ -56,7 +53,7 @@ class Verdict(_Record):
 
     __slots__ = (
         "status", "fragment", "engine", "model", "designated", "partition", "bounds",
-        "translation", "psl_model",
+        "psl_model",
     )
 
     def __init__(
@@ -66,7 +63,6 @@ class Verdict(_Record):
         engine: str | None = None,  # automaton | oracle
         model: SLTLModel | None = None, designated: str | None = None,
         partition: Partition | None = None, bounds: SearchBounds | None = None,
-        translation: str | None = None,
         psl_model: psl.PSLModel | None = None,  # the grid model of a PSL input
     ):
         self.status = status
@@ -76,7 +72,6 @@ class Verdict(_Record):
         self.designated = designated
         self.partition = partition
         self.bounds = bounds
-        self.translation = translation
         self.psl_model = psl_model
 
     @property
@@ -154,13 +149,12 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     frag = classify(f)
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.
-        translation = to_text(sltl_to_product(f)) if opts.attach_translation else None
         if opts.fragment_strict:
-            return Verdict("out_of_fragment", frag, translation=translation)
+            return Verdict("out_of_fragment", frag)
         bounds = opts.bounds or SearchBounds.for_formula(f, 3, 2, 3)
         found = bounded_search(f, bounds, node_limit=opts.node_limit)
         if found is None:
-            return Verdict("unknown", frag, engine="oracle", bounds=bounds, translation=translation)
+            return Verdict("unknown", frag, engine="oracle", bounds=bounds)
         model, designated = found
         verdict = Verdict(
             "sat", frag, engine="oracle", model=model, designated=designated,
@@ -213,8 +207,6 @@ def verdict_to_json(v: Verdict) -> dict:
             "max_period": v.bounds.max_period,
             "props": list(v.bounds.props),
         }
-    if v.translation is not None:
-        out["translation"] = v.translation
     if v.psl_model is not None:
         out["psl_witness"] = psl.psl_model_to_json(v.psl_model, (0, 1))
     return out

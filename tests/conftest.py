@@ -130,6 +130,45 @@ def iter_models(props, max_traces, max_prefix, max_period, sps):
                         yield SLTLModel(traces, lam, prefix, period)
 
 
+def over_universal(model: SLTLModel) -> SLTLModel:
+    """The product model of ``model``'s traces: the SLTL model over them
+    whose only standpoint is ``@*``."""
+    ids = frozenset(model.traces)
+    return SLTLModel(dict(model.traces), {UNIVERSAL: ids}, model.prefix_len, model.period_len)
+
+
+def standpoints_into_guards(model: SLTLModel) -> SLTLModel:
+    """The product model whose traces also carry the guard variable ``@s``
+    wherever their trace is in the extent of standpoint ``s``."""
+    traces = {}
+    for tid, tr in model.traces.items():
+        guards = frozenset(
+            str(sp) for sp, members in model.lam.items() if not sp.is_universal and tid in members
+        )
+        traces[tid] = UPTrace(
+            tuple(v | guards for v in tr.prefix), tuple(v | guards for v in tr.period)
+        )
+    return SLTLModel(traces, {UNIVERSAL: frozenset(traces)}, model.prefix_len, model.period_len)
+
+
+def guards_into_standpoints(m: SLTLModel, f: Formula) -> SLTLModel:
+    """The SLTL model over the traces of the product model ``m`` that gives
+    each standpoint of ``f`` the traces whose guard variable always holds,
+    or every trace when none does."""
+    ids = frozenset(m.traces)
+    lam = {UNIVERSAL: ids}
+    for sp in vocab(f).standpoints:
+        if sp.is_universal:
+            continue
+        members = frozenset(
+            tid
+            for tid, tr in m.traces.items()
+            if all(str(sp) in tr.valuation(k) for k in range(m.length))
+        )
+        lam[sp] = members if members else ids
+    return SLTLModel(dict(m.traces), lam, m.prefix_len, m.period_len)
+
+
 def naive_sat(f: Formula, max_traces: int, max_prefix: int, max_period: int) -> bool:
     voc = vocab(f)
     sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)

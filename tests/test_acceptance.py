@@ -16,19 +16,16 @@ from conftest import (
     S,
     T,
     enumerate_psl_formulas,
+    guards_into_standpoints,
+    over_universal,
     psl_brute_sat,
     random_formula,
+    standpoints_into_guards,
 )
 
 from sltl import psl
-from sltl.search import SearchBounds, bounded_search, bounded_search_product
-from sltl.semantics import (
-    ProductModel,
-    SLTLModel,
-    UPTrace,
-    evaluate,
-    evaluate_product,
-)
+from sltl.search import SearchBounds, bounded_search
+from sltl.semantics import SLTLModel, UPTrace, check_product_formula, evaluate
 from sltl.solver import check_witness, solve
 from sltl.syntax import (
     BoxS,
@@ -202,70 +199,40 @@ def test_criterion_06_translation_transport():
     while embedded < 200:
         f = random_formula(rng, 3, mode="product")
         embedded += 1
+        check_product_formula(f)
         g = product_to_sltl(f)
         bounds = SearchBounds.for_formula(f, *bounds_shape)
-        found_product = bounded_search_product(f, bounds)
+        found_product = bounded_search(f, bounds)
         found_sltl = bounded_search(g, bounds)
         assert (found_product is None) == (found_sltl is None), to_text(f)
         if found_product is not None:
             m, tid = found_product
-            assert evaluate(m.as_sltl(), tid, 0, g)
+            assert evaluate(m, tid, 0, g)
         if found_sltl is not None:
             m2, tid2 = found_sltl
-            assert evaluate_product(
-                ProductModel(m2.traces, m2.prefix_len, m2.period_len), tid2, 0, f
-            )
+            assert evaluate(over_universal(m2), tid2, 0, f)
 
     guarded = 0
     while guarded < 200:
         f = random_formula(rng, 2, mode="sltl", max_sharpenings=1)
         guarded += 1
         out = sltl_to_product(f)
+        check_product_formula(out)
         bounds_f = SearchBounds.for_formula(f, *bounds_shape)
         bounds_out = SearchBounds(
             *bounds_shape, tuple(sorted(set(bounds_f.props) | vocab(out).props))
         )
         found_f = bounded_search(f, bounds_f)
-        found_out = bounded_search_product(out, bounds_out)
+        found_out = bounded_search(out, bounds_out)
         assert (found_f is None) == (found_out is None), to_text(f)
         if found_f is not None:
             model, tid = found_f
-            assert evaluate_product(_standpoints_into_guards(model), tid, 0, out)
+            assert evaluate(standpoints_into_guards(model), tid, 0, out)
         if found_out is not None:
             m, tid = found_out
-            assert evaluate(_guards_into_standpoints(m, f), tid, 0, f)
+            assert evaluate(guards_into_standpoints(m, f), tid, 0, f)
     report(6, f"{embedded}+{guarded} formulas, bounded-model existence and transported "
               "witnesses agree in both directions")
-
-
-def _standpoints_into_guards(model: SLTLModel) -> ProductModel:
-    traces = {}
-    for tid, tr in model.traces.items():
-        guards = frozenset(
-            str(sp)
-            for sp, members in model.lam.items()
-            if not sp.is_universal and tid in members
-        )
-        traces[tid] = UPTrace(
-            tuple(v | guards for v in tr.prefix), tuple(v | guards for v in tr.period)
-        )
-    return ProductModel(traces, model.prefix_len, model.period_len)
-
-
-def _guards_into_standpoints(m: ProductModel, f) -> SLTLModel:
-    ids = frozenset(m.traces)
-    lam = {UNIVERSAL: ids}
-    horizon = m.prefix_len + m.period_len
-    for sp in vocab(f).standpoints:
-        if sp.is_universal:
-            continue
-        members = frozenset(
-            tid
-            for tid, tr in m.traces.items()
-            if all(str(sp) in tr.valuation(k) for k in range(horizon))
-        )
-        lam[sp] = members if members else ids
-    return SLTLModel(dict(m.traces), lam, m.prefix_len, m.period_len)
 
 
 def test_criterion_07_counter_semantics():

@@ -8,7 +8,6 @@ import pytest
 from conftest import family_for, psl_brute_sat_bitwise, random_formula, sharpening_closure
 
 from sltl.automaton import (
-    AutomatonLimitError,
     Lasso,
     StateSpace,
     dump_state_graph,
@@ -505,8 +504,9 @@ def test_emptiness_matches_whole_graph_reference():
 
 def test_state_limit_is_loud():
     f = parse("G F p & G F q & G F r")
-    with pytest.raises(AutomatonLimitError):
+    with pytest.raises(SearchLimitError, match="automaton exceeded the state limit of 3") as info:
         find_accepting_lasso(closure(f), state_limit=3)
+    assert (info.value.layer, info.value.limit) == ("automaton", 3)
 
 
 def test_state_graph_dump_format():

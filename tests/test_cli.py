@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -158,6 +159,77 @@ def test_check_deeply_nested_json_is_a_data_error(tmp_path, capsys, opening, clo
     assert "nested too deeply" in err and "schema" in err
 
 
+def test_check_witness_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    witness.write_bytes(b'{"prefix_len": 0, "\xff": 1}')
+    code, _, err = run(capsys, "check", "p", str(witness))
+    assert code == 65, err
+    assert "not UTF-8" in err and "schema" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "classify", "check"])
+def test_formula_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    # read like standard input: the undecodable byte is an unexpected
+    # character at its position
+    formula = tmp_path / "f.txt"
+    formula.write_bytes(b"p & \xff")
+    witness = tmp_path / "w.json"
+    witness.write_text("{}")
+    extra = [str(witness)] if command == "check" else []
+    code, _, err = run(capsys, command, "--file", str(formula), *extra)
+    assert code == 64, err
+    assert err.startswith("error: parse error: 1:5")
+
+
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("sltl.cli.solve", exhausted)
+    code, out, err = run(capsys, "solve", "<@s> p")
+    assert code == 69
+    assert out == "" and err == "error: out of memory\n"
+
+
+def _mutants(rng: random.Random, data: bytes, opening: bytes, closing: bytes, count: int):
+    """``count`` seeded mutants of ``data``: bit flips, truncations, an
+    inserted 0xff or 0x00 byte, or ``data`` nested 10,000 deep."""
+    for _ in range(count):
+        kind = rng.randrange(5)
+        out = bytearray(data)
+        if kind == 0:
+            for _ in range(rng.randint(1, 3)):
+                out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            del out[rng.randrange(len(out)):]
+        elif kind in (2, 3):
+            out.insert(rng.randrange(len(out) + 1), 0xFF if kind == 2 else 0x00)
+        else:
+            out = opening * 10_000 + out + closing * 10_000
+        yield bytes(out)
+
+
+def test_fuzzed_formula_and_witness_files_never_exit_70(tmp_path, capsys, monkeypatch):
+    # small limits keep each solve short: a limit is exit 69, not a failure
+    monkeypatch.setenv("SLTL_NODE_LIMIT", "2000")
+    monkeypatch.setenv("SLTL_STATE_LIMIT", "500")
+    text = "<@s> p & (q U r) & [@t] !q & (@s <= @t)"
+    witness = tmp_path / "w.json"
+    assert run(capsys, "solve", "--witness-out", str(witness), text)[0] == 0
+    valid = witness.read_bytes()
+    rng = random.Random(808)
+    mutant = tmp_path / "mutant"
+    for data in _mutants(rng, text.encode(), b"(", b")", 150):
+        mutant.write_bytes(data)
+        for command, *extra in (["solve"], ["classify"], ["check", str(witness)]):
+            code, _, err = run(capsys, command, "--file", str(mutant), *extra)
+            assert code != 70, (command, data[:200], err)
+    for data in _mutants(rng, valid, b"[", b"]", 150):
+        mutant.write_bytes(data)
+        code, _, err = run(capsys, "check", text, str(mutant))
+        assert code != 70, (data[:200], err)
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", "p", str(tmp_path / "absent.json"))
     assert code == 66
@@ -169,6 +241,15 @@ def test_stdin_formula(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("p | !p"))
     code, out, _ = run(capsys, "solve", "-")
     assert code == 0
+
+
+def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):
+    # whatever error handler the locale gives standard input
+    stdin = io.TextIOWrapper(io.BytesIO(b"p & \xff"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run(capsys, "classify", "-")
+    assert code == 64, err
+    assert err.startswith("error: parse error: 1:5")
 
 
 def test_usage_error_without_formula(capsys):
@@ -459,6 +540,13 @@ def test_env_node_limit_bounds_the_automatons_grid_searches(capsys, monkeypatch)
     code, _, err = run(capsys, "solve", "G <@s> p & F [@t] !p")
     assert code == 69
     assert "grid search" in err and "node limit of 1" in err
+
+
+def test_env_state_limit(capsys, monkeypatch):
+    monkeypatch.setenv("SLTL_STATE_LIMIT", "3")
+    code, out, err = run(capsys, "solve", "G F p & G F q & G F r")
+    assert code == 69 and out == ""
+    assert err == "error: search limit reached: automaton exceeded the state limit of 3\n"
 
 
 @pytest.mark.parametrize("name", ["SLTL_NODE_LIMIT", "SLTL_STATE_LIMIT"])

@@ -8,7 +8,7 @@ import pytest
 from sltl.automaton import DEFAULT_STATE_LIMIT, Lasso
 from sltl.psl import PSLModel
 from sltl.search import DEFAULT_NODE_LIMIT, SearchBounds
-from sltl.semantics import ModelError, ProductModel, SLTLModel, UPTrace
+from sltl.semantics import ModelError, SLTLModel, UPTrace
 from sltl.solver import SolveOptions, Verdict
 from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary
 from sltl.translate import Partition
@@ -38,10 +38,6 @@ RECORDS = {
         ("traces", "lam", "prefix_len", "period_len"),
         lambda k: SLTLModel({"t0": _trace(k)}, {UNIVERSAL: frozenset({"t0"})}, 0, 1),
     ),
-    ProductModel: (
-        ("traces", "prefix_len", "period_len"),
-        lambda k: ProductModel({"t0": _trace(k)}, 0, 1),
-    ),
     SearchBounds: (
         ("max_traces", "max_prefix", "max_period", "props"),
         lambda k: SearchBounds(1 + k, 0, 1, ("p",)),
@@ -54,12 +50,12 @@ RECORDS = {
         lambda k: Partition(frozenset({(S, UNIVERSAL)} if k else ()), frozenset()),
     ),
     SolveOptions: (
-        ("bounds", "fragment_strict", "attach_translation", "node_limit", "state_limit"),
+        ("bounds", "fragment_strict", "node_limit", "state_limit"),
         lambda k: SolveOptions(node_limit=10 + k),
     ),
     Verdict: (
         ("status", "fragment", "engine", "model", "designated", "partition", "bounds",
-         "translation", "psl_model"),
+         "psl_model"),
         lambda k: Verdict("sat", Fragment.PSL, model=SLTLModel(
             {"t0": _trace(k)}, {UNIVERSAL: frozenset({"t0"})}, 0, 1,
         ), designated="t0", psl_model=_grid(k)),
@@ -122,14 +118,13 @@ def test_records_pickle(cls):
 
 def test_constructor_defaults():
     opts = SolveOptions()
-    assert (opts.bounds, opts.fragment_strict, opts.attach_translation) == (None, False, False)
+    assert (opts.bounds, opts.fragment_strict) == (None, False)
     assert (opts.node_limit, opts.state_limit) == (DEFAULT_NODE_LIMIT, DEFAULT_STATE_LIMIT)
     v = Verdict("sat", Fragment.PSL)
     assert (v.status, v.fragment) == ("sat", Fragment.PSL)
     assert all(
         getattr(v, name) is None
-        for name in ("engine", "model", "designated", "partition", "bounds", "translation",
-                     "psl_model")
+        for name in ("engine", "model", "designated", "partition", "bounds", "psl_model")
     )
 
 

@@ -1,9 +1,18 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import ReferenceEvaluator, S, T, iter_models, naive_sat, random_formula
+from conftest import (
+    ReferenceEvaluator,
+    S,
+    T,
+    iter_models,
+    naive_sat,
+    over_universal,
+    random_formula,
+)
 
 from sltl import psl, search
 from sltl.solver import check_witness
@@ -12,16 +21,14 @@ from sltl.search import (
     SearchBounds,
     SearchLimitError,
     bounded_search,
-    bounded_search_product,
 )
 from sltl.semantics import (
     ModelError,
-    ProductModel,
     SLTLModel,
     UPTrace,
     WitnessFormatError,
+    check_product_formula,
     evaluate,
-    evaluate_product,
     model_from_json,
     model_to_json,
 )
@@ -167,28 +174,37 @@ def test_evaluate_matches_the_clause_by_clause_reference():
 # ---------------------------------------------------------------------------
 # Product-logic evaluation
 
-def test_product_eval_examples():
-    m = ProductModel({"t0": UPTrace((frozenset({"p"}),), (frozenset(),))}, 1, 1)
-    assert evaluate_product(m, "t0", 0, parse("<> p"))
-    assert not evaluate_product(m, "t0", 1, parse("<> p"))
+# A product model is an SLTL model whose only standpoint is ``@*``, and a
+# product formula one that ``check_product_formula`` accepts.
 
-    two = ProductModel(
+def test_product_eval_examples():
+    diamond_p = parse("<> p")
+    check_product_formula(diamond_p)
+    m = SLTLModel(
+        {"t0": UPTrace((frozenset({"p"}),), (frozenset(),))}, {UNIVERSAL: frozenset({"t0"})}, 1, 1
+    )
+    assert evaluate(m, "t0", 0, diamond_p)
+    assert not evaluate(m, "t0", 1, diamond_p)
+
+    two = SLTLModel(
         {
             "t0": UPTrace((), (frozenset({"p"}),)),
             "t1": UPTrace((), (frozenset(),)),
         },
+        {UNIVERSAL: frozenset({"t0", "t1"})},
         0,
         1,
     )
-    assert evaluate_product(two, "t1", 0, parse("<> p & [] !q"))
+    f = parse("<> p & [] !q")
+    check_product_formula(f)
+    assert evaluate(two, "t1", 0, f)
 
 
 def test_product_eval_rejects_named_standpoints_and_sharpening():
-    m = ProductModel({"t0": UPTrace((), (frozenset(),))}, 0, 1)
     with pytest.raises(ValueError):
-        evaluate_product(m, "t0", 0, parse("<@s> p"))
+        check_product_formula(parse("<@s> p"))
     with pytest.raises(ValueError):
-        evaluate_product(m, "t0", 0, Sharper(S, T))
+        check_product_formula(Sharper(S, T))
 
 
 def test_next_until_encodes_strict_until():
@@ -212,12 +228,13 @@ def test_product_and_sltl_agree_on_universal_formulas():
     rng = random.Random(21)
     for _ in range(30):
         f = random_formula(rng, 3, mode="product")
-        found = bounded_search_product(f, SearchBounds.for_formula(f, 2, 1, 2))
+        check_product_formula(f)
+        found = bounded_search(f, SearchBounds.for_formula(f, 2, 1, 2))
         if found is None:
             continue
         m, tid = found
-        assert evaluate_product(m, tid, 0, f)
-        assert evaluate(m.as_sltl(), tid, 0, f)
+        assert m == over_universal(m)
+        assert evaluate(m, tid, 0, f)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +429,38 @@ def test_assignments_are_made_as_the_search_reaches_them():
     assert next(assignments) == ((0,),) * 10
 
 
+@pytest.mark.parametrize("renamed", [0, 1])
+def test_assignments_are_the_least_tuple_of_each_orbit(renamed):
+    # brute force: every tuple of non-empty trace masks, renamed by every
+    # permutation of the traces from ``renamed`` on
+    for n_sps in range(4):
+        for t_count in range(1, 5):
+            perms = [
+                (*range(renamed), *p) for p in itertools.permutations(range(renamed, t_count))
+            ]
+            least = {
+                min(
+                    tuple(sum(1 << perm[t] for t in range(t_count) if m >> t & 1) for m in combo)
+                    for perm in perms
+                )
+                for combo in itertools.product(range(1, 1 << t_count), repeat=n_sps)
+            }
+            got = [
+                tuple(sum(1 << t for t in extent) for extent in assignment)
+                for assignment in search._lambda_assignments(n_sps, t_count, renamed)
+            ]
+            assert got == sorted(least), (n_sps, t_count)
+
+
+def test_many_traces_cost_no_table_per_trace_mask():
+    # the assignments of 40 traces are made without listing or testing
+    # each of the 2**40 trace masks
+    f = parse("<@s> X p & [@s] X !p")
+    started = time.perf_counter()
+    assert bounded_search(f, SearchBounds.for_formula(f, 40, 0, 1)) is None
+    assert time.perf_counter() - started < 5
+
+
 def test_search_is_deterministic():
     f = parse("<@s> (p & q) | X (p U q)")
     b = SearchBounds.for_formula(f, 2, 1, 2)
@@ -457,14 +506,16 @@ def test_search_requires_covering_vocabulary():
 
 def test_search_product_contradiction():
     f = parse("[] p & <> !p")
-    assert bounded_search_product(f, SearchBounds.for_formula(f, 3, 1, 2)) is None
+    check_product_formula(f)
+    assert bounded_search(f, SearchBounds.for_formula(f, 3, 1, 2)) is None
 
 
 def test_search_product_recurrence():
     f = parse("G <> p")
-    found = bounded_search_product(f, SearchBounds.for_formula(f, 1, 0, 1))
+    check_product_formula(f)
+    found = bounded_search(f, SearchBounds.for_formula(f, 1, 0, 1))
     assert found is not None
-    assert evaluate_product(found[0], found[1], 0, f)
+    assert evaluate(found[0], found[1], 0, f)
 
 
 # ---------------------------------------------------------------------------

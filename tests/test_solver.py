@@ -11,6 +11,7 @@ from sltl import automaton, psl, syntax
 from sltl.search import SearchBounds, SearchLimitError, bounded_search
 from sltl.semantics import evaluate, model_to_json
 from sltl.automaton import find_accepting_lasso
+from sltl.cli import main
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
     And,
@@ -26,7 +27,7 @@ from sltl.syntax import (
     to_text,
     vocab,
 )
-from sltl.translate import counter_formula, recurring_counter_formula
+from sltl.translate import counter_formula, recurring_counter_formula, sltl_to_product
 
 
 def run_grid_parameters(phi_d):
@@ -89,21 +90,27 @@ def test_until_against_always_not_is_unsat():
     assert v.status == "unsat" and v.engine == "automaton"
 
 
-def test_counter_demand_is_unknown_with_translation():
+def test_counter_demand_is_unknown_with_translation(capsys):
     f = recurring_counter_formula(1)
-    opts = SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 2), attach_translation=True)
+    opts = SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 2))
     v = solve(f, opts)
     assert v.status == "unknown"
     assert v.engine == "oracle"
     assert v.bounds is not None
-    assert v.translation and "@s" in v.translation
+    # the CLI prints the product-logic translation of an unknown verdict
+    assert main(["solve", "--bounds", "2,1,2", to_text(f)]) == 2
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("product-logic translation: ") and "@s" in last
 
 
-def test_fragment_strict_mode():
+def test_fragment_strict_mode(capsys):
     f = parse("<@s> X p")
-    v = solve(f, SolveOptions(fragment_strict=True, attach_translation=True))
+    v = solve(f, SolveOptions(fragment_strict=True))
     assert v.status == "out_of_fragment"
-    assert v.translation is not None
+    assert main(["solve", "--json", "--fragment-strict", to_text(f)]) == 3
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["status"] == "out_of_fragment"
+    assert blob["translation"] == to_text(sltl_to_product(f))
 
 
 def test_oracle_path_returns_checked_witness():
@@ -542,7 +549,7 @@ def test_sat_verdict_runs_one_check(monkeypatch, text, engine):
     assert calls == [(v.model, v.designated, 0)]
 
 
-def test_verdict_json_schema():
+def test_verdict_json_schema(capsys):
     v = solve(parse("(@s <= @t) & X p"))
     blob = verdict_to_json(v)
     assert blob["status"] == "sat"
@@ -551,12 +558,15 @@ def test_verdict_json_schema():
     assert blob["witness"]["designated"] == v.designated
     json.dumps(blob)  # serializable
 
-    u = solve(recurring_counter_formula(1), SolveOptions(
-        bounds=SearchBounds.for_formula(recurring_counter_formula(1), 2, 1, 2),
-        attach_translation=True,
-    ))
+    f = recurring_counter_formula(1)
+    u = solve(f, SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 2)))
     blob_u = verdict_to_json(u)
     assert blob_u["status"] == "unknown"
     assert blob_u["witness"] is None
-    assert "bounds" in blob_u and "translation" in blob_u
+    assert "bounds" in blob_u and "translation" not in blob_u
     json.dumps(blob_u)
+    # ``solve --json`` adds the translation, after every other key
+    assert main(["solve", "--json", "--bounds", "2,1,2", to_text(f)]) == 2
+    cli_blob = json.loads(capsys.readouterr().out)
+    assert cli_blob == {**blob_u, "translation": to_text(sltl_to_product(f))}
+    assert list(cli_blob) == [*blob_u, "translation"]

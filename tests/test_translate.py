@@ -3,16 +3,17 @@ import random
 
 import pytest
 
-from conftest import S, T, random_formula
-
-from sltl.search import SearchBounds, bounded_search, bounded_search_product
-from sltl.semantics import (
-    ProductModel,
-    SLTLModel,
-    UPTrace,
-    evaluate,
-    evaluate_product,
+from conftest import (
+    S,
+    T,
+    guards_into_standpoints,
+    over_universal,
+    random_formula,
+    standpoints_into_guards,
 )
+
+from sltl.search import SearchBounds, bounded_search
+from sltl.semantics import SLTLModel, UPTrace, check_product_formula, evaluate
 from sltl.syntax import (
     And,
     BoxS,
@@ -127,10 +128,11 @@ def test_psl_to_s5_preserves_satisfiability_on_corpus():
         f = random_formula(rng, 3, mode="psl", max_sharpenings=1)
         done += 1
         out = psl_to_s5(f)
+        check_product_formula(out)
         b_f = SearchBounds.for_formula(f, 3, 0, 1)
         b_out = SearchBounds.for_formula(out, 3, 0, 1)
         sat_f = bounded_search(f, b_f) is not None
-        sat_out = bounded_search_product(out, b_out) is not None
+        sat_out = bounded_search(out, b_out) is not None
         assert sat_f == sat_out, to_text(f)
 
 
@@ -170,10 +172,10 @@ def test_until_renaming_preserves_bounded_satisfiability():
         f = random_formula(rng, 3, mode="product")
         done += 1
         out = until_to_strict(f)
-        sat_f = bounded_search_product(f, SearchBounds.for_formula(f, 2, 1, 2)) is not None
-        sat_out = (
-            bounded_search_product(out, SearchBounds.for_formula(out, 2, 1, 2)) is not None
-        )
+        check_product_formula(f)
+        check_product_formula(out)
+        sat_f = bounded_search(f, SearchBounds.for_formula(f, 2, 1, 2)) is not None
+        sat_out = bounded_search(out, SearchBounds.for_formula(out, 2, 1, 2)) is not None
         assert sat_f == sat_out, to_text(f)
 
 
@@ -251,8 +253,9 @@ def test_counter_demand_has_no_small_model():
 def test_counter_demand_translation_has_no_small_model_either():
     f = recurring_counter_formula(1)
     out = sltl_to_product(f)
+    check_product_formula(out)
     bounds = SearchBounds.for_formula(out, 2, 1, 2)
-    assert bounded_search_product(out, bounds) is None
+    assert bounded_search(out, bounds) is None
 
 
 def test_counter_rejects_zero_bits():
@@ -280,18 +283,17 @@ def test_product_embedding_transport():
     while done < 30:
         f = random_formula(rng, 3, mode="product")
         done += 1
+        check_product_formula(f)
         bounds = SearchBounds.for_formula(f, 2, 1, 2)
-        product_found = bounded_search_product(f, bounds)
+        product_found = bounded_search(f, bounds)
         sltl_found = bounded_search(product_to_sltl(f), bounds)
         assert (product_found is None) == (sltl_found is None)
         if product_found is not None:
             m, tid = product_found
-            assert evaluate(m.as_sltl(), tid, 0, product_to_sltl(f))
+            assert evaluate(m, tid, 0, product_to_sltl(f))
         if sltl_found is not None:
             m2, tid2 = sltl_found
-            assert evaluate_product(
-                ProductModel(m2.traces, m2.prefix_len, m2.period_len), tid2, 0, f
-            )
+            assert evaluate(over_universal(m2), tid2, 0, f)
 
 
 def test_guarded_translation_transport():
@@ -303,43 +305,17 @@ def test_guarded_translation_transport():
         f = random_formula(rng, 2, mode="sltl", max_sharpenings=1)
         done += 1
         out = sltl_to_product(f)
+        check_product_formula(out)
         bounds_f = SearchBounds.for_formula(f, 2, 1, 2)
         bounds_out = SearchBounds(2, 1, 2, tuple(sorted(set(bounds_f.props) | vocab(out).props)))
         found_f = bounded_search(f, bounds_f)
-        found_out = bounded_search_product(out, bounds_out)
+        found_out = bounded_search(out, bounds_out)
         assert (found_f is None) == (found_out is None), to_text(f)
         if found_f is not None:
             model, tid = found_f
-            transported = _standpoints_into_guards(model)
-            assert evaluate_product(transported, tid, 0, out)
+            transported = standpoints_into_guards(model)
+            assert evaluate(transported, tid, 0, out)
         if found_out is not None:
             m, tid = found_out
-            back = _guards_into_standpoints(m, f)
+            back = guards_into_standpoints(m, f)
             assert evaluate(back, tid, 0, f)
-
-
-def _standpoints_into_guards(model: SLTLModel) -> ProductModel:
-    traces = {}
-    for tid, tr in model.traces.items():
-        guards = frozenset(
-            str(sp) for sp, members in model.lam.items() if not sp.is_universal and tid in members
-        )
-        traces[tid] = UPTrace(
-            tuple(v | guards for v in tr.prefix), tuple(v | guards for v in tr.period)
-        )
-    return ProductModel(traces, model.prefix_len, model.period_len)
-
-
-def _guards_into_standpoints(m: ProductModel, f) -> SLTLModel:
-    ids = frozenset(m.traces)
-    lam = {UNIVERSAL: ids}
-    for sp in vocab(f).standpoints:
-        if sp.is_universal:
-            continue
-        members = frozenset(
-            tid
-            for tid, tr in m.traces.items()
-            if all(str(sp) in tr.valuation(k) for k in range(m.prefix_len + m.period_len))
-        )
-        lam[sp] = members if members else ids
-    return SLTLModel(dict(m.traces), lam, m.prefix_len, m.period_len)
