@@ -34,7 +34,7 @@ from collections import deque
 from collections.abc import Container, Iterator
 
 from . import psl
-from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError
+from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError, cells_with_bit
 from .syntax import (
     UNIVERSAL,
     And,
@@ -194,14 +194,12 @@ class StateSpace:
         self._parts = [(slot[c], c) for c in parts]
         # a tail member takes its first value at the cells whose bit p is
         # clear, and the earliest member the highest bit, so that cells in
-        # ascending order visit the tail assignments in branch order; each
-        # mask repeats a block of 2^(p + 1) cells
+        # ascending order visit the tail assignments in branch order
         full = self._engine.full
         self._tail_tm = [0] * len(self.base)
         self._tail_fm = [0] * len(self.base)
         for p, (b, first) in enumerate(reversed(order[len(order) - width:])):
-            half = 1 << p
-            second = (((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1))
+            second = cells_with_bit(1 << width, p)
             t, f = (full ^ second, second) if first else (second, full ^ second)
             self._tail_tm[b], self._tail_fm[b] = t, f
         self._head = order[: len(order) - width]

@@ -53,8 +53,8 @@ class _CliError(Exception):
 
 def _read_formula(args) -> Formula:
     # a file and standard input are read as UTF-8 whatever the locale's
-    # error handler: undecodable bytes become lone surrogates, which the
-    # parser reports as unexpected characters at their position
+    # error handler: undecodable bytes become lone surrogates, as in the
+    # arguments, which the parser reports as bytes at their position
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8", errors="surrogateescape") as fh:

@@ -31,7 +31,7 @@ from .syntax import (
     UNIVERSAL,
     _Record,
 )
-from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError
+from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError, cells_with_bit
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,12 @@ class CompiledGrid:
     ``formulas``, for every search of a conjunction of them.
 
     The types are the (column, valuation) pairs over the sorted
-    propositions, column by column.  The engine runs on a one-position
-    lasso whose traces are the types: propositions are constant masks, and
+    propositions, column by column: type ``t`` is valuation ``t % 2^props``
+    of column ``t // 2^props``, whose bit ``i`` says whether proposition
+    ``i`` holds.  The tables are masks over the types, built column by
+    column and bit by bit, never type by type.  The engine runs on a
+    one-position lasso whose traces are the types: propositions are
+    constant masks, and
     ``bind`` folds a sharpening atom to whether the left extent lies inside
     the right one, which on a ``label_family`` holds iff the closure of its
     atoms relates them (the label set of ``a`` is a column).  A grid with
@@ -118,17 +122,13 @@ class CompiledGrid:
         n_types = grid_types(len(family), len(self.props), budget)
         self.full = (1 << n_types) - 1
         self.col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
-        extents = {UNIVERSAL: tuple(range(n_types))}
-        for sp in frozenset().union(*family):
-            extents[sp] = tuple(t for t in range(n_types) if sp in family[t // v_count])
-        self.true_masks = [
-            sum(1 << t for t in range(n_types) if t % v_count >> i & 1)
-            for i in range(len(self.props))
-        ]
+        # every label set holds the universal standpoint
+        extents = {
+            sp: sum(col for col, labels in zip(self.col_masks, family) if sp in labels)
+            for sp in frozenset().union(*family)
+        }
+        self.true_masks = [cells_with_bit(n_types, i) for i in range(len(self.props))]
         self.false_masks = [self.full ^ m for m in self.true_masks]
-        self.val_sets = [
-            frozenset(p for i, p in enumerate(self.props) if v >> i & 1) for v in range(v_count)
-        ]
         leaves = {Prop(p): i for i, p in enumerate(self.props)}
         try:
             self.engine = IntervalEngine(formulas, n_types, 0, 1, extents, leaves)
@@ -248,16 +248,16 @@ def grid_model_for(
     candidates = col_masks[0]
     for r in roots:
         candidates &= top[r]
-    # (next type, present, absent, designated bit), one entry per
-    # candidate, pushed highest first so that the lowest is searched
-    # first; the designated type starts present, so the walk over the
-    # types passes over it
+    # (next type, present, absent, designated bit); the lowest candidate
+    # left starts the walk whenever the stack runs empty, so the stack
+    # never holds a mask per candidate; the designated type starts
+    # present, so the walk over the types passes over it
     stack = []
-    while candidates:
-        d_bit = 1 << candidates.bit_length() - 1
-        candidates ^= d_bit
-        stack.append((0, d_bit, 0, d_bit))
-    while stack:
+    while stack or candidates:
+        if not stack:
+            d_bit = candidates & -candidates
+            candidates ^= d_bit
+            stack.append((0, d_bit, 0, d_bit))
         t, present, absent, d_bit = stack.pop()
         budget[0] -= 1
         if budget[0] < 0:
@@ -288,13 +288,14 @@ def expand(grid: CompiledGrid, present: int, dv: int) -> PSLModel:
     v_count = grid.v_count
     columns = []
     for c in range(len(grid.family)):
-        chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
+        bits = present >> (c * v_count) & (1 << v_count) - 1
+        chosen = [v for v in range(bits.bit_length()) if bits >> v & 1]
         if c == 0:
             chosen = [dv] + [v for v in chosen if v != dv]
         columns.append(chosen)
     n = max(map(len, columns))
     valuation = {
-        (c, j): grid.val_sets[v]
+        (c, j): frozenset(p for i, p in enumerate(grid.props) if v >> i & 1)
         for c, chosen in enumerate(columns)
         for j, v in enumerate(chosen + chosen[:1] * (n - len(chosen)), start=1)
     }

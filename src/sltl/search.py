@@ -95,11 +95,12 @@ class IntervalEngine:
     the lasso shape (trace count, prefix, period) only through ``L == 1``,
     so ``reshape`` moves an engine to any shape with the same ``L == 1``.
     ``bind`` turns the program into the instruction list for one standpoint
-    assignment at the current shape: extent masks go into the modal
-    instructions, each sharpening atom folds to a constant and ``TOP`` to
-    the mask of every cell.  The constructor binds ``extents``; the bounded
-    search compiles one engine per value of ``L == 1``, and reshapes and
-    rebinds it for every shape and standpoint assignment.  ``sweep``
+    assignment at the current shape: each standpoint's extent, a trace
+    mask (bit ``t``: trace ``t`` is in it), becomes a cell mask in the
+    modal instructions, each sharpening atom folds to a constant and
+    ``TOP`` to the mask of every cell.  The constructor binds ``extents``;
+    the bounded search compiles one engine per value of ``L == 1``, and
+    reshapes and rebinds it for every shape and standpoint assignment.  ``sweep``
     interprets the bound instructions.  Leaves are the formulas of the
     ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
     names.  An Until whose companion ``X(a U b)`` is a leaf compiles to
@@ -122,7 +123,7 @@ class IntervalEngine:
         t_count: int,
         prefix: int,
         period: int,
-        extents: dict[Standpoint, tuple[int, ...]],
+        extents: dict[Standpoint, int],
         leaves: dict[Formula, int],
     ):
         self.reshape(t_count, prefix, period)
@@ -213,17 +214,19 @@ class IntervalEngine:
             L << j for j in range(t_count.bit_length()) if 1 << j < t_count
         )
 
-    def bind(self, extents: dict[Standpoint, tuple[int, ...]]) -> None:
+    def bind(self, extents: dict[Standpoint, int]) -> None:
         """Bind the program to one standpoint assignment: each standpoint's
-        extent (the indices of its traces) becomes a cell mask (``masks``)
-        in the modal instructions, and each sharpening atom and ``TOP``
-        becomes the constant it denotes at the current shape.  The bound
+        extent, a trace mask, becomes a cell mask (``masks``) in the modal
+        instructions, and each sharpening atom and ``TOP`` becomes the
+        constant it denotes at the current shape.  On a one-position lasso
+        a trace is a cell, so the trace masks are the cell masks.  The bound
         instruction list is a copy of the program patched at ``bound_at``,
         the indices of those instructions, which the constructor records.
         A standpoint missing from ``extents`` is a KeyError."""
         block, L, full = self.block0, self.L, self.full
-        self.masks = masks = {
-            sp: sum(block << (t * L) for t in idxs) for sp, idxs in extents.items()
+        self.masks = masks = extents if L == 1 else {
+            sp: sum(block << (t * L) for t in range(m.bit_length()) if m >> t & 1)
+            for sp, m in extents.items()
         }
         instrs = self.program.copy()
         for i in self.bound_at:
@@ -303,6 +306,17 @@ class IntervalEngine:
         while step != u:
             u, step = step, b | (a & self._next(step))
         return u
+
+
+def cells_with_bit(n: int, i: int) -> int:
+    """The mask of the cells ``0 .. n - 1`` whose index has bit ``i`` set,
+    built by doubling a block of ``2^(i + 1)`` cells, not cell by cell."""
+    half = 1 << i
+    m, width = ((1 << half) - 1) << half, 2 * half
+    while width < n:
+        m |= m << width
+        width *= 2
+    return m & ((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +406,10 @@ def _search_stratum(
     return None
 
 
-def _lambda_assignments(
-    n_sps: int, t_count: int, renamed: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _lambda_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tuple[int, ...]]:
     """Yield the assignments of non-empty extents of ``t_count`` traces to
     ``n_sps`` standpoints, one per orbit under the permutations of the
-    traces from ``renamed`` on, each as its extents (trace indices).
+    traces from ``renamed`` on.
 
     An assignment is the tuple of its extents' trace masks, and
     assignments come in ascending tuple order.  The kept one, the least
@@ -412,18 +424,13 @@ def _lambda_assignments(
     trace of that pair and drops every trace below it, since every mask
     in between breaks the same pair.  After a jump only the pair just
     below can break, so the work between two yields is at most
-    ``n_sps * t_count`` jumps, however many assignments the orbits hold,
-    and an extent is made only for a kept mask.
+    ``n_sps * t_count`` jumps, however many assignments the orbits hold.
     """
     if not n_sps:
         yield ()
         return
     top = 1 << t_count
-
-    def extent(mask: int) -> tuple[int, ...]:
-        return tuple(t for t in range(t_count) if mask >> t & 1)
-
-    combo: list[tuple[int, ...]] = []
+    combo: list[int] = []
     # tied[i] has bit t when renamed traces t and t + 1 are in the same
     # extents among the first i standpoints; untried[i] is the next mask
     # to try for standpoint i
@@ -446,9 +453,9 @@ def _lambda_assignments(
             continue
         untried[i] = mask + 1
         if i + 1 == n_sps:
-            yield (*combo, extent(mask))
+            yield (*combo, mask)
         else:
-            combo.append(extent(mask))
+            combo.append(mask)
             tied.append(tied[i] & ~(mask ^ mask >> 1))
             untried.append(1)
 
@@ -464,9 +471,7 @@ def _first_assignments(n_sps: int, t_count: int, renamed: int) -> tuple:
     return tuple(itertools.islice(_lambda_assignments(n_sps, t_count, renamed), _KEPT_ASSIGNMENTS))
 
 
-def _kept_assignments(
-    n_sps: int, t_count: int, renamed: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _kept_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tuple[int, ...]]:
     """``_lambda_assignments``, the first ones from the shared memo and the
     rest, if the search gets that far, made anew."""
     first = _first_assignments(n_sps, t_count, renamed)
@@ -522,7 +527,7 @@ def bounded_search(
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     engines: dict[bool, IntervalEngine] = {}  # by prefix + period == 1
     for t_count in range(1, max_traces + 1):
-        ids = tuple(range(t_count))
+        ids = range(t_count)
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
                 one = prefix + period == 1
@@ -530,14 +535,15 @@ def bounded_search(
                 if engine is not None:
                     engine.reshape(t_count, prefix, period)
                 for combo in _kept_assignments(len(sps), t_count, 0 if independent else 1):
-                    lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: ids}
-                    reach = {t for sp in voc.modal for t in lam_idx[sp]}
-                    if not independent:
-                        reach.add(0)
+                    lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: (1 << t_count) - 1}
+                    read = 0 if independent else 1
+                    for sp in voc.modal:
+                        read |= lam_idx[sp]
+                    reach = {t for t in ids if read >> t & 1}
                     # each read trace but t0 to the one before it with its profile
                     prev, last = {}, {}
                     for t in sorted(reach - {0}):
-                        profile = tuple(t in ext for ext in combo)
+                        profile = tuple(ext >> t & 1 for ext in combo)
                         if profile in last:
                             prev[t] = last[profile]
                         last[profile] = t
@@ -557,7 +563,10 @@ def bounded_search(
                                 for k in range(L)
                             ]
                             traces[f"t{t}"] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))
-                        lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in lam_idx.items()}
+                        lam = {
+                            sp: frozenset(f"t{t}" for t in ids if ext >> t & 1)
+                            for sp, ext in lam_idx.items()
+                        }
                         return SLTLModel(traces, lam, prefix, period), "t0"
     return None
 

@@ -33,7 +33,7 @@ from .syntax import (
     Until,
     _FrozenRecord,
     _Record,
-    nodes,
+    fold,
     subformulas,
 )
 
@@ -186,14 +186,19 @@ def check_product_formula(f: Formula) -> None:
 
     Only the universal modality is allowed and sharpening atoms are not;
     plain modal formulas are represented with the universal standpoint.
+    The error names the first offending node in pre-order.
     """
-    for g in nodes(f):
-        if isinstance(g, Sharper):
-            raise ValueError("sharpening atoms are outside the product sublanguage")
-        if isinstance(g, (DiamondS, BoxS)) and not g.standpoint.is_universal:
-            raise ValueError(
-                f"modality over {g.standpoint} is outside the product sublanguage"
-            )
+
+    def first(g: Formula, kids: tuple) -> Formula | None:
+        if isinstance(g, Sharper) or isinstance(g, (DiamondS, BoxS)) and not g.standpoint.is_universal:
+            return g
+        return next((k for k in kids if k is not None), None)
+
+    g = fold(f, first)
+    if isinstance(g, Sharper):
+        raise ValueError("sharpening atoms are outside the product sublanguage")
+    if g is not None:
+        raise ValueError(f"modality over {g.standpoint} is outside the product sublanguage")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ node's hash and size from its children's, so building a node is O(1).
 
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
-and ``fold`` computes bottom-up, with ``rebuild`` as the homomorphic step
-that a rewrite calls for every connective it leaves alone.  The parser
+and ``fold`` computes bottom-up once per node object, so a shared subterm
+is rewritten once, with ``rebuild`` as the homomorphic step that a
+rewrite calls for every connective it leaves alone.  The parser
 loops over two stacks and the printer over one, so no input is too deep
 for them either; both read one operator table.
 """
@@ -398,37 +399,47 @@ def nodes(f: Formula) -> Iterator[Formula]:
             stack.append(getattr(g, name))
 
 
+_READY = object()  # a marker on fold's stack, and the result of no node
+
+
 def fold(f: Formula, step: Callable[[Formula, tuple], object]) -> object:
-    """Post-order evaluation over every occurrence: ``step(g, kids)`` gets
+    """Post-order evaluation, once per node object: ``step(g, kids)`` gets
     the results for ``g``'s children, left to right, and the left subtree
-    is folded before the right one."""
-    # the reverse of a right-to-left pre-order is the left-to-right post-order
-    order = []
-    stack = [f]
+    is folded before the right one.  A node object met again, a shared
+    subterm, reuses its first result, so a rewrite keeps the sharing of its
+    input and takes time linear in its distinct node objects."""
+    done: dict[int, object] = {}  # by id(): f keeps every node object alive
+    results: list = []  # the results of the children of the nodes on the stack
+    stack: list = [f]
     while stack:
         g = stack.pop()
-        order.append(g)
-        for name in _CHILD_FIELDS[type(g)]:
-            stack.append(getattr(g, name))
-    results: list = []
-    for g in reversed(order):
-        k = len(_CHILD_FIELDS[type(g)])
-        if k:
-            kids = tuple(results[-k:])
+        if g is _READY:  # the node below it has its children's results
+            g = stack.pop()
+            k = len(_CHILD_FIELDS[type(g)])
+            r = done[id(g)] = step(g, tuple(results[-k:]))
             del results[-k:]
-            results.append(step(g, kids))
         else:
-            results.append(step(g, ()))
+            r = done.get(id(g), _READY)
+            if r is _READY:  # not folded yet
+                names = _REVERSED_CHILD_FIELDS[type(g)]
+                if names:
+                    stack.append(g)
+                    stack.append(_READY)
+                    stack.extend([getattr(g, name) for name in names])
+                    continue
+                r = done[id(g)] = step(g, ())
+        results.append(r)
     return results[0]
 
 
 def rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
     """``g`` over new children: the default ``fold`` step of a rewrite.
 
-    Negations are rebuilt with ``neg``, so constants fold and double
-    negations collapse; a node whose children are unchanged is kept.
+    A node whose children are unchanged is kept, a negation too unless
+    its operand is a constant; other negations are rebuilt with ``neg``, so
+    constants fold and double negations collapse.
     """
-    if isinstance(g, Not):
+    if isinstance(g, Not) and (kids[0] is not g.operand or isinstance(kids[0], (Top, Bottom))):
         return neg(kids[0])
     if all(k is getattr(g, name) for k, name in zip(kids, _CHILD_FIELDS[type(g)])):
         return g
@@ -564,6 +575,8 @@ _LEX_ERRORS = [
     (r"-", "expected '->' after '-'"),
     (r"@", "expected a standpoint name after '@'"),
     (r"\$", "expected a name after '$'"),
+    # a byte that is not UTF-8, as errors="surrogateescape" decodes it
+    (r"[\udc80-\udcff]", "unexpected byte {byte:#04x}"),
     (r".", "unexpected character {!r}"),
 ]
 _ERROR_MESSAGES = {f"error{i}": message for i, (_, message) in enumerate(_LEX_ERRORS)}
@@ -597,7 +610,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif kind in ("at", "dia", "box"):
             value = value.strip("<>[]@") or "*"
         elif kind in _ERROR_MESSAGES:
-            raise _error(text, pos, _ERROR_MESSAGES[kind].format(value))
+            raise _error(text, pos, _ERROR_MESSAGES[kind].format(value, byte=ord(value[0]) & 0xFF))
         tokens.append((kind, value, pos))
     return tokens
 
@@ -737,44 +750,32 @@ def to_nnf(f: Formula) -> Formula:
 
     In the result, ``Not`` appears only on propositions, sharpening atoms
     and on always-blocks ``Not(Until(Top, _))``, which encode the dual of
-    Until without a release operator.
-
-    Each occurrence is carried with its polarity (``True`` under an even
-    number of negations): a loop lists them in pre-order, and a second
-    builds their normal forms in reverse, so no formula is too deep.
+    Until without a release operator.  A ``fold``: each subformula's
+    result is the pair of its normal form and its negation's.
     """
-    order: list[tuple[Formula, bool]] = []
-    stack = [(f, True)]
-    while stack:
-        g, positive = stack.pop()
-        order.append((g, positive))
-        if isinstance(g, Not):
-            stack.append((g.operand, not positive))
-        elif isinstance(g, Until) and not positive:
-            # !(a U b)  ==  G !b  |  (!b U (!a & !b)), with G kept as !(true U b)
-            stack += [(g.left, False), (g.right, False), (g.right, True)]
-        else:
-            stack += [(getattr(g, name), positive) for name in _CHILD_FIELDS[type(g)]]
-    done: list[Formula] = []
-    for g, positive in reversed(order):
-        if isinstance(g, Not):
-            continue  # its operand's form, already built, is its own
-        if isinstance(g, (Top, Bottom, Prop, Sharper)):
-            done.append(g if positive else neg(g))
-        elif isinstance(g, Until) and not positive:
-            b, nb, na = done.pop(), done.pop(), done.pop()
-            done.append(Or(Not(Until(TOP, b)), Until(nb, And(na, nb))))
-        else:
-            k = len(_CHILD_FIELDS[type(g)])
-            kids = done[-k:]
-            del done[-k:]
-            build = type(g) if positive else _NNF_DUAL[type(g)]
-            modal = isinstance(g, (DiamondS, BoxS))
-            done.append(build(g.standpoint, *kids) if modal else build(*kids))
-    return done[0]
+    return fold(f, _nnf_step)[0]
 
 
-_NNF_DUAL: dict[type, type] = {And: Or, Or: And, DiamondS: BoxS, BoxS: DiamondS, Next: Next}
+def _nnf_step(g: Formula, kids: tuple[tuple[Formula, Formula], ...]) -> tuple[Formula, Formula]:
+    if not kids:
+        return g, neg(g)
+    if isinstance(g, Not):
+        return kids[0][1], kids[0][0]
+    form = rebuild(g, tuple(k[0] for k in kids))
+    negs = [k[1] for k in kids]
+    if isinstance(g, And):
+        return form, Or(*negs)
+    if isinstance(g, Or):
+        return form, And(*negs)
+    if isinstance(g, Next):
+        return form, Next(*negs)
+    if isinstance(g, DiamondS):
+        return form, BoxS(g.standpoint, *negs)
+    if isinstance(g, BoxS):
+        return form, DiamondS(g.standpoint, *negs)
+    # !(a U b)  ==  G !b  |  (!b U (!a & !b)), with G kept as !(true U b)
+    na, nb = negs
+    return form, Or(Not(Until(TOP, kids[1][0])), Until(nb, And(na, nb)))
 
 
 def is_nnf(f: Formula) -> bool:

@@ -33,7 +33,6 @@ from .syntax import (
     iff,
     implies,
     neg,
-    nodes,
     rebuild,
 )
 from .semantics import check_product_formula
@@ -92,17 +91,14 @@ def rigidity_guard(standpoints: Iterable[Standpoint]) -> Formula:
 
 def _occurring_standpoints(f: Formula) -> list[Standpoint]:
     """Non-universal standpoints in first-occurrence order."""
-    seen: list[Standpoint] = []
-    for g in nodes(f):
-        sps: tuple[Standpoint, ...] = ()
-        if isinstance(g, (DiamondS, BoxS)):
-            sps = (g.standpoint,)
-        elif isinstance(g, Sharper):
-            sps = (g.left, g.right)
-        for sp in sps:
-            if not sp.is_universal and sp not in seen:
-                seen.append(sp)
-    return seen
+
+    def step(g: Formula, kids: tuple[dict, ...]) -> dict[Standpoint, None]:
+        own = (g.standpoint,) if isinstance(g, (DiamondS, BoxS)) else ()
+        if isinstance(g, Sharper):
+            own = (g.left, g.right)
+        return dict.fromkeys([*own, *(sp for k in kids for sp in k)])
+
+    return [sp for sp in fold(f, step) if not sp.is_universal]
 
 
 def translate_standpoints_away(f: Formula) -> Formula:

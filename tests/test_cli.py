@@ -169,8 +169,8 @@ def test_check_witness_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "classify", "check"])
 def test_formula_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
-    # read like standard input: the undecodable byte is an unexpected
-    # character at its position
+    # read like standard input: the undecodable byte is named, at its
+    # position
     formula = tmp_path / "f.txt"
     formula.write_bytes(b"p & \xff")
     witness = tmp_path / "w.json"
@@ -178,7 +178,7 @@ def test_formula_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, comman
     extra = [str(witness)] if command == "check" else []
     code, _, err = run(capsys, command, "--file", str(formula), *extra)
     assert code == 64, err
-    assert err.startswith("error: parse error: 1:5")
+    assert err == "error: parse error: 1:5: unexpected byte 0xff\n"
 
 
 def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
@@ -249,7 +249,9 @@ def test_stdin_that_is_not_utf8_is_a_parse_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", stdin)
     code, _, err = run(capsys, "classify", "-")
     assert code == 64, err
-    assert err.startswith("error: parse error: 1:5")
+    assert err == "error: parse error: 1:5: unexpected byte 0xff\n"
+    # an argument holds such a byte as the same lone surrogate
+    assert run(capsys, "solve", "p & \udcff")[2] == err
 
 
 def test_usage_error_without_formula(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -37,6 +38,7 @@ from sltl.syntax import (
     Prop,
     Sharper,
     Standpoint,
+    TOP,
     UNIVERSAL,
     Until,
     closure,
@@ -440,6 +442,46 @@ def _expand(present, dv, cols, v_count, n, plist):
         for j, v in enumerate(rows, start=1):
             valuation[(c, j)] = frozenset(p for i, p in enumerate(plist) if v >> i & 1)
     return valuation
+
+
+_ATOMS = [(a, b) for a in (S, T, UNIVERSAL) for b in (S, T, UNIVERSAL) if a != b]
+
+
+def test_grid_tables_equal_their_per_type_definitions():
+    # type t is valuation t % 2^props of column t // 2^props
+    rng = random.Random(59)
+    atom_sets = [(), *((a,) for a in _ATOMS), *itertools.combinations(_ATOMS, 2)]
+    for family in sorted({label_family(atoms, {S, T}) for atoms in atom_sets}, key=str):
+        for n_props in range(6):
+            plist = [f"p{i}" for i in range(n_props)]
+            grid = CompiledGrid(family, plist, [TOP], [10**6, 10**6])
+            v_count, cols = 1 << n_props, len(family)
+            types = range(cols * v_count)
+            assert grid.true_masks == [
+                sum(1 << t for t in types if t % v_count >> i & 1) for i in range(n_props)
+            ]
+            assert grid.engine.masks == {
+                sp: sum(1 << t for t in types if sp in family[t // v_count])
+                for sp in (UNIVERSAL, S, T)
+            }
+            for _ in range(5):
+                dv = rng.randrange(v_count)
+                present = rng.getrandbits(len(types)) | 1 << dv
+                present |= sum(1 << rng.randrange(c * v_count, (c + 1) * v_count) for c in range(cols))
+                n = max(
+                    (present >> (c * v_count) & (1 << v_count) - 1).bit_count() for c in range(cols)
+                )
+                want = _expand(present, dv, cols, v_count, n, plist)
+                assert expand(grid, present, dv).valuation == want, (family, n_props)
+
+
+def test_grid_tables_of_many_types_are_built_without_a_loop_over_types():
+    # 2 columns x 2^15 valuations; a loop over the types took about a second
+    conjuncts = [parse(f"<@s> p{i}") for i in range(15)]
+    started = time.perf_counter()
+    grid = CompiledGrid(label_family([], {S}), vocab(conj(conjuncts)).props, conjuncts, [10, 10])
+    assert time.perf_counter() - started < 0.1
+    assert grid.full == (1 << 2**16) - 1
 
 
 def _first_valid_assignment(body, family, plist):

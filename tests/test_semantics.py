@@ -345,20 +345,19 @@ def _search_every_assignment(f, bounds):
     leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
     budget = [10**8, 10**8]
     for t_count in range(1, (bounds.max_traces if voc.standpoints else 1) + 1):
-        ids = tuple(range(t_count))
-        subsets = [tuple(t for t in ids if mask >> t & 1) for mask in range(1, 1 << t_count)]
+        ids = range(t_count)
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
-                for combo in itertools.product(subsets, repeat=len(sps)):
+                for combo in itertools.product(range(1, 1 << t_count), repeat=len(sps)):
                     for d in ids:
                         swap = {0: d, d: 0}
                         lam = {
-                            sp: tuple(sorted(swap.get(t, t) for t in ext))
+                            sp: sum(1 << swap.get(t, t) for t in ids if ext >> t & 1)
                             for sp, ext in zip(sps, combo)
                         }
-                        lam[UNIVERSAL] = ids
+                        lam[UNIVERSAL] = (1 << t_count) - 1
                         engine = IntervalEngine([f], t_count, prefix, period, lam, leaves)
-                        reach = {t for sp in voc.modal for t in lam[sp]} | {0}
+                        reach = {t for sp in voc.modal for t in ids if lam[sp] >> t & 1} | {0}
                         found = search._search_stratum(engine, f, len(leaves), reach, {}, budget)
                         if found is not None:
                             return t_count, prefix, period
@@ -426,7 +425,7 @@ def test_assignments_are_made_as_the_search_reaches_them():
     assert (len(model.traces), designated) == (3, "t0")
     assert check_witness(f, model, designated)
     assignments = search._lambda_assignments(10, 3, 1)
-    assert next(assignments) == ((0,),) * 10
+    assert next(assignments) == (0b1,) * 10
 
 
 @pytest.mark.parametrize("renamed", [0, 1])
@@ -445,10 +444,7 @@ def test_assignments_are_the_least_tuple_of_each_orbit(renamed):
                 )
                 for combo in itertools.product(range(1, 1 << t_count), repeat=n_sps)
             }
-            got = [
-                tuple(sum(1 << t for t in extent) for extent in assignment)
-                for assignment in search._lambda_assignments(n_sps, t_count, renamed)
-            ]
+            got = list(search._lambda_assignments(n_sps, t_count, renamed))
             assert got == sorted(least), (n_sps, t_count)
 
 
@@ -552,7 +548,7 @@ def test_interval_engine_knows_extents_are_never_empty():
     # on the grid a sharpening atom is a constant; with nothing present yet
     # a box over a false one is already false and a diamond over a true one
     # already true, as every completion gives each extent a present type
-    extents = {UNIVERSAL: (0, 1, 2), S: (1, 2), T: (2,)}
+    extents = {UNIVERSAL: 0b111, S: 0b110, T: 0b100}
     formulas = [parse("[@s] (@s <= @t)"), parse("<@s> !(@s <= @t)"), parse("[@t] (@t <= @s)")]
     engine = IntervalEngine(formulas, 3, 0, 1, extents, LEAVES)
     lo, hi = engine.sweep([0, 0], [0, 0], 0, 0b111)
@@ -576,9 +572,10 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
         atoms = rng.choice([[], [(S, T)]])
         family = psl.label_family(atoms, [S, T])
         n_types = len(family) * v_count
-        extents = {UNIVERSAL: tuple(range(n_types))}
-        for sp in (S, T):
-            extents[sp] = tuple(t for t in range(n_types) if sp in family[t // v_count])
+        extents = {
+            sp: sum(1 << t for t in range(n_types) if sp in family[t // v_count])
+            for sp in (UNIVERSAL, S, T)
+        }
         full = (1 << n_types) - 1
         tm = [sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(2)]
         fm = [full ^ m for m in tm]
@@ -590,7 +587,7 @@ def test_interval_engine_sound_on_grid_types_with_partial_presence():
         lo, hi = lo[engine.slot[f]] & full, hi[engine.slot[f]] & full
         for chosen in completions:
             types = [t for t in range(n_types) if chosen[t]]
-            lam = {sp: frozenset(f"t{t}" for t in types if t in ext) for sp, ext in extents.items()}
+            lam = {sp: frozenset(f"t{t}" for t in types if ext >> t & 1) for sp, ext in extents.items()}
             if not all(lam.values()):
                 continue  # a model gives every standpoint a non-empty extent
             traces = {}
@@ -606,12 +603,11 @@ def test_bind_gives_the_instructions_of_a_fresh_compile():
     for _ in range(200):
         f = random_formula(rng, 4, props=("p", "q"), mode="sltl", max_sharpenings=2)
         t_count, prefix, period = rng.randint(1, 4), rng.randint(0, 2), rng.randint(1, 2)
-        ids = tuple(range(t_count))
 
         def assignment():
-            ext = {UNIVERSAL: ids}
+            ext = {UNIVERSAL: (1 << t_count) - 1}
             for sp in (S, T):
-                ext[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
+                ext[sp] = sum(1 << t for t in range(t_count) if t == 0 or rng.random() < 0.5)
             return ext
 
         engine = IntervalEngine([f], t_count, prefix, period, assignment(), LEAVES)
@@ -628,7 +624,6 @@ def test_bind_gives_the_instructions_of_a_fresh_compile():
                 prefix, period = 0, 1
             else:
                 prefix, period = rng.choice([(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
-            ids = tuple(range(t_count))
             extents = assignment()
             engine.reshape(t_count, prefix, period)
             engine.bind(extents)
@@ -650,9 +645,9 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
         ids = tuple(range(t_count))
 
         def assignment():
-            ext = {UNIVERSAL: ids}
+            ext = {UNIVERSAL: (1 << t_count) - 1}
             for sp in (S, T):
-                ext[sp] = tuple(t for t in ids if t == 0 or rng.random() < 0.5)
+                ext[sp] = sum(1 << t for t in ids if t == 0 or rng.random() < 0.5)
             return ext
 
         extents = assignment()
@@ -673,7 +668,7 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
         for engine in engines:
             lo, hi = engine.sweep(tm, fm, every, every)
             results.append((lo[engine.slot[f]] & every, hi[engine.slot[f]] & every))
-        lam = {sp: frozenset(f"t{t}" for t in ext) for sp, ext in extents.items()}
+        lam = {sp: frozenset(f"t{t}" for t in ids if ext >> t & 1) for sp, ext in extents.items()}
         for chosen in completions:
             traces = {}
             for t in ids:

@@ -198,15 +198,17 @@ def test_print_answers_formulas_deeper_than_the_recursion_limit(text):
 
 def _change_leaf(f: Formula, k: int) -> Formula:
     """``f`` with its ``k``-th leaf occurrence (in post-order) replaced by a
-    proposition that occurs in no random formula."""
+    proposition that occurs in no random formula.  A recursive walk over
+    occurrences: ``fold`` visits a shared leaf, such as ``TOP``, once."""
     count = iter(range(size(f)))
 
-    def step(g, kids):
+    def walk(g):
+        kids = tuple(walk(h) for h in children(g))
         if not kids and next(count) == k:
             return Prop("r")
         return rebuild(g, kids)
 
-    return fold(f, step)
+    return walk(f)
 
 
 def test_node_invariants_on_random_formulas():
@@ -556,12 +558,61 @@ def _wide_chain() -> Formula:
     return conj([eventually(Prop(f"p{i}")) for i in range(_DEPTH)])
 
 
-def test_nodes_and_fold_visit_every_occurrence_of_deep_formulas():
+def test_nodes_visit_every_occurrence_and_fold_every_node_of_deep_formulas():
     for f in (_deep_chain(), _wide_chain()):
         assert sum(1 for _ in nodes(f)) == size(f)
         assert fold(f, lambda g, kids: 1 + sum(kids)) == size(f)
+        visited = []
+        fold(f, lambda g, kids: visited.append(g))
+        # once per node object: the wide chain's 5,000 TOPs are one
+        assert len(visited) == len({id(g) for g in nodes(f)})
         subs = subformulas(f)
         assert subs[-1] is f and len(subs) == len(set(subs))
+
+
+def _iff_chain(depth: int, text=lambda i: f"p{i}") -> Formula:
+    """``a0 <-> (a1 <-> ... <-> a_depth)``: each ``<->`` shares its operands,
+    so the chain has about 2^depth occurrences but 5 node objects a level."""
+    return parse(" <-> ".join(text(i) for i in range(depth + 1)))
+
+
+def _fold_every_occurrence(f: Formula, step):
+    """The reference ``fold``: ``step`` once per occurrence, recursively."""
+    return step(f, tuple(_fold_every_occurrence(g, step) for g in children(f)))
+
+
+_ATOMS = (lambda i: f"(<@s> p{i} | X p{i} U true)", lambda i: f"(p{i} U q & [@t] false)",
+          lambda i: f"(@s <= @t | !X p{i})")
+
+
+def _rewrites(f: Formula) -> list[Formula]:
+    guarded = translate_standpoints_away(f)
+    return [simplify(f), to_nnf(f), guarded, until_to_strict(guarded)]
+
+
+def test_rewrites_of_shared_subterms_equal_the_per_occurrence_reference(monkeypatch):
+    # fold once per node object gives what a fold per occurrence gives
+    import sltl.semantics
+    import sltl.syntax
+    import sltl.translate
+    for depth in range(11):
+        f = _iff_chain(depth, _ATOMS[depth % 3])
+        got = _rewrites(f)
+        with monkeypatch.context() as m:
+            for module in (sltl.syntax, sltl.translate, sltl.semantics):
+                m.setattr(module, "fold", _fold_every_occurrence)
+            want = _rewrites(f)
+        assert got == want, depth
+
+
+def test_rewrites_of_a_deep_iff_chain_are_linear():
+    plain = _iff_chain(40)
+    assert simplify(plain) is plain  # nothing folds
+    for text in _ATOMS:
+        f = _iff_chain(40, text)
+        started = time.perf_counter()
+        _rewrites(f)
+        assert time.perf_counter() - started < 1
 
 
 def test_nodes_is_left_to_right_pre_order_and_fold_post_order():
