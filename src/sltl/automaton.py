@@ -182,9 +182,7 @@ class StateSpace:
                 self._decided.append((b, g))
         # one position per cell, one cell per assignment of the last
         # ``width`` branch members (the tail): base member b is true/false
-        # at the cells set in tm[b]/fm[b].  A conjunct of the seed may be
-        # the negation of a member, which is compiled after the closure, so
-        # that the children of each member are compiled before it
+        # at the cells set in tm[b]/fm[b]
         width = min(_TAIL_WIDTH, len(self.branch))
         self._engine = IntervalEngine(
             [*cl.formulas, *conjuncts], 1 << width, 0, 1, {}, self.base_index

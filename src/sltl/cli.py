@@ -3,9 +3,10 @@
 Subcommands: ``solve``, ``translate``, ``gen``, ``check``, ``classify``.
 Verdict exit codes: 0 sat, 1 unsat, 2 unknown, 3 out of fragment (strict
 mode).  Error exit codes follow the BSD convention: 64 usage, 65 bad data,
-66 missing input, 69 resource limit, 70 internal error, 73 output file
-cannot be created, 74 standard output cannot be written (a closed pipe or
-a full disk).
+66 missing input (also a closed standard input), 69 resource limit, 70
+internal error, 73 output file cannot be created, 74 standard output
+cannot be written (closed, a closed pipe or a full disk).  A closed
+standard error loses the error line, not the exit code.
 """
 
 from __future__ import annotations
@@ -62,10 +63,15 @@ def _read_formula(args) -> Formula:
         except OSError as exc:
             raise _CliError(EX_NOINPUT, f"cannot read {args.file}: {exc}") from exc
     elif args.formula == "-":
-        if hasattr(sys.stdin, "buffer"):
-            text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
-        else:  # a text stream put in place of standard input
-            text = sys.stdin.read()
+        if sys.stdin is None:  # closed when the process started
+            raise _CliError(EX_NOINPUT, "cannot read standard input: it is closed")
+        try:
+            if hasattr(sys.stdin, "buffer"):
+                text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+            else:  # a text stream put in place of standard input
+                text = sys.stdin.read()
+        except OSError as exc:
+            raise _CliError(EX_NOINPUT, f"cannot read standard input: {exc}") from exc
     elif args.formula is not None:
         text = args.formula
     else:
@@ -146,7 +152,7 @@ def _dump_states(path: str, f: Formula, verdict: Verdict, opts: SolveOptions) ->
     fragment but FullSLTL: the whole graph reachable from the initial
     states, not only the part the emptiness search explores."""
     if verdict.fragment is Fragment.FULL_SLTL:
-        print("state dump applies to PSL, PureLTL and LtlPsl inputs only", file=sys.stderr)
+        _say("state dump applies to PSL, PureLTL and LtlPsl inputs only")
         return
     phi = simplify(f)
     try:
@@ -281,6 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(message: str) -> None:
+    """Print one line to standard error.  A closed or unwritable standard
+    error loses the line but never changes the exit code: ``sys.stderr`` is
+    None when it was closed at start (``print`` would then write to standard
+    output), and after a failed write it is dropped, so that the
+    interpreter's flush at exit cannot fail too and exit 120."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except OSError:
+            sys.stderr = None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -294,19 +313,22 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.redirect_stdout(out):
             code = args.func(args)
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return exc.code
     except MemoryError:
         # a search's tables outgrew the memory the process may use
-        print("error: out of memory", file=sys.stderr)
+        _say("error: out of memory")
         return EX_RESOURCE
     except Exception as exc:  # noqa: BLE001 - last-resort reporting
-        print(f"internal error: {exc}", file=sys.stderr)
+        _say(f"internal error: {exc}")
         return EX_INTERNAL
+    if sys.stdout is None:  # closed when the process started
+        _say("error: cannot write to standard output: it is closed")
+        return EX_IOERR
     try:
         print(out.getvalue(), end="", flush=True)
     except OSError as exc:
-        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        _say(f"error: cannot write to standard output: {exc}")
         # the interpreter flushes stdout again on exit; that write goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EX_IOERR

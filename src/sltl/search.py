@@ -12,8 +12,6 @@ classes from ``semantics``.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from collections.abc import Iterator, Sequence
 
 from .semantics import SLTLModel, UPTrace
@@ -33,7 +31,7 @@ from .syntax import (
     UNIVERSAL,
     Until,
     _FrozenRecord,
-    _REVERSED_CHILD_FIELDS,
+    subformulas,
     vocab,
 )
 
@@ -103,8 +101,10 @@ class IntervalEngine:
     reshapes and rebinds it for every shape and standpoint assignment.  ``sweep``
     interprets the bound instructions.  Leaves are the formulas of the
     ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
-    names.  An Until whose companion ``X(a U b)`` is a leaf compiles to
-    ``b | (a & X(a U b))``, which holds on every lasso.  On a one-position
+    names.  The compile is one pass over ``subformulas(*formulas,
+    known=leaves)``, one instruction per formula; an Until whose companion
+    ``X(a U b)`` is a leaf gets the two of ``b | (a & X(a U b))``, which
+    holds on every lasso.  On a one-position
     lasso (``L == 1``) a cell is a trace, ``X a`` is ``a``, ``a U b`` is
     ``b`` and a modality is one mask test, which knows that no extent is
     empty in a completion.
@@ -129,64 +129,45 @@ class IntervalEngine:
         self.reshape(t_count, prefix, period)
         one = self.L == 1
 
-        program: list[tuple[int, int, int, object]] = []
-        slot: dict[Formula, int] = {}
+        program: list[tuple[int, int, int, object]] = [(_OP_LEAF, 0, 0, i) for i in leaves.values()]
+        slot: dict[Formula, int] = dict(zip(leaves, range(len(program))))
         # the Untils whose next-step companion is a leaf, mapped to it
         unfold = {
             g.operand: g for g in leaves if isinstance(g, Next) and isinstance(g.operand, Until)
         }
-
-        for g, i in leaves.items():
-            slot[g] = len(program)
-            program.append((_OP_LEAF, 0, 0, i))
-        # a post-order over an explicit stack, children before parents:
-        # ``(g, None)`` asks for g's slot, ``(g, True)`` comes back to g once
-        # its children have theirs, and ``(g, h)`` once h, whose slot g
-        # shares, has its own
-        stack: list[tuple[Formula, object]] = [(g, None) for g in reversed(formulas)]
-        while stack:
-            g, ready = stack.pop()
-            if ready is None:
-                if g in slot:
-                    continue
-                cls = type(g)
-                if cls is Until and g in unfold:
-                    alias = Or(g.right, And(g.left, unfold[g]))
-                elif one and (cls is Next or cls is Until):
-                    alias = g.operand if cls is Next else g.right
-                else:
-                    stack.append((g, True))
-                    for name in _REVERSED_CHILD_FIELDS[cls]:
-                        stack.append((getattr(g, name), None))
-                    continue
-                stack.append((g, alias))
-                stack.append((alias, None))
-                continue
-            if ready is not True:
-                slot[g] = slot[ready]
-                continue
-            if isinstance(g, Top):
-                ins = (_OP_TOP, 0, 0, None)
-            elif isinstance(g, Bottom):
-                ins = (_OP_CONST, 0, 0, (0, 0))
-            elif isinstance(g, Sharper):
-                ins = (_OP_SHARPER, 0, 0, (g.left, g.right))
-            elif isinstance(g, Not):
-                ins = (_OP_NOT, slot[g.operand], 0, None)
-            elif isinstance(g, And):
+        # one instruction per formula, children before parents
+        for g in subformulas(*formulas, known=leaves):
+            cls = type(g)
+            if cls is And:
                 ins = (_OP_AND, slot[g.left], slot[g.right], None)
-            elif isinstance(g, Or):
+            elif cls is Or:
                 ins = (_OP_OR, slot[g.left], slot[g.right], None)
-            elif isinstance(g, Next):
+            elif cls is Not:
+                ins = (_OP_NOT, slot[g.operand], 0, None)
+            elif cls is Until:
+                if g in unfold:
+                    program.append((_OP_AND, slot[g.left], slot[unfold[g]], None))
+                    ins = (_OP_OR, slot[g.right], len(program) - 1, None)
+                elif one:
+                    slot[g] = slot[g.right]
+                    continue
+                else:
+                    ins = (_OP_UNTIL, slot[g.left], slot[g.right], None)
+            elif cls is Next:
+                if one:
+                    slot[g] = slot[g.operand]
+                    continue
                 ins = (_OP_NEXT, slot[g.operand], 0, None)
-            elif isinstance(g, Until):
-                ins = (_OP_UNTIL, slot[g.left], slot[g.right], None)
-            elif isinstance(g, DiamondS):
-                op = _OP_SOME if one else _OP_SOME_AT
-                ins = (op, slot[g.operand], 0, g.standpoint)
-            elif isinstance(g, BoxS):
-                op = _OP_ALL if one else _OP_ALL_AT
-                ins = (op, slot[g.operand], 0, g.standpoint)
+            elif cls is DiamondS:
+                ins = (_OP_SOME if one else _OP_SOME_AT, slot[g.operand], 0, g.standpoint)
+            elif cls is BoxS:
+                ins = (_OP_ALL if one else _OP_ALL_AT, slot[g.operand], 0, g.standpoint)
+            elif cls is Top:
+                ins = (_OP_TOP, 0, 0, None)
+            elif cls is Bottom:
+                ins = (_OP_CONST, 0, 0, (0, 0))
+            elif cls is Sharper:
+                ins = (_OP_SHARPER, 0, 0, (g.left, g.right))
             else:
                 raise TypeError(f"neither a leaf nor a connective: {g!r}")
             slot[g] = len(program)
@@ -460,26 +441,6 @@ def _lambda_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tupl
             untried.append(1)
 
 
-# the most assignments per three counts that ``_first_assignments`` keeps
-_KEPT_ASSIGNMENTS = 1024
-
-
-@functools.lru_cache(maxsize=64)
-def _first_assignments(n_sps: int, t_count: int, renamed: int) -> tuple:
-    """The first ``_KEPT_ASSIGNMENTS`` of ``_lambda_assignments``, shared by
-    every search that asks for the same three counts."""
-    return tuple(itertools.islice(_lambda_assignments(n_sps, t_count, renamed), _KEPT_ASSIGNMENTS))
-
-
-def _kept_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tuple[int, ...]]:
-    """``_lambda_assignments``, the first ones from the shared memo and the
-    rest, if the search gets that far, made anew."""
-    first = _first_assignments(n_sps, t_count, renamed)
-    yield from first
-    if len(first) == _KEPT_ASSIGNMENTS:
-        yield from itertools.islice(_lambda_assignments(n_sps, t_count, renamed), len(first), None)
-
-
 def bounded_search(
     f: Formula,
     bounds: SearchBounds,
@@ -504,8 +465,7 @@ def bounded_search(
     is compiled once per value of ``prefix + period == 1``, reshaped to
     each (trace count, prefix, period) shape and bound to each kept
     assignment of that shape in turn.  Kept assignments are made
-    as the search reaches them (the first ones of each trace count come
-    from a memo shared by all calls), and every stratum costs the budget a
+    as the search reaches them, and every stratum costs the budget a
     node, so a search over many standpoints exits at its node limit rather
     than listing every assignment first.  Which traces a stratum reads is
     decided by the formula's ``Vocabulary``, the one walk of ``f``.  The
@@ -534,7 +494,7 @@ def bounded_search(
                 engine = engines.get(one)
                 if engine is not None:
                     engine.reshape(t_count, prefix, period)
-                for combo in _kept_assignments(len(sps), t_count, 0 if independent else 1):
+                for combo in _lambda_assignments(len(sps), t_count, 0 if independent else 1):
                     lam_idx = {**dict(zip(sps, combo)), UNIVERSAL: (1 << t_count) - 1}
                     read = 0 if independent else 1
                     for sp in voc.modal:

@@ -8,9 +8,11 @@ node's hash and size from its children's, so building a node is O(1).
 
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
-and ``fold`` computes bottom-up once per node object, so a shared subterm
-is rewritten once, with ``rebuild`` as the homomorphic step that a
-rewrite calls for every connective it leaves alone.  The parser
+``subformulas`` the distinct ones children first (the walk of the witness
+checker and of the interval engine's compile), and ``fold`` computes
+bottom-up once per node object, so a shared subterm is rewritten once,
+with ``rebuild`` as the homomorphic step that a rewrite calls for every
+connective it leaves alone.  The parser
 loops over two stacks and the printer over one, so no input is too deep
 for them either; both read one operator table.
 """
@@ -18,7 +20,7 @@ for them either; both read one operator table.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from enum import Enum
 from functools import reduce
 
@@ -448,15 +450,18 @@ def rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
     return type(g)(*kids)
 
 
-def subformulas(f: Formula) -> list[Formula]:
-    """All distinct subformulas of ``f`` (including ``f``), children first."""
+def subformulas(*roots: Formula, known: Collection[Formula] = ()) -> list[Formula]:
+    """All distinct subformulas of ``roots`` (the roots included), children
+    first, left to right and root by root.  A formula in ``known`` (a set
+    or a dict, for fast lookups) is neither listed nor entered, so what
+    lies only beneath known formulas is left out."""
     seen: dict[Formula, None] = {}
-    stack = [(f, False)]
+    stack = [(f, False) for f in reversed(roots)]
     while stack:
         g, expanded = stack.pop()
         if expanded:
             seen[g] = None
-        elif g not in seen:
+        elif g not in seen and g not in known:
             stack.append((g, True))
             for name in _REVERSED_CHILD_FIELDS[type(g)]:
                 stack.append((getattr(g, name), False))

@@ -6,7 +6,8 @@ evaluator, the evaluator itself against a clause-by-clause rendering of
 the satisfaction relation, and propositional standpoint satisfiability by
 enumerating models up to bisimulation (a precisification is determined by
 its standpoint profile and valuation, so a model is a non-empty set of
-such types).
+such types), and PureLTL and LtlPsl satisfiability, unbounded, by an
+elementary-set tableau whose letters are those type sets.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from sltl.syntax import (
     Top,
     UNIVERSAL,
     Until,
+    children,
     neg,
     vocab,
 )
@@ -298,61 +300,63 @@ def psl_brute_sat(f: Formula) -> bool:
     return False
 
 
-def psl_brute_sat_bitwise(f: Formula) -> bool:
-    """``psl_brute_sat`` with every type set evaluated at once, for inputs
-    with at most 16 types, where the set-by-set loop takes seconds.
+class TypeSets:
+    """Every set of some (standpoint profile, valuation) types at once, for
+    at most 16 types, where a set-by-set loop takes seconds.
 
-    Bit ``c * T + k`` of a mask is the truth value at type ``k`` in the
-    model whose type set is the bit set ``c``, where ``T``, the number of
-    types, is a power of two.  A modal formula or sharpening atom tests each
-    type set's block of ``T`` bits.
+    Bit ``c * W + k`` of a mask is the truth value at type ``k`` in the
+    model whose type set is the bit set ``c``, where ``W`` is the number of
+    types rounded up to a power of two.  A type ``(profile, valuation)`` is
+    in ``sps[i]`` when the profile has bit ``i``, and ``props[j]`` holds at
+    it when the valuation has bit ``j``.  A modal formula or sharpening atom
+    tests each type set's block of ``W`` bits.
     """
-    voc = vocab(f)
-    sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
-    props = sorted(voc.props)
-    n_vals = 1 << len(props)
-    n_types = n_vals << len(sps)  # type k: profile k // n_vals, valuation k % n_vals
-    if n_types > 16:
-        raise ValueError(f"{n_types} types: too many type sets to enumerate")
-    block = (1 << n_types) - 1
-    # ``chosen``: block c holds the type set c; ``ones``: bit 0 of every block
-    chosen, ones = 0, 1
-    for j in range(n_types):
-        width = n_types << j
-        chosen |= (chosen | ones << j) << width
-        ones |= ones << width
-    full = block * ones
 
-    def types_where(test) -> int:
-        return sum(1 << k for k in range(n_types) if test(k)) * ones
+    def __init__(self, types: list[tuple[int, int]], sps, props):
+        n = len(types)
+        if n > 16:
+            raise ValueError(f"{n} types: too many type sets to enumerate")
+        self.types = types
+        self.width = width = 1 << (n - 1).bit_length()
+        # ``chosen``: block c holds the type set c; ``ones``: bit 0 of every block
+        chosen, ones = 0, 1
+        for j in range(n):
+            chosen |= (chosen | ones << j) << (width << j)
+            ones |= ones << (width << j)
+        self.chosen, self.ones = chosen, ones
+        self.block = (1 << n) - 1
+        self.full = self.block * ones
+        self.props = {p: self.where(lambda pr, v, j=j: v >> j & 1) for j, p in enumerate(props)}
+        self.exts = {
+            sp: self.where(lambda pr, v, i=i: pr >> i & 1) & chosen for i, sp in enumerate(sps)
+        }
+        self.memo: dict[Formula, int] = {}
 
-    prop_masks = {p: types_where(lambda k, j=j: k % n_vals >> j & 1) for j, p in enumerate(props)}
-    ext_masks = {
-        sp: types_where(lambda k, i=i: k // n_vals >> i & 1) & chosen for i, sp in enumerate(sps)
-    }
+    def where(self, test) -> int:
+        """The types for which ``test(profile, valuation)`` holds, in every block."""
+        return sum(1 << k for k, (pr, v) in enumerate(self.types) if test(pr, v)) * self.ones
 
-    def ext(sp: Standpoint) -> int:
-        return chosen if sp.is_universal else ext_masks[sp]
+    def ext(self, sp: Standpoint) -> int:
+        return self.chosen if sp.is_universal else self.exts[sp]
 
-    def some(x: int) -> int:
-        """Every bit of each block in which ``x`` has a bit."""
+    def some(self, x: int) -> int:
+        """Every type bit of each block in which ``x`` has a bit."""
         shift = 1
-        while shift < n_types:
+        while shift < self.width:
             x |= x >> shift
             shift <<= 1
-        return (x & ones) * block
+        return (x & self.ones) * self.block
 
-    memo: dict[Formula, int] = {}
-
-    def truth(g: Formula) -> int:
-        if g in memo:
-            return memo[g]
+    def truth(self, g: Formula) -> int:
+        if g in self.memo:
+            return self.memo[g]
+        full, ext, some, truth = self.full, self.ext, self.some, self.truth
         if g == TOP:
             out = full
         elif g == BOTTOM:
             out = 0
         elif isinstance(g, Prop):
-            out = prop_masks[g.name]
+            out = self.props[g.name]
         elif isinstance(g, Sharper):
             out = full ^ some(ext(g.left) & ~ext(g.right))
         elif isinstance(g, Not):
@@ -367,14 +371,209 @@ def psl_brute_sat_bitwise(f: Formula) -> bool:
             out = full ^ some(~truth(g.operand) & ext(g.standpoint))
         else:
             raise TypeError(f"not a propositional standpoint formula: {g!r}")
-        memo[g] = out
+        self.memo[g] = out
         return out
 
+
+def psl_brute_sat_bitwise(f: Formula) -> bool:
+    """``psl_brute_sat`` with every type set evaluated at once (``TypeSets``),
+    for inputs with at most 16 types."""
+    voc = vocab(f)
+    sps = sorted((s for s in voc.standpoints if not s.is_universal), key=lambda s: s.name)
+    props = sorted(voc.props)
+    sets = TypeSets([(pr, v) for pr in range(1 << len(sps)) for v in range(1 << len(props))], sps, props)
     # every standpoint inhabited; f true at a type of the set
-    inhabited = full
+    inhabited = sets.full
     for sp in sps:
-        inhabited &= some(ext(sp))
-    return truth(f) & chosen & inhabited != 0
+        inhabited &= sets.some(sets.ext(sp))
+    return sets.truth(f) & sets.chosen & inhabited != 0
+
+
+# ---------------------------------------------------------------------------
+# Temporal standpoint reference: elementary-set tableaux over PSL letters
+
+def ltl_psl_reference_sat(f: Formula, max_elementary: int = 16) -> bool | None:
+    """Satisfiability of a PureLTL or LtlPsl formula, or None when its
+    tableau has more than ``max_elementary`` elementary members or an
+    instant has more than 16 types.  It uses nothing of the package but
+    ``syntax``.
+
+    No temporal operator sits inside a modality, so each instant of a model
+    is a PSL model, which quotients to a set of (standpoint profile,
+    valuation) types as in ``psl_brute_sat``.  Traces are rigid, so a model
+    is a set ``P`` of profiles that covers every standpoint, a designated
+    profile ``p0`` in ``P``, and per instant a type set whose profiles are
+    exactly ``P`` with a designated valuation ``v`` such that ``(p0, v)`` is
+    in it; any such sequence is realised by finitely many traces.  An
+    instant shows the tableau a letter: the truth of the atoms, which are
+    the propositions, sharpening atoms and modal formulas outside every
+    modality.  So ``f`` is sat iff, for some ``(P, p0)``, the elementary-set
+    tableau of ``f`` (Lichtenstein & Pnueli, POPL 1985) over the letters
+    that some type set realises has a fair SCC reachable from a state where
+    ``f`` holds: a cycle that fulfils every Until somewhere.  Its states
+    assign the elementary members: the atoms, ``X g`` for every ``X g`` and
+    ``X(a U b)`` for every ``a U b``.
+    """
+    outside: dict[Formula, None] = {}  # children first, modal operands not entered
+
+    def walk(g: Formula) -> None:
+        if g not in outside:
+            if not isinstance(g, (DiamondS, BoxS)):
+                for c in children(g):
+                    walk(c)
+            outside[g] = None
+
+    walk(f)
+    atoms = [g for g in outside if isinstance(g, (Prop, Sharper, DiamondS, BoxS))]
+    # the operands of the next-step members, ``a U b`` standing for X(a U b)
+    steps = list(dict.fromkeys(g.operand if isinstance(g, Next) else g
+                               for g in outside if isinstance(g, (Next, Until))))
+    if len(atoms) + len(steps) > max_elementary:
+        return None
+    bit = {g: 1 << i for i, g in enumerate(atoms)}
+    step_bit = {g: 1 << (len(atoms) + i) for i, g in enumerate(steps)}
+    step_mask = sum(step_bit.values())
+    untils = [g for g in outside if isinstance(g, Until)]
+    modal = [g for g in atoms if isinstance(g, (DiamondS, BoxS))]
+    sps = sorted((s for s in vocab(f).standpoints if not s.is_universal), key=lambda s: s.name)
+    inner = sorted({p for g in modal for p in vocab(g).props})
+    # every assignment of the propositions that occur only outside modalities
+    free = [0]
+    for g in atoms:
+        if isinstance(g, Prop) and g.name not in inner:
+            free += [a | bit[g] for a in free]
+
+    def letters(P: tuple[int, ...], p0: int) -> frozenset[int] | None:
+        """The atom assignments of the type sets over ``P``."""
+        n_vals = 1 << len(inner)
+        try:
+            sets = TypeSets([(pr, v) for pr in P for v in range(n_vals)], sps, inner)
+        except ValueError:
+            return None
+        # the type sets with every profile of P; a sharpening atom reads P
+        exact = sets.ones
+        for pr in P:
+            exact &= sets.some(sets.where(lambda q, v, pr=pr: q == pr) & sets.chosen)
+        in_p = {sp: {pr for pr in P if sp.is_universal or pr >> i & 1}
+                for i, sp in enumerate([*sps, UNIVERSAL])}
+        fixed = sum(bit[g] for g in atoms if isinstance(g, Sharper) and in_p[g.left] <= in_p[g.right])
+        modal_truth = [sets.truth(g) & sets.ones for g in modal]
+        out = set()
+        for v in range(n_vals):
+            designated = exact & sets.chosen >> (P.index(p0) * n_vals + v) & sets.ones
+            bits = fixed | sum(bit.get(Prop(p), 0) for j, p in enumerate(inner) if v >> j & 1)
+            stack = [(designated, 0, bits)]
+            while stack:  # split the type sets by each modal atom in turn
+                kept, i, bits = stack.pop()
+                if not kept:
+                    continue
+                if i == len(modal):
+                    out.update(bits | a for a in free)
+                    continue
+                stack.append((kept & modal_truth[i], i + 1, bits | bit[modal[i]]))
+                stack.append((kept & ~modal_truth[i], i + 1, bits))
+        return frozenset(out)
+
+    info: dict[int, tuple[bool, int, int]] = {}
+
+    def state_info(s: int) -> tuple[bool, int, int]:
+        """Whether ``f`` holds at state ``s``, the step bits of every state
+        that may precede it, and the Untils it fulfils (as bits)."""
+        if s not in info:
+            val: dict[Formula, bool] = {}
+            for g in outside:
+                if g in bit:
+                    val[g] = bool(s & bit[g])
+                elif isinstance(g, (Top, Bottom)):
+                    val[g] = isinstance(g, Top)
+                elif isinstance(g, Not):
+                    val[g] = not val[g.operand]
+                elif isinstance(g, And):
+                    val[g] = val[g.left] and val[g.right]
+                elif isinstance(g, Or):
+                    val[g] = val[g.left] or val[g.right]
+                elif isinstance(g, Next):
+                    val[g] = bool(s & step_bit[g.operand])
+                else:
+                    val[g] = val[g.right] or val[g.left] and bool(s & step_bit[g])
+            sig = sum(step_bit[g] for g in steps if val[g])
+            fulfils = sum(1 << j for j, u in enumerate(untils) if val[u.right] or not val[u])
+            info[s] = (val[f], sig, fulfils)
+        return info[s]
+
+    def fair_scc_reachable(alphabet: frozenset[int]) -> bool:
+        """A plain Tarjan search from every state where ``f`` holds."""
+        targets: dict[int, list[int]] = {}  # by the step bits their predecessors carry
+        states = []
+        for letter in alphabet:
+            x = 0
+            while True:  # every assignment of the step members
+                s = letter | x
+                states.append(s)
+                targets.setdefault(state_info(s)[1], []).append(s)
+                x = (x - step_mask) & step_mask
+                if not x:
+                    break
+        every_until = (1 << len(untils)) - 1
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        on_stack: set[int] = set()
+        scc_stack: list[int] = []
+        for root in states:
+            if root in index or not state_info(root)[0]:
+                continue
+            index[root] = low[root] = len(index)
+            scc_stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(targets.get(root & step_mask, ())))]
+            while work:
+                v, edges = work[-1]
+                for w in edges:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        scc_stack.append(w)
+                        on_stack.add(w)
+                        work.append((w, iter(targets.get(w & step_mask, ()))))
+                        break
+                    if w in on_stack:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == index[v]:
+                        scc = []
+                        while True:
+                            w = scc_stack.pop()
+                            on_stack.discard(w)
+                            scc.append(w)
+                            if w == v:
+                                break
+                        looping = len(scc) > 1 or state_info(v)[1] == v & step_mask
+                        fulfilled = 0
+                        for w in scc:
+                            fulfilled |= state_info(w)[2]
+                        if looping and fulfilled == every_until:
+                            return True
+        return False
+
+    profiles = range(1 << len(sps))
+    tried: set[frozenset[int]] = set()
+    incomplete = False
+    for m in range(1, 1 << len(profiles)):
+        P = tuple(pr for pr in profiles if m >> pr & 1)
+        if any(not any(pr >> i & 1 for pr in P) for i in range(len(sps))):
+            continue  # a standpoint with an empty extent
+        for p0 in P:
+            alphabet = letters(P, p0)
+            if alphabet is None:
+                incomplete = True
+            elif alphabet not in tried:
+                tried.add(alphabet)
+                if fair_scc_reachable(alphabet):
+                    return True
+    return None if incomplete else False
 
 
 # ---------------------------------------------------------------------------

@@ -599,3 +599,43 @@ def test_full_stdout_device_exits_74():
         code, err = _run_cli(["classify", "p"], full)
     assert code == 74
     assert err.startswith("error: cannot write to standard output") and err.count("\n") == 1
+
+
+def _run_with_closed(redirect, args):
+    """The CLI's exit code, stdout and stderr when a POSIX shell starts it
+    with the redirection ``redirect``, such as ``<&-``, which closes
+    standard input; a closed stream reads as empty here."""
+    src = os.path.dirname(os.path.dirname(sltl.__file__))
+    done = subprocess.run(
+        ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "sltl.cli", *args],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+_needs_sh = pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+
+
+@_needs_sh
+def test_closed_stdin_exits_66():
+    # sys.stdin is None when fd 0 is closed at start
+    code, out, err = _run_with_closed("<&-", ["solve", "-"])
+    assert code == 66 and out == ""
+    assert err.startswith("error: cannot read standard input") and err.count("\n") == 1
+
+
+@_needs_sh
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+def test_closed_or_unwritable_stderr_keeps_the_exit_code(redirect):
+    # a closed stderr is None, and print(file=None) writes to stdout; a
+    # read-only one raises EBADF on the error line
+    code, out, _ = _run_with_closed(redirect, ["solve", "("])
+    assert code == 64 and out == ""
+
+
+@_needs_sh
+def test_closed_stdout_exits_74():
+    # sys.stdout is None when fd 1 is closed at start, and print drops it
+    code, _, err = _run_with_closed(">&-", ["solve", "p"])
+    assert code == 74
+    assert err.startswith("error: cannot write to standard output") and err.count("\n") == 1

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import S, T, U, psl_brute_sat, random_formula
+from conftest import S, T, U, ltl_psl_reference_sat, psl_brute_sat, random_formula
 
 import sltl.solver as solver_mod
 from sltl import automaton, psl, syntax
@@ -570,3 +570,29 @@ def test_verdict_json_schema(capsys):
     cli_blob = json.loads(capsys.readouterr().out)
     assert cli_blob == {**blob_u, "translation": to_text(sltl_to_product(f))}
     assert list(cli_blob) == [*blob_u, "translation"]
+
+
+def test_temporal_verdicts_match_the_tableau_reference():
+    # the reference decides these sat; their periods (4 and 8) exceed the
+    # bounded oracle's, which finds no model for them
+    for n in (2, 3):
+        f = counter_formula(n)
+        assert ltl_psl_reference_sat(f) is True
+        assert bounded_search(f, SearchBounds.for_formula(f, 3, 2, 3)) is None
+    rng = random.Random(1212)
+    started = time.perf_counter()
+    decided = unsat = skipped = 0
+    for i in range(600):
+        f = random_formula(rng, 3 + i % 3, mode=("ltl_psl", "ltl")[i % 2])
+        expected = ltl_psl_reference_sat(f)
+        if expected is None:
+            skipped += 1
+            continue
+        status = solve(f).status
+        assert status == ("sat" if expected else "unsat"), to_text(f)
+        decided += 1
+        unsat += not expected
+    elapsed = time.perf_counter() - started
+    print(f"{decided} decided, {unsat} unsat, {skipped} over the reference's cap, {elapsed:.2f} s")
+    assert decided >= 300 and unsat >= 20 and skipped <= 30
+    assert elapsed < 10

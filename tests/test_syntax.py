@@ -570,6 +570,30 @@ def test_nodes_visit_every_occurrence_and_fold_every_node_of_deep_formulas():
         assert subs[-1] is f and len(subs) == len(set(subs))
 
 
+def test_subformulas_of_several_roots_leave_out_what_lies_only_beneath_known_ones():
+    rng = random.Random(5150)
+    for _ in range(400):
+        roots = [random_formula(rng, rng.randint(0, 5), mode=rng.choice(["sltl", "ltl_psl", "ltl"]))
+                 for _ in range(rng.randint(1, 4))]
+        # each root's own walk, one after another, the first completion kept
+        everything = list(dict.fromkeys(g for f in roots for g in subformulas(f)))
+        assert subformulas(*roots) == everything
+        known = set(rng.sample(everything, rng.randint(0, min(5, len(everything)))))
+        # what the roots reach without entering a known formula
+        reached, stack = set(), list(roots)
+        while stack:
+            g = stack.pop()
+            if g not in known and g not in reached:
+                reached.add(g)
+                stack.extend(children(g))
+        got = subformulas(*roots, known=known)
+        assert len(got) == len(set(got))
+        assert set(got) == {g for g in everything if g in reached}
+        position = {g: i for i, g in enumerate(got)}
+        for g in got:  # children first
+            assert all(c in known or position[c] < position[g] for c in children(g))
+
+
 def _iff_chain(depth: int, text=lambda i: f"p{i}") -> Formula:
     """``a0 <-> (a1 <-> ... <-> a_depth)``: each ``<->`` shares its operands,
     so the chain has about 2^depth occurrences but 5 node objects a level."""
