@@ -85,7 +85,10 @@ class IntervalEngine:
     lower mask is true where a formula holds in every completion of the
     assignment, the upper mask where it holds in some completion; they
     coincide once every relevant cell and every presence bit is assigned.
-    Modalities quantify over the present traces of their extent.
+    Modalities quantify over the present traces of their extent.  Presence
+    is read only by the one-position modal ops, those the grid search
+    uses; a longer lasso is the bounded search's, whose traces are all
+    present, so its modal ops read the extent alone.
 
     The formulas are compiled into a program, one slot per compiled formula
     (``slot``), whose modal instructions name their standpoint and whose
@@ -229,7 +232,7 @@ class IntervalEngine:
 
         ``tm``/``fm`` hold per leaf the cells assigned true/false;
         ``present``/``possible`` are the cells of the traces that are
-        definitely/possibly present.
+        definitely/possibly present, which only a one-position lasso reads.
         """
         count = len(self.instrs)
         lo = [0] * count
@@ -259,11 +262,11 @@ class IntervalEngine:
             elif op == _OP_CONST:
                 lo[i], hi[i] = aux
             elif op == _OP_SOME_AT:
-                lo[i] = self._spread(lo[a] & aux & present)
-                hi[i] = self._spread(hi[a] & aux & possible)
+                lo[i] = self._spread(lo[a] & aux)
+                hi[i] = self._spread(hi[a] & aux)
             elif op == _OP_ALL_AT:
-                lo[i] = full ^ self._spread(~lo[a] & aux & possible)
-                hi[i] = full ^ self._spread(~hi[a] & aux & present)
+                lo[i] = full ^ self._spread(~lo[a] & aux)
+                hi[i] = full ^ self._spread(~hi[a] & aux)
             elif op == _OP_NEXT:
                 lo[i] = self._next(lo[a])
                 hi[i] = self._next(hi[a])

@@ -5,7 +5,8 @@ the simplified input for every fragment without standpoint-scoped
 temporal operators, propositional inputs included; bounded search
 otherwise) and packages a checkable witness with every satisfiable
 verdict.  The automaton guesses no sharpening atoms: it carries them as
-rigid state bits, and the verdict's partition is read off the witness.
+rigid state bits, and the witness's standpoint extents nest as the true
+ones say.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .syntax import (
     Formula,
     Fragment,
     Standpoint,
-    Vocabulary,
     _Record,
     classify,
     closure,
     simplify,
     vocab,
 )
-from .translate import Partition
 
 
 class SolveOptions(_Record):
@@ -52,8 +51,7 @@ class Verdict(_Record):
     """Outcome of ``solve``; satisfiable verdicts carry a checked witness."""
 
     __slots__ = (
-        "status", "fragment", "engine", "model", "designated", "partition", "bounds",
-        "psl_model",
+        "status", "fragment", "engine", "model", "designated", "bounds", "psl_model",
     )
 
     def __init__(
@@ -62,7 +60,7 @@ class Verdict(_Record):
         fragment: Fragment,
         engine: str | None = None,  # automaton | oracle
         model: SLTLModel | None = None, designated: str | None = None,
-        partition: Partition | None = None, bounds: SearchBounds | None = None,
+        bounds: SearchBounds | None = None,
         psl_model: psl.PSLModel | None = None,  # the grid model of a PSL input
     ):
         self.status = status
@@ -70,7 +68,6 @@ class Verdict(_Record):
         self.engine = engine
         self.model = model
         self.designated = designated
-        self.partition = partition
         self.bounds = bounds
         self.psl_model = psl_model
 
@@ -127,13 +124,6 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
 # ---------------------------------------------------------------------------
 # The pipeline
 
-def _witness_partition(model: SLTLModel, voc: Vocabulary) -> Partition:
-    """The truth of the input's sharpening atoms in the witness."""
-    atoms = voc.sharpenings
-    plus = frozenset((a, b) for a, b in atoms if model.lam[a] <= model.lam[b])
-    return Partition(plus, atoms - plus)
-
-
 def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
@@ -168,12 +158,8 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
         lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
         if lasso is None:
             return Verdict("unsat", frag, engine="automaton")
-        voc = vocab(f)
-        model, designated = witness_from_lasso(lasso, voc.standpoints)
-        verdict = Verdict(
-            "sat", frag, engine="automaton", model=model, designated=designated,
-            partition=_witness_partition(model, voc),
-        )
+        model, designated = witness_from_lasso(lasso, vocab(f).standpoints)
+        verdict = Verdict("sat", frag, engine="automaton", model=model, designated=designated)
         if frag is Fragment.PSL:
             # the run is one state, whose model the witness read
             (verdict.psl_model,) = lasso.models
@@ -185,19 +171,11 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 # Verdict serialization
 
-def _partition_to_json(part: Partition) -> dict:
-    return {
-        "i_plus": sorted([str(a), str(b)] for (a, b) in part.i_plus),
-        "i_minus": sorted([str(a), str(b)] for (a, b) in part.i_minus),
-    }
-
-
 def verdict_to_json(v: Verdict) -> dict:
     out: dict = {
         "status": v.status,
         "engine": v.engine,
         "fragment": v.fragment.value,
-        "partition": _partition_to_json(v.partition) if v.partition else None,
         "witness": model_to_json(v.model, v.designated) if v.model else None,
     }
     if v.bounds is not None:

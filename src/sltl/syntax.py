@@ -879,23 +879,21 @@ def classify(f: Formula) -> Fragment:
 
 
 class Vocabulary(_FrozenRecord):
-    """What one scan reads off a formula: its propositions, standpoints
-    and sharpening atoms; ``modal``, the standpoints that index a
-    modality; ``fragment``, the smallest fragment containing it; and
+    """What one scan reads off a formula: its propositions and
+    standpoints; ``modal``, the standpoints that index a modality;
+    ``fragment``, the smallest fragment containing it; and
     ``trace_independent``, whether every proposition sits under a
     modality, so that truth at (trace, position) never reads the current
     trace's own valuation."""
 
-    __slots__ = ("props", "standpoints", "sharpenings", "modal", "fragment", "trace_independent")
+    __slots__ = ("props", "standpoints", "modal", "fragment", "trace_independent")
 
     def __init__(
         self, props: frozenset[str], standpoints: frozenset[Standpoint],
-        sharpenings: frozenset[tuple[Standpoint, Standpoint]], modal: frozenset[Standpoint],
-        fragment: Fragment, trace_independent: bool,
+        modal: frozenset[Standpoint], fragment: Fragment, trace_independent: bool,
     ):
         object.__setattr__(self, "props", props)
         object.__setattr__(self, "standpoints", standpoints)
-        object.__setattr__(self, "sharpenings", sharpenings)
         object.__setattr__(self, "modal", modal)
         object.__setattr__(self, "fragment", fragment)
         object.__setattr__(self, "trace_independent", trace_independent)
@@ -919,7 +917,6 @@ def vocab(f: Formula) -> Vocabulary:
         pass
     props: set[str] = set()
     standpoints: set[Standpoint] = set()
-    sharpenings: set[tuple[Standpoint, Standpoint]] = set()
     modal: set[Standpoint] = set()
     temporal, temporal_under_modal, independent = False, False, True
     scope_end = 0  # index past the outermost open modal scope
@@ -936,7 +933,6 @@ def vocab(f: Formula) -> Vocabulary:
             scope_end = max(scope_end, i + size(g))
         elif cls is Sharper:
             standpoints.update((g.left, g.right))
-            sharpenings.add((g.left, g.right))
     standpoints |= modal
     if standpoints:
         standpoints.add(UNIVERSAL)
@@ -946,7 +942,7 @@ def vocab(f: Formula) -> Vocabulary:
         else Fragment.LTL_PSL if not temporal_under_modal
         else Fragment.FULL_SLTL
     )
-    sets = map(frozenset, (props, standpoints, sharpenings, modal))
+    sets = map(frozenset, (props, standpoints, modal))
     voc = Vocabulary(*sets, fragment, independent)
     _SET_VOCAB(f, voc)
     return voc

@@ -1,9 +1,8 @@
 """Formula-to-formula constructions.
 
 Embeddings between the product logic and SLTL, the guarded translation of
-standpoints into propositional variables, strict-until renaming, the
-partition type of a verdict's sharpening atoms, and the binary-counter
-formula generators.  Everything here is pure and
+standpoints into propositional variables, strict-until renaming and the
+binary-counter formula generators.  Everything here is pure and
 size-linear in its input.
 """
 
@@ -25,7 +24,6 @@ from .syntax import (
     TOP,
     UNIVERSAL,
     Until,
-    _FrozenRecord,
     always,
     classify,
     conj,
@@ -36,21 +34,6 @@ from .syntax import (
     rebuild,
 )
 from .semantics import check_product_formula
-
-
-class Partition(_FrozenRecord):
-    """A truth assignment to the sharpening atoms of a formula, read off
-    the witness of an automaton verdict: ``i_plus`` holds the true atoms,
-    ``i_minus`` the false ones."""
-
-    __slots__ = ("i_plus", "i_minus")
-
-    def __init__(
-        self, i_plus: frozenset[tuple[Standpoint, Standpoint]],
-        i_minus: frozenset[tuple[Standpoint, Standpoint]],
-    ):
-        object.__setattr__(self, "i_plus", i_plus)
-        object.__setattr__(self, "i_minus", i_minus)
 
 
 # ---------------------------------------------------------------------------

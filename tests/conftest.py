@@ -36,6 +36,7 @@ from sltl.syntax import (
     Until,
     children,
     neg,
+    subformulas,
     vocab,
 )
 
@@ -574,6 +575,18 @@ def ltl_psl_reference_sat(f: Formula, max_elementary: int = 16) -> bool | None:
                 if fair_scc_reachable(alphabet):
                     return True
     return None if incomplete else False
+
+
+def sharpening_atoms(f: Formula) -> frozenset[tuple[Standpoint, Standpoint]]:
+    """The sharpening atoms occurring in ``f``, as (left, right) pairs."""
+    return frozenset((g.left, g.right) for g in subformulas(f) if isinstance(g, Sharper))
+
+
+def true_atoms(model: SLTLModel, f: Formula) -> frozenset[tuple[Standpoint, Standpoint]]:
+    """The sharpening atoms of ``f`` that hold in ``model``: ``@a <= @b``
+    holds iff the extent of ``a`` is a subset of that of ``b``."""
+    lam = model.lam
+    return frozenset((a, b) for a, b in sharpening_atoms(f) if lam[a] <= lam[b])
 
 
 # ---------------------------------------------------------------------------

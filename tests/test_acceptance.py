@@ -21,6 +21,7 @@ from conftest import (
     psl_brute_sat,
     random_formula,
     standpoints_into_guards,
+    true_atoms,
 )
 
 from sltl import psl
@@ -106,7 +107,7 @@ def test_criterion_03_witness_size(agreement_run):
         # that of the sharpening atoms true in the witness
         phi_d = simplify(f)
         universe = set(vocab(phi_d).standpoints) | {UNIVERSAL}
-        held = verdict.partition.i_plus & vocab(phi_d).sharpenings
+        held = true_atoms(verdict.model, phi_d)
         family_size = len(psl.label_family(held, universe))
         # the traces come column by column, ``width`` per column; the width
         # is the most valuations one column carries at one position

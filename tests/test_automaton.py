@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import family_for, psl_brute_sat_bitwise, random_formula, sharpening_closure
+from conftest import (
+    family_for,
+    psl_brute_sat_bitwise,
+    random_formula,
+    sharpening_atoms,
+    sharpening_closure,
+)
 
 from sltl.automaton import (
     Lasso,
@@ -416,14 +422,14 @@ def test_agreement_with_bounded_search_on_corpus():
             assert find_accepting_lasso(closure(f)) is not None, to_text(f)
 
 
-def test_partitioned_inputs_reach_the_automaton():
+def test_inputs_with_atoms_reach_the_automaton():
     # inputs with sharpening atoms reach the automaton unpartitioned: it
     # carries the atoms as rigid state bits, both values in one search
     rng = random.Random(103)
     done = 0
     while done < 15:
         f = random_formula(rng, 3, mode="ltl_psl", max_sharpenings=1)
-        if not vocab(f).sharpenings:
+        if not sharpening_atoms(f):
             continue
         done += 1
         phi = simplify(f)

@@ -284,14 +284,15 @@ def test_dump_states_is_the_searched_graph(tmp_path, capsys):
     assert sum(ln.startswith("edge ") for ln in lines) == 128
 
 
-def test_dump_states_follows_the_sat_partition(tmp_path, capsys):
+def test_dump_states_follows_the_sat_atom_truth(tmp_path, capsys):
     # the atom is false in the witness; the dump is the one graph the
     # automaton searched, whose runs all keep the atom false
     text = "!(@s <= @t) & X (p U q)"
     dump = tmp_path / "graph.txt"
     code, out, _ = run(capsys, "solve", "--json", "--dump-states", str(dump), text)
     assert code == 0
-    assert json.loads(out)["partition"] == {"i_plus": [], "i_minus": [["@s", "@t"]]}
+    lam = json.loads(out)["witness"]["lambda"]
+    assert not set(lam["@s"]) <= set(lam["@t"])
     phi_d = simplify(parse(text))
     searched = io.StringIO()
     dump_state_graph(closure(phi_d), searched)

@@ -12,7 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sltl"
 
 
 def _unused_imports(path: Path) -> list[str]:
-    """Names a module imports but neither uses nor lists in ``__all__``."""
+    """Names a module imports but never reads; the package root may list
+    them in ``__all__`` instead, as its re-exports."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     imported: set[str] = set()
     for node in ast.walk(tree):
@@ -20,8 +21,11 @@ def _unused_imports(path: Path) -> list[str]:
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body if path.name == "__init__.py" else ():
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):

@@ -13,7 +13,9 @@ from conftest import (
     psl_brute_sat,
     psl_brute_sat_bitwise,
     random_formula,
+    sharpening_atoms,
     sharpening_closure,
+    true_atoms,
 )
 
 from sltl import psl
@@ -214,8 +216,9 @@ def test_split_keeps_nested_sharpening_atoms_in_the_body():
     # its truth picks the family on which the modality is decided
     assert solve(parse("!(@s <= @t)")).is_sat
     assert Sharper(S, T) in closure(parse("<@s> (@s <= @t)"))
-    verdict = solve(parse("<@s> (@s <= @t)"))
-    assert verdict.is_sat and verdict.partition.i_plus == {(S, T)}
+    f = parse("<@s> (@s <= @t)")
+    verdict = solve(f)
+    assert verdict.is_sat and true_atoms(verdict.model, f) == {(S, T)}
     assert not solve(parse("!(@s <= @t) & <@s> (@s <= @t)")).is_sat
     assert solve(parse("@s <= @t & <@s> (@s <= @t)")).is_sat
 
@@ -280,7 +283,7 @@ def test_grid_model_shape_conditions():
         m = v.psl_model
         phi = simplify(f)
         universe = vocab(phi).standpoints | {UNIVERSAL}
-        rel = sharpening_closure(v.partition.i_plus & vocab(phi).sharpenings, universe)
+        rel = sharpening_closure(true_atoms(v.model, phi), universe)
         # condition 1: the precisification set is exactly family x 1..N
         assert set(m.valuation) == {(i, j) for i in range(len(m.family)) for j in range(1, m.n + 1)}
         assert m.family == family_for(rel)
@@ -363,7 +366,7 @@ def test_sat_with_three_atoms_agrees_with_brute_force():
     done = sat_seen = 0
     while done < 60:
         f = random_formula(rng, 4, props=("p",), sps=(S, T, U), mode="psl", max_sharpenings=3)
-        if len(vocab(f).sharpenings) != 3 or size(f) > 16:
+        if len(sharpening_atoms(f)) != 3 or size(f) > 16:
             continue
         done += 1
         v = solve(f)  # a sat verdict's witness is checked inside

@@ -11,7 +11,6 @@ from sltl.search import DEFAULT_NODE_LIMIT, SearchBounds
 from sltl.semantics import ModelError, SLTLModel, UPTrace
 from sltl.solver import SolveOptions, Verdict
 from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary
-from sltl.translate import Partition
 
 S = Standpoint("s")
 
@@ -27,10 +26,9 @@ def _grid(k):
 # class -> (its fields, a builder of a fresh record that differs by k)
 RECORDS = {
     Vocabulary: (
-        ("props", "standpoints", "sharpenings", "modal", "fragment", "trace_independent"),
+        ("props", "standpoints", "modal", "fragment", "trace_independent"),
         lambda k: Vocabulary(
-            frozenset({"p"}), frozenset({S, UNIVERSAL}), frozenset({(S, UNIVERSAL)}),
-            frozenset({S}), Fragment.PSL, bool(k),
+            frozenset({"p"}), frozenset({S, UNIVERSAL}), frozenset({S}), Fragment.PSL, bool(k),
         ),
     ),
     UPTrace: (("prefix", "period"), _trace),
@@ -45,23 +43,18 @@ RECORDS = {
     PSLModel: (("family", "n", "valuation"), _grid),
     # no grid models, which are mutable and so unhashable: this one hashes
     Lasso: (("stem", "cycle", "models"), lambda k: Lasso((), (k,), ())),
-    Partition: (
-        ("i_plus", "i_minus"),
-        lambda k: Partition(frozenset({(S, UNIVERSAL)} if k else ()), frozenset()),
-    ),
     SolveOptions: (
         ("bounds", "fragment_strict", "node_limit", "state_limit"),
         lambda k: SolveOptions(node_limit=10 + k),
     ),
     Verdict: (
-        ("status", "fragment", "engine", "model", "designated", "partition", "bounds",
-         "psl_model"),
+        ("status", "fragment", "engine", "model", "designated", "bounds", "psl_model"),
         lambda k: Verdict("sat", Fragment.PSL, model=SLTLModel(
             {"t0": _trace(k)}, {UNIVERSAL: frozenset({"t0"})}, 0, 1,
         ), designated="t0", psl_model=_grid(k)),
     ),
 }
-FROZEN = [Vocabulary, UPTrace, SearchBounds, Lasso, Partition]
+FROZEN = [Vocabulary, UPTrace, SearchBounds, Lasso]
 MUTABLE = [cls for cls in RECORDS if cls not in FROZEN]
 
 
@@ -124,7 +117,7 @@ def test_constructor_defaults():
     assert (v.status, v.fragment) == ("sat", Fragment.PSL)
     assert all(
         getattr(v, name) is None
-        for name in ("engine", "model", "designated", "partition", "bounds", "psl_model")
+        for name in ("engine", "model", "designated", "bounds", "psl_model")
     )
 
 

@@ -4,7 +4,16 @@ import time
 
 import pytest
 
-from conftest import S, T, U, ltl_psl_reference_sat, psl_brute_sat, random_formula
+from conftest import (
+    S,
+    T,
+    U,
+    ltl_psl_reference_sat,
+    psl_brute_sat,
+    random_formula,
+    sharpening_atoms,
+    true_atoms,
+)
 
 import sltl.solver as solver_mod
 from sltl import automaton, psl, syntax
@@ -203,7 +212,7 @@ def test_partition_exhaustiveness_before_unsat(monkeypatch):
     assert {frozenset({(S, T)}), frozenset({(T, S)})} <= set(held)
 
 
-def test_partition_short_circuits_on_first_success(monkeypatch):
+def test_true_atoms_short_circuit_on_first_success(monkeypatch):
     # atoms are tried true first, and the search stops at the first
     # accepting run: no state with the atom false is searched
     runs, held = _spy_on_the_automaton(monkeypatch)
@@ -215,10 +224,10 @@ def test_partition_short_circuits_on_first_success(monkeypatch):
         assert v.status == "sat"
         assert runs == [simplify(f)]
         assert held and set(held) == {frozenset({(S, T)})}
-        assert v.partition.i_minus == frozenset()
+        assert true_atoms(v.model, f) == sharpening_atoms(f)
 
 
-def test_verdict_partition_is_the_witness_atom_truth():
+def test_witness_atom_truth_is_lambda_nesting():
     rng = random.Random(139)
     seen = set()
     for _ in range(60):
@@ -229,13 +238,10 @@ def test_verdict_partition_is_the_witness_atom_truth():
         v = solve(f)
         if v.engine != "automaton" or v.status != "sat":
             continue
-        atoms = vocab(f).sharpenings
         lam = v.model.lam
-        assert v.partition.i_plus | v.partition.i_minus == atoms
-        assert not v.partition.i_plus & v.partition.i_minus
-        for a, b in atoms:
+        for a, b in sharpening_atoms(f):
             holds = evaluate(v.model, v.designated, 0, Sharper(a, b))
-            assert ((a, b) in v.partition.i_plus) == holds == (lam[a] <= lam[b]), to_text(f)
+            assert holds == (lam[a] <= lam[b]), to_text(f)
             seen.add(holds)
     assert seen == {True, False}
 
@@ -245,7 +251,7 @@ def test_multi_atom_inputs_agree_with_bounded_search():
     done = sat_seen = 0
     while done < 60:
         f = random_formula(rng, 4, sps=(S, T, U), mode="ltl_psl", max_sharpenings=3)
-        if not 2 <= len(vocab(f).sharpenings) <= 3:
+        if not 2 <= len(sharpening_atoms(f)) <= 3:
             continue
         if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
             continue
@@ -438,7 +444,7 @@ def test_nested_sharpening_atoms_are_state_bits():
     f = parse("[@s] (q & @t <= @s & (true & p) & <@t> <@s> q)")
     assert Sharper(T, S) in closure(simplify(f))
     v = solve(f)
-    assert v.is_sat and v.partition.i_plus == {(T, S)}
+    assert v.is_sat and true_atoms(v.model, f) == {(T, S)}
 
 
 def test_sixty_four_atom_chain_is_sat():
@@ -527,7 +533,8 @@ def test_unsat_atom_disjunctions_stop_at_the_atom_free_conjuncts(monkeypatch):
     # the next assignments: s = t and s inside t fail, t inside s holds
     spec = "(@s <= @t | @t <= @s) & [@t] p & <@s> !p"
     assert _grid_searches(monkeypatch, spec) == ("sat", 4)
-    assert solve(parse(spec)).partition.i_plus == {(T, S)}
+    f = parse(spec)
+    assert true_atoms(solve(f).model, f) == {(T, S)}
 
 
 @pytest.mark.parametrize("text, engine", [
@@ -554,7 +561,9 @@ def test_verdict_json_schema(capsys):
     blob = verdict_to_json(v)
     assert blob["status"] == "sat"
     assert blob["engine"] == "automaton"
-    assert blob["partition"] == {"i_plus": [["@s", "@t"]], "i_minus": []}
+    # the verdict lists no atoms; the atom's truth is read off lambda
+    lam = blob["witness"]["lambda"]
+    assert set(lam["@s"]) <= set(lam["@t"])
     assert blob["witness"]["designated"] == v.designated
     json.dumps(blob)  # serializable
 
@@ -570,6 +579,22 @@ def test_verdict_json_schema(capsys):
     cli_blob = json.loads(capsys.readouterr().out)
     assert cli_blob == {**blob_u, "translation": to_text(sltl_to_product(f))}
     assert list(cli_blob) == [*blob_u, "translation"]
+
+
+@pytest.mark.parametrize("text, strict, status, extra", [
+    ("(@s <= @t) & X p", False, "sat", []),
+    ("(p U q) & G !q", False, "unsat", []),
+    ("<@s> p & [@s] !q", False, "sat", ["psl_witness"]),
+    ("(@s <= @t) & <@s> X p", False, "sat", ["bounds"]),
+    ("<@s> X p & [@s] X !p", False, "unknown", ["bounds"]),
+    ("<@s> X p", True, "out_of_fragment", []),
+], ids=["automaton", "unsat", "psl", "oracle", "unknown", "out_of_fragment"])
+def test_verdict_json_keys_by_kind(text, strict, status, extra):
+    # the keys the README lists for each kind of verdict, in order
+    blob = verdict_to_json(solve(parse(text), SolveOptions(fragment_strict=strict)))
+    assert blob["status"] == status
+    assert list(blob) == ["status", "engine", "fragment", "witness", *extra]
+    assert (blob["witness"] is None) == (status != "sat")
 
 
 def test_temporal_verdicts_match_the_tableau_reference():

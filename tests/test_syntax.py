@@ -528,8 +528,7 @@ def test_vocab_examples():
     assert v.props == {"p", "q"}
     assert v.standpoints == {S, UNIVERSAL}
     v2 = vocab(Sharper(S, T))
-    assert v2.sharpenings == {(S, T)}
-    assert v2.standpoints == {S, T, UNIVERSAL}
+    assert v2.standpoints == {S, T, UNIVERSAL} and not v2.modal
     assert vocab(parse("p & q")).standpoints == frozenset()
 
 
@@ -655,7 +654,7 @@ def test_syntax_walks_on_deep_formulas():
         assert _vocab_verdicts(vocab(f)) == _reference_verdicts(f)
     assert is_nnf(deep) and is_nnf(wide)
     v = vocab(deep)
-    assert v.props == {"p", "q"} and v.sharpenings == {(S, T)}
+    assert v.props == {"p", "q"}
     assert v.standpoints == {S, T, UNIVERSAL}
     assert v.modal == {S} and v.trace_independent
     w = vocab(wide)
