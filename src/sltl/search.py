@@ -53,7 +53,10 @@ class SearchLimitError(RuntimeError):
 
 
 class SearchBounds(_FrozenRecord):
-    """Bounds of the brute-force search, with an explicit vocabulary."""
+    """Bounds of the brute-force search, with an explicit vocabulary:
+    ``props`` must cover the propositions of the searched formula, and
+    those it names but the formula does not read are false in every cell
+    of a model the search returns."""
 
     __slots__ = ("max_traces", "max_prefix", "max_period", "props")
 
@@ -455,7 +458,9 @@ def bounded_search(
     Enumeration order: trace count ascending, then (prefix, period)
     lexicographic, then standpoint assignments over the standpoints of the
     formula (non-empty extents, the universal one fixed to everything), then
-    valuations.  The designated trace is always ``t0``, and only the first
+    valuations of the propositions ``f`` reads (the others of
+    ``bounds.props`` are false throughout, so they multiply no stratum's
+    cells).  The designated trace is always ``t0``, and only the first
     assignment of each orbit under renaming the other traces is searched
     (under renaming every trace when the formula is trace-independent; see
     ``_lambda_assignments``).  Renaming traces preserves truth, so a model
@@ -487,7 +492,9 @@ def bounded_search(
     max_traces = bounds.max_traces if voc.standpoints else 1
     independent = voc.trace_independent
     budget = [node_limit, node_limit]
-    leaves = {Prop(p): i for i, p in enumerate(bounds.props)}
+    # cells for the propositions ``f`` reads; the rest are false throughout
+    props = sorted(voc.props)
+    leaves = {Prop(p): i for i, p in enumerate(props)}
     engines: dict[bool, IntervalEngine] = {}  # by prefix + period == 1
     for t_count in range(1, max_traces + 1):
         ids = range(t_count)
@@ -522,7 +529,7 @@ def bounded_search(
                         traces = {}
                         for t in ids:
                             vals = [
-                                frozenset(p for p, m in zip(bounds.props, tm) if m >> (t * L + k) & 1)
+                                frozenset(p for p, m in zip(props, tm) if m >> (t * L + k) & 1)
                                 for k in range(L)
                             ]
                             traces[f"t{t}"] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))

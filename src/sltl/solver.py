@@ -1,12 +1,12 @@
 """Top-level decision pipeline.
 
-Classifies the input, routes it to the right engine (one automaton run on
-the simplified input for every fragment without standpoint-scoped
-temporal operators, propositional inputs included; bounded search
-otherwise) and packages a checkable witness with every satisfiable
-verdict.  The automaton guesses no sharpening atoms: it carries them as
-rigid state bits, and the witness's standpoint extents nest as the true
-ones say.
+Classifies the input, routes it to the right engine (one automaton run
+for every fragment without standpoint-scoped temporal operators,
+propositional inputs included; bounded search otherwise), runs that
+engine on the simplified input and packages a checkable witness with
+every satisfiable verdict.  The automaton guesses no sharpening atoms: it
+carries them as rigid state bits, and the witness's standpoint extents
+nest as the true ones say.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .automaton import (
 from .search import DEFAULT_NODE_LIMIT, SearchBounds, bounded_search
 from .semantics import SLTLModel, UPTrace, evaluate, model_to_json
 from .syntax import (
-    UNIVERSAL,
     Formula,
     Fragment,
     Standpoint,
@@ -81,6 +80,22 @@ def check_witness(f: Formula, model: SLTLModel, trace_id: str) -> bool:
     return evaluate(model, trace_id, 0, f)
 
 
+def assign_folded(model: SLTLModel, standpoints: Iterable[Standpoint]) -> SLTLModel:
+    """``model`` with every trace as the extent of each standpoint of
+    ``standpoints`` that it leaves unassigned.
+
+    Both engines run on ``simplify(f)``, so a standpoint of ``f`` that
+    simplification folded away is one that no engine assigns.  No clause of
+    the simplified formula reads it, so any non-empty extent keeps the
+    model a model of ``f``; this is the one both witnesses take.
+    """
+    missing = [sp for sp in standpoints if sp not in model.lam]
+    if not missing:
+        return model
+    lam = {**model.lam, **dict.fromkeys(missing, frozenset(model.traces))}
+    return SLTLModel(model.traces, lam, model.prefix_len, model.period_len)
+
+
 # ---------------------------------------------------------------------------
 # Witness construction from an accepting run
 
@@ -96,10 +111,11 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
     valuations and so no modal truth.  The trace of a cell reads that
     cell's valuation across positions, and each standpoint's extent is the
     traces of the columns it labels, so a sharpening atom holds in the
-    model iff it held along the run.  A standpoint that labels no column,
-    one that simplification folded away, covers every trace.  The
-    designated trace is the first cell of the universal column.  ``solve``
-    checks the model once, on its own input formula.
+    model iff it held along the run.  Every standpoint of the automaton's
+    input labels a column; the others of ``standpoints``, those that
+    simplification folded away, go to ``assign_folded``.  The designated
+    trace is the first cell of the universal column.  ``solve`` checks the
+    model once, on its own input formula.
     """
     models = lasso.models
     family, width = models[0].family, max(m.n for m in models)
@@ -112,13 +128,12 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
         traces[f"t{idx}"] = UPTrace(tuple(column[:prefix_len]), tuple(column[prefix_len:]))
     ids = list(traces)  # column by column, ``width`` cells each
     columns = [ids[i * width:(i + 1) * width] for i in range(len(family))]
-    lam: dict[Standpoint, frozenset[str]] = {}
-    for sp in {UNIVERSAL, *standpoints}:
-        labelled = [t for labels, cells in zip(family, columns) if sp in labels for t in cells]
-        lam[sp] = frozenset(labelled or ids)
+    lam = {
+        sp: frozenset(t for labels, cells in zip(family, columns) if sp in labels for t in cells)
+        for sp in frozenset().union(*family)
+    }
     model = SLTLModel(traces, lam, prefix_len, period_len)
-    designated = "t0"
-    return model, designated
+    return assign_folded(model, standpoints), "t0"
 
 
 # ---------------------------------------------------------------------------
@@ -127,33 +142,37 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
 def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
+    Both engines run on ``simplify(f)``; routing reads ``classify(f)``.
     Inputs without standpoint-scoped temporal operators (PSL, PureLTL and
-    LtlPsl) are decided by one automaton run on ``simplify(f)``, complete
-    in both directions; a propositional input's run is one state, whose
-    grid model is also returned as ``psl_model``.  Everything else goes to
-    the bounded search, which can say sat or unknown but never unsat.
-    Every sat verdict's witness, from either engine, is checked once on
-    ``f``, here.
+    LtlPsl) are decided by one automaton run, complete in both directions;
+    a propositional input's run is one state, whose grid model is also
+    returned as ``psl_model``.  Everything else goes to the bounded search,
+    within bounds built from ``f``, which can say sat or unknown but never
+    unsat: an input that folds to ``false`` is unknown after one node per
+    one-trace shape.  A standpoint that simplification folded away gets
+    every trace as its extent (``assign_folded``).  Every sat verdict's
+    witness, from either engine, is checked once on ``f``, here.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
+    if frag is Fragment.FULL_SLTL and opts.fragment_strict:
+        return Verdict("out_of_fragment", frag)
+    # Constant folding can shrink the input dramatically (dead Until
+    # branches in particular); the folded formula is equivalent.
+    phi = simplify(f)
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.
-        if opts.fragment_strict:
-            return Verdict("out_of_fragment", frag)
         bounds = opts.bounds or SearchBounds.for_formula(f, 3, 2, 3)
-        found = bounded_search(f, bounds, node_limit=opts.node_limit)
+        found = bounded_search(phi, bounds, node_limit=opts.node_limit)
         if found is None:
             return Verdict("unknown", frag, engine="oracle", bounds=bounds)
         model, designated = found
+        model = assign_folded(model, vocab(f).standpoints)
         verdict = Verdict(
             "sat", frag, engine="oracle", model=model, designated=designated,
             bounds=bounds,
         )
     else:
-        # Constant folding can shrink the closure dramatically (dead Until
-        # branches in particular); the folded formula is equivalent.
-        phi = simplify(f)
         budget = [opts.node_limit, opts.node_limit]
         lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
         if lasso is None:

@@ -402,6 +402,7 @@ def nodes(f: Formula) -> Iterator[Formula]:
 
 
 _READY = object()  # a marker on fold's stack, and the result of no node
+_ARITY = {cls: len(names) for cls, names in _CHILD_FIELDS.items()}
 
 
 def fold(f: Formula, step: Callable[[Formula, tuple], object]) -> object:
@@ -413,23 +414,30 @@ def fold(f: Formula, step: Callable[[Formula, tuple], object]) -> object:
     done: dict[int, object] = {}  # by id(): f keeps every node object alive
     results: list = []  # the results of the children of the nodes on the stack
     stack: list = [f]
+    push, pop = stack.append, stack.pop
     while stack:
-        g = stack.pop()
+        g = pop()
         if g is _READY:  # the node below it has its children's results
-            g = stack.pop()
-            k = len(_CHILD_FIELDS[type(g)])
-            r = done[id(g)] = step(g, tuple(results[-k:]))
-            del results[-k:]
-        else:
-            r = done.get(id(g), _READY)
-            if r is _READY:  # not folded yet
-                names = _REVERSED_CHILD_FIELDS[type(g)]
-                if names:
-                    stack.append(g)
-                    stack.append(_READY)
-                    stack.extend([getattr(g, name) for name in names])
-                    continue
-                r = done[id(g)] = step(g, ())
+            g = pop()
+            if _ARITY[type(g)] == 2:
+                right = results.pop()
+                done[id(g)] = results[-1] = step(g, (results[-1], right))
+            else:
+                done[id(g)] = results[-1] = step(g, (results[-1],))
+            continue
+        r = done.get(id(g), _READY)
+        if r is _READY:  # not folded yet
+            arity = _ARITY[type(g)]
+            if arity:
+                push(g)
+                push(_READY)
+                if arity == 2:
+                    push(g.right)
+                    push(g.left)
+                else:
+                    push(g.operand)
+                continue
+            r = done[id(g)] = step(g, ())
         results.append(r)
     return results[0]
 
@@ -439,15 +447,43 @@ def rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
 
     A node whose children are unchanged is kept, a negation too unless
     its operand is a constant; other negations are rebuilt with ``neg``, so
-    constants fold and double negations collapse.
+    constants fold and double negations collapse.  One function per node
+    class (``_REBUILD``) does it, so no node tests its class twice.
     """
-    if isinstance(g, Not) and (kids[0] is not g.operand or isinstance(kids[0], (Top, Bottom))):
-        return neg(kids[0])
-    if all(k is getattr(g, name) for k, name in zip(kids, _CHILD_FIELDS[type(g)])):
+    return _REBUILD[type(g)](g, kids)
+
+
+def _keep(g: Formula, kids: tuple) -> Formula:
+    return g
+
+
+def _rebuild_not(g: Not, kids: tuple[Formula]) -> Formula:
+    (a,) = kids
+    if a is g.operand and type(a) is not Top and type(a) is not Bottom:
         return g
-    if isinstance(g, (DiamondS, BoxS)):
-        return type(g)(g.standpoint, kids[0])
-    return type(g)(*kids)
+    return neg(a)
+
+
+def _rebuild_next(g: Next, kids: tuple[Formula]) -> Formula:
+    (a,) = kids
+    return g if a is g.operand else Next(a)
+
+
+def _rebuild_modal(g: _Modal, kids: tuple[Formula]) -> Formula:
+    (a,) = kids
+    return g if a is g.operand else type(g)(g.standpoint, a)
+
+
+def _rebuild_binary(g: _Binary, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    return g if a is g.left and b is g.right else type(g)(a, b)
+
+
+_REBUILD: dict[type, Callable[[Formula, tuple], Formula]] = {
+    Top: _keep, Bottom: _keep, Prop: _keep, Sharper: _keep, Not: _rebuild_not,
+    Next: _rebuild_next, DiamondS: _rebuild_modal, BoxS: _rebuild_modal,
+    And: _rebuild_binary, Or: _rebuild_binary, Until: _rebuild_binary,
+}
 
 
 def subformulas(*roots: Formula, known: Collection[Formula] = ()) -> list[Formula]:
@@ -718,33 +754,56 @@ def simplify(f: Formula) -> Formula:
 
 
 def _simplify_step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
-    if isinstance(g, And):
-        a, b = kids
-        if isinstance(a, Bottom) or isinstance(b, Bottom):
-            return BOTTOM
-        if isinstance(a, Top):
-            return b
-        if isinstance(b, Top):
-            return a
-    elif isinstance(g, Or):
-        a, b = kids
-        if isinstance(a, Top) or isinstance(b, Top):
-            return TOP
-        if isinstance(a, Bottom):
-            return b
-        if isinstance(b, Bottom):
-            return a
-    elif isinstance(g, (Next, DiamondS, BoxS)):
-        if isinstance(kids[0], (Top, Bottom)):
-            return kids[0]
-    elif isinstance(g, Until):
-        a, b = kids
-        if isinstance(b, (Top, Bottom)) or isinstance(a, Bottom):
-            return b
-    elif isinstance(g, Sharper):
-        if g.left == g.right or g.right.is_universal:
-            return TOP
-    return rebuild(g, kids)
+    return _SIMPLIFY[type(g)](g, kids)
+
+
+def _simplify_and(g: And, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    if type(a) is Bottom or type(b) is Bottom:
+        return BOTTOM
+    if type(a) is Top:
+        return b
+    if type(b) is Top:
+        return a
+    return _rebuild_binary(g, kids)
+
+
+def _simplify_or(g: Or, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    if type(a) is Top or type(b) is Top:
+        return TOP
+    if type(a) is Bottom:
+        return b
+    if type(b) is Bottom:
+        return a
+    return _rebuild_binary(g, kids)
+
+
+def _simplify_over_constant(g: _Unary, kids: tuple[Formula]) -> Formula:
+    """``X``, a diamond or a box: over a constant it is the constant, since
+    extents are never empty."""
+    a = kids[0]
+    if type(a) is Top or type(a) is Bottom:
+        return a
+    return _REBUILD[type(g)](g, kids)
+
+
+def _simplify_until(g: Until, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    if type(b) is Top or type(b) is Bottom or type(a) is Bottom:
+        return b
+    return _rebuild_binary(g, kids)
+
+
+def _simplify_sharper(g: Sharper, kids: tuple) -> Formula:
+    return TOP if g.left == g.right or g.right.is_universal else g
+
+
+_SIMPLIFY: dict[type, Callable[[Formula, tuple], Formula]] = {
+    **_REBUILD, And: _simplify_and, Or: _simplify_or, Next: _simplify_over_constant,
+    DiamondS: _simplify_over_constant, BoxS: _simplify_over_constant,
+    Until: _simplify_until, Sharper: _simplify_sharper,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,20 @@ def test_search_compiles_one_engine_per_shape(monkeypatch):
     assert len(set(shapes)) == len(shapes)
 
 
+@pytest.mark.parametrize("props", [("p",), ("p", "q"), ("p", "q", "r")])
+def test_propositions_the_input_does_not_read_cost_no_node(props):
+    # the bounds name more propositions than the input reads: those get no
+    # cell, so they multiply no stratum and stay false in the witness
+    b = SearchBounds(2, 1, 2, props)
+    f = parse("<@s> X p & [@s] X !p")
+    with pytest.raises(SearchLimitError):
+        bounded_search(f, b, node_limit=121)
+    assert bounded_search(f, b, node_limit=122) is None
+    g = parse("G <@s> (p & X !p)")
+    found = bounded_search(g, b)
+    assert model_to_json(*found) == model_to_json(*bounded_search(g, SearchBounds(2, 1, 2, ("p",))))
+
+
 def test_search_requires_covering_vocabulary():
     f = parse("p & q")
     with pytest.raises(ValueError):

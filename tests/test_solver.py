@@ -129,6 +129,51 @@ def test_oracle_path_returns_checked_witness():
     assert check_witness(f, v.model, v.designated)
 
 
+def test_an_input_that_folds_to_false_costs_one_node_per_shape():
+    # the bounded search runs on simplify(f), which is false: it reads no
+    # standpoint, so each of the 9 one-trace shapes of the default bounds
+    # (3, 2, 3) is one node; the unfolded input takes hundreds
+    f = parse("(F <@t> (q U !true)) & <@s> X p & [@s] X q")
+    assert simplify(f) == parse("false")
+    v = solve(f, SolveOptions(node_limit=9))
+    assert (v.status, v.fragment) == ("unknown", Fragment.FULL_SLTL)
+    assert v.bounds == SearchBounds.for_formula(f, 3, 2, 3)
+    with pytest.raises(SearchLimitError):
+        solve(f, SolveOptions(node_limit=8))
+
+
+def test_the_search_after_constant_folding_finds_the_same_model():
+    # folding changes neither the first stratum with a model nor its
+    # traces; a standpoint that folding removed covers every trace.  Every
+    # other formula gets a conjunct that needs a second trace.
+    apart = parse("p & <@s> !p")
+    rng = random.Random(3232)
+    seen = {"folded": 0, "wide": 0, "removed": 0}
+    for i in range(1000):
+        f = random_formula(rng, 5, mode="sltl", max_sharpenings=1)
+        if i % 2:
+            f = And(f, apart)
+        if classify(f) is not Fragment.FULL_SLTL:
+            continue
+        phi = simplify(f)
+        b = SearchBounds.for_formula(f, 3, 1, 2)
+        raw, folded = bounded_search(f, b), bounded_search(phi, b)
+        assert (raw is None) == (folded is None), str(f)
+        seen["folded"] += phi != f
+        if raw is None:
+            continue
+        (a, _), (c, _) = raw, folded
+        assert (a.prefix_len, a.period_len, a.traces) == (c.prefix_len, c.period_len, c.traces)
+        seen["wide"] += len(a.traces) > 1
+        v = solve(f, SolveOptions(bounds=b))
+        assert v.status == "sat" and v.model.traces == a.traces, str(f)
+        assert check_witness(f, v.model, v.designated)
+        removed = vocab(f).standpoints - vocab(phi).standpoints
+        assert all(v.model.lam[sp] == frozenset(a.traces) for sp in removed)
+        seen["removed"] += bool(removed)
+    assert seen["folded"] > 100 and seen["wide"] > 80 and seen["removed"] > 40, seen
+
+
 def test_deep_corpus_with_two_sharpening_atoms():
     rng = random.Random(31337)
     for _ in range(120):
