@@ -1,10 +1,13 @@
-"""Searches over lasso models: the interval engine and the bounded search.
+"""Searches over lasso models: the interval engine, the one-cell check and
+the bounded search.
 
 ``IntervalEngine`` computes three-valued truth bounds of formulas over a
 partially assigned lasso; the PSL grid search, the automaton's state
 enumeration and the bounded search here all prune with it.  The bounded
 search is a brute-force satisfiability search: exhaustive within its
-bounds, sound for SAT, inconclusive for UNSAT.  Nothing here checks a
+bounds, sound for SAT, inconclusive for UNSAT; ``one_cell_model``
+decides its first stratum, one trace of one position, by truth table,
+with no engine.  Nothing here checks a
 model: ``solve`` checks every witness with ``semantics.evaluate``, which
 imports nothing of this module, and this module takes only the model
 classes from ``semantics``.
@@ -31,11 +34,16 @@ from .syntax import (
     UNIVERSAL,
     Until,
     _FrozenRecord,
+    fold,
+    size,
     subformulas,
     vocab,
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
+# ``one_cell_model`` skips a formula whose masks could hold more bits in
+# total than this: ``size(phi) * 2^props``
+ONE_CELL_BITS = 1 << 20
 
 
 class SearchLimitError(RuntimeError):
@@ -447,6 +455,55 @@ def _lambda_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tupl
             untried.append(1)
 
 
+def one_cell_model(phi: Formula) -> tuple[SLTLModel, str] | None:
+    """The model of ``phi`` with one trace and one position, from the
+    least valuation that satisfies it, or None: none does, or the check
+    is skipped because ``size(phi) * 2^props`` exceeds ``ONE_CELL_BITS``.
+
+    On such a model every extent is the one trace, so ``<@s> a``,
+    ``[@s] a`` and ``X a`` mean ``a``, ``a U b`` means ``b`` and every
+    sharpening atom holds: ``phi`` is a propositional formula.  One
+    ``fold`` maps each subformula to its truth table, a mask over the
+    valuations of the propositions ``phi`` reads, and the least set bit of
+    the root's is the first model of the bounded search's stratum (1, 0,
+    1): the first proposition is the most significant bit of a valuation,
+    and false comes before true.  The model is the one that search
+    returns: trace ``t0``, prefix 0, period 1 and every extent ``{t0}``.
+    """
+    voc = vocab(phi)
+    props = sorted(voc.props)
+    n = len(props)
+    if size(phi) << n > ONE_CELL_BITS:
+        return None
+    cells = 1 << n
+    full = (1 << cells) - 1
+    masks = {p: cells_with_bit(cells, n - 1 - i) for i, p in enumerate(props)}
+
+    def step(g: Formula, kids: tuple) -> int:
+        cls = type(g)
+        if cls is Prop:
+            return masks[g.name]
+        if cls is And:
+            return kids[0] & kids[1]
+        if cls is Or:
+            return kids[0] | kids[1]
+        if cls is Not:
+            return full ^ kids[0]
+        if cls is Bottom:
+            return 0
+        # X and the modalities are their operand, U its right one; true
+        # and a sharpening atom hold
+        return kids[-1] if kids else full
+
+    table = fold(phi, step)
+    if not table:
+        return None
+    cell = (table & -table).bit_length() - 1
+    valuation = frozenset(p for i, p in enumerate(props) if cell >> (n - 1 - i) & 1)
+    lam = dict.fromkeys(voc.standpoints | {UNIVERSAL}, frozenset({"t0"}))
+    return SLTLModel({"t0": UPTrace((), (valuation,))}, lam, 0, 1), "t0"
+
+
 def bounded_search(
     f: Formula,
     bounds: SearchBounds,
@@ -477,6 +534,9 @@ def bounded_search(
     node, so a search over many standpoints exits at its node limit rather
     than listing every assignment first.  Which traces a stratum reads is
     decided by the formula's ``Vocabulary``, the one walk of ``f``.  The
+    first stratum, one trace of one position, is ``one_cell_model``'s,
+    which ``solve`` tries first; after a miss there the search still
+    walks it, so that its node counts do not depend on its caller.  The
     model is not checked here: ``solve`` checks every witness it returns,
     and a direct caller can with ``solver.check_witness``.
     """

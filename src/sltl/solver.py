@@ -1,12 +1,13 @@
 """Top-level decision pipeline.
 
-Classifies the input, routes it to the right engine (one automaton run
-for every fragment without standpoint-scoped temporal operators,
-propositional inputs included; bounded search otherwise), runs that
-engine on the simplified input and packages a checkable witness with
-every satisfiable verdict.  The automaton guesses no sharpening atoms: it
-carries them as rigid state bits, and the witness's standpoint extents
-nest as the true ones say.
+Classifies and simplifies the input, tries its one-cell model by truth
+table (``search.one_cell_model``), and only when there is none routes it
+to the right engine (one automaton run for every fragment without
+standpoint-scoped temporal operators, propositional inputs included;
+bounded search otherwise), runs that engine on the simplified input and
+packages a checkable witness with every satisfiable verdict.  The
+automaton guesses no sharpening atoms: it carries them as rigid state
+bits, and the witness's standpoint extents nest as the true ones say.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .automaton import (
     Lasso,
     find_accepting_lasso,
 )
-from .search import DEFAULT_NODE_LIMIT, SearchBounds, bounded_search
+from .search import DEFAULT_NODE_LIMIT, SearchBounds, bounded_search, one_cell_model
 from .semantics import SLTLModel, UPTrace, evaluate, model_to_json
 from .syntax import (
     Formula,
@@ -60,7 +61,7 @@ class Verdict(_Record):
         engine: str | None = None,  # automaton | oracle
         model: SLTLModel | None = None, designated: str | None = None,
         bounds: SearchBounds | None = None,
-        psl_model: psl.PSLModel | None = None,  # the grid model of a PSL input
+        psl_model: psl.PSLModel | None = None,  # the grid model of an automaton PSL verdict
     ):
         self.status = status
         self.fragment = fragment
@@ -142,16 +143,15 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
 def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
-    Both engines run on ``simplify(f)``; routing reads ``classify(f)``.
-    Inputs without standpoint-scoped temporal operators (PSL, PureLTL and
-    LtlPsl) are decided by one automaton run, complete in both directions;
-    a propositional input's run is one state, whose grid model is also
-    returned as ``psl_model``.  Everything else goes to the bounded search,
-    within bounds built from ``f``, which can say sat or unknown but never
-    unsat: an input that folds to ``false`` is unknown after one node per
-    one-trace shape.  A standpoint that simplification folded away gets
-    every trace as its extent (``assign_folded``).  Every sat verdict's
-    witness, from either engine, is checked once on ``f``, here.
+    Every input first tries its one-cell model (``one_cell_model`` on
+    ``simplify(f)``): one trace, one position, read by truth table.  A hit
+    is a sat verdict of engine ``oracle``, the name of the bounded search,
+    whose first stratum it is: a FullSLTL hit keeps the bounds that search
+    would have had, the other fragments get the bounds (1, 0, 1).  A miss
+    routes the input (``_route``).  A standpoint that simplification
+    folded away gets every trace as its extent (``assign_folded``).  Every
+    sat verdict's witness, from any engine, is checked once on ``f``,
+    here.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
@@ -160,30 +160,57 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     # Constant folding can shrink the input dramatically (dead Until
     # branches in particular); the folded formula is equivalent.
     phi = simplify(f)
+    found = one_cell_model(phi)
+    if found is None:
+        verdict = _route(f, phi, frag, opts)
+    elif frag is Fragment.FULL_SLTL:
+        verdict = _oracle_sat(f, frag, found, opts.bounds or SearchBounds.for_formula(f, 3, 2, 3))
+    else:
+        verdict = _oracle_sat(f, frag, found, SearchBounds.for_formula(f, 1, 0, 1))
+    if verdict.is_sat and not check_witness(f, verdict.model, verdict.designated):
+        raise AssertionError(f"{verdict.engine} witness fails the evaluator on the input")
+    return verdict
+
+
+def _oracle_sat(
+    f: Formula, frag: Fragment, found: tuple[SLTLModel, str], bounds: SearchBounds
+) -> Verdict:
+    """The sat verdict of a bounded-search model of ``simplify(f)``."""
+    model, designated = found
+    model = assign_folded(model, vocab(f).standpoints)
+    return Verdict("sat", frag, engine="oracle", model=model, designated=designated, bounds=bounds)
+
+
+def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verdict:
+    """The verdict of the engine for ``frag`` on ``phi``, the simplified
+    ``f``, with its witness unchecked.
+
+    Inputs without standpoint-scoped temporal operators (PSL, PureLTL and
+    LtlPsl) are decided by one automaton run, complete in both directions;
+    a propositional input's run is one state, whose grid model is also
+    returned as ``psl_model``.  Everything else goes to the bounded search,
+    within bounds built from ``f``, which can say sat or unknown but never
+    unsat: an input that folds to ``false`` is unknown after one node per
+    one-trace shape.  The search starts at the stratum (1, 0, 1) that the
+    one-cell check has just refuted, and walks it again: skipping it would
+    change the search's node counts, and it is the cheapest stratum.
+    """
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.
         bounds = opts.bounds or SearchBounds.for_formula(f, 3, 2, 3)
         found = bounded_search(phi, bounds, node_limit=opts.node_limit)
         if found is None:
             return Verdict("unknown", frag, engine="oracle", bounds=bounds)
-        model, designated = found
-        model = assign_folded(model, vocab(f).standpoints)
-        verdict = Verdict(
-            "sat", frag, engine="oracle", model=model, designated=designated,
-            bounds=bounds,
-        )
-    else:
-        budget = [opts.node_limit, opts.node_limit]
-        lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
-        if lasso is None:
-            return Verdict("unsat", frag, engine="automaton")
-        model, designated = witness_from_lasso(lasso, vocab(f).standpoints)
-        verdict = Verdict("sat", frag, engine="automaton", model=model, designated=designated)
-        if frag is Fragment.PSL:
-            # the run is one state, whose model the witness read
-            (verdict.psl_model,) = lasso.models
-    if not check_witness(f, model, designated):
-        raise AssertionError(f"{verdict.engine} witness fails the evaluator on the input")
+        return _oracle_sat(f, frag, found, bounds)
+    budget = [opts.node_limit, opts.node_limit]
+    lasso = find_accepting_lasso(closure(phi), opts.state_limit, budget)
+    if lasso is None:
+        return Verdict("unsat", frag, engine="automaton")
+    model, designated = witness_from_lasso(lasso, vocab(f).standpoints)
+    verdict = Verdict("sat", frag, engine="automaton", model=model, designated=designated)
+    if frag is Fragment.PSL:
+        # the run is one state, whose model the witness read
+        (verdict.psl_model,) = lasso.models
     return verdict
 
 

@@ -659,3 +659,21 @@ def enumerate_psl_formulas(max_size: int, prop: str = "p"):
         by_size[n] = out
     for n in range(1, max_size + 1):
         yield from by_size[n]
+
+
+# ---------------------------------------------------------------------------
+# The engines past the one-cell check
+
+def routed(f: Formula, opts=None):
+    """The verdict of the engine that ``solve`` routes ``f`` to when ``f``
+    has no one-cell model, with a sat verdict's witness checked on ``f``
+    as ``solve`` checks it: the automaton for PSL, PureLTL and LtlPsl, the
+    bounded search otherwise.  Tests of the automaton's witness and grid
+    reach it here, on inputs that ``solve`` would answer by truth table."""
+    # imported here, so that the references above import no engine
+    from sltl.solver import SolveOptions, _route, check_witness
+    from sltl.syntax import classify, simplify
+
+    v = _route(f, simplify(f), classify(f), opts or SolveOptions())
+    assert not v.is_sat or check_witness(f, v.model, v.designated)
+    return v

@@ -526,9 +526,12 @@ def test_exit_codes_match_verdicts_on_regression_corpus(capsys):
 
 def test_env_node_limit(capsys, monkeypatch):
     monkeypatch.setenv("SLTL_NODE_LIMIT", "2")
-    code, _, err = run(capsys, "solve", "--bounds", "2,1,2", "<@s> X p")
+    code, _, err = run(capsys, "solve", "--bounds", "2,1,2", "<@s> X p & [@s] X !p")
     assert code == 69
     assert "node limit" in err and "bounded search" in err
+    # an input with a one-cell model answers before any search starts
+    code, out, _ = run(capsys, "solve", "--bounds", "2,1,2", "<@s> X p")
+    assert code == 0 and out.startswith("sat")
 
 
 def test_env_node_limit_bounds_the_grid_search(capsys, monkeypatch):
@@ -547,9 +550,12 @@ def test_env_node_limit_bounds_the_automatons_grid_searches(capsys, monkeypatch)
 
 def test_env_state_limit(capsys, monkeypatch):
     monkeypatch.setenv("SLTL_STATE_LIMIT", "3")
-    code, out, err = run(capsys, "solve", "G F p & G F q & G F r")
+    code, out, err = run(capsys, "solve", "G F p & G F !p & G F q & G F r")
     assert code == 69 and out == ""
     assert err == "error: search limit reached: automaton exceeded the state limit of 3\n"
+    # an input with a one-cell model answers before the automaton starts
+    code, out, _ = run(capsys, "solve", "G F p & G F q & G F r")
+    assert code == 0 and out.startswith("sat")
 
 
 @pytest.mark.parametrize("name", ["SLTL_NODE_LIMIT", "SLTL_STATE_LIMIT"])

@@ -13,6 +13,7 @@ from conftest import (
     psl_brute_sat,
     psl_brute_sat_bitwise,
     random_formula,
+    routed,
     sharpening_atoms,
     sharpening_closure,
     true_atoms,
@@ -217,7 +218,7 @@ def test_split_keeps_nested_sharpening_atoms_in_the_body():
     assert solve(parse("!(@s <= @t)")).is_sat
     assert Sharper(S, T) in closure(parse("<@s> (@s <= @t)"))
     f = parse("<@s> (@s <= @t)")
-    verdict = solve(f)
+    verdict = routed(f)  # the automaton, past the one-cell check
     assert verdict.is_sat and true_atoms(verdict.model, f) == {(S, T)}
     assert not solve(parse("!(@s <= @t) & <@s> (@s <= @t)")).is_sat
     assert solve(parse("@s <= @t & <@s> (@s <= @t)")).is_sat
@@ -227,7 +228,7 @@ def test_split_keeps_nested_sharpening_atoms_in_the_body():
 # Grid models of PSL verdicts
 
 def test_sat_normal_form_simple_witness():
-    v = solve(Prop("p"))
+    v = routed(Prop("p"))
     assert v.is_sat and v.designated == "t0"
     assert "p" in v.psl_model.valuation[(0, 1)]
     # one column carrying one valuation
@@ -252,11 +253,11 @@ def _column_valuations(m: PSLModel) -> list[set]:
 def test_grid_width_is_the_most_valuations_a_column_holds():
     # one cell in each column: the s- and t-cells with p and q serve both
     # diamonds and the box
-    m = solve(parse("<@s> p & <@t> q & [@s] (p | q)")).psl_model
+    m = routed(parse("<@s> p & <@t> q & [@s] (p | q)")).psl_model
     assert m.n == 1 and len(m.family) == 3
     # the s-column needs p and !p, the others one valuation each, which
     # fills their second cell with a copy of the first
-    m = solve(parse("<@s> p & <@s> !p & <@t> q")).psl_model
+    m = routed(parse("<@s> p & <@s> !p & <@t> q")).psl_model
     assert m.n == 2 and [len(vals) for vals in _column_valuations(m)] == [1, 2, 1]
     for c in range(len(m.family)):
         assert len(_column_valuations(m)[c]) == 2 or m.valuation[(c, 2)] == m.valuation[(c, 1)]
@@ -276,7 +277,7 @@ def test_grid_model_shape_conditions():
     checked = 0
     while checked < 60:
         f = random_formula(rng, 3, mode="psl")
-        v = solve(f)
+        v = routed(f)
         if not v.is_sat:
             continue
         checked += 1
@@ -369,7 +370,7 @@ def test_sat_with_three_atoms_agrees_with_brute_force():
         if len(sharpening_atoms(f)) != 3 or size(f) > 16:
             continue
         done += 1
-        v = solve(f)  # a sat verdict's witness is checked inside
+        v = routed(f)  # a sat verdict's witness is checked inside
         assert v.is_sat == psl_brute_sat(f), to_text(f)
         if v.is_sat:
             sat_seen += 1
@@ -410,7 +411,8 @@ def test_root_candidates_come_from_one_mask():
     # walking only the set bits of the roots' column-0 mask answers in
     # about a second, testing every valuation in turn took about 12 s
     start = time.perf_counter()
-    v = solve(parse("F (" + " & ".join(f"p{i}" for i in range(12)) + ")"))
+    # the automaton, past the one-cell check
+    v = routed(parse("F (" + " & ".join(f"p{i}" for i in range(12)) + ")"))
     assert v.is_sat
     assert time.perf_counter() - start < 4
 
@@ -582,7 +584,7 @@ def test_grid_model_for_fixed_width():
 
 
 def test_psl_witness_json_shape():
-    m = solve(parse("<@s> p")).psl_model
+    m = routed(parse("<@s> p")).psl_model
     blob = psl_model_to_json(m, (0, 1))
     assert blob["designated"] == "0,1"
     assert blob["s_family"][0] == ["@*"]

@@ -15,12 +15,13 @@ from conftest import (
 )
 
 from sltl import psl, search
-from sltl.solver import check_witness
+from sltl.solver import assign_folded, check_witness, solve
 from sltl.search import (
     IntervalEngine,
     SearchBounds,
     SearchLimitError,
     bounded_search,
+    one_cell_model,
 )
 from sltl.semantics import (
     ModelError,
@@ -34,17 +35,22 @@ from sltl.semantics import (
 )
 from sltl.syntax import (
     And,
+    BOTTOM,
     BoxS,
     DiamondS,
     Next,
+    Or,
     Prop,
     Sharper,
     Standpoint,
+    TOP,
     UNIVERSAL,
     Until,
     closure,
     nodes,
     parse,
+    simplify,
+    size,
     to_text,
     vocab,
 )
@@ -526,6 +532,89 @@ def test_search_product_recurrence():
     found = bounded_search(f, SearchBounds.for_formula(f, 1, 0, 1))
     assert found is not None
     assert evaluate(found[0], found[1], 0, f)
+
+
+# ---------------------------------------------------------------------------
+# One-cell models
+
+def _first_one_cell_valuation(f):
+    """The first valuation, in the bounded search's cell order (the first
+    proposition most significant, false before true), whose one-trace,
+    one-position model satisfies ``f`` under ``evaluate``, or None."""
+    props = sorted(vocab(f).props)
+    lam = dict.fromkeys(vocab(f).standpoints | {UNIVERSAL}, frozenset({"t0"}))
+    for bits in itertools.product((False, True), repeat=len(props)):
+        val = frozenset(p for p, bit in zip(props, bits) if bit)
+        if evaluate(SLTLModel({"t0": UPTrace((), (val,))}, lam, 0, 1), "t0", 0, f):
+            return val
+    return None
+
+
+def _with_constants(rng, f):
+    """``f`` with a constant folded into it now and then."""
+    pick = rng.random()
+    if pick < 0.15:
+        return And(f, Until(Prop("q"), BOTTOM))
+    if pick < 0.3:
+        return Or(f, Next(DiamondS(S, BOTTOM)))
+    if pick < 0.4:
+        return And(BoxS(T, TOP), f)
+    return f
+
+
+@pytest.mark.parametrize("mode", ["psl", "ltl", "ltl_psl", "sltl"])
+def test_one_cell_model_is_the_first_one_cell_valuation(mode):
+    rng = random.Random(3301)
+    found = 0
+    for _ in range(250):
+        f = _with_constants(rng, random_formula(
+            rng, 4, props=("p", "q", "r"), sps=(S, T), mode=mode, max_sharpenings=2,
+        ))
+        phi = simplify(f)
+        first = _first_one_cell_valuation(f)
+        got = one_cell_model(phi)
+        assert (got is None) == (first is None), to_text(f)
+        # the bounded search's first stratum returns the same model
+        assert got == bounded_search(phi, SearchBounds.for_formula(f, 1, 0, 1)), to_text(f)
+        if got is None:
+            continue
+        found += 1
+        model, designated = got
+        assert designated == "t0" and (model.prefix_len, model.period_len) == (0, 1)
+        assert model.traces["t0"].valuation(0) == first, to_text(f)
+        assert set(model.lam.values()) == {frozenset({"t0"})}
+        assert check_witness(f, assign_folded(model, vocab(f).standpoints), designated)
+        # the unfolded input reads the same first valuation
+        assert one_cell_model(f)[0].traces["t0"].valuation(0) == first, to_text(f)
+    assert 50 < found < 250
+
+
+def _capped(k, tail):
+    """14 propositions and ``k + 30`` nodes, ``tail`` a literal of q."""
+    return parse("(" + " | ".join(f"p{i}" for i in range(13)) + ") & q & " + "X " * k + tail)
+
+
+def test_one_cell_check_at_its_cap():
+    # masks of 2^14 bits: ``nodes`` nodes fill the cap
+    nodes = search.ONE_CELL_BITS >> 14
+    at_cap = _capped(nodes - 30, "!q")  # X^k !q with q: no one-cell model
+    assert size(simplify(at_cap)) << 14 == search.ONE_CELL_BITS
+    costs = []
+    for _ in range(5):
+        started = time.perf_counter()
+        assert one_cell_model(at_cap) is None
+        costs.append(time.perf_counter() - started)
+    assert min(costs) < 2e-3
+    v = solve(at_cap)
+    assert (v.status, v.engine) == ("sat", "automaton")
+    # the same size with a one-cell model finds it; one node more skips
+    # the check, and the automaton answers
+    assert one_cell_model(_capped(nodes - 29, "q")) is not None
+    over = _capped(nodes - 28, "q")
+    assert size(simplify(over)) << 14 > search.ONE_CELL_BITS
+    assert one_cell_model(over) is None
+    v = solve(over)
+    assert (v.status, v.engine) == ("sat", "automaton")
 
 
 # ---------------------------------------------------------------------------

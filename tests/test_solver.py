@@ -11,6 +11,7 @@ from conftest import (
     ltl_psl_reference_sat,
     psl_brute_sat,
     random_formula,
+    routed,
     sharpening_atoms,
     true_atoms,
 )
@@ -81,15 +82,33 @@ def test_solve_scans_an_ltl_psl_input_and_its_simplification(monkeypatch, text):
 
 
 def test_routing_by_fragment():
-    assert solve(parse("p & <@s> q")).engine == "automaton"
-    assert solve(parse("p U q")).engine == "automaton"
-    assert solve(parse("G [@s] p")).engine == "automaton"
-    assert solve(parse("<@s> X p")).engine == "oracle"
+    # inputs with no one-cell model go to their fragment's engine
+    assert solve(parse("p & <@s> !p")).engine == "automaton"
+    assert solve(parse("(p U q) & !q")).engine == "automaton"
+    assert solve(parse("G [@s] p & !p")).engine == "automaton"
+    assert solve(parse("<@s> X p & <@s> X !p")).engine == "oracle"
+
+
+@pytest.mark.parametrize("text", ["p & <@s> q", "p U q", "G [@s] p", "<@s> X p", "p & !p | q"])
+def test_one_cell_inputs_answer_before_routing(monkeypatch, text):
+    # a one-cell model answers every fragment with the bounded search's
+    # first stratum, and no engine runs
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(solver_mod, "find_accepting_lasso", unreachable)
+    monkeypatch.setattr(solver_mod, "bounded_search", unreachable)
+    f = parse(text)
+    v = solve(f)
+    assert (v.status, v.engine, v.designated, v.psl_model) == ("sat", "oracle", "t0", None)
+    assert (v.model.prefix_len, v.model.period_len, list(v.model.traces)) == (0, 1, ["t0"])
+    want = (3, 2, 3) if classify(f) is Fragment.FULL_SLTL else (1, 0, 1)
+    assert v.bounds == SearchBounds.for_formula(f, *want)
 
 
 def test_ltl_psl_example_is_satisfiable_with_checked_witness():
     f = parse("G([@*]!malf) -> [@*]test")
-    v = solve(f)
+    v = routed(f)  # the automaton's witness, past the one-cell check
     assert v.status == "sat" and v.engine == "automaton"
     assert check_witness(f, v.model, v.designated)
 
@@ -201,7 +220,7 @@ def test_witness_soundness_on_corpus():
 
 def test_automaton_witness_has_grid_many_traces():
     f = parse("G [@*] p & F q")
-    v = solve(f)
+    v = routed(f)  # the automaton's witness, past the one-cell check
     assert v.status == "sat" and v.engine == "automaton"
     fam_size, n = run_grid_parameters(simplify(f))
     # one column, one valuation in every state: p, then q as well
@@ -217,7 +236,7 @@ def test_automaton_witness_has_grid_many_traces():
 def test_degenerate_grid_without_standpoints_has_one_trace():
     # without modalities no state needs a second cell
     f = parse("G F p")
-    v = solve(f)
+    v = routed(f)  # the automaton, past the one-cell check
     fam_size, n = run_grid_parameters(simplify(f))
     assert (fam_size, n) == (1, 1)
     assert len(v.model.traces) == n
@@ -265,7 +284,7 @@ def test_true_atoms_short_circuit_on_first_success(monkeypatch):
         runs.clear()
         held.clear()
         f = parse(text)
-        v = solve(f)
+        v = routed(f)  # the automaton's run, past the one-cell check
         assert v.status == "sat"
         assert runs == [simplify(f)]
         assert held and set(held) == {frozenset({(S, T)})}
@@ -326,7 +345,7 @@ def test_grid_larger_than_the_node_limit_is_searched():
     # 2,048 types and a search of one node: the grid's tables are bounded
     # by the default limit, the search by the nodes left
     f = parse("G(" + " & ".join(f"p{i}" for i in range(1, 11)) + " & <@*> !q)")
-    v = solve(f, SolveOptions(node_limit=1))
+    v = routed(f, SolveOptions(node_limit=1))  # the automaton, past the one-cell check
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
 
 
@@ -379,7 +398,7 @@ def test_standpoint_free_states_build_no_grid(monkeypatch, f):
         real(grid, *args)
 
     monkeypatch.setattr(psl.CompiledGrid, "__init__", counting)
-    v = solve(f)
+    v = routed(f)  # the automaton, past the one-cell check
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
     assert built == []
 
@@ -393,7 +412,8 @@ def test_gridless_states_give_the_verdicts_of_the_grid(monkeypatch):
         f = random_formula(rng, 4, props=("p", "q", "r"), mode="ltl")
         if classify(f) is Fragment.PURE_LTL:
             texts.append(to_text(f))
-    gridless = [json.dumps(verdict_to_json(solve(parse(t))), sort_keys=True) for t in texts]
+    # the automaton's verdicts, past the one-cell check
+    gridless = [json.dumps(verdict_to_json(routed(parse(t))), sort_keys=True) for t in texts]
     real_init = automaton.StateSpace.__init__
 
     def searching(space, *args):
@@ -409,7 +429,7 @@ def test_gridless_states_give_the_verdicts_of_the_grid(monkeypatch):
 
     monkeypatch.setattr(automaton.StateSpace, "__init__", searching)
     monkeypatch.setattr(psl, "grid_model_for", recording)
-    searched = [json.dumps(verdict_to_json(solve(parse(t))), sort_keys=True) for t in texts]
+    searched = [json.dumps(verdict_to_json(routed(parse(t))), sort_keys=True) for t in texts]
     assert gridless == searched and len(searches) > 600
     assert {json.loads(v)["status"] for v in gridless} == {"sat", "unsat"}
 
@@ -468,7 +488,7 @@ def test_psl_lift_agrees_with_grid_evaluation():
     done = 0
     while done < 40:
         f = random_formula(rng, 3, mode="psl", max_sharpenings=1)
-        v = solve(f)
+        v = routed(f)  # the automaton's witness, past the one-cell check
         assert v.is_sat == psl_brute_sat(f), to_text(f)
         if not v.is_sat:
             continue
@@ -488,7 +508,7 @@ def test_nested_sharpening_atoms_are_state_bits():
     # makes it true, so the box's t-witness of q finds no s-cell
     f = parse("[@s] (q & @t <= @s & (true & p) & <@t> <@s> q)")
     assert Sharper(T, S) in closure(simplify(f))
-    v = solve(f)
+    v = routed(f)  # the automaton, past the one-cell check
     assert v.is_sat and true_atoms(v.model, f) == {(T, S)}
 
 
@@ -496,7 +516,7 @@ def test_sixty_four_atom_chain_is_sat():
     # 2^64 truth assignments cannot be listed; the automaton tries atoms
     # true first, and every atom true is sat
     spec = " & ".join(f"@a{i} <= @a{i + 1}" for i in range(64))
-    verdict = solve(parse(spec))
+    verdict = routed(parse(spec))  # the automaton, past the one-cell check
     assert verdict.status == "sat"
     lam = verdict.model.lam
     assert all(lam[Standpoint(f"a{i}")] <= lam[Standpoint(f"a{i + 1}")] for i in range(64))
@@ -563,7 +583,7 @@ def test_ltl_psl_inputs_with_grid_decided_members_are_sat_at_once(text):
     # grid searches that spent the default node budget, after minutes
     f = parse(text)
     started = time.perf_counter()
-    v = solve(f)
+    v = routed(f)  # the automaton, past the one-cell check
     assert time.perf_counter() - started < 1
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
 
@@ -583,9 +603,14 @@ def test_unsat_atom_disjunctions_stop_at_the_atom_free_conjuncts(monkeypatch):
 
 
 @pytest.mark.parametrize("text, engine", [
-    ("<@s> p & [@s] !q", "automaton"),
-    ("(@s <= @t) & G <@s> p & F q", "automaton"),
+    ("<@s> p & <@s> !p", "automaton"),
+    ("(@s <= @t) & G <@s> p & F q & !q", "automaton"),
     ("<@s> X p", "oracle"),
+    ("<@s> X p & <@s> X !p", "oracle"),
+    # one-cell models, one per fragment
+    ("<@s> p & [@s] !q", "oracle"),
+    ("(@s <= @t) & G <@s> p & F q", "oracle"),
+    ("F p & G q", "oracle"),
 ])
 def test_sat_verdict_runs_one_check(monkeypatch, text, engine):
     calls = []
@@ -602,7 +627,7 @@ def test_sat_verdict_runs_one_check(monkeypatch, text, engine):
 
 
 def test_verdict_json_schema(capsys):
-    v = solve(parse("(@s <= @t) & X p"))
+    v = solve(parse("(@s <= @t) & X p & !p"))
     blob = verdict_to_json(v)
     assert blob["status"] == "sat"
     assert blob["engine"] == "automaton"
@@ -611,6 +636,14 @@ def test_verdict_json_schema(capsys):
     assert set(lam["@s"]) <= set(lam["@t"])
     assert blob["witness"]["designated"] == v.designated
     json.dumps(blob)  # serializable
+
+    # a one-cell model: the bounded search's first stratum, one trace of
+    # one position
+    blob = verdict_to_json(solve(parse("(@s <= @t) & X p")))
+    assert (blob["status"], blob["engine"]) == ("sat", "oracle")
+    assert blob["bounds"] == {"max_traces": 1, "max_prefix": 0, "max_period": 1, "props": ["p"]}
+    assert blob["witness"]["traces"] == {"t0": [["p"]]}
+    assert blob["witness"]["lambda"] == {"@*": ["t0"], "@s": ["t0"], "@t": ["t0"]}
 
     f = recurring_counter_formula(1)
     u = solve(f, SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 2)))
@@ -627,13 +660,15 @@ def test_verdict_json_schema(capsys):
 
 
 @pytest.mark.parametrize("text, strict, status, extra", [
-    ("(@s <= @t) & X p", False, "sat", []),
+    ("(@s <= @t) & X p & !p", False, "sat", []),
     ("(p U q) & G !q", False, "unsat", []),
-    ("<@s> p & [@s] !q", False, "sat", ["psl_witness"]),
+    ("<@s> p & <@s> !p", False, "sat", ["psl_witness"]),
     ("(@s <= @t) & <@s> X p", False, "sat", ["bounds"]),
     ("<@s> X p & [@s] X !p", False, "unknown", ["bounds"]),
     ("<@s> X p", True, "out_of_fragment", []),
-], ids=["automaton", "unsat", "psl", "oracle", "unknown", "out_of_fragment"])
+    ("(@s <= @t) & X p", False, "sat", ["bounds"]),
+    ("<@s> p & [@s] !q", False, "sat", ["bounds"]),
+], ids=["automaton", "unsat", "psl", "oracle", "unknown", "out_of_fragment", "one_cell", "psl_one_cell"])
 def test_verdict_json_keys_by_kind(text, strict, status, extra):
     # the keys the README lists for each kind of verdict, in order
     blob = verdict_to_json(solve(parse(text), SolveOptions(fragment_strict=strict)))
