@@ -42,7 +42,8 @@ from .syntax import (
 
 DEFAULT_NODE_LIMIT = 10_000_000
 # ``one_cell_model`` skips a formula whose masks could hold more bits in
-# total than this: ``size(phi) * 2^props``
+# total than this: ``size(f) * 2^props``, of the formula it folds; ``solve``
+# gives it the input before constant folding
 ONE_CELL_BITS = 1 << 20
 
 
@@ -455,25 +456,28 @@ def _lambda_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tupl
             untried.append(1)
 
 
-def one_cell_model(phi: Formula) -> tuple[SLTLModel, str] | None:
-    """The model of ``phi`` with one trace and one position, from the
-    least valuation that satisfies it, or None: none does, or the check
-    is skipped because ``size(phi) * 2^props`` exceeds ``ONE_CELL_BITS``.
+def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
+    """The model of ``f`` with one trace and one position, from the least
+    valuation that satisfies it, or None: none does, or the check is
+    skipped because ``size(f) * 2^props``, the bits of all its truth
+    tables, exceeds ``ONE_CELL_BITS``.
 
     On such a model every extent is the one trace, so ``<@s> a``,
     ``[@s] a`` and ``X a`` mean ``a``, ``a U b`` means ``b`` and every
-    sharpening atom holds: ``phi`` is a propositional formula.  One
-    ``fold`` maps each subformula to its truth table, a mask over the
-    valuations of the propositions ``phi`` reads, and the least set bit of
-    the root's is the first model of the bounded search's stratum (1, 0,
-    1): the first proposition is the most significant bit of a valuation,
-    and false comes before true.  The model is the one that search
-    returns: trace ``t0``, prefix 0, period 1 and every extent ``{t0}``.
+    sharpening atom holds: ``f`` is a propositional formula, constants
+    included, so it need not be folded first.  One ``fold`` maps each
+    subformula to its truth table, a mask over the valuations of the
+    propositions ``f`` reads (its memoised ``vocab``), and the least set
+    bit of the root's is the first model of the bounded search's stratum
+    (1, 0, 1): the first proposition is the most significant bit of a
+    valuation, and false comes before true.  The model is the one that
+    search returns: trace ``t0``, prefix 0, period 1 and every extent
+    ``{t0}``.
     """
-    voc = vocab(phi)
+    voc = vocab(f)
     props = sorted(voc.props)
     n = len(props)
-    if size(phi) << n > ONE_CELL_BITS:
+    if size(f) << n > ONE_CELL_BITS:
         return None
     cells = 1 << n
     full = (1 << cells) - 1
@@ -495,7 +499,7 @@ def one_cell_model(phi: Formula) -> tuple[SLTLModel, str] | None:
         # and a sharpening atom hold
         return kids[-1] if kids else full
 
-    table = fold(phi, step)
+    table = fold(f, step)
     if not table:
         return None
     cell = (table & -table).bit_length() - 1

@@ -1,11 +1,11 @@
 """Top-level decision pipeline.
 
-Classifies and simplifies the input, tries its one-cell model by truth
-table (``search.one_cell_model``), and only when there is none routes it
-to the right engine (one automaton run for every fragment without
-standpoint-scoped temporal operators, propositional inputs included;
-bounded search otherwise), runs that engine on the simplified input and
-packages a checkable witness with every satisfiable verdict.  The
+Classifies the input, tries its one-cell model by truth table
+(``search.one_cell_model``), and only when there is none simplifies it and
+routes it to the right engine (one automaton run for every fragment
+without standpoint-scoped temporal operators, propositional inputs
+included; bounded search otherwise), runs that engine on the simplified
+input and packages a checkable witness with every satisfiable verdict.  The
 automaton guesses no sharpening atoms: it carries them as rigid state
 bits, and the witness's standpoint extents nest as the true ones say.
 """
@@ -144,25 +144,29 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     """Decide satisfiability where the fragment permits.
 
     Every input first tries its one-cell model (``one_cell_model`` on
-    ``simplify(f)``): one trace, one position, read by truth table.  A hit
-    is a sat verdict of engine ``oracle``, the name of the bounded search,
-    whose first stratum it is: a FullSLTL hit keeps the bounds that search
-    would have had, the other fragments get the bounds (1, 0, 1).  A miss
-    routes the input (``_route``).  A standpoint that simplification
-    folded away gets every trace as its extent (``assign_folded``).  Every
-    sat verdict's witness, from any engine, is checked once on ``f``,
-    here.
+    ``f`` itself, whose ``vocab`` ``classify`` has just memoised): one
+    trace, one position, read by truth table.  A hit is a sat verdict of
+    engine ``oracle``, the name of the bounded search, whose first stratum
+    it is: a FullSLTL hit keeps the bounds that search would have had, the
+    other fragments get the bounds (1, 0, 1).  It is the model that the
+    check on ``simplify(f)`` would find: folding keeps truth in every
+    model, so both have one truth table; the least valuation that
+    satisfies it keeps the propositions that folding drops false; and the
+    standpoints that folding drops get ``{t0}``, as ``assign_folded``
+    would give them.  Only a miss simplifies the input and routes it
+    (``_route``).  A standpoint that simplification folded away gets every
+    trace as its extent (``assign_folded``).  Every sat verdict's
+    witness, from any engine, is checked once on ``f``, here.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
     if frag is Fragment.FULL_SLTL and opts.fragment_strict:
         return Verdict("out_of_fragment", frag)
-    # Constant folding can shrink the input dramatically (dead Until
-    # branches in particular); the folded formula is equivalent.
-    phi = simplify(f)
-    found = one_cell_model(phi)
+    found = one_cell_model(f)
     if found is None:
-        verdict = _route(f, phi, frag, opts)
+        # Constant folding can shrink the input dramatically (dead Until
+        # branches in particular); the folded formula is equivalent.
+        verdict = _route(f, simplify(f), frag, opts)
     elif frag is Fragment.FULL_SLTL:
         verdict = _oracle_sat(f, frag, found, opts.bounds or SearchBounds.for_formula(f, 3, 2, 3))
     else:
@@ -175,7 +179,8 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
 def _oracle_sat(
     f: Formula, frag: Fragment, found: tuple[SLTLModel, str], bounds: SearchBounds
 ) -> Verdict:
-    """The sat verdict of a bounded-search model of ``simplify(f)``."""
+    """The sat verdict of a bounded-search model: the one-cell model of
+    ``f``, or the search's model of ``simplify(f)``."""
     model, designated = found
     model = assign_folded(model, vocab(f).standpoints)
     return Verdict("sat", frag, engine="oracle", model=model, designated=designated, bounds=bounds)
@@ -191,9 +196,11 @@ def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verd
     returned as ``psl_model``.  Everything else goes to the bounded search,
     within bounds built from ``f``, which can say sat or unknown but never
     unsat: an input that folds to ``false`` is unknown after one node per
-    one-trace shape.  The search starts at the stratum (1, 0, 1) that the
-    one-cell check has just refuted, and walks it again: skipping it would
-    change the search's node counts, and it is the cheapest stratum.
+    one-trace shape.  ``solve`` calls it only after the one-cell check on
+    ``f`` missed, so the search starts at the stratum (1, 0, 1) that the
+    check has just refuted (or skipped at its cap), and walks it again:
+    skipping it would change the search's node counts, and it is the
+    cheapest stratum.
     """
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.

@@ -519,15 +519,15 @@ _BINARY: dict[str, tuple[int, bool, Callable[[Formula, Formula], Formula]]] = {
 }
 _PREC_UNARY = 6  # every prefix operator binds tighter than any binary one
 
-# Prefix operators by token kind, built from the token's value (the
-# standpoint of a modality) and the operand.
-_PREFIX: dict[str, Callable[[str, Formula], Formula]] = {
+# Prefix operators by token (a modality by its plain form), built from a
+# standpoint (the universal one but for a modality) and the operand.
+_PREFIX: dict[str, Callable[[Standpoint, Formula], Formula]] = {
     "!": lambda _, f: neg(f),
     "X": lambda _, f: Next(f),
     "F": lambda _, f: eventually(f),
     "G": lambda _, f: always(f),
-    "dia": lambda sp, f: DiamondS(Standpoint(sp), f),
-    "box": lambda sp, f: BoxS(Standpoint(sp), f),
+    "<>": DiamondS,
+    "[]": BoxS,
 }
 
 
@@ -595,17 +595,15 @@ def to_text(f: Formula) -> str:
 # Parser
 
 _STANDPOINT = rf"(?:\*|{_NAME_RE.pattern})"  # a standpoint name after '@'
-# One master pattern: leading whitespace, then the token kinds, then the
-# malformed lexemes, each with its message; the last one catches any other
-# character, and an empty ``end`` closes the text.
-_LEXEMES = [
-    ("op", r"<->|<=|->|[()&|!]|(?:true|false|[XUFGR])(?![A-Za-z0-9_])"),
-    ("name", _NAME_RE.pattern),
-    ("at", rf"@{_STANDPOINT}"),
-    ("dia", rf"<(?:@{_STANDPOINT})?>"),
-    ("box", rf"\[(?:@{_STANDPOINT})?\]"),
-    ("reserved", r"\$[A-Za-z0-9_]+"),
-]
+# One pattern, read by ``findall``: the whole lexemes (operators and
+# keywords, names, ``@name``, the modalities and reserved ``$names``), then
+# any other character but a space as a stray token.  Only ``_failure`` looks
+# for strays, with the ``_LEX_ERRORS`` patterns, compiled when first used.
+_TOKEN_RE = re.compile(
+    r"<->|<=|->|[()&|!]|(?:true|false|[XUFGR])(?![A-Za-z0-9_])"
+    rf"|{_NAME_RE.pattern}|@{_STANDPOINT}|<(?:@{_STANDPOINT})?>|\[(?:@{_STANDPOINT})?\]"
+    r"|\$[A-Za-z0-9_]+|\S"
+)
 _LEX_ERRORS = [
     (rf"<@{_NAME_RE.pattern}", "unterminated '<@...>' modality, expected '>'"),
     (r"<@", "expected a standpoint name after '<@'"),
@@ -620,51 +618,39 @@ _LEX_ERRORS = [
     (r"[\udc80-\udcff]", "unexpected byte {byte:#04x}"),
     (r".", "unexpected character {!r}"),
 ]
-_ERROR_MESSAGES = {f"error{i}": message for i, (_, message) in enumerate(_LEX_ERRORS)}
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _LEXEMES)
-    + "".join(f"|(?P<error{i}>{pattern})" for i, (pattern, _) in enumerate(_LEX_ERRORS))
-    + r"|(?P<end>\Z))",
-    re.DOTALL,
-)
+_NAME_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 
-def _error(text: str, pos: int, message: str) -> ParseError:
-    """The error at character offset ``pos``, as a 1-based line and column."""
+def _failure(text: str, index: int, message: str) -> ParseError:
+    """The error, at a 1-based line and column, of a parse that stopped
+    at token ``index`` (past the last one: the end) saying ``message``,
+    unless a stray token lies anywhere in ``text``: lexical errors come
+    first, worded by the first of ``_LEX_ERRORS`` that matches there."""
+    pos = len(text)
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        tok = m.group()
+        if len(tok) == 1 and tok not in "()&|!" and tok not in _NAME_START:
+            pos = m.start()
+            words = next(w for pattern, w in _LEX_ERRORS if re.compile(pattern).match(text, pos))
+            message = words.format(tok, byte=ord(tok) & 0xFF)
+            break
+        if k == index:
+            pos = m.start()
     line_start = text.rfind("\n", 0, pos) + 1
     return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, value, offset)`` triples, closed by an ``end`` token.
-
-    Operators and keywords are their own kind; the value of ``at``, ``dia``
-    and ``box`` is the standpoint name, ``*`` for the plain modalities.
-    """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value, pos = m.group(kind), m.start(kind)
-        if kind == "op":
-            kind = value
-        elif kind in ("at", "dia", "box"):
-            value = value.strip("<>[]@") or "*"
-        elif kind in _ERROR_MESSAGES:
-            raise _error(text, pos, _ERROR_MESSAGES[kind].format(value, byte=ord(value[0]) & 0xFF))
-        tokens.append((kind, value, pos))
-    return tokens
-
-
-def _reduce(pending: list[tuple[int, str, str]], operands: list[Formula], floor: int) -> None:
+def _reduce(
+    pending: list[tuple[int, str, Standpoint]], operands: list[Formula], floor: int
+) -> None:
     """Apply the pending operators of precedence ``floor`` or tighter."""
     while pending and pending[-1][0] >= floor:
-        prec, kind, value = pending.pop()
+        prec, tok, sp = pending.pop()
         if prec == _PREC_UNARY:
-            operands[-1] = _PREFIX[kind](value, operands[-1])
+            operands[-1] = _PREFIX[tok](sp, operands[-1])
         else:
             right = operands.pop()
-            operands[-1] = _BINARY[kind][2](operands[-1], right)
+            operands[-1] = _BINARY[tok][2](operands[-1], right)
 
 
 def parse(text: str, allow_reserved: bool = False) -> Formula:
@@ -675,69 +661,82 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
     their disjunctive forms, and double negations collapse.  ``$``-prefixed
     names are reserved for generated variables and rejected unless
     ``allow_reserved`` is set (used when re-reading translated output).
+    Equal leaves are one object: a call builds each name's ``Prop`` and
+    ``Standpoint`` once.
 
-    One loop over the tokens keeps two stacks: the operands built so far,
-    and the pending prefix operators, open parentheses and binary
+    One loop over the token strings keeps two stacks: the operands built
+    so far, and the pending prefix operators, open parentheses and binary
     operators with their precedence.  A binary operator first applies the
     pending ones that bind at least as tightly (more tightly, when it
     groups to the right); ``)`` and the end of input apply all of them
     down to the matching ``(``.  Nothing recurses, so input depth is
-    unlimited.
+    unlimited.  Only an error looks for token offsets (``_failure``).
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end of input
+    leaves: dict[str, Formula] = {"true": TOP, "false": BOTTOM}  # by token, built once
+    sps = {"*": UNIVERSAL}  # by name, built once
     operands: list[Formula] = []
-    pending: list[tuple[int, str, str]] = []  # (precedence, kind, value); "(" has 0
+    # (precedence, token, standpoint): "(" has 0, a modality its plain form
+    pending: list[tuple[int, str, Standpoint]] = []
     i = 0
     while True:
         # an operand, after any prefix operators and open parentheses
-        kind, value, pos = tokens[i]
-        while kind in _PREFIX or kind == "(":
-            pending.append((_PREC_UNARY if kind != "(" else 0, kind, value))
+        tok = tokens[i]
+        while True:
+            if tok in _PREFIX:
+                pending.append((_PREC_UNARY, tok, UNIVERSAL))
+            elif tok[:2] == "<@" or tok[:2] == "[@":
+                name = tok[2:-1]
+                sp = sps.get(name) or sps.setdefault(name, Standpoint(name))
+                pending.append((_PREC_UNARY, tok[0] + tok[-1], sp))
+            elif tok == "(":
+                pending.append((0, tok, UNIVERSAL))
+            else:
+                break
             i += 1
-            kind, value, pos = tokens[i]
+            tok = tokens[i]
         i += 1
-        if kind == "name" or kind == "reserved" and allow_reserved:
-            operands.append(Prop(value))
-        elif kind == "true":
-            operands.append(TOP)
-        elif kind == "false":
-            operands.append(BOTTOM)
-        elif kind == "at" and tokens[i][0] == "<=":
-            kind, right, pos = tokens[i + 1]
-            if kind != "at":
-                raise _error(text, pos, "expected a standpoint ('@name') after '<='")
-            operands.append(Sharper(Standpoint(value), Standpoint(right)))
+        if tok[:1] == "@" and tokens[i] == "<=" and len(tok) > 1:
+            names = tok[1:], tokens[i + 1][1:]
+            if tokens[i + 1][:1] != "@" or not names[1]:
+                raise _failure(text, i + 1, "expected a standpoint ('@name') after '<='")
+            left, right = (sps.get(n) or sps.setdefault(n, Standpoint(n)) for n in names)
+            operands.append(Sharper(left, right))
             i += 2
-        elif kind == "at":
-            operands.append(Prop("@" + value))
-        elif kind == "R":
-            raise _error(text, pos, "the release operator 'R' is not supported")
-        elif kind == "reserved":
-            raise _error(text, pos, f"names starting with '$' are reserved: {value!r}")
-        elif kind == "end":
-            raise _error(text, pos, "expected a formula, got end of input")
+        elif (leaf := leaves.get(tok)) is not None:
+            operands.append(leaf)
+        elif (tok[:1] in _NAME_START and tok != "U" and tok != "R"
+              or len(tok) > 1 and (tok[0] == "@" or tok[0] == "$" and allow_reserved)):
+            operands.append(leaves.setdefault(tok, Prop(tok)))
+        elif tok[:1] == "$" and len(tok) > 1:
+            raise _failure(text, i - 1, f"names starting with '$' are reserved: {tok!r}")
+        elif tok == "R":
+            raise _failure(text, i - 1, "the release operator 'R' is not supported")
         else:
-            raise _error(text, pos, f"expected a formula, got {value!r}")
+            got = repr(tok) if tok else "end of input"
+            raise _failure(text, i - 1, f"expected a formula, got {got}")
         # closing parentheses, then a binary operator or the end
         while True:
-            kind, value, pos = tokens[i]
+            tok = tokens[i]
             i += 1
-            if kind == "R":
-                raise _error(text, pos, "the release operator 'R' is not supported")
-            if kind in _BINARY:
-                prec, right, _ = _BINARY[kind]
+            if tok in _BINARY:
+                prec, right, _ = _BINARY[tok]
                 _reduce(pending, operands, prec + right)
-                pending.append((prec, kind, value))
+                pending.append((prec, tok, UNIVERSAL))
                 break
+            if tok == "R":
+                raise _failure(text, i - 1, "the release operator 'R' is not supported")
             _reduce(pending, operands, 1)
-            if kind == ")":
+            if tok == ")":
                 if not pending:
-                    raise _error(text, pos, "unexpected ')' after the formula")
+                    raise _failure(text, i - 1, "unexpected ')' after the formula")
                 pending.pop()
             elif pending:
-                raise _error(text, pos, "unbalanced parentheses, expected ')'")
-            elif kind != "end":
-                raise _error(text, pos, f"unexpected {value!r} after the formula")
+                raise _failure(text, i - 1, "unbalanced parentheses, expected ')'")
+            elif tok:
+                shown = tok if tok == "<=" else tok.strip("<>[]@") or "*"  # a standpoint's name
+                raise _failure(text, i - 1, f"unexpected {shown!r} after the formula")
             else:
                 return operands[0]
 

@@ -72,13 +72,46 @@ def test_solve_scans_a_full_sltl_input_once(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("text", ["X p & <@s> p", "X p & <@s> (p & true)"])
+@pytest.mark.parametrize(
+    "text",
+    ["X p & <@s> p", "X p & <@s> (p & true)", "X p & <@s> !p & p", "X p & <@s> (!p & true) & p"],
+)
 def test_solve_scans_an_ltl_psl_input_and_its_simplification(monkeypatch, text):
-    # the automaton reads simplify(f), a second formula only when it differs
+    # a one-cell model is read off f alone; on a miss (p & !p on one
+    # cell) the automaton reads simplify(f), a second formula only when it
+    # differs
     built = _count_vocabularies(monkeypatch)
     f = parse(text)
-    assert solve(f).fragment is Fragment.LTL_PSL
-    assert len(built) == 1 + (simplify(f) is not f)
+    v = solve(f)
+    assert v.fragment is Fragment.LTL_PSL
+    if "!" in text:
+        assert v.engine == "automaton"
+        assert len(built) == 1 + (simplify(f) is not f)
+    else:
+        assert v.engine == "oracle"
+        assert len(built) == 1
+
+
+class _Simplified(Exception):
+    pass
+
+
+def test_one_cell_hits_never_simplify(monkeypatch):
+    # the one-cell check reads the input itself: only a miss folds it
+    calls = []
+
+    def refused(f):
+        calls.append(f)
+        raise _Simplified
+
+    monkeypatch.setattr(solver_mod, "simplify", refused)
+    for text in ["p & <@s> q", "p U q", "G [@s] p", "<@s> X p"]:  # one per fragment
+        assert solve(parse(text)).engine == "oracle", text
+    assert calls == []
+    f = parse("(p U q) & !q")
+    with pytest.raises(_Simplified):
+        solve(f)
+    assert calls == [f]
 
 
 def test_routing_by_fragment():

@@ -116,6 +116,26 @@ def test_parse_error_positions():
     assert (err.value.line, err.value.col) == (1, 3)
 
 
+def test_parse_builds_one_leaf_per_name():
+    # every Prop and Standpoint of one name is one object, in modalities
+    # and sharpening atoms too, and "*" is the universal standpoint
+    f = parse("p & <@s> (p U [@s] q) & (@s <= @t) & [@t] (q | @s) & <> p & [@*] q & (@t <= @*)")
+    by_name = {}
+    for g in nodes(f):
+        if isinstance(g, Prop):
+            leaves = (g,)
+        elif isinstance(g, Sharper):
+            leaves = (g.left, g.right)
+        elif isinstance(g, (DiamondS, BoxS)):
+            leaves = (g.standpoint,)
+        else:
+            leaves = ()
+        for leaf in leaves:
+            assert by_name.setdefault((type(leaf), leaf.name), leaf) is leaf, leaf
+    assert sorted(name for _, name in by_name) == ["*", "@s", "p", "q", "s", "t"]
+    assert by_name[Standpoint, "*"] is UNIVERSAL
+
+
 def test_reserved_names_accepted_when_allowed():
     f = parse("$u0 & p", allow_reserved=True)
     assert f == And(Prop("$u0"), Prop("p"))
