@@ -9,7 +9,8 @@ formulas), because the consistency equations force its Boolean and Until
 members; so a state is an ``int`` whose bit ``b`` is set when
 ``StateSpace.base[b]`` is true.  Enumeration branches on the base members
 that fix successors and acceptance sets and reads the others off a grid
-model, which it keeps for the witness (see ``StateSpace``).  Without
+model, which it keeps for the witness (see ``StateSpace``): the pair of
+the grid's label family and the valuations each column carries.  Without
 modal members and sharpening atoms a state whose temporal-free conjuncts
 are decided at its cell needs no grid: its model is the one cell of its
 propositions, every grid-decided one false.  It prunes
@@ -47,6 +48,7 @@ from .syntax import (
     Or,
     Prop,
     Sharper,
+    Standpoint,
     Until,
     _FrozenRecord,
     neg,
@@ -59,16 +61,19 @@ DEFAULT_STATE_LIMIT = 200_000
 # per assignment: 1,024 cells per sweep
 _TAIL_WIDTH = 10
 
+# a grid model: the label family, and the valuations each column carries
+GridModel = tuple[tuple[frozenset[Standpoint], ...], tuple[tuple[frozenset[str], ...], ...]]
+
 
 class Lasso(_FrozenRecord):
     """Accepting run presented as a stem plus a repeating cycle of states,
     with the grid model each run position's state was read off, stem
-    first."""
+    first: plain tuples, so a lasso hashes by value."""
 
     __slots__ = ("stem", "cycle", "models")
 
     def __init__(
-        self, stem: tuple[int, ...], cycle: tuple[int, ...], models: tuple[psl.PSLModel, ...]
+        self, stem: tuple[int, ...], cycle: tuple[int, ...], models: tuple[GridModel, ...]
     ):
         object.__setattr__(self, "stem", stem)
         object.__setattr__(self, "cycle", cycle)
@@ -341,17 +346,21 @@ class StateSpace:
         lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
         return sum((lo[grid.engine.slot[g]] >> dv & 1) << b for b, g in self._decided)
 
-    def grid_model(self, state: int) -> psl.PSLModel | None:
-        """The grid model a state was read off, or None for a state that no
+    def grid_model(self, state: int) -> GridModel | None:
+        """The grid model a state was read off, as the pair of its label
+        family and its columns (``psl.expand``), or None for a state that no
         enumeration yielded.  Without standpoints it is the one cell of the
-        state's propositions, as ``expand`` would build it from any search
+        state's propositions, as ``expand`` would list it from any search
         (see the class docstring)."""
         if self._gridless:
             if state not in self.accepting:
                 return None
-            return psl.PSLModel((frozenset({UNIVERSAL}),), 1, {(0, 1): self.true_props(state)})
+            return (frozenset({UNIVERSAL}),), ((self.true_props(state),),)
         found = self._models.get(state)
-        return None if found is None else psl.expand(self.grid(state), *found)
+        if found is None:
+            return None
+        grid = self.grid(state)
+        return grid.family, psl.expand(grid, *found)
 
     def true_props(self, state: int) -> frozenset[str]:
         """The propositions true in a state."""

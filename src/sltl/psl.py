@@ -7,11 +7,13 @@ On that grid a sharpening atom holds iff the reflexive-transitive closure
 of the true atoms relates its standpoints, so atoms are constants of the
 grid, and modal truth reads only which valuations each column carries: its
 present types.  The search answers with those presence sets, and
-``expand`` turns them into a model that lists each column's valuations,
-padded to the column that carries the most.  The automaton decides PSL
-inputs too, one grid search per state literal set (see
+``expand`` lists each column's valuations.  A grid model is the pair
+``(family, columns)``, plain tuples, where ``columns[i]`` holds the
+distinct valuations that column ``i`` carries; the witness builder pads
+the columns to one width (``solver.witness_from_lasso``).  The automaton
+decides PSL inputs too, one grid search per state literal set (see
 ``automaton.StateSpace``): this module supplies the families, the compiled
-grids, their size check (``grid_types``), the search and the models.  A
+grids, their size check (``grid_types``), the search and the columns.  A
 state of an input without standpoints that leaves no conjunct open runs
 no search: its model is the one cell of its propositions, and only the
 size check runs, once.
@@ -29,13 +31,12 @@ from .syntax import (
     Prop,
     Standpoint,
     UNIVERSAL,
-    _Record,
 )
 from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError, cells_with_bit
 
 
 # ---------------------------------------------------------------------------
-# Label families and grid models
+# Label families
 
 def label_family(
     atoms: Iterable[tuple[Standpoint, Standpoint]], universe: Iterable[Standpoint]
@@ -63,29 +64,6 @@ def label_family(
     star = labels(UNIVERSAL)
     rest = {labels(sp) for sp in above} - {star}
     return (star, *sorted(rest, key=lambda s: (len(s), sorted(x.name for x in s))))
-
-
-class PSLModel(_Record):
-    """Precisifications are the cells of ``family x {1..n}``; the standpoint
-    labels of a cell are exactly its column's label set."""
-
-    __slots__ = ("family", "n", "valuation")
-
-    def __init__(
-        self, family: tuple[frozenset[Standpoint], ...], n: int,
-        valuation: dict[tuple[int, int], frozenset[str]],
-    ):
-        self.family = family
-        self.n = n
-        self.valuation = valuation
-        if set(valuation) != set(self.cells()):
-            raise ValueError("valuation must cover exactly the grid cells")
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(len(self.family)) for j in range(1, self.n + 1)]
-
-    def labels(self, cell: tuple[int, int]) -> frozenset[Standpoint]:
-        return self.family[cell[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +134,7 @@ def grid_model_for(
 ) -> tuple[int, int] | None:
     """The present types and the designated valuation of a model of the
     conjunction at the designated type, or None; ``grid`` was compiled
-    over the conjuncts, and ``expand`` builds the model.
+    over the conjuncts, and ``expand`` lists its columns.
 
     Backtracks over which valuations each column carries (its present
     types) rather than over individual cells: modal truth only reads the
@@ -279,12 +257,12 @@ def grid_model_for(
     return None
 
 
-def expand(grid: CompiledGrid, present: int, dv: int) -> PSLModel:
-    """The grid model of the present types, with the designated valuation
-    ``dv`` at cell (0, 1): as wide as the column with the most present
-    types, each column listing its valuations in type order (the
-    designated one first in column 0) and padding with copies of its first
-    cell."""
+def expand(
+    grid: CompiledGrid, present: int, dv: int
+) -> tuple[tuple[frozenset[str], ...], ...]:
+    """The columns of the grid model of the present types, with the
+    designated valuation ``dv`` first in column 0: column ``c`` lists the
+    valuations it carries, each once, in type order."""
     v_count = grid.v_count
     columns = []
     for c in range(len(grid.family)):
@@ -292,23 +270,7 @@ def expand(grid: CompiledGrid, present: int, dv: int) -> PSLModel:
         chosen = [v for v in range(bits.bit_length()) if bits >> v & 1]
         if c == 0:
             chosen = [dv] + [v for v in chosen if v != dv]
-        columns.append(chosen)
-    n = max(map(len, columns))
-    valuation = {
-        (c, j): frozenset(p for i, p in enumerate(grid.props) if v >> i & 1)
-        for c, chosen in enumerate(columns)
-        for j, v in enumerate(chosen + chosen[:1] * (n - len(chosen)), start=1)
-    }
-    return PSLModel(grid.family, n, valuation)
-
-
-# ---------------------------------------------------------------------------
-# Witness serialization
-
-def psl_model_to_json(model: PSLModel, designated: tuple[int, int]) -> dict:
-    return {
-        "s_family": [sorted(str(sp) for sp in s) for s in model.family],
-        "n": model.n,
-        "valuation": {f"{i},{j}": sorted(v) for (i, j), v in sorted(model.valuation.items())},
-        "designated": f"{designated[0]},{designated[1]}",
-    }
+        columns.append(tuple(
+            frozenset(p for i, p in enumerate(grid.props) if v >> i & 1) for v in chosen
+        ))
+    return tuple(columns)

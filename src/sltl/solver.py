@@ -7,14 +7,16 @@ without standpoint-scoped temporal operators, propositional inputs
 included; bounded search otherwise), runs that engine on the simplified
 input and packages a checkable witness with every satisfiable verdict.  The
 automaton guesses no sharpening atoms: it carries them as rigid state
-bits, and the witness's standpoint extents nest as the true ones say.
+bits, and the witness's standpoint extents nest as the true ones say.  A
+verdict carries one model, the witness: an automaton PSL witness is its
+grid model itself, one trace of one position per cell, and ``lambda``
+gives each trace its column's label set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from . import psl
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     Lasso,
@@ -51,7 +53,7 @@ class Verdict(_Record):
     """Outcome of ``solve``; satisfiable verdicts carry a checked witness."""
 
     __slots__ = (
-        "status", "fragment", "engine", "model", "designated", "bounds", "psl_model",
+        "status", "fragment", "engine", "model", "designated", "bounds",
     )
 
     def __init__(
@@ -61,7 +63,6 @@ class Verdict(_Record):
         engine: str | None = None,  # automaton | oracle
         model: SLTLModel | None = None, designated: str | None = None,
         bounds: SearchBounds | None = None,
-        psl_model: psl.PSLModel | None = None,  # the grid model of an automaton PSL verdict
     ):
         self.status = status
         self.fragment = fragment
@@ -69,7 +70,6 @@ class Verdict(_Record):
         self.model = model
         self.designated = designated
         self.bounds = bounds
-        self.psl_model = psl_model
 
     @property
     def is_sat(self) -> bool:
@@ -104,36 +104,36 @@ def witness_from_lasso(lasso: Lasso, standpoints: Iterable[Standpoint]) -> tuple
     """Build a model from an accepting run and the input's standpoints.
 
     Every run position reads the grid model its state was read off, which
-    the lasso carries.  The run shares one label family, as every run
-    does: sharpening atoms keep their truth value along a run, and the
-    family is that of the true ones.  The witness is as wide as the widest
-    model of the run; a narrower model repeats the first cell of each
-    column in the cells it lacks, which changes no column's set of
-    valuations and so no modal truth.  The trace of a cell reads that
-    cell's valuation across positions, and each standpoint's extent is the
-    traces of the columns it labels, so a sharpening atom holds in the
-    model iff it held along the run.  Every standpoint of the automaton's
+    the lasso carries as ``(family, columns)``.  The run shares one label
+    family, as every run does: sharpening atoms keep their truth value
+    along a run, and the family is that of the true ones.  The witness is
+    as wide as the widest column of the run; every column is padded to
+    that width once, repeating its first valuation, which changes no
+    column's set of valuations and so no modal truth.  Cell ``j`` of
+    column ``i`` is trace ``t{i * width + j}``, which reads that cell's
+    valuation across positions, and each standpoint's extent is the traces
+    of the columns it labels, so a sharpening atom holds in the model iff
+    it held along the run.  Every standpoint of the automaton's
     input labels a column; the others of ``standpoints``, those that
     simplification folded away, go to ``assign_folded``.  The designated
     trace is the first cell of the universal column.  ``solve`` checks the
     model once, on its own input formula.
     """
-    models = lasso.models
-    family, width = models[0].family, max(m.n for m in models)
-
-    prefix_len, period_len = len(lasso.stem), len(lasso.cycle)
-    cells = [(i, j) for i in range(len(family)) for j in range(1, width + 1)]
+    family = lasso.models[0][0]
+    width = max(len(col) for _, columns in lasso.models for col in columns)
+    padded = [[col + col[:1] * (width - len(col)) for col in columns] for _, columns in lasso.models]
+    ids = [[f"t{i * width + j}" for j in range(width)] for i in range(len(family))]
+    prefix_len = len(lasso.stem)
     traces: dict[str, UPTrace] = {}
-    for idx, (i, j) in enumerate(cells):
-        column = [m.valuation[(i, j if j <= m.n else 1)] for m in models]
-        traces[f"t{idx}"] = UPTrace(tuple(column[:prefix_len]), tuple(column[prefix_len:]))
-    ids = list(traces)  # column by column, ``width`` cells each
-    columns = [ids[i * width:(i + 1) * width] for i in range(len(family))]
+    for i, cells in enumerate(ids):
+        for j, tid in enumerate(cells):
+            row = tuple(position[i][j] for position in padded)
+            traces[tid] = UPTrace(row[:prefix_len], row[prefix_len:])
     lam = {
-        sp: frozenset(t for labels, cells in zip(family, columns) if sp in labels for t in cells)
+        sp: frozenset(t for labels, cells in zip(family, ids) if sp in labels for t in cells)
         for sp in frozenset().union(*family)
     }
-    model = SLTLModel(traces, lam, prefix_len, period_len)
+    model = SLTLModel(traces, lam, prefix_len, len(lasso.cycle))
     return assign_folded(model, standpoints), "t0"
 
 
@@ -192,8 +192,8 @@ def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verd
 
     Inputs without standpoint-scoped temporal operators (PSL, PureLTL and
     LtlPsl) are decided by one automaton run, complete in both directions;
-    a propositional input's run is one state, whose grid model is also
-    returned as ``psl_model``.  Everything else goes to the bounded search,
+    a propositional input's run is one state, so its witness is that
+    state's grid model, one trace per cell.  Everything else goes to the bounded search,
     within bounds built from ``f``, which can say sat or unknown but never
     unsat: an input that folds to ``false`` is unknown after one node per
     one-trace shape.  ``solve`` calls it only after the one-cell check on
@@ -214,11 +214,7 @@ def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verd
     if lasso is None:
         return Verdict("unsat", frag, engine="automaton")
     model, designated = witness_from_lasso(lasso, vocab(f).standpoints)
-    verdict = Verdict("sat", frag, engine="automaton", model=model, designated=designated)
-    if frag is Fragment.PSL:
-        # the run is one state, whose model the witness read
-        (verdict.psl_model,) = lasso.models
-    return verdict
+    return Verdict("sat", frag, engine="automaton", model=model, designated=designated)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +234,4 @@ def verdict_to_json(v: Verdict) -> dict:
             "max_period": v.bounds.max_period,
             "props": list(v.bounds.props),
         }
-    if v.psl_model is not None:
-        out["psl_witness"] = psl.psl_model_to_json(v.psl_model, (0, 1))
     return out

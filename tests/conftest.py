@@ -635,6 +635,32 @@ def family_for(closure_rel: SharpeningClosure) -> tuple[frozenset[Standpoint], .
 
 
 # ---------------------------------------------------------------------------
+# Grid models read off one-position witnesses
+
+def trace_labels(model: SLTLModel, standpoints) -> dict[str, frozenset[Standpoint]]:
+    """The label set that λ gives each trace, restricted to ``standpoints``
+    and the universal standpoint, by trace id."""
+    sps = set(standpoints) | {UNIVERSAL}
+    return {
+        tid: frozenset(sp for sp in sps if sp.is_universal or tid in model.lam[sp])
+        for tid in model.traces
+    }
+
+
+def witness_grid(model: SLTLModel, standpoints):
+    """The grid model ``(family, columns)`` of a one-position witness: its
+    traces grouped by the label set that λ gives them, restricted to
+    ``standpoints`` and the universal standpoint.  The label sets come in
+    the order of their first traces, and ``columns[i]`` holds the distinct
+    valuations of the traces of label set ``i``, in trace order."""
+    assert (model.prefix_len, model.period_len) == (0, 1)
+    groups: dict[frozenset[Standpoint], dict[frozenset[str], None]] = {}
+    for tid, labels in trace_labels(model, standpoints).items():
+        groups.setdefault(labels, {})[model.traces[tid].valuation(0)] = None
+    return tuple(groups), tuple(tuple(vals) for vals in groups.values())
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive propositional corpus
 
 def enumerate_psl_formulas(max_size: int, prop: str = "p"):

@@ -22,7 +22,9 @@ from conftest import (
     random_formula,
     routed,
     standpoints_into_guards,
+    trace_labels,
     true_atoms,
+    witness_grid,
 )
 
 from sltl import psl
@@ -143,31 +145,38 @@ def test_criterion_04_grid_shape():
         if not verdict.is_sat:
             continue
         checked += 1
-        m = verdict.psl_model
-        # condition 1: precisifications are exactly the family-by-width grid
-        assert set(m.valuation) == {
-            (i, j) for i in range(len(m.family)) for j in range(1, m.n + 1)
-        }
+        # the witness is the grid model, one trace of one position per
+        # cell, its columns the traces grouped by their label sets
+        model, sps = verdict.model, vocab(simplify(f)).standpoints
+        assert (model.prefix_len, model.period_len) == (0, 1)
+        family, columns = witness_grid(model, sps)
+        labels = trace_labels(model, sps)
+        n = len(model.traces) // len(family)
+        # condition 1: precisifications are exactly the family-by-width
+        # grid: every label set holds exactly n traces, trace t{i*n+j}
+        # lying in column i
+        assert len(model.traces) == n * len(family)
+        for i, column_labels in enumerate(family):
+            assert [t for t in model.traces if labels[t] == column_labels] == [
+                f"t{i * n + j}" for j in range(n)
+            ]
         # condition 2: the designated cell is the first universal-column
         # cell, whose trace the witness designates
-        assert verdict.designated == "t0" and m.cells()[0] == (0, 1)
+        assert verdict.designated == "t0" and labels["t0"] == family[0]
         # the universal column comes first: its labels are the standpoints
         # that every column carries, and no column repeats
-        assert m.family[0] == frozenset.intersection(*m.family)
-        assert len(set(m.family)) == len(m.family)
-        # condition 3: cell labels are exactly the family set of the column
-        for cell in m.valuation:
-            assert m.labels(cell) == m.family[cell[0]]
-        assert all(UNIVERSAL in s for s in m.family)
-        # the witness is the grid model, one trace per cell, and it
-        # satisfies the formula at the designated cell
-        cells, traces = m.cells(), verdict.model.traces
-        assert (verdict.model.prefix_len, verdict.model.period_len) == (0, 1)
-        assert len(traces) == len(cells)
-        assert [traces[f"t{k}"].valuation(0) for k in range(len(cells))] == [
-            m.valuation[c] for c in cells
-        ]
-        assert evaluate(verdict.model, verdict.designated, 0, f), to_text(f)
+        assert family[0] == frozenset.intersection(*family)
+        assert len(set(family)) == len(family)
+        # condition 3: cell labels are exactly the family set of the
+        # column, which lists its distinct valuations, padded with copies
+        # of its first
+        assert all(UNIVERSAL in s for s in family)
+        for i, column in enumerate(columns):
+            assert [model.traces[f"t{i * n + j}"].valuation(0) for j in range(n)] == [
+                *column, *column[:1] * (n - len(column))
+            ]
+        # it satisfies the formula at the designated cell
+        assert evaluate(model, verdict.designated, 0, f), to_text(f)
     report(4, f"{checked} satisfiable grid models meet all three shape conditions")
 
 

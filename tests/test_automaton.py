@@ -563,7 +563,7 @@ def _one_shot_grid_model(space, conjuncts):
     body = to_nnf(conj(_substitute(g, truth) for g in conjuncts))
     grid = psl.CompiledGrid(family_for(rel), space.props, [body], [10**6, 10**6])
     found = psl.grid_model_for(grid, [body], [10**6, 10**6])
-    return None if found is None else psl.expand(grid, *found)
+    return None if found is None else (grid.family, psl.expand(grid, *found))
 
 
 def test_a_failed_state_is_searched_once(monkeypatch):
@@ -599,7 +599,8 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
 
     def recording(grid, conjuncts, budget):
         found = real(grid, conjuncts, budget)
-        searched.append((list(conjuncts), None if found is None else psl.expand(grid, *found)))
+        model = None if found is None else (grid.family, psl.expand(grid, *found))
+        searched.append((list(conjuncts), model))
         return found
 
     monkeypatch.setattr(psl, "grid_model_for", recording)

@@ -16,22 +16,22 @@ from conftest import (
     routed,
     sharpening_atoms,
     sharpening_closure,
+    trace_labels,
     true_atoms,
+    witness_grid,
 )
 
 from sltl import psl
 from sltl.automaton import StateSpace, find_accepting_lasso
 from sltl.psl import (
     CompiledGrid,
-    PSLModel,
     expand,
     grid_model_for,
     label_family,
-    psl_model_to_json,
 )
 from sltl.search import SearchLimitError
 from sltl.semantics import SLTLModel, UPTrace, evaluate
-from sltl.solver import SolveOptions, solve
+from sltl.solver import SolveOptions, solve, verdict_to_json
 from sltl.syntax import (
     And,
     BoxS,
@@ -59,28 +59,31 @@ STAR = frozenset({UNIVERSAL})
 STAR_S = frozenset({UNIVERSAL, S})
 
 
-def holds(m: PSLModel, f) -> bool:
-    """Truth of ``f`` at cell (0, 1), by the reference evaluator on the
-    one-position model whose traces are the grid's cells."""
-    cells = m.cells()
-    traces = {f"t{k}": UPTrace((), (m.valuation[c],)) for k, c in enumerate(cells)}
+def holds(grid, f) -> bool:
+    """Truth of ``f`` at the first valuation of column 0 of the grid model
+    ``(family, columns)``, by the reference evaluator on the one-position
+    model with one trace per valuation of each column."""
+    family, columns = grid
+    cells = [(labels, v) for labels, column in zip(family, columns) for v in column]
+    traces = {f"t{k}": UPTrace((), (v,)) for k, (_, v) in enumerate(cells)}
     lam = {
         sp: frozenset(
-            f"t{k}" for k, c in enumerate(cells) if sp.is_universal or sp in m.labels(c)
+            f"t{k}" for k, (labels, _) in enumerate(cells) if sp.is_universal or sp in labels
         )
         for sp in vocab(f).standpoints | {UNIVERSAL}
     }
     return evaluate(SLTLModel(traces, lam, 0, 1), "t0", 0, f)
 
 
+def _width(model, family) -> int:
+    """The cells per column of a witness: its traces over its columns."""
+    assert len(model.traces) % len(family) == 0
+    return len(model.traces) // len(family)
+
+
 def _conjuncts(f):
     """The leaves of the And tree at the top of ``f``, left to right."""
     return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
-
-
-def _extent(m: PSLModel, sp: Standpoint) -> list:
-    """The cells of a grid model that ``sp`` labels."""
-    return [c for c in m.cells() if sp.is_universal or sp in m.labels(c)]
 
 
 def test_label_family_links_everything_to_universal():
@@ -129,7 +132,7 @@ def test_label_family_matches_the_closure_fixpoint():
 
 def test_evaluate_on_single_cell_grid():
     fam = (STAR,)
-    m = PSLModel(fam, 1, {(0, 1): frozenset({"p"})})
+    m = (fam, ((frozenset({"p"}),),))
     assert holds(m, parse("<@*> p"))
     assert holds(m, parse("[@*] p"))
     assert not holds(m, parse("<@*> q"))
@@ -137,8 +140,8 @@ def test_evaluate_on_single_cell_grid():
 
 def test_evaluate_box_reads_only_matching_cells():
     fam = (STAR, STAR_S)
-    with_p = PSLModel(fam, 1, {(0, 1): frozenset(), (1, 1): frozenset({"p"})})
-    without_p = PSLModel(fam, 1, {(0, 1): frozenset({"p"}), (1, 1): frozenset()})
+    with_p = (fam, ((frozenset(),), (frozenset({"p"}),)))
+    without_p = (fam, ((frozenset({"p"}),), (frozenset(),)))
     f = parse("[@s] p")
     assert holds(with_p, f)
     assert not holds(without_p, f)
@@ -146,7 +149,7 @@ def test_evaluate_box_reads_only_matching_cells():
 
 def test_evaluate_sharpening_is_family_inclusion():
     fam = (STAR, STAR_S, frozenset({UNIVERSAL, S, T}))
-    m = PSLModel(fam, 1, {(i, 1): frozenset() for i in range(3)})
+    m = (fam, ((frozenset(),),) * 3)
     assert not holds(m, Sharper(S, T))  # the {*,s} cell lacks t
     assert holds(m, Sharper(T, S))  # every t-cell carries s
 
@@ -202,7 +205,7 @@ def test_negated_modal_conjuncts_are_propagated_as_their_duals():
             budget = [100, 100]
             found = grid_model_for(grid, cs, budget)
             spent.append(100 - budget[0])
-            assert found is not None and holds(expand(grid, *found), conj(cs))
+            assert found is not None and holds((family, expand(grid, *found)), conj(cs))
         assert spent == [1, 1]
     # an unsatisfiable pair fails at the root of each designated valuation
     cs = [Not(DiamondS(S, p)), DiamondS(S, And(p, q))]
@@ -225,14 +228,15 @@ def test_split_keeps_nested_sharpening_atoms_in_the_body():
 
 
 # ---------------------------------------------------------------------------
-# Grid models of PSL verdicts
+# Grid models of PSL verdicts, read off their witnesses
 
 def test_sat_normal_form_simple_witness():
     v = routed(Prop("p"))
     assert v.is_sat and v.designated == "t0"
-    assert "p" in v.psl_model.valuation[(0, 1)]
+    family, columns = witness_grid(v.model, ())
+    assert "p" in columns[0][0]
     # one column carrying one valuation
-    assert v.psl_model.n == 1
+    assert _width(v.model, family) == 1
 
 
 def test_sat_normal_form_direct_contradiction():
@@ -240,27 +244,27 @@ def test_sat_normal_form_direct_contradiction():
 
 
 def test_sat_normal_form_two_distinct_witness_cells():
-    m = solve(parse("<@s> p & <@s> !p")).psl_model
-    s_cells = _extent(m, S)
-    assert any("p" in m.valuation[c] for c in s_cells)
-    assert any("p" not in m.valuation[c] for c in s_cells)
-
-
-def _column_valuations(m: PSLModel) -> list[set]:
-    return [{v for (c, _), v in m.valuation.items() if c == i} for i in range(len(m.family))]
+    v = solve(parse("<@s> p & <@s> !p"))
+    assert v.engine == "automaton"
+    s_cells = [v.model.traces[t].valuation(0) for t in v.model.lam[S]]
+    assert any("p" in val for val in s_cells)
+    assert any("p" not in val for val in s_cells)
 
 
 def test_grid_width_is_the_most_valuations_a_column_holds():
     # one cell in each column: the s- and t-cells with p and q serve both
     # diamonds and the box
-    m = routed(parse("<@s> p & <@t> q & [@s] (p | q)")).psl_model
-    assert m.n == 1 and len(m.family) == 3
+    v = routed(parse("<@s> p & <@t> q & [@s] (p | q)"))
+    family, _ = witness_grid(v.model, {S, T})
+    assert _width(v.model, family) == 1 and len(family) == 3
     # the s-column needs p and !p, the others one valuation each, which
     # fills their second cell with a copy of the first
-    m = routed(parse("<@s> p & <@s> !p & <@t> q")).psl_model
-    assert m.n == 2 and [len(vals) for vals in _column_valuations(m)] == [1, 2, 1]
-    for c in range(len(m.family)):
-        assert len(_column_valuations(m)[c]) == 2 or m.valuation[(c, 2)] == m.valuation[(c, 1)]
+    v = routed(parse("<@s> p & <@s> !p & <@t> q"))
+    family, columns = witness_grid(v.model, {S, T})
+    assert _width(v.model, family) == 2 and [len(vals) for vals in columns] == [1, 2, 1]
+    for c in range(len(family)):
+        first, second = (v.model.traces[f"t{2 * c + j}"].valuation(0) for j in range(2))
+        assert len(columns[c]) == 2 or second == first
 
 
 def test_diamonds_beneath_a_negated_member_widen_nothing():
@@ -269,7 +273,9 @@ def test_diamonds_beneath_a_negated_member_widen_nothing():
     # cells a column and 27 witness cells
     f = parse("(<@*> (<@*> p & [@t] true)) & (!<@*> <@*> (@s <= @t)) & (<@*> [@*] p | !(p | true))")
     v = solve(f)
-    assert v.is_sat and v.psl_model.n == 1 and len(v.model.traces) == 3
+    assert v.is_sat and v.engine == "automaton"
+    family, _ = witness_grid(v.model, vocab(simplify(f)).standpoints)
+    assert _width(v.model, family) == 1 and len(v.model.traces) == 3
 
 
 def test_grid_model_shape_conditions():
@@ -281,24 +287,27 @@ def test_grid_model_shape_conditions():
         if not v.is_sat:
             continue
         checked += 1
-        m = v.psl_model
         phi = simplify(f)
         universe = vocab(phi).standpoints | {UNIVERSAL}
         rel = sharpening_closure(true_atoms(v.model, phi), universe)
-        # condition 1: the precisification set is exactly family x 1..N
-        assert set(m.valuation) == {(i, j) for i in range(len(m.family)) for j in range(1, m.n + 1)}
-        assert m.family == family_for(rel)
+        family, columns = witness_grid(v.model, universe)
+        labels = trace_labels(v.model, universe)
+        n = _width(v.model, family)
+        # condition 1: the precisification set is exactly family x 1..N,
+        # column by column
+        assert list(labels) == [f"t{k}" for k in range(len(family) * n)]
+        assert family == family_for(rel)
         # condition 2: the designated cell is the first universal-column cell
-        assert v.designated == "t0"
-        assert holds(m, phi)
+        assert v.designated == "t0" and labels["t0"] == family[0]
+        assert holds((family, columns), phi)
         # condition 3: the labels of a cell are exactly its family set
-        for (i, j) in m.valuation:
-            assert m.labels((i, j)) == m.family[i]
+        for i in range(len(family)):
+            assert all(labels[f"t{i * n + j}"] == family[i] for j in range(n))
         # width: the most valuations one column carries, within the
         # small-model bound of the standpoints plus modal subformulas plus one
-        assert m.n == max(map(len, _column_valuations(m))), to_text(f)
+        assert n == max(map(len, columns)), to_text(f)
         subs = subformulas(phi)
-        assert m.n <= len(universe) + sum(isinstance(g, (DiamondS, BoxS)) for g in subs) + 1
+        assert n <= len(universe) + sum(isinstance(g, (DiamondS, BoxS)) for g in subs) + 1
 
 
 def test_sat_monotone_in_width():
@@ -313,18 +322,19 @@ def test_sat_monotone_in_width():
         done += 1
         (m,) = lasso.models
         # one more cell per column, a copy of its first, as a witness pads
-        # a narrower model of its run
-        wider = dict(m.valuation)
-        wider.update({(c, m.n + 1): m.valuation[(c, 1)] for c in range(len(m.family))})
-        assert holds(m, phi) and holds(PSLModel(m.family, m.n + 1, wider), phi)
+        # a narrower column of its run
+        family, columns = m
+        wider = (family, tuple(column + column[:1] for column in columns))
+        assert holds(m, phi) and holds(wider, phi)
 
 
 # ---------------------------------------------------------------------------
 # Sharpening atoms as state bits
 
 def test_sat_negated_sharpening_needs_two_extents():
-    m = solve(parse("!(@s <= @t)")).psl_model
-    assert not set(_extent(m, S)) <= set(_extent(m, T))
+    v = solve(parse("!(@s <= @t)"))
+    assert v.engine == "automaton"
+    assert not v.model.lam[S] <= v.model.lam[T]
 
 
 def test_sat_conflicting_sharpening_atoms():
@@ -374,9 +384,9 @@ def test_sat_with_three_atoms_agrees_with_brute_force():
         assert v.is_sat == psl_brute_sat(f), to_text(f)
         if v.is_sat:
             sat_seen += 1
-            assert holds(v.psl_model, simplify(f)), to_text(f)
+            assert holds(witness_grid(v.model, vocab(simplify(f)).standpoints), simplify(f)), to_text(f)
             # false atoms are columns of the grid, not fresh propositions
-            assert all(val <= {"p"} for val in v.psl_model.valuation.values())
+            assert all(tr.valuation(0) <= {"p"} for tr in v.model.traces.values())
     assert 0 < sat_seen < done
 
 
@@ -402,7 +412,7 @@ def test_root_failures_spend_no_grid_nodes():
     budget = [1, 1]
     present, dv = grid_model_for(grid, conjuncts, budget)
     assert (present, dv) == (1 << 1023, 1023)
-    assert expand(grid, present, dv).valuation == {(0, 1): frozenset(props)}
+    assert expand(grid, present, dv) == ((frozenset(props),),)
     assert budget[0] == 0
 
 
@@ -434,19 +444,16 @@ def test_sat_node_limit_is_loud():
         solve(parse("<@s> p & <@s> !p & <@t> q"), SolveOptions(node_limit=1))
 
 
-def _expand(present, dv, cols, v_count, n, plist):
-    """The grid valuation of a presence assignment: each column lists its
-    present valuations in order (the designated one first in column 0) and
-    repeats its first one to fill ``n`` rows, the most any column has."""
-    valuation = {}
+def _expand(present, dv, cols, v_count, plist):
+    """The columns of a presence assignment: each column lists its present
+    valuations in order, the designated one first in column 0."""
+    columns = []
     for c in range(cols):
         chosen = [v for v in range(v_count) if present >> (c * v_count + v) & 1]
         if c == 0:
             chosen = [dv] + [v for v in chosen if v != dv]
-        rows = (chosen + [chosen[0]] * n)[:n]
-        for j, v in enumerate(rows, start=1):
-            valuation[(c, j)] = frozenset(p for i, p in enumerate(plist) if v >> i & 1)
-    return valuation
+        columns.append(tuple(frozenset(p for i, p in enumerate(plist) if v >> i & 1) for v in chosen))
+    return tuple(columns)
 
 
 _ATOMS = [(a, b) for a in (S, T, UNIVERSAL) for b in (S, T, UNIVERSAL) if a != b]
@@ -473,11 +480,8 @@ def test_grid_tables_equal_their_per_type_definitions():
                 dv = rng.randrange(v_count)
                 present = rng.getrandbits(len(types)) | 1 << dv
                 present |= sum(1 << rng.randrange(c * v_count, (c + 1) * v_count) for c in range(cols))
-                n = max(
-                    (present >> (c * v_count) & (1 << v_count) - 1).bit_count() for c in range(cols)
-                )
-                want = _expand(present, dv, cols, v_count, n, plist)
-                assert expand(grid, present, dv).valuation == want, (family, n_props)
+                want = _expand(present, dv, cols, v_count, plist)
+                assert expand(grid, present, dv) == want, (family, n_props)
 
 
 def test_grid_tables_of_many_types_are_built_without_a_loop_over_types():
@@ -506,10 +510,9 @@ def _first_valid_assignment(body, family, plist):
             counts = [(present >> (c * v_count) & ((1 << v_count) - 1)).bit_count() for c in range(cols)]
             if 0 in counts:
                 continue
-            n = max(counts)
-            valuation = _expand(present, dv, cols, v_count, n, plist)
-            if holds(PSLModel(family, n, valuation), body):
-                return valuation
+            columns = _expand(present, dv, cols, v_count, plist)
+            if holds((family, columns), body):
+                return columns
     return None
 
 
@@ -553,7 +556,7 @@ def test_grid_search_returns_the_first_valid_assignment():
         sat_count += expected is not None
         grid = CompiledGrid(family, props, parts, [10**6, 10**6])
         found = grid_model_for(grid, parts, [10**6, 10**6])
-        assert (found and expand(grid, *found).valuation) == expected, to_text(body)
+        assert (found and expand(grid, *found)) == expected, to_text(body)
     # the corpus exercises both verdicts and the propagation rules
     assert 40 < sat_count < 110 and modal > 120
 
@@ -567,27 +570,38 @@ def test_grid_model_for_fixed_width():
     grid = CompiledGrid(fam, ["p"], parts, [10**6, 10**6])
 
     def model_of(conjuncts):
-        return expand(grid, *grid_model_for(grid, conjuncts, [10**6, 10**6]))
+        return fam, expand(grid, *grid_model_for(grid, conjuncts, [10**6, 10**6]))
+
+    def width(model):
+        return max(map(len, model[1]))
 
     # the designated cell lacks p and the s-cell has it: one cell a column
     model = model_of(parts[:2])
-    assert model.n == 1
-    assert model.valuation == {(0, 1): frozenset(), (1, 1): frozenset({"p"})}
+    assert width(model) == 1
+    assert model[1] == ((frozenset(),), (frozenset({"p"}),))
     assert holds(model, parse("<@s> p & !p"))
     # two forced-apart witnesses in the s-column make the grid two wide
     model = model_of([parts[0], parts[3]])
-    assert model.n == 2 and holds(model, parse("<@s> p & <@s> !p"))
-    assert {model.valuation[(1, 1)], model.valuation[(1, 2)]} == {frozenset(), frozenset({"p"})}
-    assert model_of(parts[1:3]).n == 1
+    assert width(model) == 2 and holds(model, parse("<@s> p & <@s> !p"))
+    assert set(model[1][1]) == {frozenset(), frozenset({"p"})}
+    assert width(model_of(parts[1:3])) == 1
     with pytest.raises(ValueError, match="outside the grid universe"):
         CompiledGrid(fam, ["p"], [parse("<@t> p")], [10**6, 10**6])
 
 
 def test_psl_witness_json_shape():
-    m = routed(parse("<@s> p")).psl_model
-    blob = psl_model_to_json(m, (0, 1))
-    assert blob["designated"] == "0,1"
-    assert blob["s_family"][0] == ["@*"]
-    assert set(blob["valuation"]) == {
-        f"{i},{j}" for i in range(len(m.family)) for j in range(1, m.n + 1)
-    }
+    # the witness of an automaton PSL verdict is its grid model: one trace
+    # of one position per cell, column by column, ``lambda`` naming the
+    # traces of each standpoint's columns
+    v = routed(parse("<@s> p"))
+    blob = verdict_to_json(v)["witness"]
+    family, columns = witness_grid(v.model, {S})
+    n = _width(v.model, family)
+    assert blob["designated"] == "t0"
+    assert family[0] == STAR
+    assert (blob["prefix_len"], blob["period_len"]) == (0, 1)
+    assert list(blob["traces"]) == [f"t{k}" for k in range(len(family) * n)]
+    assert blob["lambda"]["@*"] == sorted(blob["traces"])
+    assert blob["lambda"]["@s"] == sorted(
+        f"t{i * n + j}" for i, labels in enumerate(family) if S in labels for j in range(n)
+    )

@@ -5,12 +5,11 @@ import pickle
 
 import pytest
 
-from sltl.automaton import DEFAULT_STATE_LIMIT, Lasso
-from sltl.psl import PSLModel
+from sltl.automaton import DEFAULT_STATE_LIMIT, Lasso, find_accepting_lasso
 from sltl.search import DEFAULT_NODE_LIMIT, SearchBounds
 from sltl.semantics import ModelError, SLTLModel, UPTrace
 from sltl.solver import SolveOptions, Verdict
-from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary
+from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary, closure, parse, simplify
 
 S = Standpoint("s")
 
@@ -20,7 +19,8 @@ def _trace(k):
 
 
 def _grid(k):
-    return PSLModel((frozenset({UNIVERSAL}),), 1, {(0, 1): frozenset({"p"} if k else ())})
+    """A grid model: one column, carrying one valuation."""
+    return (frozenset({UNIVERSAL}),), ((frozenset({"p"} if k else ()),),)
 
 
 # class -> (its fields, a builder of a fresh record that differs by k)
@@ -40,18 +40,16 @@ RECORDS = {
         ("max_traces", "max_prefix", "max_period", "props"),
         lambda k: SearchBounds(1 + k, 0, 1, ("p",)),
     ),
-    PSLModel: (("family", "n", "valuation"), _grid),
-    # no grid models, which are mutable and so unhashable: this one hashes
-    Lasso: (("stem", "cycle", "models"), lambda k: Lasso((), (k,), ())),
+    Lasso: (("stem", "cycle", "models"), lambda k: Lasso((), (k,), (_grid(k),))),
     SolveOptions: (
         ("bounds", "fragment_strict", "node_limit", "state_limit"),
         lambda k: SolveOptions(node_limit=10 + k),
     ),
     Verdict: (
-        ("status", "fragment", "engine", "model", "designated", "bounds", "psl_model"),
+        ("status", "fragment", "engine", "model", "designated", "bounds"),
         lambda k: Verdict("sat", Fragment.PSL, model=SLTLModel(
             {"t0": _trace(k)}, {UNIVERSAL: frozenset({"t0"})}, 0, 1,
-        ), designated="t0", psl_model=_grid(k)),
+        ), designated="t0"),
     ),
 }
 FROZEN = [Vocabulary, UPTrace, SearchBounds, Lasso]
@@ -86,6 +84,14 @@ def test_frozen_records_are_immutable_and_hash_by_value(cls):
     assert hash(a) == hash(build(0)) and len({a, build(0), build(1)}) == 2
 
 
+def test_a_found_lasso_hashes_by_value():
+    # a run with a grid carries its grid models, which hash by value too
+    def find():
+        return find_accepting_lasso(closure(simplify(parse("<@s> p & <@s> !p & G F q"))))
+
+    assert hash(find()) == hash(find()) and len({find(), find()}) == 1
+
+
 @pytest.mark.parametrize("cls", MUTABLE, ids=_ids)
 def test_mutable_records_are_unhashable(cls):
     with pytest.raises(TypeError):
@@ -117,7 +123,7 @@ def test_constructor_defaults():
     assert (v.status, v.fragment) == ("sat", Fragment.PSL)
     assert all(
         getattr(v, name) is None
-        for name in ("engine", "model", "designated", "bounds", "psl_model")
+        for name in ("engine", "model", "designated", "bounds")
     )
 
 
@@ -126,6 +132,4 @@ def test_constructor_checks():
         UPTrace((frozenset(),), ())
     with pytest.raises(ValueError, match="bounds must allow at least one trace"):
         SearchBounds(0, 0, 1, ())
-    with pytest.raises(ValueError, match="valuation must cover exactly the grid cells"):
-        PSLModel((frozenset({UNIVERSAL}),), 2, {(0, 1): frozenset()})
     assert SearchBounds(1, 0, 1, ("q", "p", "q")).props == ("p", "q")

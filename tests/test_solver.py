@@ -14,6 +14,7 @@ from conftest import (
     routed,
     sharpening_atoms,
     true_atoms,
+    witness_grid,
 )
 
 import sltl.solver as solver_mod
@@ -28,6 +29,7 @@ from sltl.syntax import (
     Prop,
     Sharper,
     Standpoint,
+    UNIVERSAL,
     classify,
     Fragment,
     closure,
@@ -44,12 +46,8 @@ def run_grid_parameters(phi_d):
     """The family size of the automaton's run on ``phi_d`` and the most
     valuations one column of its states' grid models carries."""
     models = find_accepting_lasso(closure(phi_d)).models
-    most = max(
-        len({v for (c, _), v in m.valuation.items() if c == i})
-        for m in models
-        for i in range(len(m.family))
-    )
-    return len(models[0].family), most
+    most = max(len(column) for _, columns in models for column in columns)
+    return len(models[0][0]), most
 
 
 def _count_vocabularies(monkeypatch) -> list:
@@ -133,7 +131,7 @@ def test_one_cell_inputs_answer_before_routing(monkeypatch, text):
     monkeypatch.setattr(solver_mod, "bounded_search", unreachable)
     f = parse(text)
     v = solve(f)
-    assert (v.status, v.engine, v.designated, v.psl_model) == ("sat", "oracle", "t0", None)
+    assert (v.status, v.engine, v.designated) == ("sat", "oracle", "t0")
     assert (v.model.prefix_len, v.model.period_len, list(v.model.traces)) == (0, 1, ["t0"])
     want = (3, 2, 3) if classify(f) is Fragment.FULL_SLTL else (1, 0, 1)
     assert v.bounds == SearchBounds.for_formula(f, *want)
@@ -500,6 +498,25 @@ def test_grid_solves_once_per_member_set_and_width(monkeypatch):
     assert check_witness(f, model, designated)
 
 
+def test_witness_pads_each_column_with_its_first_valuation():
+    # every column of every position is padded to the widest column of the
+    # run, repeating its first valuation; cell j of column i is t{i*width+j}
+    p, q, none = frozenset({"p"}), frozenset({"q"}), frozenset()
+    family = (frozenset({UNIVERSAL}), frozenset({UNIVERSAL, S}))
+    lasso = automaton.Lasso((0,), (1,), (
+        (family, ((p, q), (q,))),
+        (family, ((none,), (p, q, none))),
+    ))
+    model, designated = witness_from_lasso(lasso, {S})
+    assert designated == "t0" and (model.prefix_len, model.period_len) == (1, 1)
+    rows = {t: (tr.valuation(0), tr.valuation(1)) for t, tr in model.traces.items()}
+    assert rows == {
+        "t0": (p, none), "t1": (q, none), "t2": (p, none),
+        "t3": (q, p), "t4": (q, q), "t5": (q, none),
+    }
+    assert model.lam == {UNIVERSAL: frozenset(rows), S: frozenset({"t3", "t4", "t5"})}
+
+
 def test_check_witness_rejects_flipped_bit():
     f = Prop("p")
     v = solve(f)
@@ -515,8 +532,9 @@ def test_check_witness_rejects_flipped_bit():
 
 
 def test_psl_lift_agrees_with_grid_evaluation():
-    # a PSL witness is its grid model read as one-position traces, one per
-    # cell, with the standpoint extents of the cell labels
+    # a PSL witness is the grid model of its run's one state read as
+    # one-position traces, one per cell, each column padded with its first
+    # valuation, with the standpoint extents of the cell labels
     rng = random.Random(109)
     done = 0
     while done < 40:
@@ -527,12 +545,18 @@ def test_psl_lift_agrees_with_grid_evaluation():
             continue
         done += 1
         assert v.engine == "automaton"
-        m, model = v.psl_model, v.model
+        model, phi = v.model, simplify(f)
+        (grid,) = find_accepting_lasso(closure(phi)).models
+        family, columns = grid
         assert (model.prefix_len, model.period_len) == (0, 1)
-        for k, cell in enumerate(m.cells()):
-            assert model.traces[f"t{k}"].valuation(0) == m.valuation[cell]
-            for sp in m.labels(cell):
-                assert f"t{k}" in model.lam[sp]
+        assert witness_grid(model, vocab(phi).standpoints) == grid
+        n = len(model.traces) // len(family)
+        assert len(model.traces) == n * len(family)
+        for i, column in enumerate(columns):
+            for j, val in enumerate(column + column[:1] * (n - len(column))):
+                assert model.traces[f"t{i * n + j}"].valuation(0) == val
+                for sp in family[i]:
+                    assert f"t{i * n + j}" in model.lam[sp]
         assert check_witness(f, v.model, v.designated)
 
 
@@ -576,10 +600,11 @@ def test_negated_boxes_widen_the_grid_to_the_valuations_they_force():
     )
     spec = " & ".join(f"![@s] {a}" for a in props) + f" & [@s] ({only})"
     verdict = solve(parse(spec))
-    m = verdict.psl_model
-    assert verdict.status == "sat" and m.n == 4
-    s_column = {m.valuation[(1, j)] for j in range(1, 5)}
-    assert s_column == {frozenset(props) - {a} for a in props}
+    assert verdict.status == "sat" and verdict.engine == "automaton"
+    family, columns = witness_grid(verdict.model, {S})
+    assert len(verdict.model.traces) == 4 * len(family)
+    assert family[1] == {S, UNIVERSAL} and len(columns[1]) == 4
+    assert set(columns[1]) == {frozenset(props) - {a} for a in props}
 
 
 def _grid_searches(monkeypatch, text):
@@ -695,7 +720,7 @@ def test_verdict_json_schema(capsys):
 @pytest.mark.parametrize("text, strict, status, extra", [
     ("(@s <= @t) & X p & !p", False, "sat", []),
     ("(p U q) & G !q", False, "unsat", []),
-    ("<@s> p & <@s> !p", False, "sat", ["psl_witness"]),
+    ("<@s> p & <@s> !p", False, "sat", []),
     ("(@s <= @t) & <@s> X p", False, "sat", ["bounds"]),
     ("<@s> X p & [@s] X !p", False, "unknown", ["bounds"]),
     ("<@s> X p", True, "out_of_fragment", []),
