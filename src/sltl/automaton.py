@@ -39,6 +39,7 @@ from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError, cells_
 from .syntax import (
     UNIVERSAL,
     And,
+    Bottom,
     BoxS,
     ClosureSet,
     DiamondS,
@@ -346,21 +347,17 @@ class StateSpace:
         lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
         return sum((lo[grid.engine.slot[g]] >> dv & 1) << b for b, g in self._decided)
 
-    def grid_model(self, state: int) -> GridModel | None:
+    def grid_model(self, state: int) -> GridModel:
         """The grid model a state was read off, as the pair of its label
-        family and its columns (``psl.expand``), or None for a state that no
-        enumeration yielded.  Without standpoints it is the one cell of the
-        state's propositions, as ``expand`` would list it from any search
-        (see the class docstring)."""
+        family and its columns (``psl.expand``); the state is one that an
+        enumeration yielded, as every state of a run is.  Without
+        standpoints it is the one cell of the state's propositions, as
+        ``expand`` would list it from any search (see the class
+        docstring)."""
         if self._gridless:
-            if state not in self.accepting:
-                return None
             return (frozenset({UNIVERSAL}),), ((self.true_props(state),),)
-        found = self._models.get(state)
-        if found is None:
-            return None
         grid = self.grid(state)
-        return grid.family, psl.expand(grid, *found)
+        return grid.family, psl.expand(grid, *self._models[state])
 
     def true_props(self, state: int) -> frozenset[str]:
         """The propositions true in a state."""
@@ -452,8 +449,13 @@ def find_accepting_lasso(
     met, and returns to that state.  Searches follow ``enumerate`` and
     ``successors`` order and that ranking, so the returned lasso is
     deterministic; it carries each position's grid model.  The states'
-    grid searches share ``budget`` (see ``StateSpace``).
+    grid searches share ``budget`` (see ``StateSpace``).  A seed ``false``,
+    what constant folding leaves of an input with no model, has no initial
+    state: it answers None at once, with no ``StateSpace`` built and no
+    state or node spent.
     """
+    if type(cl.seed) is Bottom:
+        return None
     space = StateSpace(cl, state_limit, budget)
     seeded = space.enumerate([(cl.seed, True)])
     if not cl.next_members:

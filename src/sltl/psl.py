@@ -160,8 +160,12 @@ def grid_model_for(
     The rules of ``!<@x> g`` and ``![@x] g`` are those of the duals
     ``[@x] !g`` and ``<@x> !g``, whose strong Kleene bounds are theirs.
 
-    A type both absent and present fails the node, and so does the
-    designated type turning absent; the search skips types that
+    No type turns both absent and present.  A box rule rules out only
+    types at which its operand may fail, and a present one of them would
+    have made the box, a conjunct, fail the node already (its upper bound
+    reads the present types); a negated diamond's rule likewise.  A
+    diamond rule makes present only a type not ruled out, and the
+    designated type starts present.  The search skips types that
     propagation has decided.  Witnesses are those of the search without
     propagation.  A valid presence assignment is one under which the
     conjunction holds at the designated type and every column carries at
@@ -214,8 +218,6 @@ def grid_model_for(
                     grown_present |= candidates
             if grown_present == present and grown_absent == absent:
                 return present, absent, lo
-            if grown_present & grown_absent or grown_absent & d_bit:
-                return None
             present, absent = grown_present, grown_absent
 
     # with nothing present and every type possible the upper masks are

@@ -34,7 +34,6 @@ from .syntax import (
     UNIVERSAL,
     Until,
     _FrozenRecord,
-    fold,
     size,
     subformulas,
     vocab,
@@ -42,7 +41,7 @@ from .syntax import (
 
 DEFAULT_NODE_LIMIT = 10_000_000
 # ``one_cell_model`` skips a formula whose masks could hold more bits in
-# total than this: ``size(f) * 2^props``, of the formula it folds; ``solve``
+# total than this: ``size(f) * 2^props``, of the formula it reads; ``solve``
 # gives it the input before constant folding
 ONE_CELL_BITS = 1 << 20
 
@@ -465,14 +464,16 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
     On such a model every extent is the one trace, so ``<@s> a``,
     ``[@s] a`` and ``X a`` mean ``a``, ``a U b`` means ``b`` and every
     sharpening atom holds: ``f`` is a propositional formula, constants
-    included, so it need not be folded first.  One ``fold`` maps each
-    subformula to its truth table, a mask over the valuations of the
-    propositions ``f`` reads (its memoised ``vocab``), and the least set
-    bit of the root's is the first model of the bounded search's stratum
-    (1, 0, 1): the first proposition is the most significant bit of a
-    valuation, and false comes before true.  The model is the one that
-    search returns: trace ``t0``, prefix 0, period 1 and every extent
-    ``{t0}``.
+    included, so it need not be folded first.  One loop over
+    ``subformulas(f)``, children first, gives each subformula its truth
+    table, a mask over the valuations of the propositions ``f`` reads (its
+    memoised ``vocab``), and the least set bit of the root's is the first
+    model of the bounded search's stratum (1, 0, 1): the first proposition
+    is the most significant bit of a valuation, and false comes before
+    true.  The model is the one that search returns: trace ``t0``, prefix
+    0, period 1 and every extent ``{t0}``.  ``subformulas`` memoises its
+    list on ``f``, so the witness check of a hit (``semantics.evaluate``
+    on the same ``f``) walks nothing again.
     """
     voc = vocab(f)
     props = sorted(voc.props)
@@ -482,24 +483,27 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
     cells = 1 << n
     full = (1 << cells) - 1
     masks = {p: cells_with_bit(cells, n - 1 - i) for i, p in enumerate(props)}
-
-    def step(g: Formula, kids: tuple) -> int:
+    tables: dict[Formula, int] = {}
+    for g in subformulas(f):
         cls = type(g)
         if cls is Prop:
-            return masks[g.name]
-        if cls is And:
-            return kids[0] & kids[1]
-        if cls is Or:
-            return kids[0] | kids[1]
-        if cls is Not:
-            return full ^ kids[0]
-        if cls is Bottom:
-            return 0
-        # X and the modalities are their operand, U its right one; true
-        # and a sharpening atom hold
-        return kids[-1] if kids else full
-
-    table = fold(f, step)
+            t = masks[g.name]
+        elif cls is And:
+            t = tables[g.left] & tables[g.right]
+        elif cls is Or:
+            t = tables[g.left] | tables[g.right]
+        elif cls is Not:
+            t = full ^ tables[g.operand]
+        elif cls is Until:
+            t = tables[g.right]
+        elif cls is Next or cls is DiamondS or cls is BoxS:
+            t = tables[g.operand]
+        elif cls is Bottom:
+            t = 0
+        else:  # true and a sharpening atom hold
+            t = full
+        tables[g] = t
+    table = tables[f]
     if not table:
         return None
     cell = (table & -table).bit_length() - 1
@@ -541,9 +545,14 @@ def bounded_search(
     first stratum, one trace of one position, is ``one_cell_model``'s,
     which ``solve`` tries first; after a miss there the search still
     walks it, so that its node counts do not depend on its caller.  The
-    model is not checked here: ``solve`` checks every witness it returns,
-    and a direct caller can with ``solver.check_witness``.
+    formula ``false``, which constant folding makes of an input with no
+    model on any shape, has no model within any bounds: it answers None at
+    once, with no engine compiled and no node spent.  The model is not
+    checked here: ``solve`` checks every witness it returns, and a direct
+    caller can with ``solver.check_witness``.
     """
+    if type(f) is Bottom:
+        return None
     voc = vocab(f)
     missing = voc.props - set(bounds.props)
     if missing:

@@ -153,10 +153,13 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     model, so both have one truth table; the least valuation that
     satisfies it keeps the propositions that folding drops false; and the
     standpoints that folding drops get ``{t0}``, as ``assign_folded``
-    would give them.  Only a miss simplifies the input and routes it
-    (``_route``).  A standpoint that simplification folded away gets every
-    trace as its extent (``assign_folded``).  Every sat verdict's
-    witness, from any engine, is checked once on ``f``, here.
+    would give them.  The check and the witness check of its model share
+    one walk of ``f``, the list ``subformulas`` memoises on it.  Only a
+    miss simplifies the input and routes it (``_route``); a miss that
+    folds to ``false`` costs no engine and no node there.  A standpoint
+    that simplification folded away gets every trace as its extent
+    (``assign_folded``).  Every sat verdict's witness, from any engine, is
+    checked once on ``f``, here.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
@@ -195,12 +198,13 @@ def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verd
     a propositional input's run is one state, so its witness is that
     state's grid model, one trace per cell.  Everything else goes to the bounded search,
     within bounds built from ``f``, which can say sat or unknown but never
-    unsat: an input that folds to ``false`` is unknown after one node per
-    one-trace shape.  ``solve`` calls it only after the one-cell check on
-    ``f`` missed, so the search starts at the stratum (1, 0, 1) that the
-    check has just refuted (or skipped at its cap), and walks it again:
-    skipping it would change the search's node counts, and it is the
-    cheapest stratum.
+    unsat.  A ``phi`` that is ``false`` is answered by each engine at its
+    entry, with no state space, no compiled engine and no node spent:
+    unsat by the automaton, unknown within the same bounds by the search.
+    ``solve`` calls it only after the one-cell check on ``f`` missed, so
+    the search starts at the stratum (1, 0, 1) that the check has just
+    refuted (or skipped at its cap), and walks it again: skipping it would
+    change the search's node counts, and it is the cheapest stratum.
     """
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.

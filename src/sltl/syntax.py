@@ -9,7 +9,8 @@ node's hash and size from its children's, so building a node is O(1).
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
 ``subformulas`` the distinct ones children first (the walk of the witness
-checker and of the interval engine's compile), and ``fold`` computes
+checker, of the one-cell check and of the interval engine's compile,
+memoised on a single root), and ``fold`` computes
 bottom-up once per node object, so a shared subterm is rewritten once,
 with ``rebuild`` as the homomorphic step that a rewrite calls for every
 connective it leaves alone.  The parser
@@ -135,10 +136,11 @@ class Formula(_Immutable):
     class tag (``_tag``) in the hash.  Equality is structural too: it
     returns early on identity, then on class and hash, and only then
     compares fields (``_same``).  ``vocab`` memoises its result on the node
-    it reads, in the ``_vocab`` slot.
+    it reads, in the ``_vocab`` slot, and ``subformulas`` of one root its
+    list, in the ``_subs`` slot.
     """
 
-    __slots__ = ("_hash", "_size", "_vocab")
+    __slots__ = ("_hash", "_size", "_vocab", "_subs")
 
     def __init__(self):  # the constants
         _SET_HASH(self, self._tag)
@@ -158,6 +160,7 @@ class Formula(_Immutable):
 _SET_HASH = Formula._hash.__set__
 _SET_SIZE = Formula._size.__set__
 _SET_VOCAB = Formula._vocab.__set__
+_SET_SUBS = Formula._subs.__set__
 
 
 class Top(Formula):
@@ -490,7 +493,24 @@ def subformulas(*roots: Formula, known: Collection[Formula] = ()) -> list[Formul
     """All distinct subformulas of ``roots`` (the roots included), children
     first, left to right and root by root.  A formula in ``known`` (a set
     or a dict, for fast lookups) is neither listed nor entered, so what
-    lies only beneath known formulas is left out."""
+    lies only beneath known formulas is left out.
+
+    The list of one root and no ``known`` is memoised on the root, in its
+    ``_subs`` slot, and every such call returns that one list: the one-cell
+    check and the witness check of its model walk the input once between
+    them.  It is shared, so no caller may change it."""
+    if len(roots) == 1 and not known:
+        try:
+            return roots[0]._subs
+        except AttributeError:
+            subs = _walk(roots, known)
+            _SET_SUBS(roots[0], subs)
+            return subs
+    return _walk(roots, known)
+
+
+def _walk(roots: tuple[Formula, ...], known: Collection[Formula]) -> list[Formula]:
+    """``subformulas`` without the memo."""
     seen: dict[Formula, None] = {}
     stack = [(f, False) for f in reversed(roots)]
     while stack:

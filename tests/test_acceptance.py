@@ -32,6 +32,7 @@ from sltl.search import SearchBounds, bounded_search
 from sltl.semantics import SLTLModel, UPTrace, check_product_formula, evaluate
 from sltl.solver import check_witness, solve
 from sltl.syntax import (
+    And,
     BoxS,
     DiamondS,
     Prop,
@@ -136,6 +137,45 @@ def test_criterion_03_witness_size(agreement_run):
     report(3, f"{sized} automaton witnesses, every one has exactly |S-family|*N traces, N the most valuations a column needs")
 
 
+def _assert_grid_shape(f, verdict) -> bool:
+    """Assert criterion 4's shape conditions on an automaton PSL witness;
+    return whether it has two or more columns at width two or more, where
+    numbering its traces row by row would differ from column by column."""
+    # the witness is the grid model, one trace of one position per
+    # cell, its columns the traces grouped by their label sets
+    model, sps = verdict.model, vocab(simplify(f)).standpoints
+    assert (model.prefix_len, model.period_len) == (0, 1)
+    family, columns = witness_grid(model, sps)
+    labels = trace_labels(model, sps)
+    n = len(model.traces) // len(family)
+    # condition 1: precisifications are exactly the family-by-width
+    # grid: every label set holds exactly n traces, trace t{i*n+j}
+    # lying in column i
+    assert len(model.traces) == n * len(family)
+    for i, column_labels in enumerate(family):
+        assert [t for t in model.traces if labels[t] == column_labels] == [
+            f"t{i * n + j}" for j in range(n)
+        ]
+    # condition 2: the designated cell is the first universal-column
+    # cell, whose trace the witness designates
+    assert verdict.designated == "t0" and labels["t0"] == family[0]
+    # the universal column comes first: its labels are the standpoints
+    # that every column carries, and no column repeats
+    assert family[0] == frozenset.intersection(*family)
+    assert len(set(family)) == len(family)
+    # condition 3: cell labels are exactly the family set of the
+    # column, which lists its distinct valuations, padded with copies
+    # of its first
+    assert all(UNIVERSAL in s for s in family)
+    for i, column in enumerate(columns):
+        assert [model.traces[f"t{i * n + j}"].valuation(0) for j in range(n)] == [
+            *column, *column[:1] * (n - len(column))
+        ]
+    # it satisfies the formula at the designated cell
+    assert evaluate(model, verdict.designated, 0, f), to_text(f)
+    return len(family) >= 2 and n >= 2
+
+
 def test_criterion_04_grid_shape():
     rng = random.Random(404)
     checked = 0
@@ -145,39 +185,23 @@ def test_criterion_04_grid_shape():
         if not verdict.is_sat:
             continue
         checked += 1
-        # the witness is the grid model, one trace of one position per
-        # cell, its columns the traces grouped by their label sets
-        model, sps = verdict.model, vocab(simplify(f)).standpoints
-        assert (model.prefix_len, model.period_len) == (0, 1)
-        family, columns = witness_grid(model, sps)
-        labels = trace_labels(model, sps)
-        n = len(model.traces) // len(family)
-        # condition 1: precisifications are exactly the family-by-width
-        # grid: every label set holds exactly n traces, trace t{i*n+j}
-        # lying in column i
-        assert len(model.traces) == n * len(family)
-        for i, column_labels in enumerate(family):
-            assert [t for t in model.traces if labels[t] == column_labels] == [
-                f"t{i * n + j}" for j in range(n)
-            ]
-        # condition 2: the designated cell is the first universal-column
-        # cell, whose trace the witness designates
-        assert verdict.designated == "t0" and labels["t0"] == family[0]
-        # the universal column comes first: its labels are the standpoints
-        # that every column carries, and no column repeats
-        assert family[0] == frozenset.intersection(*family)
-        assert len(set(family)) == len(family)
-        # condition 3: cell labels are exactly the family set of the
-        # column, which lists its distinct valuations, padded with copies
-        # of its first
-        assert all(UNIVERSAL in s for s in family)
-        for i, column in enumerate(columns):
-            assert [model.traces[f"t{i * n + j}"].valuation(0) for j in range(n)] == [
-                *column, *column[:1] * (n - len(column))
-            ]
-        # it satisfies the formula at the designated cell
-        assert evaluate(model, verdict.designated, 0, f), to_text(f)
-    report(4, f"{checked} satisfiable grid models meet all three shape conditions")
+        _assert_grid_shape(f, verdict)
+    # the witnesses above are one column or one valuation wide; each
+    # conjunct here asks a standpoint for two valuations, beside a
+    # universal column that needs fewer and is padded
+    wide_parts = [parse(t) for t in (
+        "<@s> p & <@s> !p", "<@t> q & <@t> !q & [@s] p", "<@*> (p & q) & <@*> !p & <@s> !q",
+    )]
+    rng = random.Random(4040)
+    wide = 0
+    for i in range(150):
+        f = And(random_formula(rng, rng.randint(1, 4), mode="psl", max_sharpenings=2), wide_parts[i % 3])
+        verdict = routed(f)
+        if verdict.is_sat:
+            wide += _assert_grid_shape(f, verdict)
+    assert wide >= 90
+    report(4, f"{checked} satisfiable grid models meet all three shape conditions, "
+              f"and {wide} more of two or more columns at width two or more")
 
 
 def test_criterion_05_psl_completeness_micro_corpus():

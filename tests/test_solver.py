@@ -18,13 +18,14 @@ from conftest import (
 )
 
 import sltl.solver as solver_mod
-from sltl import automaton, psl, syntax
-from sltl.search import SearchBounds, SearchLimitError, bounded_search
+from sltl import automaton, psl, search, syntax
+from sltl.search import SearchBounds, SearchLimitError, bounded_search, one_cell_model
 from sltl.semantics import evaluate, model_to_json
 from sltl.automaton import find_accepting_lasso
 from sltl.cli import main
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
+    BOTTOM,
     And,
     Prop,
     Sharper,
@@ -179,17 +180,58 @@ def test_oracle_path_returns_checked_witness():
     assert check_witness(f, v.model, v.designated)
 
 
-def test_an_input_that_folds_to_false_costs_one_node_per_shape():
-    # the bounded search runs on simplify(f), which is false: it reads no
-    # standpoint, so each of the 9 one-trace shapes of the default bounds
-    # (3, 2, 3) is one node; the unfolded input takes hundreds
+def test_an_input_that_folds_to_false_costs_no_node():
+    # the bounded search runs on simplify(f), which is false: it has no
+    # model within any bounds, and answers so before its first node; the
+    # unfolded input takes hundreds
     f = parse("(F <@t> (q U !true)) & <@s> X p & [@s] X q")
     assert simplify(f) == parse("false")
-    v = solve(f, SolveOptions(node_limit=9))
+    v = solve(f, SolveOptions(node_limit=0))
     assert (v.status, v.fragment) == ("unknown", Fragment.FULL_SLTL)
     assert v.bounds == SearchBounds.for_formula(f, 3, 2, 3)
-    with pytest.raises(SearchLimitError):
-        solve(f, SolveOptions(node_limit=8))
+
+
+@pytest.mark.parametrize("text", [
+    "p & <@s> (q & false)",
+    "F (p U false)",
+    "X p & <@s> (q & false)",
+    "(F <@t> (q U !true)) & <@s> X p & [@s] X q",
+])
+def test_inputs_that_fold_to_false_run_no_engine(monkeypatch, text):
+    # one-cell misses whose folding is false, one per fragment: each
+    # engine answers at its entry, with no state space and no compiled
+    # interval engine, so no state or node limit is reached, and the
+    # verdict is the one of the default limits
+    f = parse(text)
+    assert one_cell_model(f) is None and simplify(f) == parse("false")
+    want = verdict_to_json(solve(f))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(automaton, "StateSpace", unreachable)
+    monkeypatch.setattr(search, "IntervalEngine", unreachable)
+    assert verdict_to_json(solve(f, SolveOptions(node_limit=0, state_limit=0))) == want
+    assert want["status"] == ("unknown" if classify(f) is Fragment.FULL_SLTL else "unsat")
+
+
+def test_a_one_cell_hit_walks_its_input_once(monkeypatch):
+    # the one-cell check and the witness check read one memoised list of
+    # subformulas
+    walked = []
+    real = syntax._walk
+
+    def counting(roots, known):
+        walked.append(roots)
+        return real(roots, known)
+
+    monkeypatch.setattr(syntax, "_walk", counting)
+    for text in ["p & <@s> q", "p U q", "G [@s] p", "<@s> X p"]:  # one per fragment
+        walked.clear()
+        f = parse(text)
+        v = solve(f)
+        assert (v.status, v.engine) == ("sat", "oracle")
+        assert walked == [(f,)], text
 
 
 def test_the_search_after_constant_folding_finds_the_same_model():
@@ -742,20 +784,31 @@ def test_temporal_verdicts_match_the_tableau_reference():
         f = counter_formula(n)
         assert ltl_psl_reference_sat(f) is True
         assert bounded_search(f, SearchBounds.for_formula(f, 3, 2, 3)) is None
+        assert routed(f).status == "sat"
     rng = random.Random(1212)
     started = time.perf_counter()
     decided = unsat = skipped = 0
+    # the automaton's own verdicts, past the one-cell check, on inputs
+    # that constant folding leaves something to search
+    ran = {"sat": 0, "unsat": 0}
     for i in range(600):
         f = random_formula(rng, 3 + i % 3, mode=("ltl_psl", "ltl")[i % 2])
         expected = ltl_psl_reference_sat(f)
         if expected is None:
             skipped += 1
             continue
+        want = "sat" if expected else "unsat"
         status = solve(f).status
-        assert status == ("sat" if expected else "unsat"), to_text(f)
+        assert status == want, to_text(f)
+        v = routed(f)
+        assert (v.status, v.engine) == (want, "automaton"), to_text(f)
+        if simplify(f) != BOTTOM:
+            ran[want] += 1
         decided += 1
         unsat += not expected
     elapsed = time.perf_counter() - started
-    print(f"{decided} decided, {unsat} unsat, {skipped} over the reference's cap, {elapsed:.2f} s")
+    print(f"{decided} decided, {unsat} unsat, {skipped} over the reference's cap, "
+          f"automaton runs {ran}, {elapsed:.2f} s")
     assert decided >= 300 and unsat >= 20 and skipped <= 30
+    assert ran["sat"] >= 450 and ran["unsat"] >= 5
     assert elapsed < 10

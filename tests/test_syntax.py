@@ -589,6 +589,17 @@ def test_nodes_visit_every_occurrence_and_fold_every_node_of_deep_formulas():
         assert subs[-1] is f and len(subs) == len(set(subs))
 
 
+def test_subformulas_of_one_root_are_memoised_on_it():
+    f = parse("(p U <@s> q) & X (p U <@s> q) & !r")
+    subs = subformulas(f)
+    assert subformulas(f) is subs and subs[-1] is f
+    # several roots, or known formulas, walk again and leave the memo alone
+    g = parse("p U <@s> q")
+    assert subformulas(f, g) is not subformulas(f, g)
+    assert subformulas(f, known={g}) == [h for h in subs if h not in subformulas(g)]
+    assert subformulas(f) is subs
+
+
 def test_subformulas_of_several_roots_leave_out_what_lies_only_beneath_known_ones():
     rng = random.Random(5150)
     for _ in range(400):

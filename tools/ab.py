@@ -17,6 +17,10 @@ in turn, the first tree alternating from chunk to chunk; it prints the
 median over chunks of the ratio base time / change time (above 1: the
 change is faster), with its quartiles.  Both trees of a chunk share the host's drift, which separate
 harness runs do not, so the ratio is steadier than a comparison of runs.
+Each formula's ``parse`` -> ``solve`` is timed on its own, as the harness
+times it, and each tree's per-formula p50 and p95 in milliseconds are
+printed beside the ratio, so a latency claim can be checked in one
+process.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ def main(argv=None) -> int:
     bounds = run.SOLVE_BOUNDS.get(args.workload)
 
     results: list[list] = [[], []]
+    latencies: list[list[float]] = [[], []]  # seconds per formula, by tree
     ratios = []
     n_chunks = max(1, len(texts) // CHUNK)  # the last one takes the rest
     for c in range(n_chunks):
@@ -92,9 +97,11 @@ def main(argv=None) -> int:
         seconds = [0.0, 0.0]
         for side in (0, 1) if c % 2 == 0 else (1, 0):
             gc.collect()
-            t = time.perf_counter()
-            results[side] += [solve(trees[side], text, bounds) for text in chunk]
-            seconds[side] = time.perf_counter() - t
+            for text in chunk:
+                t = time.perf_counter()
+                results[side].append(solve(trees[side], text, bounds))
+                latencies[side].append(time.perf_counter() - t)
+            seconds[side] = sum(latencies[side][-len(chunk):])
         ratios.append(seconds[0] / seconds[1])
 
     differing = [
@@ -106,6 +113,10 @@ def main(argv=None) -> int:
         print(f"  differs: {text}")
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"chunks={len(ratios)} base/change time ratio: median={median:.3f} q1={q1:.3f} q3={q3:.3f}")
+    for name, times in zip(("base", "change"), latencies):
+        ms = [1000 * t for t in times]  # the harness's quantiles
+        p95 = statistics.quantiles(ms, n=20)[-1] if len(ms) > 1 else ms[0]
+        print(f"{name} per-formula latency: p50={statistics.median(ms):.4f} ms p95={p95:.4f} ms")
     return 1 if differing else 0
 
 
