@@ -53,7 +53,7 @@ from .syntax import (
     Until,
     _FrozenRecord,
     neg,
-    nodes,
+    program,
     vocab,
 )
 
@@ -157,18 +157,18 @@ class StateSpace:
         self._gridless = not any(isinstance(g, (Sharper, DiamondS, BoxS)) for g in self.base)
         self._unsized = self._gridless
         # the seed's temporal-free conjuncts, and the subformulas of the
-        # others; without next-step members no conjunct has a temporal
-        # operator, and without temporal-free conjuncts every base member
-        # branches
-        conjuncts = _conjuncts(cl.seed)
-        parts: list[Formula] = []
-        temporal_parts = []
-        for c in conjuncts:
-            if cl.next_members and any(isinstance(h, (Next, Until)) for h in nodes(c)):
-                temporal_parts.append(c)
+        # others, read off the seed's memoised program; without next-step
+        # members no conjunct has a temporal operator, and without
+        # temporal-free conjuncts every base member branches
+        seed = program(cl.seed)
+        conjuncts = _conjuncts(*seed)
+        parts, temporal_at = [], []  # (conjunct, its position), and positions
+        for c, i in conjuncts:
+            if cl.next_members and any(type(g) in (Next, Until) for g in _beneath(seed, [i])):
+                temporal_at.append(i)
             else:
-                parts.append(c)
-        temporal = set([h for c in temporal_parts for h in nodes(c)] if parts else self.base)
+                parts.append((c, i))
+        temporal = set(_beneath(seed, temporal_at) if parts else self.base)
         # the branch members as (base position, tried true first), the
         # grid-decided members as (base position, member), and the branch
         # literals as (base position, member, its negation)
@@ -191,11 +191,11 @@ class StateSpace:
         # at the cells set in tm[b]/fm[b]
         width = min(_TAIL_WIDTH, len(self.branch))
         self._engine = IntervalEngine(
-            [*cl.formulas, *conjuncts], 1 << width, 0, 1, {}, self.base_index
+            [*cl.formulas, *(c for c, _ in conjuncts)], 1 << width, 0, 1, {}, self.base_index
         )
         slot = self._engine.slot
         self._untils = [(slot[g], slot[g.right]) for g in cl.until_members]
-        self._parts = [(slot[c], c) for c in parts]
+        self._parts = [(slot[c], c, i) for c, i in parts]  # i: its position in the seed's program
         # a tail member takes its first value at the cells whose bit p is
         # clear, and the earliest member the highest bit, so that cells in
         # ascending order visit the tail assignments in branch order
@@ -300,11 +300,12 @@ class StateSpace:
                 ))
             if n == 1 and first_failed:
                 self.grid_solves += 1
-                free = [g for _, g in self._parts if Sharper not in map(type, nodes(g))]
+                seed = program(self.closure.seed)
+                free = [g for _, g, i in self._parts if Sharper not in map(type, _beneath(seed, [i]))]
                 if psl.grid_model_for(self.grid(0), free, self.budget) is None:
                     return
             state = sum((t >> c & 1) << b for b, t in enumerate(tm))
-            opened = [g for s, g in self._parts if not lo[s] >> c & 1] if seeded else []
+            opened = [g for s, g, _ in self._parts if not lo[s] >> c & 1] if seeded else []
             if self._gridless and not opened:
                 if self._unsized:
                     psl.grid_types(1, len(self.props), self.budget)
@@ -376,7 +377,7 @@ class StateSpace:
             formulas = [
                 *(f for _, g, ng in self._literals for f in (g, ng)),
                 *(g for _, g in self._decided),
-                *(g for _, g in self._parts),
+                *(g for _, g, _ in self._parts),
             ]
             self._grids[key] = shared or psl.CompiledGrid(family, self.props, formulas, self.budget)
         return self._grids[key]
@@ -403,21 +404,38 @@ class StateSpace:
         return [state if (t ^ state) & self._branch_bits == 0 else t for t in targets]
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The conjuncts of ``f``: the leaves of its top And tree, a negated Or
-    read as the And of the negations, left to right.  Each is a member of
-    the closure of ``f`` or the negation of one."""
-    parts: list[Formula] = []
-    stack = [f]
+def _conjuncts(subs: list[Formula], left: list[int], right: list[int]) -> list[tuple[Formula, int]]:
+    """The conjuncts of the formula whose ``program`` is given: the leaves
+    of its top And tree, a negated Or read as the And of the negations,
+    left to right.  Each is a member of the closure of the formula or the
+    negation of one, and comes with the list position of that member."""
+    parts: list[tuple[Formula, int]] = []
+    stack = [(len(subs) - 1, False)]  # (position, negated)
     while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += [g.right, g.left]
-        elif isinstance(g, Not) and isinstance(g.operand, Or):
-            stack += [neg(g.operand.right), neg(g.operand.left)]
+        i, negated = stack.pop()
+        g = subs[i]
+        if type(g) is (Or if negated else And):
+            stack += [(right[i], negated), (left[i], negated)]
+        elif type(g) is Not and (negated or type(subs[left[i]]) is Or):
+            stack.append((left[i], not negated))
         else:
-            parts.append(g)
+            parts.append((neg(g) if negated else g, i))
     return parts
+
+
+def _beneath(seed: tuple[list[Formula], list[int], list[int]], tops: list[int]) -> Iterator[Formula]:
+    """The subformulas of those at positions ``tops`` of the program
+    ``seed``, each once, the tops first: a caller that looks for one kind
+    stops at the first it meets."""
+    subs, left, right = seed
+    seen, stack = set(tops), list(tops)
+    while stack:
+        i = stack.pop()
+        yield subs[i]
+        for c in (left[i], right[i]):
+            if c >= 0 and c not in seen:
+                seen.add(c)
+                stack.append(c)
 
 
 def find_accepting_lasso(

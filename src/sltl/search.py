@@ -34,6 +34,7 @@ from .syntax import (
     UNIVERSAL,
     Until,
     _FrozenRecord,
+    program,
     size,
     subformulas,
     vocab,
@@ -464,15 +465,17 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
     On such a model every extent is the one trace, so ``<@s> a``,
     ``[@s] a`` and ``X a`` mean ``a``, ``a U b`` means ``b`` and every
     sharpening atom holds: ``f`` is a propositional formula, constants
-    included, so it need not be folded first.  One loop over
-    ``subformulas(f)``, children first, gives each subformula its truth
+    included, so it need not be folded first.  One loop over the flat
+    ``program`` of ``f``, children first, gives each subformula its truth
     table, a mask over the valuations of the propositions ``f`` reads (its
-    memoised ``vocab``), and the least set bit of the root's is the first
-    model of the bounded search's stratum (1, 0, 1): the first proposition
-    is the most significant bit of a valuation, and false comes before
-    true.  The model is the one that search returns: trace ``t0``, prefix
-    0, period 1 and every extent ``{t0}``.  ``subformulas`` memoises its
-    list on ``f``, so the witness check of a hit (``semantics.evaluate``
+    memoised ``vocab``), in a list beside the program, where a
+    connective finds its operands' tables by position.  The least set bit
+    of the root's table is the first model of the bounded search's
+    stratum (1, 0, 1): the first proposition is the most significant bit
+    of a valuation, and false comes before true.  The model is the one that
+    search returns: trace ``t0``, prefix 0, period 1 and every extent
+    ``{t0}``.  The program and the vocabulary come from one walk of ``f``,
+    memoised on it, so the witness check of a hit (``semantics.evaluate``
     on the same ``f``) walks nothing again.
     """
     voc = vocab(f)
@@ -483,27 +486,27 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
     cells = 1 << n
     full = (1 << cells) - 1
     masks = {p: cells_with_bit(cells, n - 1 - i) for i, p in enumerate(props)}
-    tables: dict[Formula, int] = {}
-    for g in subformulas(f):
+    tables: list[int] = []  # by list position
+    for g, a, b in zip(*program(f)):
         cls = type(g)
-        if cls is Prop:
-            t = masks[g.name]
-        elif cls is And:
-            t = tables[g.left] & tables[g.right]
+        if cls is And:
+            t = tables[a] & tables[b]
         elif cls is Or:
-            t = tables[g.left] | tables[g.right]
+            t = tables[a] | tables[b]
         elif cls is Not:
-            t = full ^ tables[g.operand]
+            t = full ^ tables[a]
+        elif cls is Prop:
+            t = masks[g.name]
         elif cls is Until:
-            t = tables[g.right]
-        elif cls is Next or cls is DiamondS or cls is BoxS:
-            t = tables[g.operand]
+            t = tables[b]
+        elif a >= 0:  # X, a diamond or a box
+            t = tables[a]
         elif cls is Bottom:
             t = 0
         else:  # true and a sharpening atom hold
             t = full
-        tables[g] = t
-    table = tables[f]
+        tables.append(t)
+    table = tables[-1]
     if not table:
         return None
     cell = (table & -table).bit_length() - 1
@@ -541,7 +544,8 @@ def bounded_search(
     as the search reaches them, and every stratum costs the budget a
     node, so a search over many standpoints exits at its node limit rather
     than listing every assignment first.  Which traces a stratum reads is
-    decided by the formula's ``Vocabulary``, the one walk of ``f``.  The
+    decided by the formula's ``Vocabulary``, and the engine compiles over
+    the list of its ``program``, both from the one walk of ``f``.  The
     first stratum, one trace of one position, is ``one_cell_model``'s,
     which ``solve`` tries first; after a miss there the search still
     walks it, so that its node counts do not depend on its caller.  The

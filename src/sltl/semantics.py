@@ -8,10 +8,12 @@ model shares one shape, so Until has a finite backward fixpoint.
 Restricted to the universal standpoint, the same relation is the one of
 the product of linear time with S5: a product model is an SLTL model
 whose only standpoint is ``@*``, and a product formula is one that
-``check_product_formula`` accepts, evaluated by ``evaluate``.  This module
-imports nothing of the package but ``syntax``, shares no code with the
-engines it checks, and never recurses: ``syntax.py`` and this file are
-all a reader audits to trust a witness.
+``check_product_formula`` accepts, evaluated by ``evaluate``, which keeps
+one integer mask per subformula over every (trace, lasso node) cell and
+reads the formula's flat program, the one walk ``syntax`` memoises on it.
+This module imports nothing of the package but ``syntax``, shares no code
+with the engines it checks, and never recurses: ``syntax.py`` and this
+file are all a reader audits to trust a witness.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .syntax import (
     _FrozenRecord,
     _Record,
     fold,
-    subformulas,
+    program,
 )
 
 
@@ -110,23 +112,28 @@ class SLTLModel(_Record):
 def evaluate(model: SLTLModel, trace_id: str, position: int, f: Formula) -> bool:
     """Satisfaction at ``(trace, position)``, clause by clause.
 
-    One loop over the distinct subformulas of ``f``, children first, gives
-    each of them one mask per trace, whose bit ``k`` is its truth at lasso
-    node ``k``: Boolean connectives are bit operations, ``X`` moves each
-    bit to the node before it (the last node reads the first node of the
-    period), ``U`` is the least fixpoint of ``u = b | (a & X u)``, and a
-    modality ORs (diamond) or ANDs (box) the masks of its extent's traces,
-    the same mask at every trace.
+    One loop over the flat program of ``f`` (``program``: its distinct
+    subformulas, children first, and each one's child positions) gives
+    each subformula one mask over every cell of the model, whose bit
+    ``t * L + k`` is its truth at lasso node ``k`` of trace ``t``, the
+    traces in the order of ``model.traces``; each trace's ``L`` bits are its
+    block.  Boolean connectives are one bit operation, ``X`` moves each bit
+    to the node before it within its block (the last node reads the first
+    node of the period), ``U`` is the least fixpoint of
+    ``u = b | (a & X u)``, and a modality ORs (diamond) or ANDs (box) the
+    blocks of its extent's traces and copies the result to every block.
     """
     if trace_id not in model.traces:
         raise ModelError(f"unknown trace id {trace_id!r}")
     if position < 0:
         raise ModelError("positions are natural numbers")
     lam, L, prefix = model.lam, model.length, model.prefix_len
-    index = {tid: i for i, tid in enumerate(model.traces)}
-    n = len(index)
+    index = {tid: t for t, tid in enumerate(model.traces)}
+    block = (1 << L) - 1  # the cells of trace 0
+    repl = ((1 << len(index) * L) - 1) // block  # node 0 of every trace
+    full = block * repl
+    keep = full ^ repl << (L - 1)  # every cell but the last node of a trace
     rows = [tr.prefix + tr.period for tr in model.traces.values()]
-    full = (1 << L) - 1
 
     def extent(sp: Standpoint) -> frozenset[str]:
         try:
@@ -135,50 +142,48 @@ def evaluate(model: SLTLModel, trace_id: str, position: int, f: Formula) -> bool
             raise ModelError(f"standpoint {sp} is not assigned in the model") from None
 
     def after(m: int) -> int:
-        """``X``: bit ``k`` of the result is bit ``succ(k)`` of ``m``."""
-        return m >> 1 | (m >> prefix & 1) << (L - 1)
+        """``X``: bit ``k`` of each block is bit ``succ(k)`` of ``m``'s."""
+        return m >> 1 & keep | (m >> prefix & repl) << (L - 1)
 
-    masks: dict[Formula, list[int]] = {}
-    for g in subformulas(f):
+    masks: list[int] = []  # by list position
+    for g, a, b in zip(*program(f)):
         cls = type(g)
-        if cls is Prop:
-            name = g.name
-            v = [sum(1 << k for k, row in enumerate(vals) if name in row) for vals in rows]
-        elif cls is Not:
-            v = [full ^ a for a in masks[g.operand]]
-        elif cls is And:
-            v = [a & b for a, b in zip(masks[g.left], masks[g.right])]
+        if cls is And:
+            v = masks[a] & masks[b]
         elif cls is Or:
-            v = [a | b for a, b in zip(masks[g.left], masks[g.right])]
+            v = masks[a] | masks[b]
+        elif cls is Not:
+            v = full ^ masks[a]
+        elif cls is Prop:
+            name = g.name
+            v = sum(1 << t * L + k for t, vals in enumerate(rows) for k, row in enumerate(vals) if name in row)
         elif cls is Next:
-            v = [after(a) for a in masks[g.operand]]
+            v = after(masks[a])
         elif cls is Until:
-            v = []
-            for a, b in zip(masks[g.left], masks[g.right]):
-                u, step = 0, b
-                while step != u:
-                    u, step = step, b | a & after(step)
-                v.append(u)
+            hold, reach = masks[a], masks[b]
+            v, step = 0, reach
+            while step != v:
+                v, step = step, reach | hold & after(step)
         elif cls is DiamondS:
-            operand, m = masks[g.operand], 0
+            operand, m = masks[a], 0
             for tid in extent(g.standpoint):
-                m |= operand[index[tid]]
-            v = [m] * n
+                m |= operand >> index[tid] * L
+            v = (m & block) * repl
         elif cls is BoxS:
-            operand, m = masks[g.operand], full
+            operand, m = masks[a], block
             for tid in extent(g.standpoint):
-                m &= operand[index[tid]]
-            v = [m] * n
+                m &= operand >> index[tid] * L
+            v = m * repl
         elif cls is Sharper:
-            v = [full if extent(g.left) <= extent(g.right) else 0] * n
+            v = full if extent(g.left) <= extent(g.right) else 0
         elif cls is Top:
-            v = [full] * n
+            v = full
         elif cls is Bottom:
-            v = [0] * n
+            v = 0
         else:
             raise TypeError(f"not a formula: {g!r}")
-        masks[g] = v
-    return bool(masks[f][index[trace_id]] >> model.node(position) & 1)
+        masks.append(v)
+    return bool(masks[-1] >> (index[trace_id] * L + model.node(position)) & 1)
 
 
 def check_product_formula(f: Formula) -> None:

@@ -153,8 +153,8 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     model, so both have one truth table; the least valuation that
     satisfies it keeps the propositions that folding drops false; and the
     standpoints that folding drops get ``{t0}``, as ``assign_folded``
-    would give them.  The check and the witness check of its model share
-    one walk of ``f``, the list ``subformulas`` memoises on it.  Only a
+    would give them.  ``classify``, the check and the witness check of its
+    model share one walk of ``f``, memoised on it (``syntax.program``).  Only a
     miss simplifies the input and routes it (``_route``); a miss that
     folds to ``false`` costs no engine and no node there.  A standpoint
     that simplification folded away gets every trace as its extent

@@ -8,12 +8,15 @@ node's hash and size from its children's, so building a node is O(1).
 
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
-``subformulas`` the distinct ones children first (the walk of the witness
-checker, of the one-cell check and of the interval engine's compile,
-memoised on a single root), and ``fold`` computes
-bottom-up once per node object, so a shared subterm is rewritten once,
-with ``rebuild`` as the homomorphic step that a rewrite calls for every
-connective it leaves alone.  The parser
+``fold`` computes bottom-up once per node object, so a shared subterm is
+rewritten once, with ``rebuild`` as the homomorphic step that a rewrite
+calls for every connective it leaves alone, and ``_walk`` visits each
+distinct subformula once.  That walk, memoised on the formula it reads,
+is the one every reader of a formula shares: its flat children-first
+program (``program``: the distinct subformulas and the list positions of
+each one's children), read by ``subformulas``, the witness checker, the
+one-cell check, the interval engine's compile and ``ClosureSet``, and its
+``Vocabulary``, read by ``vocab`` and ``classify``.  The parser
 loops over two stacks and the printer over one, so no input is too deep
 for them either; both read one operator table.
 """
@@ -24,6 +27,7 @@ import re
 from collections.abc import Callable, Collection, Iterable, Iterator
 from enum import Enum
 from functools import reduce
+from operator import itemgetter
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -135,12 +139,12 @@ class Formula(_Immutable):
     hash and node count from its children's cached ones, in O(1), with a
     class tag (``_tag``) in the hash.  Equality is structural too: it
     returns early on identity, then on class and hash, and only then
-    compares fields (``_same``).  ``vocab`` memoises its result on the node
-    it reads, in the ``_vocab`` slot, and ``subformulas`` of one root its
-    list, in the ``_subs`` slot.
+    compares fields (``_same``).  The first of ``vocab``, ``program`` and
+    ``subformulas`` to read a node walks it once and memoises both results
+    on it, in the ``_vocab`` and ``_program`` slots.
     """
 
-    __slots__ = ("_hash", "_size", "_vocab", "_subs")
+    __slots__ = ("_hash", "_size", "_vocab", "_program")
 
     def __init__(self):  # the constants
         _SET_HASH(self, self._tag)
@@ -160,7 +164,7 @@ class Formula(_Immutable):
 _SET_HASH = Formula._hash.__set__
 _SET_SIZE = Formula._size.__set__
 _SET_VOCAB = Formula._vocab.__set__
-_SET_SUBS = Formula._subs.__set__
+_SET_PROGRAM = Formula._program.__set__
 
 
 class Top(Formula):
@@ -495,33 +499,119 @@ def subformulas(*roots: Formula, known: Collection[Formula] = ()) -> list[Formul
     or a dict, for fast lookups) is neither listed nor entered, so what
     lies only beneath known formulas is left out.
 
-    The list of one root and no ``known`` is memoised on the root, in its
-    ``_subs`` slot, and every such call returns that one list: the one-cell
-    check and the witness check of its model walk the input once between
-    them.  It is shared, so no caller may change it."""
-    if len(roots) == 1 and not known:
-        try:
-            return roots[0]._subs
-        except AttributeError:
-            subs = _walk(roots, known)
-            _SET_SUBS(roots[0], subs)
-            return subs
-    return _walk(roots, known)
+    One root whose known formulas, if any, have no children (nothing lies
+    beneath them) reads the list of its memoised ``program``: with no
+    ``known`` every such call returns that one list, which is shared, so
+    no caller may change it."""
+    if len(roots) == 1 and (not known or not any(_ARITY[type(g)] for g in known)):
+        subs = program(roots[0])[0]
+        return [g for g in subs if g not in known] if known else subs
+    return _walk(roots, known)[0]
 
 
-def _walk(roots: tuple[Formula, ...], known: Collection[Formula]) -> list[Formula]:
-    """``subformulas`` without the memo."""
-    seen: dict[Formula, None] = {}
-    stack = [(f, False) for f in reversed(roots)]
+def program(f: Formula) -> tuple[list[Formula], list[int], list[int]]:
+    """The flat program of ``f``: the list of its distinct subformulas,
+    children first and the root last, and beside it the lists ``left`` and
+    ``right`` of the list positions of each one's children: the left child
+    or the operand, and the right child, -1 where there is none.  A reader
+    keeps one value per subformula in a list beside the program and finds
+    a connective's operands by position, with no formula hashed.
+
+    The first reader walks ``f`` and memoises the program on it, with its
+    ``Vocabulary``: ``vocab``, the one-cell check, the witness check of its
+    model and the bounded search's compile read one walk of the input
+    between them.  Both are shared, so no caller may change them."""
+    try:
+        return f._program
+    except AttributeError:
+        subs, left, right, voc = _walk((f,), ())
+        _SET_VOCAB(f, voc)
+        _SET_PROGRAM(f, (subs, left, right))
+        return subs, left, right
+
+
+# The flags the walk of one root gives each subformula, bottom-up: it has a
+# proposition outside every modal operand, a temporal operator, a temporal
+# operator beneath a modality.
+_FREE, _TEMPORAL, _UNDER = 1, 2, 4
+
+
+def _walk(roots: tuple[Formula, ...], known: Collection[Formula]) -> tuple[
+    list[Formula], list[int], list[int], Vocabulary | None
+]:
+    """The one walk: each distinct subformula of ``roots`` is visited once,
+    post-order, and listed at its first completion.  A known formula is
+    neither listed nor entered.
+
+    The walk of one root with no known formulas is tracked: it is the
+    root's ``program``, and reads its ``Vocabulary`` too.  Each listed
+    subformula gets the list positions of its children, which the stack
+    ``done`` holds until their parent completes, and its flags
+    (``_FREE``, ``_TEMPORAL``, ``_UNDER``) from its children's; the names
+    are collected, and the root's flags decide the fragment and trace
+    independence.  Any other walk serves ``subformulas``, which reads only
+    the list: its positions are empty and its vocabulary None."""
+    track = len(roots) == 1 and not known
+    where: dict[Formula, int] = {}  # list position by formula
+    subs, left, right, flags = [], [], [], []
+    props, standpoints, modal = set(), set(), set()  # names, modal standpoints
+    done: list[int] = []  # the positions of the children of the nodes on the stack
+    stack: list = list(reversed(roots))
+    pop = stack.pop
     while stack:
-        g, expanded = stack.pop()
-        if expanded:
-            seen[g] = None
-        elif g not in seen and g not in known:
-            stack.append((g, True))
-            for name in _REVERSED_CHILD_FIELDS[type(g)]:
-                stack.append((getattr(g, name), False))
-    return list(seen)
+        g = pop()
+        if g is _READY:  # the node below it has its children's positions
+            g = pop()
+            if track:
+                cls = type(g)
+                b = done.pop() if _ARITY[cls] == 2 else -1
+                a = done[-1]
+                fl = flags[a] if b < 0 else flags[a] | flags[b]
+                if cls is Next or cls is Until:
+                    fl |= _TEMPORAL
+                elif cls is DiamondS or cls is BoxS:
+                    modal.add(g.standpoint)
+                    # no proposition outside it, and a temporal operator in
+                    # its operand is beneath it (``_UNDER`` is ``_TEMPORAL << 1``)
+                    fl = fl & (_TEMPORAL | _UNDER) | (fl & _TEMPORAL) << 1
+                flags.append(fl)
+                left.append(a)
+                right.append(b)
+                done[-1] = len(subs)
+            where[g] = len(subs)
+            subs.append(g)
+            continue
+        i = where.get(g)
+        if i is None:
+            if known and g in known:
+                continue
+            cls = type(g)
+            if _ARITY[cls]:
+                stack += (g, _READY, g.right, g.left) if _ARITY[cls] == 2 else (g, _READY, g.operand)
+                continue
+            if track:
+                if cls is Prop:
+                    props.add(g.name)
+                elif cls is Sharper:
+                    standpoints.update((g.left, g.right))
+                flags.append(_FREE if cls is Prop else 0)
+                left.append(-1)
+                right.append(-1)
+            i = where[g] = len(subs)
+            subs.append(g)
+        if track:
+            done.append(i)
+    if not track:
+        return subs, left, right, None
+    # the universal standpoint is listed whenever any standpoint is, since
+    # the downstream sharpening relation always links standpoints to it
+    if standpoints or modal:
+        standpoints |= modal | {UNIVERSAL}
+    fl = flags[-1]
+    fragment = (Fragment.PSL if not fl & _TEMPORAL else Fragment.PURE_LTL if not standpoints
+                else Fragment.LTL_PSL if not fl & _UNDER else Fragment.FULL_SLTL)
+    sets = map(frozenset, (props, standpoints, modal))
+    return subs, left, right, Vocabulary(*sets, fragment, not fl & _FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -862,8 +952,9 @@ def _nnf_step(g: Formula, kids: tuple[tuple[Formula, Formula], ...]) -> tuple[Fo
 
 
 def is_nnf(f: Formula) -> bool:
-    """True when negations sit only on atoms or always-blocks."""
-    for g in nodes(f):
+    """True when negations sit only on atoms or always-blocks: a loop over
+    the memoised list of distinct subformulas."""
+    for g in subformulas(f):
         if isinstance(g, Not):
             op = g.operand
             if isinstance(op, (Prop, Sharper)):
@@ -880,8 +971,8 @@ class ClosureSet:
     """The formulas an automaton state assigns, ordered by size and then by
     the position of their last occurrence in ``nodes(seed)``; an Until's
     next-step companion that does not occur there takes the Until's
-    position.  The key prints nothing, so a deep seed orders in linear
-    time, and children come before their parents.
+    position.  The key prints nothing, and children come before their
+    parents.
 
     The members are the seed's subformulas outside modal operands, every
     sharpening atom of the seed wherever it occurs, and the next-step
@@ -891,28 +982,38 @@ class ClosureSet:
     its grid.  Sharpening atoms beneath a modality are members all the
     same, because atoms are rigid state bits and the true ones choose the
     grid's label family.
+
+    Both are read off the seed's memoised ``program`` in one top-down pass
+    over its list, parents before children, so the time is linear in the
+    distinct subformulas however often a shared one occurs.  A child's
+    last occurrence is a longest path: one past its parent's last
+    occurrence, plus the size of its left sibling, the latest over its
+    parents.  A child lies outside every modal operand when some parent
+    that is not a modality does.
     """
 
     def __init__(self, seed: Formula):
-        # one pre-order scan: a subtree is a run of ``size`` occurrences,
-        # so an occurrence lies in a modal operand while it is before the
-        # end of the outermost open modal scope
-        members: set[Formula] = set()
-        last: dict[Formula, int] = {}
-        scope_end = 0
-        for i, g in enumerate(nodes(seed)):
-            last[g] = i
-            if i >= scope_end or isinstance(g, Sharper):
-                members.add(g)
-            if i >= scope_end and isinstance(g, (DiamondS, BoxS)):
-                scope_end = i + size(g)
-        for g in [g for g in members if isinstance(g, Until)]:
-            members.add(Next(g))
-            last.setdefault(Next(g), last[g])
+        subs, left, right = program(seed)
+        # the root's only occurrence is the first, outside every modal operand
+        last, outside = [0] * len(subs), [False] * (len(subs) - 1) + [True]
+        for i in range(len(subs) - 1, -1, -1):
+            free = outside[i] and not isinstance(subs[i], (DiamondS, BoxS))
+            at = last[i] + 1  # where the child occurs in this one's last occurrence
+            for c in (left[i], right[i]):
+                if c >= 0:
+                    last[c] = max(last[c], at)
+                    outside[c] |= free
+                    at += subs[c]._size
+        # each member's key: its size and last occurrence; an Until's
+        # companion takes the Until's occurrence where it has none
+        nexts = {a: j for j, (g, a) in enumerate(zip(subs, left)) if type(g) is Next}
+        keyed = [(g._size, last[i], g) for i, g in enumerate(subs) if outside[i] or type(g) is Sharper]
+        for i, g in enumerate(subs):
+            j = nexts.get(i)
+            if outside[i] and type(g) is Until and (j is None or not outside[j]):
+                keyed.append((g._size + 1, last[i if j is None else j], Next(g)))
         self.seed = seed
-        self.formulas: tuple[Formula, ...] = tuple(
-            sorted(members, key=lambda g: (size(g), last[g]))
-        )
+        self.formulas: tuple[Formula, ...] = tuple(g for _, _, g in sorted(keyed, key=itemgetter(0, 1)))
         self.index: dict[Formula, int] = {g: i for i, g in enumerate(self.formulas)}
         self.until_members: tuple[Until, ...] = tuple(
             g for g in self.formulas if isinstance(g, Until)
@@ -957,7 +1058,7 @@ def classify(f: Formula) -> Fragment:
 
 
 class Vocabulary(_FrozenRecord):
-    """What one scan reads off a formula: its propositions and
+    """What the walk reads off a formula: its propositions and
     standpoints; ``modal``, the standpoints that index a modality;
     ``fragment``, the smallest fragment containing it; and
     ``trace_independent``, whether every proposition sits under a
@@ -978,49 +1079,16 @@ class Vocabulary(_FrozenRecord):
 
 
 def vocab(f: Formula) -> Vocabulary:
-    """Every syntactic verdict on ``f``, from one pre-order scan, memoised
-    on ``f`` itself: ``classify``, ``SearchBounds.for_formula``, the
-    searches and ``solve`` all read the same formula object, and scan it
-    once between them.
-
-    A subtree is a run of ``size`` consecutive pre-order occurrences, so
-    the scan knows when it is inside a modal operand by the end of the
-    outermost open modal scope.  The universal standpoint is listed
-    whenever it occurs or any other standpoint does, since the downstream
-    sharpening relation always links standpoints to it.
+    """Every syntactic verdict on ``f``, memoised on ``f`` itself:
+    ``classify``, ``SearchBounds.for_formula``, the searches and ``solve``
+    all read the same formula object, and walk it once between them.  The
+    walk is the one of ``program``, which reads the names and three flags
+    per subformula, computed from its children's (see ``_walk``): a
+    proposition outside every modal operand, a temporal operator, and a
+    temporal operator beneath a modality.
     """
     try:
         return f._vocab
     except AttributeError:
-        pass
-    props: set[str] = set()
-    standpoints: set[Standpoint] = set()
-    modal: set[Standpoint] = set()
-    temporal, temporal_under_modal, independent = False, False, True
-    scope_end = 0  # index past the outermost open modal scope
-    for i, g in enumerate(nodes(f)):
-        cls = type(g)
-        if cls is Prop:
-            props.add(g.name)
-            independent &= i < scope_end
-        elif cls is Next or cls is Until:
-            temporal = True
-            temporal_under_modal |= i < scope_end
-        elif cls is DiamondS or cls is BoxS:
-            modal.add(g.standpoint)
-            scope_end = max(scope_end, i + size(g))
-        elif cls is Sharper:
-            standpoints.update((g.left, g.right))
-    standpoints |= modal
-    if standpoints:
-        standpoints.add(UNIVERSAL)
-    fragment = (
-        Fragment.PSL if not temporal
-        else Fragment.PURE_LTL if not standpoints
-        else Fragment.LTL_PSL if not temporal_under_modal
-        else Fragment.FULL_SLTL
-    )
-    sets = map(frozenset, (props, standpoints, modal))
-    voc = Vocabulary(*sets, fragment, independent)
-    _SET_VOCAB(f, voc)
-    return voc
+        program(f)  # memoises the vocabulary too
+        return f._vocab

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from sltl.semantics import SLTLModel, UPTrace, evaluate
+from sltl.semantics import ModelError, SLTLModel, UPTrace, evaluate
 from sltl.syntax import (
     And,
     BOTTOM,
@@ -24,6 +24,7 @@ from sltl.syntax import (
     BoxS,
     DiamondS,
     Formula,
+    Fragment,
     Next,
     Not,
     Or,
@@ -34,8 +35,12 @@ from sltl.syntax import (
     Top,
     UNIVERSAL,
     Until,
+    Vocabulary,
+    _FIELDS,
     children,
     neg,
+    nodes,
+    size,
     subformulas,
     vocab,
 )
@@ -242,6 +247,175 @@ class ReferenceEvaluator:
             raise TypeError(f"not a formula: {f!r}")
         self.vectors[key] = v
         return v
+
+
+# ---------------------------------------------------------------------------
+# The list-based witness checker
+
+def reference_evaluate(model: SLTLModel, trace_id: str, position: int, f: Formula) -> bool:
+    """The list-based witness checker, one mask per trace for each
+    subformula, kept as the reference for ``semantics.evaluate``, which
+    packs every trace into one mask: satisfaction at ``(trace,
+    position)``, clause by clause.
+
+    One loop over the distinct subformulas of ``f``, children first, gives
+    each of them one mask per trace, whose bit ``k`` is its truth at lasso
+    node ``k``: Boolean connectives are bit operations, ``X`` moves each
+    bit to the node before it (the last node reads the first node of the
+    period), ``U`` is the least fixpoint of ``u = b | (a & X u)``, and a
+    modality ORs (diamond) or ANDs (box) the masks of its extent's traces,
+    the same mask at every trace.
+    """
+    if trace_id not in model.traces:
+        raise ModelError(f"unknown trace id {trace_id!r}")
+    if position < 0:
+        raise ModelError("positions are natural numbers")
+    lam, L, prefix = model.lam, model.length, model.prefix_len
+    index = {tid: i for i, tid in enumerate(model.traces)}
+    n = len(index)
+    rows = [tr.prefix + tr.period for tr in model.traces.values()]
+    full = (1 << L) - 1
+
+    def extent(sp: Standpoint) -> frozenset[str]:
+        try:
+            return lam[sp]
+        except KeyError:
+            raise ModelError(f"standpoint {sp} is not assigned in the model") from None
+
+    def after(m: int) -> int:
+        """``X``: bit ``k`` of the result is bit ``succ(k)`` of ``m``."""
+        return m >> 1 | (m >> prefix & 1) << (L - 1)
+
+    masks: dict[Formula, list[int]] = {}
+    for g in subformulas(f):
+        cls = type(g)
+        if cls is Prop:
+            name = g.name
+            v = [sum(1 << k for k, row in enumerate(vals) if name in row) for vals in rows]
+        elif cls is Not:
+            v = [full ^ a for a in masks[g.operand]]
+        elif cls is And:
+            v = [a & b for a, b in zip(masks[g.left], masks[g.right])]
+        elif cls is Or:
+            v = [a | b for a, b in zip(masks[g.left], masks[g.right])]
+        elif cls is Next:
+            v = [after(a) for a in masks[g.operand]]
+        elif cls is Until:
+            v = []
+            for a, b in zip(masks[g.left], masks[g.right]):
+                u, step = 0, b
+                while step != u:
+                    u, step = step, b | a & after(step)
+                v.append(u)
+        elif cls is DiamondS:
+            operand, m = masks[g.operand], 0
+            for tid in extent(g.standpoint):
+                m |= operand[index[tid]]
+            v = [m] * n
+        elif cls is BoxS:
+            operand, m = masks[g.operand], full
+            for tid in extent(g.standpoint):
+                m &= operand[index[tid]]
+            v = [m] * n
+        elif cls is Sharper:
+            v = [full if extent(g.left) <= extent(g.right) else 0] * n
+        elif cls is Top:
+            v = [full] * n
+        elif cls is Bottom:
+            v = [0] * n
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        masks[g] = v
+    return bool(masks[f][index[trace_id]] >> model.node(position) & 1)
+
+
+# ---------------------------------------------------------------------------
+# Occurrence scans: the vocabulary and the closure read off one pre-order
+# scan of every occurrence, references for the walk of distinct subformulas
+
+def reference_vocab(f: Formula) -> Vocabulary:
+    """``vocab(f)`` from one pre-order scan of every occurrence, unmemoised:
+    a subtree is a run of ``size`` consecutive occurrences, so the scan
+    knows when it is inside a modal operand by the end of the outermost
+    open modal scope.  Exponential in the depth of a chain of shared
+    subterms."""
+    props: set[str] = set()
+    standpoints: set[Standpoint] = set()
+    modal: set[Standpoint] = set()
+    temporal, temporal_under_modal, independent = False, False, True
+    scope_end = 0  # index past the outermost open modal scope
+    for i, g in enumerate(nodes(f)):
+        cls = type(g)
+        if cls is Prop:
+            props.add(g.name)
+            independent &= i < scope_end
+        elif cls is Next or cls is Until:
+            temporal = True
+            temporal_under_modal |= i < scope_end
+        elif cls is DiamondS or cls is BoxS:
+            modal.add(g.standpoint)
+            scope_end = max(scope_end, i + size(g))
+        elif cls is Sharper:
+            standpoints.update((g.left, g.right))
+    standpoints |= modal
+    if standpoints:
+        standpoints.add(UNIVERSAL)
+    fragment = (
+        Fragment.PSL if not temporal
+        else Fragment.PURE_LTL if not standpoints
+        else Fragment.LTL_PSL if not temporal_under_modal
+        else Fragment.FULL_SLTL
+    )
+    sets = map(frozenset, (props, standpoints, modal))
+    return Vocabulary(*sets, fragment, independent)
+
+
+def reference_closure(seed: Formula) -> tuple[Formula, ...]:
+    """``closure(seed).formulas`` from one pre-order scan of every
+    occurrence: its members, ordered by size and then by the position of
+    their last occurrence, where an Until's companion that does not occur
+    takes the Until's."""
+    # one pre-order scan: a subtree is a run of ``size`` occurrences,
+    # so an occurrence lies in a modal operand while it is before the
+    # end of the outermost open modal scope
+    members: set[Formula] = set()
+    last: dict[Formula, int] = {}
+    scope_end = 0
+    for i, g in enumerate(nodes(seed)):
+        last[g] = i
+        if i >= scope_end or isinstance(g, Sharper):
+            members.add(g)
+        if i >= scope_end and isinstance(g, (DiamondS, BoxS)):
+            scope_end = i + size(g)
+    for g in [g for g in members if isinstance(g, Until)]:
+        members.add(Next(g))
+        last.setdefault(Next(g), last[g])
+    return tuple(sorted(members, key=lambda g: (size(g), last[g])))
+
+
+def random_dag(rng: random.Random, links: int, props=("p", "q"), sps=(S, T)) -> Formula:
+    """A random formula of ``links`` connectives over a pool of leaves,
+    each connective over operands drawn from the pool, the most recent
+    ones likelier, and added to it: subterm objects are shared, and a
+    connective is sometimes built twice, so equal subterms are distinct
+    objects too.  The last connective is the root."""
+    pool: list[Formula] = [*(Prop(p) for p in props), TOP, BOTTOM, Sharper(*sps)]
+    for _ in range(links):
+        a, b = (pool[-1 - min(int(rng.expovariate(1.0)), len(pool) - 1)] for _ in range(2))
+        op = rng.choice(["not", "and", "or", "next", "until", "dia", "box"])
+        if op == "not":
+            g = neg(a)
+        elif op in ("and", "or", "until"):
+            g = {"and": And, "or": Or, "until": Until}[op](a, b)
+        elif op == "next":
+            g = Next(a)
+        else:
+            sp = rng.choice([*sps, UNIVERSAL])
+            g = (DiamondS if op == "dia" else BoxS)(sp, a)
+        pool.append(g)
+        if rng.random() < 0.2:  # an equal object over the same children
+            pool.append(type(g)(*(getattr(g, name) for name in _FIELDS[type(g)])))
+    return pool[-1]
 
 
 # ---------------------------------------------------------------------------

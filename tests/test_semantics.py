@@ -12,6 +12,7 @@ from conftest import (
     naive_sat,
     over_universal,
     random_formula,
+    reference_evaluate,
 )
 
 from sltl import psl, search
@@ -51,6 +52,7 @@ from sltl.syntax import (
     parse,
     simplify,
     size,
+    subformulas,
     to_text,
     vocab,
 )
@@ -175,6 +177,52 @@ def test_evaluate_matches_the_clause_by_clause_reference():
                 got = [evaluate(model, tid, k, f) for k in range(model.length)]
                 assert got == reference.vector(tid, f), (to_text(f), model_to_json(model, tid))
     assert {Sharper, DiamondS, BoxS, Next, Until} <= seen
+
+
+def _random_model(rng: random.Random) -> SLTLModel:
+    """1 to 4 traces over ``p`` and ``q``, of prefix 0 to 2 and period 1 to
+    3, and random non-empty extents for ``@s`` and ``@t``."""
+    ids = [f"t{i}" for i in range(rng.randint(1, 4))]
+    prefix, period = rng.randint(0, 2), rng.randint(1, 3)
+    traces = {}
+    for tid in ids:
+        vals = [frozenset(p for p in ("p", "q") if rng.random() < 0.5) for _ in range(prefix + period)]
+        traces[tid] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))
+    lam = {UNIVERSAL: frozenset(ids)}
+    for sp in (S, T):
+        lam[sp] = frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+    return SLTLModel(traces, lam, prefix, period)
+
+
+def test_evaluate_matches_the_list_based_reference():
+    # one mask over every (trace, node) cell against one mask per trace:
+    # every subformula, at every trace, at positions 0 to L + 1, which
+    # wrap around the period
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(2000):
+        model = _random_model(rng)
+        f = random_formula(rng, rng.randint(1, 4))
+        for g in subformulas(f):
+            seen.add(type(g))
+            for tid in model.traces:
+                for k in range(model.length + 2):
+                    got, want = evaluate(model, tid, k, g), reference_evaluate(model, tid, k, g)
+                    assert got == want, (to_text(g), tid, k, model_to_json(model, tid))
+    assert {Sharper, DiamondS, BoxS, Next, Until, And, Or} <= seen
+
+
+@pytest.mark.parametrize("check", [evaluate, reference_evaluate], ids=["packed", "reference"])
+def test_evaluate_errors_name_what_the_model_lacks(check):
+    m = single_trace_model({"p"})
+    with pytest.raises(ModelError, match="^unknown trace id 'nope'$"):
+        check(m, "nope", 0, Prop("p"))
+    with pytest.raises(ModelError, match="^positions are natural numbers$"):
+        check(m, "t0", -1, Prop("p"))
+    with pytest.raises(ModelError, match="^standpoint @s is not assigned in the model$"):
+        check(m, "t0", 0, parse("p & <@s> p"))
+    with pytest.raises(ModelError, match="^standpoint @t is not assigned in the model$"):
+        check(m, "t0", 0, Sharper(UNIVERSAL, T))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,12 @@ from sltl.syntax import (
     Sharper,
     Standpoint,
     UNIVERSAL,
+    Until,
+    always,
     classify,
     Fragment,
     closure,
+    eventually,
     neg,
     parse,
     simplify,
@@ -232,6 +235,25 @@ def test_a_one_cell_hit_walks_its_input_once(monkeypatch):
         v = solve(f)
         assert (v.status, v.engine) == ("sat", "oracle")
         assert walked == [(f,)], text
+
+
+def test_a_full_sltl_miss_walks_its_input_and_its_folding_once_each(monkeypatch):
+    # the bounded search's vocabulary and its engine's compile read one
+    # memoised walk of the folded input
+    walked = []
+    real = syntax._walk
+
+    def counting(roots, known):
+        walked.append((roots, known))
+        return real(roots, known)
+
+    monkeypatch.setattr(syntax, "_walk", counting)
+    f = parse("(<@s> X p & true) & [@s] X !p")  # p & !p on one cell
+    opts = SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 1))
+    v = solve(f, opts)
+    phi = simplify(f)
+    assert (v.fragment, v.status) == (Fragment.FULL_SLTL, "unknown") and phi != f
+    assert walked == [((f,), ()), ((phi,), ())]
 
 
 def test_the_search_after_constant_folding_finds_the_same_model():
@@ -812,3 +834,23 @@ def test_temporal_verdicts_match_the_tableau_reference():
     assert decided >= 300 and unsat >= 20 and skipped <= 30
     assert ran["sat"] >= 450 and ran["unsat"] >= 5
     assert elapsed < 10
+    # unsat inputs that constant folding leaves to the emptiness check, over
+    # random operands: an Until that no run fulfils has initial states, and
+    # the search exhausts them with no accepting cycle; G g & F !g has none
+    rng = random.Random(1313)
+    for i in range(120):
+        mode = ("ltl_psl", "ltl")[i % 2]
+        g, h = random_formula(rng, 2 + i % 2, mode=mode), random_formula(rng, 2, mode=mode)
+        f = (
+            And(Until(h, neg(g)), always(g)),
+            And(always(eventually(g)), Until(h, always(neg(g)))),
+            And(Until(h, g), always(neg(g))),
+            And(always(g), eventually(neg(g))),
+        )[i % 4]
+        assert ltl_psl_reference_sat(f) is False, to_text(f)
+        assert solve(f).status == "unsat", to_text(f)
+        v = routed(f)
+        assert (v.status, v.engine) == ("unsat", "automaton"), to_text(f)
+        ran["unsat"] += simplify(f) != BOTTOM
+    print(f"automaton runs with the unsat inputs: {ran}")
+    assert ran["unsat"] >= 40

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import S, T, random_formula, iter_models
+from conftest import S, T, iter_models, random_dag, random_formula, reference_closure, reference_vocab
 
 from sltl.semantics import check_product_formula, evaluate
 from sltl.syntax import (
@@ -37,6 +37,7 @@ from sltl.syntax import (
     neg,
     nodes,
     parse,
+    program,
     rebuild,
     simplify,
     size,
@@ -667,6 +668,50 @@ def test_rewrites_of_a_deep_iff_chain_are_linear():
         started = time.perf_counter()
         _rewrites(f)
         assert time.perf_counter() - started < 1
+
+
+def test_vocab_and_closure_of_shared_dags_match_the_occurrence_scans():
+    # the walk visits each distinct subformula once and gives what a scan
+    # of every occurrence gave, on DAGs whose subterm objects are shared
+    # and whose equal subterms are sometimes distinct objects
+    rng = random.Random(8080)
+    shared = copies = 0
+    fragments = set()
+    for _ in range(3000):
+        f = random_dag(rng, rng.randint(1, 14))
+        assert vocab(f) == reference_vocab(f), to_text(f)
+        assert closure(f).formulas == reference_closure(f), to_text(f)
+        distinct = len(subformulas(f))
+        shared += size(f) > distinct
+        copies += len({id(g) for g in nodes(f)}) > distinct
+        fragments.add(classify(f))
+    assert shared >= 2000 and copies >= 400 and len(fragments) == 4, (shared, copies)
+
+
+def test_program_gives_each_subformula_the_positions_of_its_children():
+    rng = random.Random(77)
+    for _ in range(300):
+        f = random_dag(rng, rng.randint(0, 10))
+        subs, left, right = program(f)
+        assert program(f) is program(f) and subformulas(f) is subs and subs[-1] is f
+        for i, (g, a, b) in enumerate(zip(subs, left, right)):
+            kids = [c for c in (a, b) if c >= 0]
+            assert [subs[c] for c in kids] == list(children(g)), to_text(g)
+            assert all(c < i for c in kids) and (b < 0 or a >= 0)
+
+
+def test_a_40_link_iff_chain_classifies_and_closes_at_once():
+    # about 2^40 occurrences, five node objects a level; each check walks
+    # a chain of its own, so neither reads a walk the other memoised
+    started = time.perf_counter()
+    assert classify(_iff_chain(40)) is Fragment.PSL
+    assert time.perf_counter() - started < 0.1
+    phi = simplify(_iff_chain(40))
+    started = time.perf_counter()
+    cl = closure(phi)
+    assert time.perf_counter() - started < 0.1
+    # no modality and no Until: every subformula is a member
+    assert set(cl.formulas) == set(subformulas(phi)) and cl.formulas[-1] is phi
 
 
 def test_nodes_is_left_to_right_pre_order_and_fold_post_order():
