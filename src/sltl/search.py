@@ -5,9 +5,10 @@ the bounded search.
 partially assigned lasso; the PSL grid search, the automaton's state
 enumeration and the bounded search here all prune with it.  The bounded
 search is a brute-force satisfiability search: exhaustive within its
-bounds, sound for SAT, inconclusive for UNSAT; ``one_cell_model``
-decides its first stratum, one trace of one position, by truth table,
-with no engine.  Nothing here checks a
+bounds, sound for SAT, inconclusive for UNSAT.  It decides every
+one-position stratum by truth table, with no engine (``_table_stratum``),
+and ``one_cell_model`` is that table's one-trace case, the search's first
+stratum, which ``solve`` tries on every input.  Nothing here checks a
 model: ``solve`` checks every witness with ``semantics.evaluate``, which
 imports nothing of this module, and this module takes only the model
 classes from ``semantics``.
@@ -15,6 +16,7 @@ classes from ``semantics``.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Sequence
 
 from .semantics import SLTLModel, UPTrace
@@ -43,7 +45,9 @@ from .syntax import (
 DEFAULT_NODE_LIMIT = 10_000_000
 # ``one_cell_model`` skips a formula whose masks could hold more bits in
 # total than this: ``size(f) * 2^props``, of the formula it reads; ``solve``
-# gives it the input before constant folding
+# gives it the input before constant folding.  The bounded search sends a
+# one-position stratum to the engine, not the table, when the bits of its
+# tables, ``size(f) * read traces * 2^(read traces * props)``, exceed it
 ONE_CELL_BITS = 1 << 20
 
 
@@ -112,10 +116,10 @@ class IntervalEngine:
     mask (bit ``t``: trace ``t`` is in it), becomes a cell mask in the
     modal instructions, each sharpening atom folds to a constant and
     ``TOP`` to the mask of every cell.  The constructor binds ``extents``;
-    the bounded search compiles one engine per value of ``L == 1``, and
-    reshapes and rebinds it for every shape and standpoint assignment.  ``sweep``
-    interprets the bound instructions.  Leaves are the formulas of the
-    ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
+    the bounded search compiles one engine per value of ``L == 1`` that
+    it needs, and reshapes and rebinds it for every shape and standpoint
+    assignment.  ``sweep`` interprets the bound instructions.  Leaves are
+    the formulas of the ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
     names.  The compile is one pass over ``subformulas(*formulas,
     known=leaves)``, one instruction per formula; an Until whose companion
     ``X(a U b)`` is a leaf gets the two of ``b | (a & X(a U b))``, which
@@ -125,11 +129,15 @@ class IntervalEngine:
     empty in a completion.
 
     Three searches run on it: ``bounded_search`` below (propositions as
-    leaves, every trace present), the PSL grid search of
+    leaves, every trace present) on lassos of two or more positions, and
+    on a one-position stratum only when its truth table would exceed
+    ``ONE_CELL_BITS``; the PSL grid search of
     ``psl.CompiledGrid`` (a one-position lasso whose traces are the grid's
     (column, valuation) types, with presence masks), and the state
     enumeration of ``automaton.StateSpace`` (one cell per assignment of the
-    last branch members, the closure's base members as leaves).
+    last branch members, the closure's base members as leaves).  The
+    grid search and the state enumeration sweep one-position engines, and
+    their ops keep the first places in ``sweep``'s chain of tests.
     """
 
     def __init__(
@@ -209,6 +217,8 @@ class IntervalEngine:
         self.folds = tuple(
             L << j for j in range(t_count.bit_length()) if 1 << j < t_count
         )
+        # what ``sweep`` reads of the shape, loaded there at once
+        self.constants = (self.full, block, self.repl, self.keep, self.folds, prefix, L - 1)
 
     def bind(self, extents: dict[Standpoint, int]) -> None:
         """Bind the program to one standpoint assignment: each standpoint's
@@ -245,11 +255,16 @@ class IntervalEngine:
         ``tm``/``fm`` hold per leaf the cells assigned true/false;
         ``present``/``possible`` are the cells of the traces that are
         definitely/possibly present, which only a one-position lasso reads.
+        ``X`` moves each bit to the node before it within its trace (the
+        last node reads the first node of the period), ``U`` is the least
+        fixpoint of ``u = b | (a & X u)``, and a multi-position modal op
+        ORs every trace's masked block into block 0 and copies it to every
+        trace.
         """
         count = len(self.instrs)
         lo = [0] * count
         hi = [0] * count
-        full = self.full
+        full, block, repl, keep, folds, prefix, last = self.constants
         for i, (op, a, b, aux) in enumerate(self.instrs):
             if op == _OP_LEAF:
                 lo[i] = tm[aux]
@@ -273,35 +288,28 @@ class IntervalEngine:
                 hi[i] = 0 if ~hi[a] & aux & present or not hi[a] & aux & possible else full
             elif op == _OP_CONST:
                 lo[i], hi[i] = aux
-            elif op == _OP_SOME_AT:
-                lo[i] = self._spread(lo[a] & aux)
-                hi[i] = self._spread(hi[a] & aux)
-            elif op == _OP_ALL_AT:
-                lo[i] = full ^ self._spread(~lo[a] & aux)
-                hi[i] = full ^ self._spread(~hi[a] & aux)
+            elif op == _OP_SOME_AT or op == _OP_ALL_AT:
+                # a box is the dual of a diamond: it flips its operand's
+                # bits and its own
+                flip = 0 if op == _OP_SOME_AT else full
+                x, y = (lo[a] ^ flip) & aux, (hi[a] ^ flip) & aux
+                for sh in folds:
+                    x |= x >> sh
+                    y |= y >> sh
+                lo[i] = (x & block) * repl ^ flip
+                hi[i] = (y & block) * repl ^ flip
             elif op == _OP_NEXT:
-                lo[i] = self._next(lo[a])
-                hi[i] = self._next(hi[a])
+                x, y = lo[a], hi[a]
+                lo[i] = x >> 1 & keep | (x >> prefix & repl) << last
+                hi[i] = y >> 1 & keep | (y >> prefix & repl) << last
             else:
-                lo[i] = self._until(lo[a], lo[b])
-                hi[i] = self._until(hi[a], hi[b])
+                for bound in lo, hi:
+                    x, y = bound[a], bound[b]
+                    u, step = 0, y
+                    while step != u:
+                        u, step = step, y | x & (step >> 1 & keep | (step >> prefix & repl) << last)
+                    bound[i] = u
         return lo, hi
-
-    def _spread(self, m: int) -> int:
-        """Every trace gets, at each node, the OR of ``m`` over all traces."""
-        for sh in self.folds:
-            m |= m >> sh
-        return (m & self.block0) * self.repl
-
-    def _next(self, m: int) -> int:
-        return ((m >> 1) & self.keep) | (((m >> self.prefix) & self.repl) << (self.L - 1))
-
-    def _until(self, a: int, b: int) -> int:
-        """Least fixpoint of ``u = b | (a & X u)``."""
-        u, step = 0, b
-        while step != u:
-            u, step = step, b | (a & self._next(step))
-        return u
 
 
 def cells_with_bit(n: int, i: int) -> int:
@@ -322,7 +330,7 @@ def _search_stratum(
     engine: IntervalEngine,
     f: Formula,
     n_props: int,
-    reach: set[int],
+    reach: list[int],
     prev: dict[int, int],
     budget: list[int],
 ) -> list[int] | None:
@@ -355,7 +363,7 @@ def _search_stratum(
     backtracking restores nothing.  Only a false value can be forbidden,
     and the cell then takes true at no extra node.
     """
-    L, prefix, every = engine.L, engine.prefix, engine.full
+    L, prefix, every, block = engine.L, engine.prefix, engine.full, engine.block0
     sweep, root = engine.sweep, engine.slot[f]
     node_order = [0, *range(max(prefix, 1), L), *range(1, prefix)]
     # proposition, cell bit, trace, and the cell bit of prev[trace] or 0
@@ -365,7 +373,7 @@ def _search_stratum(
         for t in sorted(reach)
         for p in range(n_props)
     ]
-    unread = every ^ sum(engine.block0 << (t * L) for t in reach)
+    unread = every ^ sum(block << (t * L) for t in reach)
     tm, fm = [0] * n_props, [unread] * n_props
     lt_at = dict.fromkeys(prev, len(cells))
     i = 0
@@ -456,36 +464,61 @@ def _lambda_assignments(n_sps: int, t_count: int, renamed: int) -> Iterator[tupl
             untried.append(1)
 
 
-def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
-    """The model of ``f`` with one trace and one position, from the least
-    valuation that satisfies it, or None: none does, or the check is
-    skipped because ``size(f) * 2^props``, the bits of all its truth
-    tables, exceeds ``ONE_CELL_BITS``.
+@functools.lru_cache(maxsize=16)
+def _table_masks(n_props: int, n_traces: int) -> tuple[int, ...]:
+    """Each proposition's mask in a truth table of ``n_traces`` read
+    traces: bit ``v`` of block ``k`` is set when valuation ``v`` makes the
+    proposition true at read trace ``k``.  A valuation has one bit per
+    (read trace, proposition) cell, trace-major, the first cell its most
+    significant bit.  The masks depend on the two counts alone, so the
+    strata of a search, and inputs with as many propositions, share them
+    from a small cache.  They are built only for tables within
+    ``ONE_CELL_BITS``, of a formula with a node per proposition, so no
+    entry holds more bits than that cap."""
+    width = n_traces * n_props
+    rows = 1 << width
+    return tuple(
+        sum(cells_with_bit(rows, width - 1 - k * n_props - i) << k * rows for k in range(n_traces))
+        for i in range(n_props)
+    )
 
-    On such a model every extent is the one trace, so ``<@s> a``,
-    ``[@s] a`` and ``X a`` mean ``a``, ``a U b`` means ``b`` and every
-    sharpening atom holds: ``f`` is a propositional formula, constants
-    included, so it need not be folded first.  One loop over the flat
-    ``program`` of ``f``, children first, gives each subformula its truth
-    table, a mask over the valuations of the propositions ``f`` reads (its
-    memoised ``vocab``), in a list beside the program, where a
-    connective finds its operands' tables by position.  The least set bit
-    of the root's table is the first model of the bounded search's
-    stratum (1, 0, 1): the first proposition is the most significant bit
-    of a valuation, and false comes before true.  The model is the one that
-    search returns: trace ``t0``, prefix 0, period 1 and every extent
-    ``{t0}``.  The program and the vocabulary come from one walk of ``f``,
-    memoised on it, so the witness check of a hit (``semantics.evaluate``
-    on the same ``f``) walks nothing again.
+
+def _root_table(
+    f: Formula, props: list[str], traces: list[int], extents: dict[Standpoint, int] | None
+) -> int:
+    """The truth table of ``f`` at the first of ``traces`` on a model of
+    one position: bit ``v`` is set when valuation ``v`` satisfies it there.
+
+    ``props`` are the propositions ``f`` reads, sorted, and ``traces`` the
+    traces the stratum reads, ascending: every modal extent, plus trace 0
+    unless ``f`` is trace-independent (trace 0 alone when that leaves
+    none).  ``extents`` maps each standpoint of ``f`` to its extent, a
+    trace mask, or is None for a model of one trace, where every extent is
+    that trace.  The other traces are false throughout.  A valuation
+    assigns each (read trace, proposition) cell as ``_table_masks`` lays
+    them out, the cell order of ``_search_stratum``.  One loop over the
+    flat ``program`` of ``f``, children first, gives each subformula one
+    mask of one block per read trace, bit ``v`` of a block its truth at
+    that trace under valuation ``v``; a connective finds its operands'
+    masks by position.  On one position ``X a`` is ``a`` and ``a U b`` is
+    ``b``; a modality ORs (diamond) or ANDs (box) the blocks of its
+    extent's traces and copies the result to every block, as
+    ``semantics.evaluate`` does, and with one read trace, its whole
+    extent, it is its operand; a sharpening atom is a constant of
+    ``extents``, true on a model of one trace.
     """
-    voc = vocab(f)
-    props = sorted(voc.props)
-    n = len(props)
-    if size(f) << n > ONE_CELL_BITS:
-        return None
-    cells = 1 << n
-    full = (1 << cells) - 1
-    masks = {p: cells_with_bit(cells, n - 1 - i) for i, p in enumerate(props)}
+    rows = 1 << len(traces) * len(props)  # valuations, the bits of a block
+    full = block = (1 << rows) - 1
+    masks = dict(zip(props, _table_masks(len(props), len(traces))))
+    single = len(traces) == 1
+    if not single:
+        span = len(traces) * rows
+        full = (1 << span) - 1
+        # the block offsets of each standpoint's extent
+        shifts = {
+            sp: [k * rows for k, t in enumerate(traces) if ext >> t & 1]
+            for sp, ext in extents.items()
+        }
     tables: list[int] = []  # by list position
     for g, a, b in zip(*program(f)):
         cls = type(g)
@@ -500,18 +533,92 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
         elif cls is Until:
             t = tables[b]
         elif a >= 0:  # X, a diamond or a box
-            t = tables[a]
+            if single or cls is Next:
+                t = tables[a]
+            else:
+                # a box is the dual of a diamond: it flips its operand's
+                # bits and its own
+                flip = full if cls is BoxS else 0
+                operand, m = tables[a] ^ flip, 0
+                for sh in shifts[g.standpoint]:
+                    m |= operand >> sh & block
+                # copied to every block by doubling: a product with a
+                # replicator costs more than linear time on wide tables
+                w = rows
+                while w < span:
+                    m |= m << w
+                    w <<= 1
+                t = m & full ^ flip
         elif cls is Bottom:
             t = 0
-        else:  # true and a sharpening atom hold
+        elif extents is None or cls is Top:
             t = full
+        else:
+            right = extents[g.right]
+            t = full if extents[g.left] | right == right else 0
         tables.append(t)
-    table = tables[-1]
+    return tables[-1] & block
+
+
+def _table_stratum(
+    f: Formula, props: list[str], traces: list[int], extents: dict[Standpoint, int]
+) -> list[int] | None:
+    """The first valuation of a one-position stratum that satisfies ``f``
+    at trace 0, as one mask of true traces per proposition of ``props``,
+    or None: by truth table (``_root_table``), with no engine.
+
+    The least set bit of the root's table, read at trace 0 or, for a
+    trace-independent ``f``, at a trace where it equals every trace's, is
+    the lex-least valuation that satisfies ``f``: the first model of
+    ``_search_stratum``, whose symmetry check never forbids it.
+    """
+    table = _root_table(f, props, traces, extents)
+    if not table:
+        return None
+    v = (table & -table).bit_length() - 1
+    n = len(props)
+    width = len(traces) * n
+    tm = [0] * n
+    while v:  # its true cells, from the most significant
+        top = v.bit_length() - 1
+        k, i = divmod(width - 1 - top, n)
+        tm[i] |= 1 << traces[k]
+        v ^= 1 << top
+    return tm
+
+
+def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
+    """The model of ``f`` with one trace and one position, from the least
+    valuation that satisfies it, or None: none does, or the check is
+    skipped because ``size(f) * 2^props``, the bits of all its truth
+    tables, exceeds ``ONE_CELL_BITS``.
+
+    It is the bounded search's first stratum (1, 0, 1), decided as that
+    search decides every one-position stratum, by ``_root_table``'s
+    truth table, in its one-trace case: every extent is the one trace, so
+    ``<@s> a``, ``[@s] a`` and ``X a`` mean ``a``, ``a U b`` means ``b``
+    and every sharpening atom holds.  ``f`` is a propositional formula
+    there, constants included, so it need not be folded first.  The table
+    is a mask over the valuations of the propositions ``f`` reads (its
+    memoised ``vocab``), the first proposition the most significant bit,
+    and the least set bit of the root's table is the model the search
+    returns: trace ``t0``, prefix 0, period 1 and every extent ``{t0}``.
+    The program and the vocabulary come from one walk of ``f``, memoised
+    on it, so the witness check of a hit (``semantics.evaluate`` on the
+    same ``f``) walks nothing again.
+    """
+    voc = vocab(f)
+    props = sorted(voc.props)
+    n = len(props)
+    if size(f) << n > ONE_CELL_BITS:
+        return None
+    table = _root_table(f, props, [0], None)
     if not table:
         return None
     cell = (table & -table).bit_length() - 1
     valuation = frozenset(p for i, p in enumerate(props) if cell >> (n - 1 - i) & 1)
-    lam = dict.fromkeys(voc.standpoints | {UNIVERSAL}, frozenset({"t0"}))
+    # a formula with a standpoint construct lists the universal one too
+    lam = dict.fromkeys(voc.standpoints or (UNIVERSAL,), frozenset({"t0"}))
     return SLTLModel({"t0": UPTrace((), (valuation,))}, lam, 0, 1), "t0"
 
 
@@ -535,22 +642,30 @@ def bounded_search(
     at any assignment and designated trace is, renamed, a model at ``t0``
     and a kept assignment of the same stratum: the first stratum with a
     model, and the first model when it designates ``t0``, are those of the
-    search over every assignment and designated trace.  The search prunes
-    with interval bounds but visits witnesses in the plain enumeration
-    order, so the first one returned is deterministic.  The interval engine
-    is compiled once per value of ``prefix + period == 1``, reshaped to
-    each (trace count, prefix, period) shape and bound to each kept
-    assignment of that shape in turn.  Kept assignments are made
-    as the search reaches them, and every stratum costs the budget a
-    node, so a search over many standpoints exits at its node limit rather
-    than listing every assignment first.  Which traces a stratum reads is
-    decided by the formula's ``Vocabulary``, and the engine compiles over
-    the list of its ``program``, both from the one walk of ``f``.  The
-    first stratum, one trace of one position, is ``one_cell_model``'s,
-    which ``solve`` tries first; after a miss there the search still
-    walks it, so that its node counts do not depend on its caller.  The
-    formula ``false``, which constant folding makes of an input with no
-    model on any shape, has no model within any bounds: it answers None at
+    search over every assignment and designated trace.
+
+    A stratum of one position (prefix 0, period 1) is decided by truth
+    table (``_table_stratum``), in one node, unless its tables would hold
+    more than ``ONE_CELL_BITS`` bits: ``size(f)`` masks of one block of
+    ``2^(read traces * props)`` bits per read trace.  Its least satisfying
+    valuation is the first witness of the engine's walk, so the model does
+    not depend on which decides it.  The first stratum, one trace of one
+    position, is ``one_cell_model``'s, which ``solve`` tries first on the
+    unfolded input; after a miss there the search decides it again, on the
+    folded input, in one node.  Every
+    other stratum is walked with the interval engine, which prunes with
+    interval bounds but visits witnesses in the plain enumeration order,
+    so the first one returned is deterministic.  The engine is compiled
+    only when a stratum needs it, once per value of ``prefix + period ==
+    1``, reshaped to each (trace count, prefix, period) shape and bound to
+    each kept assignment of that shape in turn.  Kept assignments are made
+    as the search reaches them, and every stratum costs the budget at
+    least a node, so a search over many standpoints exits at its node
+    limit rather than listing every assignment first.  Which traces a
+    stratum reads is decided by the formula's ``Vocabulary``, and the
+    table and the engine read the list of its ``program``, both from the
+    one walk of ``f``.  The formula ``false``, which constant folding
+    makes of an input with no model on any shape, has no model within any bounds: it answers None at
     once, with no engine compiled and no node spent.  The model is not
     checked here: ``solve`` checks every witness it returns, and a direct
     caller can with ``solver.check_witness``.
@@ -572,6 +687,7 @@ def bounded_search(
     # cells for the propositions ``f`` reads; the rest are false throughout
     props = sorted(voc.props)
     leaves = {Prop(p): i for i, p in enumerate(props)}
+    f_size = size(f)
     engines: dict[bool, IntervalEngine] = {}  # by prefix + period == 1
     for t_count in range(1, max_traces + 1):
         ids = range(t_count)
@@ -586,21 +702,29 @@ def bounded_search(
                     read = 0 if independent else 1
                     for sp in voc.modal:
                         read |= lam_idx[sp]
-                    reach = {t for t in ids if read >> t & 1}
-                    # each read trace but t0 to the one before it with its profile
-                    prev, last = {}, {}
-                    for t in sorted(reach - {0}):
-                        profile = tuple(ext >> t & 1 for ext in combo)
-                        if profile in last:
-                            prev[t] = last[profile]
-                        last[profile] = t
-                    if engine is None:
-                        engine = engines[one] = IntervalEngine(
-                            [f], t_count, prefix, period, lam_idx, leaves
-                        )
+                    reach = [t for t in ids if read >> t & 1]
+                    blocks = len(reach) or 1  # a truth table's, one per read trace
+                    if one and f_size * blocks << blocks * len(props) <= ONE_CELL_BITS:
+                        budget[0] -= 1
+                        if budget[0] < 0:
+                            raise SearchLimitError(budget[1])
+                        tm = _table_stratum(f, props, reach or [0], lam_idx)
                     else:
-                        engine.bind(lam_idx)
-                    tm = _search_stratum(engine, f, len(leaves), reach, prev, budget)
+                        # each read trace but t0 to the one before it with its profile
+                        prev, last = {}, {}
+                        for t in reach:
+                            if t:
+                                profile = tuple(ext >> t & 1 for ext in combo)
+                                if profile in last:
+                                    prev[t] = last[profile]
+                                last[profile] = t
+                        if engine is None:
+                            engine = engines[one] = IntervalEngine(
+                                [f], t_count, prefix, period, lam_idx, leaves
+                            )
+                        else:
+                            engine.bind(lam_idx)
+                        tm = _search_stratum(engine, f, len(leaves), reach, prev, budget)
                     if tm is not None:
                         L = prefix + period
                         traces = {}
@@ -616,4 +740,3 @@ def bounded_search(
                         }
                         return SLTLModel(traces, lam, prefix, period), "t0"
     return None
-

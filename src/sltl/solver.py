@@ -147,8 +147,9 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     ``f`` itself, whose ``vocab`` ``classify`` has just memoised): one
     trace, one position, read by truth table.  A hit is a sat verdict of
     engine ``oracle``, the name of the bounded search, whose first stratum
-    it is: a FullSLTL hit keeps the bounds that search would have had, the
-    other fragments get the bounds (1, 0, 1).  It is the model that the
+    it is, decided by the same table that decides every one-position
+    stratum of that search: a FullSLTL hit keeps the bounds that search
+    would have had, the other fragments get the bounds (1, 0, 1).  It is the model that the
     check on ``simplify(f)`` would find: folding keeps truth in every
     model, so both have one truth table; the least valuation that
     satisfies it keeps the propositions that folding drops false; and the
@@ -201,10 +202,9 @@ def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verd
     unsat.  A ``phi`` that is ``false`` is answered by each engine at its
     entry, with no state space, no compiled engine and no node spent:
     unsat by the automaton, unknown within the same bounds by the search.
-    ``solve`` calls it only after the one-cell check on ``f`` missed, so
-    the search starts at the stratum (1, 0, 1) that the check has just
-    refuted (or skipped at its cap), and walks it again: skipping it would
-    change the search's node counts, and it is the cheapest stratum.
+    ``solve`` calls it only after the one-cell check on ``f`` missed; the
+    search decides that stratum, (1, 0, 1), by the same truth table on
+    ``phi``, in one node.
     """
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.

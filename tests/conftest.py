@@ -877,3 +877,18 @@ def routed(f: Formula, opts=None):
     v = _route(f, simplify(f), classify(f), opts or SolveOptions())
     assert not v.is_sat or check_witness(f, v.model, v.designated)
     return v
+
+
+def engine_stratum(f: Formula, t_count: int, extents: dict, reach, prev: dict):
+    """The interval engine's walk of the one-position stratum (``t_count``,
+    0, 1) under ``extents`` (trace masks by standpoint): an engine
+    compiled for that shape and ``search._search_stratum``, the walk the
+    bounded search takes only where a stratum's truth table would exceed
+    its cap.  The first model as one mask of true traces per proposition of
+    ``f`` (sorted), or None.  ``reach`` and ``prev`` are the stratum's
+    read traces and its pairs of interchangeable traces."""
+    from sltl import search
+
+    leaves = {Prop(p): i for i, p in enumerate(sorted(vocab(f).props))}
+    engine = search.IntervalEngine([f], t_count, 0, 1, extents, leaves)
+    return search._search_stratum(engine, f, len(leaves), reach, prev, [10**9, 10**9])

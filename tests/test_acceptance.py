@@ -28,7 +28,7 @@ from conftest import (
 )
 
 from sltl import psl
-from sltl.search import SearchBounds, bounded_search
+from sltl.search import SearchBounds, bounded_search, one_cell_model
 from sltl.semantics import SLTLModel, UPTrace, check_product_formula, evaluate
 from sltl.solver import check_witness, solve
 from sltl.syntax import (
@@ -207,10 +207,14 @@ def test_criterion_04_grid_shape():
 def test_criterion_05_psl_completeness_micro_corpus():
     started = time.time()
     count = 0
+    # one-cell hits and misses in each part, so that the oracle sees both
+    # sides of the truth-table check
+    cells = {"exhaustive": [0, 0], "sampled": [0, 0]}  # [hits, misses]
     for f in enumerate_psl_formulas(5):
         want = psl_brute_sat(f)
         assert solve(f).is_sat == want, to_text(f)
         assert routed(f).is_sat == want, to_text(f)
+        cells["exhaustive"][one_cell_model(f) is None] += 1
         count += 1
     rng = random.Random(5150)
     sampled = 0
@@ -223,8 +227,12 @@ def test_criterion_05_psl_completeness_micro_corpus():
         want = psl_brute_sat(f)
         assert solve(f).is_sat == want, to_text(f)
         assert routed(f).is_sat == want, to_text(f)
+        cells["sampled"][one_cell_model(f) is None] += 1
         sampled += 1
     elapsed = time.time() - started
+    print(f"one-cell [hits, misses]: {cells}")
+    assert cells["exhaustive"][0] >= 20000 and cells["exhaustive"][1] >= 8400
+    assert cells["sampled"][0] >= 1500 and cells["sampled"][1] >= 450
     assert elapsed < 300, f"micro-corpus run took {elapsed:.0f}s"
     report(
         5,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -8,6 +9,8 @@ from conftest import (
     ReferenceEvaluator,
     S,
     T,
+    U,
+    engine_stratum,
     iter_models,
     naive_sat,
     over_universal,
@@ -40,6 +43,7 @@ from sltl.syntax import (
     BoxS,
     DiamondS,
     Next,
+    Not,
     Or,
     Prop,
     Sharper,
@@ -350,6 +354,7 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
     cases.append((cross, b, found and model_to_json(*found)))
 
     paired = []
+    tables = [0]
     real = search._search_stratum
 
     def plain_search(engine, f, n_props, reach, prev, budget):
@@ -357,35 +362,55 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
         paired.append(bool(prev))
         return real(engine, f, n_props, reach, {}, budget)
 
+    def plain_table(f, props, traces, extents):
+        """A one-position stratum walked by the plain enumeration, where
+        the search reads its truth table."""
+        tables[0] += 1
+        return engine_stratum(f, extents[UNIVERSAL].bit_length(), extents, traces, {})
+
     monkeypatch.setattr(search, "_search_stratum", plain_search)
+    monkeypatch.setattr(search, "_table_stratum", plain_table)
     for f, b, expected in cases:
         found = bounded_search(f, b)
         assert (found and model_to_json(*found)) == expected, str(f)
     assert any(paired), "no stratum had interchangeable traces"
+    assert tables[0] > 100
     assert sum(w is not None and len(w["traces"]) == 3 for _, _, w in cases) > 30
+    # of those, witnesses of one position come from a table stratum
+    assert sum(
+        w is not None and len(w["traces"]) == 3 and w["prefix_len"] + w["period_len"] == 1
+        for _, _, w in cases
+    ) > 10
 
 
 @pytest.mark.parametrize("f, bounds, nodes", [
-    (parse("p & <@s> X q & [@s] X !q"), (3, 1, 1), 3367),
-    (recurring_counter_formula(1), (4, 1, 1), 8568),
+    (parse("p & <@s> X q & [@s] X !q"), (3, 1, 1), 3250),
+    (recurring_counter_formula(1), (4, 1, 1), 8264),
 ])
 def test_search_spends_one_node_per_sweep(monkeypatch, f, bounds, nodes):
-    # neither has a model in its bounds, so every node is visited; a
-    # symmetry check that forbids more or fewer valuations than the
-    # unsorted ones changes the counts
+    # neither has a model in its bounds, so every node is visited: one per
+    # engine sweep and one per one-position stratum decided by truth
+    # table; a symmetry check that forbids more or fewer valuations than
+    # the unsorted ones changes the counts
     b = SearchBounds.for_formula(f, *bounds)
     with pytest.raises(SearchLimitError):
         bounded_search(f, b, node_limit=nodes - 1)
-    sweeps = [0]
-    sweep = IntervalEngine.sweep
+    spent = {"sweeps": 0, "tables": 0}
+    sweep, table = IntervalEngine.sweep, search._table_stratum
 
     def counted_sweep(self, *args):
-        sweeps[0] += 1
+        spent["sweeps"] += 1
         return sweep(self, *args)
 
+    def counted_table(*args):
+        spent["tables"] += 1
+        return table(*args)
+
     monkeypatch.setattr(IntervalEngine, "sweep", counted_sweep)
+    monkeypatch.setattr(search, "_table_stratum", counted_table)
     assert bounded_search(f, b, node_limit=nodes) is None
-    assert sweeps[0] == nodes
+    assert spent["sweeps"] + spent["tables"] == nodes
+    assert spent["tables"] > 0
 
 
 def _search_every_assignment(f, bounds):
@@ -452,16 +477,18 @@ def test_one_stratum_per_renaming_class_finds_the_same_stratum():
 ])
 def test_strata_are_searched_once_per_renaming_class(monkeypatch, f, bounds, strata):
     # none of the three has a model in its bounds, so every kept stratum
-    # is searched: over every assignment and designated trace they would
-    # be 56, 52 and 166
+    # is searched, by the engine or, on one position, by truth table: over
+    # every assignment and designated trace they would be 56, 52 and 166
     searched = [0]
-    real = search._search_stratum
 
-    def counted_search(*args):
-        searched[0] += 1
-        return real(*args)
+    def counted(real):
+        def counted_search(*args):
+            searched[0] += 1
+            return real(*args)
+        return counted_search
 
-    monkeypatch.setattr(search, "_search_stratum", counted_search)
+    monkeypatch.setattr(search, "_search_stratum", counted(search._search_stratum))
+    monkeypatch.setattr(search, "_table_stratum", counted(search._table_stratum))
     assert bounded_search(f, SearchBounds.for_formula(f, *bounds)) is None
     assert searched[0] == strata
 
@@ -555,8 +582,8 @@ def test_propositions_the_input_does_not_read_cost_no_node(props):
     b = SearchBounds(2, 1, 2, props)
     f = parse("<@s> X p & [@s] X !p")
     with pytest.raises(SearchLimitError):
-        bounded_search(f, b, node_limit=121)
-    assert bounded_search(f, b, node_limit=122) is None
+        bounded_search(f, b, node_limit=113)
+    assert bounded_search(f, b, node_limit=114) is None
     g = parse("G <@s> (p & X !p)")
     found = bounded_search(g, b)
     assert model_to_json(*found) == model_to_json(*bounded_search(g, SearchBounds(2, 1, 2, ("p",))))
@@ -663,6 +690,115 @@ def test_one_cell_check_at_its_cap():
     assert one_cell_model(over) is None
     v = solve(over)
     assert (v.status, v.engine) == ("sat", "automaton")
+
+
+# ---------------------------------------------------------------------------
+# One-position strata by truth table
+
+def _read_traces(f, t_count, extents):
+    """The traces a stratum reads, ascending, and each one's predecessor
+    with its standpoint profile, as the bounded search finds them: every
+    modal extent, plus trace 0 unless ``f`` is trace-independent."""
+    voc = vocab(f)
+    read = {t for sp in voc.modal for t in range(t_count) if extents[sp] >> t & 1}
+    if not voc.trace_independent:
+        read.add(0)
+    prev, last = {}, {}
+    for t in sorted(read - {0}):
+        profile = tuple(extents[sp] >> t & 1 for sp in sorted(extents, key=str))
+        if profile in last:
+            prev[t] = last[profile]
+        last[profile] = t
+    return sorted(read), prev
+
+
+@pytest.mark.parametrize("t_count", [1, 2, 3])
+def test_table_strata_find_the_engine_strata_first_model(t_count):
+    # one to three standpoints besides the universal one, with sharpening
+    # atoms, and one to three propositions; every fourth input sits under
+    # a diamond, so it is trace-independent.  Each gets four random
+    # standpoint assignments of ``t_count`` traces, and its table stratum
+    # must give the engine's first model, with and without the symmetry
+    # pairs, or None with it.
+    rng = random.Random(3800 + t_count)
+    seen = {"model": 0, "none": 0, "independent": 0, "paired": 0, "sharpening": 0}
+    for i in range(240):
+        sps = ((S, UNIVERSAL), (S, T), (S, T, U))[i % 3]
+        props = ("p", "q", "r")[: 1 + i // 3 % 3]
+        f = random_formula(rng, 3, props=props, sps=sps, max_sharpenings=2)
+        if i % 4 == 3:
+            f = DiamondS(sps[i // 4 % 2], f)
+        voc = vocab(f)
+        seen["independent"] += voc.trace_independent
+        seen["sharpening"] += any(isinstance(g, Sharper) for g in subformulas(f))
+        for _ in range(4):
+            extents = {sp: rng.randrange(1, 1 << t_count) for sp in voc.standpoints}
+            extents[UNIVERSAL] = (1 << t_count) - 1
+            reach, prev = _read_traces(f, t_count, extents)
+            want = engine_stratum(f, t_count, extents, reach, prev)
+            assert engine_stratum(f, t_count, extents, reach, {}) == want, to_text(f)
+            got = search._table_stratum(f, sorted(voc.props), reach or [0], extents)
+            assert got == want, (to_text(f), extents)
+            seen["model" if got is not None else "none"] += 1
+            seen["paired"] += bool(prev)
+    print(seen)
+    assert seen["model"] > 200 and seen["none"] > 100
+    assert seen["independent"] >= 60 and seen["sharpening"] > 40
+    # only traces other than t0 pair up
+    assert seen["paired"] > 50 if t_count == 3 else not seen["paired"]
+
+
+def test_a_table_stratum_reads_its_model_at_trace_0():
+    # with s = {t0} and t = {t1}, the input fails at t0 under every
+    # valuation and holds at t1 when p does there: the stratum has no
+    # model, though t1's block of the root's table is not empty
+    f = parse("p & [@s] !p & <@t> true")
+    extents = {S: 0b01, T: 0b10, UNIVERSAL: 0b11}
+    assert _read_traces(f, 2, extents) == ([0, 1], {})
+    assert engine_stratum(f, 2, extents, [0, 1], {}) is None
+    assert search._table_stratum(f, ["p"], [0, 1], extents) is None
+    # with s = {t1} instead, p at t0 and not at t1 is the first model
+    extents[S] = 0b10
+    want = engine_stratum(f, 2, extents, [0, 1], {})
+    assert want == [0b01] == search._table_stratum(f, ["p"], [0, 1], extents)
+
+
+@functools.cache
+def _tautology(n):
+    """A tautology of exactly ``n`` nodes, with about ``2 log n`` distinct
+    subformulas: halves are shared, not copied."""
+    if n == 1:
+        return TOP
+    if n == 2:
+        return Not(BOTTOM)
+    half = (n - 1) // 2
+    return And(_tautology(half), _tautology(n - 1 - half))
+
+
+def test_a_stratum_past_the_cap_takes_the_engine(monkeypatch):
+    # the first model reads two traces of three propositions, so each of
+    # its tables has two blocks of 2^6 valuations: 2^13 nodes fill the
+    # cap, and one node more sends the stratum to a one-position engine,
+    # with the same model
+    core = parse("q & <@s> (p & !q & r) & <@s> (!p & q & !r)")
+    b = SearchBounds.for_formula(core, 2, 0, 1)
+    want = model_to_json(*bounded_search(core, b))
+    assert want["traces"] == {"t0": [["q"]], "t1": [["p", "r"]]}
+    shapes = []
+    init = IntervalEngine.__init__
+
+    def counting_init(self, formulas, t_count, prefix, period, extents, leaves):
+        shapes.append((t_count, prefix, period))
+        init(self, formulas, t_count, prefix, period, extents, leaves)
+
+    monkeypatch.setattr(IntervalEngine, "__init__", counting_init)
+    cap = search.ONE_CELL_BITS >> 7
+    for nodes, engines in [(cap, []), (cap + 1, [(2, 0, 1)])]:
+        f = And(core, _tautology(nodes - 1 - size(core)))
+        assert size(f) == nodes
+        shapes.clear()
+        assert model_to_json(*bounded_search(f, b)) == want
+        assert shapes == engines
 
 
 # ---------------------------------------------------------------------------

@@ -813,6 +813,9 @@ def test_temporal_verdicts_match_the_tableau_reference():
     # the automaton's own verdicts, past the one-cell check, on inputs
     # that constant folding leaves something to search
     ran = {"sat": 0, "unsat": 0}
+    # inputs that the one-cell check answers and those it passes on, so
+    # that the reference sees both sides of the truth-table check
+    cells = {"hit": 0, "miss": 0}
     for i in range(600):
         f = random_formula(rng, 3 + i % 3, mode=("ltl_psl", "ltl")[i % 2])
         expected = ltl_psl_reference_sat(f)
@@ -822,6 +825,7 @@ def test_temporal_verdicts_match_the_tableau_reference():
         want = "sat" if expected else "unsat"
         status = solve(f).status
         assert status == want, to_text(f)
+        cells["miss" if one_cell_model(f) is None else "hit"] += 1
         v = routed(f)
         assert (v.status, v.engine) == (want, "automaton"), to_text(f)
         if simplify(f) != BOTTOM:
@@ -830,9 +834,10 @@ def test_temporal_verdicts_match_the_tableau_reference():
         unsat += not expected
     elapsed = time.perf_counter() - started
     print(f"{decided} decided, {unsat} unsat, {skipped} over the reference's cap, "
-          f"automaton runs {ran}, {elapsed:.2f} s")
+          f"automaton runs {ran}, one-cell {cells}, {elapsed:.2f} s")
     assert decided >= 300 and unsat >= 20 and skipped <= 30
     assert ran["sat"] >= 450 and ran["unsat"] >= 5
+    assert cells["hit"] >= 500 and cells["miss"] >= 80
     assert elapsed < 10
     # unsat inputs that constant folding leaves to the emptiness check, over
     # random operands: an Until that no run fulfils has initial states, and
