@@ -6,12 +6,14 @@ partially assigned lasso; the PSL grid search, the automaton's state
 enumeration and the bounded search here all prune with it.  The bounded
 search is a brute-force satisfiability search: exhaustive within its
 bounds, sound for SAT, inconclusive for UNSAT.  It decides every
-one-position stratum by truth table, with no engine (``_table_stratum``),
-and ``one_cell_model`` is that table's one-trace case, the search's first
-stratum, which ``solve`` tries on every input.  Nothing here checks a
-model: ``solve`` checks every witness with ``semantics.evaluate``, which
-imports nothing of this module, and this module takes only the model
-classes from ``semantics``.
+one-position stratum within ``ONE_CELL_BITS`` by truth table, with no
+engine (``_table_stratum``), and walks every other stratum with one
+engine, compiled once and moved to each stratum's shape and standpoint
+assignment.  ``one_cell_model`` is the table's one-trace case, the
+search's first stratum, which ``solve`` tries on every input.  Nothing
+here checks a model: ``solve`` checks every witness with
+``semantics.evaluate``, which imports nothing of this module, and this
+module takes only the model classes from ``semantics``.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class SearchBounds(_FrozenRecord):
 # Interval engine: three-valued truth bounds over a partially assigned model
 
 _OP_CONST, _OP_LEAF, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
+# the _AT ops lie as far after _OP_SOME and _OP_ALL: ``bind`` adds that offset
 _OP_TOP, _OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 13)
 
 
@@ -108,25 +111,25 @@ class IntervalEngine:
 
     The formulas are compiled into a program, one slot per compiled formula
     (``slot``), whose modal instructions name their standpoint and whose
-    sharpening atoms name their two standpoints.  The program depends on
-    the lasso shape (trace count, prefix, period) only through ``L == 1``,
-    so ``reshape`` moves an engine to any shape with the same ``L == 1``.
-    ``bind`` turns the program into the instruction list for one standpoint
-    assignment at the current shape: each standpoint's extent, a trace
-    mask (bit ``t``: trace ``t`` is in it), becomes a cell mask in the
-    modal instructions, each sharpening atom folds to a constant and
-    ``TOP`` to the mask of every cell.  The constructor binds ``extents``;
-    the bounded search compiles one engine per value of ``L == 1`` that
-    it needs, and reshapes and rebinds it for every shape and standpoint
-    assignment.  ``sweep`` interprets the bound instructions.  Leaves are
-    the formulas of the ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
+    sharpening atoms name their two standpoints.  The program does not
+    depend on the lasso shape (trace count, prefix, period), so
+    ``reshape`` moves an engine to any shape.  ``bind`` turns the program
+    into the instruction list for one standpoint assignment at the current
+    shape: each modality gets the op of the shape, each standpoint's
+    extent, a trace mask (bit ``t``: trace ``t`` is in it), becomes a cell
+    mask in the modal instructions, each sharpening atom folds to a
+    constant and ``TOP`` to the mask of every cell.  The constructor binds
+    ``extents``; the bounded search compiles one engine, and reshapes and
+    rebinds it for every shape and standpoint assignment.  ``sweep``
+    interprets the bound instructions.  Leaves are the formulas of the
+    ``leaves`` map, whose cells are read from the ``tm``/``fm`` entry it
     names.  The compile is one pass over ``subformulas(*formulas,
     known=leaves)``, one instruction per formula; an Until whose companion
     ``X(a U b)`` is a leaf gets the two of ``b | (a & X(a U b))``, which
-    holds on every lasso.  On a one-position
-    lasso (``L == 1``) a cell is a trace, ``X a`` is ``a``, ``a U b`` is
-    ``b`` and a modality is one mask test, which knows that no extent is
-    empty in a completion.
+    holds on every lasso.  On a one-position lasso (``L == 1``) a cell is
+    a trace, the shift of ``X a`` gives ``a`` and the fixpoint of ``a U b``
+    gives ``b``, and a modality is one mask test, which knows that no
+    extent is empty in a completion.
 
     Three searches run on it: ``bounded_search`` below (propositions as
     leaves, every trace present) on lassos of two or more positions, and
@@ -149,9 +152,6 @@ class IntervalEngine:
         extents: dict[Standpoint, int],
         leaves: dict[Formula, int],
     ):
-        self.reshape(t_count, prefix, period)
-        one = self.L == 1
-
         program: list[tuple[int, int, int, object]] = [(_OP_LEAF, 0, 0, i) for i in leaves.values()]
         slot: dict[Formula, int] = dict(zip(leaves, range(len(program))))
         # the Untils whose next-step companion is a leaf, mapped to it
@@ -171,20 +171,14 @@ class IntervalEngine:
                 if g in unfold:
                     program.append((_OP_AND, slot[g.left], slot[unfold[g]], None))
                     ins = (_OP_OR, slot[g.right], len(program) - 1, None)
-                elif one:
-                    slot[g] = slot[g.right]
-                    continue
                 else:
                     ins = (_OP_UNTIL, slot[g.left], slot[g.right], None)
             elif cls is Next:
-                if one:
-                    slot[g] = slot[g.operand]
-                    continue
                 ins = (_OP_NEXT, slot[g.operand], 0, None)
             elif cls is DiamondS:
-                ins = (_OP_SOME if one else _OP_SOME_AT, slot[g.operand], 0, g.standpoint)
+                ins = (_OP_SOME, slot[g.operand], 0, g.standpoint)
             elif cls is BoxS:
-                ins = (_OP_ALL if one else _OP_ALL_AT, slot[g.operand], 0, g.standpoint)
+                ins = (_OP_ALL, slot[g.operand], 0, g.standpoint)
             elif cls is Top:
                 ins = (_OP_TOP, 0, 0, None)
             elif cls is Bottom:
@@ -200,12 +194,13 @@ class IntervalEngine:
         # TOP and the instructions that name standpoints, the only ones
         # bind changes
         self.bound_at = [i for i, ins in enumerate(program) if ins[0] >= _OP_TOP]
+        self.reshape(t_count, prefix, period)
         self.bind(extents)
 
     def reshape(self, t_count: int, prefix: int, period: int) -> None:
         """Set the lasso shape: ``t_count`` traces of ``prefix + period``
-        nodes each.  The program stays, so the new shape must keep
-        ``L == 1`` as compiled; ``bind`` must follow before a sweep."""
+        nodes each, any shape, as the program stays; ``bind`` must follow
+        before a sweep."""
         L = prefix + period
         self.L = L
         self.prefix = prefix
@@ -225,7 +220,9 @@ class IntervalEngine:
         extent, a trace mask, becomes a cell mask (``masks``) in the modal
         instructions, and each sharpening atom and ``TOP`` becomes the
         constant it denotes at the current shape.  On a one-position lasso
-        a trace is a cell, so the trace masks are the cell masks.  The bound
+        a trace is a cell, so the trace masks are the cell masks, and a
+        modality keeps the op that reads presence (``_OP_SOME``,
+        ``_OP_ALL``); on a longer one it takes the ``_AT`` op.  The bound
         instruction list is a copy of the program patched at ``bound_at``,
         the indices of those instructions, which the constructor records.
         A standpoint missing from ``extents`` is a KeyError."""
@@ -234,6 +231,7 @@ class IntervalEngine:
             sp: sum(block << (t * L) for t in range(m.bit_length()) if m >> t & 1)
             for sp, m in extents.items()
         }
+        at = 0 if L == 1 else _OP_SOME_AT - _OP_SOME  # each _AT op's offset
         instrs = self.program.copy()
         for i in self.bound_at:
             op, a, b, aux = instrs[i]
@@ -244,7 +242,7 @@ class IntervalEngine:
                 c = full if masks[left] | masks[right] == masks[right] else 0
                 instrs[i] = (_OP_CONST, 0, 0, (c, c))
             else:
-                instrs[i] = (op, a, b, masks[aux])
+                instrs[i] = (op + at, a, b, masks[aux])
         self.instrs = instrs
 
     def sweep(
@@ -652,12 +650,12 @@ def bounded_search(
     not depend on which decides it.  The first stratum, one trace of one
     position, is ``one_cell_model``'s, which ``solve`` tries first on the
     unfolded input; after a miss there the search decides it again, on the
-    folded input, in one node.  Every
-    other stratum is walked with the interval engine, which prunes with
-    interval bounds but visits witnesses in the plain enumeration order,
-    so the first one returned is deterministic.  The engine is compiled
-    only when a stratum needs it, once per value of ``prefix + period ==
-    1``, reshaped to each (trace count, prefix, period) shape and bound to
+    folded input, in one node.  Every other stratum is walked with the
+    interval engine, which prunes with interval bounds but visits
+    witnesses in the plain enumeration order, so the first one returned
+    is deterministic.  The search holds one engine, with the formula's
+    propositions as leaves: it is compiled when a stratum first needs it,
+    then reshaped to each (trace count, prefix, period) shape and bound to
     each kept assignment of that shape in turn.  Kept assignments are made
     as the search reaches them, and every stratum costs the budget at
     least a node, so a search over many standpoints exits at its node
@@ -665,10 +663,10 @@ def bounded_search(
     stratum reads is decided by the formula's ``Vocabulary``, and the
     table and the engine read the list of its ``program``, both from the
     one walk of ``f``.  The formula ``false``, which constant folding
-    makes of an input with no model on any shape, has no model within any bounds: it answers None at
-    once, with no engine compiled and no node spent.  The model is not
-    checked here: ``solve`` checks every witness it returns, and a direct
-    caller can with ``solver.check_witness``.
+    makes of an input with no model on any shape, has no model within any
+    bounds: it answers None at once, with no engine compiled and no node
+    spent.  The model is not checked here: ``solve`` checks every witness
+    it returns, and a direct caller can with ``solver.check_witness``.
     """
     if type(f) is Bottom:
         return None
@@ -686,15 +684,13 @@ def bounded_search(
     budget = [node_limit, node_limit]
     # cells for the propositions ``f`` reads; the rest are false throughout
     props = sorted(voc.props)
-    leaves = {Prop(p): i for i, p in enumerate(props)}
     f_size = size(f)
-    engines: dict[bool, IntervalEngine] = {}  # by prefix + period == 1
+    engine = None
     for t_count in range(1, max_traces + 1):
         ids = range(t_count)
         for prefix in range(bounds.max_prefix + 1):
             for period in range(1, bounds.max_period + 1):
                 one = prefix + period == 1
-                engine = engines.get(one)
                 if engine is not None:
                     engine.reshape(t_count, prefix, period)
                 for combo in _lambda_assignments(len(sps), t_count, 0 if independent else 1):
@@ -719,12 +715,11 @@ def bounded_search(
                                     prev[t] = last[profile]
                                 last[profile] = t
                         if engine is None:
-                            engine = engines[one] = IntervalEngine(
-                                [f], t_count, prefix, period, lam_idx, leaves
-                            )
+                            leaves = {Prop(p): i for i, p in enumerate(props)}
+                            engine = IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
                         else:
                             engine.bind(lam_idx)
-                        tm = _search_stratum(engine, f, len(leaves), reach, prev, budget)
+                        tm = _search_stratum(engine, f, len(props), reach, prev, budget)
                     if tm is not None:
                         L = prefix + period
                         traces = {}

@@ -559,8 +559,9 @@ def test_search_node_limit_is_loud():
 
 
 def test_search_compiles_one_engine_per_shape(monkeypatch):
-    # strata of one (traces, prefix, period) shape differ only in the
-    # standpoint assignment and the designated trace, so they share an engine
+    # the program does not depend on the shape, so every stratum the engine
+    # walks, of any (traces, prefix, period) shape, standpoint assignment
+    # and designated trace, shares the one engine of the search
     shapes = []
     init = IntervalEngine.__init__
 
@@ -571,8 +572,7 @@ def test_search_compiles_one_engine_per_shape(monkeypatch):
     monkeypatch.setattr(IntervalEngine, "__init__", counting_init)
     f = parse("G <@s> (p & X !p) & [@t] (p U q) & (@s <= @t)")
     assert bounded_search(f, SearchBounds.for_formula(f, 2, 1, 1)) is None
-    assert len(shapes) <= 4
-    assert len(set(shapes)) == len(shapes)
+    assert len(shapes) == 1
 
 
 @pytest.mark.parametrize("props", [("p",), ("p", "q"), ("p", "q", "r")])
@@ -801,6 +801,28 @@ def test_a_stratum_past_the_cap_takes_the_engine(monkeypatch):
         assert shapes == engines
 
 
+def test_one_engine_serves_strata_of_one_and_of_two_positions(monkeypatch):
+    # padded past the cap, the one-position stratum takes the engine too:
+    # it has no model there (p & !p), and the same engine, reshaped, finds
+    # the model of period 2 that the unpadded input gets
+    core = parse("p & X !p")
+    b = SearchBounds.for_formula(core, 1, 0, 2)
+    want = model_to_json(*bounded_search(core, b))
+    nodes = (search.ONE_CELL_BITS >> 1) + 1  # one proposition: 2 * nodes bits
+    f = And(core, _tautology(nodes - 1 - size(core)))
+    assert size(f) == nodes
+    shapes = []
+    init = IntervalEngine.__init__
+
+    def counting_init(self, formulas, t_count, prefix, period, extents, leaves):
+        shapes.append((t_count, prefix, period))
+        init(self, formulas, t_count, prefix, period, extents, leaves)
+
+    monkeypatch.setattr(IntervalEngine, "__init__", counting_init)
+    assert model_to_json(*bounded_search(f, b)) == want
+    assert shapes == [(1, 0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # Three-valued soundness of the interval engine
 
@@ -903,14 +925,18 @@ def test_bind_gives_the_instructions_of_a_fresh_compile():
             engine.bind(extents)
             fresh = IntervalEngine([f], t_count, prefix, period, extents, LEAVES)
             assert engine.instrs == fresh.instrs
-        # reshaped to another shape with the same L == 1, and bound there,
-        # it is a fresh compile at that shape: its masks and instructions
-        for _ in range(3):
+        # reshaped across L == 1 and L >= 2, one way and back, then to any
+        # shape, and bound there, it is a fresh compile at that shape: its
+        # masks and instructions
+        longer = [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+        for step in range(4):
             t_count = rng.randint(1, 4)
-            if engine.L == 1:
-                prefix, period = 0, 1
+            if step >= 2:
+                prefix, period = rng.choice([(0, 1), *longer])
+            elif engine.L == 1:
+                prefix, period = rng.choice(longer)
             else:
-                prefix, period = rng.choice([(0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
+                prefix, period = 0, 1
             extents = assignment()
             engine.reshape(t_count, prefix, period)
             engine.bind(extents)
