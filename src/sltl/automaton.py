@@ -30,6 +30,7 @@ its own successor, so the first initial state is the lasso.
 
 from __future__ import annotations
 
+import functools
 import io
 from collections import deque
 from collections.abc import Container, Iterator
@@ -58,6 +59,9 @@ from .syntax import (
 )
 
 DEFAULT_STATE_LIMIT = 200_000
+# label families by (true atoms, universe), shared by the inputs of a
+# process: the same few recur, and a family is an immutable tuple
+_family = functools.lru_cache(maxsize=256)(psl.label_family)
 # the most branch members that enumeration assigns bit-parallel, one cell
 # per assignment: 1,024 cells per sweep
 _TAIL_WIDTH = 10
@@ -127,13 +131,19 @@ class StateSpace:
     Each label family's grid is compiled once, over the branch literals in
     both polarities, the grid-decided members and the seed's temporal-free
     conjuncts; on it a sharpening atom holds iff the true atoms entail it,
-    beneath a modality too.  The search decides which types are present,
-    with no cap on how many a column holds, so a conjunction has a grid
-    model iff it has any model on the family.  Searches are memoised by
+    beneath a modality too.  A grid within ``search.ONE_CELL_BITS`` is
+    compiled to truth tables over its presence sets, one walk of those
+    formulas, and each search of it is one node; a larger one gets an
+    interval engine, which the search walks (see ``psl.CompiledGrid``).
+    ``_read`` reads the grid-decided members off the same tables or
+    engine.  The search decides which types are present, with no cap on
+    how many a column holds, so a conjunction has a grid model iff it has
+    any model on the family.  Searches are memoised by
     the conjuncts they search; ``grid_solves`` counts those run, which
     share ``budget`` (see ``psl.grid_model_for``), by default
     DEFAULT_NODE_LIMIT nodes.  Grids are compiled lazily, at the first
-    search on their family.
+    search on their family, and label families are memoised across inputs
+    (``_family``).
     """
 
     def __init__(
@@ -150,7 +160,7 @@ class StateSpace:
         self.generated = 0
         self.grid_solves = 0
         voc = vocab(cl.seed)
-        self.universe = set(voc.standpoints) | {UNIVERSAL}
+        self.universe = voc.standpoints | {UNIVERSAL}
         self.props = voc.props
         # no modal member and no sharpening atom: states that leave no
         # conjunct open need no grid; the first of them checks its size
@@ -342,11 +352,12 @@ class StateSpace:
 
     def _read(self, grid: psl.CompiledGrid, present: int, dv: int) -> int:
         """The grid-decided members true at the designated type ``dv`` when
-        the types ``present`` are, as state bits."""
+        the types ``present`` are, as state bits, read off the grid's
+        tables or its engine (``psl.CompiledGrid.truths``)."""
         if not self._decided:
             return 0
-        lo, _ = grid.engine.sweep(grid.true_masks, grid.false_masks, present, present)
-        return sum((lo[grid.engine.slot[g]] >> dv & 1) << b for b, g in self._decided)
+        truths = grid.truths([g for _, g in self._decided], present, dv)
+        return sum(bit << b for bit, (b, _) in zip(truths, self._decided))
 
     def grid_model(self, state: int) -> GridModel:
         """The grid model a state was read off, as the pair of its label
@@ -371,8 +382,8 @@ class StateSpace:
         sharpening atoms; states with the same family share one."""
         key = state & self._sharpening_bits
         if key not in self._grids:
-            true = [(g.left, g.right) for b, g in enumerate(self.base) if key >> b & 1]
-            family = psl.label_family(true, self.universe)
+            true = tuple((g.left, g.right) for b, g in enumerate(self.base) if key >> b & 1)
+            family = _family(true, self.universe)
             shared = next((g for g in self._grids.values() if g.family == family), None)
             formulas = [
                 *(f for _, g, ng in self._literals for f in (g, ng)),

@@ -14,6 +14,10 @@ the columns to one width (``solver.witness_from_lasso``).  The automaton
 decides PSL inputs too, one grid search per state literal set (see
 ``automaton.StateSpace``): this module supplies the families, the compiled
 grids, their size check (``grid_types``), the search and the columns.  A
+small grid is compiled to truth tables over its presence sets, and a
+search of it is one AND of its conjuncts' tables; a grid whose tables
+would exceed ``ONE_CELL_BITS`` is compiled to an interval engine and
+searched by a walk over its presence bits.  A
 state of an input without standpoints that leaves no conjunct open runs
 no search: its model is the one cell of its propositions, and only the
 size check runs, once.
@@ -21,6 +25,8 @@ size check runs, once.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections.abc import Iterable, Sequence
 
 from .syntax import (
@@ -31,8 +37,18 @@ from .syntax import (
     Prop,
     Standpoint,
     UNIVERSAL,
+    programs,
+    size,
 )
-from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError, cells_with_bit
+from .search import (
+    DEFAULT_NODE_LIMIT,
+    ONE_CELL_BITS,
+    IntervalEngine,
+    SearchLimitError,
+    _root_table,
+    _table_masks,
+    cells_with_bit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +86,38 @@ def label_family(
 # Grid search
 
 class CompiledGrid:
-    """A label family's grid tables and one interval engine compiled over
-    ``formulas``, for every search of a conjunction of them.
+    """A label family's grid, compiled over ``formulas`` for every search
+    of a conjunction of them: truth tables when they are small, else one
+    interval engine.
 
     The types are the (column, valuation) pairs over the sorted
     propositions, column by column: type ``t`` is valuation ``t % 2^props``
     of column ``t // 2^props``, whose bit ``i`` says whether proposition
-    ``i`` holds.  The tables are masks over the types, built column by
-    column and bit by bit, never type by type.  The engine runs on a
+    ``i`` holds.  The type masks (``col_masks``, ``extents``,
+    ``true_masks``, ``false_masks``) are built column by column and bit by
+    bit, never type by type, and shared by the small grids of one family
+    and proposition count (``_type_masks``).  A sharpening atom is whether the
+    left extent lies inside the right one, which on a ``label_family``
+    holds iff the closure of its atoms relates them (the label set of
+    ``a`` is a column).
+
+    A grid whose tables fit ``ONE_CELL_BITS``, ``size`` summed over the
+    formulas times ``types x 2^types`` bits, gets one table per formula,
+    with ``engine`` None: ``tables`` maps each formula, or its operand
+    when it is a negation, to its table.  A row is a set of present types,
+    type 0 its most significant bit, and a table has one block of
+    ``rows = 2^types`` bits per type: bit ``S`` of block ``t`` is the
+    formula's truth at type ``t`` when the present types are row ``S``,
+    the layout of ``search._table_masks(1, types)``.  One walk of the
+    formulas (``syntax.programs``) and one ``search._root_table`` pass
+    over it give every table; a modality reads its operand at each type of
+    its extent only in the rows that hold that type (``_presence``).  Every
+    other grid gets an ``IntervalEngine`` (``tables`` None) on a
     one-position lasso whose traces are the types: propositions are
-    constant masks, and
-    ``bind`` folds a sharpening atom to whether the left extent lies inside
-    the right one, which on a ``label_family`` holds iff the closure of its
-    atoms relates them (the label set of ``a`` is a column).  A grid with
+    constant masks, and ``bind`` folds the sharpening atoms.  A grid with
     more types than ``budget``'s node limit, or than DEFAULT_NODE_LIMIT
     where that is larger (see ``grid_model_for``), is refused with
-    SearchLimitError before any table is built (``grid_types``): the tables
+    SearchLimitError before any mask is built (``grid_types``): the masks
     stay as small as at the default limit, and the node count still bounds
     the search.
     """
@@ -96,22 +128,102 @@ class CompiledGrid:
     ):
         self.family = family
         self.props = tuple(sorted(props))
-        self.v_count = v_count = 1 << len(self.props)
-        n_types = grid_types(len(family), len(self.props), budget)
+        self.v_count = 1 << len(self.props)
+        self.n_types = n_types = grid_types(len(family), len(self.props), budget)
         self.full = (1 << n_types) - 1
-        self.col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
-        # every label set holds the universal standpoint
-        extents = {
-            sp: sum(col for col, labels in zip(self.col_masks, family) if sp in labels)
-            for sp in frozenset().union(*family)
-        }
-        self.true_masks = [cells_with_bit(n_types, i) for i in range(len(self.props))]
-        self.false_masks = [self.full ^ m for m in self.true_masks]
-        leaves = {Prop(p): i for i, p in enumerate(self.props)}
+        # a grid that may take tables has at most 20 types, whose masks are
+        # small enough to keep between searches
+        small = n_types < ONE_CELL_BITS.bit_length()
+        self.col_masks, self.extents, self.true_masks, self.false_masks = (
+            _small_type_masks if small else _type_masks
+        )(family, len(self.props))
+        self.tables: dict[Formula, int] | None = None
+        self.engine: IntervalEngine | None = None
         try:
-            self.engine = IntervalEngine(formulas, n_types, 0, 1, extents, leaves)
+            # ``small`` first: the shift by the type count may be vast
+            if small and sum(map(size, formulas)) * n_types << n_types <= ONE_CELL_BITS:
+                self.rows = 1 << n_types
+                reads, self.start, masks = _presence(family, len(self.props))
+                roots = [f.operand if type(f) is Not else f for f in formulas]
+                subs, left, right, at = programs(roots)
+                tables = _root_table(
+                    (subs, left, right), dict(zip(self.props, masks)), self.rows,
+                    n_types * self.rows, reads, self.extents,
+                )
+                self.tables = {g: tables[i] for g, i in zip(roots, at)}
+            else:
+                leaves = {Prop(p): i for i, p in enumerate(self.props)}
+                self.engine = IntervalEngine(formulas, n_types, 0, 1, self.extents, leaves)
         except KeyError as exc:
             raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
+
+    def truths(self, formulas: Sequence[Formula], present: int, dv: int) -> list[int]:
+        """Each formula's truth, 1 or 0, at type ``dv`` when the types
+        ``present`` are; the formulas are compiled ones, not negations."""
+        if self.tables is not None:
+            at = dv * self.rows + _flip(present, self.n_types)
+            return [self.tables[g] >> at & 1 for g in formulas]
+        lo, _ = self.engine.sweep(self.true_masks, self.false_masks, present, present)
+        return [lo[self.engine.slot[g]] >> dv & 1 for g in formulas]
+
+
+def _type_masks(
+    family: tuple[frozenset[Standpoint], ...], n_props: int
+) -> tuple[list[int], dict[Standpoint, int], list[int], list[int]]:
+    """The type masks of a grid: each column's, each standpoint's extent
+    (the columns whose label set holds it), and the types where each
+    proposition is true and false.  Shared between the grids of small
+    families (``_small_type_masks``), so no caller may change them."""
+    v_count = 1 << n_props
+    n_types = len(family) << n_props
+    col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
+    # every label set holds the universal standpoint
+    extents = {
+        sp: sum(col for col, labels in zip(col_masks, family) if sp in labels)
+        for sp in frozenset().union(*family)
+    }
+    true_masks = [cells_with_bit(n_types, i) for i in range(n_props)]
+    return col_masks, extents, true_masks, [((1 << n_types) - 1) ^ m for m in true_masks]
+
+
+_small_type_masks = functools.lru_cache(maxsize=64)(_type_masks)
+
+
+@functools.lru_cache(maxsize=16)
+def _presence(
+    family: tuple[frozenset[Standpoint], ...], n_props: int
+) -> tuple[dict[Standpoint, list[tuple[int, int]]], int, list[int]]:
+    """What a table grid's tables are built from: each standpoint's blocks
+    as ``_root_table`` reads them, (bit offset, the rows that hold the
+    type), each proposition's table, true in every row of the types whose
+    valuation has it, and the search's start mask, whose block of each
+    type of column 0 holds the rows that hold that type and a type of
+    every column.  Built by doubling (``_table_masks``, ``cells_with_bit``),
+    not row by row, and shared, so no caller may change them."""
+    v_count = 1 << n_props
+    n_types = len(family) << n_props
+    rows = 1 << n_types
+    block = (1 << rows) - 1
+    presence = _table_masks(1, n_types)[0]
+    holds = [presence >> t * rows & block for t in range(n_types)]
+    valid = block  # the rows with a type of every column
+    for c in range(0, n_types, v_count):
+        valid &= functools.reduce(operator.or_, holds[c:c + v_count])
+    start = sum((valid & holds[t]) << t * rows for t in range(v_count))
+    _, extents, _, _ = _small_type_masks(family, n_props)
+    reads = {
+        sp: [(t * rows, h) for t, h in enumerate(holds) if ext >> t & 1]
+        for sp, ext in extents.items()
+    }
+    # bit i of a type's valuation is bit n_types + i of a bit index in its block
+    masks = [cells_with_bit(n_types * rows, n_types + i) for i in range(n_props)]
+    return reads, start, masks
+
+
+def _flip(mask: int, n_types: int) -> int:
+    """A presence mask as a row, or a row as a presence mask: bit ``t`` of
+    the one is bit ``n_types - 1 - t`` of the other."""
+    return int(f"{mask:0{n_types}b}"[::-1], 2)
 
 
 def grid_types(columns: int, n_props: int, budget: list[int]) -> int:
@@ -136,10 +248,26 @@ def grid_model_for(
     conjunction at the designated type, or None; ``grid`` was compiled
     over the conjuncts, and ``expand`` lists its columns.
 
-    Backtracks over which valuations each column carries (its present
-    types) rather than over individual cells: modal truth only reads the
-    per-column valuation sets, so a search of every presence assignment is
-    complete.  Three-valued truth comes from the grid's engine: the
+    A model is a presence assignment: which valuations each column
+    carries (its present types), rather than individual cells, since
+    modal truth only reads the per-column valuation sets, so a search of
+    every presence assignment is complete.  A valid one makes the
+    conjunction hold at the designated type and gives every column at
+    least one type, and the answer is the least valid one in the search
+    order: the designated valuation first, then the other types in
+    ascending order, absent before present.
+
+    A grid with tables (see ``CompiledGrid``: grids whose tables fit
+    ``ONE_CELL_BITS``) answers in one node.  The AND of the conjuncts'
+    tables, the complement for a negation, with the grid's ``start`` mask
+    has, in the block of each designated valuation of column 0, the rows
+    of its valid assignments.  A row is a presence set with type 0 as its
+    most significant bit, so the least set bit is the least designated
+    valuation with a valid row and its least row: the least valid
+    assignment, as the walk below returns it.
+
+    Every other grid walks the presence bits with the grid's engine, and
+    backtracks.  Three-valued truth comes from the engine: the
     presence bits decide which types the modalities quantify over, and the
     conjunction's lower and upper masks are the AND of its conjuncts'.  The
     designated cell's valuation is chosen first; presence bits are tried
@@ -167,23 +295,32 @@ def grid_model_for(
     diamond rule makes present only a type not ruled out, and the
     designated type starts present.  The search skips types that
     propagation has decided.  Witnesses are those of the search without
-    propagation.  A valid presence assignment is one under which the
-    conjunction holds at the designated type and every column carries at
-    least one type.  Propagation and the other prunings remove only
-    subtrees without a valid assignment, and at a leaf the bounds are
-    exact, so the search returns the least valid assignment in its order
-    (the designated valuation, then the other types in ascending order,
-    absent before present).  A node whose lower bound already holds
-    returns its present types, which is the least completion beneath it
-    (every open type absent) and valid, so again that least assignment.  The assignment
-    depends on the family, the propositions and the conjunction's masks
-    alone, so it is the one a grid compiled for the conjunction alone
-    would give.
+    propagation.  Propagation and the other prunings remove only subtrees
+    without a valid assignment, and at a leaf the bounds are exact, so the
+    walk returns the least valid assignment.  A node whose lower bound
+    already holds returns its present types, which is the least
+    completion beneath it (every open type absent) and valid, so again
+    that least assignment.  The assignment depends on the family, the
+    propositions and the conjunction's truth alone, so it is the one a
+    grid compiled for the conjunction alone would give, with tables or
+    without.
 
     ``budget`` is ``[remaining, limit]``, shared by every grid search of
-    one ``solve``; each node takes one, and SearchLimitError is raised once
-    more than ``limit`` nodes were visited.
+    one ``solve``; each node takes one, a table search one in all, and
+    SearchLimitError is raised once more than ``limit`` nodes were
+    visited.
     """
+    if grid.tables is not None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchLimitError(budget[1], "grid search")
+        found = grid.start
+        for g in conjuncts:
+            found &= ~grid.tables[g.operand] if type(g) is Not else grid.tables[g]
+        if not found:
+            return None
+        dv, row = divmod((found & -found).bit_length() - 1, grid.rows)
+        return _flip(row, grid.n_types), dv
     sweep, slot = grid.engine.sweep, grid.engine.slot
     roots = [slot[g] for g in conjuncts]
     # the modal conjuncts as (extent mask, operand slot, negated): a

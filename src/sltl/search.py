@@ -10,7 +10,9 @@ one-position stratum within ``ONE_CELL_BITS`` by truth table, with no
 engine (``_table_stratum``), and walks every other stratum with one
 engine, compiled once and moved to each stratum's shape and standpoint
 assignment.  ``one_cell_model`` is the table's one-trace case, the
-search's first stratum, which ``solve`` tries on every input.  Nothing
+search's first stratum, which ``solve`` tries on every input, and the
+PSL grids within the same cap take their tables from the same evaluator
+(``_root_table``), with presence sets as rows.  Nothing
 here checks a model: ``solve`` checks every witness with
 ``semantics.evaluate``, which imports nothing of this module, and this
 module takes only the model classes from ``semantics``.
@@ -49,7 +51,10 @@ DEFAULT_NODE_LIMIT = 10_000_000
 # total than this: ``size(f) * 2^props``, of the formula it reads; ``solve``
 # gives it the input before constant folding.  The bounded search sends a
 # one-position stratum to the engine, not the table, when the bits of its
-# tables, ``size(f) * read traces * 2^(read traces * props)``, exceed it
+# tables, ``size(f) * read traces * 2^(read traces * props)``, exceed it,
+# and ``psl.CompiledGrid`` compiles an engine, not tables, for a grid whose
+# tables would hold more: the sizes of its formulas summed, times
+# ``types * 2^types``
 ONE_CELL_BITS = 1 << 20
 
 
@@ -136,7 +141,8 @@ class IntervalEngine:
     on a one-position stratum only when its truth table would exceed
     ``ONE_CELL_BITS``; the PSL grid search of
     ``psl.CompiledGrid`` (a one-position lasso whose traces are the grid's
-    (column, valuation) types, with presence masks), and the state
+    (column, valuation) types, with presence masks), on grids whose tables
+    would exceed the same cap, and the state
     enumeration of ``automaton.StateSpace`` (one cell per assignment of the
     last branch members, the closure's base members as leaves).  The
     grid search and the state enumeration sweep one-position engines, and
@@ -482,43 +488,40 @@ def _table_masks(n_props: int, n_traces: int) -> tuple[int, ...]:
 
 
 def _root_table(
-    f: Formula, props: list[str], traces: list[int], extents: dict[Standpoint, int] | None
-) -> int:
-    """The truth table of ``f`` at the first of ``traces`` on a model of
-    one position: bit ``v`` is set when valuation ``v`` satisfies it there.
+    code: tuple[list[Formula], list[int], list[int]],
+    masks: dict[str, int],
+    rows: int,
+    span: int,
+    reads: dict[Standpoint, list[tuple[int, int]]] | None,
+    extents: dict[Standpoint, int] | None,
+) -> list[int]:
+    """The truth tables of every subformula listed in ``code``, a flat
+    ``program`` (``syntax.program`` or ``syntax.programs``), by list
+    position, on a model of one position: one block of ``rows`` bits per
+    trace, ``span`` bits in all, bit ``r`` of a block set when the
+    subformula holds at that trace in row ``r``.
 
-    ``props`` are the propositions ``f`` reads, sorted, and ``traces`` the
-    traces the stratum reads, ascending: every modal extent, plus trace 0
-    unless ``f`` is trace-independent (trace 0 alone when that leaves
-    none).  ``extents`` maps each standpoint of ``f`` to its extent, a
-    trace mask, or is None for a model of one trace, where every extent is
-    that trace.  The other traces are false throughout.  A valuation
-    assigns each (read trace, proposition) cell as ``_table_masks`` lays
-    them out, the cell order of ``_search_stratum``.  One loop over the
-    flat ``program`` of ``f``, children first, gives each subformula one
-    mask of one block per read trace, bit ``v`` of a block its truth at
-    that trace under valuation ``v``; a connective finds its operands'
-    masks by position.  On one position ``X a`` is ``a`` and ``a U b`` is
-    ``b``; a modality ORs (diamond) or ANDs (box) the blocks of its
-    extent's traces and copies the result to every block, as
-    ``semantics.evaluate`` does, and with one read trace, its whole
-    extent, it is its operand; a sharpening atom is a constant of
-    ``extents``, true on a model of one trace.
+    A row is what the tables range over: a valuation of the read cells of
+    a stratum (``_table_stratum``) or of the one-cell check, or a set of
+    present types of a grid (``psl.CompiledGrid``, whose traces are its
+    types).  ``masks`` gives each proposition its table.  ``reads`` gives
+    each modal standpoint the blocks it quantifies over, as (bit offset of
+    the block, row mask) pairs, the mask holding the rows at which that
+    trace counts: every row of a stratum, the rows where the type is
+    present in a grid.  It is None for a model of one trace, every extent
+    that trace.  ``extents`` maps each standpoint to its extent, a trace
+    mask, for the sharpening atoms, or is None for a model of one trace,
+    where every one holds.  One loop over ``code``, children first, gives
+    each subformula one table, and a connective finds its operands' tables
+    by position.  On one position ``X a`` is ``a`` and ``a U b`` is
+    ``b``; a diamond ORs its operand's blocks of its extent, each ANDed
+    with its row mask, into one block, a box is the diamond's dual, and
+    the result is copied to every block, as ``semantics.evaluate`` does;
+    with ``reads`` None a modality is its operand.
     """
-    rows = 1 << len(traces) * len(props)  # valuations, the bits of a block
-    full = block = (1 << rows) - 1
-    masks = dict(zip(props, _table_masks(len(props), len(traces))))
-    single = len(traces) == 1
-    if not single:
-        span = len(traces) * rows
-        full = (1 << span) - 1
-        # the block offsets of each standpoint's extent
-        shifts = {
-            sp: [k * rows for k, t in enumerate(traces) if ext >> t & 1]
-            for sp, ext in extents.items()
-        }
+    full = (1 << span) - 1
     tables: list[int] = []  # by list position
-    for g, a, b in zip(*program(f)):
+    for g, a, b in zip(*code):
         cls = type(g)
         if cls is And:
             t = tables[a] & tables[b]
@@ -531,15 +534,15 @@ def _root_table(
         elif cls is Until:
             t = tables[b]
         elif a >= 0:  # X, a diamond or a box
-            if single or cls is Next:
+            if reads is None or cls is Next:
                 t = tables[a]
             else:
                 # a box is the dual of a diamond: it flips its operand's
                 # bits and its own
                 flip = full if cls is BoxS else 0
                 operand, m = tables[a] ^ flip, 0
-                for sh in shifts[g.standpoint]:
-                    m |= operand >> sh & block
+                for sh, row_mask in reads[g.standpoint]:
+                    m |= operand >> sh & row_mask
                 # copied to every block by doubling: a product with a
                 # replicator costs more than linear time on wide tables
                 w = rows
@@ -555,7 +558,7 @@ def _root_table(
             right = extents[g.right]
             t = full if extents[g.left] | right == right else 0
         tables.append(t)
-    return tables[-1] & block
+    return tables
 
 
 def _table_stratum(
@@ -565,17 +568,33 @@ def _table_stratum(
     at trace 0, as one mask of true traces per proposition of ``props``,
     or None: by truth table (``_root_table``), with no engine.
 
-    The least set bit of the root's table, read at trace 0 or, for a
-    trace-independent ``f``, at a trace where it equals every trace's, is
-    the lex-least valuation that satisfies ``f``: the first model of
-    ``_search_stratum``, whose symmetry check never forbids it.
+    ``props`` are the propositions ``f`` reads, sorted, and ``traces`` the
+    traces the stratum reads, ascending: every modal extent, plus trace 0
+    unless ``f`` is trace-independent (trace 0 alone when that leaves
+    none).  The other traces are false throughout.  A row is a valuation
+    of each (read trace, proposition) cell as ``_table_masks`` lays them
+    out, the cell order of ``_search_stratum``, and every row counts at
+    every read trace.  The least set bit of the root's table, read at the
+    first read trace (trace 0, or for a trace-independent ``f`` a trace
+    where it equals every trace's), is the lex-least valuation that
+    satisfies ``f``: the first model of ``_search_stratum``, whose
+    symmetry check never forbids it.
     """
-    table = _root_table(f, props, traces, extents)
+    n = len(props)
+    width = len(traces) * n
+    rows = 1 << width  # valuations, the bits of a block
+    block = (1 << rows) - 1
+    masks = dict(zip(props, _table_masks(n, len(traces))))
+    # the block offsets of each standpoint's extent; one read trace is
+    # every modal extent
+    reads = None if len(traces) == 1 else {
+        sp: [(k * rows, block) for k, t in enumerate(traces) if ext >> t & 1]
+        for sp, ext in extents.items()
+    }
+    table = _root_table(program(f), masks, rows, len(traces) * rows, reads, extents)[-1] & block
     if not table:
         return None
     v = (table & -table).bit_length() - 1
-    n = len(props)
-    width = len(traces) * n
     tm = [0] * n
     while v:  # its true cells, from the most significant
         top = v.bit_length() - 1
@@ -610,7 +629,9 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
     n = len(props)
     if size(f) << n > ONE_CELL_BITS:
         return None
-    table = _root_table(f, props, [0], None)
+    rows = 1 << n
+    masks = dict(zip(props, _table_masks(n, 1)))
+    table = _root_table(program(f), masks, rows, rows, None, None)[-1]
     if not table:
         return None
     cell = (table & -table).bit_length() - 1
@@ -721,17 +742,39 @@ def bounded_search(
                             engine.bind(lam_idx)
                         tm = _search_stratum(engine, f, len(props), reach, prev, budget)
                     if tm is not None:
-                        L = prefix + period
-                        traces = {}
-                        for t in ids:
-                            vals = [
-                                frozenset(p for p, m in zip(props, tm) if m >> (t * L + k) & 1)
-                                for k in range(L)
-                            ]
-                            traces[f"t{t}"] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))
-                        lam = {
-                            sp: frozenset(f"t{t}" for t in ids if ext >> t & 1)
-                            for sp, ext in lam_idx.items()
-                        }
-                        return SLTLModel(traces, lam, prefix, period), "t0"
+                        return _model(props, tm, t_count, prefix, period, lam_idx), "t0"
     return None
+
+
+def _model(
+    props: list[str], tm: list[int], t_count: int, prefix: int, period: int,
+    extents: dict[Standpoint, int],
+) -> SLTLModel:
+    """The model of a stratum's valuation: ``tm`` holds one mask of true
+    cells per proposition of ``props``, bit ``t * L + k`` for node ``k`` of
+    trace ``t``, and ``extents`` each standpoint's trace mask.  Each trace
+    id, each distinct valuation's set and each distinct extent's set is
+    made once."""
+    L = prefix + period
+    names = [f"t{t}" for t in range(t_count)]
+    made: dict[tuple[int, ...], frozenset[str]] = {}  # by valuation bits
+    traces = {}
+    cell = 0
+    for name in names:
+        vals = []
+        for _ in range(L):
+            bits = tuple([m >> cell & 1 for m in tm])
+            val = made.get(bits)
+            if val is None:
+                val = made[bits] = frozenset([p for p, bit in zip(props, bits) if bit])
+            vals.append(val)
+            cell += 1
+        traces[name] = UPTrace(tuple(vals[:prefix]), tuple(vals[prefix:]))
+    members: dict[int, frozenset[str]] = {}  # by extent mask
+    lam = {}
+    for sp, ext in extents.items():
+        ids = members.get(ext)
+        if ids is None:
+            ids = members[ext] = frozenset([names[t] for t in range(t_count) if ext >> t & 1])
+        lam[sp] = ids
+    return SLTLModel(traces, lam, prefix, period)

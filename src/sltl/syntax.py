@@ -530,28 +530,41 @@ def program(f: Formula) -> tuple[list[Formula], list[int], list[int]]:
         return subs, left, right
 
 
+def programs(roots: Iterable[Formula]) -> tuple[list[Formula], list[int], list[int], list[int]]:
+    """One flat program of every formula of ``roots``, laid out as
+    ``program`` lays out one formula's, and the list position of each
+    root: one walk, not memoised, which reads no vocabulary."""
+    return _walk(tuple(roots), (), False)
+
+
 # The flags the walk of one root gives each subformula, bottom-up: it has a
 # proposition outside every modal operand, a temporal operator, a temporal
 # operator beneath a modality.
 _FREE, _TEMPORAL, _UNDER = 1, 2, 4
 
 
-def _walk(roots: tuple[Formula, ...], known: Collection[Formula]) -> tuple[
-    list[Formula], list[int], list[int], Vocabulary | None
-]:
+def _walk(
+    roots: tuple[Formula, ...], known: Collection[Formula], track: bool | None = None
+) -> tuple[list[Formula], list[int], list[int], Vocabulary | list[int] | None]:
     """The one walk: each distinct subformula of ``roots`` is visited once,
     post-order, and listed at its first completion.  A known formula is
     neither listed nor entered.
 
-    The walk of one root with no known formulas is tracked: it is the
-    root's ``program``, and reads its ``Vocabulary`` too.  Each listed
-    subformula gets the list positions of its children, which the stack
-    ``done`` holds until their parent completes, and its flags
-    (``_FREE``, ``_TEMPORAL``, ``_UNDER``) from its children's; the names
-    are collected, and the root's flags decide the fragment and trace
-    independence.  Any other walk serves ``subformulas``, which reads only
-    the list: its positions are empty and its vocabulary None."""
-    track = len(roots) == 1 and not known
+    A walk with no known formulas gives each listed subformula the list
+    positions of its children, which the stack ``done`` holds until their
+    parent completes; at the end ``done`` holds the position of each root.
+    The walk of one root with no known formulas is tracked unless
+    ``track`` is False: it is the root's ``program``, and reads its
+    ``Vocabulary`` too, from each subformula's flags (``_FREE``,
+    ``_TEMPORAL``, ``_UNDER``), its children's joined, and the names it
+    collects; the root's flags decide the fragment and trace independence.
+    The fourth value is that vocabulary, or for an untracked walk the
+    roots' positions (``programs``), or None where formulas are known: such
+    a walk serves ``subformulas``, which reads only the list, and its
+    positions are empty."""
+    place = not known
+    if track is None:
+        track = len(roots) == 1 and place
     where: dict[Formula, int] = {}  # list position by formula
     subs, left, right, flags = [], [], [], []
     props, standpoints, modal = set(), set(), set()  # names, modal standpoints
@@ -578,6 +591,10 @@ def _walk(roots: tuple[Formula, ...], known: Collection[Formula]) -> tuple[
                 left.append(a)
                 right.append(b)
                 done[-1] = len(subs)
+            elif place:  # positions alone
+                right.append(done.pop() if _ARITY[type(g)] == 2 else -1)
+                left.append(done[-1])
+                done[-1] = len(subs)
             where[g] = len(subs)
             subs.append(g)
             continue
@@ -597,12 +614,15 @@ def _walk(roots: tuple[Formula, ...], known: Collection[Formula]) -> tuple[
                 flags.append(_FREE if cls is Prop else 0)
                 left.append(-1)
                 right.append(-1)
+            elif place:
+                left.append(-1)
+                right.append(-1)
             i = where[g] = len(subs)
             subs.append(g)
-        if track:
+        if place:
             done.append(i)
     if not track:
-        return subs, left, right, None
+        return subs, left, right, done if place else None
     # the universal standpoint is listed whenever any standpoint is, since
     # the downstream sharpening relation always links standpoints to it
     if standpoints or modal:

@@ -892,3 +892,18 @@ def engine_stratum(f: Formula, t_count: int, extents: dict, reach, prev: dict):
     leaves = {Prop(p): i for i, p in enumerate(sorted(vocab(f).props))}
     engine = search.IntervalEngine([f], t_count, 0, 1, extents, leaves)
     return search._search_stratum(engine, f, len(leaves), reach, prev, [10**9, 10**9])
+
+
+def engine_grid(family, props, formulas, budget):
+    """The grid ``psl.CompiledGrid`` compiles over ``formulas`` with its
+    cap on table bits at 0: an interval engine, so that
+    ``psl.grid_model_for`` takes on it the walk it takes only for grids
+    whose tables would exceed ``ONE_CELL_BITS``."""
+    from sltl import psl
+
+    cap = psl.ONE_CELL_BITS
+    psl.ONE_CELL_BITS = 0
+    try:
+        return psl.CompiledGrid(family, props, formulas, budget)
+    finally:
+        psl.ONE_CELL_BITS = cap

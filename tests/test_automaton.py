@@ -632,12 +632,19 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
 
 
 def test_one_grid_engine_per_label_family(monkeypatch):
-    compiles = []
+    # each family's grid is compiled once: its grids of 12 types take one
+    # table build each, and no interval engine
+    compiles, tables = [], []
     real = psl.IntervalEngine
+    tabulate = psl._root_table
 
     def counting(*args):
         compiles.append(args)
         return real(*args)
+
+    def counting_tables(*args):
+        tables.append(args)
+        return tabulate(*args)
 
     searched = []
     search = psl.grid_model_for
@@ -647,6 +654,7 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         return search(grid, conjuncts, budget)
 
     monkeypatch.setattr(psl, "IntervalEngine", counting)
+    monkeypatch.setattr(psl, "_root_table", counting_tables)
     monkeypatch.setattr(psl, "grid_model_for", recording)
     # sharpening atoms are tried true first: the first formula's initial
     # states with the atom true reach an accepting cycle; the second's have
@@ -656,13 +664,14 @@ def test_one_grid_engine_per_label_family(monkeypatch):
         ("(!(@s <= @t) | X p) & G !p & G F <@s> q", 2),
     ):
         phi_d = parse(text)
-        compiles.clear()
+        tables.clear()
         searched.clear()
         cl = closure(phi_d)
         find_accepting_lasso(cl)
         held = [[(g.left, g.right) for g in c if isinstance(g, Sharper)] for c in searched]
         seen = {family_for(_true_atom_closure(cl, atoms)) for atoms in held}
-        assert len(seen) == families and len(compiles) == families, to_text(phi_d)
+        assert len(seen) == families and len(tables) == families, to_text(phi_d)
+    assert compiles == []
 
 
 def test_dump_state_graph_node_limit_is_loud():

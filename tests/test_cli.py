@@ -535,8 +535,10 @@ def test_env_node_limit(capsys, monkeypatch):
 
 
 def test_env_node_limit_bounds_the_grid_search(capsys, monkeypatch):
+    # a grid of 16 types, past the tables' cap: its walk takes more than
+    # the one node a table search takes
     monkeypatch.setenv("SLTL_NODE_LIMIT", "1")
-    code, _, err = run(capsys, "solve", "<@s> p & <@s> !p & <@t> q")
+    code, _, err = run(capsys, "solve", "<@s>(p0 & !p1) & <@s>(p1 & !p2) & <@s>(p2 & !p0) & [@*]!p0")
     assert code == 69
     assert "grid search" in err and "node limit of 1" in err
 

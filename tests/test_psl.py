@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import (
     S,
     T,
     U,
+    engine_grid,
     enumerate_psl_formulas,
     family_for,
     psl_brute_sat,
@@ -193,26 +195,31 @@ def test_negated_modal_conjuncts_are_propagated_as_their_duals():
     # candidate: propagation makes it present and the root node answers.
     # Unpropagated, neither conjunct would decide a type there.  ![@s] !q
     # is the same diamond rule, and each search spends what its dual does.
+    # The node counts are the walk's, on the engine grid; the table grid
+    # of the same 8 types answers every search in one node
     family = label_family([], {S})
     p, q = Prop("p"), Prop("q")
     for conjuncts, duals in [
         ([Not(DiamondS(S, p)), DiamondS(S, q)], [BoxS(S, Not(p)), DiamondS(S, q)]),
         ([Not(DiamondS(S, p)), Not(BoxS(S, Not(q)))], [BoxS(S, Not(p)), DiamondS(S, q)]),
     ]:
-        spent = []
+        spent, found = [], []
         for cs in (conjuncts, duals):
-            grid = CompiledGrid(family, ["p", "q"], cs, [100, 100])
-            budget = [100, 100]
-            found = grid_model_for(grid, cs, budget)
-            spent.append(100 - budget[0])
-            assert found is not None and holds((family, expand(grid, *found)), conj(cs))
-        assert spent == [1, 1]
+            for build in (engine_grid, CompiledGrid):
+                grid = build(family, ["p", "q"], cs, [100, 100])
+                budget = [100, 100]
+                found.append(grid_model_for(grid, cs, budget))
+                spent.append(100 - budget[0])
+                assert found[-1] is not None and holds((family, expand(grid, *found[-1])), conj(cs))
+        assert spent == [1, 1, 1, 1] and len(set(found)) == 1
     # an unsatisfiable pair fails at the root of each designated valuation
     cs = [Not(DiamondS(S, p)), DiamondS(S, And(p, q))]
-    grid = CompiledGrid(family, ["p", "q"], cs, [100, 100])
-    budget = [100, 100]
-    assert grid_model_for(grid, cs, budget) is None
-    assert 100 - budget[0] == 4
+    for build, nodes in ((engine_grid, 4), (CompiledGrid, 1)):
+        grid = build(family, ["p", "q"], cs, [100, 100])
+        budget = [100, 100]
+        assert grid_model_for(grid, cs, budget) is None
+        assert 100 - budget[0] == nodes
+    assert grid.tables is not None
 
 
 def test_split_keeps_nested_sharpening_atoms_in_the_body():
@@ -440,8 +447,10 @@ def test_ring_is_unsat_within_a_small_node_budget(k):
 
 
 def test_sat_node_limit_is_loud():
+    # the ring's grid of 16 types is past the tables' cap, and its walk
+    # takes more than one node; a table search takes one
     with pytest.raises(SearchLimitError, match="grid search exceeded the node limit of 1"):
-        solve(parse("<@s> p & <@s> !p & <@t> q"), SolveOptions(node_limit=1))
+        solve(parse(ring(3)), SolveOptions(node_limit=1))
 
 
 def _expand(present, dv, cols, v_count, plist):
@@ -462,26 +471,38 @@ _ATOMS = [(a, b) for a in (S, T, UNIVERSAL) for b in (S, T, UNIVERSAL) if a != b
 def test_grid_tables_equal_their_per_type_definitions():
     # type t is valuation t % 2^props of column t // 2^props
     rng = random.Random(59)
+    tabled = 0
     atom_sets = [(), *((a,) for a in _ATOMS), *itertools.combinations(_ATOMS, 2)]
     for family in sorted({label_family(atoms, {S, T}) for atoms in atom_sets}, key=str):
         for n_props in range(6):
             plist = [f"p{i}" for i in range(n_props)]
-            grid = CompiledGrid(family, plist, [TOP], [10**6, 10**6])
+            grid = CompiledGrid(family, plist, [TOP, *map(Prop, plist)], [10**6, 10**6])
             v_count, cols = 1 << n_props, len(family)
             types = range(cols * v_count)
             assert grid.true_masks == [
                 sum(1 << t for t in types if t % v_count >> i & 1) for i in range(n_props)
             ]
-            assert grid.engine.masks == {
+            assert grid.extents == {
                 sp: sum(1 << t for t in types if sp in family[t // v_count])
                 for sp in (UNIVERSAL, S, T)
             }
+            if grid.tables is None:
+                assert grid.engine.masks == grid.extents
+            else:
+                # bit S of type t's block: t's valuation, in every row
+                tabled += 1
+                rows = 1 << len(types)
+                for i, p in enumerate(plist):
+                    assert grid.tables[Prop(p)] == sum(
+                        ((1 << rows) - 1) << t * rows for t in types if t % v_count >> i & 1
+                    )
             for _ in range(5):
                 dv = rng.randrange(v_count)
                 present = rng.getrandbits(len(types)) | 1 << dv
                 present |= sum(1 << rng.randrange(c * v_count, (c + 1) * v_count) for c in range(cols))
                 want = _expand(present, dv, cols, v_count, plist)
                 assert expand(grid, present, dv) == want, (family, n_props)
+    assert tabled >= 20
 
 
 def test_grid_tables_of_many_types_are_built_without_a_loop_over_types():
@@ -559,6 +580,83 @@ def test_grid_search_returns_the_first_valid_assignment():
         assert (found and expand(grid, *found)) == expected, to_text(body)
     # the corpus exercises both verdicts and the propagation rules
     assert 40 < sat_count < 110 and modal > 120
+
+
+def test_table_grids_answer_as_the_walk():
+    # random families of up to two atoms over @s, @t and the universal
+    # standpoint, one to three propositions, and
+    # conjunctions of literals, modal literals in both polarities and
+    # sharpening atoms: the table search and the walk on the engine grid
+    # find the same least assignment, or both none, and the members read
+    # off it agree
+    rng = random.Random(71)
+    pool = [S, T, UNIVERSAL]
+    done = sat = unsat = wide = off_zero = negated = 0
+    while done < 400:
+        plist = ["p", "q", "r"][: rng.randint(1, 3)]
+
+        def literal():
+            atom = Prop(rng.choice(plist))
+            return atom if rng.random() < 0.5 else Not(atom)
+
+        def modal():
+            body = rng.choice([literal, lambda: Or(literal(), literal()), lambda: And(literal(), literal())])()
+            if rng.random() < 0.2:
+                body = Or(body, Sharper(rng.choice(pool), rng.choice(pool)))
+            g = rng.choice([DiamondS, BoxS])(rng.choice(pool), body)
+            return Not(g) if rng.random() < 0.4 else g
+
+        conjuncts = [rng.choice([literal, modal, modal])() for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            atom = Sharper(rng.choice([S, T]), rng.choice([S, T, UNIVERSAL]))
+            conjuncts.append(atom if rng.random() < 0.5 else Not(atom))
+        atoms = rng.sample(_ATOMS, rng.randint(0, 2))
+        family = label_family(atoms, vocab(conj(conjuncts)).standpoints)
+        grid = CompiledGrid(family, plist, conjuncts, [10**6, 10**6])
+        if grid.tables is None:
+            continue
+        done += 1
+        walked = engine_grid(family, plist, conjuncts, [10**6, 10**6])
+        budget = [10**6, 10**6]
+        found = grid_model_for(grid, conjuncts, budget)
+        assert budget[0] == 10**6 - 1
+        assert found == grid_model_for(walked, conjuncts, [10**6, 10**6]), [to_text(g) for g in conjuncts]
+        # the compiled members a state reads off its model
+        members = [c.operand if isinstance(c, Not) else c for c in conjuncts]
+        members = [g for g in members if isinstance(g, (Prop, DiamondS, BoxS))]
+        negated += any(isinstance(g, Not) and isinstance(g.operand, (DiamondS, BoxS)) for g in conjuncts)
+        if found is None:
+            unsat += 1
+            continue
+        sat += 1
+        wide += len(family) >= 2
+        off_zero += found[1] != 0
+        assert holds((family, expand(grid, *found)), conj(conjuncts))
+        space = SimpleNamespace(_decided=list(enumerate(members)))
+        assert StateSpace._read(space, grid, *found) == StateSpace._read(space, walked, *found)
+    assert sat > 190 and unsat > 160 and wide > 120 and off_zero > 60 and negated > 180
+
+
+def test_a_grid_at_the_cap_takes_the_table():
+    # 8 columns of one valuation each, and one formula of 512 nodes:
+    # 512 x 8 x 2^8 bits, exactly the cap, takes the table; a ninth column
+    # (one type more) or a 513th node takes the walk
+    names = [Standpoint(f"s{i}") for i in range(8)]
+    body = TOP
+    for k in range(511):
+        body = DiamondS(names[k % 7], body)
+    assert size(body) == 512 and 512 * 8 << 8 == psl.ONE_CELL_BITS
+    longer = DiamondS(names[0], body)
+    grids = [
+        (CompiledGrid(label_family([], names[:7]), [], [body], [10**6, 10**6]), body),
+        (CompiledGrid(label_family([], names), [], [body], [10**6, 10**6]), body),
+        (CompiledGrid(label_family([], names[:7]), [], [longer], [10**6, 10**6]), longer),
+    ]
+    assert [(len(g.family), g.tables is not None) for g, _ in grids] == [(8, True), (9, False), (8, False)]
+    for grid, f in grids:
+        found = grid_model_for(grid, [f], [10**6, 10**6])
+        assert holds((grid.family, expand(grid, *found)), f)
+        assert found == grid_model_for(engine_grid(grid.family, [], [f], [10**6, 10**6]), [f], [10**6, 10**6])
 
 
 # ---------------------------------------------------------------------------
