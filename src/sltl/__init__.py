@@ -7,10 +7,7 @@ from .syntax import (
     Standpoint,
     UNIVERSAL,
     classify,
-    closure,
     parse,
-    simplify,
-    to_nnf,
     to_text,
     vocab,
 )
@@ -22,6 +19,8 @@ from .semantics import (
     model_to_json,
 )
 from .search import SearchBounds, bounded_search
+from .translate import simplify, to_nnf
+from .automaton import closure
 from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
 
 __all__ = [

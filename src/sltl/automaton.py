@@ -2,8 +2,9 @@
 
 It decides every input of the fragments PSL, PureLTL and LtlPsl.  States
 are maximally consistent, standpoint-consistent subsets of the closure
-set, which stops at modal formulas: a modal member is a leaf that a
-state's grid decides whole.  A state is fixed by its assignment to the
+set (``ClosureSet``, read off the seed's memoised program; no witness
+check reads it), which stops at modal formulas: a modal member is a leaf
+that a state's grid decides whole.  A state is fixed by its assignment to the
 base members (propositions, sharpening atoms, next-step and modal
 formulas), because the consistency equations force its Boolean and Until
 members; so a state is an ``int`` whose bit ``b`` is set when
@@ -34,6 +35,7 @@ import functools
 import io
 from collections import deque
 from collections.abc import Container, Iterator
+from operator import itemgetter
 
 from . import psl
 from .search import DEFAULT_NODE_LIMIT, IntervalEngine, SearchLimitError, cells_with_bit
@@ -42,7 +44,6 @@ from .syntax import (
     And,
     Bottom,
     BoxS,
-    ClosureSet,
     DiamondS,
     Formula,
     Next,
@@ -68,6 +69,77 @@ _TAIL_WIDTH = 10
 
 # a grid model: the label family, and the valuations each column carries
 GridModel = tuple[tuple[frozenset[Standpoint], ...], tuple[tuple[frozenset[str], ...], ...]]
+
+
+class ClosureSet:
+    """The formulas an automaton state assigns, ordered by size and then by
+    the position of their last occurrence in ``syntax.nodes(seed)``; an Until's
+    next-step companion that does not occur there takes the Until's
+    position.  The key prints nothing, and children come before their
+    parents.
+
+    The members are the seed's subformulas outside modal operands, every
+    sharpening atom of the seed wherever it occurs, and the next-step
+    companions of the Until members.  A false member is a clear state bit,
+    so no negation is added.  A modal formula is a leaf: on the automaton's
+    fragments its operand is temporal-free, and a state decides it whole on
+    its grid.  Sharpening atoms beneath a modality are members all the
+    same, because atoms are rigid state bits and the true ones choose the
+    grid's label family.
+
+    Both are read off the seed's memoised ``program`` in one top-down pass
+    over its list, parents before children, so the time is linear in the
+    distinct subformulas however often a shared one occurs.  A child's
+    last occurrence is a longest path: one past its parent's last
+    occurrence, plus the size of its left sibling, the latest over its
+    parents.  A child lies outside every modal operand when some parent
+    that is not a modality does.
+    """
+
+    def __init__(self, seed: Formula):
+        subs, left, right = program(seed)
+        # the root's only occurrence is the first, outside every modal operand
+        last, outside = [0] * len(subs), [False] * (len(subs) - 1) + [True]
+        for i in range(len(subs) - 1, -1, -1):
+            free = outside[i] and not isinstance(subs[i], (DiamondS, BoxS))
+            at = last[i] + 1  # where the child occurs in this one's last occurrence
+            for c in (left[i], right[i]):
+                if c >= 0:
+                    last[c] = max(last[c], at)
+                    outside[c] |= free
+                    at += subs[c]._size
+        # each member's key: its size and last occurrence; an Until's
+        # companion takes the Until's occurrence where it has none
+        nexts = {a: j for j, (g, a) in enumerate(zip(subs, left)) if type(g) is Next}
+        keyed = [(g._size, last[i], g) for i, g in enumerate(subs) if outside[i] or type(g) is Sharper]
+        for i, g in enumerate(subs):
+            j = nexts.get(i)
+            if outside[i] and type(g) is Until and (j is None or not outside[j]):
+                keyed.append((g._size + 1, last[i if j is None else j], Next(g)))
+        self.seed = seed
+        self.formulas: tuple[Formula, ...] = tuple(g for _, _, g in sorted(keyed, key=itemgetter(0, 1)))
+        self.index: dict[Formula, int] = {g: i for i, g in enumerate(self.formulas)}
+        self.until_members: tuple[Until, ...] = tuple(
+            g for g in self.formulas if isinstance(g, Until)
+        )
+        self.next_members: tuple[Next, ...] = tuple(
+            g for g in self.formulas if isinstance(g, Next)
+        )
+
+    def __len__(self) -> int:
+        return len(self.formulas)
+
+    def __contains__(self, f: Formula) -> bool:
+        return f in self.index
+
+    def __iter__(self) -> Iterator[Formula]:
+        return iter(self.formulas)
+
+
+def closure(f: Formula) -> ClosureSet:
+    """The closure set of ``f``: its members stop at modal formulas, which
+    are leaves, but keep every sharpening atom (see ``ClosureSet``)."""
+    return ClosureSet(f)
 
 
 class Lasso(_FrozenRecord):

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .automaton import DEFAULT_STATE_LIMIT, dump_state_graph
+from .automaton import DEFAULT_STATE_LIMIT, closure, dump_state_graph
 from .search import DEFAULT_NODE_LIMIT, SearchBounds, SearchLimitError
 from .semantics import WitnessFormatError, model_from_json, model_to_json
 from .solver import SolveOptions, Verdict, check_witness, solve, verdict_to_json
@@ -27,9 +27,7 @@ from .syntax import (
     Fragment,
     ParseError,
     classify,
-    closure,
     parse,
-    simplify,
     to_text,
 )
 from .translate import (
@@ -37,6 +35,7 @@ from .translate import (
     product_to_sltl,
     psl_to_s5,
     recurring_counter_formula,
+    simplify,
     sltl_to_product,
     until_to_strict,
 )

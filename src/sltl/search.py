@@ -620,9 +620,9 @@ def one_cell_model(f: Formula) -> tuple[SLTLModel, str] | None:
     memoised ``vocab``), the first proposition the most significant bit,
     and the least set bit of the root's table is the model the search
     returns: trace ``t0``, prefix 0, period 1 and every extent ``{t0}``.
-    The program and the vocabulary come from one walk of ``f``, memoised
-    on it, so the witness check of a hit (``semantics.evaluate`` on the
-    same ``f``) walks nothing again.
+    The vocabulary is one pass over the program of one walk of ``f``,
+    both memoised on it, so the witness check of a hit
+    (``semantics.evaluate`` on the same ``f``) walks nothing again.
     """
     voc = vocab(f)
     props = sorted(voc.props)
@@ -682,8 +682,8 @@ def bounded_search(
     least a node, so a search over many standpoints exits at its node
     limit rather than listing every assignment first.  Which traces a
     stratum reads is decided by the formula's ``Vocabulary``, and the
-    table and the engine read the list of its ``program``, both from the
-    one walk of ``f``.  The formula ``false``, which constant folding
+    table and the engine read the list of its ``program``: one walk of
+    ``f`` serves all three.  The formula ``false``, which constant folding
     makes of an input with no model on any shape, has no model within any
     bounds: it answers None at once, with no engine compiled and no node
     spent.  The model is not checked here: ``solve`` checks every witness

@@ -10,9 +10,11 @@ the product of linear time with S5: a product model is an SLTL model
 whose only standpoint is ``@*``, and a product formula is one that
 ``check_product_formula`` accepts, evaluated by ``evaluate``, which keeps
 one integer mask per subformula over every (trace, lasso node) cell and
-reads the formula's flat program, the one walk ``syntax`` memoises on it.
-This module imports nothing of the package but ``syntax``, shares no code
-with the engines it checks, and never recurses: ``syntax.py`` and this
+reads the formula's flat program, the one walk ``syntax`` memoises on it,
+which computes nothing else.  This module imports nothing of the package
+but ``syntax``, which imports nothing of it, shares no code with the
+engines it checks, and never recurses: ``syntax.py`` (the AST, the parser,
+the printer and the walks, with no rewrite and no closure set) and this
 file are all a reader audits to trust a witness.
 """
 

@@ -20,6 +20,7 @@ from collections.abc import Iterable
 from .automaton import (
     DEFAULT_STATE_LIMIT,
     Lasso,
+    closure,
     find_accepting_lasso,
 )
 from .search import DEFAULT_NODE_LIMIT, SearchBounds, bounded_search, one_cell_model
@@ -30,10 +31,9 @@ from .syntax import (
     Standpoint,
     _Record,
     classify,
-    closure,
-    simplify,
     vocab,
 )
+from .translate import simplify
 
 
 class SolveOptions(_Record):

@@ -1,24 +1,26 @@
 """Formula syntax for standpoint linear temporal logic.
 
-AST nodes, the surface-text parser, the canonical printer, negation normal
-form, closure sets and fragment classification.  Formulas are immutable
-slotted objects that hash and compare structurally, so they can be used as
-dictionary keys throughout the package; each constructor computes its
-node's hash and size from its children's, so building a node is O(1).
+AST nodes, the surface-text parser, the canonical printer, the walks and
+fragment classification.  With ``semantics`` this module is the trust
+base: it imports nothing of the package, and the rewrites (``translate``)
+and closure sets (``automaton``), which no witness check runs, live with
+the engines.  Formulas are immutable slotted objects that hash and
+compare structurally, so they can be used as dictionary keys throughout
+the package; each constructor computes its node's hash and size from its
+children's, so building a node is O(1).
 
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
 ``fold`` computes bottom-up once per node object, so a shared subterm is
-rewritten once, with ``rebuild`` as the homomorphic step that a rewrite
-calls for every connective it leaves alone, and ``_walk`` visits each
-distinct subformula once.  That walk, memoised on the formula it reads,
-is the one every reader of a formula shares: its flat children-first
-program (``program``: the distinct subformulas and the list positions of
-each one's children), read by ``subformulas``, the witness checker, the
-one-cell check, the interval engine's compile and ``ClosureSet``, and its
-``Vocabulary``, read by ``vocab`` and ``classify``.  The parser
-loops over two stacks and the printer over one, so no input is too deep
-for them either; both read one operator table.
+rewritten once, and ``_walk`` visits each distinct subformula once.  That
+walk, memoised on the formula it reads, is the one every reader of a
+formula shares: its flat children-first program (``program``: the
+distinct subformulas and the list positions of each one's children), read
+by ``subformulas``, the witness checker, the one-cell check, the interval
+engine's compile, the closure sets and ``vocab``, whose one pass over it
+gives the ``Vocabulary`` that ``classify`` reads.  The parser loops over
+two stacks and the printer over one, so no input is too deep for them
+either; both read one operator table.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import re
 from collections.abc import Callable, Collection, Iterable, Iterator
 from enum import Enum
 from functools import reduce
-from operator import itemgetter
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -140,8 +141,9 @@ class Formula(_Immutable):
     class tag (``_tag``) in the hash.  Equality is structural too: it
     returns early on identity, then on class and hash, and only then
     compares fields (``_same``).  The first of ``vocab``, ``program`` and
-    ``subformulas`` to read a node walks it once and memoises both results
-    on it, in the ``_vocab`` and ``_program`` slots.
+    ``subformulas`` to read a node walks it once and memoises its program
+    on it, in the ``_program`` slot; ``vocab`` memoises its one pass over
+    that program in the ``_vocab`` slot.
     """
 
     __slots__ = ("_hash", "_size", "_vocab", "_program")
@@ -449,50 +451,6 @@ def fold(f: Formula, step: Callable[[Formula, tuple], object]) -> object:
     return results[0]
 
 
-def rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
-    """``g`` over new children: the default ``fold`` step of a rewrite.
-
-    A node whose children are unchanged is kept, a negation too unless
-    its operand is a constant; other negations are rebuilt with ``neg``, so
-    constants fold and double negations collapse.  One function per node
-    class (``_REBUILD``) does it, so no node tests its class twice.
-    """
-    return _REBUILD[type(g)](g, kids)
-
-
-def _keep(g: Formula, kids: tuple) -> Formula:
-    return g
-
-
-def _rebuild_not(g: Not, kids: tuple[Formula]) -> Formula:
-    (a,) = kids
-    if a is g.operand and type(a) is not Top and type(a) is not Bottom:
-        return g
-    return neg(a)
-
-
-def _rebuild_next(g: Next, kids: tuple[Formula]) -> Formula:
-    (a,) = kids
-    return g if a is g.operand else Next(a)
-
-
-def _rebuild_modal(g: _Modal, kids: tuple[Formula]) -> Formula:
-    (a,) = kids
-    return g if a is g.operand else type(g)(g.standpoint, a)
-
-
-def _rebuild_binary(g: _Binary, kids: tuple[Formula, Formula]) -> Formula:
-    a, b = kids
-    return g if a is g.left and b is g.right else type(g)(a, b)
-
-
-_REBUILD: dict[type, Callable[[Formula, tuple], Formula]] = {
-    Top: _keep, Bottom: _keep, Prop: _keep, Sharper: _keep, Not: _rebuild_not,
-    Next: _rebuild_next, DiamondS: _rebuild_modal, BoxS: _rebuild_modal,
-    And: _rebuild_binary, Or: _rebuild_binary, Until: _rebuild_binary,
-}
-
-
 def subformulas(*roots: Formula, known: Collection[Formula] = ()) -> list[Formula]:
     """All distinct subformulas of ``roots`` (the roots included), children
     first, left to right and root by root.  A formula in ``known`` (a set
@@ -517,15 +475,14 @@ def program(f: Formula) -> tuple[list[Formula], list[int], list[int]]:
     keeps one value per subformula in a list beside the program and finds
     a connective's operands by position, with no formula hashed.
 
-    The first reader walks ``f`` and memoises the program on it, with its
-    ``Vocabulary``: ``vocab``, the one-cell check, the witness check of its
-    model and the bounded search's compile read one walk of the input
-    between them.  Both are shared, so no caller may change them."""
+    The first reader walks ``f`` and memoises the program on it: ``vocab``,
+    the one-cell check, the witness check of its model and the bounded
+    search's compile read one walk of the input between them.  It is
+    shared, so no caller may change it."""
     try:
         return f._program
     except AttributeError:
-        subs, left, right, voc = _walk((f,), ())
-        _SET_VOCAB(f, voc)
+        subs, left, right, _ = _walk((f,), ())
         _SET_PROGRAM(f, (subs, left, right))
         return subs, left, right
 
@@ -533,19 +490,13 @@ def program(f: Formula) -> tuple[list[Formula], list[int], list[int]]:
 def programs(roots: Iterable[Formula]) -> tuple[list[Formula], list[int], list[int], list[int]]:
     """One flat program of every formula of ``roots``, laid out as
     ``program`` lays out one formula's, and the list position of each
-    root: one walk, not memoised, which reads no vocabulary."""
-    return _walk(tuple(roots), (), False)
-
-
-# The flags the walk of one root gives each subformula, bottom-up: it has a
-# proposition outside every modal operand, a temporal operator, a temporal
-# operator beneath a modality.
-_FREE, _TEMPORAL, _UNDER = 1, 2, 4
+    root: one walk, not memoised."""
+    return _walk(tuple(roots), ())
 
 
 def _walk(
-    roots: tuple[Formula, ...], known: Collection[Formula], track: bool | None = None
-) -> tuple[list[Formula], list[int], list[int], Vocabulary | list[int] | None]:
+    roots: tuple[Formula, ...], known: Collection[Formula]
+) -> tuple[list[Formula], list[int], list[int], list[int]]:
     """The one walk: each distinct subformula of ``roots`` is visited once,
     post-order, and listed at its first completion.  A known formula is
     neither listed nor entered.
@@ -553,21 +504,13 @@ def _walk(
     A walk with no known formulas gives each listed subformula the list
     positions of its children, which the stack ``done`` holds until their
     parent completes; at the end ``done`` holds the position of each root.
-    The walk of one root with no known formulas is tracked unless
-    ``track`` is False: it is the root's ``program``, and reads its
-    ``Vocabulary`` too, from each subformula's flags (``_FREE``,
-    ``_TEMPORAL``, ``_UNDER``), its children's joined, and the names it
-    collects; the root's flags decide the fragment and trace independence.
-    The fourth value is that vocabulary, or for an untracked walk the
-    roots' positions (``programs``), or None where formulas are known: such
-    a walk serves ``subformulas``, which reads only the list, and its
-    positions are empty."""
+    A walk around known formulas serves ``subformulas``, which reads only
+    the list, and its positions are empty."""
     place = not known
-    if track is None:
-        track = len(roots) == 1 and place
     where: dict[Formula, int] = {}  # list position by formula
-    subs, left, right, flags = [], [], [], []
-    props, standpoints, modal = set(), set(), set()  # names, modal standpoints
+    subs: list[Formula] = []
+    left: list[int] = []
+    right: list[int] = []
     done: list[int] = []  # the positions of the children of the nodes on the stack
     stack: list = list(reversed(roots))
     pop = stack.pop
@@ -575,23 +518,7 @@ def _walk(
         g = pop()
         if g is _READY:  # the node below it has its children's positions
             g = pop()
-            if track:
-                cls = type(g)
-                b = done.pop() if _ARITY[cls] == 2 else -1
-                a = done[-1]
-                fl = flags[a] if b < 0 else flags[a] | flags[b]
-                if cls is Next or cls is Until:
-                    fl |= _TEMPORAL
-                elif cls is DiamondS or cls is BoxS:
-                    modal.add(g.standpoint)
-                    # no proposition outside it, and a temporal operator in
-                    # its operand is beneath it (``_UNDER`` is ``_TEMPORAL << 1``)
-                    fl = fl & (_TEMPORAL | _UNDER) | (fl & _TEMPORAL) << 1
-                flags.append(fl)
-                left.append(a)
-                right.append(b)
-                done[-1] = len(subs)
-            elif place:  # positions alone
+            if place:
                 right.append(done.pop() if _ARITY[type(g)] == 2 else -1)
                 left.append(done[-1])
                 done[-1] = len(subs)
@@ -602,36 +529,18 @@ def _walk(
         if i is None:
             if known and g in known:
                 continue
-            cls = type(g)
-            if _ARITY[cls]:
-                stack += (g, _READY, g.right, g.left) if _ARITY[cls] == 2 else (g, _READY, g.operand)
+            arity = _ARITY[type(g)]
+            if arity:
+                stack += (g, _READY, g.right, g.left) if arity == 2 else (g, _READY, g.operand)
                 continue
-            if track:
-                if cls is Prop:
-                    props.add(g.name)
-                elif cls is Sharper:
-                    standpoints.update((g.left, g.right))
-                flags.append(_FREE if cls is Prop else 0)
-                left.append(-1)
-                right.append(-1)
-            elif place:
+            if place:
                 left.append(-1)
                 right.append(-1)
             i = where[g] = len(subs)
             subs.append(g)
         if place:
             done.append(i)
-    if not track:
-        return subs, left, right, done if place else None
-    # the universal standpoint is listed whenever any standpoint is, since
-    # the downstream sharpening relation always links standpoints to it
-    if standpoints or modal:
-        standpoints |= modal | {UNIVERSAL}
-    fl = flags[-1]
-    fragment = (Fragment.PSL if not fl & _TEMPORAL else Fragment.PURE_LTL if not standpoints
-                else Fragment.LTL_PSL if not fl & _UNDER else Fragment.FULL_SLTL)
-    sets = map(frozenset, (props, standpoints, modal))
-    return subs, left, right, Vocabulary(*sets, fragment, not fl & _FREE)
+    return subs, left, right, done
 
 
 # ---------------------------------------------------------------------------
@@ -871,193 +780,6 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
                 return operands[0]
 
 
-def simplify(f: Formula) -> Formula:
-    """Constant folding; the result is equivalent to the input in every
-    model.
-
-    Folds Boolean units, next-steps of constants, Until with a constant
-    right side, modalities over constants (extents are never empty) and the
-    reflexive or universally capped sharpening atoms.
-    """
-    return fold(f, _simplify_step)
-
-
-def _simplify_step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
-    return _SIMPLIFY[type(g)](g, kids)
-
-
-def _simplify_and(g: And, kids: tuple[Formula, Formula]) -> Formula:
-    a, b = kids
-    if type(a) is Bottom or type(b) is Bottom:
-        return BOTTOM
-    if type(a) is Top:
-        return b
-    if type(b) is Top:
-        return a
-    return _rebuild_binary(g, kids)
-
-
-def _simplify_or(g: Or, kids: tuple[Formula, Formula]) -> Formula:
-    a, b = kids
-    if type(a) is Top or type(b) is Top:
-        return TOP
-    if type(a) is Bottom:
-        return b
-    if type(b) is Bottom:
-        return a
-    return _rebuild_binary(g, kids)
-
-
-def _simplify_over_constant(g: _Unary, kids: tuple[Formula]) -> Formula:
-    """``X``, a diamond or a box: over a constant it is the constant, since
-    extents are never empty."""
-    a = kids[0]
-    if type(a) is Top or type(a) is Bottom:
-        return a
-    return _REBUILD[type(g)](g, kids)
-
-
-def _simplify_until(g: Until, kids: tuple[Formula, Formula]) -> Formula:
-    a, b = kids
-    if type(b) is Top or type(b) is Bottom or type(a) is Bottom:
-        return b
-    return _rebuild_binary(g, kids)
-
-
-def _simplify_sharper(g: Sharper, kids: tuple) -> Formula:
-    return TOP if g.left == g.right or g.right.is_universal else g
-
-
-_SIMPLIFY: dict[type, Callable[[Formula, tuple], Formula]] = {
-    **_REBUILD, And: _simplify_and, Or: _simplify_or, Next: _simplify_over_constant,
-    DiamondS: _simplify_over_constant, BoxS: _simplify_over_constant,
-    Until: _simplify_until, Sharper: _simplify_sharper,
-}
-
-
-# ---------------------------------------------------------------------------
-# Negation normal form
-
-def to_nnf(f: Formula) -> Formula:
-    """Push negations inward through all dual pairs.
-
-    In the result, ``Not`` appears only on propositions, sharpening atoms
-    and on always-blocks ``Not(Until(Top, _))``, which encode the dual of
-    Until without a release operator.  A ``fold``: each subformula's
-    result is the pair of its normal form and its negation's.
-    """
-    return fold(f, _nnf_step)[0]
-
-
-def _nnf_step(g: Formula, kids: tuple[tuple[Formula, Formula], ...]) -> tuple[Formula, Formula]:
-    if not kids:
-        return g, neg(g)
-    if isinstance(g, Not):
-        return kids[0][1], kids[0][0]
-    form = rebuild(g, tuple(k[0] for k in kids))
-    negs = [k[1] for k in kids]
-    if isinstance(g, And):
-        return form, Or(*negs)
-    if isinstance(g, Or):
-        return form, And(*negs)
-    if isinstance(g, Next):
-        return form, Next(*negs)
-    if isinstance(g, DiamondS):
-        return form, BoxS(g.standpoint, *negs)
-    if isinstance(g, BoxS):
-        return form, DiamondS(g.standpoint, *negs)
-    # !(a U b)  ==  G !b  |  (!b U (!a & !b)), with G kept as !(true U b)
-    na, nb = negs
-    return form, Or(Not(Until(TOP, kids[1][0])), Until(nb, And(na, nb)))
-
-
-def is_nnf(f: Formula) -> bool:
-    """True when negations sit only on atoms or always-blocks: a loop over
-    the memoised list of distinct subformulas."""
-    for g in subformulas(f):
-        if isinstance(g, Not):
-            op = g.operand
-            if isinstance(op, (Prop, Sharper)):
-                continue
-            if not (isinstance(op, Until) and op.left == TOP):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Closure sets
-
-class ClosureSet:
-    """The formulas an automaton state assigns, ordered by size and then by
-    the position of their last occurrence in ``nodes(seed)``; an Until's
-    next-step companion that does not occur there takes the Until's
-    position.  The key prints nothing, and children come before their
-    parents.
-
-    The members are the seed's subformulas outside modal operands, every
-    sharpening atom of the seed wherever it occurs, and the next-step
-    companions of the Until members.  A false member is a clear state bit,
-    so no negation is added.  A modal formula is a leaf: on the automaton's
-    fragments its operand is temporal-free, and a state decides it whole on
-    its grid.  Sharpening atoms beneath a modality are members all the
-    same, because atoms are rigid state bits and the true ones choose the
-    grid's label family.
-
-    Both are read off the seed's memoised ``program`` in one top-down pass
-    over its list, parents before children, so the time is linear in the
-    distinct subformulas however often a shared one occurs.  A child's
-    last occurrence is a longest path: one past its parent's last
-    occurrence, plus the size of its left sibling, the latest over its
-    parents.  A child lies outside every modal operand when some parent
-    that is not a modality does.
-    """
-
-    def __init__(self, seed: Formula):
-        subs, left, right = program(seed)
-        # the root's only occurrence is the first, outside every modal operand
-        last, outside = [0] * len(subs), [False] * (len(subs) - 1) + [True]
-        for i in range(len(subs) - 1, -1, -1):
-            free = outside[i] and not isinstance(subs[i], (DiamondS, BoxS))
-            at = last[i] + 1  # where the child occurs in this one's last occurrence
-            for c in (left[i], right[i]):
-                if c >= 0:
-                    last[c] = max(last[c], at)
-                    outside[c] |= free
-                    at += subs[c]._size
-        # each member's key: its size and last occurrence; an Until's
-        # companion takes the Until's occurrence where it has none
-        nexts = {a: j for j, (g, a) in enumerate(zip(subs, left)) if type(g) is Next}
-        keyed = [(g._size, last[i], g) for i, g in enumerate(subs) if outside[i] or type(g) is Sharper]
-        for i, g in enumerate(subs):
-            j = nexts.get(i)
-            if outside[i] and type(g) is Until and (j is None or not outside[j]):
-                keyed.append((g._size + 1, last[i if j is None else j], Next(g)))
-        self.seed = seed
-        self.formulas: tuple[Formula, ...] = tuple(g for _, _, g in sorted(keyed, key=itemgetter(0, 1)))
-        self.index: dict[Formula, int] = {g: i for i, g in enumerate(self.formulas)}
-        self.until_members: tuple[Until, ...] = tuple(
-            g for g in self.formulas if isinstance(g, Until)
-        )
-        self.next_members: tuple[Next, ...] = tuple(
-            g for g in self.formulas if isinstance(g, Next)
-        )
-
-    def __len__(self) -> int:
-        return len(self.formulas)
-
-    def __contains__(self, f: Formula) -> bool:
-        return f in self.index
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.formulas)
-
-
-def closure(f: Formula) -> ClosureSet:
-    """The closure set of ``f``: its members stop at modal formulas, which
-    are leaves, but keep every sharpening atom (see ``ClosureSet``)."""
-    return ClosureSet(f)
-
-
 # ---------------------------------------------------------------------------
 # Fragments and vocabulary
 
@@ -1078,7 +800,7 @@ def classify(f: Formula) -> Fragment:
 
 
 class Vocabulary(_FrozenRecord):
-    """What the walk reads off a formula: its propositions and
+    """What ``vocab`` reads off a formula: its propositions and
     standpoints; ``modal``, the standpoints that index a modality;
     ``fragment``, the smallest fragment containing it; and
     ``trace_independent``, whether every proposition sits under a
@@ -1098,17 +820,54 @@ class Vocabulary(_FrozenRecord):
         object.__setattr__(self, "trace_independent", trace_independent)
 
 
+# The flags ``vocab`` gives each subformula, bottom-up: it has a
+# proposition outside every modal operand, a temporal operator, a temporal
+# operator beneath a modality.
+_FREE, _TEMPORAL, _UNDER = 1, 2, 4
+
+
 def vocab(f: Formula) -> Vocabulary:
     """Every syntactic verdict on ``f``, memoised on ``f`` itself:
     ``classify``, ``SearchBounds.for_formula``, the searches and ``solve``
-    all read the same formula object, and walk it once between them.  The
-    walk is the one of ``program``, which reads the names and three flags
-    per subformula, computed from its children's (see ``_walk``): a
+    all read the same formula object, and compute it once between them.
+    It is one pass over the memoised ``program``, children first, which
+    collects the names and gives each subformula three flags, its
+    children's joined (``_FREE``, ``_TEMPORAL``, ``_UNDER``): a
     proposition outside every modal operand, a temporal operator, and a
-    temporal operator beneath a modality.
+    temporal operator beneath a modality.  The root's flags decide the
+    fragment and trace independence.
     """
     try:
         return f._vocab
     except AttributeError:
-        program(f)  # memoises the vocabulary too
-        return f._vocab
+        pass
+    flags: list[int] = []
+    props, standpoints, modal = set(), set(), set()  # names, modal standpoints
+    for g, a, b in zip(*program(f)):
+        cls = type(g)
+        if a < 0:
+            if cls is Prop:
+                props.add(g.name)
+            elif cls is Sharper:
+                standpoints.update((g.left, g.right))
+            flags.append(_FREE if cls is Prop else 0)
+            continue
+        fl = flags[a] if b < 0 else flags[a] | flags[b]
+        if cls is Next or cls is Until:
+            fl |= _TEMPORAL
+        elif cls is DiamondS or cls is BoxS:
+            modal.add(g.standpoint)
+            # no proposition outside it, and a temporal operator in its
+            # operand is beneath it (``_UNDER`` is ``_TEMPORAL << 1``)
+            fl = fl & (_TEMPORAL | _UNDER) | (fl & _TEMPORAL) << 1
+        flags.append(fl)
+    # the universal standpoint is listed whenever any standpoint is, since
+    # the downstream sharpening relation always links standpoints to it
+    if standpoints or modal:
+        standpoints |= modal | {UNIVERSAL}
+    fl = flags[-1]
+    fragment = (Fragment.PSL if not fl & _TEMPORAL else Fragment.PURE_LTL if not standpoints
+                else Fragment.LTL_PSL if not fl & _UNDER else Fragment.FULL_SLTL)
+    voc = Vocabulary(*map(frozenset, (props, standpoints, modal)), fragment, not fl & _FREE)
+    _SET_VOCAB(f, voc)
+    return voc

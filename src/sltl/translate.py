@@ -1,27 +1,35 @@
 """Formula-to-formula constructions.
 
-Embeddings between the product logic and SLTL, the guarded translation of
-standpoints into propositional variables, strict-until renaming and the
-binary-counter formula generators.  Everything here is pure and
-size-linear in its input.
+The rewrites that the engines run and no witness check does: ``rebuild``,
+the homomorphic ``fold`` step that every rewrite here takes for the
+connectives it leaves alone, constant folding (``simplify``), which
+``solve`` runs on every input without a one-cell model, and negation
+normal form.  Then the embeddings between the product logic and SLTL, the
+guarded translation of standpoints into propositional variables,
+strict-until renaming and the binary-counter formula generators.
+Everything here is pure and size-linear in its input.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .syntax import (
+    BOTTOM,
     And,
+    Bottom,
     BoxS,
     DiamondS,
     Formula,
     Fragment,
     Next,
+    Not,
     Or,
     Prop,
     Sharper,
     Standpoint,
     TOP,
+    Top,
     UNIVERSAL,
     Until,
     always,
@@ -31,9 +39,169 @@ from .syntax import (
     iff,
     implies,
     neg,
-    rebuild,
+    subformulas,
 )
 from .semantics import check_product_formula
+
+
+# ---------------------------------------------------------------------------
+# Rewrites: the homomorphic step and constant folding
+
+def rebuild(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+    """``g`` over new children: the default ``fold`` step of a rewrite.
+
+    A node whose children are unchanged is kept, a negation too unless
+    its operand is a constant; other negations are rebuilt with ``neg``, so
+    constants fold and double negations collapse.  One function per node
+    class (``_REBUILD``) does it, so no node tests its class twice.
+    """
+    return _REBUILD[type(g)](g, kids)
+
+
+def _keep(g: Formula, kids: tuple) -> Formula:
+    return g
+
+
+def _rebuild_not(g: Not, kids: tuple[Formula]) -> Formula:
+    (a,) = kids
+    if a is g.operand and type(a) is not Top and type(a) is not Bottom:
+        return g
+    return neg(a)
+
+
+def _rebuild_next(g: Next, kids: tuple[Formula]) -> Formula:
+    (a,) = kids
+    return g if a is g.operand else Next(a)
+
+
+def _rebuild_modal(g: DiamondS | BoxS, kids: tuple[Formula]) -> Formula:
+    (a,) = kids
+    return g if a is g.operand else type(g)(g.standpoint, a)
+
+
+def _rebuild_binary(g: And | Or | Until, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    return g if a is g.left and b is g.right else type(g)(a, b)
+
+
+_REBUILD: dict[type, Callable[[Formula, tuple], Formula]] = {
+    Top: _keep, Bottom: _keep, Prop: _keep, Sharper: _keep, Not: _rebuild_not,
+    Next: _rebuild_next, DiamondS: _rebuild_modal, BoxS: _rebuild_modal,
+    And: _rebuild_binary, Or: _rebuild_binary, Until: _rebuild_binary,
+}
+
+
+def simplify(f: Formula) -> Formula:
+    """Constant folding; the result is equivalent to the input in every
+    model.
+
+    Folds Boolean units, next-steps of constants, Until with a constant
+    right side, modalities over constants (extents are never empty) and the
+    reflexive or universally capped sharpening atoms.
+    """
+    return fold(f, _simplify_step)
+
+
+def _simplify_step(g: Formula, kids: tuple[Formula, ...]) -> Formula:
+    return _SIMPLIFY[type(g)](g, kids)
+
+
+def _simplify_and(g: And, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    if type(a) is Bottom or type(b) is Bottom:
+        return BOTTOM
+    if type(a) is Top:
+        return b
+    if type(b) is Top:
+        return a
+    return _rebuild_binary(g, kids)
+
+
+def _simplify_or(g: Or, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    if type(a) is Top or type(b) is Top:
+        return TOP
+    if type(a) is Bottom:
+        return b
+    if type(b) is Bottom:
+        return a
+    return _rebuild_binary(g, kids)
+
+
+def _simplify_over_constant(g: Next | DiamondS | BoxS, kids: tuple[Formula]) -> Formula:
+    """``X``, a diamond or a box: over a constant it is the constant, since
+    extents are never empty."""
+    a = kids[0]
+    if type(a) is Top or type(a) is Bottom:
+        return a
+    return _REBUILD[type(g)](g, kids)
+
+
+def _simplify_until(g: Until, kids: tuple[Formula, Formula]) -> Formula:
+    a, b = kids
+    if type(b) is Top or type(b) is Bottom or type(a) is Bottom:
+        return b
+    return _rebuild_binary(g, kids)
+
+
+def _simplify_sharper(g: Sharper, kids: tuple) -> Formula:
+    return TOP if g.left == g.right or g.right.is_universal else g
+
+
+_SIMPLIFY: dict[type, Callable[[Formula, tuple], Formula]] = {
+    **_REBUILD, And: _simplify_and, Or: _simplify_or, Next: _simplify_over_constant,
+    DiamondS: _simplify_over_constant, BoxS: _simplify_over_constant,
+    Until: _simplify_until, Sharper: _simplify_sharper,
+}
+
+
+# ---------------------------------------------------------------------------
+# Negation normal form
+
+def to_nnf(f: Formula) -> Formula:
+    """Push negations inward through all dual pairs.
+
+    In the result, ``Not`` appears only on propositions, sharpening atoms
+    and on always-blocks ``Not(Until(Top, _))``, which encode the dual of
+    Until without a release operator.  A ``fold``: each subformula's
+    result is the pair of its normal form and its negation's.
+    """
+    return fold(f, _nnf_step)[0]
+
+
+def _nnf_step(g: Formula, kids: tuple[tuple[Formula, Formula], ...]) -> tuple[Formula, Formula]:
+    if not kids:
+        return g, neg(g)
+    if isinstance(g, Not):
+        return kids[0][1], kids[0][0]
+    form = rebuild(g, tuple(k[0] for k in kids))
+    negs = [k[1] for k in kids]
+    if isinstance(g, And):
+        return form, Or(*negs)
+    if isinstance(g, Or):
+        return form, And(*negs)
+    if isinstance(g, Next):
+        return form, Next(*negs)
+    if isinstance(g, DiamondS):
+        return form, BoxS(g.standpoint, *negs)
+    if isinstance(g, BoxS):
+        return form, DiamondS(g.standpoint, *negs)
+    # !(a U b)  ==  G !b  |  (!b U (!a & !b)), with G kept as !(true U b)
+    na, nb = negs
+    return form, Or(Not(Until(TOP, kids[1][0])), Until(nb, And(na, nb)))
+
+
+def is_nnf(f: Formula) -> bool:
+    """True when negations sit only on atoms or always-blocks: a loop over
+    the memoised list of distinct subformulas."""
+    for g in subformulas(f):
+        if isinstance(g, Not):
+            op = g.operand
+            if isinstance(op, (Prop, Sharper)):
+                continue
+            if not (isinstance(op, Until) and op.left == TOP):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

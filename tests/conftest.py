@@ -872,7 +872,8 @@ def routed(f: Formula, opts=None):
     reach it here, on inputs that ``solve`` would answer by truth table."""
     # imported here, so that the references above import no engine
     from sltl.solver import SolveOptions, _route, check_witness
-    from sltl.syntax import classify, simplify
+    from sltl.syntax import classify
+    from sltl.translate import simplify
 
     v = _route(f, simplify(f), classify(f), opts or SolveOptions())
     assert not v.is_sat or check_witness(f, v.model, v.designated)

@@ -38,16 +38,21 @@ from sltl.syntax import (
     Prop,
     UNIVERSAL,
     classify,
-    closure,
     Fragment,
     parse,
-    simplify,
     size,
     subformulas,
     to_text,
     vocab,
 )
-from sltl.translate import product_to_sltl, recurring_counter_formula, counter_formula, sltl_to_product
+from sltl.automaton import closure
+from sltl.translate import (
+    product_to_sltl,
+    recurring_counter_formula,
+    counter_formula,
+    simplify,
+    sltl_to_product,
+)
 
 CRITERION_BOUNDS = (3, 2, 3)  # traces, prefix, period for the agreement run
 

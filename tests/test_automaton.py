@@ -16,6 +16,7 @@ from conftest import (
 from sltl.automaton import (
     Lasso,
     StateSpace,
+    closure,
     dump_state_graph,
     find_accepting_lasso,
 )
@@ -39,18 +40,14 @@ from sltl.syntax import (
     Until,
     classify,
     Fragment,
-    closure,
     conj,
     fold,
     neg,
     parse,
-    rebuild,
-    simplify,
-    to_nnf,
     to_text,
     vocab,
 )
-from sltl.translate import counter_formula
+from sltl.translate import counter_formula, rebuild, simplify, to_nnf
 
 
 def _state_at(lasso: Lasso, k: int) -> int:

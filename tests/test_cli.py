@@ -9,12 +9,12 @@ import time
 import pytest
 
 import sltl
-from sltl.automaton import dump_state_graph
+from sltl.automaton import closure, dump_state_graph
 from sltl.cli import main
-from sltl.syntax import closure, parse, simplify, to_text, vocab
+from sltl.syntax import parse, to_text, vocab
 from sltl.semantics import model_from_json
 from sltl.solver import check_witness
-from sltl.translate import sltl_to_product, until_to_strict
+from sltl.translate import simplify, sltl_to_product, until_to_strict
 
 
 def run(capsys, *argv):

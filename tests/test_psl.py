@@ -24,7 +24,7 @@ from conftest import (
 )
 
 from sltl import psl
-from sltl.automaton import StateSpace, find_accepting_lasso
+from sltl.automaton import StateSpace, closure, find_accepting_lasso
 from sltl.psl import (
     CompiledGrid,
     expand,
@@ -46,16 +46,14 @@ from sltl.syntax import (
     TOP,
     UNIVERSAL,
     Until,
-    closure,
     conj,
     parse,
-    simplify,
     size,
     subformulas,
-    to_nnf,
     to_text,
     vocab,
 )
+from sltl.translate import simplify, to_nnf
 
 STAR = frozenset({UNIVERSAL})
 STAR_S = frozenset({UNIVERSAL, S})

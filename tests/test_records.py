@@ -5,11 +5,12 @@ import pickle
 
 import pytest
 
-from sltl.automaton import DEFAULT_STATE_LIMIT, Lasso, find_accepting_lasso
+from sltl.automaton import DEFAULT_STATE_LIMIT, Lasso, closure, find_accepting_lasso
 from sltl.search import DEFAULT_NODE_LIMIT, SearchBounds
 from sltl.semantics import ModelError, SLTLModel, UPTrace
 from sltl.solver import SolveOptions, Verdict
-from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary, closure, parse, simplify
+from sltl.syntax import UNIVERSAL, Fragment, Standpoint, Vocabulary, parse
+from sltl.translate import simplify
 
 S = Standpoint("s")
 

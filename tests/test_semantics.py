@@ -51,16 +51,15 @@ from sltl.syntax import (
     TOP,
     UNIVERSAL,
     Until,
-    closure,
     nodes,
     parse,
-    simplify,
     size,
     subformulas,
     to_text,
     vocab,
 )
-from sltl.translate import recurring_counter_formula
+from sltl.automaton import closure
+from sltl.translate import recurring_counter_formula, simplify
 
 
 def single_trace_model(*positions, prefix_len=0):

@@ -21,7 +21,7 @@ import sltl.solver as solver_mod
 from sltl import automaton, psl, search, syntax
 from sltl.search import SearchBounds, SearchLimitError, bounded_search, one_cell_model
 from sltl.semantics import evaluate, model_to_json
-from sltl.automaton import find_accepting_lasso
+from sltl.automaton import closure, find_accepting_lasso
 from sltl.cli import main
 from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
 from sltl.syntax import (
@@ -35,15 +35,13 @@ from sltl.syntax import (
     always,
     classify,
     Fragment,
-    closure,
     eventually,
     neg,
     parse,
-    simplify,
     to_text,
     vocab,
 )
-from sltl.translate import counter_formula, recurring_counter_formula, sltl_to_product
+from sltl.translate import counter_formula, recurring_counter_formula, simplify, sltl_to_product
 
 
 def run_grid_parameters(phi_d):
@@ -254,6 +252,26 @@ def test_a_full_sltl_miss_walks_its_input_and_its_folding_once_each(monkeypatch)
     phi = simplify(f)
     assert (v.fragment, v.status) == (Fragment.FULL_SLTL, "unknown") and phi != f
     assert walked == [((f,), ()), ((phi,), ())]
+
+
+def test_a_witness_check_walks_its_input_once_and_builds_no_vocabulary(monkeypatch):
+    # the checker reads the plain walk of a freshly parsed formula: the
+    # vocabulary is the engines' question, computed by a pass of its own
+    text = "<@s> X p & [@t] F !q & (@s <= @t)"
+    v = solve(parse(text), SolveOptions(bounds=SearchBounds.for_formula(parse(text), 2, 1, 1)))
+    assert v.status == "sat"
+    built = _count_vocabularies(monkeypatch)
+    walked = []
+    real = syntax._walk
+
+    def counting(roots, known):
+        walked.append(roots)
+        return real(roots, known)
+
+    monkeypatch.setattr(syntax, "_walk", counting)
+    f = parse(text)
+    assert check_witness(f, v.model, v.designated)
+    assert walked == [(f,)] and built == []
 
 
 def test_the_search_after_constant_folding_finds_the_same_model():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import S, T, iter_models, random_dag, random_formula, reference_closure, reference_vocab
 
+from sltl import syntax
 from sltl.semantics import check_product_formula, evaluate
 from sltl.syntax import (
     _FIELDS,
@@ -28,27 +30,27 @@ from sltl.syntax import (
     Until,
     children,
     classify,
-    closure,
     conj,
     disj,
     eventually,
     fold,
-    is_nnf,
     neg,
     nodes,
     parse,
     program,
-    rebuild,
-    simplify,
     size,
     subformulas,
-    to_nnf,
     to_text,
     vocab,
 )
+from sltl.automaton import closure
 from sltl.translate import (
     _occurring_standpoints,
+    is_nnf,
+    rebuild,
     recurring_counter_formula,
+    simplify,
+    to_nnf,
     translate_standpoints_away,
     until_to_strict,
 )
@@ -291,7 +293,7 @@ def test_size_counts_nodes():
 # Constant folding
 
 def test_simplify_shapes():
-    from sltl.syntax import simplify
+    from sltl.translate import simplify
 
     assert simplify(parse("X true U false & p")) == BOTTOM
     assert simplify(parse("p & true")) == Prop("p")
@@ -305,7 +307,7 @@ def test_simplify_shapes():
 
 
 def test_simplify_is_equivalent_on_small_models():
-    from sltl.syntax import simplify
+    from sltl.translate import simplify
 
     rng = random.Random(303)
     done = 0
@@ -698,6 +700,21 @@ def test_program_gives_each_subformula_the_positions_of_its_children():
             kids = [c for c in (a, b) if c >= 0]
             assert [subs[c] for c in kids] == list(children(g)), to_text(g)
             assert all(c < i for c in kids) and (b < 0 or a >= 0)
+
+
+def test_program_builds_no_vocabulary_and_vocab_walks_no_more(monkeypatch):
+    # the walk lists subformulas and child positions, nothing else; the
+    # vocabulary is one pass over the memoised program, built on demand
+    built, walked = [], []
+    real_vocabulary, real_walk = syntax.Vocabulary, syntax._walk
+    monkeypatch.setattr(syntax, "Vocabulary", lambda *args: built.append(args) or real_vocabulary(*args))
+    monkeypatch.setattr(syntax, "_walk", lambda roots, known: walked.append(roots) or real_walk(roots, known))
+    f = parse("<@s> X p & [@t] F !q & (@s <= @t)")
+    subs = program(f)[0]
+    assert walked == [(f,)] and built == []
+    assert vocab(f) is vocab(f) and len(built) == 1
+    assert walked == [(f,)] and program(f)[0] is subs
+    assert list(inspect.signature(real_walk).parameters) == ["roots", "known"]
 
 
 def test_a_40_link_iff_chain_classifies_and_closes_at_once():
