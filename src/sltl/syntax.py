@@ -4,28 +4,30 @@ AST nodes, the surface-text parser, the canonical printer, the walks and
 fragment classification.  With ``semantics`` this module is the trust
 base: it imports nothing of the package, and the rewrites (``translate``)
 and closure sets (``automaton``), which no witness check runs, live with
-the engines.  Formulas are immutable slotted objects that hash and
-compare structurally, so they can be used as dictionary keys throughout
-the package; each constructor computes its node's hash and size from its
-children's, so building a node is O(1).
+the engines.  Formulas are immutable slotted objects, hash-consed: each
+constructor interns its node in one weak table, so equal formulas are one
+object, and equality and hash are the object's identity, computed in C
+wherever a formula keys a dictionary or a set.  Building a node is O(1).
 
 Walks over a formula loop over an explicit stack, so no formula is too deep
 for them: ``nodes`` lists every occurrence of a subformula in pre-order,
-``fold`` computes bottom-up once per node object, so a shared subterm is
-rewritten once, and ``_walk`` visits each distinct subformula once.  That
-walk, memoised on the formula it reads, is the one every reader of a
-formula shares: its flat children-first program (``program``: the
-distinct subformulas and the list positions of each one's children), read
-by ``subformulas``, the witness checker, the one-cell check, the interval
-engine's compile, the closure sets and ``vocab``, whose one pass over it
-gives the ``Vocabulary`` that ``classify`` reads.  The parser loops over
-two stacks and the printer over one, so no input is too deep for them
-either; both read one operator table.
+and ``_walk`` visits each distinct subformula once.  That walk, memoised
+on the formula it reads, is the one every reader of a formula shares: its
+flat children-first program (``program``: the distinct subformulas and
+the list positions of each one's children), read by ``subformulas``, by
+``fold``, which computes bottom-up once per distinct subformula, so a
+shared subterm is rewritten once, by the witness checker, the one-cell
+check, the interval engine's compile and the closure sets, and by
+``vocab``, whose one pass over it gives the ``Vocabulary`` that
+``classify`` reads.  The parser loops over two stacks and the printer over
+one, so no input is too deep for them either; both read one operator
+table.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from collections.abc import Callable, Collection, Iterable, Iterator
 from enum import Enum
 from functools import reduce
@@ -45,19 +47,18 @@ class ParseError(ValueError):
 class _Immutable:
     """A slotted value whose fields no one assigns: assigning to or
     deleting an attribute raises ``AttributeError``, and constructors set
-    their fields through the slot descriptors.  The hash is cached in the
-    ``_hash`` slot at construction; ``_FIELDS`` lists the constructor's
-    arguments, for pickling and ``repr``."""
+    their fields through the slot descriptors.  Each subclass's constructor
+    interns its values (``_TABLE``), so they compare and hash as ``object``
+    does, by identity; ``_FIELDS`` lists the constructor's arguments, for
+    pickling and ``repr``, so ``pickle`` and ``copy`` return the interned
+    value."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name, _value=None):  # also __delattr__
         raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
 
     __delattr__ = __setattr__
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in _FIELDS[type(self)])
@@ -104,21 +105,50 @@ class _FrozenRecord(_Record):
         return hash(self._values())
 
 
+# The intern table: a weak reference to each node by its class and the
+# identities of its children, or its name or standpoint.  Keying by ``id``
+# is sound only because a live node holds its children: a child's id is
+# reused only once the child is freed, after every node over it died, and
+# a dead node's weak reference reads ``None`` before any of its children
+# is freed.  A dead entry stays until a sweep, which runs when the table
+# reaches ``_sweep_at`` entries, twice what the last sweep left: no
+# callback runs as a node dies.  A node enters the table only once its
+# fields are set, so an exception raised while one is built, such as a
+# signal handler's deadline, leaves no half-built node to be found.
+_TABLE: dict[tuple, weakref.ref] = {}
+_sweep_at = 1024
+
+
+def _dead():  # the entry of a key not in the table, which reads as dead
+    return None
+
+
+def _intern(key: tuple, node) -> None:
+    """Enter the new ``node`` under ``key``, sweeping the table first when
+    it has doubled."""
+    global _sweep_at
+    if len(_TABLE) >= _sweep_at:
+        for k in [k for k, ref in _TABLE.items() if ref() is None]:
+            del _TABLE[k]
+        _sweep_at = max(1024, 2 * len(_TABLE))
+    _TABLE[key] = weakref.ref(node)
+
+
 class Standpoint(_Immutable):
     """A named standpoint; ``*`` is the universal one."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if name != "*" and not _NAME_RE.fullmatch(name):
-            raise ValueError(f"bad standpoint name: {name!r}")
-        _SET_SP_NAME(self, name)
-        _SET_SP_HASH(self, hash(name))
-
-    def __eq__(self, other):
-        return self is other or type(other) is Standpoint and self.name == other.name
-
-    __hash__ = _Immutable.__hash__
+    def __new__(cls, name: str):
+        key = (cls, name)
+        sp = _TABLE.get(key, _dead)()
+        if sp is None:
+            if name != "*" and not _NAME_RE.fullmatch(name):
+                raise ValueError(f"bad standpoint name: {name!r}")
+            sp = object.__new__(cls)
+            _SET_SP_NAME(sp, name)
+            _intern(key, sp)
+        return sp
 
     @property
     def is_universal(self) -> bool:
@@ -129,41 +159,39 @@ class Standpoint(_Immutable):
 
 
 _SET_SP_NAME = Standpoint.name.__set__
-_SET_SP_HASH = Standpoint._hash.__set__
 UNIVERSAL = Standpoint("*")
 
 
 class Formula(_Immutable):
     """Base class of all formula nodes.
 
-    Nodes are immutable.  Each constructor computes the node's structural
-    hash and node count from its children's cached ones, in O(1), with a
-    class tag (``_tag``) in the hash.  Equality is structural too: it
-    returns early on identity, then on class and hash, and only then
-    compares fields (``_same``).  The first of ``vocab``, ``program`` and
-    ``subformulas`` to read a node walks it once and memoises its program
-    on it, in the ``_program`` slot; ``vocab`` memoises its one pass over
-    that program in the ``_vocab`` slot.
+    Nodes are immutable and interned: a constructor returns the live node
+    of its class over the same children (by identity) and name or
+    standpoint, if there is one, and builds and enters a new one only
+    otherwise, with its node count from its children's, in O(1).  So equal
+    formulas are one object, ``Top()`` is ``TOP`` and ``Bottom()`` is
+    ``BOTTOM``.  The first of ``vocab``, ``program``, ``subformulas`` and
+    ``fold`` to read a node walks it once and memoises its program on it,
+    in the ``_program`` slot, which every later reader of the same formula
+    shares; ``vocab`` memoises its one pass over that program in the
+    ``_vocab`` slot.
     """
 
-    __slots__ = ("_hash", "_size", "_vocab", "_program")
+    __slots__ = ("_size", "_vocab", "_program")
 
-    def __init__(self):  # the constants
-        _SET_HASH(self, self._tag)
-        _SET_SIZE(self, 1)
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is type(self) and self._hash == other._hash and _same(self, other)
-        )
-
-    __hash__ = _Immutable.__hash__
+    def __new__(cls):  # the constants
+        key = (cls,)
+        node = _TABLE.get(key, _dead)()
+        if node is None:
+            node = object.__new__(cls)
+            _SET_SIZE(node, 1)
+            _intern(key, node)
+        return node
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-_SET_HASH = Formula._hash.__set__
 _SET_SIZE = Formula._size.__set__
 _SET_VOCAB = Formula._vocab.__set__
 _SET_PROGRAM = Formula._program.__set__
@@ -171,12 +199,10 @@ _SET_PROGRAM = Formula._program.__set__
 
 class Top(Formula):
     __slots__ = ()
-    _tag = 1
 
 
 class Bottom(Formula):
     __slots__ = ()
-    _tag = 2
 
 
 class Prop(Formula):
@@ -189,17 +215,17 @@ class Prop(Formula):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if not _valid_prop_name(name):
-            raise ValueError(f"bad proposition name: {name!r}")
-        _SET_PROP_NAME(self, name)
-        _SET_HASH(self, hash((3, name)))
-        _SET_SIZE(self, 1)
-
-    def __eq__(self, other):
-        return self is other or type(other) is Prop and self.name == other.name
-
-    __hash__ = _Immutable.__hash__
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _TABLE.get(key, _dead)()
+        if node is None:
+            if not _valid_prop_name(name):
+                raise ValueError(f"bad proposition name: {name!r}")
+            node = object.__new__(cls)
+            _SET_PROP_NAME(node, name)
+            _SET_SIZE(node, 1)
+            _intern(key, node)
+        return node
 
 
 class Sharper(Formula):
@@ -207,80 +233,90 @@ class Sharper(Formula):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Standpoint, right: Standpoint):
-        _SET_SHARPER_LEFT(self, left)
-        _SET_SHARPER_RIGHT(self, right)
-        _SET_HASH(self, hash((4, left._hash, right._hash)))
-        _SET_SIZE(self, 1)
+    def __new__(cls, left: Standpoint, right: Standpoint):
+        key = (cls, id(left), id(right))
+        node = _TABLE.get(key, _dead)()
+        if node is None:
+            node = object.__new__(cls)
+            _SET_SHARPER_LEFT(node, left)
+            _SET_SHARPER_RIGHT(node, right)
+            _SET_SIZE(node, 1)
+            _intern(key, node)
+        return node
 
 
 class _Unary(Formula):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: Formula):
-        _SET_OPERAND(self, operand)
-        _SET_HASH(self, hash((self._tag, operand._hash)))
-        _SET_SIZE(self, 1 + operand._size)
+    def __new__(cls, operand: Formula):
+        key = (cls, id(operand))
+        node = _TABLE.get(key, _dead)()
+        if node is None:
+            if cls is Not and type(operand) is Not:
+                raise ValueError("double negation is not representable; use neg()")
+            node = object.__new__(cls)
+            _SET_OPERAND(node, operand)
+            _SET_SIZE(node, 1 + operand._size)
+            _intern(key, node)
+        return node
 
 
 class _Modal(_Unary):
     __slots__ = ("standpoint",)
 
-    def __init__(self, standpoint: Standpoint, operand: Formula):
-        _SET_STANDPOINT(self, standpoint)
-        _SET_OPERAND(self, operand)
-        _SET_HASH(self, hash((self._tag, standpoint._hash, operand._hash)))
-        _SET_SIZE(self, 1 + operand._size)
+    def __new__(cls, standpoint: Standpoint, operand: Formula):
+        key = (cls, id(standpoint), id(operand))
+        node = _TABLE.get(key, _dead)()
+        if node is None:
+            node = object.__new__(cls)
+            _SET_STANDPOINT(node, standpoint)
+            _SET_OPERAND(node, operand)
+            _SET_SIZE(node, 1 + operand._size)
+            _intern(key, node)
+        return node
 
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _SET_LEFT(self, left)
-        _SET_RIGHT(self, right)
-        _SET_HASH(self, hash((self._tag, left._hash, right._hash)))
-        _SET_SIZE(self, 1 + left._size + right._size)
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, id(left), id(right))
+        node = _TABLE.get(key, _dead)()
+        if node is None:
+            node = object.__new__(cls)
+            _SET_LEFT(node, left)
+            _SET_RIGHT(node, right)
+            _SET_SIZE(node, 1 + left._size + right._size)
+            _intern(key, node)
+        return node
 
 
 class Not(_Unary):
     __slots__ = ()
-    _tag = 5
-
-    def __init__(self, operand: Formula):
-        if type(operand) is Not:
-            raise ValueError("double negation is not representable; use neg()")
-        _Unary.__init__(self, operand)
 
 
 class And(_Binary):
     __slots__ = ()
-    _tag = 6
 
 
 class Or(_Binary):
     __slots__ = ()
-    _tag = 7
 
 
 class DiamondS(_Modal):
     __slots__ = ()
-    _tag = 8
 
 
 class BoxS(_Modal):
     __slots__ = ()
-    _tag = 9
 
 
 class Next(_Unary):
     __slots__ = ()
-    _tag = 10
 
 
 class Until(_Binary):
     __slots__ = ()
-    _tag = 11
 
 
 _SET_PROP_NAME = Prop.name.__set__
@@ -304,34 +340,6 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     for cls, names in _FIELDS.items()
 }
 _REVERSED_CHILD_FIELDS = {cls: names[::-1] for cls, names in _CHILD_FIELDS.items()}
-
-
-def _same(f: Formula, g: Formula) -> bool:
-    """Structural equality of two nodes of one class and hash.
-
-    Loops down the larger child and recurses only into the smaller one,
-    whose size is at most half, so the depth is at most log2 of the size
-    and no formula is too deep to compare.
-    """
-    while True:
-        if not _CHILD_FIELDS[type(f)]:
-            return all(getattr(f, name) == getattr(g, name) for name in _FIELDS[type(f)])
-        if isinstance(f, _Binary):
-            a, b, c, d = f.left, f.right, g.left, g.right
-            if a._size < b._size:
-                a, b, c, d = b, a, d, c
-            if b != d:
-                return False
-            f, g = a, c
-        elif isinstance(f, _Modal) and f.standpoint != g.standpoint:
-            return False
-        else:
-            f, g = f.operand, g.operand
-        if f is g:
-            return True
-        if type(f) is not type(g) or f._hash != g._hash:
-            return False
-
 
 TOP = Top()
 BOTTOM = Bottom()
@@ -410,45 +418,22 @@ def nodes(f: Formula) -> Iterator[Formula]:
             stack.append(getattr(g, name))
 
 
-_READY = object()  # a marker on fold's stack, and the result of no node
+_READY = object()  # a marker on the walk's stack
 _ARITY = {cls: len(names) for cls, names in _CHILD_FIELDS.items()}
 
 
 def fold(f: Formula, step: Callable[[Formula, tuple], object]) -> object:
-    """Post-order evaluation, once per node object: ``step(g, kids)`` gets
-    the results for ``g``'s children, left to right, and the left subtree
-    is folded before the right one.  A node object met again, a shared
-    subterm, reuses its first result, so a rewrite keeps the sharing of its
-    input and takes time linear in its distinct node objects."""
-    done: dict[int, object] = {}  # by id(): f keeps every node object alive
-    results: list = []  # the results of the children of the nodes on the stack
-    stack: list = [f]
-    push, pop = stack.append, stack.pop
-    while stack:
-        g = pop()
-        if g is _READY:  # the node below it has its children's results
-            g = pop()
-            if _ARITY[type(g)] == 2:
-                right = results.pop()
-                done[id(g)] = results[-1] = step(g, (results[-1], right))
-            else:
-                done[id(g)] = results[-1] = step(g, (results[-1],))
-            continue
-        r = done.get(id(g), _READY)
-        if r is _READY:  # not folded yet
-            arity = _ARITY[type(g)]
-            if arity:
-                push(g)
-                push(_READY)
-                if arity == 2:
-                    push(g.right)
-                    push(g.left)
-                else:
-                    push(g.operand)
-                continue
-            r = done[id(g)] = step(g, ())
-        results.append(r)
-    return results[0]
+    """Post-order evaluation, once per distinct subformula: a loop over the
+    memoised ``program(f)``, in which ``step(g, kids)`` gets the results
+    for ``g``'s children, left to right.  Children come first, and the left
+    subtree before the right one.  Equal subterms are one object, so a
+    rewrite keeps the sharing of its input and takes time linear in its
+    distinct subformulas."""
+    results: list = []
+    for g, a, b in zip(*program(f)):
+        kids = () if a < 0 else (results[a],) if b < 0 else (results[a], results[b])
+        results.append(step(g, kids))
+    return results[-1]
 
 
 def subformulas(*roots: Formula, known: Collection[Formula] = ()) -> list[Formula]:
@@ -476,8 +461,8 @@ def program(f: Formula) -> tuple[list[Formula], list[int], list[int]]:
     a connective's operands by position, with no formula hashed.
 
     The first reader walks ``f`` and memoises the program on it: ``vocab``,
-    the one-cell check, the witness check of its model and the bounded
-    search's compile read one walk of the input between them.  It is
+    ``fold``, the one-cell check, the witness check of its model and the
+    bounded search's compile read one walk of the input between them.  It is
     shared, so no caller may change it."""
     try:
         return f._program
@@ -700,8 +685,8 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
     their disjunctive forms, and double negations collapse.  ``$``-prefixed
     names are reserved for generated variables and rejected unless
     ``allow_reserved`` is set (used when re-reading translated output).
-    Equal leaves are one object: a call builds each name's ``Prop`` and
-    ``Standpoint`` once.
+    The constructors intern, so equal subformulas of the result, and of
+    any two parses, are one object.
 
     One loop over the token strings keeps two stacks: the operands built
     so far, and the pending prefix operators, open parentheses and binary
@@ -713,8 +698,6 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of input
-    leaves: dict[str, Formula] = {"true": TOP, "false": BOTTOM}  # by token, built once
-    sps = {"*": UNIVERSAL}  # by name, built once
     operands: list[Formula] = []
     # (precedence, token, standpoint): "(" has 0, a modality its plain form
     pending: list[tuple[int, str, Standpoint]] = []
@@ -726,9 +709,7 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
             if tok in _PREFIX:
                 pending.append((_PREC_UNARY, tok, UNIVERSAL))
             elif tok[:2] == "<@" or tok[:2] == "[@":
-                name = tok[2:-1]
-                sp = sps.get(name) or sps.setdefault(name, Standpoint(name))
-                pending.append((_PREC_UNARY, tok[0] + tok[-1], sp))
+                pending.append((_PREC_UNARY, tok[0] + tok[-1], Standpoint(tok[2:-1])))
             elif tok == "(":
                 pending.append((0, tok, UNIVERSAL))
             else:
@@ -740,14 +721,13 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
             names = tok[1:], tokens[i + 1][1:]
             if tokens[i + 1][:1] != "@" or not names[1]:
                 raise _failure(text, i + 1, "expected a standpoint ('@name') after '<='")
-            left, right = (sps.get(n) or sps.setdefault(n, Standpoint(n)) for n in names)
-            operands.append(Sharper(left, right))
+            operands.append(Sharper(*map(Standpoint, names)))
             i += 2
-        elif (leaf := leaves.get(tok)) is not None:
-            operands.append(leaf)
+        elif tok == "true" or tok == "false":
+            operands.append(TOP if tok == "true" else BOTTOM)
         elif (tok[:1] in _NAME_START and tok != "U" and tok != "R"
               or len(tok) > 1 and (tok[0] == "@" or tok[0] == "$" and allow_reserved)):
-            operands.append(leaves.setdefault(tok, Prop(tok)))
+            operands.append(Prop(tok))
         elif tok[:1] == "$" and len(tok) > 1:
             raise _failure(text, i - 1, f"names starting with '$' are reserved: {tok!r}")
         elif tok == "R":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from sltl.semantics import ModelError, SLTLModel, UPTrace, evaluate
 from sltl.syntax import (
@@ -51,6 +52,40 @@ U = Standpoint("u")
 
 
 # ---------------------------------------------------------------------------
+# The constructors the random generators build with: the package's, which
+# intern, and a reference that builds nested tuples ``(class name, *fields)``
+# with each standpoint as its name, so equal formulas are equal tuples built
+# apart, and no intern key can merge two of them.
+
+def _tuple_neg(f: tuple) -> tuple:
+    if f[0] == "Not":
+        return f[1]
+    return {"Top": ("Bottom",), "Bottom": ("Top",)}.get(f[0]) or ("Not", f)
+
+
+AST = SimpleNamespace(
+    Prop=Prop, Sharper=Sharper, TOP=TOP, BOTTOM=BOTTOM, neg=neg, And=And, Or=Or, Next=Next,
+    Until=Until, DiamondS=DiamondS, BoxS=BoxS,
+    again=lambda g: type(g)(*(getattr(g, name) for name in _FIELDS[type(g)])),
+)
+TUPLES = SimpleNamespace(
+    Prop=lambda name: ("Prop", name), Sharper=lambda a, b: ("Sharper", a.name, b.name),
+    TOP=("Top",), BOTTOM=("Bottom",), neg=_tuple_neg, And=lambda a, b: ("And", a, b),
+    Or=lambda a, b: ("Or", a, b), Next=lambda a: ("Next", a), Until=lambda a, b: ("Until", a, b),
+    DiamondS=lambda sp, a: ("DiamondS", sp.name, a), BoxS=lambda sp, a: ("BoxS", sp.name, a),
+    again=lambda g: (*g,),
+)
+
+
+def as_tuples(f: Formula) -> tuple:
+    """``f`` read into the reference's nested tuples, recursively."""
+    fields = (getattr(f, name) for name in _FIELDS[type(f)])
+    return (type(f).__name__, *(
+        x if type(x) is str else x.name if type(x) is Standpoint else as_tuples(x) for x in fields
+    ))
+
+
+# ---------------------------------------------------------------------------
 # Random formula corpus
 
 def random_formula(
@@ -60,8 +95,10 @@ def random_formula(
     sps=(S, T),
     mode: str = "sltl",
     max_sharpenings: int = 1,
+    ast=AST,
 ) -> Formula:
-    """Random AST of the requested fragment.
+    """Random AST of the requested fragment, built with the constructors
+    of ``ast`` (``TUPLES`` builds the reference's tuples).
 
     Modes: ``psl`` (no temporal operators), ``ltl`` (no standpoint
     constructs), ``ltl_psl`` (temporal operators only outside modalities),
@@ -71,11 +108,11 @@ def random_formula(
     budget = [max_sharpenings]
 
     def leaf(m: str) -> Formula:
-        choices = [Prop(p) for p in props] + [TOP]
+        choices = [ast.Prop(p) for p in props] + [ast.TOP]
         if m in ("psl", "ltl_psl", "sltl") and budget[0] > 0 and len(sps) >= 2 and rng.random() < 0.25:
             budget[0] -= 1
             a, b = rng.sample(list(sps), 2)
-            return Sharper(a, b)
+            return ast.Sharper(a, b)
         return rng.choice(choices)
 
     def build(d: int, m: str) -> Formula:
@@ -88,19 +125,19 @@ def random_formula(
             ops += ["dia", "box"]
         op = rng.choice(ops)
         if op == "not":
-            return neg(build(d - 1, m))
+            return ast.neg(build(d - 1, m))
         if op == "and":
-            return And(build(d - 1, m), build(d - 1, m))
+            return ast.And(build(d - 1, m), build(d - 1, m))
         if op == "or":
-            return Or(build(d - 1, m), build(d - 1, m))
+            return ast.Or(build(d - 1, m), build(d - 1, m))
         if op == "next":
-            return Next(build(d - 1, m))
+            return ast.Next(build(d - 1, m))
         if op == "until":
-            return Until(build(d - 1, m), build(d - 1, m))
+            return ast.Until(build(d - 1, m), build(d - 1, m))
         sp = UNIVERSAL if m == "product" else rng.choice(list(sps) + [UNIVERSAL])
         inner_mode = "psl" if m == "ltl_psl" else m
         inner = build(d - 1, inner_mode)
-        return DiamondS(sp, inner) if op == "dia" else BoxS(sp, inner)
+        return ast.DiamondS(sp, inner) if op == "dia" else ast.BoxS(sp, inner)
 
     return build(depth, mode)
 
@@ -393,28 +430,29 @@ def reference_closure(seed: Formula) -> tuple[Formula, ...]:
     return tuple(sorted(members, key=lambda g: (size(g), last[g])))
 
 
-def random_dag(rng: random.Random, links: int, props=("p", "q"), sps=(S, T)) -> Formula:
+def random_dag(rng: random.Random, links: int, props=("p", "q"), sps=(S, T), ast=AST) -> Formula:
     """A random formula of ``links`` connectives over a pool of leaves,
     each connective over operands drawn from the pool, the most recent
     ones likelier, and added to it: subterm objects are shared, and a
-    connective is sometimes built twice, so equal subterms are distinct
-    objects too.  The last connective is the root."""
-    pool: list[Formula] = [*(Prop(p) for p in props), TOP, BOTTOM, Sharper(*sps)]
+    connective is sometimes built twice, which the constructors of
+    ``ast`` (as ``random_formula``'s) give as one object or, in the
+    reference, as two equal tuples.  The last connective is the root."""
+    pool: list[Formula] = [*(ast.Prop(p) for p in props), ast.TOP, ast.BOTTOM, ast.Sharper(*sps)]
     for _ in range(links):
         a, b = (pool[-1 - min(int(rng.expovariate(1.0)), len(pool) - 1)] for _ in range(2))
         op = rng.choice(["not", "and", "or", "next", "until", "dia", "box"])
         if op == "not":
-            g = neg(a)
+            g = ast.neg(a)
         elif op in ("and", "or", "until"):
-            g = {"and": And, "or": Or, "until": Until}[op](a, b)
+            g = {"and": ast.And, "or": ast.Or, "until": ast.Until}[op](a, b)
         elif op == "next":
-            g = Next(a)
+            g = ast.Next(a)
         else:
             sp = rng.choice([*sps, UNIVERSAL])
-            g = (DiamondS if op == "dia" else BoxS)(sp, a)
+            g = (ast.DiamondS if op == "dia" else ast.BoxS)(sp, a)
         pool.append(g)
-        if rng.random() < 0.2:  # an equal object over the same children
-            pool.append(type(g)(*(getattr(g, name) for name in _FIELDS[type(g)])))
+        if rng.random() < 0.2:  # the same connective over the same children, again
+            pool.append(ast.again(g))
     return pool[-1]
 
 

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -52,6 +55,16 @@ def run_grid_parameters(phi_d):
     return len(models[0][0]), most
 
 
+_FRESH = itertools.count()
+
+
+def _fresh(text: str) -> str:
+    """``text`` with ``p`` and ``q`` renamed apart from every formula built
+    before: equal formulas are one object, so an input some earlier solve
+    built would still carry that solve's memoised walk and vocabulary."""
+    return re.sub(r"\b([pq])\b", rf"\1_fresh{next(_FRESH)}", text)
+
+
 def _count_vocabularies(monkeypatch) -> list:
     built = []
     real = syntax.Vocabulary
@@ -81,7 +94,7 @@ def test_solve_scans_an_ltl_psl_input_and_its_simplification(monkeypatch, text):
     # cell) the automaton reads simplify(f), a second formula only when it
     # differs
     built = _count_vocabularies(monkeypatch)
-    f = parse(text)
+    f = parse(_fresh(text))
     v = solve(f)
     assert v.fragment is Fragment.LTL_PSL
     if "!" in text:
@@ -229,10 +242,38 @@ def test_a_one_cell_hit_walks_its_input_once(monkeypatch):
     monkeypatch.setattr(syntax, "_walk", counting)
     for text in ["p & <@s> q", "p U q", "G [@s] p", "<@s> X p"]:  # one per fragment
         walked.clear()
-        f = parse(text)
+        f = parse(_fresh(text))
         v = solve(f)
         assert (v.status, v.engine) == ("sat", "oracle")
         assert walked == [(f,)], text
+
+
+def test_verdicts_do_not_depend_on_the_order_of_solves():
+    # equal formulas are one object and hash by address, so the order in
+    # which a process builds its formulas decides how its sets iterate;
+    # no verdict or witness may read that order.  Every other formula has
+    # a conjunct that no one-cell model satisfies, so each engine runs
+    rng = random.Random(4242)
+    misses = {"psl": "p & <@s> !p", "ltl": "p & X !p", "ltl_psl": "p & <@s> !p",
+              "sltl": "<@s> X p & <@s> X !p"}
+    texts = []
+    for mode, miss in misses.items():
+        for i in range(100):
+            text = to_text(random_formula(rng, 4, mode=mode, max_sharpenings=2))
+            texts.append(f"({text}) & {miss}" if i % 2 else text)
+
+    def solved(order):
+        out = {}
+        for i in order:
+            f = parse(texts[i])
+            out[i] = verdict_to_json(solve(f, SolveOptions(bounds=SearchBounds.for_formula(f, 2, 1, 1))))
+        return out
+
+    forward = solved(range(len(texts)))
+    gc.collect()
+    order = list(range(len(texts)))
+    random.Random(77).shuffle(order)
+    assert solved(order) == forward
 
 
 def test_a_full_sltl_miss_walks_its_input_and_its_folding_once_each(monkeypatch):
@@ -256,8 +297,9 @@ def test_a_full_sltl_miss_walks_its_input_and_its_folding_once_each(monkeypatch)
 
 def test_a_witness_check_walks_its_input_once_and_builds_no_vocabulary(monkeypatch):
     # the checker reads the plain walk of a freshly parsed formula: the
-    # vocabulary is the engines' question, computed by a pass of its own
-    text = "<@s> X p & [@t] F !q & (@s <= @t)"
+    # vocabulary is the engines' question, computed by a pass of its own.
+    # The checked formula is the solved one and true, which no solve built
+    text = _fresh("<@s> X p & [@t] F !q & (@s <= @t)")
     v = solve(parse(text), SolveOptions(bounds=SearchBounds.for_formula(parse(text), 2, 1, 1)))
     assert v.status == "sat"
     built = _count_vocabularies(monkeypatch)
@@ -269,7 +311,7 @@ def test_a_witness_check_walks_its_input_once_and_builds_no_vocabulary(monkeypat
         return real(roots, known)
 
     monkeypatch.setattr(syntax, "_walk", counting)
-    f = parse(text)
+    f = parse(f"{text} & true")
     assert check_witness(f, v.model, v.designated)
     assert walked == [(f,)] and built == []
 

@@ -1,12 +1,27 @@
+import copy
+import gc
 import inspect
+import itertools
 import json
+import pickle
 import random
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import S, T, iter_models, random_dag, random_formula, reference_closure, reference_vocab
+from conftest import (
+    AST,
+    S,
+    T,
+    TUPLES,
+    as_tuples,
+    iter_models,
+    random_dag,
+    random_formula,
+    reference_closure,
+    reference_vocab,
+)
 
 from sltl import syntax
 from sltl.semantics import check_product_formula, evaluate
@@ -14,6 +29,7 @@ from sltl.syntax import (
     _FIELDS,
     And,
     BOTTOM,
+    Bottom,
     BoxS,
     DiamondS,
     Formula,
@@ -26,6 +42,7 @@ from sltl.syntax import (
     Sharper,
     Standpoint,
     TOP,
+    Top,
     UNIVERSAL,
     Until,
     children,
@@ -270,9 +287,86 @@ def test_equality_of_deep_formulas_does_not_recurse(wrap):
             f = wrap(f, i)
         return f
 
+    # equal formulas are one object, so comparing them reads no child
     a, b = chain(Prop("p")), chain(Prop("p"))
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != chain(Prop("r")) and chain(Prop("r")) != a
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+def _built_apart(seed: int) -> list:
+    """One seeded random formula, built by the constructors and by the
+    reference's tuples from one draw of the generator."""
+    built = []
+    for ast in (AST, TUPLES):
+        rng = random.Random(seed)
+        if seed % 2:
+            built.append(random_dag(rng, rng.randint(0, 8), ast=ast))
+        else:
+            mode = rng.choice(["psl", "ltl", "ltl_psl", "sltl"])
+            built.append(random_formula(rng, rng.randint(0, 3), mode=mode, max_sharpenings=2, ast=ast))
+    return built
+
+
+def test_interning_merges_exactly_the_equal_formulas():
+    # a wrong intern key would merge distinct formulas for the checker and
+    # the engines alike; the reference's tuples are built apart from it
+    merged = 0
+    for batch in range(20):
+        built = [_built_apart(seed) for seed in range(40 * batch, 40 * batch + 40)]
+        for f, ref in built:
+            assert as_tuples(f) == ref and parse(to_text(f)) is f, to_text(f)
+        for (f, ref_f), (g, ref_g) in itertools.combinations(built, 2):
+            assert (f is g) == (ref_f == ref_g), (to_text(f), to_text(g))
+            merged += f is g
+    assert merged >= 200, merged
+
+
+def test_pickle_and_copy_return_the_interned_object():
+    assert Top() is TOP and Bottom() is BOTTOM and Standpoint("s") is S
+    for f in (TOP, BOTTOM, S, UNIVERSAL, Prop("p"), parse("<@s> X p & [@t] F !q & (@s <= @t)")):
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_a_node_interrupted_while_built_is_never_found(monkeypatch):
+    # a deadline may raise while a node is built, and the traceback it
+    # leaves keeps the half-built node alive; the node entered no table
+    def interrupted(node, value):
+        raise _Interrupted
+
+    p, q = Prop("built_p"), Prop("built_q")
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "_SET_SIZE", interrupted)
+        with pytest.raises(_Interrupted) as caught:
+            And(p, q)
+    f = And(p, q)
+    assert caught.value.__traceback__ is not None
+    assert (f.left, f.right, size(f)) == (p, q, 3)
+
+
+def test_the_intern_table_drops_dead_nodes():
+    # three nodes a formula, dropped at once; at most six live at a time.
+    # The table is swept whenever it reaches ``_sweep_at`` entries, so
+    # building more nodes than that sweeps it, and a table that kept dead
+    # nodes would end with more entries than either bound below
+    def live():
+        return sum(ref() is not None for ref in syntax._TABLE.values())
+
+    gc.collect()
+    live_before, limit = live(), syntax._sweep_at
+    for i in range(max(10_000, limit)):
+        f = And(Prop(f"dropped{i}"), Next(Prop(f"dropped{i}")))
+    del f
+    gc.collect()
+    assert live() <= live_before
+    assert len(syntax._TABLE) <= max(limit, 2 * (live_before + 6)), (len(syntax._TABLE), limit)
 
 
 def test_closure_of_two_equal_deep_chains():
@@ -675,9 +769,10 @@ def test_rewrites_of_a_deep_iff_chain_are_linear():
 def test_vocab_and_closure_of_shared_dags_match_the_occurrence_scans():
     # the walk visits each distinct subformula once and gives what a scan
     # of every occurrence gave, on DAGs whose subterm objects are shared
-    # and whose equal subterms are sometimes distinct objects
+    # and whose connectives are sometimes built twice, which gives one
+    # object: equal subterms are one object
     rng = random.Random(8080)
-    shared = copies = 0
+    shared = 0
     fragments = set()
     for _ in range(3000):
         f = random_dag(rng, rng.randint(1, 14))
@@ -685,9 +780,9 @@ def test_vocab_and_closure_of_shared_dags_match_the_occurrence_scans():
         assert closure(f).formulas == reference_closure(f), to_text(f)
         distinct = len(subformulas(f))
         shared += size(f) > distinct
-        copies += len({id(g) for g in nodes(f)}) > distinct
+        assert len({id(g) for g in nodes(f)}) == distinct, to_text(f)
         fragments.add(classify(f))
-    assert shared >= 2000 and copies >= 400 and len(fragments) == 4, (shared, copies)
+    assert shared >= 2000 and len(fragments) == 4, shared
 
 
 def test_program_gives_each_subformula_the_positions_of_its_children():
@@ -718,8 +813,9 @@ def test_program_builds_no_vocabulary_and_vocab_walks_no_more(monkeypatch):
 
 
 def test_a_40_link_iff_chain_classifies_and_closes_at_once():
-    # about 2^40 occurrences, five node objects a level; each check walks
-    # a chain of its own, so neither reads a walk the other memoised
+    # about 2^40 occurrences, five node objects a level; the second parse
+    # gives the first one's object while it lives, and the check, the fold
+    # and the closure then read one memoised walk of it
     started = time.perf_counter()
     assert classify(_iff_chain(40)) is Fragment.PSL
     assert time.perf_counter() - started < 0.1

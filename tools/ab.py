@@ -12,19 +12,28 @@ first K seeded random specs of its fragment.  Every formula goes through
 
 It prints how many ``verdict_to_json`` results differ (a raised error is
 its type and message) and exits 1 if any do.  The first chunk of 100
-formulas is solved once by both trees untimed, to warm them.  Then each
-tree solves each formula twice, in the order A B B A, the first tree
-alternating from formula to formula, and keeps the shorter of its two
-times: the mirrored order and the minimum keep a tree's place in the order
-from deciding its times.  The formulas form chunks of 100 (the last chunk
-takes the rest), and it prints the median over chunks of the ratio base
-time / change time (above 1: the change is faster), with its quartiles.
-Both trees of a chunk share the host's drift, which separate harness runs
-do not, so the ratio is steadier than a comparison of runs.  Each
-formula's ``parse`` -> ``solve`` is timed on its own, as the harness times
-it, and each tree's per-formula p50 and p95 in milliseconds, over those
-minima, are printed beside the ratio, so a latency claim can be checked in
-one process.
+formulas is solved once by both trees untimed, to warm them.  Then the
+formulas form chunks of 100 (the last chunk takes the rest), and each
+chunk makes two passes: a pass solves every formula of the chunk once with
+each tree, the first tree alternating from formula to formula and the
+order A B / B A of each formula flipped between the passes, and each tree
+keeps the shorter of its two times of a formula: the mirrored order and
+the minimum keep a tree's place in the order from deciding its times.
+Each pass starts with ``gc.collect()``, and a formula's two solves by one
+tree lie a whole pass apart.  The constructors intern, so a parse of a
+text returns the formula an earlier solve built while that formula lives,
+with the walks memoised on it; those memos make it a reference cycle,
+which outlives the solve until the collector runs.  A solve repeated at
+once would time those memos, not a solve.  A ``gc.collect()`` before every
+solve instead raised the per-formula p50 about threefold.
+
+It prints the median over chunks of the ratio base time / change time
+(above 1: the change is faster), with its quartiles.  Both trees of a
+chunk share the host's drift, which separate harness runs do not, so the
+ratio is steadier than a comparison of runs.  Each formula's ``parse`` ->
+``solve`` is timed on its own, as the harness times it, and each tree's
+per-formula p50 and p95 in milliseconds, over those minima, are printed
+beside the ratio, so a latency claim can be checked in one process.
 """
 
 from __future__ import annotations
@@ -102,19 +111,20 @@ def main(argv=None) -> int:
     n_chunks = max(1, len(texts) // CHUNK)  # the last one takes the rest
     for c in range(n_chunks):
         chunk = texts[c * CHUNK:None if c == n_chunks - 1 else (c + 1) * CHUNK]
-        gc.collect()
-        for j, text in enumerate(chunk):
-            best = [float("inf")] * 2
-            for side in (0, 1, 1, 0) if j % 2 == 0 else (1, 0, 0, 1):
-                t = time.perf_counter()
-                result = solve(trees[side], text, bounds)
-                t = time.perf_counter() - t
-                if best[side] == float("inf"):
-                    results[side].append(result)
-                best[side] = min(best[side], t)
-            for side in (0, 1):
-                latencies[side].append(best[side])
-        ratios.append(sum(latencies[0][-len(chunk):]) / sum(latencies[1][-len(chunk):]))
+        best = [[float("inf")] * len(chunk) for _ in trees]
+        for first_pass in (True, False):
+            gc.collect()
+            for j, text in enumerate(chunk):
+                for side in (0, 1) if (j % 2 == 0) == first_pass else (1, 0):
+                    t = time.perf_counter()
+                    result = solve(trees[side], text, bounds)
+                    t = time.perf_counter() - t
+                    if first_pass:
+                        results[side].append(result)
+                    best[side][j] = min(best[side][j], t)
+        for side in (0, 1):
+            latencies[side] += best[side]
+        ratios.append(sum(best[0]) / sum(best[1]))
 
     differing = [
         text for text, a, b in zip(texts, *results)
