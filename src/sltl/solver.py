@@ -1,7 +1,8 @@
 """Top-level decision pipeline.
 
 Classifies the input, tries its one-cell model by truth table
-(``search.one_cell_model``), and only when there is none simplifies it and
+(``search.one_cell_model``), and only when there is none simplifies it,
+tries a PSL or LtlPsl input's models of two traces at one instant, and
 routes it to the right engine (one automaton run for every fragment
 without standpoint-scoped temporal operators, propositional inputs
 included; bounded search otherwise), runs that engine on the simplified
@@ -23,7 +24,13 @@ from .automaton import (
     closure,
     find_accepting_lasso,
 )
-from .search import DEFAULT_NODE_LIMIT, SearchBounds, bounded_search, one_cell_model
+from .search import (
+    DEFAULT_NODE_LIMIT,
+    SearchBounds,
+    SearchLimitError,
+    bounded_search,
+    one_cell_model,
+)
 from .semantics import SLTLModel, UPTrace, evaluate, model_to_json
 from .syntax import (
     Formula,
@@ -34,6 +41,12 @@ from .syntax import (
     vocab,
 )
 from .translate import simplify
+
+# The nodes that ``solve``'s two-trace step may spend before the automaton
+# runs: a truth table costs one, a step of the engine's walk one.  An input
+# with two standpoints has 10 strata (one of one trace, nine of two); 32
+# keeps a miss on an input with a dozen standpoints under 1 ms
+TWO_TRACE_NODES = 32
 
 
 class SolveOptions(_Record):
@@ -50,7 +63,11 @@ class SolveOptions(_Record):
 
 
 class Verdict(_Record):
-    """Outcome of ``solve``; satisfiable verdicts carry a checked witness."""
+    """Outcome of ``solve``; satisfiable verdicts carry a checked witness.
+
+    ``engine`` is ``oracle`` for the bounded search and its one-position
+    strata (the one-cell check and the two-trace step), with the
+    ``bounds`` they searched, and ``automaton`` for the automaton."""
 
     __slots__ = (
         "status", "fragment", "engine", "model", "designated", "bounds",
@@ -156,11 +173,14 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     standpoints that folding drops get ``{t0}``, as ``assign_folded``
     would give them.  ``classify``, the check and the witness check of its
     model share one walk of ``f``, memoised on it (``syntax.program``).  Only a
-    miss simplifies the input and routes it (``_route``); a miss that
-    folds to ``false`` costs no engine and no node there.  A standpoint
-    that simplification folded away gets every trace as its extent
-    (``assign_folded``).  Every sat verdict's witness, from any engine, is
-    checked once on ``f``, here.
+    miss simplifies the input.  A PSL or LtlPsl miss whose folding has a
+    standpoint construct then tries the one-position strata with at most
+    two traces (``_two_traces``): a model there is a sat verdict of
+    engine ``oracle`` with the bounds (2, 0, 1).  Everything else is
+    routed (``_route``); a miss that folds to ``false`` costs no step, no
+    engine and no node there.  A standpoint that simplification folded
+    away gets every trace as its extent (``assign_folded``).  Every sat
+    verdict's witness, from any engine, is checked once on ``f``, here.
     """
     opts = opts or SolveOptions()
     frag = classify(f)
@@ -170,7 +190,8 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     if found is None:
         # Constant folding can shrink the input dramatically (dead Until
         # branches in particular); the folded formula is equivalent.
-        verdict = _route(f, simplify(f), frag, opts)
+        phi = simplify(f)
+        verdict = _two_traces(f, phi, frag, opts.node_limit) or _route(f, phi, frag, opts)
     elif frag is Fragment.FULL_SLTL:
         verdict = _oracle_sat(f, frag, found, opts.bounds or SearchBounds.for_formula(f, 3, 2, 3))
     else:
@@ -178,6 +199,28 @@ def solve(f: Formula, opts: SolveOptions | None = None) -> Verdict:
     if verdict.is_sat and not check_witness(f, verdict.model, verdict.designated):
         raise AssertionError(f"{verdict.engine} witness fails the evaluator on the input")
     return verdict
+
+
+def _two_traces(f: Formula, phi: Formula, frag: Fragment, node_limit: int) -> Verdict | None:
+    """The sat verdict of the bounded search's first model of ``phi``, the
+    simplified ``f``, on one position with at most two traces, or None.
+
+    Only a PSL or LtlPsl ``phi`` with a standpoint construct is searched:
+    without one a second trace adds nothing to the one-cell check, and a
+    FullSLTL input has its own bounded search.  The search decides each
+    of those strata by truth table, or walks it with the engine past the
+    tables' cap, and spends at most ``node_limit`` and ``TWO_TRACE_NODES``
+    nodes: running out of either is a miss, and the input is routed as
+    before.
+    """
+    if frag is Fragment.FULL_SLTL or not vocab(phi).standpoints:
+        return None
+    bounds = SearchBounds.for_formula(f, 2, 0, 1)
+    try:
+        found = bounded_search(phi, bounds, node_limit=min(node_limit, TWO_TRACE_NODES))
+    except SearchLimitError:
+        return None
+    return None if found is None else _oracle_sat(f, frag, found, bounds)
 
 
 def _oracle_sat(
@@ -204,7 +247,10 @@ def _route(f: Formula, phi: Formula, frag: Fragment, opts: SolveOptions) -> Verd
     unsat by the automaton, unknown within the same bounds by the search.
     ``solve`` calls it only after the one-cell check on ``f`` missed; the
     search decides that stratum, (1, 0, 1), by the same truth table on
-    ``phi``, in one node.
+    ``phi``, in one node.  On a PSL or LtlPsl ``phi`` with a standpoint
+    construct, the two-trace step has missed too, so the automaton runs
+    only when ``phi`` has no model of two traces at one instant, or the
+    step ran out of nodes before finding one.
     """
     if frag is Fragment.FULL_SLTL:
         # Full language: bounded search only, never an unsat claim.

@@ -904,8 +904,9 @@ def enumerate_psl_formulas(max_size: int, prop: str = "p"):
 
 def routed(f: Formula, opts=None):
     """The verdict of the engine that ``solve`` routes ``f`` to when ``f``
-    has no one-cell model, with a sat verdict's witness checked on ``f``
-    as ``solve`` checks it: the automaton for PSL, PureLTL and LtlPsl, the
+    has no one-cell model (and, for PSL and LtlPsl, no model of two traces
+    at one instant), with a sat verdict's witness checked on ``f`` as
+    ``solve`` checks it: the automaton for PSL, PureLTL and LtlPsl, the
     bounded search otherwise.  Tests of the automaton's witness and grid
     reach it here, on inputs that ``solve`` would answer by truth table."""
     # imported here, so that the references above import no engine

@@ -249,7 +249,8 @@ def test_sat_normal_form_direct_contradiction():
 
 
 def test_sat_normal_form_two_distinct_witness_cells():
-    v = solve(parse("<@s> p & <@s> !p"))
+    # solve answers it with two traces of one position, before the grid
+    v = routed(parse("<@s> p & <@s> !p"))
     assert v.engine == "automaton"
     s_cells = [v.model.traces[t].valuation(0) for t in v.model.lam[S]]
     assert any("p" in val for val in s_cells)
@@ -277,7 +278,7 @@ def test_diamonds_beneath_a_negated_member_widen_nothing():
     # demands no cell; a width counting every diamond subformula gave 9
     # cells a column and 27 witness cells
     f = parse("(<@*> (<@*> p & [@t] true)) & (!<@*> <@*> (@s <= @t)) & (<@*> [@*] p | !(p | true))")
-    v = solve(f)
+    v = routed(f)  # the automaton, past the two-trace step
     assert v.is_sat and v.engine == "automaton"
     family, _ = witness_grid(v.model, vocab(simplify(f)).standpoints)
     assert _width(v.model, family) == 1 and len(v.model.traces) == 3
@@ -337,7 +338,7 @@ def test_sat_monotone_in_width():
 # Sharpening atoms as state bits
 
 def test_sat_negated_sharpening_needs_two_extents():
-    v = solve(parse("!(@s <= @t)"))
+    v = routed(parse("!(@s <= @t)"))  # the automaton, past the two-trace step
     assert v.engine == "automaton"
     assert not v.model.lam[S] <= v.model.lam[T]
 

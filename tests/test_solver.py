@@ -26,7 +26,15 @@ from sltl.search import SearchBounds, SearchLimitError, bounded_search, one_cell
 from sltl.semantics import evaluate, model_to_json
 from sltl.automaton import closure, find_accepting_lasso
 from sltl.cli import main
-from sltl.solver import SolveOptions, check_witness, solve, verdict_to_json, witness_from_lasso
+from sltl.solver import (
+    TWO_TRACE_NODES,
+    SolveOptions,
+    assign_folded,
+    check_witness,
+    solve,
+    verdict_to_json,
+    witness_from_lasso,
+)
 from sltl.syntax import (
     BOTTOM,
     And,
@@ -91,14 +99,14 @@ def test_solve_scans_a_full_sltl_input_once(monkeypatch):
 )
 def test_solve_scans_an_ltl_psl_input_and_its_simplification(monkeypatch, text):
     # a one-cell model is read off f alone; on a miss (p & !p on one
-    # cell) the automaton reads simplify(f), a second formula only when it
-    # differs
+    # cell) the two-trace step reads simplify(f), a second formula only
+    # when it differs, and finds its model (p at t0, !p at t1, s = {t1})
     built = _count_vocabularies(monkeypatch)
     f = parse(_fresh(text))
     v = solve(f)
     assert v.fragment is Fragment.LTL_PSL
     if "!" in text:
-        assert v.engine == "automaton"
+        assert (v.engine, v.bounds.max_traces, len(v.model.traces)) == ("oracle", 2, 2)
         assert len(built) == 1 + (simplify(f) is not f)
     else:
         assert v.engine == "oracle"
@@ -128,11 +136,18 @@ def test_one_cell_hits_never_simplify(monkeypatch):
 
 
 def test_routing_by_fragment():
-    # inputs with no one-cell model go to their fragment's engine
-    assert solve(parse("p & <@s> !p")).engine == "automaton"
+    # inputs with no model of one position go to their fragment's engine:
+    # the s-column needs p and !p beside t0, which is outside it, and X p
+    # is p on one position
+    assert solve(parse("<@s> p & <@s> !p & [@s] q & !q")).engine == "automaton"
     assert solve(parse("(p U q) & !q")).engine == "automaton"
-    assert solve(parse("G [@s] p & !p")).engine == "automaton"
+    assert solve(parse("G [@s] p & !p & X p")).engine == "automaton"
     assert solve(parse("<@s> X p & <@s> X !p")).engine == "oracle"
+    # PSL and LtlPsl inputs with a model of two traces of one position,
+    # and none of one trace, are answered before the automaton
+    for text in ("p & <@s> !p", "G [@s] p & !p"):
+        v = solve(parse(text))
+        assert (v.engine, v.bounds.max_traces, v.bounds.max_period) == ("oracle", 2, 1), text
 
 
 @pytest.mark.parametrize("text", ["p & <@s> q", "p U q", "G [@s] p", "<@s> X p", "p & !p | q"])
@@ -150,6 +165,109 @@ def test_one_cell_inputs_answer_before_routing(monkeypatch, text):
     assert (v.model.prefix_len, v.model.period_len, list(v.model.traces)) == (0, 1, ["t0"])
     want = (3, 2, 3) if classify(f) is Fragment.FULL_SLTL else (1, 0, 1)
     assert v.bounds == SearchBounds.for_formula(f, *want)
+
+
+def _step_search(f, node_limit=search.DEFAULT_NODE_LIMIT):
+    """The two-trace step's search on ``f`` by hand: the bounded search's
+    first model of ``simplify(f)`` on one position with up to two traces,
+    or None, also when it runs out of nodes."""
+    try:
+        return bounded_search(simplify(f), SearchBounds.for_formula(f, 2, 0, 1), node_limit=node_limit)
+    except SearchLimitError:
+        return None
+
+
+def test_two_trace_hits_are_the_bounded_searchs_first_model():
+    # a PSL or LtlPsl input with no one-cell model that solve answers with
+    # the oracle is sat by the automaton too, and its witness is the
+    # bounded search's first model at (2, 0, 1) on the folded input, with
+    # the standpoints that folding dropped given every trace; every other
+    # one has no such model within the step's nodes, and the automaton
+    # decides it.  A quarter of the inputs each gain a conjunct that no
+    # model of one position meets with two traces (three valuations in the
+    # s-column; X p against !p), so the automaton's sat runs are seen too
+    extra = [None, None, parse("<@s> (p & q) & <@s> (p & !q) & <@s> !p"), parse("X p & !p")]
+    rng = random.Random(4343)
+    seen = {"psl": 0, "ltl_psl": 0, "folded": 0, "sat": 0, "unsat": 0}
+    for i in range(1200):
+        mode = ("psl", "ltl_psl")[i % 2]
+        f = random_formula(rng, 2 + i % 3, sps=(S, T, U), mode=mode, max_sharpenings=2)
+        f = f if extra[i % 4] is None else And(f, extra[i % 4])
+        if one_cell_model(f) is not None or classify(f) is Fragment.PURE_LTL:
+            continue
+        v = solve(f)
+        if v.engine == "oracle":
+            seen[mode] += 1
+            assert routed(f).status == "sat", to_text(f)
+            model, designated = _step_search(f)
+            assert v.model == assign_folded(model, vocab(f).standpoints), to_text(f)
+            assert (v.designated, v.bounds) == (designated, SearchBounds.for_formula(f, 2, 0, 1))
+            assert len(v.model.traces) <= 2 and v.model.length == 1
+            seen["folded"] += v.model != model
+        else:
+            seen[v.status] += 1
+            assert v.engine == "automaton"
+            assert _step_search(f, TWO_TRACE_NODES) is None, to_text(f)
+    assert min(seen["psl"], seen["ltl_psl"]) >= 10 and seen["folded"] >= 1, seen
+    assert seen["sat"] >= 100 and seen["unsat"] >= 50, seen
+
+
+def test_the_two_trace_step_leaves_full_sltl_and_pure_ltl_alone():
+    # FullSLTL inputs keep their own bounded search and its bounds, though
+    # many have a model of two traces of one position: <@s> X q & !q has
+    # one, and one of one trace and two positions, which comes first.
+    # PureLTL inputs have one trace only.  Each input gains a conjunct with
+    # no one-cell model, so that it is routed
+    extra = {"sltl": parse("<@s> X q & !q"), "ltl": parse("X q & !q")}
+    f = extra["sltl"]
+    v = solve(f)
+    assert v.bounds == SearchBounds.for_formula(f, 3, 2, 3) and len(v.model.traces) == 1
+    rng = random.Random(4545)
+    seen = {"sltl": 0, "sltl_two_traces": 0, "ltl": 0}
+    for i in range(200):
+        mode = ("sltl", "ltl")[i % 2]
+        f = And(random_formula(rng, 2 + i % 3, mode=mode), extra[mode])
+        if classify(f) not in (Fragment.FULL_SLTL, Fragment.PURE_LTL):
+            continue
+        assert verdict_to_json(solve(f)) == verdict_to_json(routed(f)), to_text(f)
+        seen[mode] += 1
+        if mode == "sltl":
+            seen["sltl_two_traces"] += _step_search(f) is not None
+    assert seen["sltl"] >= 50 and seen["ltl"] >= 50 and seen["sltl_two_traces"] >= 20, seen
+
+
+def test_an_input_folded_to_false_runs_no_two_trace_step(monkeypatch):
+    # no one-cell model, and simplify makes it false: unsat at once, with
+    # no bounded search
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the bounded search ran")
+
+    monkeypatch.setattr(solver_mod, "bounded_search", unreachable)
+    f = parse("<@t> (q & !true) & <@s> p & [@s] r")
+    assert one_cell_model(f) is None and simplify(f) is BOTTOM
+    v = solve(f)
+    assert (v.status, v.engine) == ("unsat", "automaton")
+
+
+def test_a_many_standpoint_miss_stays_within_the_steps_nodes(monkeypatch):
+    # @s0 <= ... <= @s7 & <@s0> p & [@s7] !p is unsat; its two-trace
+    # strata are 3^7 standpoint assignments, one truth table each, and the
+    # step stops at its cap before the automaton runs; a smaller node limit
+    # stops it sooner
+    tables = []
+    real = search._table_stratum
+
+    def counting(*args):
+        tables.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_table_stratum", counting)
+    text = " & ".join(f"@s{i} <= @s{i + 1}" for i in range(7)) + " & <@s0> p & [@s7] !p"
+    assert solve(parse(text)).status == "unsat"
+    assert len(tables) == TWO_TRACE_NODES
+    tables.clear()
+    assert solve(parse(text), SolveOptions(node_limit=5)).status == "unsat"
+    assert len(tables) == 5
 
 
 def test_ltl_psl_example_is_satisfiable_with_checked_witness():
@@ -454,7 +572,7 @@ def test_witness_atom_truth_is_lambda_nesting():
         a, b = rng.sample([S, T, U], 2)
         g = random_formula(rng, 4, sps=(S, T, U), mode="ltl_psl", max_sharpenings=2)
         f = And(g, neg(Sharper(a, b)))
-        v = solve(f)
+        v = routed(f)  # the automaton, past the one-cell check and the two-trace step
         if v.engine != "automaton" or v.status != "sat":
             continue
         lam = v.model.lam
@@ -731,8 +849,9 @@ def test_negated_boxes_widen_the_grid_to_the_valuations_they_force():
     assert set(columns[1]) == {frozenset(props) - {a} for a in props}
 
 
-def _grid_searches(monkeypatch, text):
-    """The verdict on the input and the number of grid searches it ran."""
+def _grid_searches(monkeypatch, text, decide=solve):
+    """The verdict of ``decide`` on the input and the number of grid
+    searches it ran."""
     calls = []
     search = psl.grid_model_for
 
@@ -741,7 +860,7 @@ def _grid_searches(monkeypatch, text):
         return search(*args)
 
     monkeypatch.setattr(psl, "grid_model_for", counting)
-    return solve(parse(text)).status, len(calls)
+    return decide(parse(text)).status, len(calls)
 
 
 def test_unsat_modal_disjunctions_take_one_grid_search(monkeypatch):
@@ -778,14 +897,16 @@ def test_unsat_atom_disjunctions_stop_at_the_atom_free_conjuncts(monkeypatch):
     assert _grid_searches(monkeypatch, spec + " & <@s> p & [@s] !p") == ("unsat", 2)
     # when the conjuncts without atoms have a model, the search goes on to
     # the next assignments: s = t and s inside t fail, t inside s holds
+    # (solve answers it with two traces of one position, before the grid)
     spec = "(@s <= @t | @t <= @s) & [@t] p & <@s> !p"
-    assert _grid_searches(monkeypatch, spec) == ("sat", 4)
+    assert _grid_searches(monkeypatch, spec, routed) == ("sat", 4)
     f = parse(spec)
-    assert true_atoms(solve(f).model, f) == {(T, S)}
+    assert true_atoms(routed(f).model, f) == {(T, S)}
 
 
 @pytest.mark.parametrize("text, engine", [
-    ("<@s> p & <@s> !p", "automaton"),
+    ("<@s> p & <@s> !p & [@s] q & !q", "automaton"),
+    ("<@s> p & <@s> !p", "oracle"),  # two traces of one position
     ("(@s <= @t) & G <@s> p & F q & !q", "automaton"),
     ("<@s> X p", "oracle"),
     ("<@s> X p & <@s> X !p", "oracle"),
@@ -844,13 +965,17 @@ def test_verdict_json_schema(capsys):
 @pytest.mark.parametrize("text, strict, status, extra", [
     ("(@s <= @t) & X p & !p", False, "sat", []),
     ("(p U q) & G !q", False, "unsat", []),
-    ("<@s> p & <@s> !p", False, "sat", []),
+    ("<@s> p & <@s> !p & [@s] q & !q", False, "sat", []),
     ("(@s <= @t) & <@s> X p", False, "sat", ["bounds"]),
     ("<@s> X p & [@s] X !p", False, "unknown", ["bounds"]),
     ("<@s> X p", True, "out_of_fragment", []),
     ("(@s <= @t) & X p", False, "sat", ["bounds"]),
     ("<@s> p & [@s] !q", False, "sat", ["bounds"]),
-], ids=["automaton", "unsat", "psl", "oracle", "unknown", "out_of_fragment", "one_cell", "psl_one_cell"])
+    ("<@s> p & <@s> !p", False, "sat", ["bounds"]),
+], ids=[
+    "automaton", "unsat", "psl", "oracle", "unknown", "out_of_fragment", "one_cell", "psl_one_cell",
+    "psl_two_traces",
+])
 def test_verdict_json_keys_by_kind(text, strict, status, extra):
     # the keys the README lists for each kind of verdict, in order
     blob = verdict_to_json(solve(parse(text), SolveOptions(fragment_strict=strict)))
