@@ -165,8 +165,8 @@ class StateSpace:
     have a grid model on the label family of its true sharpening atoms.
     The literals are the true propositions, sharpening atoms and modal
     members and the negations of the false ones, which the grid search
-    propagates as written (see ``psl.grid_model_for``); they entail the
-    state's other propositional members.
+    takes as written (see ``psl.grid_model_for``); they entail the state's
+    other propositional members.
 
     Enumeration branches only on the members that fix a state's successors
     or acceptance sets (``branch``): the sharpening atoms, the next-step
@@ -206,11 +206,13 @@ class StateSpace:
     beneath a modality too.  A grid within ``search.ONE_CELL_BITS`` is
     compiled to truth tables over its presence sets, one walk of those
     formulas, and each search of it is one node; a larger one gets an
-    interval engine, which the search walks (see ``psl.CompiledGrid``).
-    ``_read`` reads the grid-decided members off the same tables or
-    engine.  The search decides which types are present, with no cap on
-    how many a column holds, so a conjunction has a grid model iff it has
-    any model on the family.  Searches are memoised by
+    interval engine, on which each search walks one stratum of slot
+    traces (see ``psl.CompiledGrid``).  ``_read`` reads the grid-decided
+    members off the same tables or engine.  A table search decides which
+    types are present, with no cap on how many a column holds, and a slot
+    search gives each column as many slots as a model needs (see
+    ``psl._slots``), so a conjunction has a grid model iff it has any
+    model on the family.  Searches are memoised by
     the conjuncts they search; ``grid_solves`` counts those run, which
     share ``budget`` (see ``psl.grid_model_for``), by default
     DEFAULT_NODE_LIMIT nodes.  Grids are compiled lazily, at the first
@@ -349,7 +351,7 @@ class StateSpace:
             # once neither bound of a constraint can reach its value there
             k = 0
             while k >= 0:
-                lo, hi = sweep(tm, fm, full, full)
+                lo, hi = sweep(tm, fm)
                 ok = full
                 for s, req in checks:
                     ok &= hi[s] if req else ~lo[s]

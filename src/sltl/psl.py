@@ -16,8 +16,9 @@ decides PSL inputs too, one grid search per state literal set (see
 grids, their size check (``grid_types``), the search and the columns.  A
 small grid is compiled to truth tables over its presence sets, and a
 search of it is one AND of its conjuncts' tables; a grid whose tables
-would exceed ``ONE_CELL_BITS`` is compiled to an interval engine and
-searched by a walk over its presence bits.  A
+would exceed ``ONE_CELL_BITS`` is compiled to an interval engine, and a
+search of it walks one stratum of slot traces, a few per column, as the
+bounded search walks its strata (``search._search_stratum``).  A
 state of an input without standpoints that leaves no conjunct open runs
 no search: its model is the one cell of its propositions, and only the
 size check runs, once.
@@ -36,6 +37,7 @@ from .syntax import (
     Not,
     Prop,
     Standpoint,
+    TOP,
     UNIVERSAL,
     programs,
     size,
@@ -46,6 +48,7 @@ from .search import (
     IntervalEngine,
     SearchLimitError,
     _root_table,
+    _search_stratum,
     _table_masks,
     cells_with_bit,
 )
@@ -93,13 +96,9 @@ class CompiledGrid:
     The types are the (column, valuation) pairs over the sorted
     propositions, column by column: type ``t`` is valuation ``t % 2^props``
     of column ``t // 2^props``, whose bit ``i`` says whether proposition
-    ``i`` holds.  The type masks (``col_masks``, ``extents``,
-    ``true_masks``, ``false_masks``) are built column by column and bit by
-    bit, never type by type, and shared by the small grids of one family
-    and proposition count (``_type_masks``).  A sharpening atom is whether the
-    left extent lies inside the right one, which on a ``label_family``
-    holds iff the closure of its atoms relates them (the label set of
-    ``a`` is a column).
+    ``i`` holds.  A sharpening atom is whether the left extent lies inside
+    the right one, which on a ``label_family`` holds iff the closure of its
+    atoms relates them (the label set of ``a`` is a column).
 
     A grid whose tables fit ``ONE_CELL_BITS``, ``size`` summed over the
     formulas times ``types x 2^types`` bits, gets one table per formula,
@@ -111,15 +110,16 @@ class CompiledGrid:
     the layout of ``search._table_masks(1, types)``.  One walk of the
     formulas (``syntax.programs``) and one ``search._root_table`` pass
     over it give every table; a modality reads its operand at each type of
-    its extent only in the rows that hold that type (``_presence``).  Every
-    other grid gets an ``IntervalEngine`` (``tables`` None) on a
-    one-position lasso whose traces are the types: propositions are
-    constant masks, and ``bind`` folds the sharpening atoms.  A grid with
-    more types than ``budget``'s node limit, or than DEFAULT_NODE_LIMIT
-    where that is larger (see ``grid_model_for``), is refused with
-    SearchLimitError before any mask is built (``grid_types``): the masks
-    stay as small as at the default limit, and the node count still bounds
-    the search.
+    its extent only in the rows that hold that type (``_presence``), and
+    ``extents`` holds each standpoint's types.  Every other grid gets an
+    ``IntervalEngine`` (``tables`` None) over the propositions, compiled
+    once; each search and each reading of a model reshapes it to its own
+    one-position traces, each in one column, and binds the extents of
+    those traces (``_bind``), which folds the sharpening atoms.  A grid
+    with more types than ``budget``'s node limit, or than
+    DEFAULT_NODE_LIMIT where that is larger (see ``grid_model_for``), is
+    refused with SearchLimitError before anything is compiled
+    (``grid_types``).
     """
 
     def __init__(
@@ -130,20 +130,17 @@ class CompiledGrid:
         self.props = tuple(sorted(props))
         self.v_count = 1 << len(self.props)
         self.n_types = n_types = grid_types(len(family), len(self.props), budget)
-        self.full = (1 << n_types) - 1
-        # a grid that may take tables has at most 20 types, whose masks are
-        # small enough to keep between searches
-        small = n_types < ONE_CELL_BITS.bit_length()
-        self.col_masks, self.extents, self.true_masks, self.false_masks = (
-            _small_type_masks if small else _type_masks
-        )(family, len(self.props))
         self.tables: dict[Formula, int] | None = None
         self.engine: IntervalEngine | None = None
         try:
-            # ``small`` first: the shift by the type count may be vast
-            if small and sum(map(size, formulas)) * n_types << n_types <= ONE_CELL_BITS:
+            # a grid that may take tables has at most 20 types; that test
+            # comes first, as the shift by the type count may be vast
+            if (
+                n_types < ONE_CELL_BITS.bit_length()
+                and sum(map(size, formulas)) * n_types << n_types <= ONE_CELL_BITS
+            ):
                 self.rows = 1 << n_types
-                reads, self.start, masks = _presence(family, len(self.props))
+                self.extents, reads, self.start, masks = _presence(family, len(self.props))
                 roots = [f.operand if type(f) is Not else f for f in formulas]
                 subs, left, right, at = programs(roots)
                 tables = _root_table(
@@ -152,54 +149,56 @@ class CompiledGrid:
                 )
                 self.tables = {g: tables[i] for g, i in zip(roots, at)}
             else:
-                leaves = {Prop(p): i for i, p in enumerate(self.props)}
-                self.engine = IntervalEngine(formulas, n_types, 0, 1, self.extents, leaves)
+                # bound to one trace in every extent until a search binds
+                # its own; a standpoint outside the family is a KeyError.
+                # TOP is the root of the empty conjunction
+                self.leaves = {Prop(p): i for i, p in enumerate(self.props)}
+                self.universe = frozenset().union(*family)
+                self.engine = IntervalEngine(
+                    [*formulas, TOP], 1, 0, 1, dict.fromkeys(self.universe, 1), self.leaves
+                )
         except KeyError as exc:
             raise ValueError(f"standpoint {exc.args[0]} is outside the grid universe") from None
 
+    def _bind(self, columns: Sequence[int]) -> None:
+        """Shape the engine to one position of ``len(columns)`` traces,
+        trace ``j`` in column ``columns[j]``, and bind each standpoint's
+        extent: the traces of the columns whose label set holds it."""
+        self.engine.reshape(len(columns), 0, 1)
+        self.engine.bind({
+            sp: sum(1 << j for j, c in enumerate(columns) if sp in self.family[c])
+            for sp in self.universe
+        })
+
     def truths(self, formulas: Sequence[Formula], present: int, dv: int) -> list[int]:
         """Each formula's truth, 1 or 0, at type ``dv`` when the types
-        ``present`` are; the formulas are compiled ones, not negations."""
+        ``present`` are; the formulas are compiled ones, not negations.
+        The engine reads them on one trace per present type."""
         if self.tables is not None:
             at = dv * self.rows + _flip(present, self.n_types)
             return [self.tables[g] >> at & 1 for g in formulas]
-        lo, _ = self.engine.sweep(self.true_masks, self.false_masks, present, present)
-        return [lo[self.engine.slot[g]] >> dv & 1 for g in formulas]
-
-
-def _type_masks(
-    family: tuple[frozenset[Standpoint], ...], n_props: int
-) -> tuple[list[int], dict[Standpoint, int], list[int], list[int]]:
-    """The type masks of a grid: each column's, each standpoint's extent
-    (the columns whose label set holds it), and the types where each
-    proposition is true and false.  Shared between the grids of small
-    families (``_small_type_masks``), so no caller may change them."""
-    v_count = 1 << n_props
-    n_types = len(family) << n_props
-    col_masks = [((1 << v_count) - 1) << (c * v_count) for c in range(len(family))]
-    # every label set holds the universal standpoint
-    extents = {
-        sp: sum(col for col, labels in zip(col_masks, family) if sp in labels)
-        for sp in frozenset().union(*family)
-    }
-    true_masks = [cells_with_bit(n_types, i) for i in range(n_props)]
-    return col_masks, extents, true_masks, [((1 << n_types) - 1) ^ m for m in true_masks]
-
-
-_small_type_masks = functools.lru_cache(maxsize=64)(_type_masks)
+        types = _set_bits(present)
+        n = len(self.props)
+        self._bind([t >> n for t in types])
+        tm = [sum(1 << j for j, t in enumerate(types) if t >> i & 1) for i in range(n)]
+        lo, _ = self.engine.sweep(tm, [self.engine.full ^ m for m in tm])
+        at = types.index(dv)
+        return [lo[self.engine.slot[g]] >> at & 1 for g in formulas]
 
 
 @functools.lru_cache(maxsize=16)
 def _presence(
     family: tuple[frozenset[Standpoint], ...], n_props: int
-) -> tuple[dict[Standpoint, list[tuple[int, int]]], int, list[int]]:
-    """What a table grid's tables are built from: each standpoint's blocks
-    as ``_root_table`` reads them, (bit offset, the rows that hold the
-    type), each proposition's table, true in every row of the types whose
-    valuation has it, and the search's start mask, whose block of each
-    type of column 0 holds the rows that hold that type and a type of
-    every column.  Built by doubling (``_table_masks``, ``cells_with_bit``),
-    not row by row, and shared, so no caller may change them."""
+) -> tuple[dict[Standpoint, int], dict[Standpoint, list[tuple[int, int]]], int, list[int]]:
+    """What a table grid's tables are built from: each standpoint's
+    extent, a mask of types (those of the columns whose label set holds
+    it), its blocks as ``_root_table`` reads them, (bit offset, the rows
+    that hold the type), each proposition's table, true in every row of
+    the types whose valuation has it, and the search's start mask, whose
+    block of each type of column 0 holds the rows that hold that type and
+    a type of every column.  Built by doubling (``_table_masks``,
+    ``cells_with_bit``), not row by row, and shared, so no caller may
+    change them."""
     v_count = 1 << n_props
     n_types = len(family) << n_props
     rows = 1 << n_types
@@ -210,14 +209,19 @@ def _presence(
     for c in range(0, n_types, v_count):
         valid &= functools.reduce(operator.or_, holds[c:c + v_count])
     start = sum((valid & holds[t]) << t * rows for t in range(v_count))
-    _, extents, _, _ = _small_type_masks(family, n_props)
+    column = (1 << v_count) - 1
+    # every label set holds the universal standpoint
+    extents = {
+        sp: sum(column << c * v_count for c, labels in enumerate(family) if sp in labels)
+        for sp in frozenset().union(*family)
+    }
     reads = {
         sp: [(t * rows, h) for t, h in enumerate(holds) if ext >> t & 1]
         for sp, ext in extents.items()
     }
     # bit i of a type's valuation is bit n_types + i of a bit index in its block
     masks = [cells_with_bit(n_types * rows, n_types + i) for i in range(n_props)]
-    return reads, start, masks
+    return extents, reads, start, masks
 
 
 def _flip(mask: int, n_types: int) -> int:
@@ -250,60 +254,26 @@ def grid_model_for(
 
     A model is a presence assignment: which valuations each column
     carries (its present types), rather than individual cells, since
-    modal truth only reads the per-column valuation sets, so a search of
-    every presence assignment is complete.  A valid one makes the
-    conjunction hold at the designated type and gives every column at
-    least one type, and the answer is the least valid one in the search
-    order: the designated valuation first, then the other types in
-    ascending order, absent before present.
+    modal truth only reads the per-column valuation sets.  A valid one
+    makes the conjunction hold at the designated type and gives every
+    column at least one type.
 
     A grid with tables (see ``CompiledGrid``: grids whose tables fit
-    ``ONE_CELL_BITS``) answers in one node.  The AND of the conjuncts'
-    tables, the complement for a negation, with the grid's ``start`` mask
-    has, in the block of each designated valuation of column 0, the rows
-    of its valid assignments.  A row is a presence set with type 0 as its
-    most significant bit, so the least set bit is the least designated
-    valuation with a valid row and its least row: the least valid
-    assignment, as the walk below returns it.
+    ``ONE_CELL_BITS``) answers in one node with the least valid
+    assignment in this order: the designated valuation first, then the
+    other types in ascending order, absent before present.  The AND of
+    the conjuncts' tables, the complement for a negation, with the grid's
+    ``start`` mask has, in the block of each designated valuation of
+    column 0, the rows of its valid assignments.  A row is a presence set
+    with type 0 as its most significant bit, so the least set bit is the
+    least designated valuation with a valid row and its least row.
 
-    Every other grid walks the presence bits with the grid's engine, and
-    backtracks.  Three-valued truth comes from the engine: the
-    presence bits decide which types the modalities quantify over, and the
-    conjunction's lower and upper masks are the AND of its conjuncts'.  The
-    designated cell's valuation is chosen first; presence bits are tried
-    absent before present, so the result is deterministic.
-
-    Each node propagates the modal conjuncts, which must hold wherever the
-    conjunction does, until nothing changes:
-
-    - for a box ``[@x] g``, every type of ``x``'s extent at which ``g`` is
-      false in every completion (its upper mask is clear) becomes absent,
-      and for a negated diamond ``!<@x> g`` every one at which ``g`` is
-      true in every completion (its lower mask is set);
-    - for a diamond ``<@x> g``, the candidates are the types of ``x``'s
-      extent, not absent, where ``g`` may hold: none fails the node, and a
-      single one becomes present; for a negated box ``![@x] g``, the
-      candidates are those where ``g`` may fail.
-
-    The rules of ``!<@x> g`` and ``![@x] g`` are those of the duals
-    ``[@x] !g`` and ``<@x> !g``, whose strong Kleene bounds are theirs.
-
-    No type turns both absent and present.  A box rule rules out only
-    types at which its operand may fail, and a present one of them would
-    have made the box, a conjunct, fail the node already (its upper bound
-    reads the present types); a negated diamond's rule likewise.  A
-    diamond rule makes present only a type not ruled out, and the
-    designated type starts present.  The search skips types that
-    propagation has decided.  Witnesses are those of the search without
-    propagation.  Propagation and the other prunings remove only subtrees
-    without a valid assignment, and at a leaf the bounds are exact, so the
-    walk returns the least valid assignment.  A node whose lower bound
-    already holds returns its present types, which is the least
-    completion beneath it (every open type absent) and valid, so again
-    that least assignment.  The assignment depends on the family, the
-    propositions and the conjunction's truth alone, so it is the one a
-    grid compiled for the conjunction alone would give, with tables or
-    without.
+    Every other grid decides one one-position stratum of slot traces with
+    the bounded search's walk, ``search._search_stratum``; ``_slots``
+    lays it out from the conjuncts alone, so the model depends on the
+    conjunction, not on the other formulas the grid was compiled over.
+    The model's present types are the (column, valuation) types of the
+    slots, and its designated valuation is slot 0's.
 
     ``budget`` is ``[remaining, limit]``, shared by every grid search of
     one ``solve``; each node takes one, a table search one in all, and
@@ -321,79 +291,85 @@ def grid_model_for(
             return None
         dv, row = divmod((found & -found).bit_length() - 1, grid.rows)
         return _flip(row, grid.n_types), dv
-    sweep, slot = grid.engine.sweep, grid.engine.slot
-    roots = [slot[g] for g in conjuncts]
-    # the modal conjuncts as (extent mask, operand slot, negated): a
-    # negated diamond is a box rule, a negated box a diamond rule
-    boxes, diamonds = [], []
-    for g in conjuncts:
-        h, negated = (g.operand, True) if isinstance(g, Not) else (g, False)
-        if isinstance(h, (BoxS, DiamondS)):
-            rule = (grid.engine.masks[h.standpoint], slot[h.operand], negated)
-            (boxes if isinstance(h, BoxS) != negated else diamonds).append(rule)
-    col_masks, full = grid.col_masks, grid.full
-    true_masks, false_masks = grid.true_masks, grid.false_masks
+    n = len(grid.props)
+    columns, cells = _slots(grid, conjuncts)
+    roots = [grid.engine.slot[g] for g in conjuncts or [TOP]]
+    tm = _search_stratum(grid.engine, roots, n, cells, budget, "grid search")
+    if tm is None:
+        return None
+    present = 0
+    for j, c in enumerate(columns):
+        present |= 1 << (c << n | sum((m >> j & 1) << i for i, m in enumerate(tm)))
+    return present, sum((m & 1) << i for i, m in enumerate(tm))
 
-    def propagate(present: int, absent: int, d_bit: int):
-        """The node's presence and absence bits grown to the propagation
-        fixpoint, with its lower masks, or None when the node fails."""
-        while True:
-            if any(col & ~absent == 0 for col in col_masks):
-                return None  # every type of a column ruled out
-            lo, hi = sweep(true_masks, false_masks, present, full ^ absent)
-            if any(not hi[r] & d_bit for r in roots):
-                return None
-            grown_absent = absent
-            for ext, g, negated in boxes:
-                grown_absent |= ext & (lo[g] if negated else ~hi[g])
-            grown_present = present
-            for ext, g, negated in diamonds:
-                candidates = ext & (~lo[g] if negated else hi[g]) & ~grown_absent
-                if not candidates:
-                    return None
-                if not candidates & (candidates - 1):
-                    grown_present |= candidates
-            if grown_present == present and grown_absent == absent:
-                return present, absent, lo
-            present, absent = grown_present, grown_absent
 
-    # with nothing present and every type possible the upper masks are
-    # the highest any node reaches: a valuation clear in one of them fails
-    # at its root, so only the set bits of their AND over column 0 (where
-    # the designated type sits) are tried, in ascending order
-    _, top = sweep(true_masks, false_masks, 0, full)
-    candidates = col_masks[0]
-    for r in roots:
-        candidates &= top[r]
-    # (next type, present, absent, designated bit); the lowest candidate
-    # left starts the walk whenever the stack runs empty, so the stack
-    # never holds a mask per candidate; the designated type starts
-    # present, so the walk over the types passes over it
-    stack = []
-    while stack or candidates:
-        if not stack:
-            d_bit = candidates & -candidates
-            candidates ^= d_bit
-            stack.append((0, d_bit, 0, d_bit))
-        t, present, absent, d_bit = stack.pop()
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchLimitError(budget[1], "grid search")
-        node = propagate(present, absent, d_bit)
-        if node is None:
-            continue
-        present, absent, lo = node
-        if all(lo[r] & d_bit for r in roots) and all(col & present for col in col_masks):
-            return present, d_bit.bit_length() - 1
-        decided = present | absent
-        while decided >> t & 1:
-            t += 1
-        t_bit = 1 << t
-        if t_bit & full:
-            # pushed last, the absent branch is searched first
-            stack.append((t + 1, present | t_bit, absent, d_bit))
-            stack.append((t + 1, present, absent | t_bit, d_bit))
-    return None
+def _slots(
+    grid: CompiledGrid, conjuncts: Sequence[Formula]
+) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """The slot stratum of a search of the conjunction on an engine grid:
+    the column of each slot, and the cells ``_search_stratum`` assigns; the
+    grid's engine is left shaped and bound to the slots.
+
+    Each slot is one trace in one column.  Column ``c`` gets one slot per
+    modal subformula of the conjuncts (either polarity, any depth) whose
+    standpoint its label set holds, plus the designated slot 0 in column
+    0, and at least one.  That many suffice (Ladner's bound for S5: one
+    world per modal subformula, plus one): in any model, give slot 0 the
+    designated type, give each modal subformula a slot in the column of a
+    type that decides it (one where its operand holds, for a diamond that
+    holds, or fails, for a box that fails), and every other slot any type
+    of its column.  Those types are a model in which every subformula
+    keeps its truth at each of them, since each modality sees no type it
+    did not see before and still sees the one that decides it.  Extents
+    are the slots of their columns, so a sharpening atom holds iff its
+    columns nest.
+
+    A proposition is read at slot 0 where it occurs outside every modal
+    operand, and at the slots of the extent of the innermost modality
+    above each other occurrence; its other cells are never read and stay
+    false.  The read cells are listed proposition-major, slots ascending:
+    a proposition is decided at every slot before the next one is
+    touched, which refutes a conjunction that one proposition dooms in
+    about two nodes per cell of it (ring(6) takes 19 grid nodes, and
+    over 10 million in the node-major order).  Two slots of one column
+    other than slot 0 are interchangeable, so each is paired with the
+    slot before it (``prev``), which reads the same propositions.
+    """
+    subs, left, right, at = programs(conjuncts)
+    # who reads each subformula: None for slot 0, where it occurs outside
+    # every modal operand, and the standpoint of the innermost modality
+    # above each other occurrence; parents come after their children, so
+    # a walk back visits every parent of a subformula before it
+    readers: list[set[Standpoint | None]] = [set() for _ in subs]
+    for i in at:
+        readers[i].add(None)
+    modal = []
+    for i in range(len(subs) - 1, -1, -1):
+        g = subs[i]
+        inner = readers[i]
+        if type(g) is DiamondS or type(g) is BoxS:
+            modal.append(g.standpoint)
+            inner = {g.standpoint}
+        for c in (left[i], right[i]):
+            if c >= 0:
+                readers[c] |= inner
+    columns = []
+    for c, labels in enumerate(grid.family):
+        columns += [c] * max((c == 0) + sum(sp in labels for sp in modal), 1)
+    grid._bind(columns)
+    slots = {None: 1, **grid.engine.masks}
+    read = [0] * len(grid.props)
+    for g, who in zip(subs, readers):
+        if type(g) is Prop:
+            for sp in who:
+                read[grid.leaves[g]] |= slots[sp]
+    cells = [
+        (p, 1 << j, j, 1 << j - 1 if j > 1 and columns[j - 1] == columns[j] else 0)
+        for p, mask in enumerate(read)
+        for j in range(len(columns))
+        if mask >> j & 1
+    ]
+    return columns, cells
 
 
 def expand(
@@ -405,11 +381,20 @@ def expand(
     v_count = grid.v_count
     columns = []
     for c in range(len(grid.family)):
-        bits = present >> (c * v_count) & (1 << v_count) - 1
-        chosen = [v for v in range(bits.bit_length()) if bits >> v & 1]
+        chosen = _set_bits(present >> (c * v_count) & (1 << v_count) - 1)
         if c == 0:
             chosen = [dv] + [v for v in chosen if v != dv]
         columns.append(tuple(
             frozenset(p for i, p in enumerate(grid.props) if v >> i & 1) for v in chosen
         ))
     return tuple(columns)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending: one step per set
+    bit, not per bit, as a column may span millions of types."""
+    found = []
+    while mask:
+        found.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return found

@@ -10,9 +10,11 @@ one-position stratum within ``ONE_CELL_BITS`` by truth table, with no
 engine (``_table_stratum``), and walks every other stratum with one
 engine, compiled once and moved to each stratum's shape and standpoint
 assignment.  ``one_cell_model`` is the table's one-trace case, the
-search's first stratum, which ``solve`` tries on every input, and the
-PSL grids within the same cap take their tables from the same evaluator
-(``_root_table``), with presence sets as rows.  Nothing
+search's first stratum, which ``solve`` tries on every input.  The PSL
+grids within the same cap take their tables from the same evaluator
+(``_root_table``), with presence sets as rows, and every other PSL grid
+search is one one-position stratum of slot traces, walked by the same
+loop as the bounded search's strata (``_search_stratum``).  Nothing
 here checks a model: ``solve`` checks every witness with
 ``semantics.evaluate``, which imports nothing of this module, and this
 module takes only the model classes from ``semantics``.
@@ -21,7 +23,7 @@ module takes only the model classes from ``semantics``.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .semantics import SLTLModel, UPTrace
 from .syntax import (
@@ -97,22 +99,17 @@ class SearchBounds(_FrozenRecord):
 # Interval engine: three-valued truth bounds over a partially assigned model
 
 _OP_CONST, _OP_LEAF, _OP_NOT, _OP_AND, _OP_OR, _OP_NEXT, _OP_UNTIL = range(7)
-# the _AT ops lie as far after _OP_SOME and _OP_ALL: ``bind`` adds that offset
-_OP_TOP, _OP_SOME, _OP_ALL, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 13)
+_OP_TOP, _OP_SOME_AT, _OP_ALL_AT, _OP_SHARPER = range(7, 11)
 
 
 class IntervalEngine:
-    """Lower/upper truth masks of formulas over a partially assigned lasso
-    whose traces may themselves be only possibly present.
+    """Lower/upper truth masks of formulas over a partially assigned lasso.
 
     Bit ``trace * L + node`` of a mask is the truth value at that cell.  The
     lower mask is true where a formula holds in every completion of the
     assignment, the upper mask where it holds in some completion; they
-    coincide once every relevant cell and every presence bit is assigned.
-    Modalities quantify over the present traces of their extent.  Presence
-    is read only by the one-position modal ops, those the grid search
-    uses; a longer lasso is the bounded search's, whose traces are all
-    present, so its modal ops read the extent alone.
+    coincide once every relevant cell is assigned.  Modalities quantify
+    over every trace of their extent.
 
     The formulas are compiled into a program, one slot per compiled formula
     (``slot``), whose modal instructions name their standpoint and whose
@@ -133,20 +130,18 @@ class IntervalEngine:
     ``X(a U b)`` is a leaf gets the two of ``b | (a & X(a U b))``, which
     holds on every lasso.  On a one-position lasso (``L == 1``) a cell is
     a trace, the shift of ``X a`` gives ``a`` and the fixpoint of ``a U b``
-    gives ``b``, and a modality is one mask test, which knows that no
-    extent is empty in a completion.
+    gives ``b``.
 
-    Three searches run on it: ``bounded_search`` below (propositions as
-    leaves, every trace present) on lassos of two or more positions, and
-    on a one-position stratum only when its truth table would exceed
-    ``ONE_CELL_BITS``; the PSL grid search of
-    ``psl.CompiledGrid`` (a one-position lasso whose traces are the grid's
-    (column, valuation) types, with presence masks), on grids whose tables
-    would exceed the same cap, and the state
-    enumeration of ``automaton.StateSpace`` (one cell per assignment of the
-    last branch members, the closure's base members as leaves).  The
-    grid search and the state enumeration sweep one-position engines, and
-    their ops keep the first places in ``sweep``'s chain of tests.
+    Three searches run on it, each with propositions or closure members as
+    leaves: ``bounded_search`` below on lassos of two or more positions,
+    and on a one-position stratum only when its truth table would exceed
+    ``ONE_CELL_BITS``; the PSL grid search of ``psl.CompiledGrid`` on
+    grids whose tables would exceed the same cap, which walks one
+    one-position stratum of slot traces as the bounded search walks its
+    strata (``_search_stratum``); and the state enumeration of
+    ``automaton.StateSpace`` (one cell per assignment of the last branch
+    members).  The ops that one-position sweeps run keep the first places
+    in ``sweep``'s chain of tests.
     """
 
     def __init__(
@@ -182,9 +177,9 @@ class IntervalEngine:
             elif cls is Next:
                 ins = (_OP_NEXT, slot[g.operand], 0, None)
             elif cls is DiamondS:
-                ins = (_OP_SOME, slot[g.operand], 0, g.standpoint)
+                ins = (_OP_SOME_AT, slot[g.operand], 0, g.standpoint)
             elif cls is BoxS:
-                ins = (_OP_ALL, slot[g.operand], 0, g.standpoint)
+                ins = (_OP_ALL_AT, slot[g.operand], 0, g.standpoint)
             elif cls is Top:
                 ins = (_OP_TOP, 0, 0, None)
             elif cls is Bottom:
@@ -225,19 +220,15 @@ class IntervalEngine:
         """Bind the program to one standpoint assignment: each standpoint's
         extent, a trace mask, becomes a cell mask (``masks``) in the modal
         instructions, and each sharpening atom and ``TOP`` becomes the
-        constant it denotes at the current shape.  On a one-position lasso
-        a trace is a cell, so the trace masks are the cell masks, and a
-        modality keeps the op that reads presence (``_OP_SOME``,
-        ``_OP_ALL``); on a longer one it takes the ``_AT`` op.  The bound
-        instruction list is a copy of the program patched at ``bound_at``,
-        the indices of those instructions, which the constructor records.
-        A standpoint missing from ``extents`` is a KeyError."""
+        constant it denotes at the current shape.  The bound instruction
+        list is a copy of the program patched at ``bound_at``, the indices
+        of those instructions, which the constructor records.  A standpoint
+        missing from ``extents`` is a KeyError."""
         block, L, full = self.block0, self.L, self.full
-        self.masks = masks = extents if L == 1 else {
+        self.masks = masks = {
             sp: sum(block << (t * L) for t in range(m.bit_length()) if m >> t & 1)
             for sp, m in extents.items()
         }
-        at = 0 if L == 1 else _OP_SOME_AT - _OP_SOME  # each _AT op's offset
         instrs = self.program.copy()
         for i in self.bound_at:
             op, a, b, aux = instrs[i]
@@ -248,22 +239,17 @@ class IntervalEngine:
                 c = full if masks[left] | masks[right] == masks[right] else 0
                 instrs[i] = (_OP_CONST, 0, 0, (c, c))
             else:
-                instrs[i] = (op + at, a, b, masks[aux])
+                instrs[i] = (op, a, b, masks[aux])
         self.instrs = instrs
 
-    def sweep(
-        self, tm: list[int], fm: list[int], present: int, possible: int
-    ) -> tuple[list[int], list[int]]:
+    def sweep(self, tm: list[int], fm: list[int]) -> tuple[list[int], list[int]]:
         """(lower, upper) masks of every slot.
 
-        ``tm``/``fm`` hold per leaf the cells assigned true/false;
-        ``present``/``possible`` are the cells of the traces that are
-        definitely/possibly present, which only a one-position lasso reads.
-        ``X`` moves each bit to the node before it within its trace (the
-        last node reads the first node of the period), ``U`` is the least
-        fixpoint of ``u = b | (a & X u)``, and a multi-position modal op
-        ORs every trace's masked block into block 0 and copies it to every
-        trace.
+        ``tm``/``fm`` hold per leaf the cells assigned true/false.  ``X``
+        moves each bit to the node before it within its trace (the last
+        node reads the first node of the period), ``U`` is the least
+        fixpoint of ``u = b | (a & X u)``, and a modal op ORs every trace's
+        masked block into block 0 and copies it to every trace.
         """
         count = len(self.instrs)
         lo = [0] * count
@@ -282,14 +268,6 @@ class IntervalEngine:
             elif op == _OP_OR:
                 lo[i] = lo[a] | lo[b]
                 hi[i] = hi[a] | hi[b]
-            elif op == _OP_SOME:
-                # an extent is never empty in a completion, so one of its
-                # possible traces is present
-                lo[i] = full if lo[a] & aux & present or not ~lo[a] & aux & possible else 0
-                hi[i] = full if hi[a] & aux & possible else 0
-            elif op == _OP_ALL:
-                lo[i] = 0 if ~lo[a] & aux & possible else full
-                hi[i] = 0 if ~hi[a] & aux & present or not hi[a] & aux & possible else full
             elif op == _OP_CONST:
                 lo[i], hi[i] = aux
             elif op == _OP_SOME_AT or op == _OP_ALL_AT:
@@ -330,70 +308,92 @@ def cells_with_bit(n: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 # Bounded satisfiability search
 
-def _search_stratum(
-    engine: IntervalEngine,
-    f: Formula,
-    n_props: int,
-    reach: list[int],
-    prev: dict[int, int],
-    budget: list[int],
-) -> list[int] | None:
-    """The first valuation of one (traces, shape, standpoint assignment)
-    stratum that satisfies ``f`` at trace 0, position 0, as one mask of
-    true cells per proposition, or None.
-
-    ``engine`` is compiled for the shape and bound to the assignment.
-    Cells are assigned false before true in a fixed order (the origin node
-    first, then the cycle nodes, then the rest of the prefix), so together
-    with interval pruning the walk returns exactly the first witness of
-    the plain enumeration in that cell order.  It is a loop: each node
-    sweeps the engine once and costs the budget one node, then assigns the
-    next cell or backtracks over the assigned prefix to the deepest cell
-    still false, which turns true.  Traces outside ``reach`` (every modal
-    extent, plus trace 0 unless the formula is trace-independent) stay
-    empty: no satisfaction clause ever reads them.
-
-    Symmetric assignments are skipped: ``prev`` maps a trace to the one
-    before it with the same standpoint profile, and only valuations in
-    which the two traces' sequences (in cell order) are sorted are
-    searched.  The first witness is kept.  The plain search returns the
-    lex-least assignment in this node-major cell order, and swapping two
-    interchangeable traces whose sequences are out of order would give a
-    smaller one, so that assignment is already sorted and every prefix of
-    it passes the check.  ``lt_at[t]`` is the depth at which the sequences
-    of ``prev[t]`` and ``t`` first differed on the current branch; an
-    entry at the current depth or deeper (``len(cells)`` included) was
-    left by an abandoned branch or says they are equal so far, so
-    backtracking restores nothing.  Only a false value can be forbidden,
-    and the cell then takes true at no extra node.
-    """
-    L, prefix, every, block = engine.L, engine.prefix, engine.full, engine.block0
-    sweep, root = engine.sweep, engine.slot[f]
+def _node_major_cells(
+    engine: IntervalEngine, n_props: int, reach: Iterable[int], prev: dict[int, int]
+) -> list[tuple[int, int, int, int]]:
+    """The cells a bounded-search stratum assigns, as ``_search_stratum``
+    takes them, in node-major order: the origin node first, then the cycle
+    nodes, then the rest of the prefix, at each node the traces of
+    ``reach`` ascending, and at each trace every proposition in turn.
+    Traces outside ``reach`` (every modal extent, plus trace 0 unless the
+    formula is trace-independent) get no cell: no satisfaction clause
+    reads them."""
+    L, prefix = engine.L, engine.prefix
     node_order = [0, *range(max(prefix, 1), L), *range(1, prefix)]
-    # proposition, cell bit, trace, and the cell bit of prev[trace] or 0
-    cells = [
+    return [
         (p, 1 << (t * L + k), t, 1 << (prev[t] * L + k) if t in prev else 0)
         for k in node_order
         for t in sorted(reach)
         for p in range(n_props)
     ]
-    unread = every ^ sum(block << (t * L) for t in reach)
-    tm, fm = [0] * n_props, [unread] * n_props
-    lt_at = dict.fromkeys(prev, len(cells))
+
+
+def _search_stratum(
+    engine: IntervalEngine,
+    roots: list[int],
+    n_props: int,
+    cells: list[tuple[int, int, int, int]],
+    budget: list[int],
+    layer: str = "bounded search",
+) -> list[int] | None:
+    """The first valuation of one stratum that satisfies the formulas of
+    the engine slots ``roots`` at trace 0, position 0, as one mask of true
+    cells per proposition, or None.
+
+    ``engine`` is shaped and bound to the stratum.  ``cells`` lists the
+    cells to assign, each as (proposition, cell bit, trace, the cell bit
+    of the same proposition and node at ``prev[trace]`` or 0); every other
+    cell stays false, so the caller lists every cell that a satisfaction
+    clause may read.  The bounded search lists its strata's cells
+    node-major (``_node_major_cells``), every cell of the traces it reads;
+    the grid search lists the read cells of its slot stratum
+    proposition-major (``psl.grid_model_for``).  Cells are assigned false
+    before true in that order, so together with interval pruning the walk
+    returns exactly the first witness of the plain enumeration in that
+    cell order.  It is a loop: each node sweeps the engine once and costs
+    the budget one node, then assigns the next cell or backtracks over the
+    assigned prefix to the deepest cell still false, which turns true.
+
+    Symmetric assignments are skipped: ``prev`` maps a trace to one before
+    it that every formula treats alike (the same standpoint profile, and
+    not trace 0), and only valuations in which the two traces' sequences
+    (in cell order) are sorted are searched.  The two traces' cells must
+    pair up, listed in the same order, each cell of ``prev[t]`` before its
+    pair of ``t``.  The first witness is kept.  The plain search returns
+    the lex-least assignment in the cell order, and swapping two
+    interchangeable traces whose sequences are out of order would give a
+    smaller one, so that assignment is already sorted and every prefix of
+    it passes the check.  ``lt_at[t]`` is the depth at which the sequences
+    of ``prev[t]`` and ``t`` first differed on the current branch; an
+    entry at the current depth or deeper (``end``, the cell count,
+    included) was left by an abandoned branch or says they are equal so
+    far, as a missing entry does, so backtracking restores nothing.  Only
+    a false value can be forbidden, and the cell then takes true at no
+    extra node.  SearchLimitError names ``layer`` as the search whose
+    budget ran out.
+    """
+    sweep, every = engine.sweep, engine.full
+    fm = [every] * n_props
+    for p, bit, _, _ in cells:
+        fm[p] ^= bit
+    tm = [0] * n_props
+    end = len(cells)
+    lt_at: dict[int, int] = {}  # a trace missing is a trace equal so far
+    root, *others = roots  # one root but in a grid search: no loop per node
     i = 0
     while i >= 0:
         budget[0] -= 1
         if budget[0] < 0:
-            raise SearchLimitError(budget[1])
-        lo, hi = sweep(tm, fm, every, every)
-        if hi[root] & 1:
-            if lo[root] & 1:
+            raise SearchLimitError(budget[1], layer)
+        lo, hi = sweep(tm, fm)
+        if hi[root] & 1 and (not others or all(hi[r] & 1 for r in others)):
+            if lo[root] & 1 and (not others or all(lo[r] & 1 for r in others)):
                 return tm
-            assert i < len(cells), "fully assigned model left undecided"
+            assert i < end, "fully assigned model left undecided"
             p, bit, t, before = cells[i]
             masks = fm
-            if before and lt_at[t] >= i:
-                lt_at[t] = len(cells)  # equal so far, this cell included
+            if before and lt_at.get(t, end) >= i:
+                lt_at[t] = end  # equal so far, this cell included
                 if tm[p] & before:
                     masks = tm  # false would sort trace t below prev[t]
             masks[p] |= bit
@@ -405,7 +405,7 @@ def _search_stratum(
             if fm[p] & bit:
                 fm[p] ^= bit
                 tm[p] |= bit
-                if before and lt_at[t] >= i:
+                if before and lt_at.get(t, end) >= i:
                     lt_at[t] = i
                 i += 1
                 break
@@ -740,7 +740,8 @@ def bounded_search(
                             engine = IntervalEngine([f], t_count, prefix, period, lam_idx, leaves)
                         else:
                             engine.bind(lam_idx)
-                        tm = _search_stratum(engine, f, len(props), reach, prev, budget)
+                        cells = _node_major_cells(engine, len(props), reach, prev)
+                        tm = _search_stratum(engine, [engine.slot[f]], len(props), cells, budget)
                     if tm is not None:
                         return _model(props, tm, t_count, prefix, period, lam_idx), "t0"
     return None

@@ -875,6 +875,22 @@ def witness_grid(model: SLTLModel, standpoints):
 # ---------------------------------------------------------------------------
 # Exhaustive propositional corpus
 
+def grid_holds(grid, f: Formula) -> bool:
+    """Truth of ``f`` at the first valuation of column 0 of the grid model
+    ``(family, columns)``, by the reference evaluator on the one-position
+    model with one trace per valuation of each column."""
+    family, columns = grid
+    cells = [(labels, v) for labels, column in zip(family, columns) for v in column]
+    traces = {f"t{k}": UPTrace((), (v,)) for k, (_, v) in enumerate(cells)}
+    lam = {
+        sp: frozenset(
+            f"t{k}" for k, (labels, _) in enumerate(cells) if sp.is_universal or sp in labels
+        )
+        for sp in vocab(f).standpoints | {UNIVERSAL}
+    }
+    return evaluate(SLTLModel(traces, lam, 0, 1), "t0", 0, f)
+
+
 def enumerate_psl_formulas(max_size: int, prop: str = "p"):
     """All propositional standpoint ASTs up to the size, over one
     proposition and the two fixed standpoints (double negation excluded)."""
@@ -931,14 +947,15 @@ def engine_stratum(f: Formula, t_count: int, extents: dict, reach, prev: dict):
 
     leaves = {Prop(p): i for i, p in enumerate(sorted(vocab(f).props))}
     engine = search.IntervalEngine([f], t_count, 0, 1, extents, leaves)
-    return search._search_stratum(engine, f, len(leaves), reach, prev, [10**9, 10**9])
+    cells = search._node_major_cells(engine, len(leaves), reach, prev)
+    return search._search_stratum(engine, [engine.slot[f]], len(leaves), cells, [10**9, 10**9])
 
 
 def engine_grid(family, props, formulas, budget):
     """The grid ``psl.CompiledGrid`` compiles over ``formulas`` with its
     cap on table bits at 0: an interval engine, so that
-    ``psl.grid_model_for`` takes on it the walk it takes only for grids
-    whose tables would exceed ``ONE_CELL_BITS``."""
+    ``psl.grid_model_for`` takes on it the slot search it takes only for
+    grids whose tables would exceed ``ONE_CELL_BITS``."""
     from sltl import psl
 
     cap = psl.ONE_CELL_BITS

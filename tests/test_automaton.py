@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     family_for,
+    grid_holds,
     psl_brute_sat_bitwise,
     random_formula,
     sharpening_atoms,
@@ -21,7 +22,7 @@ from sltl.automaton import (
     find_accepting_lasso,
 )
 from sltl import automaton, psl
-from sltl.search import _OP_SOME, IntervalEngine, SearchBounds, SearchLimitError, bounded_search
+from sltl.search import _OP_SOME_AT, IntervalEngine, SearchBounds, SearchLimitError, bounded_search
 from sltl.solver import check_witness, solve
 from sltl.syntax import (
     BOTTOM,
@@ -345,7 +346,7 @@ def test_enumeration_matches_brute_force(mode, monkeypatch):
             monkeypatch.setattr(automaton, "_TAIL_WIDTH", width)
             space = StateSpace(closure(f))
             # no instruction reads another cell, so cells are independent
-            assert all(op < _OP_SOME for op, _, _, _ in space._engine.program)
+            assert all(op < _OP_SOME_AT for op, _, _, _ in space._engine.program)
             initial = [(f, True)]
             _assert_one_state_per_branch_assignment(space, initial, to_text(f))
             successor_constraints = {
@@ -590,21 +591,28 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
     # was read off is the one-shot model of all its literals, grid-decided
     # ones included, so reading them off loses no model.  A state without
     # standpoints runs no search (PureLTL spaces here), and its one-cell
-    # model is checked against the one-shot search all the same
+    # model is checked against the one-shot search all the same.  Every
+    # grid of the first 1,650 inputs takes tables; the last 150, LtlPsl
+    # ones, make every grid a slot grid, whose model is that of a grid compiled over the
+    # same conjuncts, while the one-shot body, another conjunction, has a
+    # model iff they do, and a state's model satisfies all its literals
     searched = []
     real = psl.grid_model_for
 
     def recording(grid, conjuncts, budget):
         found = real(grid, conjuncts, budget)
         model = None if found is None else (grid.family, psl.expand(grid, *found))
-        searched.append((list(conjuncts), model))
+        searched.append((list(conjuncts), model, grid))
         return found
 
     monkeypatch.setattr(psl, "grid_model_for", recording)
     rng = random.Random(211)
-    done = searches = states = negated = gridless = 0
-    while done < 1_650:
-        mode = ("ltl", "ltl_psl", "ltl_psl")[done % 3]
+    done = searches = states = negated = gridless = slot_searches = 0
+    while done < 1_800:
+        slots = done >= 1_650
+        if slots:
+            monkeypatch.setattr(psl, "ONE_CELL_BITS", 0)
+        mode = "ltl_psl" if slots else ("ltl", "ltl_psl", "ltl_psl")[done % 3]
         f = random_formula(rng, 3, mode=mode, max_sharpenings=2)
         if classify(f) not in (Fragment.PURE_LTL, Fragment.LTL_PSL):
             continue
@@ -619,13 +627,26 @@ def test_shared_grid_matches_one_shot_grids(monkeypatch):
         for b in enumerated:
             states += 1
             gridless += space._gridless
-            want = _one_shot_grid_model(space, _state_literals(space, b))
-            assert space.grid_model(b) == want, to_text(phi_d)
-        for conjuncts, model in calls:
+            literals = _state_literals(space, b)
+            want = _one_shot_grid_model(space, literals)
+            if slots and not space._gridless:
+                assert want is not None and grid_holds(space.grid_model(b), conj(literals)), to_text(phi_d)
+            else:
+                assert space.grid_model(b) == want, to_text(phi_d)
+        for conjuncts, model, grid in calls:
             searches += 1
             negated += any(isinstance(g, Not) and isinstance(g.operand, Sharper) for g in conjuncts)
-            assert model == _one_shot_grid_model(space, conjuncts), to_text(phi_d)
+            if grid.tables is not None:
+                assert model == _one_shot_grid_model(space, conjuncts), to_text(phi_d)
+                continue
+            slot_searches += 1
+            alone = psl.CompiledGrid(grid.family, space.props, conjuncts, [10**6, 10**6])
+            found = real(alone, conjuncts, [10**6, 10**6])
+            assert model == (None if found is None else (grid.family, psl.expand(alone, *found)))
+            assert (model is None) == (_one_shot_grid_model(space, conjuncts) is None), to_text(phi_d)
+            assert model is None or grid_holds(model, conj(conjuncts)), to_text(phi_d)
     assert searches > 3_000 and states > 3_000 and negated > 200 and gridless > 5_000
+    assert slot_searches > 400
 
 
 def test_one_grid_engine_per_label_family(monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     engine_grid,
     enumerate_psl_formulas,
     family_for,
+    grid_holds as holds,
     psl_brute_sat,
     psl_brute_sat_bitwise,
     random_formula,
@@ -32,7 +33,6 @@ from sltl.psl import (
     label_family,
 )
 from sltl.search import SearchLimitError
-from sltl.semantics import SLTLModel, UPTrace, evaluate
 from sltl.solver import SolveOptions, solve, verdict_to_json
 from sltl.syntax import (
     And,
@@ -57,22 +57,6 @@ from sltl.translate import simplify, to_nnf
 
 STAR = frozenset({UNIVERSAL})
 STAR_S = frozenset({UNIVERSAL, S})
-
-
-def holds(grid, f) -> bool:
-    """Truth of ``f`` at the first valuation of column 0 of the grid model
-    ``(family, columns)``, by the reference evaluator on the one-position
-    model with one trace per valuation of each column."""
-    family, columns = grid
-    cells = [(labels, v) for labels, column in zip(family, columns) for v in column]
-    traces = {f"t{k}": UPTrace((), (v,)) for k, (_, v) in enumerate(cells)}
-    lam = {
-        sp: frozenset(
-            f"t{k}" for k, (labels, _) in enumerate(cells) if sp.is_universal or sp in labels
-        )
-        for sp in vocab(f).standpoints | {UNIVERSAL}
-    }
-    return evaluate(SLTLModel(traces, lam, 0, 1), "t0", 0, f)
 
 
 def _width(model, family) -> int:
@@ -189,12 +173,13 @@ def test_split_pushes_negations_into_the_body(monkeypatch):
 
 
 def test_negated_modal_conjuncts_are_propagated_as_their_duals():
-    # !<@s> p rules out the s-types with p, which leaves <@s> q one
-    # candidate: propagation makes it present and the root node answers.
-    # Unpropagated, neither conjunct would decide a type there.  ![@s] !q
-    # is the same diamond rule, and each search spends what its dual does.
-    # The node counts are the walk's, on the engine grid; the table grid
-    # of the same 8 types answers every search in one node
+    # the engine's bounds of !<@s> p are those of its dual [@s] !p, and
+    # those of ![@s] !q those of <@s> q, so the slot search of a
+    # conjunction spends what the search of its duals spends and finds the
+    # same model: slot 0 in column 0, two s-slots (one per modality), p
+    # false at both and q true at the second, in 6 nodes.  The table grid
+    # of the same 8 types answers every search in one node, with its least
+    # valid assignment
     family = label_family([], {S})
     p, q = Prop("p"), Prop("q")
     for conjuncts, duals in [
@@ -209,10 +194,12 @@ def test_negated_modal_conjuncts_are_propagated_as_their_duals():
                 found.append(grid_model_for(grid, cs, budget))
                 spent.append(100 - budget[0])
                 assert found[-1] is not None and holds((family, expand(grid, *found[-1])), conj(cs))
-        assert spent == [1, 1, 1, 1] and len(set(found)) == 1
-    # an unsatisfiable pair fails at the root of each designated valuation
+        assert spent == [6, 1, 6, 1]
+        assert found == [(1 | 1 << 4 | 1 << 6, 0), (1 | 1 << 6, 0)] * 2
+    # an unsatisfiable pair: once p is false at both s-slots the diamond
+    # of p & q fails, and p true at either fails the negated diamond
     cs = [Not(DiamondS(S, p)), DiamondS(S, And(p, q))]
-    for build, nodes in ((engine_grid, 4), (CompiledGrid, 1)):
+    for build, nodes in ((engine_grid, 5), (CompiledGrid, 1)):
         grid = build(family, ["p", "q"], cs, [100, 100])
         budget = [100, 100]
         assert grid_model_for(grid, cs, budget) is None
@@ -409,23 +396,27 @@ def test_sat_skips_partitions_whose_true_atoms_entail_a_false_one():
     assert len({g.family for g in space._grids.values()}) == 7
 
 
-def test_root_failures_spend_no_grid_nodes():
-    # the conjunction rules out every designated valuation but the last at
-    # the root, which one sweep shows before the search spends a node
+def test_top_level_literals_are_read_at_the_designated_slot_alone():
+    # 1,024 types, past the tables' cap, but no modality: the stratum is
+    # slot 0 alone, and its ten cells are all the search assigns, each
+    # false first, which fails the root at once, then true: 21 nodes
     props = [f"p{i}" for i in range(1, 11)]
     conjuncts = [Prop(p) for p in props]
     grid = CompiledGrid(label_family([], {UNIVERSAL}), props, conjuncts, [10**6, 10**6])
-    budget = [1, 1]
+    assert grid.tables is None
+    budget = [21, 21]
     present, dv = grid_model_for(grid, conjuncts, budget)
     assert (present, dv) == (1 << 1023, 1023)
     assert expand(grid, present, dv) == ((frozenset(props),),)
     assert budget[0] == 0
+    with pytest.raises(SearchLimitError, match="grid search exceeded the node limit of 20"):
+        grid_model_for(grid, conjuncts, [20, 20])
 
 
 def test_root_candidates_come_from_one_mask():
-    # 4,096 states, each a grid search over 2^12 designated valuations:
-    # walking only the set bits of the roots' column-0 mask answers in
-    # about a second, testing every valuation in turn took about 12 s
+    # 4,096 states without a standpoint that leave no conjunct open, so
+    # none searches a grid; when each searched one over 2^12 designated
+    # valuations, testing every valuation in turn took about 12 s
     start = time.perf_counter()
     # the automaton, past the one-cell check
     v = routed(parse("F (" + " & ".join(f"p{i}" for i in range(12)) + ")"))
@@ -441,13 +432,34 @@ def ring(k: int) -> str:
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_ring_is_unsat_within_a_small_node_budget(k):
-    # without propagating the box conjunct, k=4 takes about 536k nodes
+    # the cells of p0 come first, and p0 false at every s-slot fails the
+    # diamond of p0 & !p1, true at any fails the box: 2k + 7 grid nodes.
+    # The same slot cells in node-major order took 1,983 nodes at k=4,
+    # 85,137 at k=5 and over 10 million at k=6
     assert not solve(parse(ring(k)), SolveOptions(node_limit=1_000)).is_sat
 
 
+@pytest.mark.parametrize("text, sat", [
+    (ring(14), False),
+    (" & ".join(f"<@s> p{i}" for i in range(16)) + " & <@s> !p0", True),
+    ("@s <= @t & !p & !q & <@s> r & [@t] !<@s> r", False),
+    ("@s <= @t & @u <= @t & !p & !q & <@s> r & [@t] !<@s> r", False),
+    ("@s <= @t & !p & !q & <@s> r & [@t] [@s] !r", False),
+    (" & ".join(f"(@a{i} <= @b{i} | q{i})" for i in range(11)) + " & <@s> p & [@s] !p", False),
+], ids=["ring-14", "16-diamonds", "nested", "nested-u", "nested-box", "atoms-11"])
+def test_grids_past_the_cap_answer_within_a_second(text, sat):
+    # each took 2.5 to 86 s with the presence walk, which enumerated the
+    # presence of (column, valuation) types; the slot search reads only
+    # the cells the formula reads, proposition-major
+    started = time.perf_counter()
+    verdict = routed(parse(text))  # the automaton, past the one-cell check
+    assert verdict.is_sat == sat and verdict.engine == "automaton"
+    assert time.perf_counter() - started < 1
+
+
 def test_sat_node_limit_is_loud():
-    # the ring's grid of 16 types is past the tables' cap, and its walk
-    # takes more than one node; a table search takes one
+    # the ring's grid of 16 types is past the tables' cap, and its slot
+    # search takes more than one node; a table search takes one
     with pytest.raises(SearchLimitError, match="grid search exceeded the node limit of 1"):
         solve(parse(ring(3)), SolveOptions(node_limit=1))
 
@@ -478,16 +490,11 @@ def test_grid_tables_equal_their_per_type_definitions():
             grid = CompiledGrid(family, plist, [TOP, *map(Prop, plist)], [10**6, 10**6])
             v_count, cols = 1 << n_props, len(family)
             types = range(cols * v_count)
-            assert grid.true_masks == [
-                sum(1 << t for t in types if t % v_count >> i & 1) for i in range(n_props)
-            ]
-            assert grid.extents == {
-                sp: sum(1 << t for t in types if sp in family[t // v_count])
-                for sp in (UNIVERSAL, S, T)
-            }
-            if grid.tables is None:
-                assert grid.engine.masks == grid.extents
-            else:
+            if grid.tables is not None:
+                assert grid.extents == {
+                    sp: sum(1 << t for t in types if sp in family[t // v_count])
+                    for sp in (UNIVERSAL, S, T)
+                }
                 # bit S of type t's block: t's valuation, in every row
                 tabled += 1
                 rows = 1 << len(types)
@@ -505,16 +512,25 @@ def test_grid_tables_equal_their_per_type_definitions():
 
 
 def test_grid_tables_of_many_types_are_built_without_a_loop_over_types():
-    # 2 columns x 2^15 valuations; a loop over the types took about a second
+    # 2 columns x 2^15 valuations; a loop over the types took about a
+    # second.  The grid is past the tables' cap: it builds no mask of types
+    # at all, and its search walks 16 slots, slot 0 and one s-slot per
+    # diamond, whose 225 read cells take 241 nodes
     conjuncts = [parse(f"<@s> p{i}") for i in range(15)]
     started = time.perf_counter()
     grid = CompiledGrid(label_family([], {S}), vocab(conj(conjuncts)).props, conjuncts, [10, 10])
     assert time.perf_counter() - started < 0.1
-    assert grid.full == (1 << 2**16) - 1
+    assert grid.tables is None and grid.n_types == 2 << 15
+    budget = [241, 241]
+    started = time.perf_counter()
+    found = grid_model_for(grid, conjuncts, budget)
+    assert time.perf_counter() - started < 1 and budget[0] == 0
+    # the symmetry of the s-slots puts every proposition at the last one
+    assert expand(grid, *found) == ((frozenset(),), (frozenset(), frozenset(grid.props)))
 
 
 def _first_valid_assignment(body, family, plist):
-    """Brute force in the grid search's order: designated valuation first,
+    """Brute force in the table search's order: designated valuation first,
     then every other type absent before present, the lowest type deciding
     first; the first assignment with a type in every column whose grid
     satisfies the body wins."""
@@ -577,20 +593,21 @@ def test_grid_search_returns_the_first_valid_assignment():
         grid = CompiledGrid(family, props, parts, [10**6, 10**6])
         found = grid_model_for(grid, parts, [10**6, 10**6])
         assert (found and expand(grid, *found)) == expected, to_text(body)
-    # the corpus exercises both verdicts and the propagation rules
+    # the corpus exercises both verdicts and modal conjuncts
     assert 40 < sat_count < 110 and modal > 120
 
 
-def test_table_grids_answer_as_the_walk():
+def test_table_grids_answer_as_the_brute_force():
     # random families of up to two atoms over @s, @t and the universal
-    # standpoint, one to three propositions, and
-    # conjunctions of literals, modal literals in both polarities and
-    # sharpening atoms: the table search and the walk on the engine grid
-    # find the same least assignment, or both none, and the members read
-    # off it agree
+    # standpoint, one to three propositions, and conjunctions of literals,
+    # modal literals in both polarities and sharpening atoms: the table
+    # search finds the brute force's least valid assignment on every grid
+    # of up to 8 types (its loop over presence sets takes seconds on 12),
+    # answers as the slot search of the engine grid on every table grid,
+    # and the members a state reads off either model agree on both grids
     rng = random.Random(71)
     pool = [S, T, UNIVERSAL]
-    done = sat = unsat = wide = off_zero = negated = 0
+    done = sat = unsat = wide = off_zero = negated = brute = 0
     while done < 400:
         plist = ["p", "q", "r"][: rng.randint(1, 3)]
 
@@ -615,11 +632,16 @@ def test_table_grids_answer_as_the_walk():
         if grid.tables is None:
             continue
         done += 1
-        walked = engine_grid(family, plist, conjuncts, [10**6, 10**6])
+        slots = engine_grid(family, plist, conjuncts, [10**6, 10**6])
         budget = [10**6, 10**6]
         found = grid_model_for(grid, conjuncts, budget)
         assert budget[0] == 10**6 - 1
-        assert found == grid_model_for(walked, conjuncts, [10**6, 10**6]), [to_text(g) for g in conjuncts]
+        other = grid_model_for(slots, conjuncts, [10**6, 10**6])
+        assert (found is None) == (other is None), [to_text(g) for g in conjuncts]
+        if grid.n_types <= 8:
+            brute += 1
+            expected = _first_valid_assignment(conj(conjuncts), family, plist)
+            assert (found and expand(grid, *found)) == expected, [to_text(g) for g in conjuncts]
         # the compiled members a state reads off its model
         members = [c.operand if isinstance(c, Not) else c for c in conjuncts]
         members = [g for g in members if isinstance(g, (Prop, DiamondS, BoxS))]
@@ -630,16 +652,91 @@ def test_table_grids_answer_as_the_walk():
         sat += 1
         wide += len(family) >= 2
         off_zero += found[1] != 0
-        assert holds((family, expand(grid, *found)), conj(conjuncts))
         space = SimpleNamespace(_decided=list(enumerate(members)))
-        assert StateSpace._read(space, grid, *found) == StateSpace._read(space, walked, *found)
+        for model in (found, other):
+            assert holds((family, expand(grid, *model)), conj(conjuncts))
+            assert StateSpace._read(space, grid, *model) == StateSpace._read(space, slots, *model)
     assert sat > 190 and unsat > 160 and wide > 120 and off_zero > 60 and negated > 180
+    assert brute > 300
+
+
+def test_slot_searches_answer_as_the_tables():
+    # conjunctions of literals, sharpening atoms and random PSL formulas
+    # with modalities nested up to three deep, over @s, @t, @u and the
+    # universal standpoint, on the families of up to three random atoms:
+    # the slot search of the engine grid finds a model iff the table search
+    # of the same grid does, and its model gives every column a type and
+    # satisfies the conjunction at its designated cell
+    rng = random.Random(83)
+    pool = [S, T, U, UNIVERSAL]
+    atoms_pool = [(a, b) for a in pool for b in pool if a != b]
+    done = sat = unsat = nested = outside = slotless = 0
+    while done < 500:
+        plist = ["p", "q"][: rng.randint(1, 2)]
+
+        def literal():
+            atom = Prop(rng.choice(plist))
+            return atom if rng.random() < 0.5 else Not(atom)
+
+        def part():
+            r = rng.random()
+            if r < 0.25:
+                return literal()
+            if r < 0.35:
+                atom = Sharper(rng.choice(pool), rng.choice(pool))
+                return atom if rng.random() < 0.5 else Not(atom)
+            if r < 0.7:
+                g = rng.choice([DiamondS, BoxS])(rng.choice(pool), rng.choice([literal, part])())
+                return Not(g) if rng.random() < 0.4 else g
+            return random_formula(rng, rng.randint(1, 4), props=plist, sps=(S, T, U), mode="psl")
+
+        conjuncts = [part() for _ in range(rng.randint(1, 4))]
+        atoms = rng.sample(atoms_pool, rng.randint(0, 3))
+        family = label_family(atoms, vocab(conj(conjuncts)).standpoints)
+        grid = CompiledGrid(family, plist, conjuncts, [10**6, 10**6])
+        if grid.tables is None:
+            continue
+        done += 1
+        slots = engine_grid(family, plist, conjuncts, [10**6, 10**6])
+        found = grid_model_for(slots, conjuncts, [10**6, 10**6])
+        expected = grid_model_for(grid, conjuncts, [10**6, 10**6])
+        assert (found is None) == (expected is None), [to_text(g) for g in conjuncts]
+        modal = [g for g in subformulas(*conjuncts) if isinstance(g, (DiamondS, BoxS))]
+        nested += any(isinstance(h, (DiamondS, BoxS)) for g in modal for h in subformulas(g.operand))
+        outside += any(isinstance(g, Prop) for g in conjuncts) and bool(modal)
+        slotless += any(not any(g.standpoint in labels for g in modal) for labels in family[1:])
+        if found is None:
+            unsat += 1
+            continue
+        sat += 1
+        columns = expand(slots, *found)
+        assert all(columns), [to_text(g) for g in conjuncts]
+        assert holds((family, columns), conj(conjuncts)), [to_text(g) for g in conjuncts]
+    assert sat > 230 and unsat > 170 and nested > 110 and outside > 80 and slotless > 120
+
+
+def test_slot_grids_agree_with_the_brute_force(monkeypatch):
+    # every grid an engine grid, so every state of the automaton is a slot
+    # search: the verdicts on random PSL inputs with nested modalities
+    # match the brute force over every set of types, and each sat
+    # witness passes the checker (``routed``)
+    monkeypatch.setattr(psl, "ONE_CELL_BITS", 0)
+    rng = random.Random(89)
+    verdicts = []
+    while len(verdicts) < 200:
+        props = ("p", "q")[: rng.randint(1, 2)]
+        f = conj(random_formula(rng, rng.randint(1, 4), props, mode="psl") for _ in range(rng.randint(3, 5)))
+        if size(f) > 30:
+            continue
+        verdicts.append(routed(f).is_sat)
+        assert verdicts[-1] == psl_brute_sat_bitwise(f), to_text(f)
+    assert 60 < sum(verdicts) < 150
 
 
 def test_a_grid_at_the_cap_takes_the_table():
     # 8 columns of one valuation each, and one formula of 512 nodes:
     # 512 x 8 x 2^8 bits, exactly the cap, takes the table; a ninth column
-    # (one type more) or a 513th node takes the walk
+    # (one type more) or a 513th node takes the slot search
     names = [Standpoint(f"s{i}") for i in range(8)]
     body = TOP
     for k in range(511):
@@ -653,9 +750,11 @@ def test_a_grid_at_the_cap_takes_the_table():
     ]
     assert [(len(g.family), g.tables is not None) for g, _ in grids] == [(8, True), (9, False), (8, False)]
     for grid, f in grids:
+        # no proposition: a column's one type present in every column is
+        # the one valid assignment
         found = grid_model_for(grid, [f], [10**6, 10**6])
+        assert found == ((1 << len(grid.family)) - 1, 0)
         assert holds((grid.family, expand(grid, *found)), f)
-        assert found == grid_model_for(engine_grid(grid.family, [], [f], [10**6, 10**6]), [f], [10**6, 10**6])
 
 
 # ---------------------------------------------------------------------------

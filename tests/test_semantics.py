@@ -18,7 +18,7 @@ from conftest import (
     reference_evaluate,
 )
 
-from sltl import psl, search
+from sltl import search
 from sltl.solver import assign_folded, check_witness, solve
 from sltl.search import (
     IntervalEngine,
@@ -356,10 +356,10 @@ def test_symmetry_reduction_keeps_the_first_witness(monkeypatch):
     tables = [0]
     real = search._search_stratum
 
-    def plain_search(engine, f, n_props, reach, prev, budget):
+    def plain_search(engine, roots, n_props, cells, budget):
         """The plain enumeration: no pairs of interchangeable traces."""
-        paired.append(bool(prev))
-        return real(engine, f, n_props, reach, {}, budget)
+        paired.append(any(before for *_, before in cells))
+        return real(engine, roots, n_props, [(p, bit, t, 0) for p, bit, t, _ in cells], budget)
 
     def plain_table(f, props, traces, extents):
         """A one-position stratum walked by the plain enumeration, where
@@ -436,7 +436,8 @@ def _search_every_assignment(f, bounds):
                         lam[UNIVERSAL] = (1 << t_count) - 1
                         engine = IntervalEngine([f], t_count, prefix, period, lam, leaves)
                         reach = {t for sp in voc.modal for t in ids if lam[sp] >> t & 1} | {0}
-                        found = search._search_stratum(engine, f, len(leaves), reach, {}, budget)
+                        cells = search._node_major_cells(engine, len(leaves), reach, {})
+                        found = search._search_stratum(engine, [engine.slot[f]], len(leaves), cells, budget)
                         if found is not None:
                             return t_count, prefix, period
     return None
@@ -852,60 +853,6 @@ def _assert_sound(f, lo, hi, model, cells):
             assert not evaluate(model, tid, k, f), (f, tid, k)
 
 
-def test_interval_engine_knows_extents_are_never_empty():
-    # on the grid a sharpening atom is a constant; with nothing present yet
-    # a box over a false one is already false and a diamond over a true one
-    # already true, as every completion gives each extent a present type
-    extents = {UNIVERSAL: 0b111, S: 0b110, T: 0b100}
-    formulas = [parse("[@s] (@s <= @t)"), parse("<@s> !(@s <= @t)"), parse("[@t] (@t <= @s)")]
-    engine = IntervalEngine(formulas, 3, 0, 1, extents, LEAVES)
-    lo, hi = engine.sweep([0, 0], [0, 0], 0, 0b111)
-    box, dia, true_box = (engine.slot[f] for f in formulas)
-    assert (lo[box], hi[box]) == (0, 0)
-    assert (lo[dia], hi[dia]) == (0b111, 0b111)
-    assert (lo[true_box], hi[true_box]) == (0b111, 0b111)
-    # once a type is ruled out, the rest of the extent still decides
-    lo, hi = engine.sweep([0, 0], [0, 0], 0, 0b011)
-    assert hi[box] == 0 and lo[dia] == 0b111
-
-
-def test_interval_engine_sound_on_grid_types_with_partial_presence():
-    # the grid search's use: one-position traces are (column, valuation)
-    # types with constant valuations, and presence is partly decided
-    rng = random.Random(31)
-    props = ("p", "q")
-    v_count = 4
-    for _ in range(150):
-        f = random_formula(rng, 3, props=props, mode="psl", max_sharpenings=0)
-        atoms = rng.choice([[], [(S, T)]])
-        family = psl.label_family(atoms, [S, T])
-        n_types = len(family) * v_count
-        extents = {
-            sp: sum(1 << t for t in range(n_types) if sp in family[t // v_count])
-            for sp in (UNIVERSAL, S, T)
-        }
-        full = (1 << n_types) - 1
-        tm = [sum(1 << t for t in range(n_types) if t % v_count >> i & 1) for i in range(2)]
-        fm = [full ^ m for m in tm]
-        engine = IntervalEngine([f], n_types, 0, 1, extents, LEAVES)
-        partial, completions = _completions(rng, n_types, 5)
-        present = sum(1 << t for t, v in enumerate(partial) if v is True)
-        possible = full ^ sum(1 << t for t, v in enumerate(partial) if v is False)
-        lo, hi = engine.sweep(tm, fm, present, possible)
-        lo, hi = lo[engine.slot[f]] & full, hi[engine.slot[f]] & full
-        for chosen in completions:
-            types = [t for t in range(n_types) if chosen[t]]
-            lam = {sp: frozenset(f"t{t}" for t in types if ext >> t & 1) for sp, ext in extents.items()}
-            if not all(lam.values()):
-                continue  # a model gives every standpoint a non-empty extent
-            traces = {}
-            for t in types:
-                val = frozenset(p for i, p in enumerate(props) if t % v_count >> i & 1)
-                traces[f"t{t}"] = UPTrace((), (val,))
-            model = SLTLModel(traces, lam, 0, 1)
-            _assert_sound(f, lo, hi, model, [(1 << t, f"t{t}", 0) for t in types])
-
-
 def test_bind_gives_the_instructions_of_a_fresh_compile():
     rng = random.Random(41)
     for _ in range(200):
@@ -978,7 +925,7 @@ def test_interval_engine_sound_on_lasso_strata_with_partial_valuations():
         every = engines[0].full
         results = []
         for engine in engines:
-            lo, hi = engine.sweep(tm, fm, every, every)
+            lo, hi = engine.sweep(tm, fm)
             results.append((lo[engine.slot[f]] & every, hi[engine.slot[f]] & every))
         lam = {sp: frozenset(f"t{t}" for t in ids if ext >> t & 1) for sp, ext in extents.items()}
         for chosen in completions:

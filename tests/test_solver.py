@@ -253,7 +253,9 @@ def test_a_many_standpoint_miss_stays_within_the_steps_nodes(monkeypatch):
     # @s0 <= ... <= @s7 & <@s0> p & [@s7] !p is unsat; its two-trace
     # strata are 3^7 standpoint assignments, one truth table each, and the
     # step stops at its cap before the automaton runs; a smaller node limit
-    # stops it sooner
+    # stops it sooner.  The automaton's grid of 9 columns is past the
+    # tables' cap, and its slot search reads p at 9 slots, false then true
+    # at each: 19 nodes, the least limit that answers
     tables = []
     real = search._table_stratum
 
@@ -266,8 +268,10 @@ def test_a_many_standpoint_miss_stays_within_the_steps_nodes(monkeypatch):
     assert solve(parse(text)).status == "unsat"
     assert len(tables) == TWO_TRACE_NODES
     tables.clear()
-    assert solve(parse(text), SolveOptions(node_limit=5)).status == "unsat"
-    assert len(tables) == 5
+    assert solve(parse(text), SolveOptions(node_limit=19)).status == "unsat"
+    assert len(tables) == 19
+    with pytest.raises(SearchLimitError, match="grid search"):
+        solve(parse(text), SolveOptions(node_limit=18))
 
 
 def test_ltl_psl_example_is_satisfiable_with_checked_witness():
@@ -601,25 +605,31 @@ def test_multi_atom_inputs_agree_with_bounded_search():
     assert sat_seen > 20
 
 
-def test_node_limit_is_not_spent_on_root_failures():
-    # the modal member makes every state search a grid; the counter's
-    # states each force one valuation of four bits, and q false meets the
-    # diamond at the designated cell; tried in turn, the valuations before
-    # it took 136 nodes in all, and 16, one per grid search, is the least
-    # budget it answers under
+def test_forced_valuations_cost_one_node_per_true_bit():
+    # the modal member makes every state search a grid of 32 types, past
+    # the tables' cap; each of the 16 searches forces one valuation of the
+    # counter's four bits, read at slot 0 alone, so its slot search spends
+    # a node at the root, one per bit, one more per true bit (false fails
+    # first) and one for q false at slot 0, which meets the diamond: 6
+    # nodes plus its true bits, 128 in all, the least budget it answers
+    # under
     f = And(counter_formula(4), parse("G <@*> !q"))
-    v = solve(f, SolveOptions(node_limit=16))
+    v = solve(f, SolveOptions(node_limit=128))
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
     with pytest.raises(SearchLimitError, match="grid search"):
-        solve(f, SolveOptions(node_limit=15))
+        solve(f, SolveOptions(node_limit=127))
 
 
 def test_grid_larger_than_the_node_limit_is_searched():
-    # 2,048 types and a search of one node: the grid's tables are bounded
-    # by the default limit, the search by the nodes left
+    # 2,048 types and a slot search of 22 nodes (a root node, ten true
+    # propositions at two nodes each, and q false at slot 0): the grid's
+    # size check is bounded by the default limit, the search by the nodes
+    # left
     f = parse("G(" + " & ".join(f"p{i}" for i in range(1, 11)) + " & <@*> !q)")
-    v = routed(f, SolveOptions(node_limit=1))  # the automaton, past the one-cell check
+    v = routed(f, SolveOptions(node_limit=22))  # the automaton, past the one-cell check
     assert v.status == "sat" and check_witness(f, v.model, v.designated)
+    with pytest.raises(SearchLimitError, match="grid search"):
+        routed(f, SolveOptions(node_limit=21))
 
 
 def test_modalities_over_false_atoms_fail_at_the_root():
